@@ -1,4 +1,4 @@
-# Development targets. `make check` is the PR gate: vet, build, the full
+# Development targets. `make check` is the PR gate: gofmt, vet, build, the full
 # test suite, a race-detector pass over the concurrent packages (the
 # experiment engine, its observability collector, the serving layer, and
 # the memory controller — including the indexed issue path and its
@@ -29,9 +29,14 @@ BENCH_GOMAXPROCS ?= 2
 BENCH_COUNT ?= 3
 BENCH_ENV = GOMAXPROCS=$(BENCH_GOMAXPROCS)
 
-.PHONY: check vet build test race smoke chaos benchbuild bench bench-check
+.PHONY: check fmt vet build test race smoke chaos benchbuild bench bench-check
 
-check: vet build test race smoke benchbuild
+check: fmt vet build test race smoke benchbuild
+
+# fmt fails on any file gofmt would rewrite (it lists them).
+fmt:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -75,7 +80,7 @@ bench:
 	$(BENCH_ENV) $(GO) run ./tools/benchjson -i bench.out -o BENCH_kernel.json
 	$(BENCH_ENV) $(GO) test -run '^$$' -bench . -benchmem -benchtime 100000x -count 5 ./internal/memctrl > bench_memctrl.out
 	$(BENCH_ENV) $(GO) run ./tools/benchjson -i bench_memctrl.out -o BENCH_memctrl.json
-	$(BENCH_ENV) $(GO) test -run '^$$' -bench 'BenchmarkSweep|BenchmarkFigureSuite' -benchmem -benchtime 1x -count $(BENCH_COUNT) ./internal/exper > bench_sweep.out
+	$(BENCH_ENV) $(GO) test -run '^$$' -bench 'BenchmarkSweep|BenchmarkFigureSuite|BenchmarkRunGridHitWide' -benchmem -benchtime 1x -count $(BENCH_COUNT) ./internal/exper > bench_sweep.out
 	$(BENCH_ENV) $(GO) run ./tools/benchjson -i bench_sweep.out -o BENCH_sweep.json
 	$(BENCH_ENV) $(GO) test -run '^$$' -bench BenchmarkServe -benchmem -benchtime 1x -count $(BENCH_COUNT) ./internal/serve > bench_serve.out
 	$(BENCH_ENV) $(GO) run ./tools/benchjson -i bench_serve.out -o BENCH_serve.json
@@ -87,7 +92,8 @@ bench:
 # any slowdown beyond BENCH_TOLERANCE percent (improvements always pass).
 # Derived figures are gated too: speedups (idle_speedup, saturated_speedup,
 # sweep_fork_speedup, figures_dedup_speedup, serve_warm_speedup) and request
-# rates (serve_warm_reqs_per_sec, serve_concurrent_reqs_per_sec) fail when
+# rates (serve_warm_reqs_per_sec, serve_warm_disk_reqs_per_sec,
+# serve_concurrent_reqs_per_sec) fail when
 # they shrink beyond the tolerance, counters (event_queue_allocs_per_op,
 # figures_unique_cells, figures_requested_cells) when they grow.
 bench-check:
@@ -95,7 +101,7 @@ bench-check:
 	$(BENCH_ENV) $(GO) run ./tools/benchjson -i bench.out -against BENCH_kernel.json -tolerance $(BENCH_TOLERANCE) -o /dev/null
 	$(BENCH_ENV) $(GO) test -run '^$$' -bench . -benchmem -benchtime 100000x -count 5 ./internal/memctrl > bench_memctrl.out
 	$(BENCH_ENV) $(GO) run ./tools/benchjson -i bench_memctrl.out -against BENCH_memctrl.json -tolerance $(BENCH_TOLERANCE) -o /dev/null
-	$(BENCH_ENV) $(GO) test -run '^$$' -bench 'BenchmarkSweep|BenchmarkFigureSuite' -benchmem -benchtime 1x -count $(BENCH_COUNT) ./internal/exper > bench_sweep.out
+	$(BENCH_ENV) $(GO) test -run '^$$' -bench 'BenchmarkSweep|BenchmarkFigureSuite|BenchmarkRunGridHitWide' -benchmem -benchtime 1x -count $(BENCH_COUNT) ./internal/exper > bench_sweep.out
 	$(BENCH_ENV) $(GO) run ./tools/benchjson -i bench_sweep.out -against BENCH_sweep.json -tolerance $(BENCH_TOLERANCE) -o /dev/null
 	$(BENCH_ENV) $(GO) test -run '^$$' -bench BenchmarkServe -benchmem -benchtime 1x -count $(BENCH_COUNT) ./internal/serve > bench_serve.out
 	$(BENCH_ENV) $(GO) run ./tools/benchjson -i bench_serve.out -against BENCH_serve.json -tolerance $(BENCH_TOLERANCE) -o /dev/null

@@ -113,11 +113,11 @@ type Cache struct {
 	// once and fail, and SkipSpan integrates those refusals through it.
 	lowerRejects mem.RejectAccounter
 	events       cacheEvents
-	mshrs    map[uint64]*mshr // keyed by line address
-	mshrFree []*mshr          // recycled MSHRs (see mshr)
-	wbs      wbPool
-	deferred []*mem.Request // lower-level requests rejected, to retry
-	lruTick  uint64
+	mshrs        map[uint64]*mshr // keyed by line address
+	mshrFree     []*mshr          // recycled MSHRs (see mshr)
+	wbs          wbPool
+	deferred     []*mem.Request // lower-level requests rejected, to retry
+	lruTick      uint64
 	// snapID identifies this cache instance in checkpoint request origins
 	// (mem.Origin.Comp); assigned by the system builder via SetSnapID.
 	snapID int32

@@ -15,9 +15,9 @@ import (
 // API depends on its capacity share (API_shared vs API_alone), while both
 // remain invariant to memory *bandwidth* partitioning.
 type SharedCache struct {
-	cfg      Config
-	numApps  int
-	quota    []int // ways per set each app may hold
+	cfg     Config
+	numApps int
+	quota   []int // ways per set each app may hold
 	sets    [][]sline
 	setMask uint64
 	lower   mem.Port
@@ -25,11 +25,11 @@ type SharedCache struct {
 	// closed-form reject accounting, enabling deferred-retry span skipping.
 	lowerRejects mem.RejectAccounter
 	events       cacheEvents
-	mshrs    map[uint64]*mshr
-	mshrFree []*mshr
-	wbs      wbPool
-	deferred []*mem.Request
-	lruTick  uint64
+	mshrs        map[uint64]*mshr
+	mshrFree     []*mshr
+	wbs          wbPool
+	deferred     []*mem.Request
+	lruTick      uint64
 	// snapID identifies this cache instance in checkpoint request origins
 	// (mem.Origin.Comp); assigned by the system builder via SetSnapID.
 	snapID int32

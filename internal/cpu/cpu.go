@@ -99,9 +99,9 @@ type robEntry struct {
 
 // Core is one simulated core. Drive it with Tick once per cycle.
 type Core struct {
-	cfg    Config
-	app    int
-	l1     mem.Port
+	cfg Config
+	app int
+	l1  mem.Port
 	// l1Rejects is l1's mem.RejectAccounter view when it has one (real
 	// caches do; test stubs may not). Non-nil is what lets a pending
 	// instruction stuck behind an L1 reject count as a stable stall:

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"sync"
@@ -77,26 +78,53 @@ func (c *ResultCache) Bytes() int64 {
 	return c.curBytes
 }
 
-// Do returns the memoized cell for key, invoking fn at most once per key
-// across all concurrent callers. The leader's fn result is deep-copied into
-// the cache; hits and coalesced waiters get fresh deep copies. Counters:
-// a hit on a finished cell records CellCacheHit, joining an in-flight
-// simulation records CellCacheCoalesced, and a leader records CellCacheMiss.
-func (c *ResultCache) Do(key string, col *obs.Collector, fn func() (*MixRun, error)) (*MixRun, error) {
+// errNotResident fails a resident-only lookup (nil sim) for a cell that is in
+// neither tier.
+var errNotResident = errors.New("exper: cell not resident")
+
+// resolveCell is the lookup order below the memory tier: load (the disk
+// tier), then sim when set. A cell served from disk counts as a
+// CheckpointHit, a simulated one as a CellCacheMiss — never both.
+func resolveCell(col *obs.Collector, load func() (*MixRun, bool), sim func() (*MixRun, error)) (*MixRun, error) {
+	if run, ok := load(); ok {
+		col.CheckpointHit()
+		return run, nil
+	}
+	if sim == nil {
+		return nil, errNotResident
+	}
+	col.CellCacheMiss()
+	return sim()
+}
+
+// Do resolves the cell for key in the engine's one lookup order — memory
+// tier, then resolveCell — running load and sim at most once per key across
+// all concurrent callers. What the leader resolves becomes the cache's master
+// copy, so a disk hit is promoted and the cell's next request is a memory
+// hit; leader, hits, and coalesced waiters all get fresh deep copies. Every
+// resolved cell counts exactly once: CellCacheHit on a finished cell,
+// CellCacheCoalesced for joining an in-flight one, else resolveCell's count.
+func (c *ResultCache) Do(key string, col *obs.Collector, load func() (*MixRun, bool), sim func() (*MixRun, error)) (*MixRun, error) {
 	c.mu.Lock()
-	if f, ok := c.cells[key]; ok {
+	for f := c.cells[key]; f != nil; f = c.cells[key] {
 		c.clock++
 		f.lastUse = c.clock
-		select {
-		case <-f.done:
-			col.CellCacheHit()
-		default:
-			col.CellCacheCoalesced()
-		}
+		finished := f.finished()
 		c.mu.Unlock()
 		<-f.done
+		if f.err == errNotResident && sim != nil {
+			// A resident-only lookup led that flight and found nothing: look
+			// again, and simulate unless another caller got there first.
+			c.mu.Lock()
+			continue
+		}
 		if f.err != nil {
 			return nil, f.err
+		}
+		if finished {
+			col.CellCacheHit()
+		} else {
+			col.CellCacheCoalesced()
 		}
 		return copyMixRun(f.run), nil
 	}
@@ -104,29 +132,20 @@ func (c *ResultCache) Do(key string, col *obs.Collector, fn func() (*MixRun, err
 	f := &cellFlight{done: make(chan struct{}), lastUse: c.clock}
 	c.cells[key] = f
 	c.mu.Unlock()
-	col.CellCacheMiss()
 
 	finished := false
-	// A panicking fn would otherwise leave the flight open forever and
+	// A panicking sim would otherwise leave the flight open forever and
 	// deadlock every waiter: fail the flight, then let the panic propagate
 	// (runJobs converts it into a job error).
 	defer func() {
 		if !finished {
-			f.err = fmt.Errorf("exper: cell simulation panicked")
-			c.mu.Lock()
-			delete(c.cells, key)
-			c.mu.Unlock()
-			close(f.done)
+			c.fail(key, f, fmt.Errorf("exper: cell simulation panicked"))
 		}
 	}()
-	run, err := fn()
+	run, err := resolveCell(col, load, sim)
 	finished = true
 	if err != nil {
-		f.err = err
-		c.mu.Lock()
-		delete(c.cells, key)
-		c.mu.Unlock()
-		close(f.done)
+		c.fail(key, f, err)
 		return nil, err
 	}
 	f.run = run
@@ -140,10 +159,30 @@ func (c *ResultCache) Do(key string, col *obs.Collector, fn func() (*MixRun, err
 	c.evictLocked(col)
 	col.SetCellCacheBytes(c.curBytes)
 	c.mu.Unlock()
-	// The leader gets a deep copy too: fn's result becomes the cache's
+	// The leader gets a deep copy too: the resolved run becomes the cache's
 	// master and is never handed out, so no caller — leader included —
 	// holds memory any other caller (or the cache) can see.
 	return copyMixRun(run), nil
+}
+
+// fail publishes err to the flight's waiters and forgets the flight, so a
+// later request retries.
+func (c *ResultCache) fail(key string, f *cellFlight, err error) {
+	f.err = err
+	c.mu.Lock()
+	delete(c.cells, key)
+	c.mu.Unlock()
+	close(f.done)
+}
+
+// finished reports whether the flight has resolved.
+func (f *cellFlight) finished() bool {
+	select {
+	case <-f.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // evictLocked drops least-recently-used finished cells until the account
@@ -158,13 +197,8 @@ func (c *ResultCache) evictLocked(col *obs.Collector) {
 		var victimKey string
 		var victim *cellFlight
 		for key, f := range c.cells {
-			select {
-			case <-f.done:
-			default:
-				continue // in flight
-			}
-			if f.err != nil {
-				continue // being removed by its leader
+			if !f.finished() || f.err != nil {
+				continue // in flight, or being removed by its leader
 			}
 			if victim == nil || f.lastUse < victim.lastUse {
 				victim, victimKey = f, key

@@ -1,11 +1,13 @@
 package exper
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"bwpart/internal/faultinject"
@@ -15,10 +17,11 @@ import (
 
 // CheckpointStore persists finished (mix, scheme) sweep cells as JSON files
 // so an interrupted RunGrid resumes where it stopped instead of starting
-// over. Files are keyed by mix, scheme, and a fingerprint of every
-// configuration knob that affects the measurement, so results recorded under
-// a different configuration are never mistaken for the current sweep's — a
-// stale file is simply a cache miss.
+// over. Files are keyed like the in-memory result cache — by the mix's
+// benchmark list, the scheme, and a fingerprint of every configuration knob
+// that affects the measurement — so results recorded under a different
+// configuration are never mistaken for the current sweep's: a stale file is
+// simply a cache miss.
 //
 // The store degrades instead of failing: any disk I/O error (a full or
 // read-only disk, a sick mount) permanently demotes it to in-memory-only
@@ -113,28 +116,33 @@ func (s *CheckpointStore) degrade(op string, err error) {
 	logf("exper: checkpoint %s failed; store degraded to in-memory only (cells still compute, persistence is off): %v", op, err)
 }
 
-// cellPath names the file for one (mix, scheme) cell under the runner's
-// canonical configuration fingerprint (see fingerprint.go). The encoding
-// version is stamped into the name alongside a fingerprint prefix, so a
-// version bump — or any config difference — lands on a different path and
-// old files become plain cache misses.
-func (s *CheckpointStore) cellPath(r *Runner, mixName, scheme string) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s__%s__v%d-%s.json", mixName, scheme, FingerprintVersion, r.fp[:16]))
+// cellPath names the file for one cell by the SHA-256 of the same content-
+// addressed cellKey the memory tier uses, so the tiers agree on what a cell
+// is: mixes that alias in memory (the motivation mix is hetero-5) share one
+// file, same-named mixes over different benchmarks never do, and any config
+// difference or version bump makes old files plain misses. The version and a
+// fingerprint prefix lead the name only so an operator can tell (and prune)
+// one configuration's files.
+func (s *CheckpointStore) cellPath(r *Runner, mix workload.Mix, scheme string) string {
+	key := sha256.Sum256([]byte(cellKey(r.fp, mix, scheme)))
+	return filepath.Join(s.dir, fmt.Sprintf("v%d-%s-%x.json", FingerprintVersion, r.fp[:16], key))
 }
 
 // Load returns the stored cell for (mix, scheme) under r's configuration,
-// or (nil, false) when absent, unreadable, or recorded under a different
-// configuration — any such miss just means the cell is re-simulated. A read
-// error other than "file does not exist" additionally degrades the store.
+// or (nil, false) when absent, unreadable, or recorded for a different
+// benchmark list or scheme — any such miss just means the cell is
+// re-simulated. Display labels are not compared: an aliased mix may have
+// written the file. A read error other than "file does not exist"
+// additionally degrades the store. A nil store holds nothing.
 func (s *CheckpointStore) Load(r *Runner, mix workload.Mix, scheme string) (*MixRun, bool) {
-	if s.Degraded() {
+	if s == nil || s.Degraded() {
 		return nil, false
 	}
 	if err := s.injector().Err(faultinject.CheckpointRead); err != nil {
 		s.degrade("read", err)
 		return nil, false
 	}
-	data, err := os.ReadFile(s.cellPath(r, mix.Name, scheme))
+	data, err := os.ReadFile(s.cellPath(r, mix, scheme))
 	if err != nil {
 		if !os.IsNotExist(err) {
 			s.degrade("read", err)
@@ -145,7 +153,7 @@ func (s *CheckpointStore) Load(r *Runner, mix workload.Mix, scheme string) (*Mix
 	if err := json.Unmarshal(data, &run); err != nil {
 		return nil, false
 	}
-	if run.Mix.Name != mix.Name || run.Scheme != scheme {
+	if !slices.Equal(run.Mix.Benchmarks, mix.Benchmarks) || run.Scheme != scheme {
 		return nil, false
 	}
 	return &run, true
@@ -155,9 +163,9 @@ func (s *CheckpointStore) Load(r *Runner, mix workload.Mix, scheme string) (*Mix
 // crash mid-write never leaves a truncated checkpoint behind. An I/O error
 // degrades the store (logged and counted there) and is returned only for
 // visibility — callers must never fail a finished cell on it, and the
-// degraded store turns all further Saves into no-ops.
+// degraded store turns all further Saves into no-ops, as does a nil store.
 func (s *CheckpointStore) Save(r *Runner, run *MixRun) error {
-	if s.Degraded() {
+	if s == nil || s.Degraded() {
 		return nil
 	}
 	data, err := json.Marshal(run)
@@ -189,7 +197,7 @@ func (s *CheckpointStore) Save(r *Runner, run *MixRun) error {
 		s.degrade("rename", err)
 		return err
 	}
-	if err := os.Rename(tmp.Name(), s.cellPath(r, run.Mix.Name, run.Scheme)); err != nil {
+	if err := os.Rename(tmp.Name(), s.cellPath(r, run.Mix, run.Scheme)); err != nil {
 		os.Remove(tmp.Name())
 		s.degrade("rename", err)
 		return err

@@ -112,7 +112,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	// A truncated file is a miss, not an error.
-	if err := os.WriteFile(store.cellPath(r, mix.Name, "equal"), []byte("{"), 0o644); err != nil {
+	if err := os.WriteFile(store.cellPath(r, mix, "equal"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := store.Load(r, mix, "equal"); ok {
@@ -143,7 +143,7 @@ func TestCheckpointPartialResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(store.cellPath(r, mix.Name, "proportional")); err != nil {
+	if err := os.Remove(store.cellPath(r, mix, "proportional")); err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := cfg

@@ -412,60 +412,57 @@ func (r *Runner) measureOn(p *preparedMix, sys *sim.System, scheme string) (*Mix
 	return run, nil
 }
 
-// RunMix simulates one mix under one scheme (NoPartitioning or a core
-// scheme name) and evaluates all four objectives. Unless the runner was
-// built with NoMemoize, the call flows through the memoized cell executor:
-// an identical cell already simulated (by any entry point sharing the
-// cache) is returned as a deep copy, a concurrent identical request joins
-// the in-flight simulation, and a fresh cell is measured on a fork of the
-// mix's shared warm base.
+// RunMix resolves one mix under one scheme (NoPartitioning or a core scheme
+// name) and evaluates all four objectives. Unless the runner was built with
+// NoMemoize, an identical cell already resolved (by any entry point sharing
+// the cache) is returned as a deep copy, a concurrent identical request joins
+// the in-flight one, and a fresh cell is measured on a fork of the mix's
+// shared warm base.
 func (r *Runner) RunMix(mix workload.Mix, scheme string) (*MixRun, error) {
-	return r.cell(mix, scheme)
+	return r.lookup(mix, scheme, true)
 }
 
-// cell is the one memoized executor every (mix, scheme) simulation flows
-// through. With a tracer installed the result cache is bypassed — a cache
-// hit would silently skip the trace the caller asked for — but warm-base
-// sharing still applies (forked runs emit bit-identical traces).
-func (r *Runner) cell(mix workload.Mix, scheme string) (*MixRun, error) {
-	exec := func() (*MixRun, error) { return r.executeCell(mix, scheme) }
+// lookup is the engine's one lookup order for a cell, which every entry
+// point flows through: the in-memory result cache, then the on-disk
+// checkpoint store (a disk hit is promoted into the cache under the cell's
+// single-flight key), then — only when simulate is set — a real simulation.
+// Without simulate a cell in neither tier fails with errNotResident and
+// nothing is profiled, warmed, or forked. With a tracer installed the result
+// cache is bypassed — a cache hit would silently skip the trace the caller
+// asked for — but warm-base sharing still applies (forked runs emit
+// bit-identical traces).
+func (r *Runner) lookup(mix workload.Mix, scheme string, simulate bool) (*MixRun, error) {
+	load := func() (*MixRun, bool) { return r.cfg.Checkpoint.Load(r, mix, scheme) }
+	var sim func() (*MixRun, error)
+	if simulate {
+		sim = func() (*MixRun, error) { return r.simulateCell(mix, scheme) }
+	}
 	var run *MixRun
 	var err error
 	if r.cache == nil || r.cfg.Tracer != nil {
-		run, err = exec()
+		run, err = resolveCell(r.cfg.Obs, load, sim)
 	} else {
-		run, err = r.cache.Do(cellKey(r.fp, mix, scheme), r.cfg.Obs, exec)
+		run, err = r.cache.Do(cellKey(r.fp, mix, scheme), r.cfg.Obs, load, sim)
 	}
 	if err != nil {
 		return nil, err
 	}
-	// Cells are content-addressed, so a hit may carry the labels of an
-	// aliased mix (e.g. hetero-5 serving the motivation mix). Restamp the
-	// requested mix's display fields; the benchmark list is equal by key
-	// construction and the simulation never read the labels.
+	// Cells are content-addressed in both tiers, so a hit may carry the
+	// labels of an aliased mix (e.g. hetero-5 serving the motivation mix).
+	// Restamp the requested mix's display fields; the benchmark list is equal
+	// by key construction and the simulation never read the labels.
 	run.Mix.Name = mix.Name
 	run.Mix.PaperRSD = mix.PaperRSD
-	r.cellDone(mix.Name, scheme)
+	if r.cfg.CellDone != nil {
+		r.cfg.CellDone(mix.Name, scheme, r.fp)
+	}
 	return run, nil
 }
 
-// cellDone notifies Config.CellDone, if set, that one cell resolved.
-func (r *Runner) cellDone(mixName, scheme string) {
-	if r.cfg.CellDone != nil {
-		r.cfg.CellDone(mixName, scheme, r.fp)
-	}
-}
-
-// executeCell resolves one cell below the in-memory cache: the on-disk
-// checkpoint store first, then a real simulation (shared warm base when
-// memoizing, full cold run otherwise), persisting the fresh result.
-func (r *Runner) executeCell(mix workload.Mix, scheme string) (*MixRun, error) {
-	if r.cfg.Checkpoint != nil {
-		if run, ok := r.cfg.Checkpoint.Load(r, mix, scheme); ok {
-			r.cfg.Obs.CheckpointHit()
-			return run, nil
-		}
-	}
+// simulateCell is the last step of the lookup order: a real simulation
+// (shared warm base when memoizing, full cold run otherwise), persisted to
+// the checkpoint store.
+func (r *Runner) simulateCell(mix workload.Mix, scheme string) (*MixRun, error) {
 	r.cfg.Faults.Sleep(faultinject.CellDelay)
 	if r.cfg.Faults.Fire(faultinject.CellPanic) {
 		panic(fmt.Sprintf("injected cell panic (%s/%s)", mix.Name, scheme))
@@ -480,11 +477,9 @@ func (r *Runner) executeCell(mix workload.Mix, scheme string) (*MixRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.cfg.Checkpoint != nil {
-		// A Save failure degrades the store — logged and counted there — but
-		// never fails a cell that was successfully simulated.
-		_ = r.cfg.Checkpoint.Save(r, run)
-	}
+	// A Save failure degrades the store — logged and counted there — but
+	// never fails a cell that was successfully simulated.
+	_ = r.cfg.Checkpoint.Save(r, run)
 	return run, nil
 }
 
@@ -516,10 +511,5 @@ func (r *Runner) runCellShared(mix workload.Mix, scheme string) (*MixRun, error)
 		return nil, err
 	}
 	e.put(sys)
-	// The shared base may have been prepared under an aliased mix name
-	// (prepared entries are content-addressed); stamp the requested labels
-	// before the checkpoint store files this run by name.
-	run.Mix.Name = mix.Name
-	run.Mix.PaperRSD = mix.PaperRSD
 	return run, nil
 }

@@ -166,8 +166,8 @@ func TestCellDelayInjection(t *testing.T) {
 }
 
 // TestCellDoneHook pins the journal hook's contract: it fires once per
-// resolved cell with the runner's fingerprint — on fresh simulation, on
-// RunGrid's checkpoint preload, and on in-memory cache hits.
+// resolved cell with the runner's fingerprint, whichever step of the lookup
+// order resolved it — fresh simulation, in-memory cache hit, or disk-tier hit.
 func TestCellDoneHook(t *testing.T) {
 	store, err := NewCheckpointStore(t.TempDir())
 	if err != nil {
@@ -219,7 +219,7 @@ func TestCellDoneHook(t *testing.T) {
 		t.Fatalf("cache hit did not fire CellDone (%d -> %d)", fresh, afterHit)
 	}
 
-	// A fresh runner resuming from disk fires CellDone via the grid preload.
+	// A fresh runner resuming from disk fires CellDone for every disk-tier hit.
 	got = nil
 	cfg2 := cfg
 	r2, err := NewRunner(cfg2)

@@ -1,6 +1,8 @@
 package exper
 
 import (
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -106,9 +108,10 @@ func TestCellKeySeparation(t *testing.T) {
 	}
 }
 
-// TestCheckpointPathVersioned pins the satellite fix: cell files are named
-// by the canonical fingerprint with an explicit version tag, so an encoding
-// bump (or any config change) misses instead of serving stale cells.
+// TestCheckpointPathVersioned pins the cell file naming: the name leads with
+// an explicit version tag and the canonical fingerprint prefix, and is derived
+// from the memory tier's cellKey — so an encoding bump (or any config change)
+// misses instead of serving stale cells, and the display name plays no part.
 func TestCheckpointPathVersioned(t *testing.T) {
 	store, err := NewCheckpointStore(t.TempDir())
 	if err != nil {
@@ -118,11 +121,20 @@ func TestCheckpointPathVersioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := store.cellPath(r, "hetero-1", "equal")
-	if !strings.Contains(path, "__v2-") {
-		t.Errorf("cell path %q lacks the v%d version tag", path, FingerprintVersion)
+	mix, err := workload.MixByName("hetero-1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(path, r.Fingerprint()[:16]) {
-		t.Errorf("cell path %q lacks the canonical fingerprint prefix", path)
+	path := store.cellPath(r, mix, "equal")
+	if want := fmt.Sprintf("v%d-%s-", FingerprintVersion, r.Fingerprint()[:16]); !strings.HasPrefix(filepath.Base(path), want) {
+		t.Errorf("cell path %q lacks the version tag and fingerprint prefix %q", path, want)
+	}
+	renamed := mix
+	renamed.Name = "some-other-label"
+	if store.cellPath(r, renamed, "equal") != path {
+		t.Error("cell path depends on the mix's display name")
+	}
+	if store.cellPath(r, mix, "square-root") == path {
+		t.Error("two schemes share one cell path")
 	}
 }

@@ -1,0 +1,355 @@
+package exper
+
+import (
+	"context"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"bwpart/internal/obs"
+	"bwpart/internal/workload"
+)
+
+// These tests pin the one lookup order every cell takes — memory tier, disk
+// tier promoting into memory, simulation — and its counter contract: each
+// resolved cell increments exactly one of hits, coalesced, checkpoint_hits,
+// misses, through RunGrid and RunMix alike.
+
+// storeRunner builds a memoTestConfig runner with its own collector and a
+// fresh result cache over a checkpoint store on dir: one "process" of a
+// restart sequence.
+func storeRunner(t *testing.T, dir string, preparedCap int) (*Runner, *obs.Collector) {
+	t.Helper()
+	store, err := NewCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := memoTestConfig()
+	cfg.Checkpoint = store
+	cfg.Obs = obs.NewCollector()
+	cfg.PreparedCap = preparedCap
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, cfg.Obs
+}
+
+// wantCache fails unless the collector's cell account reads exactly
+// hits/misses/coalesced/checkpoint hits.
+func wantCache(t *testing.T, when string, col *obs.Collector, hits, misses, coalesced, ckpt int64) obs.Snapshot {
+	t.Helper()
+	s := col.Snapshot()
+	c := s.Cache
+	if c.Hits != hits || c.Misses != misses || c.Coalesced != coalesced || c.CheckpointHits != ckpt {
+		t.Errorf("%s: hits/misses/coalesced/checkpoint_hits = %d/%d/%d/%d, want %d/%d/%d/%d",
+			when, c.Hits, c.Misses, c.Coalesced, c.CheckpointHits, hits, misses, coalesced, ckpt)
+	}
+	return s
+}
+
+// TestRunGridDiskHitsPromoteToMemory: with a checkpoint store, the disk tier
+// is consulted once per cell per process. Simulated cells and disk hits both
+// land in the memory tier, so the next RunGrid over them is all memory hits.
+func TestRunGridDiskHitsPromoteToMemory(t *testing.T) {
+	dir := t.TempDir()
+	mix, err := workload.MixByName("hetero-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixes, schemes := []workload.Mix{mix}, []string{"equal", "square-root"}
+	cells := int64(len(schemes))
+
+	r1, col1 := storeRunner(t, dir, 0)
+	first, err := r1.RunGrid(context.Background(), mixes, schemes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := wantCache(t, "cold grid", col1, 0, cells, 0, 0); s.Cache.Bytes <= 0 {
+		t.Errorf("cold grid left cell_cache.bytes = %d, want > 0", s.Cache.Bytes)
+	}
+	if _, err := r1.RunGrid(context.Background(), mixes, schemes); err != nil {
+		t.Fatal(err)
+	}
+	wantCache(t, "second grid, same process", col1, cells, cells, 0, 0)
+
+	// Restart: the first grid comes off disk and fills the memory tier, the
+	// second never reaches the disk. Neither dispatches a job or warms a base.
+	r2, col2 := storeRunner(t, dir, 0)
+	resumed, err := r2.RunGrid(context.Background(), mixes, schemes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := wantCache(t, "first grid after restart", col2, 0, 0, 0, cells); s.Cache.Bytes <= 0 {
+		t.Errorf("disk hits left cell_cache.bytes = %d, want > 0 (not promoted)", s.Cache.Bytes)
+	}
+	again, err := r2.RunGrid(context.Background(), mixes, schemes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := wantCache(t, "second grid after restart", col2, cells, 0, 0, cells)
+	if s.Jobs.Total != 0 || stageCount(s, obs.StageWarmup) != 0 || stageCount(s, obs.StageProfile) != 0 {
+		t.Errorf("resident grids dispatched %d jobs, %d warmups, %d profiles; want none",
+			s.Jobs.Total, stageCount(s, obs.StageWarmup), stageCount(s, obs.StageProfile))
+	}
+	if !reflect.DeepEqual(first, resumed) || !reflect.DeepEqual(first, again) {
+		t.Error("disk-tier or promoted cells diverge from the simulated ones")
+	}
+}
+
+// TestRunGridHitsLeaveWarmBasesAlone cycles one-cell RunGrid hits over all 14
+// Table IV mixes — more than the registry's 8 warm bases. A hit must not pin,
+// re-warm, evict, or fork anything: it never reaches the simulation phases.
+func TestRunGridHitsLeaveWarmBasesAlone(t *testing.T) {
+	r, col := storeRunner(t, t.TempDir(), 8)
+	mixes := workload.AllMixes()
+	if len(mixes) != 14 {
+		t.Fatalf("Table IV has %d mixes, want 14", len(mixes))
+	}
+	schemes := []string{"equal"}
+	if _, err := r.RunGrid(context.Background(), mixes, schemes); err != nil {
+		t.Fatal(err)
+	}
+	before := col.Snapshot()
+	for pass := 0; pass < 2; pass++ {
+		for _, mix := range mixes {
+			if _, err := r.RunGrid(context.Background(), []workload.Mix{mix}, schemes); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	after := col.Snapshot()
+	if got, want := after.Cache.Hits-before.Cache.Hits, int64(2*len(mixes)); got != want {
+		t.Errorf("hit passes recorded %d hits, want %d", got, want)
+	}
+	if d := stageCount(after, obs.StageWarmup) - stageCount(before, obs.StageWarmup); d != 0 {
+		t.Errorf("hits re-warmed %d bases", d)
+	}
+	if d := after.Cache.PreparedEvictions - before.Cache.PreparedEvictions; d != 0 {
+		t.Errorf("hits evicted %d warm bases", d)
+	}
+	if d := after.Cache.WarmForks - before.Cache.WarmForks; d != 0 {
+		t.Errorf("hits forked %d warm bases", d)
+	}
+	if d := after.Jobs.Total - before.Jobs.Total; d != 0 {
+		t.Errorf("hits dispatched %d jobs", d)
+	}
+}
+
+// TestResidentMatchesSimulated: whichever tier answers — memory, disk, or
+// either one through an aliased mix — the cell equals the cold reference
+// run of the requested mix, labels included.
+func TestResidentMatchesSimulated(t *testing.T) {
+	coldCfg := memoTestConfig()
+	coldCfg.NoMemoize = true
+	cold, err := NewRunner(coldCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hetero5, err := workload.MixByName("hetero-5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	motivation := workload.MotivationMix()
+	want := map[string]*MixRun{}
+	for _, mix := range []workload.Mix{hetero5, motivation} {
+		if want[mix.Name], err = cold.RunMix(mix, "equal"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, r *Runner, mix workload.Mix) {
+		t.Helper()
+		got, err := r.RunMix(mix, "equal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want[mix.Name]) {
+			t.Errorf("%s: %s diverges from the cold run\ngot:  %+v\nwant: %+v", when, mix.Name, got, want[mix.Name])
+		}
+	}
+
+	dir := t.TempDir()
+	r1, col1 := storeRunner(t, dir, 0)
+	check("simulated", r1, hetero5)
+	check("memory hit", r1, hetero5)
+	check("aliased memory hit", r1, motivation)
+	wantCache(t, "first process", col1, 2, 1, 0, 0)
+
+	r2, col2 := storeRunner(t, dir, 0)
+	check("aliased disk hit", r2, motivation)
+	check("promoted aliased hit", r2, hetero5)
+	wantCache(t, "restarted process", col2, 1, 0, 0, 1)
+
+	r3, col3 := storeRunner(t, dir, 0)
+	check("disk hit", r3, hetero5)
+	wantCache(t, "second restart", col3, 0, 0, 0, 1)
+}
+
+// TestDiskHitSingleFlight floods one checkpointed cell of a restarted runner
+// with concurrent one-cell grids: the file is loaded once, everyone else hits
+// or coalesces onto that load, and nothing is simulated.
+func TestDiskHitSingleFlight(t *testing.T) {
+	dir := t.TempDir()
+	mix, err := workload.MixByName("homo-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixes, schemes := []workload.Mix{mix}, []string{"equal"}
+	r1, _ := storeRunner(t, dir, 0)
+	first, err := r1.RunGrid(context.Background(), mixes, schemes)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r2, col := storeRunner(t, dir, 0)
+	const n = 8
+	runs := make([][]*MixRun, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			runs[i], errs[i] = r2.RunGrid(context.Background(), mixes, schemes)
+		}(i)
+	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatalf("concurrent grid %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(runs[i], first) {
+			t.Errorf("concurrent grid %d diverges from the simulated cell", i)
+		}
+	}
+	s := col.Snapshot()
+	if s.Cache.CheckpointHits != 1 || s.Cache.Misses != 0 || s.Cache.Hits+s.Cache.Coalesced != n-1 {
+		t.Errorf("%d concurrent disk hits recorded %+v, want 1 checkpoint hit, 0 misses, %d hits+coalesced",
+			n, s.Cache, n-1)
+	}
+	if s.Jobs.Total != 0 || stageCount(s, obs.StageWarmup) != 0 {
+		t.Errorf("disk hits dispatched %d jobs and %d warmups, want none", s.Jobs.Total, stageCount(s, obs.StageWarmup))
+	}
+}
+
+// TestCheckpointKeyedLikeMemoryTier: the disk tier identifies a cell by its
+// benchmark list, not its display name. Two same-named mixes over different
+// benchmarks cannot alias (neither through the file name nor through a
+// planted payload), and aliased mixes share one file.
+func TestCheckpointKeyedLikeMemoryTier(t *testing.T) {
+	dir := t.TempDir()
+	r, col := storeRunner(t, dir, 0)
+	store := r.Config().Checkpoint
+	hetero5, err := workload.MixByName("hetero-5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := r.RunMix(hetero5, "equal")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	impostor, err := workload.MixByName("hetero-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	impostor.Name = hetero5.Name
+	if _, ok := store.Load(r, impostor, "equal"); ok {
+		t.Fatal("a same-named mix over different benchmarks was served hetero-5's cell")
+	}
+	// Even hetero-5's payload planted at the impostor's own path is refused:
+	// its benchmark list is not the requested one.
+	data, err := os.ReadFile(store.cellPath(r, hetero5, "equal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.cellPath(r, impostor, "equal"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.Load(r, impostor, "equal"); ok {
+		t.Error("Load accepted a payload recorded for a different benchmark list")
+	}
+	if _, ok := store.Load(r, hetero5, "square-root"); ok {
+		t.Error("Load served a scheme that was never saved")
+	}
+
+	// The motivation mix is hetero-5 under another name: one file serves both.
+	if got, ok := store.Load(r, workload.MotivationMix(), "equal"); !ok || !reflect.DeepEqual(got.Result, run.Result) {
+		t.Error("aliased mix does not share hetero-5's checkpoint file")
+	}
+	if _, err := r.RunMix(workload.MotivationMix(), "equal"); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 { // hetero-5's cell and the planted impostor file
+		t.Errorf("directory holds %d cell files, want 2: %v", len(files), files)
+	}
+	wantCache(t, "aliased pair", col, 1, 1, 0, 0)
+}
+
+// TestResidentProbeHandsOverToSimulation: a full lookup that joins a
+// resident-only flight must not inherit its "not resident" verdict — when the
+// probe finds nothing, the joiner takes the cell over and simulates it, and
+// the cell is counted once (a miss), not also as coalesced.
+func TestResidentProbeHandsOverToSimulation(t *testing.T) {
+	c := NewResultCache()
+	col := obs.NewCollector()
+	want := &MixRun{Scheme: "equal"}
+	probing, release := make(chan struct{}), make(chan struct{})
+	var loads, sims int
+	var mu sync.Mutex
+	load := func() (*MixRun, bool) {
+		mu.Lock()
+		loads++
+		first := loads == 1
+		mu.Unlock()
+		if first {
+			close(probing)
+			<-release
+		}
+		return nil, false
+	}
+	probeErr := make(chan error, 1)
+	go func() {
+		_, err := c.Do("k", col, load, nil)
+		probeErr <- err
+	}()
+	<-probing
+	got := make(chan *MixRun, 1)
+	go func() {
+		run, err := c.Do("k", col, load, func() (*MixRun, error) {
+			mu.Lock()
+			sims++
+			mu.Unlock()
+			return want, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		got <- run
+	}()
+	// Wait for the full lookup to join the probe's flight (its touch bumps
+	// the LRU clock past the leader's), then let the probe miss.
+	for joined := false; !joined; runtime.Gosched() {
+		c.mu.Lock()
+		joined = c.clock >= 2
+		c.mu.Unlock()
+	}
+	close(release)
+	if err := <-probeErr; err != errNotResident {
+		t.Errorf("resident-only probe returned %v, want errNotResident", err)
+	}
+	if run := <-got; !reflect.DeepEqual(run, want) {
+		t.Errorf("joiner got %+v, want the simulated cell", run)
+	}
+	if loads != 2 || sims != 1 {
+		t.Errorf("loads/sims = %d/%d, want 2/1", loads, sims)
+	}
+	wantCache(t, "probe then simulation", col, 0, 1, 0, 0)
+}

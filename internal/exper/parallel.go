@@ -191,35 +191,32 @@ func Grid(mixes []workload.Mix, schemes []string) []GridCell {
 	return cells
 }
 
-// RunGrid is the experiment engine's sweep entry point. Every cell flows
-// through the same memoized executor as RunMix, so grid points sharing a
-// mix share one warm base from the prepared-mix registry, identical cells
-// already simulated anywhere in the process are cache hits, and finished
-// cells persist through Config.Checkpoint. Cells are dispatched in
-// mix-groups no larger than the registry's warm-base capacity: each group's
-// bases are prepared in parallel and pinned, the group's cells fork and
-// measure in parallel, then the pins drop — so a thousand-mix sweep holds a
-// bounded number of warm systems while still keeping every worker busy.
+// RunGrid is the experiment engine's sweep entry point. Every cell takes the
+// same lookup order as RunMix (see Runner.lookup). A first pass resolves the
+// resident cells — memory or disk tier — on the calling goroutine, so a grid
+// that is entirely resident profiles, pins, forks, and dispatches nothing.
+// Only the cells left over are simulated: grid points sharing a mix share one
+// warm base from the prepared-mix registry, and finished cells persist
+// through Config.Checkpoint. They are dispatched in mix-groups no larger than
+// the registry's warm-base capacity: each group's bases are prepared in
+// parallel and pinned, the group's cells fork and measure in parallel, then
+// the pins drop — so a thousand-mix sweep holds a bounded number of warm
+// systems while still keeping every worker busy.
 //
-// With Config.Checkpoint set, an interrupted sweep resumes by loading the
-// cells already on disk; only mixes with missing cells are profiled and
-// prepared (a fully resumed grid dispatches no jobs at all). Results arrive
-// in deterministic row-major order matching Grid(mixes, schemes). ctx
-// cancels the sweep between simulations.
+// Results arrive in deterministic row-major order matching
+// Grid(mixes, schemes). ctx cancels the sweep between simulations.
 func (r *Runner) RunGrid(ctx context.Context, mixes []workload.Mix, schemes []string) ([]*MixRun, error) {
 	cells := Grid(mixes, schemes)
 	results := make([]*MixRun, len(cells))
-	missing := make([]int, 0, len(cells))
+	var missing []int
 	for i, cell := range cells {
-		if r.cfg.Checkpoint != nil {
-			if run, ok := r.cfg.Checkpoint.Load(r, cell.Mix, cell.Scheme); ok {
-				r.cfg.Obs.CheckpointHit()
-				r.cellDone(cell.Mix.Name, cell.Scheme)
-				results[i] = run
-				continue
-			}
+		// Any failure — not resident, or a joined simulation that failed —
+		// sends the cell to the simulation phases, which report it.
+		if run, err := r.lookup(cell.Mix, cell.Scheme, false); err == nil {
+			results[i] = run
+		} else {
+			missing = append(missing, i)
 		}
-		missing = append(missing, i)
 	}
 	if len(missing) == 0 {
 		return results, nil
@@ -247,7 +244,7 @@ func (r *Runner) RunGrid(ctx context.Context, mixes []workload.Mix, schemes []st
 
 	measure := func(ci int) error {
 		cell := cells[ci]
-		run, err := r.cell(cell.Mix, cell.Scheme)
+		run, err := r.RunMix(cell.Mix, cell.Scheme)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", cell.Mix.Name, cell.Scheme, err)
 		}

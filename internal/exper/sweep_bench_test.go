@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"testing"
 
 	"bwpart/internal/workload"
@@ -74,4 +75,28 @@ func BenchmarkSweep(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRunGridHitWide measures the hit path through RunGrid over a
+// working set wider than the warm-base registry: one op is one one-cell
+// RunGrid hit on each of the 14 Table IV mixes (registry capacity 8). A hit
+// is resolved by the lookup order's first pass, so it must cost microseconds;
+// pinning a warm base first would re-warm evicted mixes at milliseconds each.
+func BenchmarkRunGridHitWide(b *testing.B) {
+	r, err := NewRunner(Quick())
+	if err != nil {
+		b.Fatal(err)
+	}
+	mixes, schemes := workload.AllMixes(), []string{"equal"}
+	if _, err := r.RunGrid(context.Background(), mixes, schemes); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for m := range mixes {
+			if _, err := r.RunGrid(context.Background(), mixes[m:m+1], schemes); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

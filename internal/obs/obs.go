@@ -163,8 +163,8 @@ func (c *Collector) CellCacheMiss() {
 }
 
 // CellCacheCoalesced records one request that joined an in-flight
-// simulation of the same cell instead of starting its own (single-flight
-// deduplication).
+// simulation or checkpoint load of the same cell instead of starting its
+// own (single-flight deduplication).
 func (c *Collector) CellCacheCoalesced() {
 	if c == nil {
 		return

@@ -14,27 +14,37 @@ import (
 )
 
 // benchServer starts a serving stack (Server + HTTP front end) and returns
-// its base URL. memoize=false disables the result cache so every request
-// pays a full simulation — the cold reference the warm arms are compared
-// against (benchjson derives serve_warm_speedup from the pair).
-func benchServer(b *testing.B, memoize bool) string {
+// its base URL and a stop function (also run at cleanup). memoize=false
+// disables the result cache so every request pays a full simulation — the
+// cold reference the warm arms are compared against (benchjson derives
+// serve_warm_speedup from the pair). A non-empty checkpointDir makes it the
+// restart-safe configuration: checkpoint store plus job journal.
+func benchServer(b *testing.B, memoize bool, checkpointDir string) (url string, stop func()) {
 	b.Helper()
 	cfg := testConfig()
 	cfg.NoMemoize = !memoize
+	if checkpointDir != "" {
+		store, err := exper.NewCheckpointStore(checkpointDir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg.Checkpoint = store
+	}
 	s, err := New(Options{Exper: cfg, Workers: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	b.Cleanup(func() {
+	stop = func() { // safe to call twice: Close and Drain are idempotent
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
 		if err := s.Drain(ctx); err != nil {
 			b.Errorf("drain: %v", err)
 		}
-	})
-	return ts.URL
+	}
+	b.Cleanup(stop)
+	return ts.URL, stop
 }
 
 // benchRequest posts one mix cell and fully consumes the response.
@@ -57,10 +67,12 @@ func benchRequest(b *testing.B, client *http.Client, url, mix, scheme string) {
 
 // BenchmarkServe measures the serving stack end to end over HTTP. cold is
 // a request the resident cache cannot answer (full simulation per call);
-// warm is the same request answered from the cache; concurrent is warm
-// sustained throughput from several clients at once. benchjson derives
-// serve_warm_speedup = cold/warm and gates the concurrent arm's per-request
-// latency.
+// warm is the same request answered from the cache; warm_disk is warm on a
+// server restarted over a populated checkpoint directory (each cell comes off
+// disk once, then from memory, and no request appends to the journal);
+// concurrent is warm sustained throughput from several clients at once.
+// benchjson derives serve_warm_speedup = cold/warm and the per-arm request
+// rates, and gates the concurrent arm's per-request latency.
 func BenchmarkServe(b *testing.B) {
 	cells := []struct{ mix, scheme string }{
 		{"hetero-1", "equal"},
@@ -70,7 +82,7 @@ func BenchmarkServe(b *testing.B) {
 	}
 
 	b.Run("cold", func(b *testing.B) {
-		url := benchServer(b, false)
+		url, _ := benchServer(b, false, "")
 		client := &http.Client{Timeout: 120 * time.Second}
 		// One unmeasured request caches the standalone profiles inside the
 		// runner, so every timed request pays exactly the per-cell work
@@ -83,9 +95,9 @@ func BenchmarkServe(b *testing.B) {
 		}
 	})
 
-	b.Run("warm", func(b *testing.B) {
-		url := benchServer(b, true)
-		client := &http.Client{Timeout: 120 * time.Second}
+	// warmHits requests every cell once untimed (making it resident in
+	// memory), then times b.N serial hits.
+	warmHits := func(b *testing.B, client *http.Client, url string) {
 		for _, c := range cells {
 			benchRequest(b, client, url, c.mix, c.scheme)
 		}
@@ -95,10 +107,27 @@ func BenchmarkServe(b *testing.B) {
 			benchRequest(b, client, url, c.mix, c.scheme)
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+	}
+
+	b.Run("warm", func(b *testing.B) {
+		url, _ := benchServer(b, true, "")
+		warmHits(b, &http.Client{Timeout: 120 * time.Second}, url)
+	})
+
+	b.Run("warm_disk", func(b *testing.B) {
+		dir := b.TempDir()
+		client := &http.Client{Timeout: 120 * time.Second}
+		url, stop := benchServer(b, true, dir)
+		for _, c := range cells {
+			benchRequest(b, client, url, c.mix, c.scheme)
+		}
+		stop()
+		url, _ = benchServer(b, true, dir)
+		warmHits(b, client, url)
 	})
 
 	b.Run("concurrent", func(b *testing.B) {
-		url := benchServer(b, true)
+		url, _ := benchServer(b, true, "")
 		for _, c := range cells {
 			benchRequest(b, &http.Client{Timeout: 120 * time.Second}, url, c.mix, c.scheme)
 		}

@@ -2,12 +2,14 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -445,8 +447,15 @@ func TestChaosKillAndResume(t *testing.T) {
 	// resumed run may pay.
 	checkpointed := make(map[string]int)
 	for _, f := range files {
-		name := filepath.Base(f)
-		checkpointed[name[:strings.Index(name, "__")]]++
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var run exper.MixRun
+		if err := json.Unmarshal(data, &run); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		checkpointed[run.Mix.Name]++
 	}
 	mixesNeedingWork := 0
 	for _, m := range mixes {
@@ -618,5 +627,60 @@ func TestChaosMixJobsNotJournaled(t *testing.T) {
 	s2.jobMu.Unlock()
 	if residents != 0 {
 		t.Errorf("restart replayed %d jobs from a mix-only journal, want 0", residents)
+	}
+}
+
+// TestChaosMixHitsLeaveJournalAlone pins the other half of the journal's
+// scope: a mix job has no accepted record, so it gets no terminal record
+// either. The one cold request journals its cell; every hit after it — in
+// this process or after a restart — leaves the file byte-for-byte unchanged,
+// so boot-time replay does not grow with traffic.
+func TestChaosMixHitsLeaveJournalAlone(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal.jsonl")
+	req := MixRequest{Mix: "homo-1", Scheme: "equal"}
+	const hits = 25
+	var want []byte
+	for boot := 0; boot < 2; boot++ {
+		store, err := exper.NewCheckpointStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig()
+		cfg.Checkpoint = store
+		s, err := New(Options{Exper: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		for i := 0; i <= hits; i++ {
+			resp := postJSON(t, ts.Client(), ts.URL+"/v1/mix", req, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("boot %d request %d: status %d", boot, i, resp.StatusCode)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got // the cold request's cell record
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("boot %d request %d changed the journal:\n%s\nwant:\n%s", boot, i, got, want)
+			}
+		}
+		if ob := s.Obs().Snapshot(); ob.Cache.Misses+ob.Cache.CheckpointHits != 1 || ob.Cache.Hits != hits {
+			t.Errorf("boot %d: cell account %+v, want one miss or disk hit then %d memory hits", boot, ob.Cache, hits)
+		}
+		drainAndClose(t, s, ts)
+	}
+	jn, recs, err := openJournal(path, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jn.closeFile()
+	if len(recs) != 1 || recs[0].Event != "cell" {
+		t.Errorf("journal replays %d records after %d mix requests, want the one cell record: %+v", len(recs), 2*(hits+1), recs)
 	}
 }

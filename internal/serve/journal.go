@@ -123,11 +123,15 @@ func (jn *journal) disableLocked(err error) {
 	logf("serve: job journal write failed; journaling disabled for this process (jobs unaffected, resume records stop here): %v", err)
 }
 
-// accepted records an admitted grid job. Synchronous mix jobs are not
-// journaled — their client is gone after a crash, there is nothing to
-// resume for.
+// journaled reports whether a job's accepted and terminal records are
+// written. Only asynchronous grid jobs are: a synchronous mix job's client is
+// gone after a crash, so there is nothing to resume — and a mix request
+// answered from the result cache must not touch the disk at all.
+func journaled(j *job) bool { return j.kind == "grid" }
+
+// accepted records an admitted job.
 func (jn *journal) accepted(j *job) {
-	if jn == nil || j.kind != "grid" {
+	if jn == nil || !journaled(j) {
 		return
 	}
 	mixes := make([]string, len(j.mixes))
@@ -165,12 +169,14 @@ func (jn *journal) cell(mixName, scheme, fp string) {
 	jn.append(journalRecord{Event: "cell", Mix: mixName, Scheme: scheme, FP: fp})
 }
 
-// terminal records a job reaching a final state.
-func (jn *journal) terminal(id string, state JobState) {
-	if jn == nil {
+// terminal records a journaled job reaching a final state. A job without an
+// accepted record gets none: the journal, and its replay at boot, must not
+// grow with every request served.
+func (jn *journal) terminal(j *job, state JobState) {
+	if jn == nil || !journaled(j) {
 		return
 	}
-	jn.append(journalRecord{Event: "terminal", ID: id, State: string(state)})
+	jn.append(journalRecord{Event: "terminal", ID: j.id, State: string(state)})
 }
 
 // closeFile releases the journal file (drain path; writes after close would

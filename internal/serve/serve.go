@@ -609,7 +609,7 @@ func (s *Server) handleJobRetry(w http.ResponseWriter, r *http.Request) {
 	}
 	// The old job's spec now lives on in the new one: a "retried" terminal
 	// record stops the next restart from replaying it as interrupted again.
-	s.journal.terminal(old.id, JobState("retried"))
+	s.journal.terminal(old, JobState("retried"))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(GridAccepted{
@@ -698,7 +698,7 @@ func (s *Server) finish(j *job, state JobState, errMsg, errKind string, extra fu
 	case JobCancelled:
 		s.col.JobCancelled()
 	}
-	s.journal.terminal(j.id, state)
+	s.journal.terminal(j, state)
 	s.finishJob(j)
 	return true
 }

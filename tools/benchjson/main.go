@@ -307,6 +307,7 @@ func derive(rep *Report, byName map[string]*Bench) {
 	// _per_sec figures gate like speedups — shrinking is the regression.
 	for arm, key := range map[string]string{
 		"BenchmarkServe/warm":       "serve_warm_reqs_per_sec",
+		"BenchmarkServe/warm_disk":  "serve_warm_disk_reqs_per_sec",
 		"BenchmarkServe/concurrent": "serve_concurrent_reqs_per_sec",
 	} {
 		if bench := byName[arm]; bench != nil {

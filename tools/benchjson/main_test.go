@@ -87,6 +87,7 @@ pkg: bwpart/internal/serve
 BenchmarkServe/cold-2         	       1	  36217909 ns/op	 1044536 B/op	     875 allocs/op
 BenchmarkServe/warm-2         	       1	    281557 ns/op	      3567 req/s	   16160 B/op	     200 allocs/op
 BenchmarkServe/warm-2         	       1	    192710 ns/op	      5226 req/s	   16192 B/op	     200 allocs/op
+BenchmarkServe/warm_disk-2    	       1	    259219 ns/op	      3885 req/s	   14672 B/op	     170 allocs/op
 BenchmarkServe/concurrent-2   	       1	    362692 ns/op	      2768 req/s	   18656 B/op	     212 allocs/op
 PASS
 `
@@ -102,6 +103,9 @@ func TestParseDerivesServeFigures(t *testing.T) {
 	}
 	if got := rep.Derived["serve_warm_reqs_per_sec"]; got != 5226 {
 		t.Errorf("serve_warm_reqs_per_sec = %v, want 5226 (best run)", got)
+	}
+	if got := rep.Derived["serve_warm_disk_reqs_per_sec"]; got != 3885 {
+		t.Errorf("serve_warm_disk_reqs_per_sec = %v, want 3885", got)
 	}
 	if got := rep.Derived["serve_concurrent_reqs_per_sec"]; got != 2768 {
 		t.Errorf("serve_concurrent_reqs_per_sec = %v, want 2768", got)
