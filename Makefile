@@ -2,8 +2,9 @@
 # test suite, a race-detector pass over the concurrent packages (the
 # experiment engine, its observability collector, the serving layer, and
 # the memory controller — including the indexed issue path and its
-# differential tests), a server smoke test over a real TCP listener, and a
-# compile of every benchmark. `make bench` refreshes the committed
+# differential tests), a server smoke test over a real TCP listener, a
+# time-boxed native fuzz of the simulation-kernel differential, and a compile
+# of every benchmark. `make bench` refreshes the committed
 # benchmark reports (BENCH_kernel.json, BENCH_memctrl.json,
 # BENCH_sweep.json, BENCH_serve.json);
 # `make bench-check` re-runs the benchmarks and fails if any regressed
@@ -29,9 +30,9 @@ BENCH_GOMAXPROCS ?= 2
 BENCH_COUNT ?= 3
 BENCH_ENV = GOMAXPROCS=$(BENCH_GOMAXPROCS)
 
-.PHONY: check fmt vet build test race smoke chaos benchbuild bench bench-check
+.PHONY: check fmt vet build test race smoke fuzz chaos benchbuild bench bench-check
 
-check: fmt vet build test race smoke benchbuild
+check: fmt vet build test race smoke fuzz benchbuild
 
 # fmt fails on any file gofmt would rewrite (it lists them).
 fmt:
@@ -54,6 +55,13 @@ race:
 # (TCP listener, health check, one mix request, drain on cancel).
 smoke:
 	$(GO) test -run TestServeSmoke -count 1 ./internal/serve
+
+# fuzz mutates the kernel differential (naive oracle vs wake scheduler, run
+# straight and in uneven slices with a mid-window fork) from its seed corpus
+# for a bounded time. Failing inputs land in internal/sim/testdata/fuzz.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime $(FUZZTIME) ./internal/sim
 
 # chaos is the failure-hardening gate: the fault-injection layer's own unit
 # tests plus every TestChaos* scenario in the serve package — deterministic
@@ -91,7 +99,7 @@ bench:
 # suites and compare each result against the committed reports, failing on
 # any slowdown beyond BENCH_TOLERANCE percent (improvements always pass).
 # Derived figures are gated too: speedups (idle_speedup, saturated_speedup,
-# sweep_fork_speedup, figures_dedup_speedup, serve_warm_speedup) and request
+# mixed_speedup, sweep_fork_speedup, figures_dedup_speedup, serve_warm_speedup) and request
 # rates (serve_warm_reqs_per_sec, serve_warm_disk_reqs_per_sec,
 # serve_concurrent_reqs_per_sec) fail when
 # they shrink beyond the tolerance, counters (event_queue_allocs_per_op,

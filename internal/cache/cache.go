@@ -109,7 +109,7 @@ type Cache struct {
 	// lowerRejects is lower's mem.RejectAccounter view when it has one
 	// (real lower levels do; test stubs may not). Non-nil is what lets a
 	// non-empty deferred list count as a stable span: each skipped cycle's
-	// Tick would retry deferred[0] against a frozen lower level exactly
+	// Tick would retry deferred[0] against an unchanged lower level exactly
 	// once and fail, and SkipSpan integrates those refusals through it.
 	lowerRejects mem.RejectAccounter
 	events       cacheEvents
@@ -121,8 +121,16 @@ type Cache struct {
 	// snapID identifies this cache instance in checkpoint request origins
 	// (mem.Origin.Comp); assigned by the system builder via SetSnapID.
 	snapID int32
-	stats  Stats
+	// wake is the kernel's wake handle (nil when driven standalone).
+	wake  *mem.Waker
+	stats Stats
 }
+
+// SetWaker attaches the simulation kernel's wake handle: Access and fill
+// announce themselves through it, and fill — the only transition that can
+// turn a refused Access into an accepted one — also wakes the upstream
+// component, which may be asleep retrying against this cache.
+func (c *Cache) SetWaker(w *mem.Waker) { c.wake = w }
 
 // New builds a cache over the given lower level (the next cache or the
 // memory controller).
@@ -182,6 +190,7 @@ func (c *Cache) lookup(la uint64) int {
 // miss for the same line) and forwards a fill to the lower level; Access
 // returns false when no MSHR is free, and the caller must retry later.
 func (c *Cache) Access(now int64, req *mem.Request) bool {
+	c.wake.Wake()
 	la := c.lineAddr(req.Addr)
 	if w := c.lookup(la); w >= 0 {
 		set := c.sets[c.setIndex(la)]
@@ -297,6 +306,8 @@ func (c *Cache) sendLower(now int64, req *mem.Request) {
 // fill installs m's line on miss completion, evicting (and writing back) a
 // victim, wakes every merged waiter, then recycles the MSHR.
 func (c *Cache) fill(now int64, m *mshr) {
+	c.wake.Wake()
+	c.wake.WakeUpstream()
 	la := m.la
 	if c.mshrs[la] != m {
 		panic(fmt.Sprintf("cache %s: fill without MSHR for line %#x", c.cfg.Name, la))
@@ -359,9 +370,10 @@ func (c *Cache) Tick(now int64) {
 // to run again only at its next pending event. A non-empty deferred list
 // retries deferred[0] against the lower level once per cycle; that span is
 // still skippable when the lower level supports closed-form reject
-// accounting — its state is frozen over a skipped span (its own events
-// bound the span), so the refusal Tick just observed repeats identically —
-// and forbids skipping otherwise.
+// accounting — the lower level wakes this cache whenever the refusal Tick
+// just observed could turn into an acceptance (a freed MSHR or queue slot),
+// so it repeats identically for as long as the cache is left asleep — and
+// forbids skipping otherwise.
 func (c *Cache) NextEventCycle(now int64) (int64, bool) {
 	if len(c.deferred) > 0 && c.lowerRejects == nil {
 		return 0, false
@@ -386,7 +398,7 @@ func (c *Cache) runEvents(now int64) {
 
 // SkipSpan integrates the per-cycle effects of the skipped span [from, to):
 // with a non-empty deferred list, each cycle's Tick would have retried
-// deferred[0] against the frozen lower level exactly once and been refused
+// deferred[0] against the unchanged lower level exactly once and been refused
 // (order preserved: the first failure stops the retry loop), so the span
 // amounts to to-from accounted refusals. An idle span has no effects.
 func (c *Cache) SkipSpan(from, to int64) {

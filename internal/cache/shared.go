@@ -39,6 +39,27 @@ type SharedCache struct {
 	// lighter applications lose every re-allocation race.
 	mshrByApp  []int
 	mshrAppCap int
+	// wake is the kernel's wake handle (nil when driven standalone). starved
+	// records a refused Access since the upstream L1s were last woken: any
+	// MSHR-table change — a fill frees a register and installs a line, a new
+	// miss lets another application's access to that line merge — can turn
+	// the refusal an L1 is asleep retrying into an acceptance, so it wakes
+	// them (see wakeStarved).
+	wake    *mem.Waker
+	starved bool
+}
+
+// SetWaker attaches the simulation kernel's wake handle.
+func (c *SharedCache) SetWaker(w *mem.Waker) { c.wake = w }
+
+// wakeStarved wakes the upstream L1s if any access was refused since the
+// last time it did. An L1 asleep on a deferred retry was refused for real on
+// its last Tick, after the flag was last cleared, so it is never missed.
+func (c *SharedCache) wakeStarved() {
+	if c.starved {
+		c.starved = false
+		c.wake.WakeUpstream()
+	}
 }
 
 type sline struct {
@@ -158,6 +179,7 @@ func (c *SharedCache) Access(now int64, req *mem.Request) bool {
 	if req.App < 0 || req.App >= c.numApps {
 		panic(fmt.Sprintf("cache: shared access from unknown app %d", req.App))
 	}
+	c.wake.Wake()
 	la := c.lineAddr(req.Addr)
 	if w, set := c.lookup(la); w >= 0 {
 		c.lruTick++
@@ -185,8 +207,10 @@ func (c *SharedCache) Access(now int64, req *mem.Request) bool {
 	}
 	if len(c.mshrs) >= c.cfg.MSHRs || c.mshrByApp[req.App] >= c.mshrAppCap {
 		c.stats[req.App].Rejects++
+		c.starved = true
 		return false
 	}
+	c.wakeStarved()
 	m := c.newMSHR(la, req.App)
 	m.write = req.Write
 	if req.Done != nil {
@@ -297,6 +321,8 @@ func (c *SharedCache) victimFor(set []sline, app int) int {
 }
 
 func (c *SharedCache) fill(now int64, m *mshr) {
+	c.wake.Wake()
+	c.wakeStarved()
 	la, app := m.la, m.app
 	if c.mshrs[la] != m {
 		panic(fmt.Sprintf("cache %s: shared fill without MSHR for line %#x", c.cfg.Name, la))

@@ -140,6 +140,9 @@ type Core struct {
 	// callback-free requests past Access, so one scratch request serves
 	// every store.
 	storeReq mem.Request
+	// wake is the kernel's wake handle (nil when driven standalone): a load
+	// completion announces itself through it before changing any state.
+	wake *mem.Waker
 
 	stats Stats
 }
@@ -181,6 +184,9 @@ func New(cfg Config, app int, l1 mem.Port, stream Stream) (*Core, error) {
 	}
 	return c, nil
 }
+
+// SetWaker attaches the simulation kernel's wake handle.
+func (c *Core) SetWaker(w *mem.Waker) { c.wake = w }
 
 // paramRefresh is how often (in cycles) a core re-reads phase-dependent
 // parameters from a DynamicStream.
@@ -258,14 +264,15 @@ func (c *Core) stallState() stallKind {
 // the next cycle at which the core itself must tick regardless (a phase-
 // parameter refresh for dynamic streams; effectively never otherwise) —
 // fill callbacks arrive through other components' event queues, which
-// bound the skip on their own.
+// wake the core through its Waker.
 //
 // Three stall states qualify, in dispatch's own priority order: the ROB is
 // full, the next instruction is a cold load held by the MLP bound, or the
 // pending instruction is stuck behind an L1 reject (MSHRs full) whose
-// retry the L1 can account in closed form. The L1's MSHR state is frozen
-// over a skipped span (its fills are events that bound the span), so a
-// refusal observed this cycle repeats identically until the span ends.
+// retry the L1 can account in closed form. Only a fill can turn that
+// refusal into an acceptance (it frees the MSHR or installs the line), and
+// the L1 wakes its upstream core on every fill, so a refusal observed this
+// cycle repeats identically for as long as the core is left asleep.
 func (c *Core) NextEventCycle(now int64) (int64, bool) {
 	if c.stallState() == stallNone {
 		return 0, false
@@ -349,7 +356,9 @@ func (c *Core) retire() {
 		if !e.done {
 			return // in-order retirement blocks on the oldest instruction
 		}
-		c.robHead = (c.robHead + 1) % c.cfg.ROBSize
+		if c.robHead++; c.robHead == c.cfg.ROBSize {
+			c.robHead = 0
+		}
 		c.robCount--
 		c.stats.Retired++
 	}
@@ -449,6 +458,7 @@ func (c *Core) buildLoadSlot() *loadSlot {
 	ls.req.App = c.app
 	ls.req.Origin = mem.Origin{Kind: mem.OriginCoreLoad, Comp: int32(c.app)}
 	ls.req.Done = func(int64) {
+		c.wake.Wake()
 		c.rob[ls.slot].done = true
 		if ls.cold {
 			c.outstandingLoads--
@@ -472,7 +482,11 @@ func (c *Core) pushROB(done bool) {
 
 // reserveROB allocates the next ROB slot (caller checked capacity).
 func (c *Core) reserveROB() int {
-	slot := (c.robHead + c.robCount) % c.cfg.ROBSize
+	// robHead < ROBSize and robCount < ROBSize here, so one subtraction wraps.
+	slot := c.robHead + c.robCount
+	if slot >= c.cfg.ROBSize {
+		slot -= c.cfg.ROBSize
+	}
 	c.rob[slot] = robEntry{}
 	c.robCount++
 	return slot

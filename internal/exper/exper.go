@@ -391,6 +391,16 @@ func (r *Runner) measureOn(p *preparedMix, sys *sim.System, scheme string) (*Mix
 	r.runMeasured(sys, r.cfg.MeasureCycles)
 	stop()
 	res := sys.Results()
+	if r.cfg.Obs != nil {
+		ks := sys.KernelStats()
+		tot := obs.KernelStats{Cycles: ks.Cycles, CyclesTicked: ks.Ticked}
+		for _, c := range ks.Components {
+			tot.ComponentTicks += c.Ticks
+			tot.ComponentSlept += c.Slept
+			tot.Pokes += c.Pokes
+		}
+		r.cfg.Obs.AddKernel(tot)
+	}
 
 	run := &MixRun{
 		Mix:      p.mix,

@@ -229,6 +229,13 @@ func TestRunGrid(t *testing.T) {
 	if s.Queue.Samples == 0 {
 		t.Fatalf("no queue-depth samples collected: %+v", s)
 	}
+	// Two simulated cells of a four-app private-L2 system (13 components):
+	// every component-cycle is either ticked or slept, and most are slept.
+	k, cycles := s.Kernel, 2*(cfg.SettleCycles+cfg.MeasureCycles)
+	if k.Cycles != cycles || k.ComponentTicks+k.ComponentSlept != 13*cycles ||
+		k.CyclesTicked > cycles || k.ComponentSlept < k.ComponentTicks {
+		t.Fatalf("bad kernel totals for %d cycles: %+v", cycles, k)
+	}
 	unknown, err := r.RunGrid(context.Background(), []workload.Mix{mix}, []string{"equal", "no-such-scheme"})
 	if err == nil {
 		t.Fatalf("unknown scheme accepted: %v", unknown)

@@ -85,3 +85,51 @@ type Port interface {
 type RejectAccounter interface {
 	AccountRejects(app int, n int64)
 }
+
+// Waker is the handle a simulation kernel attaches to a component it may
+// leave unticked through a skippable span. The component calls Wake on its
+// own handle at the top of every entry point another component can reach
+// (Access, a fill or completion callback), before touching any state, so
+// the kernel can first integrate the cycles slept so far. A component whose
+// state change can end another's reject-coupled stall (freeing an MSHR or a
+// queue slot) additionally calls WakeUpstream. Every method is a no-op on a
+// nil handle, which is how components run with no kernel attached, and a
+// spurious Wake is always safe: it only trades a slept cycle for a ticked
+// one.
+type Waker struct {
+	asleep bool
+	rouse  func()
+	up     []*Waker
+}
+
+// NewWaker returns an awake handle; Wake calls rouse while it is asleep.
+func NewWaker(rouse func()) *Waker { return &Waker{rouse: rouse} }
+
+// SetAsleep is the kernel's switch: true once it decides not to tick the
+// component until a later cycle, false when the component is due again.
+func (w *Waker) SetAsleep(asleep bool) { w.asleep = asleep }
+
+// AddUpstream registers u as a component that sends accesses to this one,
+// and so may be asleep retrying one that was refused.
+func (w *Waker) AddUpstream(u *Waker) {
+	if w != nil {
+		w.up = append(w.up, u)
+	}
+}
+
+// Wake rouses the component if it is asleep.
+func (w *Waker) Wake() {
+	if w != nil && w.asleep {
+		w.asleep = false
+		w.rouse()
+	}
+}
+
+// WakeUpstream rouses every sleeping upstream component.
+func (w *Waker) WakeUpstream() {
+	if w != nil {
+		for _, u := range w.up {
+			u.Wake()
+		}
+	}
+}

@@ -111,7 +111,16 @@ type Controller struct {
 	// completion cycle. Differential tests use it to pin the completion
 	// stream alongside the issue stream.
 	completionTracer func(cycle int64, app int, addr uint64, write bool)
+	// wake is the kernel's wake handle (nil when driven standalone). starved
+	// records that a bounded queue refused an Access since the upstream
+	// caches were last woken; the next dequeue frees the slot a cache may be
+	// asleep retrying for, so it wakes them.
+	wake    *mem.Waker
+	starved bool
 }
+
+// SetWaker attaches the simulation kernel's wake handle.
+func (c *Controller) SetWaker(w *mem.Waker) { c.wake = w }
 
 // New builds a controller over dev for numApps applications with the given
 // total queue capacity (entries). queueCap <= 0 means unbounded.
@@ -230,8 +239,10 @@ func (c *Controller) Access(now int64, req *mem.Request) bool {
 		panic(fmt.Sprintf("memctrl: request from unknown app %d", req.App))
 	}
 	if c.cap > 0 && c.queued >= c.cap {
+		c.starved = true
 		return false
 	}
+	c.wake.Wake()
 	c.seq++
 	e := c.newEntry()
 	e.Req = req
@@ -411,6 +422,10 @@ func (c *Controller) removeEntry(p Pick) {
 	}
 	q.pop()
 	c.queued--
+	if c.starved {
+		c.starved = false
+		c.wake.WakeUpstream()
+	}
 	if c.ix.enabled && p.Depth == 0 {
 		// The app's oldest entry changed (deeper picks leave the head as is).
 		c.setHead(app, q.peek())
@@ -524,8 +539,8 @@ func (c *Controller) NextEventCycle(now int64) (int64, bool) {
 }
 
 // earliestIssueCycle lower-bounds the first cycle > now at which any queued
-// request could issue, assuming no arrivals or completions in between (the
-// kernel guarantees both by taking the minimum across components). For
+// request could issue, assuming no arrivals or completions in between (an
+// arrival wakes the controller, a completion bounds its sleep). For
 // head-only schedulers the candidates are exactly the app heads; otherwise
 // every queued entry is a candidate — conservatively early for policies
 // like FR-FCFS that may still decline a bank-ready non-head entry, which
@@ -559,8 +574,9 @@ func (c *Controller) earliestIssueCycle(now int64) int64 {
 }
 
 // SkipSpan integrates the per-cycle interference accounting over the
-// skipped span [from, to): with queues, banks and buses frozen (no issues,
-// completions or arrivals happen in a skipped span) each app's head
+// skipped span [from, to): with queues, banks and buses frozen (no issues
+// or completions happen in a skipped span, and an arrival wakes the
+// controller first) each app's head
 // request accrues exactly the blocked-by-other cycles the per-cycle
 // detector would have counted, in closed form via dram.ContentionCycles.
 // The scheduler-preferred-another-app term contributes nothing because no

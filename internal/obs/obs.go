@@ -62,6 +62,8 @@ type Collector struct {
 	checkpointErrors   int64
 	checkpointDegraded int64 // gauge: 0 healthy, 1 demoted to in-memory-only
 	faultsInjected     int64
+
+	kernel KernelStats
 }
 
 type stageAgg struct {
@@ -322,6 +324,20 @@ func (c *Collector) PreparedEvicted() {
 	c.mu.Unlock()
 }
 
+// AddKernel folds one simulated system's kernel counters into the totals.
+func (c *Collector) AddKernel(k KernelStats) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.kernel.Cycles += k.Cycles
+	c.kernel.CyclesTicked += k.CyclesTicked
+	c.kernel.ComponentTicks += k.ComponentTicks
+	c.kernel.ComponentSlept += k.ComponentSlept
+	c.kernel.Pokes += k.Pokes
+	c.mu.Unlock()
+}
+
 // RecordQueueDepth folds one memory-controller queue-depth observation (the
 // total across per-app queues) into the running min/max/mean statistics.
 func (c *Collector) RecordQueueDepth(depth int) {
@@ -439,6 +455,20 @@ type FailureStats struct {
 	FaultsInjected     int64 `json:"faults_injected"`
 }
 
+// KernelStats totals the simulation kernel's work over every measured cell
+// (sim.System.KernelStats summed over systems and components): simulated
+// cycles and how many of them had any component ticking (the rest were
+// leapt), component-cycles spent ticking vs sleeping (integrated in closed
+// form), and how often one component roused another. A falling slept share
+// is a loss of skip efficiency, visible here without a profiler.
+type KernelStats struct {
+	Cycles         int64 `json:"cycles"`
+	CyclesTicked   int64 `json:"cycles_ticked"`
+	ComponentTicks int64 `json:"component_ticks"`
+	ComponentSlept int64 `json:"component_slept"`
+	Pokes          int64 `json:"pokes"`
+}
+
 // Snapshot is a point-in-time copy of every collected statistic, ordered
 // deterministically (stages sorted by name) for stable JSON output.
 type Snapshot struct {
@@ -449,6 +479,7 @@ type Snapshot struct {
 	Cache          CacheStats     `json:"cell_cache"`
 	Admission      AdmissionStats `json:"admission"`
 	Failures       FailureStats   `json:"failures"`
+	Kernel         KernelStats    `json:"kernel"`
 }
 
 // Snapshot returns a consistent copy of the current counters. A nil
@@ -489,6 +520,7 @@ func (c *Collector) Snapshot() Snapshot {
 			CheckpointDegraded: c.checkpointDegraded,
 			FaultsInjected:     c.faultsInjected,
 		},
+		Kernel: c.kernel,
 	}
 	if !c.started.IsZero() {
 		s.ElapsedSeconds = time.Since(c.started).Seconds()
@@ -531,6 +563,9 @@ func (s Snapshot) Line() string {
 		if cs.CheckpointHits > 0 {
 			out += fmt.Sprintf(" ckpt %d", cs.CheckpointHits)
 		}
+	}
+	if k := s.Kernel; k.ComponentTicks+k.ComponentSlept > 0 {
+		out += fmt.Sprintf(" | kernel %.0f%% slept", 100*float64(k.ComponentSlept)/float64(k.ComponentTicks+k.ComponentSlept))
 	}
 	if f := s.Failures; f.DeadlineExceeded+f.Panicked+f.CheckpointErrors+f.FaultsInjected > 0 || f.CheckpointDegraded != 0 {
 		out += " |"
@@ -598,6 +633,11 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	emit("bwpart_checkpoint_errors_total", "counter", "Checkpoint-tier I/O failures (load, save, journal).", float64(s.Failures.CheckpointErrors))
 	emit("bwpart_checkpoint_degraded", "gauge", "Whether the checkpoint store has demoted itself to in-memory-only mode.", float64(s.Failures.CheckpointDegraded))
 	emit("bwpart_faults_injected_total", "counter", "Fired fault-injection points (chaos testing only).", float64(s.Failures.FaultsInjected))
+	emit("bwpart_kernel_cycles_total", "counter", "Simulated cycles of measured cells.", float64(s.Kernel.Cycles))
+	emit("bwpart_kernel_cycles_ticked_total", "counter", "Simulated cycles on which any component ticked.", float64(s.Kernel.CyclesTicked))
+	emit("bwpart_kernel_component_ticks_total", "counter", "Component-cycles spent ticking.", float64(s.Kernel.ComponentTicks))
+	emit("bwpart_kernel_component_slept_total", "counter", "Component-cycles slept (integrated in closed form).", float64(s.Kernel.ComponentSlept))
+	emit("bwpart_kernel_pokes_total", "counter", "Times one component roused another from sleep.", float64(s.Kernel.Pokes))
 	return err
 }
 

@@ -222,6 +222,38 @@ func TestFailureCounters(t *testing.T) {
 	}
 }
 
+func TestKernelTotals(t *testing.T) {
+	c := NewCollector()
+	c.AddKernel(KernelStats{Cycles: 100, CyclesTicked: 60, ComponentTicks: 300, ComponentSlept: 1000, Pokes: 7})
+	c.AddKernel(KernelStats{Cycles: 50, CyclesTicked: 50, ComponentTicks: 200, ComponentSlept: 450, Pokes: 3})
+	snap := c.Snapshot()
+	want := KernelStats{Cycles: 150, CyclesTicked: 110, ComponentTicks: 500, ComponentSlept: 1450, Pokes: 10}
+	if snap.Kernel != want {
+		t.Fatalf("kernel = %+v, want %+v", snap.Kernel, want)
+	}
+	if line := snap.Line(); !strings.Contains(line, "kernel 74% slept") {
+		t.Fatalf("line %q missing the kernel sleep share", line)
+	}
+	var sb strings.Builder
+	if err := snap.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, wantSub := range []string{"bwpart_kernel_cycles_total 150", "bwpart_kernel_component_slept_total 1450", "bwpart_kernel_pokes_total 10"} {
+		if !strings.Contains(sb.String(), wantSub) {
+			t.Fatalf("prom output missing %q", wantSub)
+		}
+	}
+	raw, err := json.Marshal(snap)
+	if err != nil || !strings.Contains(string(raw), `"kernel":{"cycles":150,"cycles_ticked":110,`) {
+		t.Fatalf("stats JSON lacks the kernel block: %s (%v)", raw, err)
+	}
+	var nilc *Collector
+	nilc.AddKernel(want)
+	if nilc.Snapshot().Kernel != (KernelStats{}) {
+		t.Fatal("nil collector recorded kernel data")
+	}
+}
+
 func TestWriteProm(t *testing.T) {
 	c := NewCollector()
 	c.AddTotal(3)

@@ -51,7 +51,7 @@ func benchRun(b *testing.B, kernel Kernel, profs []workload.Profile) {
 }
 
 // BenchmarkRunIdle measures System.Run on an idle-heavy (latency-bound)
-// mix under both kernels; the skipping kernel's acceptance bar is a >= 2x
+// mix under both kernels; the wake scheduler's acceptance bar is a >= 2x
 // speedup here.
 func BenchmarkRunIdle(b *testing.B) {
 	profs := []workload.Profile{idleHeavyProfile(), idleHeavyProfile()}
@@ -59,9 +59,26 @@ func BenchmarkRunIdle(b *testing.B) {
 	b.Run("skip", func(b *testing.B) { benchRun(b, KernelCycleSkipping, profs) })
 }
 
+// BenchmarkRunMixed measures System.Run on the Table IV mix hetero-1 (milc,
+// soplex, zeusmp, bzip2): at any moment some cores are dispatching and
+// others are stalled on memory, so the whole system is almost never
+// quiescent — the regime where only per-component sleeping saves work.
+func BenchmarkRunMixed(b *testing.B) {
+	var profs []workload.Profile
+	for _, name := range []string{"milc", "soplex", "zeusmp", "bzip2"} {
+		p, err := workload.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		profs = append(profs, p)
+	}
+	b.Run("naive", func(b *testing.B) { benchRun(b, KernelNaive, profs) })
+	b.Run("skip", func(b *testing.B) { benchRun(b, KernelCycleSkipping, profs) })
+}
+
 // BenchmarkRunSaturated measures System.Run on a bandwidth-saturated mix
 // (four streaming lbm instances): completions land every burst, spans are
-// short, and the skipping kernel must not regress materially.
+// short, and the wake scheduler must not regress materially.
 func BenchmarkRunSaturated(b *testing.B) {
 	lbm, err := workload.ByName("lbm")
 	if err != nil {

@@ -3,19 +3,18 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"bwpart/internal/dram"
 	"bwpart/internal/memctrl"
 )
 
-// This file is the randomized differential suite for the busy-span kernel:
+// This file is the randomized differential table for the simulation kernel:
 // for every scheduler the controller ships, under both L2 topologies and
-// both DRAM page policies, a randomized system configuration must produce a
-// bit-identical Result, issue trace, and completion trace under the naive
-// and cycle-skipping kernels. It is the system-level analogue of the
-// controller's index_diff_test.go.
+// both DRAM page policies, a randomized system configuration must produce
+// bit-identical observations (see diffKernels) under the naive loop and the
+// wake scheduler. It is the system-level analogue of the controller's
+// index_diff_test.go, and the seed table of FuzzKernelEquivalence.
 
 // busyFuzzPool lists the workloads the fuzzer draws from: memory-bound
 // profiles (lbm, milc, libquantum) keep the controller saturated so busy
@@ -120,37 +119,14 @@ func randBusyCase(r *rand.Rand) busyFuzzCase {
 	}
 }
 
-// runBusyDiff assembles one system for the case, installs a fresh scheduler,
-// and returns the windowed Result plus the full issue and completion traces.
-func runBusyDiff(t *testing.T, kernel Kernel, shared bool, policy dram.PagePolicy,
-	fc busyFuzzCase, mk func(t *testing.T) memctrl.Scheduler) (Result, []traceRec, []traceRec) {
-	t.Helper()
-	cfg := fastCfg()
-	cfg.Kernel = kernel
-	cfg.SharedL2 = shared
-	cfg.DRAM.Policy = policy
-	cfg.QueueCap = fc.queueCap
-	cfg.Seed = fc.seed
-	cfg.ReferencePick = fc.referencePick
-	sys, err := New(cfg, mustProfiles(t, fc.names...))
-	if err != nil {
-		t.Fatal(err)
+// kernelCase places the drawn configuration on a topology, page policy and
+// scheduler.
+func (fc busyFuzzCase) kernelCase(shared bool, policy dram.PagePolicy,
+	mk func(t *testing.T) memctrl.Scheduler) kernelCase {
+	return kernelCase{
+		names: fc.names, shared: shared, policy: policy, queueCap: fc.queueCap,
+		seed: fc.seed, referencePick: fc.referencePick, sched: mk,
 	}
-	if err := sys.Controller().SetScheduler(mk(t)); err != nil {
-		t.Fatal(err)
-	}
-	sys.Warmup()
-	var issues, completions []traceRec
-	sys.Controller().SetTracer(func(cycle int64, app int, addr uint64, write bool) {
-		issues = append(issues, traceRec{cycle, app, addr, write})
-	})
-	sys.Controller().SetCompletionTracer(func(cycle int64, app int, addr uint64, write bool) {
-		completions = append(completions, traceRec{cycle, app, addr, write})
-	})
-	sys.Run(15_000)
-	sys.ResetStats()
-	sys.Run(50_000)
-	return sys.Results(), issues, completions
 }
 
 // TestBusySpanKernelFuzz is the randomized differential fuzz across all ten
@@ -176,21 +152,9 @@ func TestBusySpanKernelFuzz(t *testing.T) {
 				sched := busySchedulers(len(fc.names))[si]
 				name := fmt.Sprintf("sharedL2=%v/%v/%s", shared, policy, sched.name)
 				t.Run(name, func(t *testing.T) {
-					nres, nis, ncp := runBusyDiff(t, KernelNaive, shared, policy, fc, sched.mk)
-					sres, sis, scp := runBusyDiff(t, KernelCycleSkipping, shared, policy, fc, sched.mk)
-					if !reflect.DeepEqual(nres, sres) {
-						t.Errorf("case %+v: results diverge\nnaive: %+v\nskip:  %+v", fc, nres, sres)
-					}
-					if !reflect.DeepEqual(nis, sis) {
-						t.Errorf("case %+v: issue traces diverge (naive %d records, skip %d)",
-							fc, len(nis), len(sis))
-					}
-					if !reflect.DeepEqual(ncp, scp) {
-						t.Errorf("case %+v: completion traces diverge (naive %d records, skip %d)",
-							fc, len(ncp), len(scp))
-					}
-					if len(sis) == 0 {
-						t.Errorf("case %+v: empty issue trace — workload never reached the controller", fc)
+					diffKernels(t, fc.kernelCase(shared, policy, sched.mk))
+					if t.Failed() {
+						t.Logf("case %+v", fc)
 					}
 				})
 			}

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"bwpart/internal/cache"
+	"bwpart/internal/cpu"
+	"bwpart/internal/mem"
 	"bwpart/internal/memctrl"
 	"bwpart/internal/workload"
 )
@@ -16,132 +20,287 @@ type traceRec struct {
 	write bool
 }
 
-// runKernel builds a system under the given kernel, applies mutate (e.g. a
-// scheduler swap), runs settle+measure, and returns the windowed result
-// plus the full issue trace.
-func runKernel(t *testing.T, kernel Kernel, shared bool, names []string,
-	mutate func(*System) error) (Result, []traceRec) {
-	t.Helper()
-	cfg := fastCfg()
-	cfg.Kernel = kernel
-	cfg.SharedL2 = shared
-	sys, err := New(cfg, mustProfiles(t, names...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Warmup()
-	if mutate != nil {
-		if err := mutate(sys); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var trace []traceRec
-	sys.Controller().SetTracer(func(cycle int64, app int, addr uint64, write bool) {
-		trace = append(trace, traceRec{cycle, app, addr, write})
-	})
-	sys.Run(40_000)
-	sys.ResetStats()
-	sys.Run(120_000)
-	return sys.Results(), trace
-}
-
-// TestKernelsBitIdentical is the sim-level differential check: the
-// cycle-skipping kernel must reproduce the naive loop's Result struct and
-// off-chip access trace bit for bit, in both topologies.
+// TestKernelsBitIdentical is the sim-level differential check: the wake
+// scheduler must reproduce the naive loop's Result, off-chip traces and
+// component counters bit for bit, in both topologies (see diffKernels for
+// the drives).
 func TestKernelsBitIdentical(t *testing.T) {
-	names := []string{"lbm", "gromacs", "milc", "povray"}
 	for _, shared := range []bool{false, true} {
-		naive, ntrace := runKernel(t, KernelNaive, shared, names, nil)
-		skip, strace := runKernel(t, KernelCycleSkipping, shared, names, nil)
-		if !reflect.DeepEqual(naive, skip) {
-			t.Errorf("sharedL2=%v: results diverge\nnaive: %+v\nskip:  %+v", shared, naive, skip)
-		}
-		if !reflect.DeepEqual(ntrace, strace) {
-			t.Errorf("sharedL2=%v: traces diverge (naive %d records, skip %d)",
-				shared, len(ntrace), len(strace))
-		}
+		t.Run(fmt.Sprintf("sharedL2=%v", shared), func(t *testing.T) {
+			diffKernels(t, kernelCase{
+				names:  []string{"lbm", "gromacs", "milc", "povray"},
+				shared: shared,
+				settle: 40_000, measure: 120_000,
+			})
+		})
 	}
 }
 
 // TestKernelsBitIdenticalSingleApp covers the alone-profiling path, where
 // idle spans are longest and interference must stay exactly zero.
 func TestKernelsBitIdenticalSingleApp(t *testing.T) {
-	naive, ntrace := runKernel(t, KernelNaive, false, []string{"omnetpp"}, nil)
-	skip, strace := runKernel(t, KernelCycleSkipping, false, []string{"omnetpp"}, nil)
-	if !reflect.DeepEqual(naive, skip) {
-		t.Errorf("results diverge\nnaive: %+v\nskip:  %+v", naive, skip)
+	want, ks := diffKernels(t, kernelCase{names: []string{"omnetpp"}, settle: 40_000, measure: 120_000})
+	if want.Res.Apps[0].InterferenceCycles != 0 {
+		t.Errorf("alone app saw interference: %d", want.Res.Apps[0].InterferenceCycles)
 	}
-	if !reflect.DeepEqual(ntrace, strace) {
-		t.Errorf("traces diverge (naive %d records, skip %d)", len(ntrace), len(strace))
-	}
-	if skip.Apps[0].InterferenceCycles != 0 {
-		t.Errorf("alone app saw interference: %d", skip.Apps[0].InterferenceCycles)
+	if ks.Leapt == 0 {
+		t.Errorf("alone run never leapt: %+v", ks)
 	}
 }
 
 // TestKernelUnsafeSchedulerFallsBack ensures a scheduler with neither the
 // IdleSkipSafe nor the BusySpanSafe marker still produces naive-identical
-// results under the skipping kernel (the controller refuses both idle
-// quiescence and busy spans while requests are queued, degrading to
-// per-cycle ticking only where it must). WriteDrain wrapping STFM is such a
-// scheduler: WriteDrain is not head-only and STFM's batched inner state
-// disqualifies the wrapper from deferring to the inner policy's markers.
+// results under the wake scheduler: the controller refuses to sleep while
+// requests are queued, and every other component sleeps around it.
+// WriteDrain wrapping STFM is such a scheduler: WriteDrain is not head-only
+// and STFM's batched inner state disqualifies the wrapper from deferring to
+// the inner policy's markers.
 func TestKernelUnsafeSchedulerFallsBack(t *testing.T) {
-	names := []string{"lbm", "soplex"}
-	install := func(sys *System) error {
-		stfm, err := memctrl.NewSTFM(sys.NumApps(), 1.10)
-		if err != nil {
-			return err
-		}
-		drain, err := memctrl.NewWriteDrain(stfm, 12, 4)
-		if err != nil {
-			return err
-		}
-		return sys.Controller().SetScheduler(drain)
+	_, ks := diffKernels(t, kernelCase{
+		names: []string{"lbm", "soplex"},
+		sched: func(t *testing.T) memctrl.Scheduler {
+			stfm, err := memctrl.NewSTFM(2, 1.10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drain, err := memctrl.NewWriteDrain(stfm, 12, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return drain
+		},
+		settle: 40_000, measure: 120_000,
+	})
+	ctrl, rest := ks.Components[0], ks.Components[1:]
+	if ctrl.Ticks < ks.Cycles/2 {
+		t.Errorf("controller under an unsafe scheduler ticked only %d of %d cycles", ctrl.Ticks, ks.Cycles)
 	}
-	naive, ntrace := runKernel(t, KernelNaive, false, names, install)
-	skip, strace := runKernel(t, KernelCycleSkipping, false, names, install)
-	if !reflect.DeepEqual(naive, skip) {
-		t.Errorf("results diverge under WriteDrain(STFM)\nnaive: %+v\nskip:  %+v", naive, skip)
-	}
-	if !reflect.DeepEqual(ntrace, strace) {
-		t.Errorf("traces diverge under WriteDrain(STFM) (naive %d, skip %d)", len(ntrace), len(strace))
+	for _, c := range rest {
+		if c.Slept == 0 {
+			t.Errorf("%s never slept beside the always-on controller", c.Name)
+		}
 	}
 }
 
-// TestKernelPhasedWorkload pins the dynamic-stream path: skips must never
-// cross a core's parameter-refresh boundary, so phased workloads stay
-// bit-identical too.
+// phasedSpecs is a single phased application (memory-bound lbm phases
+// alternating with compute-bound povray phases).
+func phasedSpecs(t *testing.T) []AppSpec {
+	lbm, _ := workload.ByName("lbm")
+	povray, _ := workload.ByName("povray")
+	gen, err := workload.NewPhasedGenerator([]workload.Phase{
+		{Profile: lbm, Instructions: 30_000},
+		{Profile: povray, Instructions: 30_000},
+	}, 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := fastCfg().Core
+	core.BaseIPC = lbm.BaseIPC
+	core.MaxOutstandingLoads = lbm.MLP
+	return []AppSpec{{Name: "phased", Core: core, Stream: gen}}
+}
+
+// TestKernelPhasedWorkload pins the dynamic-stream path: a stalled core
+// never sleeps across its parameter-refresh boundary, so a refresh landing
+// inside a sleep wakes it and phased workloads stay bit-identical too.
 func TestKernelPhasedWorkload(t *testing.T) {
-	mkSpecs := func(seed int64) []AppSpec {
-		lbm, _ := workload.ByName("lbm")
-		povray, _ := workload.ByName("povray")
-		gen, err := workload.NewPhasedGenerator([]workload.Phase{
-			{Profile: lbm, Instructions: 30_000},
-			{Profile: povray, Instructions: 30_000},
-		}, 0, seed)
+	_, ks := diffKernels(t, kernelCase{specs: phasedSpecs, settle: 20_000, measure: 150_000})
+	if core := ks.Components[len(ks.Components)-1]; core.Slept == 0 {
+		t.Errorf("phased core never slept: %+v", core)
+	}
+}
+
+// aliasStream is a checkpointable stream of cold loads drawn at random from
+// 32 lines that share one set in every cache level (so they always miss),
+// with no per-application offset: applications running it collide on the
+// same lines, and in a shared L2 one application's miss is every so often
+// the line another's refused access is waiting to merge into.
+type aliasStream struct{ n, x uint64 }
+
+func (a *aliasStream) Next() cpu.Instr {
+	a.n++
+	if a.n%8 != 0 {
+		return cpu.Instr{}
+	}
+	a.x = a.x*6364136223846793005 + 1442695040888963407
+	return cpu.Instr{Mem: true, Cold: true, Addr: 1<<32 + (a.x>>33)%32*512*64}
+}
+func (a *aliasStream) StreamState() any { return *a }
+func (a *aliasStream) RestoreStreamState(st any) error {
+	*a = st.(aliasStream)
+	return nil
+}
+func (a *aliasStream) ForkStream() cpu.Stream { cp := *a; return &cp }
+
+// aliasSpecs is three applications on differently seeded aliasStreams.
+func aliasSpecs(*testing.T) []AppSpec {
+	core := fastCfg().Core
+	core.BaseIPC, core.MaxOutstandingLoads = 2, 8
+	specs := make([]AppSpec, 3)
+	for i := range specs {
+		specs[i] = AppSpec{Name: fmt.Sprintf("alias%d", i), Core: core, Stream: &aliasStream{x: uint64(i)}}
+	}
+	return specs
+}
+
+// TestKernelSleepCoverage drives the configurations the old all-or-nothing
+// span sweep never skipped in but per-component sleeping does: reject-
+// coupled stalls in both directions (shared-L2 MSHR starvation, a bounded
+// controller queue leaving L2 sends deferred while the controller sleeps),
+// prefetching L2s, and 8- and 16-application systems.
+func TestKernelSleepCoverage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential runs are slow")
+	}
+	repeat := func(n int, names ...string) []string {
+		var out []string
+		for len(out) < n {
+			out = append(out, names...)
+		}
+		return out[:n]
+	}
+	for _, tc := range []struct {
+		name string
+		kc   kernelCase
+		// reached names the counter that must be non-zero for the case to
+		// have exercised what it is about (nil = no such requirement).
+		reached func(o kernelObs) int64
+	}{
+		{"shared-mshr-starved", kernelCase{names: []string{"lbm", "libquantum", "milc", "povray"}, shared: true, l2MSHRs: 2},
+			func(o kernelObs) int64 { return o.L2s[0].Rejects + o.L2s[1].Rejects }},
+		{"shared-cross-app-merge", kernelCase{specs: aliasSpecs, shared: true, l2MSHRs: 2, settle: 5_000, measure: 600_000},
+			func(o kernelObs) int64 { return min(o.L2s[0].Rejects, o.L2s[1].MSHRMerges) }},
+		{"private-mshr-starved", kernelCase{names: []string{"lbm", "libquantum", "milc", "povray"}, l2MSHRs: 2},
+			func(o kernelObs) int64 { return o.L2s[0].Rejects + o.L1s[0].Rejects }},
+		{"queuecap-deferred", kernelCase{names: []string{"lbm", "libquantum", "milc", "soplex"}, queueCap: 3},
+			func(o kernelObs) int64 { return o.Cores[0].RejectStallCycles + o.L1s[0].Rejects + o.L2s[0].Rejects }},
+		{"queuecap-shared", kernelCase{names: []string{"lbm", "libquantum", "milc", "soplex"}, queueCap: 3, shared: true}, nil},
+		{"l2-prefetch", kernelCase{names: []string{"lbm", "libquantum", "gromacs", "povray"}, prefetch: 2},
+			func(o kernelObs) int64 { return o.L2s[0].Prefetches }},
+		{"8-apps", kernelCase{names: repeat(8, "lbm", "povray", "milc", "gromacs"), settle: 8_000, measure: 24_000}, nil},
+		{"16-apps", kernelCase{names: repeat(16, "lbm", "povray", "milc", "gromacs"), settle: 5_000, measure: 15_000}, nil},
+		{"8-apps-shared", kernelCase{names: repeat(8, "soplex", "h264ref", "lbm"), shared: true, settle: 8_000, measure: 24_000}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, ks := diffKernels(t, tc.kc)
+			if tc.reached != nil && tc.reached(want) == 0 {
+				t.Errorf("case never reached the behaviour it targets")
+			}
+			var slept int64
+			for _, c := range ks.Components {
+				slept += c.Slept
+			}
+			if slept == 0 {
+				t.Errorf("no component ever slept: %+v", ks)
+			}
+		})
+	}
+}
+
+// boundaryStub is the scripted neighbour of TestWakeBoundaryRule: a
+// component that never sleeps and runs script at every cycle.
+type boundaryStub struct {
+	script func(now int64)
+}
+
+func (b *boundaryStub) Tick(now int64)                     { b.script(now) }
+func (b *boundaryStub) NextEventCycle(int64) (int64, bool) { return 0, false }
+func (b *boundaryStub) SkipSpan(int64, int64)              {}
+func (b *boundaryStub) SetWaker(*mem.Waker)                {}
+
+// boundaryLower is the stub lower level: it accepts accesses before
+// refuseFrom and refuses (and counts) them afterwards, in person or through
+// the closed-form RejectAccounter — the one per-cycle effect a sleeping
+// cache with a deferred send integrates.
+type boundaryLower struct {
+	refuseFrom int64
+	accepted   []*mem.Request
+	rejects    int64
+}
+
+func (l *boundaryLower) Access(now int64, req *mem.Request) bool {
+	if now < l.refuseFrom {
+		l.accepted = append(l.accepted, req)
+		return true
+	}
+	l.rejects++
+	return false
+}
+
+func (l *boundaryLower) AccountRejects(_ int, n int64) { l.rejects += n }
+
+// TestWakeBoundaryRule pins the inclusive/exclusive rule of rouse on a real
+// cache between a stub lower port (ticks before it) and a stub upper
+// requester (ticks after it). The cache sleeps with a refused send
+// deferred, so each slept cycle is one refusal accounted at the lower
+// level. At cycle poke it is reached either from above (an Access — the
+// cache already slept through its turn, so it must have integrated through
+// poke inclusive) or from below (a fill callback — its turn is still to
+// come, so it must have integrated up to poke exclusive and tick in the
+// same cycle). What the upper stub sees at the end of cycle poke, and both
+// systems' state after cycle poke+1, must equal the naive loop's.
+func TestWakeBoundaryRule(t *testing.T) {
+	const poke = 40
+	type seen struct {
+		Rejects int64
+		Cache   cache.Stats
+		Dones   int
+	}
+	run := func(kernel Kernel, fromBelow bool) (atPoke, after seen, ks KernelStats) {
+		lower := &boundaryLower{refuseFrom: 8}
+		cfg := cache.L2()
+		cfg.HitLatency = 2
+		c, err := cache.New(cfg, lower)
 		if err != nil {
 			t.Fatal(err)
 		}
-		core := fastCfg().Core
-		core.BaseIPC = lbm.BaseIPC
-		core.MaxOutstandingLoads = lbm.MLP
-		return []AppSpec{{Name: "phased", Core: core, Stream: gen}}
-	}
-	run := func(kernel Kernel) Result {
-		cfg := fastCfg()
-		cfg.Kernel = kernel
-		sys, err := NewFromSpecs(cfg, mkSpecs(7))
-		if err != nil {
-			t.Fatal(err)
+		var dones int
+		load := func(addr uint64) *mem.Request {
+			return &mem.Request{Addr: addr, Done: func(int64) { dones++ }}
 		}
-		sys.Run(20_000)
-		sys.ResetStats()
-		sys.Run(150_000)
-		return sys.Results()
+		look := func() seen { return seen{lower.rejects, c.Stats(), dones} }
+		s := &System{cfg: Config{Kernel: kernel}}
+		s.addComponent("lower", &boundaryStub{script: func(now int64) {
+			if fromBelow && now == poke {
+				lower.accepted[0].Done(now) // the fill of the first miss returns
+			}
+		}}, nil)
+		s.addComponent("cache", c, nil)
+		s.addComponent("upper", &boundaryStub{script: func(now int64) {
+			switch {
+			case now == 0:
+				c.Access(now, load(0x1000)) // sent at 2, accepted
+			case now == 7:
+				c.Access(now, load(0x2000)) // sent at 9, refused: deferred
+			case !fromBelow && now == poke:
+				c.Access(now, load(0x3000))
+			}
+			if now == poke {
+				atPoke = look()
+			}
+		}}, nil)
+		s.Run(poke + 2)
+		return atPoke, look(), s.KernelStats()
 	}
-	naive, skip := run(KernelNaive), run(KernelCycleSkipping)
-	if !reflect.DeepEqual(naive, skip) {
-		t.Errorf("phased results diverge\nnaive: %+v\nskip:  %+v", naive, skip)
+	for _, fromBelow := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fromBelow=%v", fromBelow), func(t *testing.T) {
+			wantAt, wantAfter, _ := run(KernelNaive, fromBelow)
+			gotAt, gotAfter, ks := run(KernelCycleSkipping, fromBelow)
+			if !reflect.DeepEqual(wantAt, gotAt) {
+				t.Errorf("end of cycle %d:\nnaive %+v\nwake  %+v", poke, wantAt, gotAt)
+			}
+			if !reflect.DeepEqual(wantAfter, gotAfter) {
+				t.Errorf("after cycle %d:\nnaive %+v\nwake  %+v", poke+1, wantAfter, gotAfter)
+			}
+			// Refused twice in person at cycle 9 (the send, then the same
+			// Tick's deferred retry), then once per cycle.
+			if want := int64(poke - 9 + 2); wantAt.Rejects != want {
+				t.Errorf("naive loop counted %d refusals by the end of cycle %d, want %d", wantAt.Rejects, poke, want)
+			}
+			if c := ks.Components[1]; c.Slept < poke-12 || c.Pokes == 0 {
+				t.Errorf("cache was not asleep when poked: %+v", c)
+			}
+			checkKernelStats(t, ks, poke+2)
+		})
 	}
 }

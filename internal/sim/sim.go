@@ -12,6 +12,7 @@ import (
 	"bwpart/internal/cache"
 	"bwpart/internal/cpu"
 	"bwpart/internal/dram"
+	"bwpart/internal/mem"
 	"bwpart/internal/memctrl"
 	"bwpart/internal/workload"
 )
@@ -20,20 +21,18 @@ import (
 type Kernel int
 
 const (
-	// KernelCycleSkipping (the default) ticks every component each cycle
-	// but, whenever every component reports a skippable span, leaps
-	// directly to the minimum next-event cycle, integrating per-cycle
-	// statistics (interference accounting, stall counters, reject retries)
-	// over the skipped span. It is bit-identical to KernelNaive — the
-	// differential tests in this package and internal/exper enforce that —
-	// and multiple times faster both on idle phases (most cycles dead) and
-	// on saturated phases (most cycles deterministic stalls).
+	// KernelCycleSkipping (the default) is the wake scheduler: after a
+	// component ticks, its NextEventCycle decides whether it sleeps until
+	// its own next event; a sleeping component is not ticked, and its slept
+	// cycles are integrated lazily by one SkipSpan when another component
+	// pokes it or its wake cycle arrives. Simulated time advances by one
+	// cycle while anything is due and jumps to the minimum wake cycle
+	// otherwise. It is bit-identical to KernelNaive — the differential and
+	// fuzz tests in this package and internal/exper enforce that — and
+	// faster wherever any component has nothing to do (DESIGN.md §7).
 	KernelCycleSkipping Kernel = iota
 	// KernelNaive ticks every component once per simulated cycle. It is
-	// the reference semantics, kept for differential testing and as the
-	// fallback a study can force when using schedulers that opted into
-	// neither span contract (those fall back automatically; see
-	// memctrl.IdleSkipSafeScheduler and memctrl.BusySpanSafeScheduler).
+	// the reference semantics, kept as the oracle for differential testing.
 	KernelNaive
 )
 
@@ -48,16 +47,30 @@ const (
 // A span is skippable both when the component is idle and when it is busy
 // but deterministic until a known cycle (a core stalled on its ROB-head
 // memory op, a cache waiting only on outstanding fills, the controller
-// waiting for bank-ready/bus-free). SkipSpan(from, to) applies the span's
-// per-cycle effects in closed form; the kernel only calls it when every
-// component reported a skippable span covering [from, to), so results stay
-// bit-identical to naive ticking: any state change originates from some
-// component's reported event cycle, and the kernel never leaps past the
-// minimum of those.
+// waiting for bank-ready/bus-free). The claim holds until another component
+// reaches in: SkipSpan(from, to) applies any prefix [from, to) of the span
+// in closed form, and the component announces every outside input through
+// its mem.Waker (SetWaker) before acting on it, so the kernel can integrate
+// the cycles slept so far and resume ticking. A sleeper's state therefore
+// changes only at its own reported event cycle or at a poke; the kernel
+// ticks it at the first and integrates exactly up to the second, which is
+// what keeps results bit-identical to naive ticking.
 type component interface {
 	Tick(now int64)
 	NextEventCycle(now int64) (next int64, skippable bool)
 	SkipSpan(from, to int64)
+	SetWaker(w *mem.Waker)
+}
+
+// slot is the kernel's record of one component. Between sweeps every cycle
+// before from has been ticked or integrated, and the component next ticks
+// at its wake cycle (System.wakes, kept dense because the sweep reads every
+// entry every cycle); from <= wake, and they differ exactly while it sleeps.
+type slot struct {
+	c    component
+	w    *mem.Waker // nil under KernelNaive
+	from int64
+	ComponentKernelStats
 }
 
 // Config describes a full system.
@@ -122,12 +135,20 @@ type System struct {
 	l2s      []*cache.Cache     // private-L2 topology (nil entries when shared)
 	sharedL2 *cache.SharedCache // shared-L2 topology (nil when private)
 	cores    []*cpu.Core
-	// comps is every tickable unit in the exact per-cycle order the
+	// slots is every tickable unit in the exact per-cycle order the
 	// topology requires (controller first, then caches bottom-up, then the
 	// core, per application); Run drives this one list for both topologies
 	// and both kernels.
-	comps []component
+	slots []slot
+	wakes []int64
 	now   int64
+	// cur is the slot the wake scheduler is ticking; poked records that a
+	// slot already passed this cycle was roused and is due next cycle.
+	cur   int
+	poked bool
+	// ticked and leapt count the cycles on which some, resp. no, component
+	// ticked (KernelStats).
+	ticked, leapt int64
 	// statsBuf is the reused controller-stats snapshot buffer for Results.
 	statsBuf []memctrl.AppStats
 	// snapCaches lists every cache in snap-id order (shared L2 first when
@@ -195,71 +216,127 @@ func (s *System) Warmup() {
 
 // Run advances the system by the given number of cycles under the
 // configured kernel. Both kernels drive the same component list in the same
-// per-cycle order; the cycle-skipping kernel additionally leaps over spans
-// in which every component is idle or deterministically busy (see
-// component), applying the spans' per-cycle statistics in closed form, so
-// its results are bit-identical to the naive loop's.
+// per-cycle order; the wake scheduler skips the components that are asleep
+// (see Kernel) and integrates their slept cycles in closed form, so its
+// results are bit-identical to the naive loop's. Every sleeper is flushed
+// before Run returns: Results, ResetStats, Snapshot, SetScheduler and the
+// epoch loops between Run calls always see canonical component state.
 func (s *System) Run(cycles int64) {
 	end := s.now + cycles
 	if s.cfg.Kernel == KernelNaive {
 		for ; s.now < end; s.now++ {
-			for _, c := range s.comps {
-				c.Tick(s.now)
+			for i := range s.slots {
+				s.slots[i].c.Tick(s.now)
 			}
+		}
+		ran := max(cycles, 0)
+		s.ticked += ran
+		for i := range s.slots {
+			s.slots[i].Ticks += ran
 		}
 		return
 	}
-	// Probe backoff: in phases where some component is genuinely
-	// unpredictable (a core actively dispatching, a non-span-safe
-	// scheduler) the span sweep fails nearly every cycle, and its cost
-	// would be pure overhead on top of the naive loop. After a failed probe
-	// the sweep is suspended for a geometrically growing number of cycles
-	// (capped), which bounds the overhead at a few percent of one sweep per
-	// cycle while delaying skip onset by at most probeGap ticks. Delayed
-	// probes only trade skipped cycles for ticked ones, so simulated state
-	// is unaffected.
-	const maxProbeGap = 32
-	probeGap := int64(1)
-	var nextProbe int64
-	for s.now < end {
-		for _, c := range s.comps {
-			c.Tick(s.now)
-		}
-		s.now++
-		if s.now >= end {
-			return
-		}
-		if s.now < nextProbe {
-			continue
-		}
-		// Span sweep over the cycle just ticked, in reverse component
-		// order: cores first (cheapest check, most often unpredictable)
-		// with early exit, the controller last.
-		target := end
-		skippable := true
-		for i := len(s.comps) - 1; i >= 0; i-- {
-			next, ok := s.comps[i].NextEventCycle(s.now - 1)
-			if !ok {
-				skippable = false
-				break
-			}
-			if next < target {
-				target = next
-			}
-		}
-		if !skippable || target <= s.now {
-			nextProbe = s.now + probeGap
-			if probeGap < maxProbeGap {
-				probeGap *= 2
-			}
-			continue
-		}
-		probeGap = 1
-		for _, c := range s.comps {
-			c.SkipSpan(s.now, target)
-		}
-		s.now = target
+	for i := range s.slots {
+		s.wakes[i], s.slots[i].from = s.now, s.now
 	}
+	for s.now < end {
+		now := s.now
+		next := end
+		s.poked = false
+		for i, wake := range s.wakes {
+			if wake > now {
+				if wake < next {
+					next = wake
+				}
+				continue
+			}
+			sl := &s.slots[i]
+			if sl.from < now {
+				sl.integrate(now)
+			}
+			s.cur = i
+			sl.c.Tick(now)
+			sl.Ticks++
+			wake, ok := sl.c.NextEventCycle(now)
+			if ok && wake > now+1 {
+				sl.w.SetAsleep(true)
+			} else {
+				wake = now + 1
+			}
+			s.wakes[i], sl.from = wake, now+1
+			if wake < next {
+				next = wake
+			}
+		}
+		if s.poked {
+			next = now + 1
+		}
+		s.ticked++
+		s.leapt += next - now - 1
+		s.now = next
+	}
+	for i := range s.slots {
+		if sl := &s.slots[i]; sl.from < end {
+			sl.integrate(end)
+		}
+	}
+}
+
+// integrate ends the component's sleep: it applies the slept cycles
+// [from, upto) in closed form and marks the handle awake.
+func (sl *slot) integrate(upto int64) {
+	sl.w.SetAsleep(false)
+	sl.c.SkipSpan(sl.from, upto)
+	sl.Slept += upto - sl.from
+	sl.from = upto
+}
+
+// rouse is slot i's Waker callback: another component is about to act on a
+// sleeping component. The tick order fixes how far the sleeper has come. A
+// slot after the one being ticked has not had its turn this cycle: it
+// integrates up to now exclusive and ticks in this sweep. A slot before it
+// already slept through its turn: it integrates through now inclusive and
+// ticks next cycle.
+func (s *System) rouse(i int) {
+	sl := &s.slots[i]
+	upto := s.now
+	if i < s.cur {
+		upto++
+		s.poked = true
+	}
+	sl.Pokes++
+	if sl.from < upto {
+		sl.integrate(upto)
+	}
+	s.wakes[i] = upto
+}
+
+// ComponentKernelStats counts how the kernel spent one component's cycles:
+// ticked, or slept (integrated in closed form), plus how many times another
+// component roused it from sleep. Ticks + Slept equals the cycles Run has
+// advanced, for every component.
+type ComponentKernelStats struct {
+	Name                string // "ctrl", "l2", "l2.<app>", "l1.<app>", "core.<app>"
+	Ticks, Slept, Pokes int64
+}
+
+// KernelStats reports the kernel's work since the system was built or last
+// restored: Cycles simulated, split into Ticked (at least one component
+// ticked) and Leapt (none did), and the per-component breakdown in tick
+// order. They are plain counters — diagnostics of the simulator, not of the
+// simulated machine — so ResetStats leaves them alone.
+type KernelStats struct {
+	Cycles, Ticked, Leapt int64
+	Components            []ComponentKernelStats
+}
+
+// KernelStats snapshots the kernel counters.
+func (s *System) KernelStats() KernelStats {
+	ks := KernelStats{Cycles: s.ticked + s.leapt, Ticked: s.ticked, Leapt: s.leapt}
+	for i := range s.slots {
+		ks.Components = append(ks.Components, s.slots[i].ComponentKernelStats)
+	}
+	return ks
 }
 
 // SharedL2 returns the shared L2 (nil in the private topology).

@@ -206,6 +206,10 @@ func (s *System) Restore(cp *Checkpoint) error {
 	s.statsStart = cp.statsStart
 	s.busBusyAtReset = cp.busBusyAtReset
 	s.devStatsAtReset = cp.devStatsAtReset
+	s.ticked, s.leapt = 0, 0
+	for i := range s.slots {
+		s.slots[i].ComponentKernelStats = ComponentKernelStats{Name: s.slots[i].Name}
+	}
 	return nil
 }
 

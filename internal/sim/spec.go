@@ -44,7 +44,8 @@ func NewFromSpecs(cfg Config, specs []AppSpec) (*System, error) {
 	}
 	ctrl.SetPickReference(cfg.ReferencePick)
 	s := &System{cfg: cfg, dev: dev, ctrl: ctrl}
-	s.comps = append(s.comps, ctrl)
+	ctrlW := s.addComponent("ctrl", ctrl, nil)
+	var sharedW *mem.Waker
 	if cfg.SharedL2 {
 		quota := cfg.L2WayQuota
 		if quota == nil {
@@ -69,7 +70,7 @@ func NewFromSpecs(cfg Config, specs []AppSpec) (*System, error) {
 		s.sharedL2 = shared
 		shared.SetSnapID(int32(len(s.snapCaches)))
 		s.snapCaches = append(s.snapCaches, shared)
-		s.comps = append(s.comps, shared)
+		sharedW = s.addComponent("l2", shared, ctrlW)
 	}
 	for i, spec := range specs {
 		if spec.Stream == nil {
@@ -107,10 +108,30 @@ func NewFromSpecs(cfg Config, specs []AppSpec) (*System, error) {
 		s.specs = append(s.specs, spec)
 		// Tick order within an application: lower levels first so fills
 		// land before the core's same-cycle retire/dispatch sees them.
+		lowerW := sharedW
 		if l2 != nil {
-			s.comps = append(s.comps, l2)
+			lowerW = s.addComponent(fmt.Sprintf("l2.%d", i), l2, ctrlW)
 		}
-		s.comps = append(s.comps, l1, core)
+		l1W := s.addComponent(fmt.Sprintf("l1.%d", i), l1, lowerW)
+		s.addComponent(fmt.Sprintf("core.%d", i), core, l1W)
 	}
 	return s, nil
+}
+
+// addComponent appends c to the tick order. Under the wake scheduler it
+// also attaches c's wake handle, registers it as upstream of the component
+// it sends accesses to (lower), and returns it; the naive oracle runs with
+// no handles (nil, on which every Waker method is a no-op).
+func (s *System) addComponent(name string, c component, lower *mem.Waker) *mem.Waker {
+	i := len(s.slots)
+	s.slots = append(s.slots, slot{c: c, ComponentKernelStats: ComponentKernelStats{Name: name}})
+	s.wakes = append(s.wakes, 0)
+	if s.cfg.Kernel == KernelNaive {
+		return nil
+	}
+	w := mem.NewWaker(func() { s.rouse(i) })
+	c.SetWaker(w)
+	lower.AddUpstream(w)
+	s.slots[i].w = w
+	return w
 }

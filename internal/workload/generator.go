@@ -40,6 +40,9 @@ type Generator struct {
 	gap      int // non-memory instructions remaining before the next ref
 	memProb  float64
 	coldProb float64
+	// gapLogDenom is log(1-memProb), the constant denominator of drawGap's
+	// geometric inversion.
+	gapLogDenom float64
 
 	seqPtr uint64
 }
@@ -60,6 +63,7 @@ func NewGenerator(p Profile, app int, seed int64) (*Generator, error) {
 		memProb:  p.MemRefsPerKI / 1000,
 		coldProb: p.ColdPerKI / p.MemRefsPerKI,
 	}
+	g.gapLogDenom = math.Log(1 - g.memProb)
 	g.gap = g.drawGap()
 	return g, nil
 }
@@ -72,7 +76,7 @@ func (g *Generator) drawGap() int {
 	}
 	u := g.rng.Float64()
 	// Geometric via inversion; mean (1-p)/p.
-	gap := int(math.Log(1-u) / math.Log(1-g.memProb))
+	gap := int(math.Log(1-u) / g.gapLogDenom)
 	if gap < 0 {
 		gap = 0
 	}

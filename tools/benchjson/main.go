@@ -300,6 +300,7 @@ func derive(rep *Report, byName map[string]*Bench) {
 	}
 	speedup("idle_speedup", "BenchmarkRunIdle/naive", "BenchmarkRunIdle/skip")
 	speedup("saturated_speedup", "BenchmarkRunSaturated/naive", "BenchmarkRunSaturated/skip")
+	speedup("mixed_speedup", "BenchmarkRunMixed/naive", "BenchmarkRunMixed/skip")
 	speedup("sweep_fork_speedup", "BenchmarkSweep/cold", "BenchmarkSweep/forked")
 	speedup("figures_dedup_speedup", "BenchmarkFigureSuite/cold", "BenchmarkFigureSuite/memoized")
 	speedup("serve_warm_speedup", "BenchmarkServe/cold", "BenchmarkServe/warm")

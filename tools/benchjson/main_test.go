@@ -14,6 +14,8 @@ BenchmarkRunIdle/naive-8         	       1	   8600000 ns/op	  23000000 cycles/s	
 BenchmarkRunIdle/skip-8          	       1	   2580496 ns/op	  77530408 cycles/s	  846472 B/op	   26695 allocs/op
 BenchmarkRunSaturated/naive-8    	       1	  56430135 ns/op	   3544287 cycles/s	29318000 B/op	  917612 allocs/op
 BenchmarkRunSaturated/skip-8     	       1	  58996341 ns/op	   3390104 cycles/s	29318304 B/op	  917613 allocs/op
+BenchmarkRunMixed/naive-8        	       1	  30000000 ns/op	   6666666 cycles/s	       0 B/op	       0 allocs/op
+BenchmarkRunMixed/skip-8         	       1	  20000000 ns/op	  10000000 cycles/s	       0 B/op	       0 allocs/op
 BenchmarkQueueSchedule-8         	     100	      4000 ns/op	       0 B/op	       0 allocs/op
 PASS
 ok  	bwpart/internal/sim	0.478s
@@ -24,8 +26,8 @@ func TestParseDerivesSpeedups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(rep.Benchmarks); got != 5 {
-		t.Fatalf("want 5 benchmarks, got %d", got)
+	if got := len(rep.Benchmarks); got != 7 {
+		t.Fatalf("want 7 benchmarks, got %d", got)
 	}
 	idle := rep.Derived["idle_speedup"]
 	if want := 8548566.0 / 2580496.0; idle < want-1e-9 || idle > want+1e-9 {
@@ -33,6 +35,9 @@ func TestParseDerivesSpeedups(t *testing.T) {
 	}
 	if _, ok := rep.Derived["saturated_speedup"]; !ok {
 		t.Error("missing saturated_speedup")
+	}
+	if got := rep.Derived["mixed_speedup"]; got != 1.5 {
+		t.Errorf("mixed_speedup = %v, want 1.5", got)
 	}
 	if got := rep.Derived["event_queue_allocs_per_op"]; got != 0 {
 		t.Errorf("event_queue_allocs_per_op = %v, want 0", got)
