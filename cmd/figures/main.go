@@ -167,7 +167,7 @@ func main() {
 	if want("fig2") {
 		ran = true
 		run("fig2", func() error {
-			f, err := runner.Figure2Parallel()
+			f, err := runner.Figure2()
 			if err != nil {
 				return err
 			}

@@ -86,10 +86,10 @@ func (r *Runner) runRaw(simCfg sim.Config, profs []workload.Profile, sched memct
 	})
 }
 
-// runSched measures a mix under an explicitly installed scheduler, forking
-// the mix's shared warm base when memoization is on (the next take of a
-// pooled system restores the checkpoint's scheduler, so an installed
-// heuristic never leaks into later cells).
+// runSched measures a mix under an explicitly installed scheduler, starting
+// from the mix's shared warm checkpoint when memoization is on (the next take
+// of the system restores the checkpoint's scheduler, so an installed heuristic
+// never leaks into later cells).
 func (r *Runner) runSched(mix workload.Mix, sched memctrl.Scheduler) (sim.Result, error) {
 	return r.runConfigured(mix, func(sys *sim.System) error {
 		return sys.Controller().SetScheduler(sched)
@@ -98,8 +98,8 @@ func (r *Runner) runSched(mix workload.Mix, sched memctrl.Scheduler) (sim.Result
 
 // runConfigured runs the settle+measure suffix of a mix run after apply
 // installs an arbitrary controller configuration (scheduler, shares) on a
-// warmed system: a fork of the shared warm base when memoizing, a cold
-// build otherwise.
+// warmed system: one positioned at the shared warm checkpoint when
+// memoizing, a cold build otherwise.
 func (r *Runner) runConfigured(mix workload.Mix, apply func(sys *sim.System) error) (sim.Result, error) {
 	if r.prepared == nil {
 		profs, err := mix.Profiles()
@@ -113,18 +113,18 @@ func (r *Runner) runConfigured(mix workload.Mix, apply func(sys *sim.System) err
 		sys.Warmup()
 		return r.finishConfigured(sys, apply)
 	}
-	e, release, err := r.prepared.acquire(r, mix)
+	e, release, err := r.prepared.acquire(mix)
 	if err != nil {
 		return sim.Result{}, err
 	}
 	defer release()
-	sys, err := e.take(r.cfg.Obs)
+	sys, err := r.prepared.take(e)
 	if err != nil {
 		return sim.Result{}, err
 	}
 	res, err := r.finishConfigured(sys, apply)
 	if err == nil {
-		e.put(sys)
+		r.prepared.put(e, sys)
 	}
 	return res, err
 }

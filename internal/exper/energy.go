@@ -35,11 +35,12 @@ type EnergyResult struct {
 func (r *Runner) EnergyStudy(mix workload.Mix) (*EnergyResult, error) {
 	out := &EnergyResult{Mix: mix}
 	configs := append([]string{NoPartitioning}, Figure2Schemes()...)
-	for _, scheme := range configs {
-		run, err := r.RunMix(mix, scheme)
-		if err != nil {
-			return nil, err
-		}
+	runs, err := r.RunGrid(r.baseCtx(), []workload.Mix{mix}, configs)
+	if err != nil {
+		return nil, err
+	}
+	for i, scheme := range configs {
+		run := runs[i]
 		totalMJ := run.Result.Energy.TotalNJ() / 1e6
 		row := EnergyRow{
 			Scheme:          scheme,

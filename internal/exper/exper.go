@@ -178,7 +178,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 			capacity = defaultPreparedCap
 		}
 		r.cache = cfg.Cache
-		r.prepared = newPreparedRegistry(capacity, cfg.Obs)
+		r.prepared = newPreparedRegistry(r, capacity)
 	}
 	// cfg.Cache is written back (above) so sub-runners built from this
 	// runner's Config() — per-seed repeatability runners, Figure 4's
@@ -313,13 +313,14 @@ type MixRun struct {
 	Values map[metrics.Objective]float64
 }
 
-// preparedMix is a mix's warmed base system plus its profile vectors: the
-// shared prefix of every per-scheme measurement. RunGrid prepares each mix
-// once and forks the base per scheme, so the functional warmup is paid once
-// per mix instead of once per (mix, scheme) cell.
+// preparedMix is the shared prefix of every measurement on one mix: its
+// immutable profiles and profile vectors plus the checkpoint of its warmed
+// state. RunGrid prepares each mix once and positions a system at the
+// checkpoint per cell, so the functional warmup is paid once per mix instead
+// of once per (mix, scheme) cell.
 type preparedMix struct {
 	mix      workload.Mix
-	base     *sim.System
+	profs    []workload.Profile
 	cp       *sim.Checkpoint
 	apcAlone []float64
 	api      []float64
@@ -327,40 +328,41 @@ type preparedMix struct {
 }
 
 // prepareMix builds the mix's system, runs the functional warmup, and
-// snapshots the warmed state.
-func (r *Runner) prepareMix(mix workload.Mix) (*preparedMix, error) {
+// snapshots the warmed state. The system is returned too: it sits exactly at
+// the checkpoint, so it is the first one a cell can be measured on.
+func (r *Runner) prepareMix(mix workload.Mix) (*preparedMix, *sim.System, error) {
 	profs, err := mix.Profiles()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	apcAlone, api, ipcAlone, err := r.aloneVectors(mix)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sys, err := sim.New(r.cfg.Sim, profs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	stop := r.cfg.Obs.StageStart(obs.StageWarmup)
 	sys.Warmup()
 	stop()
 	cp, err := sys.Snapshot()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &preparedMix{mix: mix, base: sys, cp: cp, apcAlone: apcAlone, api: api, ipcAlone: ipcAlone}, nil
+	return &preparedMix{mix: mix, profs: profs, cp: cp, apcAlone: apcAlone, api: api, ipcAlone: ipcAlone}, sys, nil
 }
 
-// measureScheme forks the prepared base and measures one scheme on the
-// fork. The base itself is never advanced, so any number of schemes can be
-// measured concurrently from one prepared mix (forked runs are bit-identical
-// to cold runs; the differential tests in this package enforce it).
-func (r *Runner) measureScheme(p *preparedMix, scheme string) (*MixRun, error) {
-	sys, err := p.base.ForkAt(p.cp)
+// forkPrepared builds a fresh system positioned at p's warm checkpoint. It
+// reads only p's immutable parts, so any number of cells can fork one
+// prepared mix concurrently (forked runs are bit-identical to cold runs; the
+// differential tests in this package enforce it).
+func (r *Runner) forkPrepared(p *preparedMix) (*sim.System, error) {
+	sys, err := sim.New(r.cfg.Sim, p.profs)
 	if err != nil {
 		return nil, err
 	}
-	return r.measureOn(p, sys, scheme)
+	return sys, sys.Restore(p.cp)
 }
 
 // measureOn applies scheme to sys and runs the settle+measure suffix of a
@@ -426,8 +428,8 @@ func (r *Runner) measureOn(p *preparedMix, sys *sim.System, scheme string) (*Mix
 // name) and evaluates all four objectives. Unless the runner was built with
 // NoMemoize, an identical cell already resolved (by any entry point sharing
 // the cache) is returned as a deep copy, a concurrent identical request joins
-// the in-flight one, and a fresh cell is measured on a fork of the mix's
-// shared warm base.
+// the in-flight one, and a fresh cell is measured from the mix's shared warm
+// checkpoint.
 func (r *Runner) RunMix(mix workload.Mix, scheme string) (*MixRun, error) {
 	return r.lookup(mix, scheme, true)
 }
@@ -497,22 +499,23 @@ func (r *Runner) simulateCell(mix workload.Mix, scheme string) (*MixRun, error) 
 // system for this one cell. The differential tests compare every memoized
 // path against it.
 func (r *Runner) runCellCold(mix workload.Mix, scheme string) (*MixRun, error) {
-	p, err := r.prepareMix(mix)
+	p, sys, err := r.prepareMix(mix)
 	if err != nil {
 		return nil, err
 	}
-	return r.measureOn(p, p.base, scheme)
+	return r.measureOn(p, sys, scheme)
 }
 
-// runCellShared measures the cell on a fork of the mix's shared warm base,
-// holding the base pinned (against LRU eviction) for the duration.
+// runCellShared measures the cell on a system positioned at the mix's shared
+// warm checkpoint, holding the base pinned (against LRU eviction) for the
+// duration.
 func (r *Runner) runCellShared(mix workload.Mix, scheme string) (*MixRun, error) {
-	e, release, err := r.prepared.acquire(r, mix)
+	e, release, err := r.prepared.acquire(mix)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	sys, err := e.take(r.cfg.Obs)
+	sys, err := r.prepared.take(e)
 	if err != nil {
 		return nil, err
 	}
@@ -520,6 +523,6 @@ func (r *Runner) runCellShared(mix workload.Mix, scheme string) (*MixRun, error)
 	if err != nil {
 		return nil, err
 	}
-	e.put(sys)
+	r.prepared.put(e, sys)
 	return run, nil
 }

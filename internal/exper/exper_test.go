@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -286,30 +287,164 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestFigure2ParallelMatchesSerial is the differential of the grid path every
+// figure resolves its cells through against a serial RunMix loop: Figure 1,
+// Figure 2 and Figure4Scaled as the production code computes them on one
+// runner must equal exactly the same figures assembled here, one RunMix at a
+// time, on another — and so must every MixRun underneath them.
 func TestFigure2ParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	r := quickRunner(t)
-	serial, err := r.Figure2()
-	if err != nil {
-		t.Fatal(err)
+	newRunner := func(parallelism int) *Runner {
+		cfg := memoTestConfig()
+		cfg.Parallelism = parallelism
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	par, err := r.Figure2Parallel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulations are deterministic, so the parallel sweep must reproduce
-	// the serial one exactly.
-	for mixName, perScheme := range serial.Normalized {
-		for scheme, vals := range perScheme {
-			for obj, v := range vals {
-				got := par.Normalized[mixName][scheme][obj]
-				if got != v {
-					t.Fatalf("%s/%s/%v: parallel %v != serial %v", mixName, scheme, obj, got, v)
+	grid, serial := newRunner(4), newRunner(1)
+
+	// rows resolves mixes x schemes serially on sr, checking each cell against
+	// the one the figure left resident on gr.
+	rows := func(gr, sr *Runner, mixes []workload.Mix, schemes []string) [][]*MixRun {
+		t.Helper()
+		out := make([][]*MixRun, len(mixes))
+		for mi, mix := range mixes {
+			for _, scheme := range schemes {
+				want, err := sr.RunMix(mix, scheme)
+				if err != nil {
+					t.Fatal(err)
 				}
+				got, err := gr.lookup(mix, scheme, false)
+				if err != nil {
+					t.Fatalf("%s/%s: the figure did not resolve this cell: %v", mix.Name, scheme, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s: grid cell diverges from serial RunMix", mix.Name, scheme)
+				}
+				out[mi] = append(out[mi], want)
 			}
 		}
+		return out
+	}
+	ratio := func(run, base *MixRun) map[metrics.Objective]float64 {
+		m := make(map[metrics.Objective]float64, 4)
+		for _, obj := range metrics.Objectives() {
+			m[obj] = run.Values[obj] / base.Values[obj]
+		}
+		return m
+	}
+
+	f1, err := grid.Figure1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mot := workload.MotivationMix()
+	row := rows(grid, serial, []workload.Mix{mot}, append([]string{NoPartitioning}, Figure1Schemes()...))[0]
+	want1 := &Figure1Result{Mix: mot, Normalized: map[string]map[metrics.Objective]float64{}, Baseline: row[0].Values}
+	for i, scheme := range Figure1Schemes() {
+		want1.Normalized[scheme] = ratio(row[1+i], row[0])
+	}
+	if !reflect.DeepEqual(f1, want1) {
+		t.Errorf("Figure1 diverges from the serial loop:\ngrid:   %s\nserial: %s", f1.Render(), want1.Render())
+	}
+
+	f2, err := grid.Figure2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want2 := &Figure2Result{
+		Normalized: map[string]map[string]map[metrics.Objective]float64{},
+		HeteroAvg:  newAvgMap(),
+		HomoAvg:    newAvgMap(),
+	}
+	mixes := workload.AllMixes()
+	heteroN, homoN := 0, 0
+	for mi, row := range rows(grid, serial, mixes, append([]string{NoPartitioning}, Figure2Schemes()...)) {
+		perScheme := map[string]map[metrics.Objective]float64{}
+		for i, scheme := range Figure2Schemes() {
+			perScheme[scheme] = ratio(row[1+i], row[0])
+		}
+		want2.Normalized[mixes[mi].Name] = perScheme
+		if mixes[mi].Heterogeneous() {
+			heteroN++
+			accumulate(want2.HeteroAvg, perScheme)
+		} else {
+			homoN++
+			accumulate(want2.HomoAvg, perScheme)
+		}
+	}
+	scale(want2.HeteroAvg, heteroN)
+	scale(want2.HomoAvg, homoN)
+	if !reflect.DeepEqual(f2, want2) {
+		t.Errorf("Figure2 diverges from the serial loop:\ngrid:   %s\nserial: %s", f2.Render(), want2.Render())
+	}
+
+	f4mixes, factors := workload.HeteroMixes()[:2], []int{1, 2}
+	f4, err := grid.Figure4Scaled(f4mixes, factors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want4 := &Figure4Result{NormalizedToEqual: map[metrics.Objective][]float64{}}
+	schemes := []string{"equal"}
+	for _, obj := range metrics.Objectives() {
+		name, err := optimalSchemeName(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemes = append(schemes, name)
+		want4.NormalizedToEqual[obj] = make([]float64, len(factors))
+	}
+	for si, factor := range factors {
+		gsub, err := grid.scaledRunner(factor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ssub, err := serial.scaledRunner(factor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want4.Points = append(want4.Points, ScalePoint{Factor: factor, GBs: ssub.cfg.Sim.DRAM.PeakBandwidthGBs()})
+		scaled := make([]workload.Mix, len(f4mixes))
+		for i, mix := range f4mixes {
+			scaled[i] = mix.Scale(factor)
+		}
+		for _, row := range rows(gsub, ssub, scaled, schemes) {
+			for oi, obj := range metrics.Objectives() {
+				want4.NormalizedToEqual[obj][si] += row[1+oi].Values[obj] / row[0].Values[obj]
+			}
+		}
+		for _, obj := range metrics.Objectives() {
+			want4.NormalizedToEqual[obj][si] /= float64(len(scaled))
+		}
+	}
+	if !reflect.DeepEqual(f4, want4) {
+		t.Errorf("Figure4Scaled diverges from the serial loop:\ngrid:   %s\nserial: %s", f4.Render(), want4.Render())
+	}
+}
+
+// TestFigure4ScaledParallelismInvariant: Figure 4's cells fan out, so its
+// result must not depend on how many workers resolve them.
+func TestFigure4ScaledParallelismInvariant(t *testing.T) {
+	var results []*Figure4Result
+	for _, parallelism := range []int{1, 4} {
+		cfg := memoTestConfig()
+		cfg.Parallelism = parallelism
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f4, err := r.Figure4Scaled(workload.HeteroMixes()[:2], []int{2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, f4)
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Errorf("Figure4Scaled depends on Parallelism:\n1: %s\n4: %s", results[0].Render(), results[1].Render())
 	}
 }
 

@@ -2,6 +2,7 @@ package exper
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -145,6 +146,54 @@ func TestCellPanicFailsJobNotProcess(t *testing.T) {
 	runs, err := r.RunGrid(context.Background(), []workload.Mix{mix}, []string{"equal"})
 	if err != nil || runs[0] == nil {
 		t.Fatalf("grid did not recover after faults cleared: %v", err)
+	}
+}
+
+// TestFigure4CellPanic: Figure 4's cells run on the fan-out, so a panicking
+// cell must fail the figure with the lowest-index cell's error (here every
+// cell panics, so the first mix's Equal run), not kill the process, and must
+// leave no warm base pinned.
+func TestFigure4CellPanic(t *testing.T) {
+	in := faultinject.New(6)
+	in.Arm(faultinject.CellPanic, faultinject.Rule{})
+	cfg := memoTestConfig()
+	cfg.Parallelism = 4
+	cfg.Faults = in
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixes := workload.HeteroMixes()[:2]
+	first := mixes[0].Scale(2).Name + "/equal"
+	check := func(err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("injected cell panic did not fail the figure")
+		}
+		if !errors.Is(err, ErrJobPanicked) || !strings.HasPrefix(err.Error(), "job 0:") ||
+			!strings.Contains(err.Error(), "injected cell panic ("+first+")") {
+			t.Fatalf("primary error is not the lowest-index cell %s panicking: %v", first, err)
+		}
+	}
+	_, err = r.Figure4Scaled(mixes, []int{2})
+	check(err)
+
+	// The same grid on a sub-runner the test can see into: every pin taken
+	// for the failed group is released, and the grid resolves once the fault
+	// clears.
+	sub, err := r.scaledRunner(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled := []workload.Mix{mixes[0].Scale(2), mixes[1].Scale(2)}
+	_, err = sub.RunGrid(context.Background(), scaled, []string{"equal", "square-root"})
+	check(err)
+	if entries, _, pins := sub.prepared.held(); entries != len(scaled) || pins != 0 {
+		t.Fatalf("failed grid left %d entries with %d pins, want %d and 0", entries, pins, len(scaled))
+	}
+	in.DisarmAll()
+	if _, err := r.Figure4Scaled(mixes, []int{2}); err != nil {
+		t.Fatalf("figure did not recover after faults cleared: %v", err)
 	}
 }
 

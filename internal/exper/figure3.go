@@ -43,8 +43,13 @@ func beObjectives() []metrics.Objective {
 // Figure3 runs the QoS experiment on the paper's two mixes.
 func (r *Runner) Figure3() (*Figure3Result, error) {
 	out := &Figure3Result{Target: QoSTargetIPC}
-	for _, mix := range workload.QoSMixes() {
-		fm, err := r.runQoSMix(mix)
+	mixes := workload.QoSMixes()
+	bases, err := r.RunGrid(r.baseCtx(), mixes, []string{NoPartitioning})
+	if err != nil {
+		return nil, err
+	}
+	for i, mix := range mixes {
+		fm, err := r.runQoSMix(mix, bases[i])
 		if err != nil {
 			return nil, err
 		}
@@ -53,7 +58,9 @@ func (r *Runner) Figure3() (*Figure3Result, error) {
 	return out, nil
 }
 
-func (r *Runner) runQoSMix(mix workload.Mix) (*Figure3Mix, error) {
+// runQoSMix runs the QoS-guaranteed partitionings of one mix against its
+// No_partitioning run.
+func (r *Runner) runQoSMix(mix workload.Mix, base *MixRun) (*Figure3Mix, error) {
 	guarded := -1
 	for i, b := range mix.Benchmarks {
 		if b == "hmmer" {
@@ -63,14 +70,7 @@ func (r *Runner) runQoSMix(mix workload.Mix) (*Figure3Mix, error) {
 	if guarded < 0 {
 		return nil, fmt.Errorf("exper: mix %s has no hmmer to guard", mix.Name)
 	}
-	apcAlone, api, ipcAlone, err := r.aloneVectors(mix)
-	if err != nil {
-		return nil, err
-	}
-	base, err := r.RunMix(mix, NoPartitioning)
-	if err != nil {
-		return nil, err
-	}
+	apcAlone, api, ipcAlone := base.APCAlone, base.API, base.IPCAlone
 	fm := &Figure3Mix{
 		Mix:                  mix,
 		GuardedApp:           guarded,

@@ -36,47 +36,56 @@ func (r *Runner) Figure4Scaled(mixes []workload.Mix, factors []int) (*Figure4Res
 	return r.figure4(mixes, factors)
 }
 
+// scaledRunner builds the sub-runner for one bandwidth scale point.
+// APC_alone depends on the memory system, so profiles cannot be shared
+// across bandwidths. The sub-runner inherits the parent's result cache (its
+// configuration is a copy of the parent's), but its scaled DRAM yields a
+// different fingerprint, so its cells key separately.
+func (r *Runner) scaledRunner(factor int) (*Runner, error) {
+	cfg := r.cfg
+	cfg.Sim.DRAM = cfg.Sim.DRAM.ScaleBandwidth(float64(factor))
+	return NewRunner(cfg)
+}
+
 func (r *Runner) figure4(mixes []workload.Mix, factors []int) (*Figure4Result, error) {
-	out := &Figure4Result{NormalizedToEqual: make(map[metrics.Objective][]float64)}
-	for _, obj := range metrics.Objectives() {
-		out.NormalizedToEqual[obj] = make([]float64, len(factors))
-	}
-	for si, factor := range factors {
-		scaleCfg := r.cfg
-		scaleCfg.Sim.DRAM = scaleCfg.Sim.DRAM.ScaleBandwidth(float64(factor))
-		out.Points = append(out.Points, ScalePoint{Factor: factor, GBs: scaleCfg.Sim.DRAM.PeakBandwidthGBs()})
-		// A dedicated runner per scale point: APC_alone depends on the
-		// memory system, so profiles cannot be shared across bandwidths.
-		// The sub-runner inherits the parent's result cache (scaleCfg
-		// copies r.cfg), but its scaled DRAM yields a different
-		// fingerprint, so its cells key separately.
-		sub, err := NewRunner(scaleCfg)
+	// Per scale point the grid is scaled mixes x {Equal, each objective's
+	// optimal scheme}.
+	objectives := metrics.Objectives()
+	schemes := []string{"equal"}
+	for _, obj := range objectives {
+		name, err := optimalSchemeName(obj)
 		if err != nil {
 			return nil, err
 		}
-		counts := make(map[metrics.Objective]int)
-		for _, mix := range mixes {
-			scaled := mix.Scale(factor)
-			eq, err := sub.RunMix(scaled, "equal")
-			if err != nil {
-				return nil, err
-			}
-			for _, obj := range metrics.Objectives() {
-				schemeName, err := optimalSchemeName(obj)
-				if err != nil {
-					return nil, err
-				}
-				run, err := sub.RunMix(scaled, schemeName)
-				if err != nil {
-					return nil, err
-				}
-				out.NormalizedToEqual[obj][si] += run.Values[obj] / eq.Values[obj]
-				counts[obj]++
+		schemes = append(schemes, name)
+	}
+	out := &Figure4Result{NormalizedToEqual: make(map[metrics.Objective][]float64)}
+	for _, obj := range objectives {
+		out.NormalizedToEqual[obj] = make([]float64, len(factors))
+	}
+	for si, factor := range factors {
+		sub, err := r.scaledRunner(factor)
+		if err != nil {
+			return nil, err
+		}
+		out.Points = append(out.Points, ScalePoint{Factor: factor, GBs: sub.cfg.Sim.DRAM.PeakBandwidthGBs()})
+		scaled := make([]workload.Mix, len(mixes))
+		for mi, mix := range mixes {
+			scaled[mi] = mix.Scale(factor)
+		}
+		runs, err := sub.RunGrid(r.baseCtx(), scaled, schemes)
+		if err != nil {
+			return nil, err
+		}
+		for mi := range scaled {
+			row := runs[mi*len(schemes) : (mi+1)*len(schemes)]
+			for oi, obj := range objectives {
+				out.NormalizedToEqual[obj][si] += row[1+oi].Values[obj] / row[0].Values[obj]
 			}
 		}
-		for _, obj := range metrics.Objectives() {
-			if counts[obj] > 0 {
-				out.NormalizedToEqual[obj][si] /= float64(counts[obj])
+		if len(scaled) > 0 {
+			for _, obj := range objectives {
+				out.NormalizedToEqual[obj][si] /= float64(len(scaled))
 			}
 		}
 	}
@@ -91,10 +100,11 @@ func (r *Runner) figure4(mixes []workload.Mix, factors []int) (*Figure4Result, e
 func (r *Runner) AloneAPCScaling(names []string, factors []int) (map[string][]float64, error) {
 	out := make(map[string][]float64, len(names))
 	for _, factor := range factors {
-		scaleCfg := r.cfg
-		scaleCfg.Sim.DRAM = scaleCfg.Sim.DRAM.ScaleBandwidth(float64(factor))
-		sub, err := NewRunner(scaleCfg)
+		sub, err := r.scaledRunner(factor)
 		if err != nil {
+			return nil, err
+		}
+		if err := sub.warmAloneCache(r.baseCtx(), names); err != nil {
 			return nil, err
 		}
 		for _, name := range names {

@@ -21,27 +21,29 @@ type Figure1Result struct {
 // Figure1 runs the motivation experiment.
 func (r *Runner) Figure1() (*Figure1Result, error) {
 	mix := workload.MotivationMix()
-	base, err := r.RunMix(mix, NoPartitioning)
+	runs, err := r.RunGrid(r.baseCtx(), []workload.Mix{mix}, append([]string{NoPartitioning}, Figure1Schemes()...))
 	if err != nil {
 		return nil, err
 	}
+	base := runs[0]
 	out := &Figure1Result{
 		Mix:        mix,
 		Normalized: make(map[string]map[metrics.Objective]float64),
 		Baseline:   base.Values,
 	}
-	for _, scheme := range Figure1Schemes() {
-		run, err := r.RunMix(mix, scheme)
-		if err != nil {
-			return nil, err
-		}
-		norm := make(map[metrics.Objective]float64, 4)
-		for _, obj := range metrics.Objectives() {
-			norm[obj] = run.Values[obj] / base.Values[obj]
-		}
-		out.Normalized[scheme] = norm
+	for i, scheme := range Figure1Schemes() {
+		out.Normalized[scheme] = normalizedTo(runs[1+i], base)
 	}
 	return out, nil
+}
+
+// normalizedTo divides each of run's objective values by base's.
+func normalizedTo(run, base *MixRun) map[metrics.Objective]float64 {
+	norm := make(map[metrics.Objective]float64, 4)
+	for _, obj := range metrics.Objectives() {
+		norm[obj] = run.Values[obj] / base.Values[obj]
+	}
+	return norm
 }
 
 // Render prints the figure's bar groups as a table.
@@ -81,30 +83,26 @@ type Figure2Result struct {
 	HomoAvg    map[string]map[metrics.Objective]float64
 }
 
-// Figure2 runs the full evaluation sweep (14 mixes x 7 configurations).
+// Figure2 runs the full evaluation sweep (14 mixes x 7 configurations) as
+// one grid.
 func (r *Runner) Figure2() (*Figure2Result, error) {
+	mixes, schemes := workload.AllMixes(), Figure2Schemes()
+	width := 1 + len(schemes)
+	runs, err := r.RunGrid(r.baseCtx(), mixes, append([]string{NoPartitioning}, schemes...))
+	if err != nil {
+		return nil, err
+	}
 	out := &Figure2Result{
 		Normalized: make(map[string]map[string]map[metrics.Objective]float64),
 		HeteroAvg:  newAvgMap(),
 		HomoAvg:    newAvgMap(),
 	}
 	heteroN, homoN := 0, 0
-	for _, mix := range workload.AllMixes() {
-		base, err := r.RunMix(mix, NoPartitioning)
-		if err != nil {
-			return nil, err
-		}
+	for mi, mix := range mixes {
+		row := runs[mi*width : (mi+1)*width]
 		perScheme := make(map[string]map[metrics.Objective]float64)
-		for _, scheme := range Figure2Schemes() {
-			run, err := r.RunMix(mix, scheme)
-			if err != nil {
-				return nil, err
-			}
-			norm := make(map[metrics.Objective]float64, 4)
-			for _, obj := range metrics.Objectives() {
-				norm[obj] = run.Values[obj] / base.Values[obj]
-			}
-			perScheme[scheme] = norm
+		for si, scheme := range schemes {
+			perScheme[scheme] = normalizedTo(row[1+si], row[0])
 		}
 		out.Normalized[mix.Name] = perScheme
 		if mix.Heterogeneous() {

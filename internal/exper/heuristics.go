@@ -52,27 +52,22 @@ func (r *Runner) RunHeuristics(mixes []workload.Mix) (*HeuristicStudy, error) {
 	for _, cfgName := range configs {
 		out.Normalized[cfgName] = make(map[metrics.Objective]float64, 4)
 	}
-	for _, mix := range mixes {
-		base, err := r.RunMix(mix, NoPartitioning)
-		if err != nil {
-			return nil, err
-		}
-		// Scheme configurations reuse the standard path.
-		for _, cfgName := range configs[len(HeuristicNames()):] {
-			run, err := r.RunMix(mix, cfgName)
-			if err != nil {
-				return nil, err
-			}
+	// Scheme configurations are one grid: the baseline, then each scheme.
+	schemes := append([]string{NoPartitioning}, configs[len(HeuristicNames()):]...)
+	runs, err := r.RunGrid(r.baseCtx(), mixes, schemes)
+	if err != nil {
+		return nil, err
+	}
+	for mi, mix := range mixes {
+		row := runs[mi*len(schemes) : (mi+1)*len(schemes)]
+		base, ipcAlone := row[0], row[0].IPCAlone
+		for si, cfgName := range schemes[1:] {
 			for _, obj := range metrics.Objectives() {
-				out.Normalized[cfgName][obj] += run.Values[obj] / base.Values[obj]
+				out.Normalized[cfgName][obj] += row[1+si].Values[obj] / base.Values[obj]
 			}
 		}
-		// Heuristic configurations install the scheduler directly, forking
-		// the same warm base the scheme cells above shared.
-		_, _, ipcAlone, err := r.aloneVectors(mix)
-		if err != nil {
-			return nil, err
-		}
+		// Heuristic configurations install the scheduler directly, starting
+		// from the same warm checkpoint the scheme cells above shared.
 		for _, h := range HeuristicNames() {
 			mk := heuristicFactories(len(mix.Benchmarks), r.cfg.Seed)[h]
 			sched, err := mk()

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"sync"
 
-	"bwpart/internal/metrics"
 	"bwpart/internal/obs"
 	"bwpart/internal/workload"
 )
@@ -75,7 +74,9 @@ func (e *jobErrors) Unwrap() []error { return e.errs }
 //   - deterministic error aggregation: the returned error renders the
 //     lowest-index failure first and unwraps to every collected failure
 //     (errors.Join semantics via Unwrap() []error);
-//   - observability: job counters are reported to the runner's collector.
+//   - observability: job counters are reported to col. They count cells: the
+//     profiling and base-pinning fan-outs that precede a grid's cells pass a
+//     nil collector (their stage timers record regardless).
 //
 // An external ctx cancellation aborts dispatch and surfaces ctx.Err() when
 // no job failed. fn must be safe for concurrent invocation.
@@ -234,11 +235,11 @@ func (r *Runner) RunGrid(ctx context.Context, mixes []workload.Mix, schemes []st
 		}
 		byMix[mi] = append(byMix[mi], ci)
 	}
-	needMixes := make([]workload.Mix, len(needIdx))
-	for k, mi := range needIdx {
-		needMixes[k] = mixes[mi]
+	var benchmarks []string
+	for _, mi := range needIdx {
+		benchmarks = append(benchmarks, mixes[mi].Benchmarks...)
 	}
-	if err := r.warmAloneCache(ctx, needMixes); err != nil {
+	if err := r.warmAloneCache(ctx, benchmarks); err != nil {
 		return nil, err
 	}
 
@@ -266,8 +267,8 @@ func (r *Runner) RunGrid(ctx context.Context, mixes []workload.Mix, schemes []st
 		// Pin (and prepare, first time) the group's warm bases in parallel,
 		// so the group's cells never race to re-warm an evicted base.
 		releases := make([]func(), len(group))
-		err := runJobs(ctx, r.parallelism(), r.cfg.Obs, len(group), func(k int) error {
-			_, release, err := r.prepared.acquire(r, mixes[group[k]])
+		err := runJobs(ctx, r.parallelism(), nil, len(group), func(k int) error {
+			_, release, err := r.prepared.acquire(mixes[group[k]])
 			if err != nil {
 				return fmt.Errorf("%s: %w", mixes[group[k]].Name, err)
 			}
@@ -301,67 +302,19 @@ func (r *Runner) RunGrid(ctx context.Context, mixes []workload.Mix, schemes []st
 	return results, nil
 }
 
-// Figure2Parallel computes the same result as Figure2 with all 98
-// simulations fanned out across CPUs. The alone-profile cache is warmed
-// first (serially per benchmark, concurrently across benchmarks) so worker
-// goroutines only read it.
-func (r *Runner) Figure2Parallel() (*Figure2Result, error) {
-	mixes := workload.AllMixes()
-	schemes := append([]string{NoPartitioning}, Figure2Schemes()...)
-	results, err := r.RunGrid(r.baseCtx(), mixes, schemes)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &Figure2Result{
-		Normalized: make(map[string]map[string]map[metrics.Objective]float64),
-		HeteroAvg:  newAvgMap(),
-		HomoAvg:    newAvgMap(),
-	}
-	heteroN, homoN := 0, 0
-	idx := 0
-	for _, mix := range mixes {
-		base := results[idx]
-		idx++
-		perScheme := make(map[string]map[metrics.Objective]float64)
-		for _, scheme := range Figure2Schemes() {
-			run := results[idx]
-			idx++
-			norm := make(map[metrics.Objective]float64, 4)
-			for _, obj := range metrics.Objectives() {
-				norm[obj] = run.Values[obj] / base.Values[obj]
-			}
-			perScheme[scheme] = norm
-		}
-		out.Normalized[mix.Name] = perScheme
-		if mix.Heterogeneous() {
-			heteroN++
-			accumulate(out.HeteroAvg, perScheme)
-		} else {
-			homoN++
-			accumulate(out.HomoAvg, perScheme)
-		}
-	}
-	scale(out.HeteroAvg, heteroN)
-	scale(out.HomoAvg, homoN)
-	return out, nil
-}
-
-// warmAloneCache profiles every benchmark of the given mixes concurrently.
-// Alone is already single-flight, so this is purely a fan-out: after it
-// returns, later lookups are cache reads.
-func (r *Runner) warmAloneCache(ctx context.Context, mixes []workload.Mix) error {
+// warmAloneCache profiles the named benchmarks concurrently, skipping
+// duplicates and those already profiled. Alone is already single-flight, so
+// this is purely a fan-out: after it returns, later lookups are cache reads.
+func (r *Runner) warmAloneCache(ctx context.Context, benchmarks []string) error {
 	seen := map[string]bool{}
 	var names []string
-	for _, mix := range mixes {
-		for _, b := range mix.Benchmarks {
-			if !seen[b] && !r.cached(b) {
-				seen[b] = true
-				names = append(names, b)
-			}
+	for _, b := range benchmarks {
+		if !seen[b] && !r.cached(b) {
+			seen[b] = true
+			names = append(names, b)
 		}
 	}
-	return runJobs(ctx, r.parallelism(), r.cfg.Obs, len(names), func(i int) error {
+	return runJobs(ctx, r.parallelism(), nil, len(names), func(i int) error {
 		_, err := r.Alone(names[i])
 		return err
 	})

@@ -2,9 +2,9 @@ package exper
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
-	"bwpart/internal/obs"
 	"bwpart/internal/sim"
 	"bwpart/internal/workload"
 )
@@ -12,23 +12,34 @@ import (
 // preparedRegistry shares warmed bases across every simulation entry point
 // of one runner: the first request for a mix pays its functional warmup and
 // snapshot (single-flight — concurrent requests join the same preparation),
-// and every subsequent measurement forks from that warm base instead of
-// re-warming. Entries are refcounted while a caller works from them and
-// evicted least-recently-used once the registry exceeds its capacity, so a
-// thousand-mix sweep holds at most cap warm systems at a time; an evicted
-// mix is simply re-warmed on its next use (correctness is unaffected —
-// forked runs are bit-identical to cold runs).
+// and every subsequent measurement starts from that warm checkpoint instead
+// of re-warming. Entries are refcounted while a caller works from them and
+// evicted least-recently-used once the registry exceeds its capacity; an
+// evicted mix is simply re-warmed on its next use (correctness is unaffected
+// — forked runs are bit-identical to cold runs).
 //
-// Each entry also pools fork targets: a measured sim.System is returned to
-// the entry's free list and the next fork restores the warm checkpoint into
-// it (Restore reinstalls scheduler, caches, cores, and RNG streams from the
-// checkpoint), so steady-state sweeps stop rebuilding full systems per cell.
+// An entry's durable state is its immutable profiles and checkpoint. The
+// systems that run cells are fork targets, positioned by restoring the
+// checkpoint into them (Restore reinstalls scheduler, caches, cores, and RNG
+// streams): the system that was warmed is the first one, a measured system
+// comes back through put, and a further one is built from the profiles and
+// the checkpoint — never forked from another target, which a worker may be
+// running (ForkStream copies live generator state). What the registry holds
+// is therefore bounded: cap checkpoints, at most cap + Parallelism - 1 idle
+// systems (one resident per entry plus the floating extras below), and one
+// system per running cell; if every entry is pinned, cap is exceeded rather
+// than blocked on.
 type preparedRegistry struct {
+	r       *Runner // owner: prepares and forks under its configuration
 	mu      sync.Mutex
 	cap     int
-	col     *obs.Collector
 	clock   int64 // logical LRU clock, bumped per acquire
 	entries map[string]*preparedEntry
+	// floating holds idle targets beyond their entry's resident one, oldest
+	// first, at most Parallelism - 1 across all entries: enough for every
+	// worker to run the same mix without rebuilding, however many mixes the
+	// registry holds.
+	floating []floatingTarget
 }
 
 type preparedEntry struct {
@@ -40,22 +51,25 @@ type preparedEntry struct {
 	p    *preparedMix
 	err  error
 
-	poolMu sync.Mutex
-	pool   []*sim.System // idle fork targets; base itself never enters
-	poolN  int           // upper bound on pooled systems
+	resident *sim.System // idle fork target kept with the entry; guarded by the registry's mu
 }
 
-func newPreparedRegistry(capacity int, col *obs.Collector) *preparedRegistry {
+type floatingTarget struct {
+	e   *preparedEntry
+	sys *sim.System
+}
+
+func newPreparedRegistry(r *Runner, capacity int) *preparedRegistry {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &preparedRegistry{cap: capacity, col: col, entries: make(map[string]*preparedEntry)}
+	return &preparedRegistry{r: r, cap: capacity, entries: make(map[string]*preparedEntry)}
 }
 
 // acquire returns the prepared entry for mix, preparing it (once, under
 // single-flight) if absent, and pins it against eviction. The returned
 // release must be called when the caller no longer needs the base.
-func (g *preparedRegistry) acquire(r *Runner, mix workload.Mix) (*preparedEntry, func(), error) {
+func (g *preparedRegistry) acquire(mix workload.Mix) (*preparedEntry, func(), error) {
 	key := mixKey(mix)
 	g.mu.Lock()
 	g.clock++
@@ -71,7 +85,7 @@ func (g *preparedRegistry) acquire(r *Runner, mix workload.Mix) (*preparedEntry,
 		}
 		return e, func() { g.release(e) }, nil
 	}
-	e = &preparedEntry{key: key, refs: 1, lastUse: g.clock, done: make(chan struct{}), poolN: r.parallelism()}
+	e = &preparedEntry{key: key, refs: 1, lastUse: g.clock, done: make(chan struct{})}
 	g.entries[key] = e
 	g.evictLocked()
 	g.mu.Unlock()
@@ -87,7 +101,7 @@ func (g *preparedRegistry) acquire(r *Runner, mix workload.Mix) (*preparedEntry,
 			close(e.done)
 		}
 	}()
-	p, err := r.prepareMix(mix)
+	p, warmed, err := g.r.prepareMix(mix)
 	finished = true
 	if err != nil {
 		e.err = err
@@ -98,6 +112,7 @@ func (g *preparedRegistry) acquire(r *Runner, mix workload.Mix) (*preparedEntry,
 		return nil, nil, err
 	}
 	e.p = p
+	g.put(e, warmed)
 	close(e.done)
 	return e, func() { g.release(e) }, nil
 }
@@ -109,10 +124,10 @@ func (g *preparedRegistry) release(e *preparedEntry) {
 	g.mu.Unlock()
 }
 
-// evictLocked drops least-recently-used unpinned entries until the registry
-// fits its capacity. Entries still being prepared or still referenced are
-// never evicted; if everything is pinned the registry temporarily exceeds
-// cap rather than blocking.
+// evictLocked drops least-recently-used unpinned entries, and the idle
+// targets held for them, until the registry fits its capacity. Entries still
+// being prepared or still referenced are never evicted; if everything is
+// pinned the registry temporarily exceeds cap rather than blocking.
 func (g *preparedRegistry) evictLocked() {
 	for len(g.entries) > g.cap {
 		var victim *preparedEntry
@@ -133,25 +148,28 @@ func (g *preparedRegistry) evictLocked() {
 			return
 		}
 		delete(g.entries, victim.key)
-		g.col.PreparedEvicted()
+		g.floating = slices.DeleteFunc(g.floating, func(f floatingTarget) bool { return f.e == victim })
+		g.r.cfg.Obs.PreparedEvicted()
 	}
 }
 
-// take returns a system positioned at the entry's warm checkpoint: a pooled
-// fork target restored in place when one is idle, else a fresh fork of the
-// base. The base itself is never handed out — it stays pristine so
-// concurrent takes can fork from it safely.
-func (e *preparedEntry) take(col *obs.Collector) (*sim.System, error) {
-	e.poolMu.Lock()
-	var sys *sim.System
-	if n := len(e.pool); n > 0 {
-		sys = e.pool[n-1]
-		e.pool = e.pool[:n-1]
+// take returns a system positioned at the pinned entry's warm checkpoint: an
+// idle target of the entry restored in place when there is one, else a
+// system built from the entry's profiles. The caller owns it until put.
+func (g *preparedRegistry) take(e *preparedEntry) (*sim.System, error) {
+	g.mu.Lock()
+	sys := e.resident
+	e.resident = nil
+	for i := len(g.floating) - 1; sys == nil && i >= 0; i-- {
+		if g.floating[i].e == e {
+			sys = g.floating[i].sys
+			g.floating = slices.Delete(g.floating, i, i+1)
+		}
 	}
-	e.poolMu.Unlock()
-	col.WarmBaseFork()
+	g.mu.Unlock()
+	g.r.cfg.Obs.WarmBaseFork()
 	if sys == nil {
-		return e.p.base.ForkAt(e.p.cp)
+		return g.r.forkPrepared(e.p)
 	}
 	if err := sys.Restore(e.p.cp); err != nil {
 		return nil, err
@@ -159,13 +177,20 @@ func (e *preparedEntry) take(col *obs.Collector) (*sim.System, error) {
 	return sys, nil
 }
 
-// put returns a measured system to the entry's pool for reuse. Whatever
-// state the measurement left behind is irrelevant: the next take restores
-// the warm checkpoint into it wholesale.
-func (e *preparedEntry) put(sys *sim.System) {
-	e.poolMu.Lock()
-	if len(e.pool) < e.poolN {
-		e.pool = append(e.pool, sys)
+// put hands a measured system back to the pinned entry it was taken from.
+// Whatever state the measurement left behind is irrelevant: the next take
+// restores the warm checkpoint into it wholesale. It becomes the entry's
+// resident target if that slot is free, else a floating extra, displacing
+// the oldest one past the bound.
+func (g *preparedRegistry) put(e *preparedEntry, sys *sim.System) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if e.resident == nil {
+		e.resident = sys
+		return
 	}
-	e.poolMu.Unlock()
+	g.floating = append(g.floating, floatingTarget{e, sys})
+	if len(g.floating) > g.r.parallelism()-1 {
+		g.floating = slices.Delete(g.floating, 0, 1)
+	}
 }

@@ -1,0 +1,123 @@
+package exper
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"bwpart/internal/obs"
+	"bwpart/internal/sim"
+	"bwpart/internal/workload"
+)
+
+// held counts what the registry retains: entries (one checkpoint each), idle
+// systems (residents plus floating extras), and outstanding pins.
+func (g *preparedRegistry) held() (entries, idle, pins int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, e := range g.entries {
+		pins += e.refs
+		if e.resident != nil {
+			idle++
+		}
+	}
+	return len(g.entries), idle + len(g.floating), pins
+}
+
+// TestPreparedRegistryBound pins the registry's memory contract on the grid
+// that outgrows it: after the 14-mix x 7-scheme Table IV grid at Parallelism
+// 2 and PreparedCap 8 it holds cap checkpoints and at most cap + Parallelism
+// - 1 idle systems, with nothing left pinned.
+func TestPreparedRegistryBound(t *testing.T) {
+	cfg := memoTestConfig()
+	cfg.Parallelism = 2
+	cfg.PreparedCap = 8
+	cfg.Obs = obs.NewCollector()
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixes, schemes := workload.AllMixes(), append([]string{NoPartitioning}, Figure2Schemes()...)
+	if _, err := r.RunGrid(context.Background(), mixes, schemes); err != nil {
+		t.Fatal(err)
+	}
+	entries, idle, pins := r.prepared.held()
+	if entries != cfg.PreparedCap || pins != 0 {
+		t.Errorf("registry holds %d entries with %d pins, want %d and 0", entries, pins, cfg.PreparedCap)
+	}
+	if bound := cfg.PreparedCap + cfg.Parallelism - 1; idle < entries || idle > bound {
+		t.Errorf("registry holds %d idle systems, want one per entry and at most %d", idle, bound)
+	}
+	s := cfg.Obs.Snapshot()
+	if cells := int64(len(mixes) * len(schemes)); s.Cache.WarmForks != cells || s.Jobs.Total != cells {
+		t.Errorf("warm forks %d, jobs %d; want %d each (job counters count cells only)",
+			s.Cache.WarmForks, s.Jobs.Total, cells)
+	}
+	if got, want := s.Cache.PreparedEvictions, int64(len(mixes)-cfg.PreparedCap); got != want {
+		t.Errorf("%d evictions, want %d", got, want)
+	}
+}
+
+// TestPreparedRegistryHammer drives acquire / take / put / release from four
+// workers over three mixes at capacity two, so entries are evicted and
+// re-warmed while others are in use. A system must never be in two holders'
+// hands at once (each holder also runs it, so -race sees any sharing), and
+// the bound must hold when the dust settles.
+func TestPreparedRegistryHammer(t *testing.T) {
+	const workers, rounds = 4, 12
+	cfg := memoTestConfig()
+	cfg.Parallelism = workers
+	cfg.PreparedCap = 2
+	cfg.Obs = obs.NewCollector()
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixes := workload.HeteroMixes()[:3]
+	var mu sync.Mutex
+	inHand := map[*sim.System]bool{}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				e, release, err := r.prepared.acquire(mixes[(w+i)%len(mixes)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sys, err := r.prepared.take(e)
+				if err != nil {
+					t.Error(err)
+					release()
+					return
+				}
+				mu.Lock()
+				if inHand[sys] {
+					t.Errorf("worker %d round %d: system handed to two holders", w, i)
+				}
+				inHand[sys] = true
+				mu.Unlock()
+				if sys.Now() != e.p.cp.Cycle() {
+					t.Errorf("worker %d round %d: system at cycle %d, checkpoint at %d", w, i, sys.Now(), e.p.cp.Cycle())
+				}
+				sys.Run(500)
+				mu.Lock()
+				delete(inHand, sys)
+				mu.Unlock()
+				r.prepared.put(e, sys)
+				release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	entries, idle, pins := r.prepared.held()
+	if entries > cfg.PreparedCap || pins != 0 || idle > cfg.PreparedCap+workers-1 {
+		t.Errorf("registry holds %d entries, %d idle systems, %d pins; want at most %d, %d, 0",
+			entries, idle, pins, cfg.PreparedCap, cfg.PreparedCap+workers-1)
+	}
+	if cfg.Obs.Snapshot().Cache.PreparedEvictions == 0 {
+		t.Error("no eviction happened: the hammer did not exercise evict")
+	}
+}

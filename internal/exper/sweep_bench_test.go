@@ -46,8 +46,9 @@ func benchSweepRunner(b *testing.B, memoize bool) (*Runner, workload.Mix, []stri
 }
 
 // BenchmarkSweep compares one mix x K schemes simulated cold (one warmup per
-// cell) against the forked path RunGrid uses (one warmup per mix, one fork
-// per cell). benchjson derives sweep_fork_speedup from the pair.
+// cell) against the forked path RunGrid uses (one warmup per mix, then the
+// warmed system and a restore of its checkpoint per cell). benchjson derives
+// sweep_fork_speedup from the pair.
 func BenchmarkSweep(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		r, mix, schemes := benchSweepRunner(b, false)
@@ -64,12 +65,15 @@ func BenchmarkSweep(b *testing.B) {
 		r, mix, schemes := benchSweepRunner(b, false)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p, err := r.prepareMix(mix)
+			p, sys, err := r.prepareMix(mix)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for _, scheme := range schemes {
-				if _, err := r.measureScheme(p, scheme); err != nil {
+				if err := sys.Restore(p.cp); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := r.measureOn(p, sys, scheme); err != nil {
 					b.Fatal(err)
 				}
 			}

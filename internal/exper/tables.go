@@ -26,6 +26,9 @@ type Table3Result struct {
 // Table3 characterizes every benchmark alone under the runner's memory
 // configuration.
 func (r *Runner) Table3() (*Table3Result, error) {
+	if err := r.warmAloneCache(r.baseCtx(), workload.Names()); err != nil {
+		return nil, err
+	}
 	out := &Table3Result{}
 	for _, p := range workload.All() {
 		ap, err := r.Alone(p.Name)

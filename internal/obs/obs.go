@@ -302,8 +302,8 @@ func (c *Collector) FaultInjected() {
 }
 
 // WarmBaseFork records one measurement positioned on a warm prepared base
-// (a fresh fork or a pooled system restored in place) instead of paying a
-// full functional warmup.
+// (a new system or an idle one, restored to the base's checkpoint) instead
+// of paying a full functional warmup.
 func (c *Collector) WarmBaseFork() {
 	if c == nil {
 		return
