@@ -28,7 +28,6 @@
 package bwpart
 
 import (
-	"fmt"
 	"io"
 
 	"bwpart/internal/core"
@@ -243,20 +242,10 @@ const (
 	// KernelCycleSkipping leaps over quiescent spans; bit-identical to the
 	// naive loop and the default.
 	KernelCycleSkipping = sim.KernelCycleSkipping
-	// KernelNaive ticks every component every cycle: the reference loop.
+	// KernelNaive ticks every component every cycle: the reference loop, a
+	// test oracle; no CLI selects it.
 	KernelNaive = sim.KernelNaive
 )
-
-// KernelByName maps a CLI-friendly name ("skip" or "naive") to a Kernel.
-func KernelByName(name string) (Kernel, error) {
-	switch name {
-	case "skip", "cycle-skipping":
-		return KernelCycleSkipping, nil
-	case "naive":
-		return KernelNaive, nil
-	}
-	return 0, fmt.Errorf("bwpart: unknown kernel %q (want skip or naive)", name)
-}
 
 // DefaultSimConfig returns the paper's baseline system (Table II).
 func DefaultSimConfig() SimConfig { return sim.DefaultConfig() }

@@ -37,17 +37,9 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	tracePath := flag.String("trace", "", "write an execution trace (go tool trace) to this file")
-	kernelName := flag.String("kernel", "skip", "simulation kernel: skip (cycle-skipping) or naive")
 	checkpointDir := flag.String("checkpoint-dir", "",
 		"persist finished sweep cells to this directory and resume interrupted grid experiments from them")
-	memoize := flag.Bool("memoize", true,
-		"memoize (config, mix, scheme) cells in memory: cells shared across experiments are simulated once per process")
 	flag.Parse()
-
-	kernel, err := bwpart.KernelByName(*kernelName)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	prof, err := pprofutil.Start(*cpuProfile, *memProfile, *tracePath)
 	if err != nil {
@@ -84,8 +76,6 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.Parallelism = *parallel
-	cfg.Sim.Kernel = kernel
-	cfg.NoMemoize = !*memoize
 	cfg.BaseContext = ctx
 	if *checkpointDir != "" {
 		cfg.Checkpoint, err = bwpart.NewCheckpointStore(*checkpointDir)

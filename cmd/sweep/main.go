@@ -53,11 +53,8 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	tracePath := flag.String("trace", "", "write an execution trace (go tool trace) to this file")
-	kernelName := flag.String("kernel", "skip", "simulation kernel: skip (cycle-skipping) or naive")
 	checkpointDir := flag.String("checkpoint-dir", "",
 		"persist finished sweep cells to this directory and resume an interrupted sweep from them")
-	memoize := flag.Bool("memoize", true,
-		"memoize (config, mix, scheme) cells in memory: repeated cells are simulated once per process")
 	cacheMB := flag.Int("cache-mb", 0,
 		"bound the in-memory result cache to this many MiB, evicting LRU cells (0 = unbounded; -serve defaults to 256)")
 	serveAddr := flag.String("serve", "",
@@ -67,11 +64,6 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 0,
 		"with -serve: cap each job's wall-clock execution; past it the job fails with a \"deadline\" error and its worker moves on (0 = unlimited; a request's timeout_s can tighten but never exceed this)")
 	flag.Parse()
-
-	kernel, err := bwpart.KernelByName(*kernelName)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// Ctrl-C / SIGTERM cancel in-flight work: the sweep stops between
 	// simulations and still flushes CSV, stats, and profiles; the server
@@ -96,8 +88,6 @@ func main() {
 		}
 		cfg.Seed = *seed
 		cfg.Parallelism = *parallel
-		cfg.NoMemoize = !*memoize
-		cfg.Sim.Kernel = kernel
 		if *checkpointDir != "" {
 			cfg.Checkpoint, err = bwpart.NewCheckpointStore(*checkpointDir)
 			if err != nil {
@@ -188,8 +178,6 @@ func main() {
 		cfg.Checkpoint = store
 		cfg.Cache = cache
 		cfg.CacheBytes = int64(*cacheMB) << 20
-		cfg.NoMemoize = !*memoize
-		cfg.Sim.Kernel = kernel
 		cfg.Sim.DRAM = cfg.Sim.DRAM.ScaleBandwidth(scale)
 		runner, err := bwpart.NewRunner(cfg)
 		if err != nil {

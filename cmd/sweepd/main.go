@@ -31,7 +31,6 @@ func main() {
 	quick := flag.Bool("quick", true, "use reduced simulation windows")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	parallel := flag.Int("parallel", 0, "max concurrent simulations per job (0 = $BWPART_PARALLELISM or GOMAXPROCS)")
-	kernelName := flag.String("kernel", "skip", "simulation kernel: skip (cycle-skipping) or naive")
 	checkpointDir := flag.String("checkpoint-dir", "",
 		"persist finished cells to this directory; a restarted daemon serves them from disk")
 	cacheMB := flag.Int("cache-mb", 256, "in-memory result cache budget in MiB (LRU-evicted beyond it)")
@@ -43,22 +42,18 @@ func main() {
 		"cap each job's wall-clock execution; past it the job fails with a \"deadline\" error and its worker moves on (0 = unlimited; a request's timeout_s can tighten but never exceed this)")
 	flag.Parse()
 
-	kernel, err := bwpart.KernelByName(*kernelName)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg := bwpart.DefaultExperiments()
 	if *quick {
 		cfg = bwpart.QuickExperiments()
 	}
 	cfg.Seed = *seed
 	cfg.Parallelism = *parallel
-	cfg.Sim.Kernel = kernel
 	if *checkpointDir != "" {
-		cfg.Checkpoint, err = bwpart.NewCheckpointStore(*checkpointDir)
+		store, err := bwpart.NewCheckpointStore(*checkpointDir)
 		if err != nil {
 			log.Fatal(err)
 		}
+		cfg.Checkpoint = store
 	}
 	srv, err := bwpart.NewServer(bwpart.ServerOptions{
 		Exper:      cfg,

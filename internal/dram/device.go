@@ -29,11 +29,6 @@ type Device struct {
 
 	servedReads  int64
 	servedWrites int64
-
-	// observer, when set, is notified after every bank state transition
-	// (readyAt/openRow change in Issue) so a controller can maintain
-	// incremental readiness indexes instead of rescanning bank state.
-	observer func(bank int, readyAt int64, openRow int)
 }
 
 // NewDevice validates cfg and builds the device.
@@ -97,30 +92,11 @@ func (d *Device) BankReady(co Coord, now int64) bool {
 	return d.banks[d.cfg.GlobalBank(co)].readyAt <= now
 }
 
-// BankReadyAt returns the earliest cycle the bank owning co can begin new
-// work. Controllers use it to sleep until a blocked candidate could issue
-// instead of probing BankReady cycle by cycle.
-func (d *Device) BankReadyAt(co Coord) int64 {
-	return d.banks[d.cfg.GlobalBank(co)].readyAt
-}
-
-// SetBankObserver installs (or clears, with nil) a callback invoked after
-// every bank state transition with the bank's dense index (Config.GlobalBank
-// order), its new ready cycle and its new open row (-1 when precharged).
-// Bank state only changes inside Issue, so an observer sees every transition
-// and can keep a readiness index exact without polling. A device supports
-// one observer: its single driving controller.
-func (d *Device) SetBankObserver(fn func(bank int, readyAt int64, openRow int)) {
-	d.observer = fn
-}
-
-// BankReadyAtIndex is BankReadyAt for a pre-resolved dense bank index,
-// avoiding the GlobalBank recompute on hot paths that already cached it.
+// BankReadyAtIndex returns the earliest cycle the bank with the given dense
+// index (Config.GlobalBank order) can begin new work. The controller caches
+// the index at enqueue, probes readiness through it, and sleeps until a
+// blocked candidate could issue instead of probing cycle by cycle.
 func (d *Device) BankReadyAtIndex(bank int) int64 { return d.banks[bank].readyAt }
-
-// OpenRow returns the row left open in the given bank (-1 when precharged;
-// always -1 under close-page policy).
-func (d *Device) OpenRow(bank int) int { return d.banks[bank].openRow }
 
 // Blocker describes which resource is delaying an access and who holds it.
 // Used by the controller's interference detector (paper Sec. IV-C).
@@ -239,9 +215,6 @@ func (d *Device) Issue(now int64, co Coord, app int, write bool) int64 {
 		d.servedWrites++
 	} else {
 		d.servedReads++
-	}
-	if d.observer != nil {
-		d.observer(d.cfg.GlobalBank(co), bank.readyAt, bank.openRow)
 	}
 	return complete
 }

@@ -4,8 +4,7 @@ import "fmt"
 
 // DeviceState is an opaque snapshot of a Device's mutable state: bank
 // timing/row/attribution state, per-channel bus state, and the served
-// counters. The observer is deliberately not part of the state — it belongs
-// to whichever controller drives the (possibly different) restored device.
+// counters.
 type DeviceState struct {
 	banks        []bankState
 	buses        []busState

@@ -84,8 +84,8 @@ type Config struct {
 	// journal hangs off this hook. May be called concurrently.
 	CellDone func(mixName, scheme, fp string)
 	// NoMemoize disables the result cache and warm-base sharing entirely:
-	// every RunMix re-warms and re-simulates from scratch. This is the
-	// reference executor the differential tests compare against.
+	// every RunMix re-warms and re-simulates from scratch. Test oracle (the
+	// cold executor the differential tests compare against); no CLI selects it.
 	NoMemoize bool
 	// PreparedCap bounds how many warm mix bases the runner keeps alive at
 	// once (LRU-evicted beyond that; 0 = a small default). Bases pinned by

@@ -54,21 +54,15 @@ func TestFingerprintCanonical(t *testing.T) {
 	}
 }
 
-// TestFingerprintKernelInvariant documents the deliberate exclusions: the
-// simulation kernel and the pick path are bit-identical by contract (the
-// differential suites enforce it), so cells recorded under one are served
-// under the other.
+// TestFingerprintKernelInvariant documents the deliberate exclusion: the
+// simulation kernels are bit-identical by contract (the differential suites
+// enforce it), so cells recorded under one are served under the other.
 func TestFingerprintKernelInvariant(t *testing.T) {
 	base := Quick()
 	naive := Quick()
 	naive.Sim.Kernel = sim.KernelNaive
 	if configFingerprint(base) != configFingerprint(naive) {
 		t.Error("kernel choice changed the fingerprint; kernels are bit-identical and must share cells")
-	}
-	ref := Quick()
-	ref.Sim.ReferencePick = true
-	if configFingerprint(base) != configFingerprint(ref) {
-		t.Error("pick path changed the fingerprint; pick paths are bit-identical and must share cells")
 	}
 }
 

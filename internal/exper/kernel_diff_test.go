@@ -23,14 +23,6 @@ type diffTrace struct {
 // cache is also produced by the kernel under test.
 func kernelDiffRun(t *testing.T, kernel sim.Kernel, shared bool, mix workload.Mix,
 	schemes []string) (map[string]*MixRun, map[string][]diffTrace) {
-	return pickDiffRun(t, kernel, shared, false, mix, schemes)
-}
-
-// pickDiffRun generalizes kernelDiffRun with the memory controller's pick
-// path switch, so the same harness also serves the indexed-vs-reference
-// differential test below.
-func pickDiffRun(t *testing.T, kernel sim.Kernel, shared, referencePick bool,
-	mix workload.Mix, schemes []string) (map[string]*MixRun, map[string][]diffTrace) {
 	t.Helper()
 	cfg := Quick()
 	// Shrink the windows: this test runs 5 schemes x 2 topologies x 2
@@ -40,7 +32,6 @@ func pickDiffRun(t *testing.T, kernel sim.Kernel, shared, referencePick bool,
 	cfg.MeasureCycles = 150_000
 	cfg.Sim.Kernel = kernel
 	cfg.Sim.SharedL2 = shared
-	cfg.Sim.ReferencePick = referencePick
 	var trace []diffTrace
 	cfg.Tracer = func(cycle int64, app int, addr uint64, write bool) {
 		trace = append(trace, diffTrace{cycle, app, addr, write})
@@ -98,50 +89,6 @@ func TestExperKernelsBitIdentical(t *testing.T) {
 						scheme, len(ntr[scheme]), len(str[scheme]))
 				}
 				if len(str[scheme]) == 0 {
-					t.Errorf("%s: empty trace — tracer not wired through the measurement window", scheme)
-				}
-			}
-		})
-	}
-}
-
-// TestExperIndexedPickBitIdentical is the end-to-end differential check of
-// the indexed memory-controller issue path: a full RunMix (alone profiling,
-// warmup, settle, measurement) under the incremental indexes must produce a
-// bit-identical Result, objective values, and off-chip access trace to the
-// scan-based reference pick path, under both L2 topologies. The scheme list
-// covers the head-only fast path (FCFS via No_partitioning, StartTimeFair
-// via square-root) and the row-hit index (priority-apc layers Priority over
-// the controller; FR-FCFS serves the alone-profiling runs throughout).
-func TestExperIndexedPickBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential sweep is slow")
-	}
-	schemes := []string{NoPartitioning, "square-root", "priority-apc"}
-	mix, err := workload.MixByName("hetero-5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shared := range []bool{false, true} {
-		t.Run(fmt.Sprintf("sharedL2=%v", shared), func(t *testing.T) {
-			ref, rtr := pickDiffRun(t, sim.KernelCycleSkipping, shared, true, mix, schemes)
-			idx, itr := pickDiffRun(t, sim.KernelCycleSkipping, shared, false, mix, schemes)
-			for _, scheme := range schemes {
-				r, i := ref[scheme], idx[scheme]
-				if !reflect.DeepEqual(r.Result, i.Result) {
-					t.Errorf("%s: results diverge\nreference: %+v\nindexed:   %+v", scheme, r.Result, i.Result)
-				}
-				if !reflect.DeepEqual(r.Values, i.Values) {
-					t.Errorf("%s: objective values diverge\nreference: %v\nindexed:   %v", scheme, r.Values, i.Values)
-				}
-				if !reflect.DeepEqual(r.APCAlone, i.APCAlone) {
-					t.Errorf("%s: alone profiles diverge\nreference: %v\nindexed:   %v", scheme, r.APCAlone, i.APCAlone)
-				}
-				if !reflect.DeepEqual(rtr[scheme], itr[scheme]) {
-					t.Errorf("%s: traces diverge (reference %d records, indexed %d)",
-						scheme, len(rtr[scheme]), len(itr[scheme]))
-				}
-				if len(itr[scheme]) == 0 {
 					t.Errorf("%s: empty trace — tracer not wired through the measurement window", scheme)
 				}
 			}

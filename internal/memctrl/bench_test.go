@@ -133,94 +133,37 @@ func backloggedController(b *testing.B, sched Scheduler, apps, perApp int) *Cont
 }
 
 // BenchmarkPick measures the cost of one scheduler decision over a static
-// backlog, comparing the legacy full scan against the indexed path, across
-// queue depths and app counts. All banks are ready (now is far in the
-// future), so every queued entry is an issuable candidate — the worst case
-// for the scan and the common case under saturation.
+// backlog of 32 entries for each of 8 apps. All banks are ready (now is far
+// in the future), so every queued entry is an issuable candidate — the
+// worst case for the scan and the common case under saturation.
 func BenchmarkPick(b *testing.B) {
+	const apps, perApp = 8, 32
 	for _, sc := range pickSchedulers() {
-		for _, perApp := range []int{8, 32, 128} {
-			for _, apps := range []int{2, 4, 8} {
-				for _, indexed := range []bool{false, true} {
-					path := "scan"
-					if indexed {
-						path = "indexed"
-					}
-					name := sc.name + "/entries=" + itoa(perApp) + "/apps=" + itoa(apps) + "/" + path
-					b.Run(name, func(b *testing.B) {
-						c := backloggedController(b, sc.mk(b, apps), apps, perApp)
-						now := int64(1 << 20)
-						b.ResetTimer()
-						if indexed {
-							if c.schedIndexed == nil || !c.ix.enabled {
-								b.Fatal("indexed path unavailable")
-							}
-							for i := 0; i < b.N; i++ {
-								if p := c.schedIndexed.PickIndexed(now, c, c.dev); p.Entry == nil {
-									b.Fatal("no pick from a full backlog")
-								}
-							}
-						} else {
-							for i := 0; i < b.N; i++ {
-								if p := c.sched.Pick(now, c, c.dev); p.Entry == nil {
-									b.Fatal("no pick from a full backlog")
-								}
-							}
-						}
-					})
+		b.Run(sc.name, func(b *testing.B) {
+			sched := sc.mk(b, apps)
+			c := backloggedController(b, sched, apps, perApp)
+			now := int64(1 << 20)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if p := sched.Pick(now, c, c.dev); p.Entry == nil {
+					b.Fatal("no pick from a full backlog")
 				}
 			}
-		}
+		})
 	}
 }
 
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
-// BenchmarkStartTimeFairPick isolates the StartTimeFair virtual-finish-tag
-// comparison (satellite of the indexed-issue-path change: SetShares now
-// precomputes inverse shares so Pick multiplies instead of divides).
-func BenchmarkStartTimeFairPick(b *testing.B) {
+// BenchmarkControllerSaturated is the end-to-end controller benchmark behind
+// BENCH_memctrl.json: a fully backlogged 8-app controller driven (enqueue +
+// pick + issue + complete) for b.N cycles under FR-FCFS behind a write-drain
+// queue, the most expensive pick in the package.
+func BenchmarkControllerSaturated(b *testing.B) {
 	const apps = 8
-	stf, err := NewStartTimeFair(evenShares(apps))
+	wd, err := NewWriteDrain(NewFRFCFS(8), 48, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := backloggedController(b, stf, apps, 16)
-	now := int64(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if p := stf.Pick(now, c, c.dev); p.Entry == nil {
-			b.Fatal("no pick from a full backlog")
-		}
-	}
-}
-
-// benchSaturated drives a fully backlogged 8-app controller end to end
-// (enqueue + pick + issue + complete) for b.N cycles under FR-FCFS behind a
-// write-drain queue — the hot configuration of the saturated system
-// benchmarks — on either pick path.
-func benchSaturated(b *testing.B, reference bool) {
-	b.Helper()
-	const apps = 8
-	inner := NewFRFCFS(8)
-	wd, err := NewWriteDrain(inner, 48, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := dram.DDR2_400()
-	dev, err := dram.NewDevice(cfg)
+	dev, err := dram.NewDevice(dram.DDR2_400())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -228,7 +171,6 @@ func benchSaturated(b *testing.B, reference bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.SetPickReference(reference)
 	r := rand.New(rand.NewSource(3))
 	var addr [apps]uint64
 	for i := range addr {
@@ -249,12 +191,4 @@ func benchSaturated(b *testing.B, reference bool) {
 		}
 		c.Tick(cyc)
 	}
-}
-
-// BenchmarkControllerSaturated is the end-to-end controller benchmark behind
-// BENCH_memctrl.json: cycles of a saturated 8-app write-drain FR-FCFS
-// controller, on the indexed path and on the scan-based reference path.
-func BenchmarkControllerSaturated(b *testing.B) {
-	b.Run("indexed", func(b *testing.B) { benchSaturated(b, false) })
-	b.Run("reference", func(b *testing.B) { benchSaturated(b, true) })
 }

@@ -113,26 +113,3 @@ func (b *BudgetThrottle) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 	}
 	return Pick{Entry: overBudget}
 }
-
-// PickIndexed returns the same entry as Pick — oldest in-budget issuable
-// head, else oldest over-budget one — walking only the issuable heads. The
-// replenish call mutates the same state on either path, so the hysteresis
-// evolves identically.
-func (b *BudgetThrottle) PickIndexed(now int64, c *Controller, dev *dram.Device) Pick {
-	b.replenish(now, dev)
-	var inBudget, overBudget *Entry
-	for _, cand := range c.issuableHeads(now) {
-		e := cand.e
-		if cand.app < len(b.budget) && b.budget[cand.app] >= 1 {
-			if inBudget == nil || e.seq < inBudget.seq {
-				inBudget = e
-			}
-		} else if overBudget == nil || e.seq < overBudget.seq {
-			overBudget = e
-		}
-	}
-	if inBudget != nil {
-		return Pick{Entry: inBudget}
-	}
-	return Pick{Entry: overBudget}
-}

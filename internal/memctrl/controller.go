@@ -23,8 +23,6 @@ type Entry struct {
 	Arrive int64 // enqueue cycle
 	seq    int64 // global arrival sequence, breaks same-cycle ties
 	bank   int32 // dense global bank index (Config.GlobalBank), cached at enqueue
-	idx    int32 // absolute slot in the app fifo's backing array; depth = idx - head
-	bpos   int32 // position within its row-hit bucket while window-eligible
 }
 
 // AppStats accumulates per-application counters over a measurement window.
@@ -54,12 +52,10 @@ type Controller struct {
 	cfg      dram.Config
 	channels int
 	sched    Scheduler
-	// schedIndexed caches the indexedPicker assertion on sched; headOnly,
-	// idleSafe and spanSafe cache the corresponding interface calls. All
-	// are refreshed by SetScheduler.
-	schedIndexed indexedPicker
-	headOnly     bool
-	idleSafe     bool
+	// headOnly, idleSafe and spanSafe cache the corresponding scheduler
+	// interface calls; SetScheduler refreshes them.
+	headOnly bool
+	idleSafe bool
 	// spanSafe marks a head-only scheduler that opted into busy-span
 	// skipping (see BusySpanSafeScheduler): Pick-visible state mutates only
 	// inside Pick/OnIssue, and for head-only policies the set of cycles at
@@ -67,9 +63,6 @@ type Controller struct {
 	// completion queue — so skipping the non-Pick cycles in between is
 	// bit-identical to ticking them.
 	spanSafe bool
-	// pickReference forces the scheduler's reference scan Pick even when an
-	// indexed fast path exists (differential-test seam).
-	pickReference bool
 	// completions is the typed completion queue: one record per in-flight
 	// access, ordered by (cycle, seq) exactly like the closure-based event
 	// queue it replaces, without allocating a closure per issue.
@@ -77,23 +70,18 @@ type Controller struct {
 	compSeq     uint64
 	queues      []fifo // one per app
 	queued      int    // total entries across queues
-	// queuedWrites counts queued write entries (reads = queued-queuedWrites),
-	// replacing WriteDrain's per-pick classCounts scan.
+	// queuedWrites counts queued write entries (reads = queued-queuedWrites)
+	// so WriteDrain's watermark test does not walk the queues on every pick.
 	queuedWrites int
 	cap          int // max total queued entries (0 = unbounded)
 	numApps      int
 	seq          int64
 	stats        []AppStats
-	// ix is the incrementally maintained issue index (see index.go).
-	ix ctrlIndex
 	// entryPool recycles Entries once their issue cycle fully retires;
 	// issuedBuf holds the entries issued this Tick until interference
 	// accounting has read them.
 	entryPool []*Entry
 	issuedBuf []*Entry
-	// candBuf/dfsBuf are reusable scratch for issuableHeads.
-	candBuf []headCand
-	dfsBuf  []int32
 	// nextTry caches the earliest cycle at which a currently blocked issue
 	// attempt could succeed, to skip pointless scans on idle cycles.
 	nextTry int64
@@ -146,7 +134,6 @@ func New(dev *dram.Device, numApps, queueCap int, sched Scheduler) (*Controller,
 		// the previous bursts on each channel, and no more.
 		maxInFlight: 3 * dev.Config().Channels,
 	}
-	c.initIndex()
 	c.applyScheduler(sched)
 	return c, nil
 }
@@ -211,26 +198,13 @@ func (c *Controller) SetScheduler(s Scheduler) error {
 	return nil
 }
 
-// applyScheduler installs s, refreshes the cached scheduler traits, and
-// rebuilds the issue index (row-hit gating depends on the policy).
+// applyScheduler installs s and refreshes the cached scheduler traits.
 func (c *Controller) applyScheduler(s Scheduler) {
 	c.sched = s
-	c.schedIndexed, _ = s.(indexedPicker)
 	c.headOnly = s.HeadOnly()
 	c.idleSafe = schedIdleSkipSafe(s)
 	c.spanSafe = c.headOnly && schedBusySpanSafe(s)
-	c.rebuildIndex()
 }
-
-// SetPickReference forces (on=true) the scheduler's reference scan Pick
-// even when an indexed fast path exists. Differential tests drive two
-// controllers over one trace — one reference, one indexed — and assert
-// bit-identical issue sequences; it is also an escape hatch while
-// debugging index state.
-func (c *Controller) SetPickReference(on bool) { c.pickReference = on }
-
-// PickReferenceEnabled reports whether the reference scan path is forced.
-func (c *Controller) PickReferenceEnabled() bool { return c.pickReference }
 
 // Access implements mem.Port. It enqueues the request, returning false when
 // the controller queue is full.
@@ -250,10 +224,11 @@ func (c *Controller) Access(now int64, req *mem.Request) bool {
 	e.Arrive = now
 	e.seq = c.seq
 	e.bank = int32(c.cfg.GlobalBank(e.Coord))
-	q := &c.queues[req.App]
-	q.push(e)
+	c.queues[req.App].push(e)
 	c.queued++
-	c.indexEnqueue(e, q)
+	if req.Write {
+		c.queuedWrites++
+	}
 	c.nextTry = 0 // new work: re-scan immediately
 	return true
 }
@@ -269,8 +244,8 @@ func (c *Controller) newEntry() *Entry {
 }
 
 // freeEntry returns an issued entry to the pool once nothing can reference
-// it anymore (it has left its queue, every index, and this Tick's
-// interference accounting).
+// it anymore (it has left its queue and this Tick's interference
+// accounting).
 func (c *Controller) freeEntry(e *Entry) {
 	e.Req = nil
 	c.entryPool = append(c.entryPool, e)
@@ -363,12 +338,7 @@ func (c *Controller) issueOne(now int64) *Entry {
 		}
 		return nil
 	}
-	var pick Pick
-	if c.schedIndexed != nil && c.ix.enabled && !c.pickReference {
-		pick = c.schedIndexed.PickIndexed(now, c, c.dev)
-	} else {
-		pick = c.sched.Pick(now, c, c.dev)
-	}
+	pick := c.sched.Pick(now, c, c.dev)
 	if pick.Entry == nil {
 		if c.headOnly {
 			// Nothing issuable: sleep until the earliest head's bank frees.
@@ -405,47 +375,26 @@ type Pick struct {
 // removeEntry dequeues the picked entry. Policies may pick beyond the head
 // (FR-FCFS row hits), so removal splices within the app FIFO when needed.
 func (c *Controller) removeEntry(p Pick) {
-	e := p.Entry
-	app := e.Req.App
-	q := &c.queues[app]
-	c.indexRemove(e, q, p.Depth)
-	if p.Depth > 0 {
-		// Splice: shift older entries up one slot. Row-hit picks are
-		// shallow in practice, so the O(depth) move is fine. The shifted
-		// entries keep their depth (slot and head both advance by one), so
-		// only their absolute idx changes.
-		for i := p.Depth; i > 0; i-- {
-			moved := q.items[q.head+i-1]
-			moved.idx++
-			q.items[q.head+i] = moved
-		}
+	q := &c.queues[p.Entry.Req.App]
+	// Splice: shift older entries up one slot. Row-hit picks are shallow in
+	// practice, so the O(depth) move is fine.
+	for i := p.Depth; i > 0; i-- {
+		q.items[q.head+i] = q.items[q.head+i-1]
 	}
 	q.pop()
 	c.queued--
+	if p.Entry.Req.Write {
+		c.queuedWrites--
+	}
 	if c.starved {
 		c.starved = false
 		c.wake.WakeUpstream()
 	}
-	if c.ix.enabled && p.Depth == 0 {
-		// The app's oldest entry changed (deeper picks leave the head as is).
-		c.setHead(app, q.peek())
-	}
 }
 
 // earliestBankReady returns the earliest cycle any queued head's bank frees
-// up (used to skip scans while every candidate is blocked). With the issue
-// index this is a heap peek; min over heads of max(now+1, readyAt) equals
-// the clamped heap minimum because now+1 lower-bounds every term.
+// up (used to skip scans while every candidate is blocked).
 func (c *Controller) earliestBankReady(now int64) int64 {
-	if c.ix.enabled {
-		if c.ix.heads.len() == 0 {
-			return now + 1
-		}
-		if t := c.ix.heads.minKey(); t > now+1 {
-			return t
-		}
-		return now + 1
-	}
 	earliest := now + 1
 	first := true
 	for a := range c.queues {
@@ -456,7 +405,7 @@ func (c *Controller) earliestBankReady(now int64) int64 {
 		// Conservative: we only know the bank becomes ready at readyAt; new
 		// arrivals reset nextTry anyway.
 		t := now + 1
-		if r := c.dev.BankReadyAt(e.Coord); r > t {
+		if r := c.dev.BankReadyAtIndex(int(e.bank)); r > t {
 			t = r
 		}
 		if first || t < earliest {
@@ -546,20 +495,16 @@ func (c *Controller) NextEventCycle(now int64) (int64, bool) {
 // like FR-FCFS that may still decline a bank-ready non-head entry, which
 // costs a naive tick but never skips over a real issue.
 func (c *Controller) earliestIssueCycle(now int64) int64 {
-	headOnly := c.headOnly
-	if c.ix.enabled {
-		return c.indexedEarliestIssueCycle(now, headOnly)
-	}
 	earliest := int64(math.MaxInt64)
 	for a := range c.queues {
 		q := &c.queues[a]
 		n := q.len()
-		if headOnly && n > 1 {
+		if c.headOnly && n > 1 {
 			n = 1
 		}
 		for i := 0; i < n; i++ {
 			t := now + 1
-			if r := c.dev.BankReadyAt(q.at(i).Coord); r > t {
+			if r := c.dev.BankReadyAtIndex(int(q.at(i).bank)); r > t {
 				t = r
 			}
 			if t < earliest {
@@ -624,12 +569,6 @@ func (c *Controller) ResetStats() {
 	for i := range c.stats {
 		c.stats[i] = AppStats{}
 	}
-}
-
-// queuedClassCounts returns the queued read and write counts, maintained
-// incrementally on enqueue/issue (same values as a full-queue scan).
-func (c *Controller) queuedClassCounts() (reads, writes int) {
-	return c.queued - c.queuedWrites, c.queuedWrites
 }
 
 // Drained reports whether no requests are queued or in flight.

@@ -11,13 +11,7 @@ type fifo struct {
 
 func (f *fifo) len() int { return len(f.items) - f.head }
 
-// push appends e and records its absolute slot in e.idx, which the
-// controller's issue indexes use to derive queue depth (idx - head) without
-// scanning. removeEntry's splice and pop's compaction keep idx in sync.
-func (f *fifo) push(e *Entry) {
-	e.idx = int32(len(f.items))
-	f.items = append(f.items, e)
-}
+func (f *fifo) push(e *Entry) { f.items = append(f.items, e) }
 
 // peek returns the oldest entry without removing it, or nil when empty.
 func (f *fifo) peek() *Entry {
@@ -40,9 +34,6 @@ func (f *fifo) pop() *Entry {
 		n := copy(f.items, f.items[f.head:])
 		f.items = f.items[:n]
 		f.head = 0
-		for i := 0; i < n; i++ {
-			f.items[i].idx = int32(i)
-		}
 	}
 	return e
 }

@@ -122,41 +122,6 @@ func (s *STFM) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 	return (&FCFS{}).Pick(now, c, dev)
 }
 
-// PickIndexed mirrors Pick: the slowdown bookkeeping is shared (it reads
-// queue lengths, not issuability), and only the oldest-first fallback goes
-// through the ready-head heap.
-func (s *STFM) PickIndexed(now int64, c *Controller, dev *dram.Device) Pick {
-	s.updateSlowdowns(now, c)
-	maxApp, minSlow, maxSlow := -1, 0.0, 0.0
-	first := true
-	for a := range c.queues {
-		if c.queues[a].len() == 0 {
-			continue
-		}
-		sd := s.slowdowns[a]
-		if sd < 1 {
-			sd = 1
-		}
-		if first {
-			minSlow, maxSlow, maxApp = sd, sd, a
-			first = false
-			continue
-		}
-		if sd > maxSlow {
-			maxSlow, maxApp = sd, a
-		}
-		if sd < minSlow {
-			minSlow = sd
-		}
-	}
-	if maxApp >= 0 && minSlow > 0 && maxSlow/minSlow > s.Alpha {
-		if e := issuableHead(c, dev, maxApp, now); e != nil {
-			return Pick{Entry: e}
-		}
-	}
-	return c.oldestIssuableHead(now)
-}
-
 // ---------------------------------------------------------------------------
 // ATLAS: Least-Attained-Service scheduling. Tracks each application's
 // attained memory service (bus cycles) with exponential decay across long
@@ -226,31 +191,6 @@ func (a *ATLAS) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 		as := a.attained[app]
 		if best == nil || as < bestAS || (as == bestAS && e.seq < best.seq) {
 			best, bestAS = e, as
-		}
-	}
-	return Pick{Entry: best}
-}
-
-// PickIndexed mirrors Pick — minimum (attained service, seq) — over only
-// the issuable heads; quantum decay runs identically on either path.
-func (a *ATLAS) PickIndexed(now int64, c *Controller, dev *dram.Device) Pick {
-	if !a.initialized {
-		a.burst = dev.Timing().Burst
-		a.quantumEnd = now + a.QuantumCycles
-		a.initialized = true
-	}
-	if now >= a.quantumEnd {
-		for i := range a.attained {
-			a.attained[i] *= a.Decay
-		}
-		a.quantumEnd = now + a.QuantumCycles
-	}
-	var best *Entry
-	bestAS := 0.0
-	for _, cand := range c.issuableHeads(now) {
-		as := a.attained[cand.app]
-		if best == nil || as < bestAS || (as == bestAS && cand.e.seq < best.seq) {
-			best, bestAS = cand.e, as
 		}
 	}
 	return Pick{Entry: best}
@@ -395,31 +335,6 @@ func (t *TCM) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 	return Pick{Entry: best}
 }
 
-// PickIndexed mirrors Pick — minimum (cluster rank, seq) — over only the
-// issuable heads; reclustering and shuffling run identically on either
-// path (they depend on served counters and the quantum clocks, not on how
-// candidates are found).
-func (t *TCM) PickIndexed(now int64, c *Controller, dev *dram.Device) Pick {
-	if !t.init || now >= t.nextCluster {
-		t.recluster(now, c)
-		t.nextCluster = now + t.ClusterQuantum
-		t.init = true
-	}
-	if now >= t.nextShuffle {
-		t.shuffle()
-		t.nextShuffle = now + t.ShuffleQuantum
-	}
-	var best *Entry
-	bestRank := len(t.rank)
-	for _, cand := range c.issuableHeads(now) {
-		r := t.rank[cand.app]
-		if best == nil || r < bestRank || (r == bestRank && cand.e.seq < best.seq) {
-			best, bestRank = cand.e, r
-		}
-	}
-	return Pick{Entry: best}
-}
-
 // ---------------------------------------------------------------------------
 // PARBS: Parallelism-Aware Batch Scheduling. Forms batches of the oldest
 // requests (up to a per-app cap); within a batch, applications with fewer
@@ -513,32 +428,6 @@ func (p *PARBS) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 		}
 		if p.marked[e] {
 			r := p.rank[app]
-			if bestMarked == nil || r < bestRank || (r == bestRank && e.seq < bestMarked.seq) {
-				bestMarked, bestRank = e, r
-			}
-		} else if bestUnmarked == nil || e.seq < bestUnmarked.seq {
-			bestUnmarked = e
-		}
-	}
-	if bestMarked != nil {
-		return Pick{Entry: bestMarked}
-	}
-	return Pick{Entry: bestUnmarked}
-}
-
-// PickIndexed mirrors Pick over only the issuable heads: marked entries by
-// minimum (batch rank, seq), then unmarked by minimum seq. Batch formation
-// is shared with the reference path.
-func (p *PARBS) PickIndexed(now int64, c *Controller, dev *dram.Device) Pick {
-	if len(p.marked) == 0 && c.queued > 0 {
-		p.newBatch(c)
-	}
-	var bestMarked, bestUnmarked *Entry
-	bestRank := len(p.rank)
-	for _, cand := range c.issuableHeads(now) {
-		e := cand.e
-		if p.marked[e] {
-			r := p.rank[cand.app]
 			if bestMarked == nil || r < bestRank || (r == bestRank && e.seq < bestMarked.seq) {
 				bestMarked, bestRank = e, r
 			}

@@ -68,10 +68,16 @@ func schedBusySpanSafe(s Scheduler) bool {
 	return ok && m.BusySpanSafe()
 }
 
+// bankReady reports whether e's bank can begin new work at now, through the
+// bank index cached at enqueue.
+func bankReady(dev *dram.Device, e *Entry, now int64) bool {
+	return dev.BankReadyAtIndex(int(e.bank)) <= now
+}
+
 // issuableHead returns app a's oldest entry if its bank is ready, else nil.
 func issuableHead(c *Controller, dev *dram.Device, a int, now int64) *Entry {
 	e := c.queues[a].peek()
-	if e == nil || !dev.BankReady(e.Coord, now) {
+	if e == nil || !bankReady(dev, e, now) {
 		return nil
 	}
 	return e
@@ -103,12 +109,6 @@ func (*FCFS) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 		}
 	}
 	return Pick{Entry: best}
-}
-
-// PickIndexed returns the same entry as Pick by walking only the issuable
-// heads surfaced by the controller's ready-head heap.
-func (*FCFS) PickIndexed(now int64, c *Controller, dev *dram.Device) Pick {
-	return c.oldestIssuableHead(now)
 }
 
 // ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ func (s *FRFCFS) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 		}
 		for i := 0; i < depth; i++ {
 			e := q.at(i)
-			if !dev.BankReady(e.Coord, now) {
+			if !bankReady(dev, e, now) {
 				continue
 			}
 			if dev.RowHit(e.Coord) {
@@ -167,22 +167,6 @@ func (s *FRFCFS) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 		return bestHit
 	}
 	return bestOld
-}
-
-// scanWindow exposes the row-hit search depth so the controller maintains
-// its per-(bank, row) index over exactly the entries this policy scans.
-func (s *FRFCFS) scanWindow() (int, bool) { return s.MaxScanDepth, true }
-
-// PickIndexed returns the same pick as the reference scan: the oldest
-// window-eligible row hit on a ready bank if any (via the row-hit index),
-// else the oldest bank-ready head (via the ready-head heap). Under the
-// close-page policy no row is ever open and the row index is disabled, so
-// this degenerates to FCFS exactly like the scan does.
-func (s *FRFCFS) PickIndexed(now int64, c *Controller, dev *dram.Device) Pick {
-	if hit := c.bestRowHit(now); hit.Entry != nil {
-		return hit
-	}
-	return c.oldestIssuableHead(now)
 }
 
 // ---------------------------------------------------------------------------
@@ -274,21 +258,6 @@ func (s *StartTimeFair) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 	return Pick{Entry: best}
 }
 
-// PickIndexed returns the same entry as Pick — minimum (next tag, seq) —
-// over only the issuable heads. (tag, seq) is a strict total order, so the
-// heap's unspecified candidate order cannot change the winner.
-func (s *StartTimeFair) PickIndexed(now int64, c *Controller, dev *dram.Device) Pick {
-	var best *Entry
-	var bestTag float64
-	for _, cand := range c.issuableHeads(now) {
-		tag := s.tags[cand.app] + s.invShares[cand.app]
-		if best == nil || tag < bestTag || (tag == bestTag && cand.e.seq < best.seq) {
-			best, bestTag = cand.e, tag
-		}
-	}
-	return Pick{Entry: best}
-}
-
 func (s *StartTimeFair) OnIssue(e *Entry) {
 	s.tags[e.Req.App] += s.invShares[e.Req.App]
 }
@@ -344,23 +313,6 @@ func (p *Priority) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 		}
 		if best == nil || r < bestRank || (r == bestRank && e.seq < best.seq) {
 			best, bestRank = e, r
-		}
-	}
-	return Pick{Entry: best}
-}
-
-// PickIndexed returns the same entry as Pick — minimum (rank, seq) — over
-// only the issuable heads.
-func (p *Priority) PickIndexed(now int64, c *Controller, dev *dram.Device) Pick {
-	var best *Entry
-	bestRank := len(p.rank)
-	for _, cand := range c.issuableHeads(now) {
-		r := len(p.rank)
-		if cand.app < len(p.rank) {
-			r = p.rank[cand.app]
-		}
-		if best == nil || r < bestRank || (r == bestRank && cand.e.seq < best.seq) {
-			best, bestRank = cand.e, r
 		}
 	}
 	return Pick{Entry: best}

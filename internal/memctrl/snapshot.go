@@ -119,11 +119,9 @@ func (c *Controller) Snapshot() (*ControllerState, error) {
 }
 
 // Restore installs st into the controller, resolving captured requests via
-// resolve. The device must already be restored (index rebuild reads bank
-// readiness). The tracer and the pick-reference seam are left untouched:
-// they are harness configuration, not simulation state. st is not mutated
-// and no memory is shared with it afterwards, so the same checkpoint can
-// restore any number of controllers.
+// resolve. The tracers are left untouched: they are harness configuration,
+// not simulation state. st is not mutated and no memory is shared with it
+// afterwards, so the same checkpoint can restore any number of controllers.
 func (c *Controller) Restore(st *ControllerState, resolve mem.Resolver) error {
 	if st == nil {
 		return fmt.Errorf("memctrl: nil controller state")
@@ -136,9 +134,8 @@ func (c *Controller) Restore(st *ControllerState, resolve mem.Resolver) error {
 	}
 
 	// Drop current queue contents (entries go back to the pool) and rebuild
-	// from the snapshot. Coord/bank/idx are re-derived exactly as Access
-	// does; queued/queuedWrites are recomputed here because the wholesale
-	// index rebuild below does not maintain them.
+	// from the snapshot. Coord, bank and the queued/queuedWrites counters
+	// are re-derived exactly as Access does.
 	for a := range c.queues {
 		q := &c.queues[a]
 		n := q.len()
@@ -191,10 +188,8 @@ func (c *Controller) Restore(st *ControllerState, resolve mem.Resolver) error {
 	copy(c.stats, st.stats)
 
 	// Scheduler: clone from the proto (never install the proto itself — one
-	// checkpoint may seed many forks), install it (rebuilds the issue index
-	// over the restored queues and the already-restored device), then import
-	// the mutable state, which may resolve entry references against the
-	// rebuilt queues.
+	// checkpoint may seed many forks), install it, then import the mutable
+	// state, which may resolve entry references against the rebuilt queues.
 	proto, ok := st.schedProto.(snapshottableSched)
 	if !ok {
 		return fmt.Errorf("memctrl: checkpoint scheduler %q does not support restoring", st.schedProto.Name())

@@ -50,21 +50,6 @@ func (w *WriteDrain) OnIssue(e *Entry) { w.inner.OnIssue(e) }
 // every span cycle or once at the wake cycle.
 func (w *WriteDrain) IdleSkipSafe() bool { return schedIdleSkipSafe(w.inner) }
 
-// classCounts tallies queued reads and writes.
-func classCounts(c *Controller) (reads, writes int) {
-	for a := range c.queues {
-		q := &c.queues[a]
-		for i := 0; i < q.len(); i++ {
-			if q.at(i).Req.Write {
-				writes++
-			} else {
-				reads++
-			}
-		}
-	}
-	return reads, writes
-}
-
 // pickClass runs the inner scheduler but only accepts entries of the
 // wanted class, by scanning each app's queue for its oldest entry of that
 // class that is bank-ready.
@@ -78,7 +63,7 @@ func pickClass(c *Controller, dev *dram.Device, now int64, write bool) Pick {
 			if e.Req.Write != write {
 				continue
 			}
-			if !dev.BankReady(e.Coord, now) {
+			if !bankReady(dev, e, now) {
 				break // within an app, keep order per class conservatively
 			}
 			if best.Entry == nil || e.seq < best.Entry.seq {
@@ -91,7 +76,8 @@ func pickClass(c *Controller, dev *dram.Device, now int64, write bool) Pick {
 }
 
 func (w *WriteDrain) Pick(now int64, c *Controller, dev *dram.Device) Pick {
-	reads, writes := classCounts(c)
+	writes := c.queuedWrites
+	reads := c.queued - writes
 	if w.draining && writes <= w.DrainTo {
 		w.draining = false
 	}
@@ -116,55 +102,6 @@ func (w *WriteDrain) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 // it is a read; otherwise it falls back to the oldest issuable read.
 func (w *WriteDrain) innerReadPick(now int64, c *Controller, dev *dram.Device) Pick {
 	p := w.inner.Pick(now, c, dev)
-	if p.Entry != nil && !p.Entry.Req.Write {
-		return p
-	}
-	return pickClass(c, dev, now, false)
-}
-
-// scanWindow delegates to the inner policy so the controller's row-hit
-// index covers exactly what the inner scan would search.
-func (w *WriteDrain) scanWindow() (int, bool) {
-	if ra, ok := w.inner.(rowHitAware); ok {
-		return ra.scanWindow()
-	}
-	return 0, false
-}
-
-// PickIndexed mirrors Pick with the incrementally maintained class counts
-// and the inner policy's indexed pick. The class-filtered fallback scans
-// (pickClass) are shared with the reference path: they run only while
-// draining or when the read class is empty/blocked, not in the saturated
-// read-heavy steady state.
-func (w *WriteDrain) PickIndexed(now int64, c *Controller, dev *dram.Device) Pick {
-	reads, writes := c.queuedClassCounts()
-	if w.draining && writes <= w.DrainTo {
-		w.draining = false
-	}
-	if !w.draining && writes >= w.HighWatermark {
-		w.draining = true
-	}
-	if w.draining || reads == 0 {
-		if p := pickClass(c, dev, now, true); p.Entry != nil {
-			return p
-		}
-		// No write issuable: fall through to reads (work conservation).
-	}
-	if p := w.innerReadPickIndexed(now, c, dev); p.Entry != nil {
-		return p
-	}
-	return pickClass(c, dev, now, true)
-}
-
-// innerReadPickIndexed is innerReadPick via the inner policy's indexed
-// fast path when it has one.
-func (w *WriteDrain) innerReadPickIndexed(now int64, c *Controller, dev *dram.Device) Pick {
-	var p Pick
-	if ip, ok := w.inner.(indexedPicker); ok {
-		p = ip.PickIndexed(now, c, dev)
-	} else {
-		p = w.inner.Pick(now, c, dev)
-	}
 	if p.Entry != nil && !p.Entry.Req.Write {
 		return p
 	}

@@ -13,8 +13,7 @@ import (
 // for every scheduler the controller ships, under both L2 topologies and
 // both DRAM page policies, a randomized system configuration must produce
 // bit-identical observations (see diffKernels) under the naive loop and the
-// wake scheduler. It is the system-level analogue of the controller's
-// index_diff_test.go, and the seed table of FuzzKernelEquivalence.
+// wake scheduler. It is also the seed table of FuzzKernelEquivalence.
 
 // busyFuzzPool lists the workloads the fuzzer draws from: memory-bound
 // profiles (lbm, milc, libquantum) keep the controller saturated so busy
@@ -91,16 +90,15 @@ func busySchedulers(numApps int) []struct {
 // busyFuzzCase is one randomized system configuration shared by both kernel
 // runs of a differential pair.
 type busyFuzzCase struct {
-	names         []string
-	queueCap      int
-	seed          int64
-	referencePick bool
+	names    []string
+	queueCap int
+	seed     int64
 }
 
 // randBusyCase draws a case from r: 2-4 apps (duplicates allowed — identical
 // profiles with per-app generator streams stress tie-breaking), sometimes a
 // tight controller queue cap (forcing the caches' deferred-retry spans
-// against a full controller), and sometimes the reference pick path.
+// against a full controller).
 func randBusyCase(r *rand.Rand) busyFuzzCase {
 	n := 2 + r.Intn(3)
 	names := make([]string, n)
@@ -111,12 +109,7 @@ func randBusyCase(r *rand.Rand) busyFuzzCase {
 	if r.Intn(2) == 0 {
 		cap = 4 + r.Intn(20)
 	}
-	return busyFuzzCase{
-		names:         names,
-		queueCap:      cap,
-		seed:          r.Int63(),
-		referencePick: r.Intn(4) == 0,
-	}
+	return busyFuzzCase{names: names, queueCap: cap, seed: r.Int63()}
 }
 
 // kernelCase places the drawn configuration on a topology, page policy and
@@ -125,7 +118,7 @@ func (fc busyFuzzCase) kernelCase(shared bool, policy dram.PagePolicy,
 	mk func(t *testing.T) memctrl.Scheduler) kernelCase {
 	return kernelCase{
 		names: fc.names, shared: shared, policy: policy, queueCap: fc.queueCap,
-		seed: fc.seed, referencePick: fc.referencePick, sched: mk,
+		seed: fc.seed, sched: mk,
 	}
 }
 

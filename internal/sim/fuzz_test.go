@@ -34,12 +34,11 @@ func FuzzKernelEquivalence(f *testing.F) {
 		}
 		scheds := busySchedulers(n)
 		kc := kernelCase{
-			names:         names,
-			shared:        shared,
-			policy:        dram.PagePolicy(r.Intn(2)),
-			seed:          1 + r.Int63(),
-			referencePick: r.Intn(4) == 0,
-			sched:         scheds[int(sched)%len(scheds)].mk,
+			names:  names,
+			shared: shared,
+			policy: dram.PagePolicy(r.Intn(2)),
+			seed:   1 + r.Int63(),
+			sched:  scheds[int(sched)%len(scheds)].mk,
 			// Windows shrink with the application count to keep one input
 			// cheap; the slices are a short, a medium and a long Run.
 			settle:  int64(24_000 / n),

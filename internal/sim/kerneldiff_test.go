@@ -20,16 +20,15 @@ import (
 // kernelCase is one system configuration of the differential. The zero
 // value of every optional field is the package default.
 type kernelCase struct {
-	names         []string
-	specs         func(t *testing.T) []AppSpec // overrides names (custom streams)
-	shared        bool
-	policy        dram.PagePolicy
-	queueCap      int
-	seed          int64
-	referencePick bool
-	prefetch      int // L2PrefetchDepth
-	l2MSHRs       int // overrides Config.L2.MSHRs when positive
-	sched         func(t *testing.T) memctrl.Scheduler
+	names    []string
+	specs    func(t *testing.T) []AppSpec // overrides names (custom streams)
+	shared   bool
+	policy   dram.PagePolicy
+	queueCap int
+	seed     int64
+	prefetch int // L2PrefetchDepth
+	l2MSHRs  int // overrides Config.L2.MSHRs when positive
+	sched    func(t *testing.T) memctrl.Scheduler
 	// settle and measure are the two timed phases (ResetStats in between).
 	settle, measure int64
 	// slices is the uneven Run pattern of the sliced drives: each entry
@@ -63,7 +62,6 @@ func buildCase(t *testing.T, kernel Kernel, kc kernelCase) *System {
 	cfg.SharedL2 = kc.shared
 	cfg.DRAM.Policy = kc.policy
 	cfg.QueueCap = kc.queueCap
-	cfg.ReferencePick = kc.referencePick
 	cfg.L2PrefetchDepth = kc.prefetch
 	if kc.seed != 0 {
 		cfg.Seed = kc.seed

@@ -32,7 +32,7 @@ const (
 	// faster wherever any component has nothing to do (DESIGN.md §7).
 	KernelCycleSkipping Kernel = iota
 	// KernelNaive ticks every component once per simulated cycle. It is
-	// the reference semantics, kept as the oracle for differential testing.
+	// the reference semantics: a test oracle; no CLI selects it.
 	KernelNaive
 )
 
@@ -99,13 +99,8 @@ type Config struct {
 	WarmupInstructions int64
 	Seed               int64
 	// Kernel selects Run's advancement strategy; the zero value is the
-	// cycle-skipping kernel. See Kernel.
+	// cycle-skipping kernel. KernelNaive is a test oracle; no CLI selects it.
 	Kernel Kernel
-	// ReferencePick forces the memory controller onto its scan-based
-	// reference pick path instead of the indexed fast path. The two are
-	// bit-identical by contract; this switch exists for differential tests
-	// and for debugging suspected index corruption.
-	ReferencePick bool
 	// Power overrides the DRAM power parameters used for the window energy
 	// estimate in Results (nil = dram.DefaultPowerConfig()).
 	Power *dram.PowerConfig

@@ -147,9 +147,7 @@ func (s *System) Restore(cp *Checkpoint) error {
 	// Streams and cores rebuild their own request objects first; caches then
 	// restore shells (phase 1) so fill requests exist, and re-link retained
 	// foreign requests (phase 2); the controller restores last, resolving
-	// queued requests against the fully rebuilt caches and cores. The device
-	// precedes the controller because the controller's index rebuild reads
-	// bank readiness.
+	// queued requests against the fully rebuilt caches and cores.
 	for i := range s.cores {
 		cs, ok := s.specs[i].Stream.(checkpointStream)
 		if !ok {

@@ -42,7 +42,6 @@ func NewFromSpecs(cfg Config, specs []AppSpec) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrl.SetPickReference(cfg.ReferencePick)
 	s := &System{cfg: cfg, dev: dev, ctrl: ctrl}
 	ctrlW := s.addComponent("ctrl", ctrl, nil)
 	var sharedW *mem.Waker
