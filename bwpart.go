@@ -149,8 +149,7 @@ func NewRunObserver() *RunObserver { return obs.NewCollector() }
 // with a bounded, client-fair job queue in front of one process-wide set
 // of runners (shared result cache, warm bases, checkpoint tier).
 type (
-	// Server is a resident simulation service (see cmd/sweepd and the
-	// sweep -serve flag).
+	// Server is a resident simulation service (see cmd/sweepd).
 	Server = serve.Server
 	// ServerOptions configures NewServer (experiment config, worker count,
 	// queue depth, cache budget).

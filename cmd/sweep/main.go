@@ -2,20 +2,14 @@
 // bandwidth scales — and emits one CSV row per run with the four system
 // objectives, for plotting or regression tracking. Each scale's grid is
 // fanned out across the experiment engine's worker pool; rows are emitted
-// in deterministic grid order regardless of scheduling.
-//
-// With -serve the command instead becomes a long-lived daemon exposing the
-// engine over HTTP (see internal/serve and cmd/sweepd): requests share one
-// resident result cache and warm-base registry, so repeated cells across
-// clients are simulated once. SIGINT/SIGTERM drain: accepted jobs finish,
-// new ones are refused, then the process exits.
+// in deterministic grid order regardless of scheduling. The long-lived
+// HTTP form of the same engine is cmd/sweepd.
 //
 // Usage:
 //
 //	sweep -mixes hetero-1,hetero-5 -schemes equal,square-root -scales 1,2 > results.csv
 //	sweep -mixes "hetero-1, hetero-2" -schemes equal,square-root \
 //	      -progress -stats-json stats.json > results.csv
-//	sweep -serve :8080 -checkpoint-dir /var/lib/bwpart -cache-mb 256
 package main
 
 import (
@@ -25,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/signal"
 	"strconv"
@@ -56,19 +49,12 @@ func main() {
 	checkpointDir := flag.String("checkpoint-dir", "",
 		"persist finished sweep cells to this directory and resume an interrupted sweep from them")
 	cacheMB := flag.Int("cache-mb", 0,
-		"bound the in-memory result cache to this many MiB, evicting LRU cells (0 = unbounded; -serve defaults to 256)")
-	serveAddr := flag.String("serve", "",
-		"run as a daemon serving the experiment engine over HTTP on this address (e.g. :8080) instead of sweeping")
-	drainTimeout := flag.Duration("drain-timeout", 5*time.Minute,
-		"with -serve: how long a SIGTERM drain may wait for accepted jobs before cancelling them")
-	jobTimeout := flag.Duration("job-timeout", 0,
-		"with -serve: cap each job's wall-clock execution; past it the job fails with a \"deadline\" error and its worker moves on (0 = unlimited; a request's timeout_s can tighten but never exceed this)")
+		"bound the in-memory result cache to this many MiB, evicting LRU cells (0 = unbounded)")
 	flag.Parse()
 
 	// Ctrl-C / SIGTERM cancel in-flight work: the sweep stops between
-	// simulations and still flushes CSV, stats, and profiles; the server
-	// drains. A second signal kills the process immediately (stop restores
-	// default delivery).
+	// simulations and still flushes CSV, stats, and profiles. A second
+	// signal kills the process immediately (stop restores default delivery).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -80,50 +66,6 @@ func main() {
 	// these wrappers to flush the profiles first.
 	fatal := func(v ...any) { prof.Stop(); log.Fatal(v...) }
 	fatalf := func(format string, args ...any) { prof.Stop(); log.Fatalf(format, args...) }
-
-	if *serveAddr != "" {
-		cfg := bwpart.DefaultExperiments()
-		if *quick {
-			cfg = bwpart.QuickExperiments()
-		}
-		cfg.Seed = *seed
-		cfg.Parallelism = *parallel
-		if *checkpointDir != "" {
-			cfg.Checkpoint, err = bwpart.NewCheckpointStore(*checkpointDir)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		col := bwpart.NewRunObserver()
-		if *progress {
-			ticker := col.StartTicker(os.Stderr, time.Second)
-			defer ticker.Stop()
-		}
-		opts := bwpart.ServerOptions{Exper: cfg, Obs: col, JobTimeout: *jobTimeout}
-		if *cacheMB > 0 {
-			opts.CacheBytes = int64(*cacheMB) << 20
-		}
-		srv, err := bwpart.NewServer(opts)
-		if err != nil {
-			fatal(err)
-		}
-		ln, err := net.Listen("tcp", *serveAddr)
-		if err != nil {
-			fatal(err)
-		}
-		log.Printf("serving on http://%s (SIGINT/SIGTERM drains)", ln.Addr())
-		runErr := srv.Run(ctx, ln, *drainTimeout)
-		if err := writeStats(*statsJSON, col); err != nil {
-			log.Print(err)
-		}
-		if runErr != nil {
-			fatal(runErr)
-		}
-		if err := prof.Stop(); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	scales, err := parseFloats(*scalesFlag)
 	if err != nil {

@@ -1,8 +1,8 @@
 // Command sweepd is the simulation daemon: the experiment engine behind an
-// HTTP/JSON API (see internal/serve). It is the standing-service twin of
-// `sweep -serve` with server-oriented defaults — a bounded result cache and
-// a checkpoint directory are expected, so repeated cells are answered from
-// memory or disk instead of re-simulated, across clients and restarts.
+// HTTP/JSON API (see internal/serve), with server-oriented defaults — a
+// bounded result cache and a checkpoint directory are expected, so repeated
+// cells are answered from memory or disk instead of re-simulated, across
+// clients and restarts. GET /metrics is its statistics surface.
 //
 //	sweepd -addr :8080 -checkpoint-dir /var/lib/bwpart
 //	curl -s localhost:8080/v1/mix -d '{"mix":"hetero-1","scheme":"equal"}'

@@ -5,10 +5,10 @@ import (
 	"bwpart/internal/mem"
 )
 
-// This file holds the allocation-free plumbing shared by Cache and
-// SharedCache. The saturated-system profile was dominated by per-access
-// garbage: a closure per scheduled hit callback and miss send, a fresh
-// fill request per miss, and a fresh writeback request per dirty eviction.
+// This file holds the engine's allocation-free plumbing. The saturated-system
+// profile was dominated by per-access garbage: a closure per scheduled hit
+// callback and miss send, a fresh fill request per miss, and a fresh
+// writeback request per dirty eviction.
 // All of these have bounded lifetimes that end in an observable event (the
 // event fires; the fill's Done runs; the writeback's Done runs), so each
 // is recycled through a small free list instead of re-allocated.
@@ -52,8 +52,6 @@ func (q *cacheEvents) scheduleSend(cycle int64, req *mem.Request) {
 	q.seq++
 	q.h.Push(cev{cycle: cycle, seq: q.seq, req: req, send: true})
 }
-
-func (q *cacheEvents) len() int { return len(q.h) }
 
 // next returns the earliest pending cycle and whether one exists.
 func (q *cacheEvents) next() (int64, bool) {

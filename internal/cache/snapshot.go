@@ -19,7 +19,7 @@ import (
 //	                             RequestState through the system's resolver.
 //
 // Snapshots are plain data sharing no memory with the cache; one snapshot
-// may restore any number of caches with the same geometry.
+// may restore any number of caches of the same kind, geometry and app count.
 
 // cevState is the serialized form of one scheduled cache event.
 type cevState struct {
@@ -40,11 +40,12 @@ type mshrState struct {
 	waiters   []mem.RequestState
 }
 
-// CacheState is an opaque snapshot of a private Cache's mutable state.
-type CacheState struct {
+// State is an opaque snapshot of a Cache's or a SharedCache's mutable state.
+type State struct {
 	lines    []line
 	lruTick  uint64
-	stats    Stats
+	stats    []Stats // one row for a Cache, one per app for a SharedCache
+	quota    []int   // SharedCache only
 	mshrs    []mshrState
 	eventSeq uint64
 	events   []cevState
@@ -54,20 +55,17 @@ type CacheState struct {
 // SetSnapID assigns the cache's checkpoint identity (mem.Origin.Comp for
 // its fill and writeback requests). The system builder calls it once,
 // before any traffic.
-func (c *Cache) SetSnapID(id int32) {
-	c.snapID = id
-	c.wbs.comp = id
+func (e *engine) SetSnapID(id int32) {
+	e.snapID = id
+	e.wbs.comp = id
 }
-
-// SnapID returns the cache's checkpoint identity.
-func (c *Cache) SnapID() int32 { return c.snapID }
 
 // FillRequest resolves a line address to the live fill request of the MSHR
 // registered for it (mem.Origin{OriginCacheFill, snapID, la}).
-func (c *Cache) FillRequest(la uint64) (*mem.Request, error) {
-	m, ok := c.mshrs[la]
+func (e *engine) FillRequest(la uint64) (*mem.Request, error) {
+	m, ok := e.mshrs[la]
 	if !ok {
-		return nil, fmt.Errorf("cache %s: no MSHR for line %#x", c.cfg.Name, la)
+		return nil, fmt.Errorf("cache %s: no MSHR for line %#x", e.cfg.Name, la)
 	}
 	return &m.fillReq, nil
 }
@@ -75,26 +73,27 @@ func (c *Cache) FillRequest(la uint64) (*mem.Request, error) {
 // WBRequest returns a live writeback request for (app, addr). Writebacks
 // carry no state beyond their payload, so a restore recreates them from the
 // pool rather than locating an original.
-func (c *Cache) WBRequest(app int, addr uint64) *mem.Request {
-	return c.wbs.get(app, addr)
+func (e *engine) WBRequest(app int, addr uint64) *mem.Request {
+	return e.wbs.get(app, addr)
 }
 
-// Snapshot captures the cache's mutable state. MSHRs are serialized in
-// ascending line-address order so captures are deterministic; the event
-// heap is captured in backing-array order so Relink can rebuild the exact
-// heap layout.
-func (c *Cache) Snapshot() *CacheState {
-	st := &CacheState{
-		lines:    make([]line, 0, len(c.sets)*c.cfg.Ways),
-		lruTick:  c.lruTick,
-		stats:    c.stats,
-		eventSeq: c.events.seq,
+// snapshot captures the engine's mutable state plus copies of the embedding
+// cache's counters and quotas. MSHRs are serialized in ascending line-address
+// order so captures are deterministic; the event heap is captured in
+// backing-array order so Relink can rebuild the exact heap layout.
+func (e *engine) snapshot(stats []Stats, quota []int) *State {
+	st := &State{
+		lines:    make([]line, 0, len(e.sets)*e.cfg.Ways),
+		lruTick:  e.lruTick,
+		stats:    append([]Stats(nil), stats...),
+		quota:    append([]int(nil), quota...),
+		eventSeq: e.events.seq,
 	}
-	for _, set := range c.sets {
+	for _, set := range e.sets {
 		st.lines = append(st.lines, set...)
 	}
-	st.mshrs = make([]mshrState, 0, len(c.mshrs))
-	for la, m := range c.mshrs {
+	st.mshrs = make([]mshrState, 0, len(e.mshrs))
+	for la, m := range e.mshrs {
 		ms := mshrState{
 			la: la, app: m.app,
 			write: m.write, prefetch: m.prefetch,
@@ -106,67 +105,66 @@ func (c *Cache) Snapshot() *CacheState {
 		st.mshrs = append(st.mshrs, ms)
 	}
 	sort.Slice(st.mshrs, func(i, j int) bool { return st.mshrs[i].la < st.mshrs[j].la })
-	st.events = make([]cevState, len(c.events.h))
-	for i, ev := range c.events.h {
+	st.events = make([]cevState, len(e.events.h))
+	for i, ev := range e.events.h {
 		st.events[i] = cevState{cycle: ev.cycle, seq: ev.seq, send: ev.send, req: mem.CaptureRequest(ev.req)}
 	}
-	st.deferred = make([]mem.RequestState, len(c.deferred))
-	for i, r := range c.deferred {
+	st.deferred = make([]mem.RequestState, len(e.deferred))
+	for i, r := range e.deferred {
 		st.deferred[i] = mem.CaptureRequest(r)
 	}
 	return st
 }
 
-// Restore is checkpoint phase 1: lines, stats and MSHR shells. Waiters,
-// events and deferred sends are re-linked by Relink once every component
-// has restored.
-func (c *Cache) Restore(st *CacheState) error {
-	if st == nil {
-		return fmt.Errorf("cache %s: nil state", c.cfg.Name)
-	}
-	if len(st.lines) != len(c.sets)*c.cfg.Ways {
+// restore is checkpoint phase 1: lines and MSHR shells (Relink does waiters,
+// events and deferred sends). It validates st in full before touching the
+// cache: a Cache expects (1, 0) rows of counters and quotas, a SharedCache
+// (numApps, numApps), so a state of the other kind or app count is refused.
+// The embedding cache then installs its counters.
+func (e *engine) restore(st *State, statRows, quotaRows int) error {
+	switch {
+	case st == nil:
+		return fmt.Errorf("cache %s: nil state", e.cfg.Name)
+	case len(st.lines) != len(e.sets)*e.cfg.Ways:
 		return fmt.Errorf("cache %s: geometry mismatch: state has %d lines, cache has %d",
-			c.cfg.Name, len(st.lines), len(c.sets)*c.cfg.Ways)
-	}
-	if len(st.mshrs) > c.cfg.MSHRs {
-		return fmt.Errorf("cache %s: state has %d MSHRs, cache has %d", c.cfg.Name, len(st.mshrs), c.cfg.MSHRs)
+			e.cfg.Name, len(st.lines), len(e.sets)*e.cfg.Ways)
+	case len(st.stats) != statRows || len(st.quota) != quotaRows:
+		return fmt.Errorf("cache %s: state has %d stat rows and %d quotas, cache has %d and %d",
+			e.cfg.Name, len(st.stats), len(st.quota), statRows, quotaRows)
+	case len(st.mshrs) > e.cfg.MSHRs:
+		return fmt.Errorf("cache %s: state has %d MSHRs, cache has %d", e.cfg.Name, len(st.mshrs), e.cfg.MSHRs)
 	}
 	off := 0
-	for i := range c.sets {
-		copy(c.sets[i], st.lines[off:off+c.cfg.Ways])
-		off += c.cfg.Ways
+	for i := range e.sets {
+		copy(e.sets[i], st.lines[off:off+e.cfg.Ways])
+		off += e.cfg.Ways
 	}
-	c.lruTick = st.lruTick
-	c.stats = st.stats
-	for la, m := range c.mshrs {
-		for i := range m.waiters {
-			m.waiters[i] = nil
-		}
-		m.waiters = m.waiters[:0]
-		c.mshrFree = append(c.mshrFree, m)
-		delete(c.mshrs, la)
+	e.lruTick = st.lruTick
+	for la, m := range e.mshrs {
+		e.recycle(m)
+		delete(e.mshrs, la)
 	}
 	for _, ms := range st.mshrs {
-		m := c.newMSHR(ms.la, ms.app)
+		m := e.newMSHR(ms.la, ms.app)
 		m.write, m.prefetch, m.hasWaiter, m.wbApp = ms.write, ms.prefetch, ms.hasWaiter, ms.wbApp
-		c.mshrs[ms.la] = m
+		e.mshrs[ms.la] = m
 	}
-	c.events.h = c.events.h[:0]
-	c.events.seq = st.eventSeq
-	c.deferred = c.deferred[:0]
+	e.events.h = e.events.h[:0]
+	e.events.seq = st.eventSeq
+	e.deferred = e.deferred[:0]
 	return nil
 }
 
 // Relink is checkpoint phase 2: resolve every retained foreign request and
 // reinstall waiter lists, the event heap (in captured array order, which
 // preserves the heap layout exactly), and the deferred retry list.
-func (c *Cache) Relink(st *CacheState, resolve mem.Resolver) error {
+func (e *engine) Relink(st *State, resolve mem.Resolver) error {
 	for _, ms := range st.mshrs {
-		m := c.mshrs[ms.la]
+		m := e.mshrs[ms.la]
 		for _, ws := range ms.waiters {
 			req, err := resolve(ws)
 			if err != nil {
-				return fmt.Errorf("cache %s: waiter for line %#x: %w", c.cfg.Name, ms.la, err)
+				return fmt.Errorf("cache %s: waiter for line %#x: %w", e.cfg.Name, ms.la, err)
 			}
 			m.waiters = append(m.waiters, req)
 		}
@@ -174,162 +172,46 @@ func (c *Cache) Relink(st *CacheState, resolve mem.Resolver) error {
 	for _, es := range st.events {
 		req, err := resolve(es.req)
 		if err != nil {
-			return fmt.Errorf("cache %s: event at cycle %d: %w", c.cfg.Name, es.cycle, err)
+			return fmt.Errorf("cache %s: event at cycle %d: %w", e.cfg.Name, es.cycle, err)
 		}
-		c.events.h = append(c.events.h, cev{cycle: es.cycle, seq: es.seq, req: req, send: es.send})
+		e.events.h = append(e.events.h, cev{cycle: es.cycle, seq: es.seq, req: req, send: es.send})
 	}
 	for _, ds := range st.deferred {
 		req, err := resolve(ds)
 		if err != nil {
-			return fmt.Errorf("cache %s: deferred send: %w", c.cfg.Name, err)
+			return fmt.Errorf("cache %s: deferred send: %w", e.cfg.Name, err)
 		}
-		c.deferred = append(c.deferred, req)
+		e.deferred = append(e.deferred, req)
 	}
 	return nil
 }
 
-// SharedCacheState is an opaque snapshot of a SharedCache's mutable state.
-type SharedCacheState struct {
-	lines    []sline
-	quota    []int
-	lruTick  uint64
-	stats    []Stats
-	mshrs    []mshrState
-	eventSeq uint64
-	events   []cevState
-	deferred []mem.RequestState
+// Snapshot captures the cache's mutable state.
+func (c *Cache) Snapshot() *State { return c.snapshot([]Stats{c.stats}, nil) }
+
+// Restore is checkpoint phase 1 (see engine.restore).
+func (c *Cache) Restore(st *State) error {
+	if err := c.restore(st, 1, 0); err != nil {
+		return err
+	}
+	c.stats = st.stats[0]
+	return nil
 }
 
-// SetSnapID assigns the cache's checkpoint identity.
-func (c *SharedCache) SetSnapID(id int32) {
-	c.snapID = id
-	c.wbs.comp = id
-}
+// Snapshot captures the shared cache's mutable state.
+func (c *SharedCache) Snapshot() *State { return c.snapshot(c.stats, c.quota) }
 
-// SnapID returns the cache's checkpoint identity.
-func (c *SharedCache) SnapID() int32 { return c.snapID }
-
-// FillRequest resolves a line address to the live fill request of the MSHR
-// registered for it.
-func (c *SharedCache) FillRequest(la uint64) (*mem.Request, error) {
-	m, ok := c.mshrs[la]
-	if !ok {
-		return nil, fmt.Errorf("cache %s: no MSHR for line %#x", c.cfg.Name, la)
-	}
-	return &m.fillReq, nil
-}
-
-// WBRequest returns a live writeback request for (app, addr).
-func (c *SharedCache) WBRequest(app int, addr uint64) *mem.Request {
-	return c.wbs.get(app, addr)
-}
-
-// Snapshot captures the shared cache's mutable state (see Cache.Snapshot).
-func (c *SharedCache) Snapshot() *SharedCacheState {
-	st := &SharedCacheState{
-		lines:    make([]sline, 0, len(c.sets)*c.cfg.Ways),
-		quota:    append([]int(nil), c.quota...),
-		lruTick:  c.lruTick,
-		stats:    append([]Stats(nil), c.stats...),
-		eventSeq: c.events.seq,
-	}
-	for _, set := range c.sets {
-		st.lines = append(st.lines, set...)
-	}
-	st.mshrs = make([]mshrState, 0, len(c.mshrs))
-	for la, m := range c.mshrs {
-		ms := mshrState{
-			la: la, app: m.app,
-			write: m.write, prefetch: m.prefetch,
-			hasWaiter: m.hasWaiter, wbApp: m.wbApp,
-		}
-		for _, w := range m.waiters {
-			ms.waiters = append(ms.waiters, mem.CaptureRequest(w))
-		}
-		st.mshrs = append(st.mshrs, ms)
-	}
-	sort.Slice(st.mshrs, func(i, j int) bool { return st.mshrs[i].la < st.mshrs[j].la })
-	st.events = make([]cevState, len(c.events.h))
-	for i, ev := range c.events.h {
-		st.events[i] = cevState{cycle: ev.cycle, seq: ev.seq, send: ev.send, req: mem.CaptureRequest(ev.req)}
-	}
-	st.deferred = make([]mem.RequestState, len(c.deferred))
-	for i, r := range c.deferred {
-		st.deferred[i] = mem.CaptureRequest(r)
-	}
-	return st
-}
-
-// Restore is checkpoint phase 1 for the shared cache. The per-app MSHR
+// Restore is checkpoint phase 1 (see engine.restore). The per-app MSHR
 // occupancy is recomputed from the restored MSHRs.
-func (c *SharedCache) Restore(st *SharedCacheState) error {
-	if st == nil {
-		return fmt.Errorf("cache %s: nil state", c.cfg.Name)
+func (c *SharedCache) Restore(st *State) error {
+	if err := c.restore(st, c.numApps, c.numApps); err != nil {
+		return err
 	}
-	if len(st.lines) != len(c.sets)*c.cfg.Ways {
-		return fmt.Errorf("cache %s: geometry mismatch: state has %d lines, cache has %d",
-			c.cfg.Name, len(st.lines), len(c.sets)*c.cfg.Ways)
-	}
-	if len(st.quota) != c.numApps || len(st.stats) != c.numApps {
-		return fmt.Errorf("cache %s: app count mismatch: state has %d quotas/%d stats, cache has %d apps",
-			c.cfg.Name, len(st.quota), len(st.stats), c.numApps)
-	}
-	off := 0
-	for i := range c.sets {
-		copy(c.sets[i], st.lines[off:off+c.cfg.Ways])
-		off += c.cfg.Ways
-	}
-	copy(c.quota, st.quota)
-	c.lruTick = st.lruTick
 	copy(c.stats, st.stats)
-	for la, m := range c.mshrs {
-		for i := range m.waiters {
-			m.waiters[i] = nil
-		}
-		m.waiters = m.waiters[:0]
-		c.mshrFree = append(c.mshrFree, m)
-		delete(c.mshrs, la)
-	}
-	for i := range c.mshrByApp {
-		c.mshrByApp[i] = 0
-	}
-	for _, ms := range st.mshrs {
-		m := c.newMSHR(ms.la, ms.app)
-		m.write, m.prefetch, m.hasWaiter, m.wbApp = ms.write, ms.prefetch, ms.hasWaiter, ms.wbApp
-		c.mshrs[ms.la] = m
-		c.mshrByApp[ms.app]++
-	}
-	c.events.h = c.events.h[:0]
-	c.events.seq = st.eventSeq
-	c.deferred = c.deferred[:0]
-	return nil
-}
-
-// Relink is checkpoint phase 2 for the shared cache (see Cache.Relink).
-func (c *SharedCache) Relink(st *SharedCacheState, resolve mem.Resolver) error {
-	for _, ms := range st.mshrs {
-		m := c.mshrs[ms.la]
-		for _, ws := range ms.waiters {
-			req, err := resolve(ws)
-			if err != nil {
-				return fmt.Errorf("cache %s: waiter for line %#x: %w", c.cfg.Name, ms.la, err)
-			}
-			m.waiters = append(m.waiters, req)
-		}
-	}
-	for _, es := range st.events {
-		req, err := resolve(es.req)
-		if err != nil {
-			return fmt.Errorf("cache %s: event at cycle %d: %w", c.cfg.Name, es.cycle, err)
-		}
-		c.events.h = append(c.events.h, cev{cycle: es.cycle, seq: es.seq, req: req, send: es.send})
-	}
-	for _, ds := range st.deferred {
-		req, err := resolve(ds)
-		if err != nil {
-			return fmt.Errorf("cache %s: deferred send: %w", c.cfg.Name, err)
-		}
-		c.deferred = append(c.deferred, req)
+	copy(c.quota, st.quota)
+	clear(c.mshrByApp)
+	for _, m := range c.mshrs {
+		c.mshrByApp[m.app]++
 	}
 	return nil
 }

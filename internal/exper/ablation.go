@@ -59,7 +59,7 @@ func (r *Runner) PagePolicyStudy(mixes []workload.Mix) (*PagePolicyResult, error
 		// Open page + FR-FCFS.
 		openCfg := r.cfg.Sim
 		openCfg.DRAM.Policy = dram.OpenPage
-		openRes, err := r.runRaw(openCfg, profs, memctrl.NewFRFCFS(8))
+		openRes, err := r.runRaw(openCfg, profs, setScheduler(memctrl.NewFRFCFS(8)))
 		if err != nil {
 			return nil, err
 		}
@@ -70,20 +70,24 @@ func (r *Runner) PagePolicyStudy(mixes []workload.Mix) (*PagePolicyResult, error
 	return out, nil
 }
 
-// runRaw runs a mix with an explicit scheduler (bypassing scheme naming)
-// on a cold private system. Studies that change the simulator configuration
-// itself (e.g. the open-page ablation) must use it — their systems cannot
-// share the runner's warm bases; mix-level studies under the runner's own
-// configuration go through runSched, which can.
-func (r *Runner) runRaw(simCfg sim.Config, profs []workload.Profile, sched memctrl.Scheduler) (sim.Result, error) {
+// runRaw measures profs on a cold system built from simCfg: functional
+// warmup, then apply and settle + measure. Studies that change the simulator
+// configuration itself (the open-page ablation, the shared-L2 topology) must
+// use it — their systems cannot share the runner's warm bases; mix-level
+// studies under the runner's own configuration go through runConfigured,
+// which can.
+func (r *Runner) runRaw(simCfg sim.Config, profs []workload.Profile, apply func(sys *sim.System) error) (sim.Result, error) {
 	sys, err := sim.New(simCfg, profs)
 	if err != nil {
 		return sim.Result{}, err
 	}
 	sys.Warmup()
-	return r.finishConfigured(sys, func(sys *sim.System) error {
-		return sys.Controller().SetScheduler(sched)
-	})
+	return r.finishConfigured(sys, apply)
+}
+
+// setScheduler is the apply step that installs sched.
+func setScheduler(sched memctrl.Scheduler) func(sys *sim.System) error {
+	return func(sys *sim.System) error { return sys.Controller().SetScheduler(sched) }
 }
 
 // runSched measures a mix under an explicitly installed scheduler, starting
@@ -91,9 +95,7 @@ func (r *Runner) runRaw(simCfg sim.Config, profs []workload.Profile, sched memct
 // of the system restores the checkpoint's scheduler, so an installed heuristic
 // never leaks into later cells).
 func (r *Runner) runSched(mix workload.Mix, sched memctrl.Scheduler) (sim.Result, error) {
-	return r.runConfigured(mix, func(sys *sim.System) error {
-		return sys.Controller().SetScheduler(sched)
-	})
+	return r.runConfigured(mix, setScheduler(sched))
 }
 
 // runConfigured runs the settle+measure suffix of a mix run after apply
@@ -106,12 +108,7 @@ func (r *Runner) runConfigured(mix workload.Mix, apply func(sys *sim.System) err
 		if err != nil {
 			return sim.Result{}, err
 		}
-		sys, err := sim.New(r.cfg.Sim, profs)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		sys.Warmup()
-		return r.finishConfigured(sys, apply)
+		return r.runRaw(r.cfg.Sim, profs, apply)
 	}
 	e, release, err := r.prepared.acquire(mix)
 	if err != nil {

@@ -117,10 +117,22 @@ func Quick() Config {
 	return cfg
 }
 
-// Validate checks windows.
+// Validate checks the windows and every part of the simulator configuration
+// that is fixed for the runner's lifetime, so a bad geometry fails at
+// construction instead of on every run (the core's BaseIPC and
+// MaxOutstandingLoads are per-application overrides and checked per system).
 func (c Config) Validate() error {
 	if c.ProfileCycles <= 0 || c.SettleCycles < 0 || c.MeasureCycles <= 0 {
 		return errors.New("exper: simulation windows must be positive")
+	}
+	if err := c.Sim.L1.Validate(); err != nil {
+		return fmt.Errorf("exper: L1: %w", err)
+	}
+	if err := c.Sim.L2.Validate(); err != nil {
+		return fmt.Errorf("exper: L2: %w", err)
+	}
+	if c.Sim.Core.Width <= 0 || c.Sim.Core.ROBSize <= 0 {
+		return errors.New("exper: core Width and ROBSize must be positive")
 	}
 	return c.Sim.DRAM.Validate()
 }

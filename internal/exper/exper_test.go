@@ -26,24 +26,34 @@ func quickRunner(t *testing.T) *Runner {
 }
 
 func TestConfigValidate(t *testing.T) {
-	cfg := Default()
-	if err := cfg.Validate(); err != nil {
+	if err := Default().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := cfg
-	bad.MeasureCycles = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero measure window accepted")
+	bad := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"zero measure window", func(c *Config) { c.MeasureCycles = 0 }},
+		{"negative profile window", func(c *Config) { c.ProfileCycles = -1 }},
+		{"invalid DRAM", func(c *Config) { c.Sim.DRAM.CPUGHz = 0 }},
+		// The simulator geometry: each of these used to pass construction
+		// and then fail every run.
+		{"L2 ways not dividing the size", func(c *Config) { c.Sim.L2.Ways = 3 }},
+		{"L1 without MSHRs", func(c *Config) { c.Sim.L1.MSHRs = 0 }},
+		{"core without a ROB", func(c *Config) { c.Sim.Core.ROBSize = 0 }},
+		{"core without dispatch width", func(c *Config) { c.Sim.Core.Width = 0 }},
 	}
-	bad = cfg
-	bad.ProfileCycles = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative profile window accepted")
-	}
-	bad = cfg
-	bad.Sim.DRAM.CPUGHz = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("invalid DRAM accepted")
+	for _, tc := range bad {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Quick()
+			tc.mutate(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Error("Validate accepted it")
+			}
+			if _, err := NewRunner(cfg); err == nil {
+				t.Error("NewRunner accepted it")
+			}
+		})
 	}
 }
 

@@ -48,7 +48,7 @@ func TestExperHeuristicKernelsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.runRaw(r.cfg.Sim, profs, sched)
+		res, err := r.runRaw(r.cfg.Sim, profs, setScheduler(sched))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -126,32 +126,20 @@ func (r *Runner) sharedL2Config(quota []int) sim.Config {
 // applies square-root partitioning derived from them, otherwise equal
 // bandwidth shares (a progress-guaranteeing baseline for measuring API).
 func (r *Runner) runSharedOnce(cfg sim.Config, profs []workload.Profile, apc, api []float64) (sim.Result, error) {
-	sys, err := sim.New(cfg, profs)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	sys.Warmup()
-	if apc != nil {
-		if err := sys.ApplyScheme(core.Proportional(), apc, api); err != nil {
-			return sim.Result{}, err
+	return r.runRaw(cfg, profs, func(sys *sim.System) error {
+		if apc != nil {
+			return sys.ApplyScheme(core.Proportional(), apc, api)
 		}
-	} else {
 		shares := make([]float64, len(profs))
 		for i := range shares {
 			shares[i] = 1 / float64(len(profs))
 		}
 		stf, err := memctrl.NewStartTimeFair(shares)
 		if err != nil {
-			return sim.Result{}, err
+			return err
 		}
-		if err := sys.Controller().SetScheduler(stf); err != nil {
-			return sim.Result{}, err
-		}
-	}
-	sys.Run(r.cfg.SettleCycles)
-	sys.ResetStats()
-	sys.Run(r.cfg.MeasureCycles)
-	return sys.Results(), nil
+		return sys.Controller().SetScheduler(stf)
+	})
 }
 
 // APIInvariance returns the max relative deviation of API between the equal-share

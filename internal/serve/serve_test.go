@@ -586,6 +586,23 @@ func TestServeMetricsAndHealth(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadGeometry holds New to its promise: a simulator
+// configuration no run could use fails at startup, not on the first request.
+func TestNewRejectsBadGeometry(t *testing.T) {
+	for name, mutate := range map[string]func(*exper.Config){
+		"L2.Ways=3":      func(c *exper.Config) { c.Sim.L2.Ways = 3 },
+		"L1.MSHRs=0":     func(c *exper.Config) { c.Sim.L1.MSHRs = 0 },
+		"Core.ROBSize=0": func(c *exper.Config) { c.Sim.Core.ROBSize = 0 },
+	} {
+		cfg := testConfig()
+		mutate(&cfg)
+		if s, err := New(Options{Exper: cfg}); err == nil {
+			s.Drain(context.Background())
+			t.Errorf("%s: New accepted a configuration every request would fail on", name)
+		}
+	}
+}
+
 // TestServeSmoke exercises the real serving path end to end: a TCP
 // listener, Run with a cancellable context, one health check, one mix
 // request, then a clean drain on cancel. `make check` runs exactly this.

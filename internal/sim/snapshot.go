@@ -24,11 +24,14 @@ import (
 // rebuilt request object.
 
 // snapCache is the checkpoint surface shared by Cache and SharedCache: the
-// resolver dispatches fill/writeback origins to the owning cache by snap id.
+// two-phase capture / restore, and the resolver's dispatch of fill and
+// writeback origins to the owning cache by snap id.
 type snapCache interface {
-	SetSnapID(id int32)
 	FillRequest(la uint64) (*mem.Request, error)
 	WBRequest(app int, addr uint64) *mem.Request
+	Snapshot() *cache.State
+	Restore(st *cache.State) error
+	Relink(st *cache.State, resolve mem.Resolver) error
 }
 
 // checkpointStream is the contract a workload stream must implement to be
@@ -54,9 +57,7 @@ type Checkpoint struct {
 	dev     *dram.DeviceState
 	ctrl    *memctrl.ControllerState
 	cores   []*cpu.CoreState
-	l1s     []*cache.CacheState
-	l2s     []*cache.CacheState // nil entries in the shared-L2 topology
-	shared  *cache.SharedCacheState
+	caches  []*cache.State // in snap-id order (System.snapCaches)
 	streams []any
 }
 
@@ -86,15 +87,9 @@ func (s *System) Snapshot() (*Checkpoint, error) {
 		}
 		cp.streams = append(cp.streams, cs.StreamState())
 		cp.cores = append(cp.cores, s.cores[i].Snapshot())
-		cp.l1s = append(cp.l1s, s.l1s[i].Snapshot())
-		if s.l2s[i] != nil {
-			cp.l2s = append(cp.l2s, s.l2s[i].Snapshot())
-		} else {
-			cp.l2s = append(cp.l2s, nil)
-		}
 	}
-	if s.sharedL2 != nil {
-		cp.shared = s.sharedL2.Snapshot()
+	for _, c := range s.snapCaches {
+		cp.caches = append(cp.caches, c.Snapshot())
 	}
 	return cp, nil
 }
@@ -132,8 +127,7 @@ func (s *System) resolver() mem.Resolver {
 // Restore overwrites the system's simulation state from a checkpoint taken
 // on a system with the same Config and application specs. The checkpoint is
 // not consumed or mutated — the same checkpoint can restore any number of
-// systems. Harness configuration (tracer, pick-reference seam) is left
-// untouched.
+// systems. Harness configuration (the tracers) is left untouched.
 func (s *System) Restore(cp *Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("sim: nil checkpoint")
@@ -141,13 +135,18 @@ func (s *System) Restore(cp *Checkpoint) error {
 	if len(cp.cores) != len(s.cores) {
 		return fmt.Errorf("sim: checkpoint has %d apps, system has %d", len(cp.cores), len(s.cores))
 	}
-	if (cp.shared != nil) != (s.sharedL2 != nil) {
-		return fmt.Errorf("sim: checkpoint and system disagree on shared-L2 topology")
+	// At equal app counts the two topologies differ in their cache count
+	// (a shared L2 replaces one private L2 per app).
+	if len(cp.caches) != len(s.snapCaches) {
+		return fmt.Errorf("sim: checkpoint has %d caches, system has %d: the L2 topologies differ",
+			len(cp.caches), len(s.snapCaches))
 	}
 	// Streams and cores rebuild their own request objects first; caches then
 	// restore shells (phase 1) so fill requests exist, and re-link retained
-	// foreign requests (phase 2); the controller restores last, resolving
-	// queued requests against the fully rebuilt caches and cores.
+	// foreign requests (phase 2), both in snap-id order — the shared L2, then
+	// per app L2 before L1 — which fixes the order writeback requests leave
+	// each pool; the controller restores last, resolving queued requests
+	// against the fully rebuilt caches and cores.
 	for i := range s.cores {
 		cs, ok := s.specs[i].Stream.(checkpointStream)
 		if !ok {
@@ -163,37 +162,14 @@ func (s *System) Restore(cp *Checkpoint) error {
 	if err := s.dev.Restore(cp.dev); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if s.sharedL2 != nil {
-		if err := s.sharedL2.Restore(cp.shared); err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
-	}
-	for i := range s.cores {
-		if (cp.l2s[i] != nil) != (s.l2s[i] != nil) {
-			return fmt.Errorf("sim: app %d checkpoint/system disagree on private L2", i)
-		}
-		if s.l2s[i] != nil {
-			if err := s.l2s[i].Restore(cp.l2s[i]); err != nil {
-				return fmt.Errorf("sim: %w", err)
-			}
-		}
-		if err := s.l1s[i].Restore(cp.l1s[i]); err != nil {
+	for i, c := range s.snapCaches {
+		if err := c.Restore(cp.caches[i]); err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
 	}
 	resolve := s.resolver()
-	if s.sharedL2 != nil {
-		if err := s.sharedL2.Relink(cp.shared, resolve); err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
-	}
-	for i := range s.cores {
-		if s.l2s[i] != nil {
-			if err := s.l2s[i].Relink(cp.l2s[i], resolve); err != nil {
-				return fmt.Errorf("sim: %w", err)
-			}
-		}
-		if err := s.l1s[i].Relink(cp.l1s[i], resolve); err != nil {
+	for i, c := range s.snapCaches {
+		if err := c.Relink(cp.caches[i], resolve); err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
 	}

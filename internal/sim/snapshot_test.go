@@ -258,3 +258,52 @@ func TestAPIsIntoMatchesResults(t *testing.T) {
 		t.Errorf("APIsInto allocates %.1f times per call", allocs)
 	}
 }
+
+// TestRestoreRefusesOtherTopology: every cache's state has one type, so a
+// checkpoint of the other L2 topology or another app count type-checks; it
+// must be refused before anything is restored — the system continues as a
+// twin that never saw the attempt.
+func TestRestoreRefusesOtherTopology(t *testing.T) {
+	build := func(shared bool, names ...string) *System {
+		cfg := fastCfg()
+		cfg.SharedL2 = shared
+		sys, err := New(cfg, mustProfiles(t, names...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Warmup()
+		sys.Run(8_000)
+		return sys
+	}
+	four := []string{"lbm", "milc", "soplex", "povray"}
+	cases := []struct {
+		name       string
+		fromShared bool
+		fromNames  []string
+		intoShared bool
+		intoNames  []string
+	}{
+		{"shared into private", true, four, false, four},
+		{"private into shared", false, four, true, four},
+		{"two apps into four", false, four[:2], false, four},
+		// 1 shared L2 + 3 L1s = 4 caches, like the private two-app system.
+		{"three shared apps into two private", true, four[:3], false, four[:2]},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, err := build(tc.fromShared, tc.fromNames...).Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, twin := build(tc.intoShared, tc.intoNames...), build(tc.intoShared, tc.intoNames...)
+			if err := sys.Restore(cp); err == nil {
+				t.Fatal("checkpoint of another topology accepted")
+			}
+			got, gotTrace := measureTraced(sys, 2_000, 20_000)
+			want, wantTrace := measureTraced(twin, 2_000, 20_000)
+			if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(wantTrace, gotTrace) {
+				t.Error("refused restore changed the system")
+			}
+		})
+	}
+}

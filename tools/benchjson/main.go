@@ -10,13 +10,15 @@
 // runs, the standard way to suppress scheduling noise in short benchmarks.
 //
 // With -against OLD.json the new results are additionally compared to a
-// previously committed report: any benchmark present in both whose best
-// ns/op regressed by more than -tolerance percent fails the run (non-zero
-// exit), as does any derived figure that worsened beyond the same tolerance
-// (speedups shrinking, counters growing). This is the `make bench-check`
-// performance gate:
+// previously committed report: any host-stable derived figure that worsened
+// by more than -tolerance percent (a speedup ratio shrinking, an allocation
+// or cell counter growing) fails the run (non-zero exit). Absolute ns/op rows
+// and the _per_sec rates are recorded, not gated: on a shared host the same
+// binary reads them 2-3x apart within a minute, and bench/ (interleaved
+// pairs, medians) is the source of truth for them. This is the
+// `make bench-check` performance gate:
 //
-//	benchjson -i bench.out -against BENCH_kernel.json -tolerance 10
+//	benchjson -i bench.out -against BENCH_kernel.json -tolerance 50
 package main
 
 import (
@@ -98,7 +100,7 @@ func main() {
 	inPath := flag.String("i", "", "read benchmark output from this file (default stdin)")
 	outPath := flag.String("o", "", "write the JSON report to this file (default stdout)")
 	againstPath := flag.String("against", "", "compare against this baseline JSON report and fail on regressions")
-	tolerance := flag.Float64("tolerance", 5, "allowed per-benchmark slowdown in percent for -against")
+	tolerance := flag.Float64("tolerance", 5, "allowed worsening of a gated derived figure in percent for -against")
 	flag.Parse()
 
 	in := io.Reader(os.Stdin)
@@ -136,11 +138,11 @@ func main() {
 		}
 		regs, compared := compare(&old, rep, *tolerance)
 		if compared == 0 {
-			log.Fatalf("no common benchmarks with %s — wrong baseline?", *againstPath)
+			log.Fatalf("no gated figures in common with %s — wrong baseline?", *againstPath)
 		}
 		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "REGRESSION %s: %.4g -> %.4g %s (%+.1f%%, tolerance %.1f%%)\n",
-				r.Name, r.Old, r.New, r.Unit, r.Pct, *tolerance)
+			fmt.Fprintf(os.Stderr, "REGRESSION %s: %.4g -> %.4g (%+.1f%%, tolerance %.1f%%)\n",
+				r.Name, r.Old, r.New, r.Pct, *tolerance)
 		}
 		if len(regs) > 0 {
 			log.Fatalf("%d of %d figures regressed beyond %.1f%%", len(regs), compared, *tolerance)
@@ -150,37 +152,21 @@ func main() {
 	}
 }
 
-// Regression describes one figure that worsened beyond the tolerance.
+// Regression describes one derived figure that worsened beyond the tolerance.
 type Regression struct {
 	Name     string
-	Old, New float64 // best ns/op, or the derived value
-	Unit     string  // "ns/op" for benchmarks, "" for derived figures
+	Old, New float64
 	Pct      float64 // relative worsening in percent (+Inf when a value collapses to zero)
 }
 
-// compare checks every figure present in both reports — each benchmark's
-// best ns/op and each derived value — and returns those that worsened by
-// more than tolerance percent, plus the number of figures compared. For
-// benchmarks worse means slower; for derived "_speedup" and "_per_sec"
-// figures worse means smaller; for other derived figures (counters like
-// allocs/op) worse means larger. Figures that exist on only one side are skipped: the gate guards
-// known figures, it does not pin the set.
+// compare checks every gated figure present in both reports and returns
+// those that worsened by more than tolerance percent, plus the number of
+// figures compared. Gated are the derived figures a busy host cannot move:
+// "_speedup" ratios (worse means smaller) and counters such as allocs/op or
+// unique cells (worse means larger). Benchmark ns/op rows and "_per_sec"
+// rates are not compared. Figures that exist on only one side are skipped:
+// the gate guards known figures, it does not pin the set.
 func compare(old, new *Report, tolerance float64) (regs []Regression, compared int) {
-	oldBy := make(map[string]float64, len(old.Benchmarks))
-	for _, b := range old.Benchmarks {
-		oldBy[b.Name] = b.MinNsOp
-	}
-	for _, b := range new.Benchmarks {
-		was, ok := oldBy[b.Name]
-		if !ok || was <= 0 {
-			continue
-		}
-		compared++
-		pct := (b.MinNsOp/was - 1) * 100
-		if pct > tolerance {
-			regs = append(regs, Regression{Name: b.Name, Old: was, New: b.MinNsOp, Unit: "ns/op", Pct: pct})
-		}
-	}
 	keys := make([]string, 0, len(old.Derived))
 	for key := range old.Derived {
 		keys = append(keys, key)
@@ -189,11 +175,11 @@ func compare(old, new *Report, tolerance float64) (regs []Regression, compared i
 	for _, key := range keys {
 		was := old.Derived[key]
 		cur, ok := new.Derived[key]
-		if !ok {
+		if !ok || strings.HasSuffix(key, "_per_sec") {
 			continue
 		}
 		var pct float64
-		if strings.HasSuffix(key, "_speedup") || strings.HasSuffix(key, "_per_sec") {
+		if strings.HasSuffix(key, "_speedup") {
 			// Higher is better; a ratio needs a positive baseline.
 			if was <= 0 {
 				continue
@@ -287,9 +273,10 @@ func parse(r io.Reader) (*Report, error) {
 
 // derive computes the acceptance figures when the relevant benchmarks are
 // present: naive/skip speedups for the System.Run mixes, the event-queue
-// allocation count, the sweep fork and figure-suite memoization speedups,
-// the memoized figure pass's unique-vs-requested cell counts, and the
-// serving stack's warm-vs-cold speedup plus sustained request rates.
+// and memory-controller allocation counts, the sweep fork and figure-suite
+// memoization speedups, the memoized figure pass's unique-vs-requested cell
+// counts, and the serving stack's warm-vs-cold speedup plus sustained
+// request rates.
 func derive(rep *Report, byName map[string]*Bench) {
 	speedup := func(key, naive, skip string) {
 		n, s := byName[naive], byName[skip]
@@ -304,8 +291,8 @@ func derive(rep *Report, byName map[string]*Bench) {
 	speedup("sweep_fork_speedup", "BenchmarkSweep/cold", "BenchmarkSweep/forked")
 	speedup("figures_dedup_speedup", "BenchmarkFigureSuite/cold", "BenchmarkFigureSuite/memoized")
 	speedup("serve_warm_speedup", "BenchmarkServe/cold", "BenchmarkServe/warm")
-	// Serving throughput: the best sustained request rate of each warm arm.
-	// _per_sec figures gate like speedups — shrinking is the regression.
+	// Serving throughput: the best sustained request rate of each warm arm
+	// (a record; compare does not gate _per_sec figures).
 	for arm, key := range map[string]string{
 		"BenchmarkServe/warm":       "serve_warm_reqs_per_sec",
 		"BenchmarkServe/warm_disk":  "serve_warm_disk_reqs_per_sec",
@@ -334,15 +321,34 @@ func derive(rep *Report, byName map[string]*Bench) {
 			}
 		}
 	}
-	if q := byName["BenchmarkQueueSchedule"]; q != nil {
-		worst := 0.0
-		for _, r := range q.Runs {
-			if r.AllocsPerOp != nil && *r.AllocsPerOp > worst {
-				worst = *r.AllocsPerOp
+	// worstAllocs records under key the largest allocs/op among the
+	// benchmarks match selects, if there are any. Each benchmark counts with
+	// its smallest run: an allocation in the measured loop shows in every
+	// run, a stray one from the runtime (one iteration at -benchtime 1x
+	// counts every malloc in the process) does not.
+	worstAllocs := func(key string, match func(name string) bool) {
+		for name, b := range byName {
+			if !match(name) {
+				continue
+			}
+			least := math.Inf(1)
+			for _, r := range b.Runs {
+				if r.AllocsPerOp != nil {
+					least = min(least, *r.AllocsPerOp)
+				}
+			}
+			if !math.IsInf(least, 1) {
+				rep.Derived[key] = max(rep.Derived[key], least)
 			}
 		}
-		rep.Derived["event_queue_allocs_per_op"] = worst
 	}
+	worstAllocs("event_queue_allocs_per_op", func(name string) bool { return name == "BenchmarkQueueSchedule" })
+	// The controller suite (picks, ticks, the saturated controller) is
+	// allocation-free in steady state; this is what its bench-check step gates.
+	worstAllocs("memctrl_allocs_per_op", func(name string) bool {
+		return name == "BenchmarkControllerSaturated" ||
+			strings.HasPrefix(name, "BenchmarkPick/") || strings.HasPrefix(name, "BenchmarkTick")
+	})
 	// Deterministic key order is json.Marshal's default for maps; sort the
 	// benchmark list too in case input interleaves packages.
 	sort.SliceStable(rep.Benchmarks, func(i, j int) bool {
