@@ -684,3 +684,39 @@ func TestChaosMixHitsLeaveJournalAlone(t *testing.T) {
 		t.Errorf("journal replays %d records after %d mix requests, want the one cell record: %+v", len(recs), 2*(hits+1), recs)
 	}
 }
+
+// TestChaosReplaysOldFormatJournal boots over a journal written by a build
+// that also recorded one "cell" line per finished cell (testdata, with a torn
+// last line): the unfinished job is listed as interrupted, the finished one is
+// not, and job IDs continue past both.
+func TestChaosReplaysOldFormatJournal(t *testing.T) {
+	dir := t.TempDir()
+	fixture, err := os.ReadFile(filepath.Join("testdata", "journal_pr22.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := exper.NewCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Checkpoint = store
+	s, _ := newTestServer(t, Options{Exper: cfg})
+
+	j := s.lookupJob("job-3")
+	if j == nil {
+		t.Fatal("unfinished job-3 not replayed")
+	}
+	if snap := j.snapshot(); snap.State != JobInterrupted || snap.CellsTotal != 4 || snap.CellsDone != 0 {
+		t.Errorf("job-3 replayed as %+v, want interrupted with 0/4 cells (none on disk)", snap)
+	}
+	if s.lookupJob("job-4") != nil {
+		t.Error("finished job-4 replayed")
+	}
+	if id := s.newJobID(); id != "job-5" {
+		t.Errorf("next job ID %s, want job-5", id)
+	}
+}

@@ -13,6 +13,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -566,12 +568,20 @@ func TestServeMetricsAndHealth(t *testing.T) {
 		t.Errorf("healthz: %d %q", health.StatusCode, body)
 	}
 
-	metrics, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The job's done channel closes just before its outcome is counted, so
+	// scrape until the count has landed.
+	var text []byte
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		metrics, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, _ = io.ReadAll(metrics.Body)
+		metrics.Body.Close()
+		if strings.Contains(string(text), "bwpart_serve_jobs_done_total 1") || time.Now().After(deadline) {
+			break
+		}
 	}
-	text, _ := io.ReadAll(metrics.Body)
-	metrics.Body.Close()
 	for _, want := range []string{
 		"bwpart_jobs_total",
 		"bwpart_cell_cache_misses_total",
@@ -583,6 +593,25 @@ func TestServeMetricsAndHealth(t *testing.T) {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+
+	// The whole exposition as a sorted set of lines: which metrics exist,
+	// their HELP/TYPE text, and every value the one served cell fixes. Wall
+	// time and figures that move with the simulator's internals keep their
+	// name only.
+	volatile := regexp.MustCompile(`^(bwpart_[a-z_]*(seconds|kernel|queue_depth_m|cache_bytes)[^ ]*) .*$`)
+	lines := strings.Split(strings.TrimSpace(string(text)), "\n")
+	for i, line := range lines {
+		lines[i] = volatile.ReplaceAllString(line, "$1 *")
+	}
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n") + "\n"
+	want, err := os.ReadFile(filepath.Join("testdata", "metrics_lines.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("/metrics line set changed:\n%s\nwant:\n%s", got, want)
 	}
 }
 
