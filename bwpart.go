@@ -131,9 +131,11 @@ func NewResultCache() *ResultCache { return exper.NewResultCache() }
 
 // Run-level observability (the experiment engine's counters and timers).
 type (
-	// RunObserver collects job counters, per-stage wall time and
-	// memory-controller queue-depth statistics during experiment runs.
-	// Install one via ExperimentConfig.Obs.
+	// RunObserver collects the experiment engine's counters (jobs, result
+	// cache, checkpoint tier, kernel work — one table in internal/obs),
+	// per-stage wall time and memory-controller queue-depth statistics.
+	// Install one via ExperimentConfig.Obs; the engine is its only writer,
+	// callers read it through Snapshot or StartTicker.
 	RunObserver = obs.Collector
 	// RunSnapshot is a point-in-time, JSON-serializable copy of a
 	// RunObserver's statistics.

@@ -9,7 +9,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -90,15 +89,8 @@ func main() {
 		defer ticker.Stop()
 	}
 	writeStats := func() {
-		if *statsJSON == "" {
-			return
-		}
-		raw, err := json.MarshalIndent(col.Snapshot(), "", "  ")
-		if err != nil {
-			fatalf("encoding stats: %v", err)
-		}
-		if err := os.WriteFile(*statsJSON, append(raw, '\n'), 0o644); err != nil {
-			fatalf("writing stats: %v", err)
+		if err := col.Snapshot().WriteFile(*statsJSON); err != nil {
+			fatalf("%v", err)
 		}
 	}
 	defer writeStats()

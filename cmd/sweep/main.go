@@ -15,7 +15,6 @@ package main
 import (
 	"context"
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -131,7 +130,7 @@ func main() {
 			// Interrupted or failed mid-sweep: flush what's already written
 			// (completed scales) and the statistics before exiting.
 			w.Flush()
-			if serr := writeStats(*statsJSON, col); serr != nil {
+			if serr := col.Snapshot().WriteFile(*statsJSON); serr != nil {
 				log.Print(serr)
 			}
 			fatal(err)
@@ -161,27 +160,12 @@ func main() {
 	if err := w.Error(); err != nil {
 		fatalf("writing CSV: %v", err)
 	}
-	if err := writeStats(*statsJSON, col); err != nil {
+	if err := col.Snapshot().WriteFile(*statsJSON); err != nil {
 		fatal(err)
 	}
 	if err := prof.Stop(); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// writeStats marshals the collector snapshot to path (no-op when empty).
-func writeStats(path string, col *bwpart.RunObserver) error {
-	if path == "" {
-		return nil
-	}
-	raw, err := json.MarshalIndent(col.Snapshot(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("encoding stats: %v", err)
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		return fmt.Errorf("writing stats: %v", err)
-	}
-	return nil
 }
 
 // splitList splits a comma-separated flag value, trimming whitespace and

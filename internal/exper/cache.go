@@ -84,16 +84,16 @@ var errNotResident = errors.New("exper: cell not resident")
 
 // resolveCell is the lookup order below the memory tier: load (the disk
 // tier), then sim when set. A cell served from disk counts as a
-// CheckpointHit, a simulated one as a CellCacheMiss — never both.
+// obs.CheckpointHits, a simulated one as obs.CellMisses — never both.
 func resolveCell(col *obs.Collector, load func() (*MixRun, bool), sim func() (*MixRun, error)) (*MixRun, error) {
 	if run, ok := load(); ok {
-		col.CheckpointHit()
+		col.Add(obs.CheckpointHits, 1)
 		return run, nil
 	}
 	if sim == nil {
 		return nil, errNotResident
 	}
-	col.CellCacheMiss()
+	col.Add(obs.CellMisses, 1)
 	return sim()
 }
 
@@ -102,8 +102,8 @@ func resolveCell(col *obs.Collector, load func() (*MixRun, bool), sim func() (*M
 // all concurrent callers. What the leader resolves becomes the cache's master
 // copy, so a disk hit is promoted and the cell's next request is a memory
 // hit; leader, hits, and coalesced waiters all get fresh deep copies. Every
-// resolved cell counts exactly once: CellCacheHit on a finished cell,
-// CellCacheCoalesced for joining an in-flight one, else resolveCell's count.
+// resolved cell counts exactly once: obs.CellHits on a finished cell,
+// obs.CellCoalesced for joining an in-flight one, else resolveCell's count.
 func (c *ResultCache) Do(key string, col *obs.Collector, load func() (*MixRun, bool), sim func() (*MixRun, error)) (*MixRun, error) {
 	c.mu.Lock()
 	for f := c.cells[key]; f != nil; f = c.cells[key] {
@@ -122,9 +122,9 @@ func (c *ResultCache) Do(key string, col *obs.Collector, load func() (*MixRun, b
 			return nil, f.err
 		}
 		if finished {
-			col.CellCacheHit()
+			col.Add(obs.CellHits, 1)
 		} else {
-			col.CellCacheCoalesced()
+			col.Add(obs.CellCoalesced, 1)
 		}
 		return copyMixRun(f.run), nil
 	}
@@ -157,7 +157,7 @@ func (c *ResultCache) Do(key string, col *obs.Collector, load func() (*MixRun, b
 	c.mu.Lock()
 	c.curBytes += f.bytes
 	c.evictLocked(col)
-	col.SetCellCacheBytes(c.curBytes)
+	col.Set(obs.CellBytes, c.curBytes)
 	c.mu.Unlock()
 	// The leader gets a deep copy too: the resolved run becomes the cache's
 	// master and is never handed out, so no caller — leader included —
@@ -209,7 +209,7 @@ func (c *ResultCache) evictLocked(col *obs.Collector) {
 		}
 		delete(c.cells, victimKey)
 		c.curBytes -= victim.bytes
-		col.CellEvicted()
+		col.Add(obs.CellEvictions, 1)
 	}
 }
 

@@ -105,11 +105,11 @@ func (s *CheckpointStore) degrade(op string, err error) {
 	s.degraded = true
 	col, logf := s.col, s.logf
 	s.mu.Unlock()
-	col.CheckpointError()
+	col.Add(obs.CheckpointErrors, 1)
 	if !first {
 		return
 	}
-	col.SetCheckpointDegraded(true)
+	col.Set(obs.CheckpointDegraded, 1)
 	if logf == nil {
 		logf = log.Printf
 	}

@@ -92,7 +92,7 @@ func runJobs(parent context.Context, workers int, col *obs.Collector, n int, fn 
 	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
-	col.AddTotal(n)
+	col.Add(obs.JobsTotal, int64(n))
 
 	var (
 		mu     sync.Mutex
@@ -105,15 +105,15 @@ func runJobs(parent context.Context, workers int, col *obs.Collector, n int, fn 
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				col.JobStarted()
+				col.Add(obs.JobsStarted, 1)
 				if err := runOne(i, fn); err != nil {
-					col.JobFailed()
+					col.Add(obs.JobsFailed, 1)
 					mu.Lock()
 					failed[i] = err
 					mu.Unlock()
 					cancel()
 				} else {
-					col.JobFinished()
+					col.Add(obs.JobsFinished, 1)
 				}
 			}
 		}()

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"bwpart/internal/obs"
 	"bwpart/internal/sim"
 	"bwpart/internal/workload"
 )
@@ -149,7 +150,7 @@ func (g *preparedRegistry) evictLocked() {
 		}
 		delete(g.entries, victim.key)
 		g.floating = slices.DeleteFunc(g.floating, func(f floatingTarget) bool { return f.e == victim })
-		g.r.cfg.Obs.PreparedEvicted()
+		g.r.cfg.Obs.Add(obs.PreparedEvictions, 1)
 	}
 }
 
@@ -167,7 +168,7 @@ func (g *preparedRegistry) take(e *preparedEntry) (*sim.System, error) {
 		}
 	}
 	g.mu.Unlock()
-	g.r.cfg.Obs.WarmBaseFork()
+	g.r.cfg.Obs.Add(obs.WarmForks, 1)
 	if sys == nil {
 		return g.r.forkPrepared(e.p)
 	}

@@ -77,38 +77,26 @@ func TestRenderGoldens(t *testing.T) {
 	}
 }
 
-// TestEveryCounter drives each counter through the collector a distinct
-// number of times and compares the whole Snapshot with a literal: a counter
-// that lands in another's field, or in none, shows up as a wrong value.
+// TestEveryCounter drives each row of the counters table through the
+// collector a distinct number of times (row k: k + 2) and compares the whole
+// Snapshot with a literal: a counter that lands in another's field, or in
+// none, shows up as a wrong value.
 func TestEveryCounter(t *testing.T) {
 	c := &Collector{} // zero started: ElapsedSeconds stays 0
-	times := func(n int, bump func()) {
-		for i := 0; i < n; i++ {
-			bump()
+	for k := range counters {
+		k, n := Counter(k), int64(k)+2
+		switch {
+		case k == CheckpointDegraded: // a 0/1 gauge
+			c.Set(k, 1)
+		case counters[k].gauge: // gauges overwrite
+			c.Set(k, 99)
+			c.Set(k, n)
+		default:
+			for i := int64(0); i < n; i++ {
+				c.Add(k, 1)
+			}
 		}
 	}
-	c.AddTotal(2)
-	times(3, c.JobStarted)
-	times(4, c.JobFinished)
-	times(5, c.JobFailed)
-	times(6, c.CellCacheHit)
-	times(7, c.CellCacheMiss)
-	times(8, c.CellCacheCoalesced)
-	times(9, c.CellEvicted)
-	c.SetCellCacheBytes(99) // gauges overwrite
-	c.SetCellCacheBytes(10)
-	times(11, c.WarmBaseFork)
-	times(12, c.PreparedEvicted)
-	times(13, c.CheckpointHit)
-	times(14, c.RequestAccepted)
-	times(15, c.RequestRejected)
-	times(16, c.JobCancelled)
-	times(17, c.JobDeadlineExceeded)
-	times(18, c.JobPanicked)
-	times(19, c.CheckpointError)
-	c.SetCheckpointDegraded(true) // a 0/1 gauge
-	times(21, c.FaultInjected)
-	c.AddKernel(KernelStats{Cycles: 22, CyclesTicked: 23, ComponentTicks: 24, ComponentSlept: 25, Pokes: 26})
 
 	want := Snapshot{
 		Jobs: JobCounters{Total: 2, Started: 3, Finished: 4, Failed: 5},
@@ -125,5 +113,48 @@ func TestEveryCounter(t *testing.T) {
 	}
 	if got := c.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("snapshot after bumping every counter:\n%+v\nwant:\n%+v", got, want)
+	}
+}
+
+// TestEveryFieldHasOneRow walks Snapshot by reflection: every integer leaf
+// outside ElapsedSeconds, Stages and Queue must be the target of exactly one
+// counters row, so a new field without a row — or two rows on one field —
+// fails here rather than reading zero in production.
+func TestEveryFieldHasOneRow(t *testing.T) {
+	var s Snapshot
+	paths := make(map[*int64]string)
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		case reflect.Int64:
+			paths[v.Addr().Interface().(*int64)] = path
+		default:
+			t.Errorf("%s: a %s leaf cannot be a counter", path, v.Kind())
+		}
+	}
+	top := reflect.ValueOf(&s).Elem()
+	for i := 0; i < top.NumField(); i++ {
+		switch name := top.Type().Field(i).Name; name {
+		case "ElapsedSeconds", "Stages", "Queue":
+		default:
+			walk(name, top.Field(i))
+		}
+	}
+	claims := make(map[*int64]int)
+	for k := range counters {
+		p := counters[k].field(&s)
+		if _, ok := paths[p]; !ok {
+			t.Errorf("row %s points outside the counter fields of Snapshot", counters[k].name)
+		}
+		claims[p]++
+	}
+	for p, path := range paths {
+		if claims[p] != 1 {
+			t.Errorf("Snapshot.%s is claimed by %d rows, want 1", path, claims[p])
+		}
 	}
 }

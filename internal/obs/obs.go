@@ -1,5 +1,5 @@
 // Package obs provides lightweight run-level observability for experiment
-// sweeps: monotonic job counters, per-stage wall-time aggregation, and
+// sweeps: one table of named counters, per-stage wall-time aggregation, and
 // memory-controller queue-depth statistics, all collected into a Collector
 // that is safe for concurrent use by worker goroutines. A nil *Collector is
 // a valid no-op receiver, so instrumented code never needs nil checks and
@@ -11,8 +11,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -27,43 +29,102 @@ const (
 	StageMeasure = "measurement"
 )
 
+// Counter names one integer the Collector keeps. Each is defined exactly once,
+// by its row in the counters table below: the Prometheus name and help text,
+// whether it is a monotonic counter or a gauge, and the Snapshot field it
+// lands in. Snapshot and WriteProm are loops over that table, so adding a
+// counter is one constant, one row and one Snapshot field.
+type Counter int
+
+const (
+	// The fan-out pool's units of work (grid cells): expected, begun,
+	// completed, and failed by error or panic.
+	JobsTotal Counter = iota
+	JobsStarted
+	JobsFinished
+	JobsFailed
+	// A resolved cell counts exactly once: CellHits on a finished cell in the
+	// result cache, CellCoalesced for joining an in-flight one (single-flight),
+	// CheckpointHits when the persistent tier served it, CellMisses when the
+	// request led the cell's one real simulation.
+	CellHits
+	CellMisses
+	CellCoalesced
+	CellEvictions     // finished cells dropped by the result cache's byte bound
+	CellBytes         // gauge: the resident bytes that bound is enforced against
+	WarmForks         // measurements positioned on a warm base instead of re-warming
+	PreparedEvictions // warm bases dropped by the prepared-mix LRU
+	CheckpointHits
+	// Admission control of a serving front end.
+	ReqAccepted   // admitted into the job queue
+	ReqRejected   // refused: queue full or draining
+	JobsCancelled // accepted, then cancelled before completion
+	// Failure paths of a long-lived service. Checkpoint-tier I/O failures
+	// (load, save, journal append) demote the store rather than fail cells, so
+	// CheckpointErrors and the CheckpointDegraded gauge (0 healthy, 1
+	// in-memory-only) are how a sick disk surfaces.
+	JobsDeadlineExceeded
+	JobsPanicked // saved by the last-resort recovery; the daemon kept serving
+	CheckpointErrors
+	CheckpointDegraded
+	FaultsInjected // fired fault-injection points; zero in production
+	// Simulation-kernel totals, written only through AddKernel.
+	kernelCycles
+	kernelCyclesTicked
+	kernelComponentTicks
+	kernelComponentSlept
+	kernelPokes
+	numCounters
+)
+
+// counters is the one definition of every Counter, in /metrics order (the
+// job rows precede the stage lines, the rest follow the queue gauges).
+var counters = [numCounters]struct {
+	name, help string
+	gauge      bool
+	field      func(*Snapshot) *int64
+}{
+	JobsTotal:            {"bwpart_jobs_total", "Simulation jobs enqueued.", false, func(s *Snapshot) *int64 { return &s.Jobs.Total }},
+	JobsStarted:          {"bwpart_jobs_started_total", "Simulation jobs started.", false, func(s *Snapshot) *int64 { return &s.Jobs.Started }},
+	JobsFinished:         {"bwpart_jobs_finished_total", "Simulation jobs finished successfully.", false, func(s *Snapshot) *int64 { return &s.Jobs.Finished }},
+	JobsFailed:           {"bwpart_jobs_failed_total", "Simulation jobs failed.", false, func(s *Snapshot) *int64 { return &s.Jobs.Failed }},
+	CellHits:             {"bwpart_cell_cache_hits_total", "Result-cache hits on finished cells.", false, func(s *Snapshot) *int64 { return &s.Cache.Hits }},
+	CellMisses:           {"bwpart_cell_cache_misses_total", "Result-cache misses (leader simulations).", false, func(s *Snapshot) *int64 { return &s.Cache.Misses }},
+	CellCoalesced:        {"bwpart_cell_cache_coalesced_total", "Requests coalesced onto in-flight cells.", false, func(s *Snapshot) *int64 { return &s.Cache.Coalesced }},
+	CellEvictions:        {"bwpart_cell_cache_evictions_total", "Finished cells evicted by the byte bound.", false, func(s *Snapshot) *int64 { return &s.Cache.Evictions }},
+	CellBytes:            {"bwpart_cell_cache_bytes", "Resident bytes of cached cells.", true, func(s *Snapshot) *int64 { return &s.Cache.Bytes }},
+	WarmForks:            {"bwpart_warm_forks_total", "Measurements forked from a warm prepared base.", false, func(s *Snapshot) *int64 { return &s.Cache.WarmForks }},
+	PreparedEvictions:    {"bwpart_prepared_evictions_total", "Warm bases evicted by the prepared-mix LRU.", false, func(s *Snapshot) *int64 { return &s.Cache.PreparedEvictions }},
+	CheckpointHits:       {"bwpart_checkpoint_hits_total", "Cells served from the persistent checkpoint tier.", false, func(s *Snapshot) *int64 { return &s.Cache.CheckpointHits }},
+	ReqAccepted:          {"bwpart_requests_accepted_total", "Service requests admitted into the job queue.", false, func(s *Snapshot) *int64 { return &s.Admission.Accepted }},
+	ReqRejected:          {"bwpart_requests_rejected_total", "Service requests refused by admission control.", false, func(s *Snapshot) *int64 { return &s.Admission.Rejected }},
+	JobsCancelled:        {"bwpart_jobs_cancelled_total", "Accepted jobs cancelled before completion.", false, func(s *Snapshot) *int64 { return &s.Admission.Cancelled }},
+	JobsDeadlineExceeded: {"bwpart_jobs_deadline_exceeded_total", "Service jobs failed by their deadline.", false, func(s *Snapshot) *int64 { return &s.Failures.DeadlineExceeded }},
+	JobsPanicked:         {"bwpart_jobs_panicked_total", "Service jobs failed by the last-resort panic recovery.", false, func(s *Snapshot) *int64 { return &s.Failures.Panicked }},
+	CheckpointErrors:     {"bwpart_checkpoint_errors_total", "Checkpoint-tier I/O failures (load, save, journal).", false, func(s *Snapshot) *int64 { return &s.Failures.CheckpointErrors }},
+	CheckpointDegraded:   {"bwpart_checkpoint_degraded", "Whether the checkpoint store has demoted itself to in-memory-only mode.", true, func(s *Snapshot) *int64 { return &s.Failures.CheckpointDegraded }},
+	FaultsInjected:       {"bwpart_faults_injected_total", "Fired fault-injection points (chaos testing only).", false, func(s *Snapshot) *int64 { return &s.Failures.FaultsInjected }},
+	kernelCycles:         {"bwpart_kernel_cycles_total", "Simulated cycles of measured cells.", false, func(s *Snapshot) *int64 { return &s.Kernel.Cycles }},
+	kernelCyclesTicked:   {"bwpart_kernel_cycles_ticked_total", "Simulated cycles on which any component ticked.", false, func(s *Snapshot) *int64 { return &s.Kernel.CyclesTicked }},
+	kernelComponentTicks: {"bwpart_kernel_component_ticks_total", "Component-cycles spent ticking.", false, func(s *Snapshot) *int64 { return &s.Kernel.ComponentTicks }},
+	kernelComponentSlept: {"bwpart_kernel_component_slept_total", "Component-cycles slept (integrated in closed form).", false, func(s *Snapshot) *int64 { return &s.Kernel.ComponentSlept }},
+	kernelPokes:          {"bwpart_kernel_pokes_total", "Times one component roused another from sleep.", false, func(s *Snapshot) *int64 { return &s.Kernel.Pokes }},
+}
+
 // Collector accumulates run-level counters. The zero value is ready to use;
-// a nil *Collector silently discards every observation.
+// a nil *Collector silently discards every observation. One mutex guards
+// everything, so a Snapshot is a single consistent cut across all counters
+// (identities such as accepted == done + failed + cancelled hold on it).
 type Collector struct {
 	mu      sync.Mutex
 	started time.Time
 
-	jobsTotal    int64
-	jobsStarted  int64
-	jobsFinished int64
-	jobsFailed   int64
-
+	n      [numCounters]int64
 	stages map[string]*stageAgg
 
 	queueSamples int64
 	queueSum     int64
 	queueMax     int
-
-	cellHits       int64
-	cellMisses     int64
-	cellCoalesced  int64
-	cellEvicts     int64
-	cellBytes      int64 // gauge: resident result-cache bytes
-	warmForks      int64
-	preparedEvicts int64
-	checkpointHits int64
-
-	reqAccepted   int64
-	reqRejected   int64
-	jobsCancelled int64
-
-	jobsDeadline       int64
-	jobsPanicked       int64
-	checkpointErrors   int64
-	checkpointDegraded int64 // gauge: 0 healthy, 1 demoted to in-memory-only
-	faultsInjected     int64
-
-	kernel KernelStats
 }
 
 type stageAgg struct {
@@ -76,44 +137,37 @@ func NewCollector() *Collector {
 	return &Collector{started: time.Now()}
 }
 
-// AddTotal registers n more expected jobs (e.g. when a pool enqueues a
-// batch), so progress can be rendered as done/total.
-func (c *Collector) AddTotal(n int) {
+// Add moves counter k by n.
+func (c *Collector) Add(k Counter, n int64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.jobsTotal += int64(n)
+	c.n[k] += n
 	c.mu.Unlock()
 }
 
-// JobStarted records one job beginning execution.
-func (c *Collector) JobStarted() {
+// Set overwrites gauge k with n.
+func (c *Collector) Set(k Counter, n int64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.jobsStarted++
+	c.n[k] = n
 	c.mu.Unlock()
 }
 
-// JobFinished records one job completing successfully.
-func (c *Collector) JobFinished() {
+// AddKernel folds one simulated system's kernel counters into the totals.
+func (c *Collector) AddKernel(k KernelStats) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.jobsFinished++
-	c.mu.Unlock()
-}
-
-// JobFailed records one job completing with an error (or panic).
-func (c *Collector) JobFailed() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.jobsFailed++
+	c.n[kernelCycles] += k.Cycles
+	c.n[kernelCyclesTicked] += k.CyclesTicked
+	c.n[kernelComponentTicks] += k.ComponentTicks
+	c.n[kernelComponentSlept] += k.ComponentSlept
+	c.n[kernelPokes] += k.Pokes
 	c.mu.Unlock()
 }
 
@@ -141,201 +195,6 @@ func (c *Collector) StageStart(name string) func() {
 		agg.total += d
 		c.mu.Unlock()
 	}
-}
-
-// CellCacheHit records one result-cache request served from a finished cell.
-func (c *Collector) CellCacheHit() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.cellHits++
-	c.mu.Unlock()
-}
-
-// CellCacheMiss records one result-cache request that became the leader of
-// a new simulation (the cell's one real execution).
-func (c *Collector) CellCacheMiss() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.cellMisses++
-	c.mu.Unlock()
-}
-
-// CellCacheCoalesced records one request that joined an in-flight
-// simulation or checkpoint load of the same cell instead of starting its
-// own (single-flight deduplication).
-func (c *Collector) CellCacheCoalesced() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.cellCoalesced++
-	c.mu.Unlock()
-}
-
-// CellEvicted records one finished cell dropped by the result cache's byte
-// bound (its next request re-simulates or falls through to the checkpoint
-// tier).
-func (c *Collector) CellEvicted() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.cellEvicts++
-	c.mu.Unlock()
-}
-
-// SetCellCacheBytes updates the resident result-cache size gauge (the byte
-// account the cache's LRU bound is enforced against).
-func (c *Collector) SetCellCacheBytes(n int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.cellBytes = n
-	c.mu.Unlock()
-}
-
-// CheckpointHit records one cell served from the persistent checkpoint tier
-// instead of a fresh simulation.
-func (c *Collector) CheckpointHit() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.checkpointHits++
-	c.mu.Unlock()
-}
-
-// RequestAccepted records one service request admitted into the job queue.
-func (c *Collector) RequestAccepted() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.reqAccepted++
-	c.mu.Unlock()
-}
-
-// RequestRejected records one service request refused by admission control
-// (queue full or server draining).
-func (c *Collector) RequestRejected() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.reqRejected++
-	c.mu.Unlock()
-}
-
-// JobCancelled records one accepted job cancelled before completion.
-func (c *Collector) JobCancelled() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.jobsCancelled++
-	c.mu.Unlock()
-}
-
-// JobDeadlineExceeded records one service job failed by its deadline
-// (Options.JobTimeout or the request's timeout_s).
-func (c *Collector) JobDeadlineExceeded() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.jobsDeadline++
-	c.mu.Unlock()
-}
-
-// JobPanicked records one service job failed by the last-resort panic
-// recovery (the daemon kept serving).
-func (c *Collector) JobPanicked() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.jobsPanicked++
-	c.mu.Unlock()
-}
-
-// CheckpointError records one checkpoint-tier I/O failure (load, save, or
-// journal append). Failures demote the store rather than failing cells, so
-// this counter plus the degraded gauge are how a sick disk surfaces.
-func (c *Collector) CheckpointError() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.checkpointErrors++
-	c.mu.Unlock()
-}
-
-// SetCheckpointDegraded updates the checkpoint-tier health gauge: true once
-// the store has demoted itself to in-memory-only mode.
-func (c *Collector) SetCheckpointDegraded(degraded bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if degraded {
-		c.checkpointDegraded = 1
-	} else {
-		c.checkpointDegraded = 0
-	}
-	c.mu.Unlock()
-}
-
-// FaultInjected records one fired fault-injection point (chaos testing;
-// always zero in production, where the injector hook is nil).
-func (c *Collector) FaultInjected() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.faultsInjected++
-	c.mu.Unlock()
-}
-
-// WarmBaseFork records one measurement positioned on a warm prepared base
-// (a new system or an idle one, restored to the base's checkpoint) instead
-// of paying a full functional warmup.
-func (c *Collector) WarmBaseFork() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.warmForks++
-	c.mu.Unlock()
-}
-
-// PreparedEvicted records one warm base dropped by the prepared-mix LRU
-// bound (its next use re-warms).
-func (c *Collector) PreparedEvicted() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.preparedEvicts++
-	c.mu.Unlock()
-}
-
-// AddKernel folds one simulated system's kernel counters into the totals.
-func (c *Collector) AddKernel(k KernelStats) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.kernel.Cycles += k.Cycles
-	c.kernel.CyclesTicked += k.CyclesTicked
-	c.kernel.ComponentTicks += k.ComponentTicks
-	c.kernel.ComponentSlept += k.ComponentSlept
-	c.kernel.Pokes += k.Pokes
-	c.mu.Unlock()
 }
 
 // RecordQueueDepth folds one memory-controller queue-depth observation (the
@@ -412,41 +271,28 @@ type QueueStats struct {
 	Max     int     `json:"max"`
 }
 
-// CacheStats summarizes the experiment engine's result-cache and warm-base
-// activity: how many cell requests were deduplicated (hits + coalesced vs
-// misses, which are the simulations actually run), how many measurements
-// forked from a warm base instead of re-warming, the result cache's byte
-// account and evictions under its LRU bound, and how many cells the
-// persistent checkpoint tier served without simulating.
+// CacheStats summarizes the experiment engine's result-cache, warm-base and
+// checkpoint-tier activity (the Cell*, WarmForks, PreparedEvictions and
+// CheckpointHits counters): misses are the simulations actually run.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"`
-	WarmForks int64 `json:"warm_forks"`
-	// Evictions counts finished cells dropped by the result cache's byte
-	// bound; Bytes is the current resident size of the cached cells.
-	Evictions int64 `json:"evictions"`
-	Bytes     int64 `json:"bytes"`
-	// PreparedEvictions counts warm bases dropped by the prepared-mix LRU.
+	Hits              int64 `json:"hits"`
+	Misses            int64 `json:"misses"`
+	Coalesced         int64 `json:"coalesced"`
+	WarmForks         int64 `json:"warm_forks"`
+	Evictions         int64 `json:"evictions"`
+	Bytes             int64 `json:"bytes"`
 	PreparedEvictions int64 `json:"prepared_evictions"`
-	// CheckpointHits counts cells loaded from the persistent tier.
-	CheckpointHits int64 `json:"checkpoint_hits"`
+	CheckpointHits    int64 `json:"checkpoint_hits"`
 }
 
-// AdmissionStats summarizes a serving front end's admission control:
-// requests admitted into the job queue, requests refused (queue full or
-// draining), and accepted jobs cancelled before completion.
+// AdmissionStats summarizes a serving front end's admission control.
 type AdmissionStats struct {
 	Accepted  int64 `json:"accepted"`
 	Rejected  int64 `json:"rejected"`
 	Cancelled int64 `json:"cancelled"`
 }
 
-// FailureStats summarizes the failure paths of a long-lived service: jobs
-// that hit their deadline, jobs saved by the last-resort panic recovery,
-// checkpoint-tier I/O errors and the resulting degraded gauge (0 healthy,
-// 1 demoted to in-memory-only), and fired fault-injection points (nonzero
-// only under chaos testing).
+// FailureStats summarizes the failure paths of a long-lived service.
 type FailureStats struct {
 	DeadlineExceeded   int64 `json:"jobs_deadline_exceeded"`
 	Panicked           int64 `json:"jobs_panicked"`
@@ -456,11 +302,8 @@ type FailureStats struct {
 }
 
 // KernelStats totals the simulation kernel's work over every measured cell
-// (sim.System.KernelStats summed over systems and components): simulated
-// cycles and how many of them had any component ticking (the rest were
-// leapt), component-cycles spent ticking vs sleeping (integrated in closed
-// form), and how often one component roused another. A falling slept share
-// is a loss of skip efficiency, visible here without a profiler.
+// (sim.System.KernelStats summed over systems and components). A falling
+// slept share is a loss of skip efficiency, visible here without a profiler.
 type KernelStats struct {
 	Cycles         int64 `json:"cycles"`
 	CyclesTicked   int64 `json:"cycles_ticked"`
@@ -490,37 +333,9 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Snapshot{
-		Jobs: JobCounters{
-			Total:    c.jobsTotal,
-			Started:  c.jobsStarted,
-			Finished: c.jobsFinished,
-			Failed:   c.jobsFailed,
-		},
-		Queue: QueueStats{Samples: c.queueSamples, Max: c.queueMax},
-		Cache: CacheStats{
-			Hits:              c.cellHits,
-			Misses:            c.cellMisses,
-			Coalesced:         c.cellCoalesced,
-			WarmForks:         c.warmForks,
-			Evictions:         c.cellEvicts,
-			Bytes:             c.cellBytes,
-			PreparedEvictions: c.preparedEvicts,
-			CheckpointHits:    c.checkpointHits,
-		},
-		Admission: AdmissionStats{
-			Accepted:  c.reqAccepted,
-			Rejected:  c.reqRejected,
-			Cancelled: c.jobsCancelled,
-		},
-		Failures: FailureStats{
-			DeadlineExceeded:   c.jobsDeadline,
-			Panicked:           c.jobsPanicked,
-			CheckpointErrors:   c.checkpointErrors,
-			CheckpointDegraded: c.checkpointDegraded,
-			FaultsInjected:     c.faultsInjected,
-		},
-		Kernel: c.kernel,
+	s := Snapshot{Queue: QueueStats{Samples: c.queueSamples, Max: c.queueMax}}
+	for k := range counters {
+		*counters[k].field(&s) = c.n[k]
 	}
 	if !c.started.IsZero() {
 		s.ElapsedSeconds = time.Since(c.started).Seconds()
@@ -533,6 +348,22 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	sort.Slice(s.Stages, func(i, j int) bool { return s.Stages[i].Name < s.Stages[j].Name })
 	return s
+}
+
+// WriteFile writes the snapshot as indented JSON to path: the CLIs'
+// -stats-json sidecar. An empty path is a no-op.
+func (s Snapshot) WriteFile(path string) error {
+	if path == "" {
+		return nil
+	}
+	raw, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		return fmt.Errorf("encoding stats: %w", err)
+	}
+	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+		return fmt.Errorf("writing stats: %w", err)
+	}
+	return nil
 }
 
 // Line renders the snapshot as a one-line progress string, e.g.
@@ -590,24 +421,27 @@ func (s Snapshot) Line() string {
 }
 
 // WriteProm renders the snapshot in the Prometheus text exposition format
-// (one `# TYPE` line plus a sample per metric, all under the bwpart_
-// namespace), for a service's GET /metrics endpoint. Counters that have
-// been monotonic since the collector was built are exported as counters;
-// point-in-time values (resident cache bytes, queue-depth aggregates) as
-// gauges. Returns the first write error, if any.
+// (HELP, TYPE and one sample per metric, all under the bwpart_ namespace), for
+// a service's GET /metrics endpoint. Returns the first write error, if any.
 func (s Snapshot) WriteProm(w io.Writer) error {
 	var err error
-	emit := func(name, typ, help string, v float64) {
+	emit := func(name, help string, gauge bool, v float64) {
 		if err != nil {
 			return
 		}
+		typ := "counter"
+		if gauge {
+			typ = "gauge"
+		}
 		_, err = fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
 	}
-	emit("bwpart_elapsed_seconds", "gauge", "Seconds since the collector started.", s.ElapsedSeconds)
-	emit("bwpart_jobs_total", "counter", "Simulation jobs enqueued.", float64(s.Jobs.Total))
-	emit("bwpart_jobs_started_total", "counter", "Simulation jobs started.", float64(s.Jobs.Started))
-	emit("bwpart_jobs_finished_total", "counter", "Simulation jobs finished successfully.", float64(s.Jobs.Finished))
-	emit("bwpart_jobs_failed_total", "counter", "Simulation jobs failed.", float64(s.Jobs.Failed))
+	emit("bwpart_elapsed_seconds", "Seconds since the collector started.", true, s.ElapsedSeconds)
+	emitCounters := func(from, to Counter) {
+		for k := from; k < to; k++ {
+			emit(counters[k].name, counters[k].help, counters[k].gauge, float64(*counters[k].field(&s)))
+		}
+	}
+	emitCounters(JobsTotal, CellHits)
 	for _, st := range s.Stages {
 		if err != nil {
 			return err
@@ -615,29 +449,9 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 		_, err = fmt.Fprintf(w, "bwpart_stage_seconds_total{stage=%q} %g\nbwpart_stage_count_total{stage=%q} %d\n",
 			st.Name, st.Seconds, st.Name, st.Count)
 	}
-	emit("bwpart_memctrl_queue_depth_mean", "gauge", "Mean sampled memory-controller queue depth.", s.Queue.Mean)
-	emit("bwpart_memctrl_queue_depth_max", "gauge", "Max sampled memory-controller queue depth.", float64(s.Queue.Max))
-	emit("bwpart_cell_cache_hits_total", "counter", "Result-cache hits on finished cells.", float64(s.Cache.Hits))
-	emit("bwpart_cell_cache_misses_total", "counter", "Result-cache misses (leader simulations).", float64(s.Cache.Misses))
-	emit("bwpart_cell_cache_coalesced_total", "counter", "Requests coalesced onto in-flight cells.", float64(s.Cache.Coalesced))
-	emit("bwpart_cell_cache_evictions_total", "counter", "Finished cells evicted by the byte bound.", float64(s.Cache.Evictions))
-	emit("bwpart_cell_cache_bytes", "gauge", "Resident bytes of cached cells.", float64(s.Cache.Bytes))
-	emit("bwpart_warm_forks_total", "counter", "Measurements forked from a warm prepared base.", float64(s.Cache.WarmForks))
-	emit("bwpart_prepared_evictions_total", "counter", "Warm bases evicted by the prepared-mix LRU.", float64(s.Cache.PreparedEvictions))
-	emit("bwpart_checkpoint_hits_total", "counter", "Cells served from the persistent checkpoint tier.", float64(s.Cache.CheckpointHits))
-	emit("bwpart_requests_accepted_total", "counter", "Service requests admitted into the job queue.", float64(s.Admission.Accepted))
-	emit("bwpart_requests_rejected_total", "counter", "Service requests refused by admission control.", float64(s.Admission.Rejected))
-	emit("bwpart_jobs_cancelled_total", "counter", "Accepted jobs cancelled before completion.", float64(s.Admission.Cancelled))
-	emit("bwpart_jobs_deadline_exceeded_total", "counter", "Service jobs failed by their deadline.", float64(s.Failures.DeadlineExceeded))
-	emit("bwpart_jobs_panicked_total", "counter", "Service jobs failed by the last-resort panic recovery.", float64(s.Failures.Panicked))
-	emit("bwpart_checkpoint_errors_total", "counter", "Checkpoint-tier I/O failures (load, save, journal).", float64(s.Failures.CheckpointErrors))
-	emit("bwpart_checkpoint_degraded", "gauge", "Whether the checkpoint store has demoted itself to in-memory-only mode.", float64(s.Failures.CheckpointDegraded))
-	emit("bwpart_faults_injected_total", "counter", "Fired fault-injection points (chaos testing only).", float64(s.Failures.FaultsInjected))
-	emit("bwpart_kernel_cycles_total", "counter", "Simulated cycles of measured cells.", float64(s.Kernel.Cycles))
-	emit("bwpart_kernel_cycles_ticked_total", "counter", "Simulated cycles on which any component ticked.", float64(s.Kernel.CyclesTicked))
-	emit("bwpart_kernel_component_ticks_total", "counter", "Component-cycles spent ticking.", float64(s.Kernel.ComponentTicks))
-	emit("bwpart_kernel_component_slept_total", "counter", "Component-cycles slept (integrated in closed form).", float64(s.Kernel.ComponentSlept))
-	emit("bwpart_kernel_pokes_total", "counter", "Times one component roused another from sleep.", float64(s.Kernel.Pokes))
+	emit("bwpart_memctrl_queue_depth_mean", "Mean sampled memory-controller queue depth.", true, s.Queue.Mean)
+	emit("bwpart_memctrl_queue_depth_max", "Max sampled memory-controller queue depth.", true, float64(s.Queue.Max))
+	emitCounters(CellHits, numCounters)
 	return err
 }
 

@@ -10,10 +10,10 @@ import (
 
 func TestNilCollectorIsNoOp(t *testing.T) {
 	var c *Collector
-	c.AddTotal(5)
-	c.JobStarted()
-	c.JobFinished()
-	c.JobFailed()
+	c.Add(JobsTotal, 5)
+	c.Add(JobsStarted, 1)
+	c.Add(JobsFinished, 1)
+	c.Add(JobsFailed, 1)
 	c.StageStart("x")()
 	c.RecordQueueDepth(3)
 	s := c.Snapshot()
@@ -27,19 +27,19 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 
 func TestCountersAndStages(t *testing.T) {
 	c := NewCollector()
-	c.AddTotal(4)
+	c.Add(JobsTotal, 4)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c.JobStarted()
+			c.Add(JobsStarted, 1)
 			stop := c.StageStart(StageMeasure)
 			stop()
 			if i == 0 {
-				c.JobFailed()
+				c.Add(JobsFailed, 1)
 			} else {
-				c.JobFinished()
+				c.Add(JobsFinished, 1)
 			}
 		}(i)
 	}
@@ -96,11 +96,11 @@ func TestStagesSortedAndJSONRoundTrip(t *testing.T) {
 
 func TestSnapshotLine(t *testing.T) {
 	c := NewCollector()
-	c.AddTotal(2)
-	c.JobStarted()
-	c.JobFinished()
-	c.JobStarted()
-	c.JobFailed()
+	c.Add(JobsTotal, 2)
+	c.Add(JobsStarted, 1)
+	c.Add(JobsFinished, 1)
+	c.Add(JobsStarted, 1)
+	c.Add(JobsFailed, 1)
 	c.RecordQueueDepth(7)
 	line := c.Snapshot().Line()
 	for _, want := range []string{"jobs 1/2 done", "(1 failed)", "queue mean 7.0 max 7"} {
@@ -112,9 +112,9 @@ func TestSnapshotLine(t *testing.T) {
 
 func TestTickerEmitsFinalLine(t *testing.T) {
 	c := NewCollector()
-	c.AddTotal(1)
-	c.JobStarted()
-	c.JobFinished()
+	c.Add(JobsTotal, 1)
+	c.Add(JobsStarted, 1)
+	c.Add(JobsFinished, 1)
 	var mu sync.Mutex
 	var sb strings.Builder
 	w := writerFunc(func(p []byte) (int, error) {
@@ -138,19 +138,19 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 func TestCacheAndAdmissionCounters(t *testing.T) {
 	c := NewCollector()
-	c.CellCacheHit()
-	c.CellCacheMiss()
-	c.CellCacheCoalesced()
-	c.CellEvicted()
-	c.CellEvicted()
-	c.SetCellCacheBytes(4096)
-	c.CheckpointHit()
-	c.WarmBaseFork()
-	c.PreparedEvicted()
-	c.RequestAccepted()
-	c.RequestAccepted()
-	c.RequestRejected()
-	c.JobCancelled()
+	c.Add(CellHits, 1)
+	c.Add(CellMisses, 1)
+	c.Add(CellCoalesced, 1)
+	c.Add(CellEvictions, 1)
+	c.Add(CellEvictions, 1)
+	c.Set(CellBytes, 4096)
+	c.Add(CheckpointHits, 1)
+	c.Add(WarmForks, 1)
+	c.Add(PreparedEvictions, 1)
+	c.Add(ReqAccepted, 1)
+	c.Add(ReqAccepted, 1)
+	c.Add(ReqRejected, 1)
+	c.Add(JobsCancelled, 1)
 	s := c.Snapshot()
 	if s.Cache.Hits != 1 || s.Cache.Misses != 1 || s.Cache.Coalesced != 1 {
 		t.Fatalf("bad cell counters: %+v", s.Cache)
@@ -166,31 +166,31 @@ func TestCacheAndAdmissionCounters(t *testing.T) {
 	}
 
 	// The bytes gauge overwrites rather than accumulates.
-	c.SetCellCacheBytes(128)
+	c.Set(CellBytes, 128)
 	if got := c.Snapshot().Cache.Bytes; got != 128 {
 		t.Fatalf("bytes gauge = %d, want 128", got)
 	}
 
 	// Nil receivers stay no-ops for the new counters too.
 	var nilc *Collector
-	nilc.CellEvicted()
-	nilc.SetCellCacheBytes(1)
-	nilc.CheckpointHit()
-	nilc.RequestAccepted()
-	nilc.RequestRejected()
-	nilc.JobCancelled()
+	nilc.Add(CellEvictions, 1)
+	nilc.Set(CellBytes, 1)
+	nilc.Add(CheckpointHits, 1)
+	nilc.Add(ReqAccepted, 1)
+	nilc.Add(ReqRejected, 1)
+	nilc.Add(JobsCancelled, 1)
 }
 
 func TestFailureCounters(t *testing.T) {
 	c := NewCollector()
-	c.JobDeadlineExceeded()
-	c.JobDeadlineExceeded()
-	c.JobPanicked()
-	c.CheckpointError()
-	c.SetCheckpointDegraded(true)
-	c.FaultInjected()
-	c.FaultInjected()
-	c.FaultInjected()
+	c.Add(JobsDeadlineExceeded, 1)
+	c.Add(JobsDeadlineExceeded, 1)
+	c.Add(JobsPanicked, 1)
+	c.Add(CheckpointErrors, 1)
+	c.Set(CheckpointDegraded, 1)
+	c.Add(FaultsInjected, 1)
+	c.Add(FaultsInjected, 1)
+	c.Add(FaultsInjected, 1)
 	f := c.Snapshot().Failures
 	want := FailureStats{DeadlineExceeded: 2, Panicked: 1, CheckpointErrors: 1, CheckpointDegraded: 1, FaultsInjected: 3}
 	if f != want {
@@ -198,7 +198,7 @@ func TestFailureCounters(t *testing.T) {
 	}
 
 	// The degraded gauge is 0/1, settable both ways.
-	c.SetCheckpointDegraded(false)
+	c.Set(CheckpointDegraded, 0)
 	if got := c.Snapshot().Failures.CheckpointDegraded; got != 0 {
 		t.Fatalf("degraded gauge = %d after reset, want 0", got)
 	}
@@ -212,11 +212,11 @@ func TestFailureCounters(t *testing.T) {
 
 	// Nil receivers stay no-ops.
 	var nilc *Collector
-	nilc.JobDeadlineExceeded()
-	nilc.JobPanicked()
-	nilc.CheckpointError()
-	nilc.SetCheckpointDegraded(true)
-	nilc.FaultInjected()
+	nilc.Add(JobsDeadlineExceeded, 1)
+	nilc.Add(JobsPanicked, 1)
+	nilc.Add(CheckpointErrors, 1)
+	nilc.Set(CheckpointDegraded, 1)
+	nilc.Add(FaultsInjected, 1)
 	if nilc.Snapshot().Failures != (FailureStats{}) {
 		t.Fatal("nil collector recorded failure data")
 	}
@@ -256,21 +256,21 @@ func TestKernelTotals(t *testing.T) {
 
 func TestWriteProm(t *testing.T) {
 	c := NewCollector()
-	c.AddTotal(3)
-	c.JobStarted()
-	c.JobFinished()
+	c.Add(JobsTotal, 3)
+	c.Add(JobsStarted, 1)
+	c.Add(JobsFinished, 1)
 	c.StageStart(StageMeasure)()
-	c.CellCacheMiss()
-	c.CellEvicted()
-	c.SetCellCacheBytes(2048)
-	c.CheckpointHit()
-	c.RequestAccepted()
-	c.RequestRejected()
-	c.JobDeadlineExceeded()
-	c.JobPanicked()
-	c.CheckpointError()
-	c.SetCheckpointDegraded(true)
-	c.FaultInjected()
+	c.Add(CellMisses, 1)
+	c.Add(CellEvictions, 1)
+	c.Set(CellBytes, 2048)
+	c.Add(CheckpointHits, 1)
+	c.Add(ReqAccepted, 1)
+	c.Add(ReqRejected, 1)
+	c.Add(JobsDeadlineExceeded, 1)
+	c.Add(JobsPanicked, 1)
+	c.Add(CheckpointErrors, 1)
+	c.Set(CheckpointDegraded, 1)
+	c.Add(FaultsInjected, 1)
 	var sb strings.Builder
 	if err := c.Snapshot().WriteProm(&sb); err != nil {
 		t.Fatal(err)

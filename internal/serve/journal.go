@@ -115,7 +115,7 @@ func (jn *journal) append(rec journalRecord) {
 // exactly once, counted through the collector. Jobs are unaffected.
 func (jn *journal) disableLocked(err error) {
 	jn.disabled = true
-	jn.col.CheckpointError()
+	jn.col.Add(obs.CheckpointErrors, 1)
 	logf := jn.logf
 	if logf == nil {
 		logf = log.Printf

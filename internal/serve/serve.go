@@ -142,7 +142,7 @@ func New(opts Options) (*Server, error) {
 	}
 	opts.Exper.Obs = opts.Obs
 	opts.Exper.Faults = opts.Faults
-	opts.Faults.OnFire(func(faultinject.Point) { opts.Obs.FaultInjected() })
+	opts.Faults.OnFire(func(faultinject.Point) { opts.Obs.Add(obs.FaultsInjected, 1) })
 	if opts.Exper.Cache == nil {
 		opts.Exper.Cache = exper.NewResultCache()
 	}
@@ -159,7 +159,7 @@ func New(opts Options) (*Server, error) {
 		var err error
 		jn, replay, err = openJournal(filepath.Join(opts.Exper.Checkpoint.Dir(), "journal.jsonl"), opts.Obs, opts.Faults)
 		if err != nil {
-			opts.Obs.CheckpointError()
+			opts.Obs.Add(obs.CheckpointErrors, 1)
 			log.Printf("serve: opening job journal: %v (journaling disabled, resume still replayed)", err)
 		}
 		if jn != nil {
@@ -445,7 +445,7 @@ func resolve(mixNames, schemes []string) ([]workload.Mix, error) {
 // writing the refusal.
 func (s *Server) admit(w http.ResponseWriter, j *job) *job {
 	if s.draining.Load() {
-		s.col.RequestRejected()
+		s.col.Add(obs.ReqRejected, 1)
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return nil
 	}
@@ -456,12 +456,12 @@ func (s *Server) admit(w http.ResponseWriter, j *job) *job {
 		s.jobMu.Lock()
 		delete(s.jobs, j.id)
 		s.jobMu.Unlock()
-		s.col.RequestRejected()
+		s.col.Add(obs.ReqRejected, 1)
 		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.opts.RetryAfter.Seconds()))))
 		httpError(w, http.StatusTooManyRequests, "job queue full (depth %d)", s.opts.MaxQueue)
 		return nil
 	}
-	s.col.RequestAccepted()
+	s.col.Add(obs.ReqAccepted, 1)
 	s.journal.accepted(j)
 	return j
 }
@@ -691,12 +691,12 @@ func (s *Server) finish(j *job, state JobState, errMsg, errKind string, extra fu
 		s.jobsFailed.Add(1)
 		switch errKind {
 		case ErrKindDeadline:
-			s.col.JobDeadlineExceeded()
+			s.col.Add(obs.JobsDeadlineExceeded, 1)
 		case ErrKindPanic:
-			s.col.JobPanicked()
+			s.col.Add(obs.JobsPanicked, 1)
 		}
 	case JobCancelled:
-		s.col.JobCancelled()
+		s.col.Add(obs.JobsCancelled, 1)
 	}
 	s.journal.terminal(j, state)
 	s.finishJob(j)
