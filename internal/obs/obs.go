@@ -30,10 +30,10 @@ const (
 )
 
 // Counter names one integer the Collector keeps. Each is defined exactly once,
-// by its row in the counters table below: the Prometheus name and help text,
-// whether it is a monotonic counter or a gauge, and the Snapshot field it
-// lands in. Snapshot and WriteProm are loops over that table, so adding a
-// counter is one constant, one row and one Snapshot field.
+// by its row in the counters table below: Prometheus name and help text,
+// monotonic counter or gauge, and the Snapshot field it lands in. Snapshot and
+// WriteProm loop over that table, so adding a counter is one constant, one
+// row and one Snapshot field.
 type Counter int
 
 const (
@@ -55,10 +55,12 @@ const (
 	WarmForks         // measurements positioned on a warm base instead of re-warming
 	PreparedEvictions // warm bases dropped by the prepared-mix LRU
 	CheckpointHits
-	// Admission control of a serving front end.
-	ReqAccepted   // admitted into the job queue
-	ReqRejected   // refused: queue full or draining
-	JobsCancelled // accepted, then cancelled before completion
+	// Admission control of a serving front end, and how accepted jobs ended.
+	ReqAccepted     // admitted into the job queue
+	ReqRejected     // refused: queue full or draining
+	JobsCancelled   // accepted, then cancelled before completion
+	ServeJobsDone   // accepted, reached the done state
+	ServeJobsFailed // accepted, reached the failed state
 	// Failure paths of a long-lived service. Checkpoint-tier I/O failures
 	// (load, save, journal append) demote the store rather than fail cells, so
 	// CheckpointErrors and the CheckpointDegraded gauge (0 healthy, 1
@@ -99,6 +101,8 @@ var counters = [numCounters]struct {
 	ReqAccepted:          {"bwpart_requests_accepted_total", "Service requests admitted into the job queue.", false, func(s *Snapshot) *int64 { return &s.Admission.Accepted }},
 	ReqRejected:          {"bwpart_requests_rejected_total", "Service requests refused by admission control.", false, func(s *Snapshot) *int64 { return &s.Admission.Rejected }},
 	JobsCancelled:        {"bwpart_jobs_cancelled_total", "Accepted jobs cancelled before completion.", false, func(s *Snapshot) *int64 { return &s.Admission.Cancelled }},
+	ServeJobsDone:        {"bwpart_serve_jobs_done_total", "Jobs that reached the done state.", false, func(s *Snapshot) *int64 { return &s.Admission.Done }},
+	ServeJobsFailed:      {"bwpart_serve_jobs_failed_total", "Jobs that reached the failed state.", false, func(s *Snapshot) *int64 { return &s.Admission.Failed }},
 	JobsDeadlineExceeded: {"bwpart_jobs_deadline_exceeded_total", "Service jobs failed by their deadline.", false, func(s *Snapshot) *int64 { return &s.Failures.DeadlineExceeded }},
 	JobsPanicked:         {"bwpart_jobs_panicked_total", "Service jobs failed by the last-resort panic recovery.", false, func(s *Snapshot) *int64 { return &s.Failures.Panicked }},
 	CheckpointErrors:     {"bwpart_checkpoint_errors_total", "Checkpoint-tier I/O failures (load, save, journal).", false, func(s *Snapshot) *int64 { return &s.Failures.CheckpointErrors }},
@@ -120,7 +124,7 @@ type Collector struct {
 	started time.Time
 
 	n      [numCounters]int64
-	stages map[string]*stageAgg
+	stages map[string]stageAgg
 
 	queueSamples int64
 	queueSum     int64
@@ -133,9 +137,7 @@ type stageAgg struct {
 }
 
 // NewCollector returns a Collector whose elapsed clock starts now.
-func NewCollector() *Collector {
-	return &Collector{started: time.Now()}
-}
+func NewCollector() *Collector { return &Collector{started: time.Now()} }
 
 // Add moves counter k by n.
 func (c *Collector) Add(k Counter, n int64) {
@@ -184,15 +186,12 @@ func (c *Collector) StageStart(name string) func() {
 		d := time.Since(t0)
 		c.mu.Lock()
 		if c.stages == nil {
-			c.stages = make(map[string]*stageAgg)
+			c.stages = make(map[string]stageAgg)
 		}
 		agg := c.stages[name]
-		if agg == nil {
-			agg = &stageAgg{}
-			c.stages[name] = agg
-		}
 		agg.count++
 		agg.total += d
+		c.stages[name] = agg
 		c.mu.Unlock()
 	}
 }
@@ -290,6 +289,8 @@ type AdmissionStats struct {
 	Accepted  int64 `json:"accepted"`
 	Rejected  int64 `json:"rejected"`
 	Cancelled int64 `json:"cancelled"`
+	Done      int64 `json:"done"`
+	Failed    int64 `json:"failed"`
 }
 
 // FailureStats summarizes the failure paths of a long-lived service.

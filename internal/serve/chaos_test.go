@@ -168,10 +168,9 @@ func TestChaosScheduleInvariants(t *testing.T) {
 	drainAndClose(t, s, ts)
 
 	snap := s.Obs().Snapshot()
-	accounted := s.jobsDone.Load() + s.jobsFailed.Load() + snap.Admission.Cancelled
-	if snap.Admission.Accepted != accounted {
+	if a := snap.Admission; a.Accepted != a.Done+a.Failed+a.Cancelled {
 		t.Errorf("accounting broken: accepted %d != done %d + failed %d + cancelled %d",
-			snap.Admission.Accepted, s.jobsDone.Load(), s.jobsFailed.Load(), snap.Admission.Cancelled)
+			a.Accepted, a.Done, a.Failed, a.Cancelled)
 	}
 	if snap.Failures.FaultsInjected != in.Total() {
 		t.Errorf("faults_injected = %d, injector fired %d", snap.Failures.FaultsInjected, in.Total())

@@ -114,11 +114,9 @@ type Server struct {
 
 	journal *journal // nil without a checkpoint store
 
-	nextID     atomic.Int64
-	draining   atomic.Bool
-	workers    sync.WaitGroup
-	jobsDone   atomic.Int64 // jobs reaching JobDone this process
-	jobsFailed atomic.Int64 // jobs reaching JobFailed this process
+	nextID   atomic.Int64
+	draining atomic.Bool
+	workers  sync.WaitGroup
 }
 
 // New validates the options, builds the scale-1 runner eagerly (so a bad
@@ -686,9 +684,9 @@ func (s *Server) finish(j *job, state JobState, errMsg, errKind string, extra fu
 	}
 	switch state {
 	case JobDone:
-		s.jobsDone.Add(1)
+		s.col.Add(obs.ServeJobsDone, 1)
 	case JobFailed:
-		s.jobsFailed.Add(1)
+		s.col.Add(obs.ServeJobsFailed, 1)
 		switch errKind {
 		case ErrKindDeadline:
 			s.col.Add(obs.JobsDeadlineExceeded, 1)
@@ -757,8 +755,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# HELP bwpart_serve_jobs_resident Jobs retained in the registry.\n# TYPE bwpart_serve_jobs_resident gauge\nbwpart_serve_jobs_resident %d\n", resident)
 	fmt.Fprintf(w, "# HELP bwpart_serve_runners Resident per-scale runners.\n# TYPE bwpart_serve_runners gauge\nbwpart_serve_runners %d\n", runners)
 	fmt.Fprintf(w, "# HELP bwpart_serve_draining Whether admission is closed for drain.\n# TYPE bwpart_serve_draining gauge\nbwpart_serve_draining %d\n", draining)
-	fmt.Fprintf(w, "# HELP bwpart_serve_jobs_done_total Jobs that reached the done state.\n# TYPE bwpart_serve_jobs_done_total counter\nbwpart_serve_jobs_done_total %d\n", s.jobsDone.Load())
-	fmt.Fprintf(w, "# HELP bwpart_serve_jobs_failed_total Jobs that reached the failed state.\n# TYPE bwpart_serve_jobs_failed_total counter\nbwpart_serve_jobs_failed_total %d\n", s.jobsFailed.Load())
 }
 
 // ---- job execution ----
