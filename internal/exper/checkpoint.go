@@ -128,6 +128,18 @@ func (s *CheckpointStore) cellPath(r *Runner, mix workload.Mix, scheme string) s
 	return filepath.Join(s.dir, fmt.Sprintf("v%d-%s-%x.json", FingerprintVersion, r.fp[:16], key))
 }
 
+// Has reports whether a file for the cell exists, without reading it: a
+// restarted server counts what an interrupted job already paid for this way,
+// which must neither consume a fault-injection schedule nor degrade the
+// store. Load decides whether the file is usable.
+func (s *CheckpointStore) Has(r *Runner, mix workload.Mix, scheme string) bool {
+	if s == nil {
+		return false
+	}
+	_, err := os.Stat(s.cellPath(r, mix, scheme))
+	return err == nil
+}
+
 // Load returns the stored cell for (mix, scheme) under r's configuration,
 // or (nil, false) when absent, unreadable, or recorded for a different
 // benchmark list or scheme — any such miss just means the cell is

@@ -78,11 +78,6 @@ type Config struct {
 	// internal/faultinject). Nil (the default) makes every fault hook a
 	// one-branch no-op; production never sets this.
 	Faults *faultinject.Injector
-	// CellDone, when set, is called once per (mix, scheme) cell this runner
-	// resolves — fresh simulation, cache hit, or checkpoint hit — with the
-	// runner's configuration fingerprint. The serve layer's crash-resume job
-	// journal hangs off this hook. May be called concurrently.
-	CellDone func(mixName, scheme, fp string)
 	// NoMemoize disables the result cache and warm-base sharing entirely:
 	// every RunMix re-warms and re-simulates from scratch. Test oracle (the
 	// cold executor the differential tests compare against); no CLI selects it.
@@ -477,9 +472,6 @@ func (r *Runner) lookup(mix workload.Mix, scheme string, simulate bool) (*MixRun
 	// by key construction and the simulation never read the labels.
 	run.Mix.Name = mix.Name
 	run.Mix.PaperRSD = mix.PaperRSD
-	if r.cfg.CellDone != nil {
-		r.cfg.CellDone(mix.Name, scheme, r.fp)
-	}
 	return run, nil
 }
 

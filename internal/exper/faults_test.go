@@ -213,75 +213,3 @@ func TestCellDelayInjection(t *testing.T) {
 		t.Error("cell delay point never fired")
 	}
 }
-
-// TestCellDoneHook pins the journal hook's contract: it fires once per
-// resolved cell with the runner's fingerprint, whichever step of the lookup
-// order resolved it — fresh simulation, in-memory cache hit, or disk-tier hit.
-func TestCellDoneHook(t *testing.T) {
-	store, err := NewCheckpointStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	type done struct{ mix, scheme, fp string }
-	var mu sync.Mutex
-	var got []done
-	record := func(mixName, scheme, fp string) {
-		mu.Lock()
-		got = append(got, done{mixName, scheme, fp})
-		mu.Unlock()
-	}
-	cfg := Quick()
-	cfg.Checkpoint = store
-	cfg.CellDone = record
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix, err := workload.MixByName("homo-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	schemes := []string{"equal", "proportional"}
-	if _, err := r.RunGrid(context.Background(), []workload.Mix{mix}, schemes); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	fresh := len(got)
-	mu.Unlock()
-	if fresh != len(schemes) {
-		t.Fatalf("CellDone fired %d times for %d fresh cells", fresh, len(schemes))
-	}
-	for _, d := range got {
-		if d.fp != r.Fingerprint() || d.mix != mix.Name {
-			t.Fatalf("bad CellDone record: %+v", d)
-		}
-	}
-
-	// A cache hit resolves the cell too.
-	if _, err := r.RunMix(mix, "equal"); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	afterHit := len(got)
-	mu.Unlock()
-	if afterHit != fresh+1 {
-		t.Fatalf("cache hit did not fire CellDone (%d -> %d)", fresh, afterHit)
-	}
-
-	// A fresh runner resuming from disk fires CellDone for every disk-tier hit.
-	got = nil
-	cfg2 := cfg
-	r2, err := NewRunner(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r2.RunGrid(context.Background(), []workload.Mix{mix}, schemes); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	resumed := len(got)
-	mu.Unlock()
-	if resumed != len(schemes) {
-		t.Fatalf("CellDone fired %d times on full resume, want %d", resumed, len(schemes))
-	}
-}

@@ -152,10 +152,6 @@ func configFingerprint(c Config) string {
 	return f.sum()
 }
 
-// Fingerprint returns the runner's canonical configuration digest (hex),
-// computed once at construction.
-func (r *Runner) Fingerprint() string { return r.fp }
-
 // cellKey names one (config, mix, scheme) cell for the in-memory result
 // cache. The key is content-addressed: the mix contributes its ordered
 // benchmark list, not its display name, so two differently-named mixes over

@@ -120,7 +120,7 @@ func TestCheckpointPathVersioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := store.cellPath(r, mix, "equal")
-	if want := fmt.Sprintf("v%d-%s-", FingerprintVersion, r.Fingerprint()[:16]); !strings.HasPrefix(filepath.Base(path), want) {
+	if want := fmt.Sprintf("v%d-%s-", FingerprintVersion, r.fp[:16]); !strings.HasPrefix(filepath.Base(path), want) {
 		t.Errorf("cell path %q lacks the version tag and fingerprint prefix %q", path, want)
 	}
 	renamed := mix

@@ -13,12 +13,13 @@ import (
 
 // The job journal is the serve layer's crash-resume record: an append-only
 // JSONL file (journal.jsonl in the checkpoint directory) of accepted grid
-// jobs, finished cells, and terminal transitions. After a crash — SIGKILL,
-// OOM, power loss — a restarted server replays it: accepted jobs with no
-// terminal record materialize as "interrupted" jobs listed by GET /v1/jobs,
-// and POST /v1/jobs/{id}/retry re-enqueues one, paying only for the cells
-// whose checkpoints never landed (the cell records plus the checkpoint tier
-// answer the rest).
+// jobs and their terminal transitions. After a crash — SIGKILL, OOM, power
+// loss — a restarted server replays it: accepted jobs with no terminal record
+// materialize as "interrupted" jobs listed by GET /v1/jobs, and POST
+// /v1/jobs/{id}/retry re-enqueues one, paying only for the cells whose
+// checkpoints never landed. Which cells those are is the checkpoint tier's
+// knowledge alone: the journal names jobs, never cells. (Builds up to PR 22
+// also wrote one "cell" line per finished cell; replay skips them.)
 //
 // The journal is an optimization, never a dependency: a write failure
 // (injected or real) disables journaling for the process — logged once,
@@ -27,7 +28,7 @@ import (
 
 // journalRecord is one JSONL line. Event selects which fields are set.
 type journalRecord struct {
-	Event    string   `json:"event"` // "accepted" | "cell" | "terminal"
+	Event    string   `json:"event"` // "accepted" | "terminal"
 	ID       string   `json:"id,omitempty"`
 	Client   string   `json:"client,omitempty"`
 	Kind     string   `json:"kind,omitempty"`
@@ -35,27 +36,18 @@ type journalRecord struct {
 	TimeoutS float64  `json:"timeout_s,omitempty"`
 	Mixes    []string `json:"mixes,omitempty"`
 	Schemes  []string `json:"schemes,omitempty"`
-	State    string   `json:"state,omitempty"`  // terminal records
-	Mix      string   `json:"mix,omitempty"`    // cell records
-	Scheme   string   `json:"scheme,omitempty"` // cell records
-	FP       string   `json:"fp,omitempty"`     // cell records
-}
-
-// cellJournalKey names one finished cell for dedup and replay matching.
-func cellJournalKey(fp, mixName, scheme string) string {
-	return fp + "/" + mixName + "/" + scheme
+	State    string   `json:"state,omitempty"` // terminal records
 }
 
 // journal appends records to the JSONL file. All methods are nil-safe (a
 // server without a checkpoint store has no journal).
 type journal struct {
-	mu        sync.Mutex
-	f         *os.File
-	col       *obs.Collector
-	faults    *faultinject.Injector
-	logf      func(format string, args ...any)
-	disabled  bool
-	seenCells map[string]bool // cells already recorded (this process or replayed)
+	mu       sync.Mutex
+	f        *os.File
+	col      *obs.Collector
+	faults   *faultinject.Injector
+	logf     func(format string, args ...any)
+	disabled bool
 }
 
 // openJournal reads existing records from path (tolerating a torn last
@@ -79,13 +71,7 @@ func openJournal(path string, col *obs.Collector, faults *faultinject.Injector) 
 	if err != nil {
 		return nil, recs, err
 	}
-	jn := &journal{f: f, col: col, faults: faults, seenCells: make(map[string]bool)}
-	for _, rec := range recs {
-		if rec.Event == "cell" {
-			jn.seenCells[cellJournalKey(rec.FP, rec.Mix, rec.Scheme)] = true
-		}
-	}
-	return jn, recs, nil
+	return &journal{f: f, col: col, faults: faults}, recs, nil
 }
 
 // append writes one record, disabling the journal on the first failure.
@@ -148,25 +134,6 @@ func (jn *journal) accepted(j *job) {
 		Mixes:    mixes,
 		Schemes:  j.scheme,
 	})
-}
-
-// cell records one resolved cell (exper.Config.CellDone hook), deduplicated
-// so cache hits on an already-journaled cell cost one map lookup.
-func (jn *journal) cell(mixName, scheme, fp string) {
-	if jn == nil {
-		return
-	}
-	key := cellJournalKey(fp, mixName, scheme)
-	jn.mu.Lock()
-	seen := jn.seenCells[key]
-	if !seen {
-		jn.seenCells[key] = true
-	}
-	jn.mu.Unlock()
-	if seen {
-		return
-	}
-	jn.append(journalRecord{Event: "cell", Mix: mixName, Scheme: scheme, FP: fp})
 }
 
 // terminal records a journaled job reaching a final state. A job without an

@@ -160,9 +160,6 @@ func New(opts Options) (*Server, error) {
 			opts.Obs.Add(obs.CheckpointErrors, 1)
 			log.Printf("serve: opening job journal: %v (journaling disabled, resume still replayed)", err)
 		}
-		if jn != nil {
-			opts.Exper.CellDone = jn.cell
-		}
 	}
 	s := &Server{
 		opts:    opts,
@@ -186,16 +183,16 @@ func New(opts Options) (*Server, error) {
 
 // replayJournal materializes the previous process's unfinished grid jobs as
 // terminal "interrupted" jobs: visible on GET /v1/jobs, frozen until a
-// client retries one. Finished-cell records set cellsDone so the listing
-// shows how much of each interrupted job is already paid for, and the job ID
-// counter continues past every replayed ID.
+// client retries one. cellsDone shows how much of each interrupted job is
+// already paid for — the cells whose checkpoint files exist, the same tier
+// the retry itself resumes from — and the job ID counter continues past every
+// replayed ID. Events other than "accepted" and "terminal" are skipped.
 func (s *Server) replayJournal(recs []journalRecord) {
 	if len(recs) == 0 {
 		return
 	}
 	accepted := make(map[string]journalRecord)
 	terminal := make(map[string]bool)
-	cells := make(map[string]bool)
 	var order []string
 	var maxID int64
 	for _, rec := range recs {
@@ -210,8 +207,6 @@ func (s *Server) replayJournal(recs []journalRecord) {
 			}
 		case "terminal":
 			terminal[rec.ID] = true
-		case "cell":
-			cells[cellJournalKey(rec.FP, rec.Mix, rec.Scheme)] = true
 		}
 	}
 	if maxID > s.nextID.Load() {
@@ -232,15 +227,13 @@ func (s *Server) replayJournal(recs []journalRecord) {
 		j.err = "interrupted: server exited mid-job; POST /v1/jobs/" + j.id + "/retry to resume"
 		close(j.done)
 		if r, err := s.runnerFor(rec.Scale); err == nil {
-			done := 0
 			for _, m := range mixes {
 				for _, scheme := range rec.Schemes {
-					if cells[cellJournalKey(r.Fingerprint(), m.Name, scheme)] {
-						done++
+					if s.opts.Exper.Checkpoint.Has(r, m, scheme) {
+						j.cellsDone++
 					}
 				}
 			}
-			j.cellsDone = done
 		}
 		s.jobMu.Lock()
 		s.jobs[j.id] = j
