@@ -71,18 +71,21 @@ func (r *Runner) PagePolicyStudy(mixes []workload.Mix) (*PagePolicyResult, error
 }
 
 // runRaw measures profs on a cold system built from simCfg: functional
-// warmup, then apply and settle + measure. Studies that change the simulator
-// configuration itself (the open-page ablation, the shared-L2 topology) must
-// use it — their systems cannot share the runner's warm bases; mix-level
-// studies under the runner's own configuration go through runConfigured,
-// which can.
+// warmup, then apply and the shared settle + measure tail. Studies that change
+// the simulator configuration itself (the open-page ablation, the shared-L2
+// topology) must use it — their systems cannot share the runner's warm bases;
+// mix-level studies under the runner's own configuration go through
+// runConfigured, which can.
 func (r *Runner) runRaw(simCfg sim.Config, profs []workload.Profile, apply func(sys *sim.System) error) (sim.Result, error) {
 	sys, err := sim.New(simCfg, profs)
 	if err != nil {
 		return sim.Result{}, err
 	}
 	sys.Warmup()
-	return r.finishConfigured(sys, apply)
+	if err := apply(sys); err != nil {
+		return sim.Result{}, err
+	}
+	return r.measure(sys), nil
 }
 
 // setScheduler is the apply step that installs sched.
@@ -90,54 +93,16 @@ func setScheduler(sched memctrl.Scheduler) func(sys *sim.System) error {
 	return func(sys *sim.System) error { return sys.Controller().SetScheduler(sched) }
 }
 
-// runSched measures a mix under an explicitly installed scheduler, starting
-// from the mix's shared warm checkpoint when memoization is on (the next take
-// of the system restores the checkpoint's scheduler, so an installed heuristic
-// never leaks into later cells).
+// runSched measures a mix under an explicitly installed scheduler.
 func (r *Runner) runSched(mix workload.Mix, sched memctrl.Scheduler) (sim.Result, error) {
 	return r.runConfigured(mix, setScheduler(sched))
 }
 
-// runConfigured runs the settle+measure suffix of a mix run after apply
-// installs an arbitrary controller configuration (scheduler, shares) on a
-// warmed system: one positioned at the shared warm checkpoint when
-// memoizing, a cold build otherwise.
+// runConfigured measures a mix after apply installs an arbitrary controller
+// configuration (scheduler, shares) on its warmed system (see runWarm).
 func (r *Runner) runConfigured(mix workload.Mix, apply func(sys *sim.System) error) (sim.Result, error) {
-	if r.prepared == nil {
-		profs, err := mix.Profiles()
-		if err != nil {
-			return sim.Result{}, err
-		}
-		return r.runRaw(r.cfg.Sim, profs, apply)
-	}
-	e, release, err := r.prepared.acquire(mix)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	defer release()
-	sys, err := r.prepared.take(e)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	res, err := r.finishConfigured(sys, apply)
-	if err == nil {
-		r.prepared.put(e, sys)
-	}
+	_, res, err := r.runWarm(mix, func(_ *preparedMix, sys *sim.System) error { return apply(sys) })
 	return res, err
-}
-
-// finishConfigured applies the configuration and runs settle + measure.
-func (r *Runner) finishConfigured(sys *sim.System, apply func(sys *sim.System) error) (sim.Result, error) {
-	if err := apply(sys); err != nil {
-		return sim.Result{}, err
-	}
-	if r.cfg.Tracer != nil {
-		sys.Controller().SetTracer(r.cfg.Tracer)
-	}
-	sys.Run(r.cfg.SettleCycles)
-	sys.ResetStats()
-	sys.Run(r.cfg.MeasureCycles)
-	return sys.Results(), nil
 }
 
 func ipcSum(res sim.Result) float64 {

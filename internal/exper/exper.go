@@ -82,10 +82,6 @@ type Config struct {
 	// every RunMix re-warms and re-simulates from scratch. Test oracle (the
 	// cold executor the differential tests compare against); no CLI selects it.
 	NoMemoize bool
-	// PreparedCap bounds how many warm mix bases the runner keeps alive at
-	// once (LRU-evicted beyond that; 0 = a small default). Bases pinned by
-	// in-flight measurements are never evicted.
-	PreparedCap int
 }
 
 // Default returns the full-fidelity configuration used for the recorded
@@ -132,10 +128,11 @@ func (c Config) Validate() error {
 	return c.Sim.DRAM.Validate()
 }
 
-// defaultPreparedCap is the warm-base LRU bound when Config.PreparedCap is
-// zero: enough that the paper's figure suites keep their working set warm,
+// preparedCap bounds how many warm mix bases a runner keeps alive at once
+// (LRU-evicted beyond that; bases pinned by in-flight measurements never
+// are): enough that the paper's figure suites keep their working set warm,
 // small enough that huge sweeps stay memory-bounded.
-const defaultPreparedCap = 8
+const preparedCap = 8
 
 // Runner executes experiments. Standalone profiles are cached per benchmark
 // (single-flight, so concurrent first requests share one profiling run),
@@ -180,12 +177,8 @@ func NewRunner(cfg Config) (*Runner, error) {
 		if cfg.CacheBytes > 0 {
 			cfg.Cache.SetMaxBytes(cfg.CacheBytes)
 		}
-		capacity := cfg.PreparedCap
-		if capacity <= 0 {
-			capacity = defaultPreparedCap
-		}
 		r.cache = cfg.Cache
-		r.prepared = newPreparedRegistry(r, capacity)
+		r.prepared = &preparedRegistry{r: r, cap: preparedCap, entries: make(map[string]*preparedEntry)}
 	}
 	// cfg.Cache is written back (above) so sub-runners built from this
 	// runner's Config() — per-seed repeatability runners, Figure 4's
@@ -372,25 +365,14 @@ func (r *Runner) forkPrepared(p *preparedMix) (*sim.System, error) {
 	return sys, sys.Restore(p.cp)
 }
 
-// measureOn applies scheme to sys and runs the settle+measure suffix of a
-// mix run, evaluating all four objectives.
-func (r *Runner) measureOn(p *preparedMix, sys *sim.System, scheme string) (*MixRun, error) {
+// measure is the one settle → reset → measure tail every run shares, cells
+// and studies alike: sys is warmed and already carries the configuration
+// under test. With a collector installed the two windows are stage-timed, the
+// measurement window samples the queue depth, and the system's kernel
+// counters join the totals.
+func (r *Runner) measure(sys *sim.System) sim.Result {
 	if r.cfg.Tracer != nil {
 		sys.Controller().SetTracer(r.cfg.Tracer)
-	}
-	var err error
-	if scheme == NoPartitioning {
-		err = sys.ApplyNoPartitioning()
-	} else {
-		var sch core.Scheme
-		sch, err = core.ByName(scheme)
-		if err != nil {
-			return nil, err
-		}
-		err = sys.ApplyScheme(sch, p.apcAlone, p.api)
-	}
-	if err != nil {
-		return nil, err
 	}
 	stop := r.cfg.Obs.StageStart(obs.StageSettle)
 	sys.Run(r.cfg.SettleCycles)
@@ -399,7 +381,6 @@ func (r *Runner) measureOn(p *preparedMix, sys *sim.System, scheme string) (*Mix
 	stop = r.cfg.Obs.StageStart(obs.StageMeasure)
 	r.runMeasured(sys, r.cfg.MeasureCycles)
 	stop()
-	res := sys.Results()
 	if r.cfg.Obs != nil {
 		ks := sys.KernelStats()
 		tot := obs.KernelStats{Cycles: ks.Cycles, CyclesTicked: ks.Ticked}
@@ -410,7 +391,68 @@ func (r *Runner) measureOn(p *preparedMix, sys *sim.System, scheme string) (*Mix
 		}
 		r.cfg.Obs.AddKernel(tot)
 	}
+	return sys.Results()
+}
 
+// runWarm is the one way to measure a mix from its warmed state: apply
+// installs the configuration under test (a scheme, a scheduler, shares) and
+// measure runs. When memoizing, the system is positioned at the mix's shared
+// warm checkpoint, whose base stays pinned against LRU eviction for the
+// duration, and goes back to the registry afterwards (the next take restores
+// the checkpoint wholesale, so nothing installed here leaks into later runs).
+// Under NoMemoize a private system is built and warmed for this one run: the
+// reference executor the differential tests compare every memoized path
+// against. The mix's immutable prepared prefix comes back with the result.
+func (r *Runner) runWarm(mix workload.Mix, apply func(p *preparedMix, sys *sim.System) error) (*preparedMix, sim.Result, error) {
+	if r.prepared == nil {
+		p, sys, err := r.prepareMix(mix)
+		if err == nil {
+			err = apply(p, sys)
+		}
+		if err != nil {
+			return nil, sim.Result{}, err
+		}
+		return p, r.measure(sys), nil
+	}
+	e, release, err := r.prepared.acquire(mix)
+	if err != nil {
+		return nil, sim.Result{}, err
+	}
+	defer release()
+	sys, err := r.prepared.take(e)
+	if err == nil {
+		err = apply(e.p, sys)
+	}
+	if err != nil {
+		return nil, sim.Result{}, err
+	}
+	res := r.measure(sys)
+	r.prepared.put(e, sys)
+	return e.p, res, nil
+}
+
+// applyScheme is the apply step of a cell: NoPartitioning, or a core scheme
+// fed the mix's standalone profile vectors.
+func applyScheme(scheme string) func(p *preparedMix, sys *sim.System) error {
+	return func(p *preparedMix, sys *sim.System) error {
+		if scheme == NoPartitioning {
+			return sys.ApplyNoPartitioning()
+		}
+		sch, err := core.ByName(scheme)
+		if err != nil {
+			return err
+		}
+		return sys.ApplyScheme(sch, p.apcAlone, p.api)
+	}
+}
+
+// runCell simulates one (mix, scheme) cell and evaluates all four objectives
+// on the measured IPCs.
+func (r *Runner) runCell(mix workload.Mix, scheme string) (*MixRun, error) {
+	p, res, err := r.runWarm(mix, applyScheme(scheme))
+	if err != nil {
+		return nil, err
+	}
 	run := &MixRun{
 		Mix:      p.mix,
 		Scheme:   scheme,
@@ -475,58 +517,19 @@ func (r *Runner) lookup(mix workload.Mix, scheme string, simulate bool) (*MixRun
 	return run, nil
 }
 
-// simulateCell is the last step of the lookup order: a real simulation
-// (shared warm base when memoizing, full cold run otherwise), persisted to
-// the checkpoint store.
+// simulateCell is the last step of the lookup order: a real simulation,
+// persisted to the checkpoint store.
 func (r *Runner) simulateCell(mix workload.Mix, scheme string) (*MixRun, error) {
 	r.cfg.Faults.Sleep(faultinject.CellDelay)
 	if r.cfg.Faults.Fire(faultinject.CellPanic) {
 		panic(fmt.Sprintf("injected cell panic (%s/%s)", mix.Name, scheme))
 	}
-	var run *MixRun
-	var err error
-	if r.prepared != nil {
-		run, err = r.runCellShared(mix, scheme)
-	} else {
-		run, err = r.runCellCold(mix, scheme)
-	}
+	run, err := r.runCell(mix, scheme)
 	if err != nil {
 		return nil, err
 	}
 	// A Save failure degrades the store — logged and counted there — but
 	// never fails a cell that was successfully simulated.
 	_ = r.cfg.Checkpoint.Save(r, run)
-	return run, nil
-}
-
-// runCellCold is the reference executor: build, warm, and measure a private
-// system for this one cell. The differential tests compare every memoized
-// path against it.
-func (r *Runner) runCellCold(mix workload.Mix, scheme string) (*MixRun, error) {
-	p, sys, err := r.prepareMix(mix)
-	if err != nil {
-		return nil, err
-	}
-	return r.measureOn(p, sys, scheme)
-}
-
-// runCellShared measures the cell on a system positioned at the mix's shared
-// warm checkpoint, holding the base pinned (against LRU eviction) for the
-// duration.
-func (r *Runner) runCellShared(mix workload.Mix, scheme string) (*MixRun, error) {
-	e, release, err := r.prepared.acquire(mix)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	sys, err := r.prepared.take(e)
-	if err != nil {
-		return nil, err
-	}
-	run, err := r.measureOn(e.p, sys, scheme)
-	if err != nil {
-		return nil, err
-	}
-	r.prepared.put(e, sys)
 	return run, nil
 }

@@ -21,7 +21,7 @@ import (
 // storeRunner builds a memoTestConfig runner with its own collector and a
 // fresh result cache over a checkpoint store on dir: one "process" of a
 // restart sequence.
-func storeRunner(t *testing.T, dir string, preparedCap int) (*Runner, *obs.Collector) {
+func storeRunner(t *testing.T, dir string) (*Runner, *obs.Collector) {
 	t.Helper()
 	store, err := NewCheckpointStore(dir)
 	if err != nil {
@@ -30,7 +30,6 @@ func storeRunner(t *testing.T, dir string, preparedCap int) (*Runner, *obs.Colle
 	cfg := memoTestConfig()
 	cfg.Checkpoint = store
 	cfg.Obs = obs.NewCollector()
-	cfg.PreparedCap = preparedCap
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +62,7 @@ func TestRunGridDiskHitsPromoteToMemory(t *testing.T) {
 	mixes, schemes := []workload.Mix{mix}, []string{"equal", "square-root"}
 	cells := int64(len(schemes))
 
-	r1, col1 := storeRunner(t, dir, 0)
+	r1, col1 := storeRunner(t, dir)
 	first, err := r1.RunGrid(context.Background(), mixes, schemes)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +77,7 @@ func TestRunGridDiskHitsPromoteToMemory(t *testing.T) {
 
 	// Restart: the first grid comes off disk and fills the memory tier, the
 	// second never reaches the disk. Neither dispatches a job or warms a base.
-	r2, col2 := storeRunner(t, dir, 0)
+	r2, col2 := storeRunner(t, dir)
 	resumed, err := r2.RunGrid(context.Background(), mixes, schemes)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +103,7 @@ func TestRunGridDiskHitsPromoteToMemory(t *testing.T) {
 // Table IV mixes — more than the registry's 8 warm bases. A hit must not pin,
 // re-warm, evict, or fork anything: it never reaches the simulation phases.
 func TestRunGridHitsLeaveWarmBasesAlone(t *testing.T) {
-	r, col := storeRunner(t, t.TempDir(), 8)
+	r, col := storeRunner(t, t.TempDir())
 	mixes := workload.AllMixes()
 	if len(mixes) != 14 {
 		t.Fatalf("Table IV has %d mixes, want 14", len(mixes))
@@ -172,18 +171,18 @@ func TestResidentMatchesSimulated(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	r1, col1 := storeRunner(t, dir, 0)
+	r1, col1 := storeRunner(t, dir)
 	check("simulated", r1, hetero5)
 	check("memory hit", r1, hetero5)
 	check("aliased memory hit", r1, motivation)
 	wantCache(t, "first process", col1, 2, 1, 0, 0)
 
-	r2, col2 := storeRunner(t, dir, 0)
+	r2, col2 := storeRunner(t, dir)
 	check("aliased disk hit", r2, motivation)
 	check("promoted aliased hit", r2, hetero5)
 	wantCache(t, "restarted process", col2, 1, 0, 0, 1)
 
-	r3, col3 := storeRunner(t, dir, 0)
+	r3, col3 := storeRunner(t, dir)
 	check("disk hit", r3, hetero5)
 	wantCache(t, "second restart", col3, 0, 0, 0, 1)
 }
@@ -198,13 +197,13 @@ func TestDiskHitSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixes, schemes := []workload.Mix{mix}, []string{"equal"}
-	r1, _ := storeRunner(t, dir, 0)
+	r1, _ := storeRunner(t, dir)
 	first, err := r1.RunGrid(context.Background(), mixes, schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	r2, col := storeRunner(t, dir, 0)
+	r2, col := storeRunner(t, dir)
 	const n = 8
 	runs := make([][]*MixRun, n)
 	errs := make([]error, n)
@@ -241,7 +240,7 @@ func TestDiskHitSingleFlight(t *testing.T) {
 // planted payload), and aliased mixes share one file.
 func TestCheckpointKeyedLikeMemoryTier(t *testing.T) {
 	dir := t.TempDir()
-	r, col := storeRunner(t, dir, 0)
+	r, col := storeRunner(t, dir)
 	store := r.Config().Checkpoint
 	hetero5, err := workload.MixByName("hetero-5")
 	if err != nil {

@@ -180,12 +180,12 @@ func TestContentAddressedAliasing(t *testing.T) {
 // stale base reuse) and still produce cells bit-identical to cold runs.
 func TestPreparedLRUEvictionRewarms(t *testing.T) {
 	cfg := memoTestConfig()
-	cfg.PreparedCap = 1
 	cfg.Obs = obs.NewCollector()
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.prepared.setCap(1)
 	coldCfg := memoTestConfig()
 	coldCfg.NoMemoize = true
 	cold, err := NewRunner(coldCfg)

@@ -60,13 +60,6 @@ type floatingTarget struct {
 	sys *sim.System
 }
 
-func newPreparedRegistry(r *Runner, capacity int) *preparedRegistry {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &preparedRegistry{r: r, cap: capacity, entries: make(map[string]*preparedEntry)}
-}
-
 // acquire returns the prepared entry for mix, preparing it (once, under
 // single-flight) if absent, and pins it against eviction. The returned
 // release must be called when the caller no longer needs the base.

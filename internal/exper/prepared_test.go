@@ -10,6 +10,14 @@ import (
 	"bwpart/internal/workload"
 )
 
+// setCap overrides the warm-base LRU bound (preparedCap in production) so a
+// test can force evictions with two or three mixes.
+func (g *preparedRegistry) setCap(n int) {
+	g.mu.Lock()
+	g.cap = n
+	g.mu.Unlock()
+}
+
 // held counts what the registry retains: entries (one checkpoint each), idle
 // systems (residents plus floating extras), and outstanding pins.
 func (g *preparedRegistry) held() (entries, idle, pins int) {
@@ -26,12 +34,11 @@ func (g *preparedRegistry) held() (entries, idle, pins int) {
 
 // TestPreparedRegistryBound pins the registry's memory contract on the grid
 // that outgrows it: after the 14-mix x 7-scheme Table IV grid at Parallelism
-// 2 and PreparedCap 8 it holds cap checkpoints and at most cap + Parallelism
+// 2 it holds preparedCap checkpoints and at most cap + Parallelism
 // - 1 idle systems, with nothing left pinned.
 func TestPreparedRegistryBound(t *testing.T) {
 	cfg := memoTestConfig()
 	cfg.Parallelism = 2
-	cfg.PreparedCap = 8
 	cfg.Obs = obs.NewCollector()
 	r, err := NewRunner(cfg)
 	if err != nil {
@@ -42,10 +49,10 @@ func TestPreparedRegistryBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries, idle, pins := r.prepared.held()
-	if entries != cfg.PreparedCap || pins != 0 {
-		t.Errorf("registry holds %d entries with %d pins, want %d and 0", entries, pins, cfg.PreparedCap)
+	if entries != preparedCap || pins != 0 {
+		t.Errorf("registry holds %d entries with %d pins, want %d and 0", entries, pins, preparedCap)
 	}
-	if bound := cfg.PreparedCap + cfg.Parallelism - 1; idle < entries || idle > bound {
+	if bound := preparedCap + cfg.Parallelism - 1; idle < entries || idle > bound {
 		t.Errorf("registry holds %d idle systems, want one per entry and at most %d", idle, bound)
 	}
 	s := cfg.Obs.Snapshot()
@@ -53,7 +60,7 @@ func TestPreparedRegistryBound(t *testing.T) {
 		t.Errorf("warm forks %d, jobs %d; want %d each (job counters count cells only)",
 			s.Cache.WarmForks, s.Jobs.Total, cells)
 	}
-	if got, want := s.Cache.PreparedEvictions, int64(len(mixes)-cfg.PreparedCap); got != want {
+	if got, want := s.Cache.PreparedEvictions, int64(len(mixes)-preparedCap); got != want {
 		t.Errorf("%d evictions, want %d", got, want)
 	}
 }
@@ -67,12 +74,13 @@ func TestPreparedRegistryHammer(t *testing.T) {
 	const workers, rounds = 4, 12
 	cfg := memoTestConfig()
 	cfg.Parallelism = workers
-	cfg.PreparedCap = 2
 	cfg.Obs = obs.NewCollector()
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const capacity = 2
+	r.prepared.setCap(capacity)
 	mixes := workload.HeteroMixes()[:3]
 	var mu sync.Mutex
 	inHand := map[*sim.System]bool{}
@@ -113,9 +121,9 @@ func TestPreparedRegistryHammer(t *testing.T) {
 	}
 	wg.Wait()
 	entries, idle, pins := r.prepared.held()
-	if entries > cfg.PreparedCap || pins != 0 || idle > cfg.PreparedCap+workers-1 {
+	if entries > capacity || pins != 0 || idle > capacity+workers-1 {
 		t.Errorf("registry holds %d entries, %d idle systems, %d pins; want at most %d, %d, 0",
-			entries, idle, pins, cfg.PreparedCap, cfg.PreparedCap+workers-1)
+			entries, idle, pins, capacity, capacity+workers-1)
 	}
 	if cfg.Obs.Snapshot().Cache.PreparedEvictions == 0 {
 		t.Error("no eviction happened: the hammer did not exercise evict")

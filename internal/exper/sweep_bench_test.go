@@ -73,9 +73,10 @@ func BenchmarkSweep(b *testing.B) {
 				if err := sys.Restore(p.cp); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := r.measureOn(p, sys, scheme); err != nil {
+				if err := applyScheme(scheme)(p, sys); err != nil {
 					b.Fatal(err)
 				}
+				r.measure(sys)
 			}
 		}
 	})
