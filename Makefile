@@ -2,9 +2,10 @@
 # test suite, a race-detector pass over the concurrent packages (the
 # experiment engine, its observability collector, the serving layer, and
 # the memory controller), a server smoke test over a real TCP listener, a
-# time-boxed native fuzz of the simulation-kernel differential, and a compile
-# of every benchmark. `make bench` refreshes the committed
-# benchmark reports (BENCH_kernel.json, BENCH_memctrl.json,
+# time-boxed native fuzz of the simulation-kernel differential, a compile of
+# every benchmark, and a vet + compile of the nested bench/ module (the
+# BENCHMARK.json harness) against the working tree. `make bench` refreshes the
+# committed benchmark reports (BENCH_kernel.json, BENCH_memctrl.json,
 # BENCH_sweep.json, BENCH_serve.json);
 # `make bench-check` re-runs the benchmarks and fails if a host-stable derived
 # figure (a speedup ratio, an allocation or cell count) worsened beyond the
@@ -39,9 +40,9 @@ BENCH_ENV = GOMAXPROCS=$(BENCH_GOMAXPROCS)
 # quiet one.
 BENCH_MEMCTRL = for pass in 1 2 3 4 5; do $(BENCH_ENV) $(GO) test -run '^$$' -bench . -benchmem -benchtime 2000000x ./internal/memctrl || exit 1; done
 
-.PHONY: check fmt vet build test race smoke fuzz chaos benchbuild bench bench-check loc
+.PHONY: check fmt vet build test race smoke fuzz chaos benchbuild benchmod bench bench-check loc
 
-check: fmt vet build test race smoke fuzz benchbuild
+check: fmt vet build test race smoke fuzz benchbuild benchmod
 
 # fmt fails on any file gofmt would rewrite (it lists them).
 fmt:
@@ -86,6 +87,13 @@ chaos:
 # benchmark name ever slips through).
 benchbuild:
 	$(GO) test -run '^$$' -bench 'ThisMatchesNoBenchmark' -benchtime 1x ./...
+
+# benchmod vets and compiles the nested bench/ module, which only `replace`s
+# ../ (offline-safe) and which ./... above does not reach: a root-package API
+# change that would break the benchmark harness fails here, not in the
+# pipeline's benchmark run.
+benchmod:
+	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 # bench runs the simulation-kernel and event-queue benchmarks (3 repeats of
 # one iteration each) and condenses them into BENCH_kernel.json with the
