@@ -98,13 +98,6 @@ func (r *Runner) runSched(mix workload.Mix, sched memctrl.Scheduler) (sim.Result
 	return r.runConfigured(mix, setScheduler(sched))
 }
 
-// runConfigured measures a mix after apply installs an arbitrary controller
-// configuration (scheduler, shares) on its warmed system (see runWarm).
-func (r *Runner) runConfigured(mix workload.Mix, apply func(sys *sim.System) error) (sim.Result, error) {
-	_, res, err := r.runWarm(mix, func(_ *preparedMix, sys *sim.System) error { return apply(sys) })
-	return res, err
-}
-
 func ipcSum(res sim.Result) float64 {
 	var s float64
 	for _, a := range res.Apps {

@@ -269,7 +269,7 @@ func (r *Runner) aloneVectors(mix workload.Mix) (apcAlone, api, ipcAlone []float
 	for i, name := range mix.Benchmarks {
 		ap, err := r.Alone(name)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, fmt.Errorf("mix %s: %w", mix.Name, err)
 		}
 		apcAlone[i], api[i], ipcAlone[i] = ap.APCAlone, ap.API, ap.IPCAlone
 	}
@@ -314,17 +314,12 @@ type MixRun struct {
 }
 
 // preparedMix is the shared prefix of every measurement on one mix: its
-// immutable profiles and profile vectors plus the checkpoint of its warmed
-// state. RunGrid prepares each mix once and positions a system at the
+// immutable profiles plus the checkpoint of its warmed state. RunGrid prepares each mix once and positions a system at the
 // checkpoint per cell, so the functional warmup is paid once per mix instead
 // of once per (mix, scheme) cell.
 type preparedMix struct {
-	mix      workload.Mix
-	profs    []workload.Profile
-	cp       *sim.Checkpoint
-	apcAlone []float64
-	api      []float64
-	ipcAlone []float64
+	profs []workload.Profile
+	cp    *sim.Checkpoint
 }
 
 // prepareMix builds the mix's system, runs the functional warmup, and
@@ -332,10 +327,6 @@ type preparedMix struct {
 // the checkpoint, so it is the first one a cell can be measured on.
 func (r *Runner) prepareMix(mix workload.Mix) (*preparedMix, *sim.System, error) {
 	profs, err := mix.Profiles()
-	if err != nil {
-		return nil, nil, err
-	}
-	apcAlone, api, ipcAlone, err := r.aloneVectors(mix)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -350,7 +341,7 @@ func (r *Runner) prepareMix(mix workload.Mix) (*preparedMix, *sim.System, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &preparedMix{mix: mix, profs: profs, cp: cp, apcAlone: apcAlone, api: api, ipcAlone: ipcAlone}, sys, nil
+	return &preparedMix{profs: profs, cp: cp}, sys, nil
 }
 
 // forkPrepared builds a fresh system positioned at p's warm checkpoint. It
@@ -394,7 +385,7 @@ func (r *Runner) measure(sys *sim.System) sim.Result {
 	return sys.Results()
 }
 
-// runWarm is the one way to measure a mix from its warmed state: apply
+// runConfigured is the one way to measure a mix from its warmed state: apply
 // installs the configuration under test (a scheme, a scheduler, shares) and
 // measure runs. When memoizing, the system is positioned at the mix's shared
 // warm checkpoint, whose base stays pinned against LRU eviction for the
@@ -402,71 +393,75 @@ func (r *Runner) measure(sys *sim.System) sim.Result {
 // the checkpoint wholesale, so nothing installed here leaks into later runs).
 // Under NoMemoize a private system is built and warmed for this one run: the
 // reference executor the differential tests compare every memoized path
-// against. The mix's immutable prepared prefix comes back with the result.
-func (r *Runner) runWarm(mix workload.Mix, apply func(p *preparedMix, sys *sim.System) error) (*preparedMix, sim.Result, error) {
+// against.
+func (r *Runner) runConfigured(mix workload.Mix, apply func(sys *sim.System) error) (sim.Result, error) {
 	if r.prepared == nil {
-		p, sys, err := r.prepareMix(mix)
+		_, sys, err := r.prepareMix(mix)
 		if err == nil {
-			err = apply(p, sys)
+			err = apply(sys)
 		}
 		if err != nil {
-			return nil, sim.Result{}, err
+			return sim.Result{}, err
 		}
-		return p, r.measure(sys), nil
+		return r.measure(sys), nil
 	}
 	e, release, err := r.prepared.acquire(mix)
 	if err != nil {
-		return nil, sim.Result{}, err
+		return sim.Result{}, err
 	}
 	defer release()
 	sys, err := r.prepared.take(e)
 	if err == nil {
-		err = apply(e.p, sys)
+		err = apply(sys)
 	}
 	if err != nil {
-		return nil, sim.Result{}, err
+		return sim.Result{}, err
 	}
 	res := r.measure(sys)
 	r.prepared.put(e, sys)
-	return e.p, res, nil
+	return res, nil
 }
 
-// applyScheme is the apply step of a cell: NoPartitioning, or a core scheme
-// fed the mix's standalone profile vectors.
-func applyScheme(scheme string) func(p *preparedMix, sys *sim.System) error {
-	return func(p *preparedMix, sys *sim.System) error {
-		if scheme == NoPartitioning {
-			return sys.ApplyNoPartitioning()
-		}
-		sch, err := core.ByName(scheme)
-		if err != nil {
-			return err
-		}
-		return sys.ApplyScheme(sch, p.apcAlone, p.api)
+// applyScheme installs a cell's scheme: NoPartitioning, or a core scheme fed
+// the mix's standalone profile vectors.
+func applyScheme(sys *sim.System, scheme string, apcAlone, api []float64) error {
+	if scheme == NoPartitioning {
+		return sys.ApplyNoPartitioning()
 	}
+	sch, err := core.ByName(scheme)
+	if err != nil {
+		return err
+	}
+	return sys.ApplyScheme(sch, apcAlone, api)
 }
 
 // runCell simulates one (mix, scheme) cell and evaluates all four objectives
 // on the measured IPCs.
 func (r *Runner) runCell(mix workload.Mix, scheme string) (*MixRun, error) {
-	p, res, err := r.runWarm(mix, applyScheme(scheme))
+	apcAlone, api, ipcAlone, err := r.aloneVectors(mix)
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.runConfigured(mix, func(sys *sim.System) error {
+		return applyScheme(sys, scheme, apcAlone, api)
+	})
 	if err != nil {
 		return nil, err
 	}
 	run := &MixRun{
-		Mix:      p.mix,
+		Mix:      mix,
 		Scheme:   scheme,
-		IPCAlone: p.ipcAlone,
-		APCAlone: p.apcAlone,
-		API:      p.api,
+		IPCAlone: ipcAlone,
+		APCAlone: apcAlone,
+		API:      api,
 		Result:   res,
 		Values:   make(map[metrics.Objective]float64, 4),
 	}
 	shared := res.IPCs()
 	for _, obj := range metrics.Objectives() {
-		v, err := obj.Eval(shared, p.ipcAlone)
+		v, err := obj.Eval(shared, ipcAlone)
 		if err != nil {
-			return nil, fmt.Errorf("exper: %s/%s: %w", p.mix.Name, scheme, err)
+			return nil, fmt.Errorf("exper: %s/%s: %w", mix.Name, scheme, err)
 		}
 		run.Values[obj] = v
 	}

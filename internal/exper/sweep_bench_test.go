@@ -63,6 +63,10 @@ func BenchmarkSweep(b *testing.B) {
 	})
 	b.Run("forked", func(b *testing.B) {
 		r, mix, schemes := benchSweepRunner(b, false)
+		apcAlone, api, _, err := r.aloneVectors(mix)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p, sys, err := r.prepareMix(mix)
@@ -73,7 +77,7 @@ func BenchmarkSweep(b *testing.B) {
 				if err := sys.Restore(p.cp); err != nil {
 					b.Fatal(err)
 				}
-				if err := applyScheme(scheme)(p, sys); err != nil {
+				if err := applyScheme(sys, scheme, apcAlone, api); err != nil {
 					b.Fatal(err)
 				}
 				r.measure(sys)
