@@ -2,7 +2,6 @@ package exper
 
 import (
 	"errors"
-	"fmt"
 	"maps"
 	"sync"
 	"unsafe"
@@ -39,12 +38,14 @@ type ResultCache struct {
 }
 
 // cellFlight is one in-flight or finished cell. done is closed exactly once,
-// after run/err are final. bytes and lastUse are owned by the cache's mutex.
+// after run/err are final. enc, bytes and lastUse are owned by the cache's
+// mutex; enc never changes once set.
 type cellFlight struct {
 	done    chan struct{}
 	run     *MixRun // immutable master copy; nil iff err != nil
+	enc     []byte  // encodeRun(run): read off disk, else built by encoding
 	err     error
-	bytes   int64 // accounted size once finished; 0 while in flight
+	bytes   int64 // accounted size of run and enc once finished; 0 while in flight
 	lastUse int64 // cache clock at last lookup or insert
 }
 
@@ -82,35 +83,40 @@ func (c *ResultCache) Bytes() int64 {
 // neither tier.
 var errNotResident = errors.New("exper: cell not resident")
 
-// resolveCell is the lookup order below the memory tier: load (the disk
-// tier), then sim when set. A cell served from disk counts as a
-// obs.CheckpointHits, a simulated one as obs.CellMisses — never both.
-func resolveCell(col *obs.Collector, load func() (*MixRun, bool), sim func() (*MixRun, error)) (*MixRun, error) {
-	if run, ok := load(); ok {
+// resolveCell is the lookup order below the memory tier: load (the disk tier:
+// a run and its encoding, or a nil run), then sim when set. A cell served from
+// disk counts as a obs.CheckpointHits, a simulated one as obs.CellMisses.
+func resolveCell(col *obs.Collector, load func() (*MixRun, []byte), sim func() (*MixRun, error)) (*MixRun, []byte, error) {
+	if run, enc := load(); run != nil {
 		col.Add(obs.CheckpointHits, 1)
-		return run, nil
+		return run, enc, nil
 	}
 	if sim == nil {
-		return nil, errNotResident
+		return nil, nil, errNotResident
 	}
 	col.Add(obs.CellMisses, 1)
-	return sim()
+	run, err := sim()
+	return run, nil, err
 }
 
-// Do resolves the cell for key in the engine's one lookup order — memory
+// flight resolves the cell for key in the engine's one lookup order — memory
 // tier, then resolveCell — running load and sim at most once per key across
-// all concurrent callers. What the leader resolves becomes the cache's master
-// copy, so a disk hit is promoted and the cell's next request is a memory
-// hit; leader, hits, and coalesced waiters all get fresh deep copies. Every
-// resolved cell counts exactly once: obs.CellHits on a finished cell,
-// obs.CellCoalesced for joining an in-flight one, else resolveCell's count.
-func (c *ResultCache) Do(key string, col *obs.Collector, load func() (*MixRun, bool), sim func() (*MixRun, error)) (*MixRun, error) {
+// all concurrent callers, and returns the finished flight. What the leader
+// resolves becomes its master, which callers only read (lookup hands out deep
+// copies), so a disk hit is promoted and the cell's next request is a memory
+// hit. Without wait, a cell in flight is errNotResident. Every resolved cell
+// counts exactly once: obs.CellHits on a finished cell, obs.CellCoalesced for
+// joining an in-flight one, else resolveCell's count.
+func (c *ResultCache) flight(key string, col *obs.Collector, load func() (*MixRun, []byte), sim func() (*MixRun, error), wait bool) (*cellFlight, error) {
 	c.mu.Lock()
 	for f := c.cells[key]; f != nil; f = c.cells[key] {
 		c.clock++
 		f.lastUse = c.clock
 		finished := f.finished()
 		c.mu.Unlock()
+		if !finished && !wait {
+			return nil, errNotResident
+		}
 		<-f.done
 		if f.err == errNotResident && sim != nil {
 			// A resident-only lookup led that flight and found nothing: look
@@ -126,43 +132,56 @@ func (c *ResultCache) Do(key string, col *obs.Collector, load func() (*MixRun, b
 		} else {
 			col.Add(obs.CellCoalesced, 1)
 		}
-		return copyMixRun(f.run), nil
+		return f, nil
 	}
 	c.clock++
 	f := &cellFlight{done: make(chan struct{}), lastUse: c.clock}
 	c.cells[key] = f
 	c.mu.Unlock()
 
-	finished := false
-	// A panicking sim would otherwise leave the flight open forever and
-	// deadlock every waiter: fail the flight, then let the panic propagate
-	// (runJobs converts it into a job error).
+	// An unpublished flight fails with err: resolveCell's, else — a panicking
+	// sim, which would otherwise deadlock every waiter — this one, and the
+	// panic propagates (runJobs converts it into a job error).
+	err := errors.New("exper: cell simulation panicked")
 	defer func() {
-		if !finished {
-			c.fail(key, f, fmt.Errorf("exper: cell simulation panicked"))
+		if f.run == nil {
+			c.fail(key, f, err)
 		}
 	}()
-	run, err := resolveCell(col, load, sim)
-	finished = true
+	run, enc, err := resolveCell(col, load, sim)
 	if err != nil {
-		c.fail(key, f, err)
 		return nil, err
 	}
-	f.run = run
-	f.bytes = mixRunBytes(run)
-	close(f.done)
-	// Account after publishing: the freshly finished cell is itself
-	// evictable, so the bound is strict — a single cell larger than the
-	// whole budget is dropped immediately rather than pinned forever.
+	// Publish and account in one critical section. The finished cell is itself
+	// evictable, so a cell larger than the whole budget is dropped at once.
 	c.mu.Lock()
+	f.run, f.enc, f.bytes = run, enc, mixRunBytes(run)+int64(len(enc))
+	close(f.done)
 	c.curBytes += f.bytes
 	c.evictLocked(col)
 	col.Set(obs.CellBytes, c.curBytes)
 	c.mu.Unlock()
-	// The leader gets a deep copy too: the resolved run becomes the cache's
-	// master and is never handed out, so no caller — leader included —
-	// holds memory any other caller (or the cache) can see.
-	return copyMixRun(run), nil
+	return f, nil
+}
+
+// encoding returns f.enc, built once under the mutex and charged to the budget
+// while f is resident (which may evict).
+func (c *ResultCache) encoding(key string, f *cellFlight, col *obs.Collector) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f.enc == nil {
+		enc, err := encodeRun(f.run)
+		if err != nil {
+			return nil, err
+		}
+		f.enc, f.bytes = enc, f.bytes+int64(len(enc))
+		if c.cells[key] == f {
+			c.curBytes += int64(len(enc))
+			c.evictLocked(col)
+			col.Set(obs.CellBytes, c.curBytes)
+		}
+	}
+	return f.enc, nil
 }
 
 // fail publishes err to the flight's waiters and forgets the flight, so a

@@ -147,28 +147,35 @@ func (s *CheckpointStore) Has(r *Runner, mix workload.Mix, scheme string) bool {
 // written the file. A read error other than "file does not exist"
 // additionally degrades the store. A nil store holds nothing.
 func (s *CheckpointStore) Load(r *Runner, mix workload.Mix, scheme string) (*MixRun, bool) {
+	run, _ := s.load(r, mix, scheme)
+	return run, run != nil
+}
+
+// load is Load plus the file's bytes as the cell's encoding (newline added),
+// so a promoted cell is never re-encoded. A miss is a nil run.
+func (s *CheckpointStore) load(r *Runner, mix workload.Mix, scheme string) (*MixRun, []byte) {
 	if s == nil || s.Degraded() {
-		return nil, false
+		return nil, nil
 	}
 	if err := s.injector().Err(faultinject.CheckpointRead); err != nil {
 		s.degrade("read", err)
-		return nil, false
+		return nil, nil
 	}
 	data, err := os.ReadFile(s.cellPath(r, mix, scheme))
 	if err != nil {
 		if !os.IsNotExist(err) {
 			s.degrade("read", err)
 		}
-		return nil, false
+		return nil, nil
 	}
 	var run MixRun
 	if err := json.Unmarshal(data, &run); err != nil {
-		return nil, false
+		return nil, nil
 	}
 	if !slices.Equal(run.Mix.Benchmarks, mix.Benchmarks) || run.Scheme != scheme {
-		return nil, false
+		return nil, nil
 	}
-	return &run, true
+	return &run, append(data, '\n')
 }
 
 // Save atomically persists one finished cell (temp file + rename), so a
@@ -193,26 +200,20 @@ func (s *CheckpointStore) Save(r *Runner, run *MixRun) error {
 		s.degrade("write", err)
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.degrade("write", err)
-		return err
+	op := "write"
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		s.degrade("write", err)
-		return err
+	if err == nil {
+		op, err = "rename", s.injector().Err(faultinject.CheckpointRename)
 	}
-	if err := s.injector().Err(faultinject.CheckpointRename); err != nil {
-		os.Remove(tmp.Name())
-		s.degrade("rename", err)
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.cellPath(r, run.Mix, run.Scheme))
 	}
-	if err := os.Rename(tmp.Name(), s.cellPath(r, run.Mix, run.Scheme)); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
-		s.degrade("rename", err)
-		return err
+		s.degrade(op, err)
 	}
-	return nil
+	return err
 }

@@ -7,6 +7,7 @@ package exper
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -191,15 +192,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 // Config returns the runner's configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
-// aloneEntry is the cached standalone characterization type.
-type aloneEntry = sim.AloneProfile
-
-// profileAloneFor runs the standalone characterization for one benchmark
-// under the experiment configuration.
-func profileAloneFor(cfg Config, p workload.Profile) (aloneEntry, error) {
-	return sim.ProfileAlone(cfg.Sim, p, cfg.ProfileCycles)
-}
-
 // Alone returns the cached standalone profile of a benchmark, profiling it
 // on first use. Safe for concurrent use: concurrent first requests for the
 // same benchmark coalesce onto one profiling run (single-flight), so a
@@ -219,24 +211,18 @@ func (r *Runner) Alone(name string) (sim.AloneProfile, error) {
 	r.aloneFlights[name] = f
 	r.aloneMu.Unlock()
 
-	finished := false
-	// A panic mid-profile must not leave waiters blocked on the flight.
-	defer func() {
-		if !finished {
-			f.err = errors.New("exper: standalone profiling panicked")
-			r.finishAloneFlight(name, f)
-		}
-	}()
+	// Published however this returns: a panic mid-profile keeps the error
+	// below and must not leave waiters blocked on the flight.
+	f.err = errors.New("exper: standalone profiling panicked")
+	defer r.finishAloneFlight(name, f)
 	p, err := workload.ByName(name)
-	if err == nil {
-		stop := r.cfg.Obs.StageStart(obs.StageProfile)
-		f.ap, f.err = profileAloneFor(r.cfg, p)
-		stop()
-	} else {
+	if err != nil {
 		f.err = err
+		return f.ap, err
 	}
-	finished = true
-	r.finishAloneFlight(name, f)
+	stop := r.cfg.Obs.StageStart(obs.StageProfile)
+	f.ap, f.err = sim.ProfileAlone(r.cfg.Sim, p, r.cfg.ProfileCycles)
+	stop()
 	return f.ap, f.err
 }
 
@@ -488,7 +474,7 @@ func (r *Runner) RunMix(mix workload.Mix, scheme string) (*MixRun, error) {
 // asked for — but warm-base sharing still applies (forked runs emit
 // bit-identical traces).
 func (r *Runner) lookup(mix workload.Mix, scheme string, simulate bool) (*MixRun, error) {
-	load := func() (*MixRun, bool) { return r.cfg.Checkpoint.Load(r, mix, scheme) }
+	load := func() (*MixRun, []byte) { return r.cfg.Checkpoint.load(r, mix, scheme) }
 	var sim func() (*MixRun, error)
 	if simulate {
 		sim = func() (*MixRun, error) { return r.simulateCell(mix, scheme) }
@@ -496,9 +482,12 @@ func (r *Runner) lookup(mix workload.Mix, scheme string, simulate bool) (*MixRun
 	var run *MixRun
 	var err error
 	if r.cache == nil || r.cfg.Tracer != nil {
-		run, err = resolveCell(r.cfg.Obs, load, sim)
+		run, _, err = resolveCell(r.cfg.Obs, load, sim)
 	} else {
-		run, err = r.cache.Do(cellKey(r.fp, mix, scheme), r.cfg.Obs, load, sim)
+		var f *cellFlight
+		if f, err = r.cache.flight(cellKey(r.fp, mix, scheme), r.cfg.Obs, load, sim, true); err == nil {
+			run = copyMixRun(f.run) // the master is never handed out
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -510,6 +499,50 @@ func (r *Runner) lookup(mix workload.Mix, scheme string, simulate bool) (*MixRun
 	run.Mix.Name = mix.Name
 	run.Mix.PaperRSD = mix.PaperRSD
 	return run, nil
+}
+
+// ResidentJSON is encodeRun of what RunMix would return for a resident cell:
+// its stored bytes from memory or, promoting it, from disk — never waiting on
+// a cell in flight, simulating or copying. Any other cell fails, as does every
+// cell of a runner without a result cache or with a tracer.
+func (r *Runner) ResidentJSON(mix workload.Mix, scheme string) ([]byte, error) {
+	return r.residentJSON(mix, scheme, r.cfg.Obs, func() (*MixRun, []byte) { return r.cfg.Checkpoint.load(r, mix, scheme) })
+}
+
+// EncodeCell is encodeRun(run) for a run this runner resolved: the resident
+// cell's stored bytes (a memory probe, uncounted), so a miss answers with what
+// its hits get.
+func (r *Runner) EncodeCell(run *MixRun) ([]byte, error) {
+	if enc, err := r.residentJSON(run.Mix, run.Scheme, nil, func() (*MixRun, []byte) { return nil, nil }); err == nil {
+		return enc, nil
+	}
+	return encodeRun(run)
+}
+
+// residentJSON is ResidentJSON counted on col, with load as the disk tier. An
+// aliased mix gets a fresh encoding of the master restamped, as lookup does.
+func (r *Runner) residentJSON(mix workload.Mix, scheme string, col *obs.Collector, load func() (*MixRun, []byte)) ([]byte, error) {
+	if r.cache == nil || r.cfg.Tracer != nil {
+		return nil, errNotResident
+	}
+	key := cellKey(r.fp, mix, scheme)
+	f, err := r.cache.flight(key, col, load, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	if f.run.Mix.Name != mix.Name || f.run.Mix.PaperRSD != mix.PaperRSD {
+		cp := *f.run
+		cp.Mix.Name, cp.Mix.PaperRSD = mix.Name, mix.PaperRSD
+		return encodeRun(&cp)
+	}
+	return r.cache.encoding(key, f, r.cfg.Obs)
+}
+
+// encodeRun is a cell's one encoding: json.Marshal(run) — the bytes
+// CheckpointStore.Save writes — plus the newline json.Encoder adds.
+func encodeRun(run *MixRun) ([]byte, error) {
+	enc, err := json.Marshal(run)
+	return append(enc, '\n'), err
 }
 
 // simulateCell is the last step of the lookup order: a real simulation,

@@ -1,7 +1,9 @@
 package exper
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -303,7 +305,7 @@ func TestResidentProbeHandsOverToSimulation(t *testing.T) {
 	probing, release := make(chan struct{}), make(chan struct{})
 	var loads, sims int
 	var mu sync.Mutex
-	load := func() (*MixRun, bool) {
+	load := func() (*MixRun, []byte) {
 		mu.Lock()
 		loads++
 		first := loads == 1
@@ -312,26 +314,28 @@ func TestResidentProbeHandsOverToSimulation(t *testing.T) {
 			close(probing)
 			<-release
 		}
-		return nil, false
+		return nil, nil
 	}
 	probeErr := make(chan error, 1)
 	go func() {
-		_, err := c.Do("k", col, load, nil)
+		_, err := c.flight("k", col, load, nil, true)
 		probeErr <- err
 	}()
 	<-probing
 	got := make(chan *MixRun, 1)
 	go func() {
-		run, err := c.Do("k", col, load, func() (*MixRun, error) {
+		f, err := c.flight("k", col, load, func() (*MixRun, error) {
 			mu.Lock()
 			sims++
 			mu.Unlock()
 			return want, nil
-		})
+		}, true)
 		if err != nil {
 			t.Error(err)
+			got <- nil
+			return
 		}
-		got <- run
+		got <- f.run
 	}()
 	// Wait for the full lookup to join the probe's flight (its touch bumps
 	// the LRU clock past the leader's), then let the probe miss.
@@ -351,4 +355,38 @@ func TestResidentProbeHandsOverToSimulation(t *testing.T) {
 		t.Errorf("loads/sims = %d/%d, want 2/1", loads, sims)
 	}
 	wantCache(t, "probe then simulation", col, 0, 1, 0, 0)
+}
+
+// TestDiskPromotionKeepsFileBytes: a cell promoted from disk answers with the
+// bytes it was read from, never a re-encoding — here a file rewritten
+// indented (still a valid cell) comes back verbatim, newline added.
+func TestDiskPromotionKeepsFileBytes(t *testing.T) {
+	dir := t.TempDir()
+	mix, err := workload.MixByName("homo-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, _ := storeRunner(t, dir)
+	run, err := r1.RunMix(mix, "equal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(run, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(r1.cfg.Checkpoint.cellPath(r1, mix, "equal"), indented, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r2, col := storeRunner(t, dir)
+	for i := 0; i < 2; i++ { // the disk hit, then the memory hit it promoted
+		got, err := r2.ResidentJSON(mix, "equal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(indented, '\n')) {
+			t.Errorf("hit %d: body is not the checkpoint file's bytes plus a newline", i)
+		}
+	}
+	wantCache(t, "promoted", col, 1, 0, 0, 1)
 }

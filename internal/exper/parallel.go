@@ -32,11 +32,7 @@ func defaultParallelism() int {
 			return n
 		}
 	}
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(runtime.GOMAXPROCS(0), 1)
 }
 
 // parallelism resolves the runner's worker count.
@@ -84,12 +80,7 @@ func runJobs(parent context.Context, workers int, col *obs.Collector, n int, fn 
 	if n <= 0 {
 		return nil
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(max(workers, 1), n)
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	col.Add(obs.JobsTotal, int64(n))

@@ -1,7 +1,7 @@
 package exper
 
 import (
-	"fmt"
+	"errors"
 	"slices"
 	"sync"
 
@@ -84,28 +84,22 @@ func (g *preparedRegistry) acquire(mix workload.Mix) (*preparedEntry, func(), er
 	g.evictLocked()
 	g.mu.Unlock()
 
-	finished := false
+	// A failed preparation — or a panicking one, which must not leave waiters
+	// blocked — publishes err and is forgotten, so a later acquire retries.
+	err := errors.New("exper: mix preparation panicked")
 	defer func() {
-		if !finished {
-			// A panic during preparation must not leave waiters blocked.
-			e.err = fmt.Errorf("exper: mix preparation panicked")
+		if e.p == nil {
+			e.err = err
 			g.mu.Lock()
 			delete(g.entries, key)
 			g.mu.Unlock()
 			close(e.done)
 		}
 	}()
-	p, warmed, err := g.r.prepareMix(mix)
-	finished = true
-	if err != nil {
-		e.err = err
-		g.mu.Lock()
-		delete(g.entries, key)
-		g.mu.Unlock()
-		close(e.done)
+	var warmed *sim.System
+	if e.p, warmed, err = g.r.prepareMix(mix); err != nil {
 		return nil, nil, err
 	}
-	e.p = p
 	g.put(e, warmed)
 	close(e.done)
 	return e, func() { g.release(e) }, nil

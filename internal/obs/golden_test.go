@@ -30,7 +30,7 @@ func fullSnapshot() Snapshot {
 			Hits: 21, Misses: 22, Coalesced: 23, WarmForks: 24,
 			Evictions: 25, Bytes: 26000, PreparedEvictions: 27, CheckpointHits: 28,
 		},
-		Admission: AdmissionStats{Accepted: 31, Rejected: 32, Cancelled: 33, Done: 34, Failed: 35},
+		Admission: AdmissionStats{Accepted: 31, Rejected: 32, Cancelled: 33, Done: 34, Failed: 35, Hits: 36},
 		Failures: FailureStats{
 			DeadlineExceeded: 41, Panicked: 42, CheckpointErrors: 43,
 			CheckpointDegraded: 1, FaultsInjected: 45,
@@ -104,12 +104,12 @@ func TestEveryCounter(t *testing.T) {
 			Hits: 6, Misses: 7, Coalesced: 8, Evictions: 9, Bytes: 10,
 			WarmForks: 11, PreparedEvictions: 12, CheckpointHits: 13,
 		},
-		Admission: AdmissionStats{Accepted: 14, Rejected: 15, Cancelled: 16, Done: 17, Failed: 18},
+		Admission: AdmissionStats{Accepted: 14, Rejected: 15, Cancelled: 16, Done: 17, Failed: 18, Hits: 19},
 		Failures: FailureStats{
-			DeadlineExceeded: 19, Panicked: 20, CheckpointErrors: 21,
-			CheckpointDegraded: 1, FaultsInjected: 23,
+			DeadlineExceeded: 20, Panicked: 21, CheckpointErrors: 22,
+			CheckpointDegraded: 1, FaultsInjected: 24,
 		},
-		Kernel: KernelStats{Cycles: 24, CyclesTicked: 25, ComponentTicks: 26, ComponentSlept: 27, Pokes: 28},
+		Kernel: KernelStats{Cycles: 25, CyclesTicked: 26, ComponentTicks: 27, ComponentSlept: 28, Pokes: 29},
 	}
 	if got := c.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("snapshot after bumping every counter:\n%+v\nwant:\n%+v", got, want)

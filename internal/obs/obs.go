@@ -61,6 +61,7 @@ const (
 	JobsCancelled   // accepted, then cancelled before completion
 	ServeJobsDone   // accepted, reached the done state
 	ServeJobsFailed // accepted, reached the failed state
+	ServeHits       // answered from a resident cell without becoming a job
 	// Failure paths of a long-lived service. Checkpoint-tier I/O failures
 	// (load, save, journal append) demote the store rather than fail cells, so
 	// CheckpointErrors and the CheckpointDegraded gauge (0 healthy, 1
@@ -103,6 +104,7 @@ var counters = [numCounters]struct {
 	JobsCancelled:        {"bwpart_jobs_cancelled_total", "Accepted jobs cancelled before completion.", false, func(s *Snapshot) *int64 { return &s.Admission.Cancelled }},
 	ServeJobsDone:        {"bwpart_serve_jobs_done_total", "Jobs that reached the done state.", false, func(s *Snapshot) *int64 { return &s.Admission.Done }},
 	ServeJobsFailed:      {"bwpart_serve_jobs_failed_total", "Jobs that reached the failed state.", false, func(s *Snapshot) *int64 { return &s.Admission.Failed }},
+	ServeHits:            {"bwpart_serve_hits_total", "Requests answered from a resident cell without a job.", false, func(s *Snapshot) *int64 { return &s.Admission.Hits }},
 	JobsDeadlineExceeded: {"bwpart_jobs_deadline_exceeded_total", "Service jobs failed by their deadline.", false, func(s *Snapshot) *int64 { return &s.Failures.DeadlineExceeded }},
 	JobsPanicked:         {"bwpart_jobs_panicked_total", "Service jobs failed by the last-resort panic recovery.", false, func(s *Snapshot) *int64 { return &s.Failures.Panicked }},
 	CheckpointErrors:     {"bwpart_checkpoint_errors_total", "Checkpoint-tier I/O failures (load, save, journal).", false, func(s *Snapshot) *int64 { return &s.Failures.CheckpointErrors }},
@@ -284,13 +286,15 @@ type CacheStats struct {
 	CheckpointHits    int64 `json:"checkpoint_hits"`
 }
 
-// AdmissionStats summarizes a serving front end's admission control.
+// AdmissionStats summarizes a serving front end's admission control. Hits
+// were never admitted: accepted == done + failed + cancelled leaves them out.
 type AdmissionStats struct {
 	Accepted  int64 `json:"accepted"`
 	Rejected  int64 `json:"rejected"`
 	Cancelled int64 `json:"cancelled"`
 	Done      int64 `json:"done"`
 	Failed    int64 `json:"failed"`
+	Hits      int64 `json:"hits"`
 }
 
 // FailureStats summarizes the failure paths of a long-lived service.

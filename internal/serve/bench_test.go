@@ -14,12 +14,12 @@ import (
 )
 
 // benchServer starts a serving stack (Server + HTTP front end) and returns
-// its base URL and a stop function (also run at cleanup). memoize=false
+// the server, its base URL and a stop function (also run at cleanup). memoize=false
 // disables the result cache so every request pays a full simulation — the
 // cold reference the warm arms are compared against (benchjson derives
 // serve_warm_speedup from the pair). A non-empty checkpointDir makes it the
 // restart-safe configuration: checkpoint store plus job journal.
-func benchServer(b *testing.B, memoize bool, checkpointDir string) (url string, stop func()) {
+func benchServer(b *testing.B, memoize bool, checkpointDir string) (*Server, string, func()) {
 	b.Helper()
 	cfg := testConfig()
 	cfg.NoMemoize = !memoize
@@ -35,7 +35,7 @@ func benchServer(b *testing.B, memoize bool, checkpointDir string) (url string, 
 		b.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	stop = func() { // safe to call twice: Close and Drain are idempotent
+	stop := func() { // safe to call twice: Close and Drain are idempotent
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
@@ -44,7 +44,7 @@ func benchServer(b *testing.B, memoize bool, checkpointDir string) (url string, 
 		}
 	}
 	b.Cleanup(stop)
-	return ts.URL, stop
+	return s, ts.URL, stop
 }
 
 // benchRequest posts one mix cell and fully consumes the response.
@@ -70,9 +70,11 @@ func benchRequest(b *testing.B, client *http.Client, url, mix, scheme string) {
 // warm is the same request answered from the cache; warm_disk is warm on a
 // server restarted over a populated checkpoint directory (each cell comes off
 // disk once, then from memory, and no request appends to the journal);
-// concurrent is warm sustained throughput from several clients at once.
-// benchjson derives serve_warm_speedup = cold/warm and the per-arm request
-// rates, and gates the concurrent arm's per-request latency.
+// concurrent is warm sustained throughput from several clients at once;
+// handler_hit is one resident hit through the handler alone, in process.
+// benchjson derives serve_warm_speedup = cold/warm, the per-arm request rates,
+// and serve_hit_allocs_per_op from handler_hit, which bench-check fails on
+// any growth.
 func BenchmarkServe(b *testing.B) {
 	cells := []struct{ mix, scheme string }{
 		{"hetero-1", "equal"},
@@ -82,7 +84,7 @@ func BenchmarkServe(b *testing.B) {
 	}
 
 	b.Run("cold", func(b *testing.B) {
-		url, _ := benchServer(b, false, "")
+		_, url, _ := benchServer(b, false, "")
 		client := &http.Client{Timeout: 120 * time.Second}
 		// One unmeasured request caches the standalone profiles inside the
 		// runner, so every timed request pays exactly the per-cell work
@@ -110,24 +112,42 @@ func BenchmarkServe(b *testing.B) {
 	}
 
 	b.Run("warm", func(b *testing.B) {
-		url, _ := benchServer(b, true, "")
+		_, url, _ := benchServer(b, true, "")
 		warmHits(b, &http.Client{Timeout: 120 * time.Second}, url)
 	})
 
 	b.Run("warm_disk", func(b *testing.B) {
 		dir := b.TempDir()
 		client := &http.Client{Timeout: 120 * time.Second}
-		url, stop := benchServer(b, true, dir)
+		_, url, stop := benchServer(b, true, dir)
 		for _, c := range cells {
 			benchRequest(b, client, url, c.mix, c.scheme)
 		}
 		stop()
-		url, _ = benchServer(b, true, dir)
+		_, url, _ = benchServer(b, true, dir)
 		warmHits(b, client, url)
 	})
 
+	b.Run("handler_hit", func(b *testing.B) {
+		s, _, _ := benchServer(b, true, "")
+		hit := hitCall(s.Handler(), cells[0].mix, cells[0].scheme)
+		// The first call is the miss that makes the cell resident; the rest
+		// settle lazily built state, so the one timed call at -benchtime 1x
+		// counts the hit path's allocations alone.
+		for i := 0; i < 10; i++ {
+			hit()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if code := hit(); code != http.StatusOK {
+				b.Fatalf("status %d", code)
+			}
+		}
+	})
+
 	b.Run("concurrent", func(b *testing.B) {
-		url, _ := benchServer(b, true, "")
+		_, url, _ := benchServer(b, true, "")
 		for _, c := range cells {
 			benchRequest(b, &http.Client{Timeout: 120 * time.Second}, url, c.mix, c.scheme)
 		}
@@ -146,3 +166,33 @@ func BenchmarkServe(b *testing.B) {
 		b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "req/s")
 	})
 }
+
+// hitCall returns one in-process POST /v1/mix of (mix, scheme) through h. It
+// reuses the request, its body reader and a response writer that discards the
+// body, so every allocation of a call is the handler's own. A call returns the
+// response status.
+func hitCall(h http.Handler, mix, scheme string) func() int {
+	body, err := json.Marshal(MixRequest{Mix: mix, Scheme: scheme})
+	if err != nil {
+		panic(err)
+	}
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/mix", rd)
+	w := &discardWriter{header: http.Header{}}
+	return func() int {
+		rd.Reset(body)
+		w.code = http.StatusOK
+		h.ServeHTTP(w, req)
+		return w.code
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps only the status.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }

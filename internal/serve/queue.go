@@ -1,6 +1,9 @@
 package serve
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // fairQueue is the admission-controlled job queue: depth-bounded (push
 // refuses past the bound — the caller turns that into 429 + Retry-After)
@@ -77,29 +80,22 @@ func (q *fairQueue) remove(target *job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	list := q.perClient[target.client]
-	for i, j := range list {
-		if j != target {
-			continue
-		}
-		list = append(list[:i], list[i+1:]...)
-		if len(list) == 0 {
-			delete(q.perClient, target.client)
-			for k, c := range q.order {
-				if c == target.client {
-					q.order = append(q.order[:k], q.order[k+1:]...)
-					if q.rr > k {
-						q.rr--
-					}
-					break
-				}
-			}
-		} else {
-			q.perClient[target.client] = list
-		}
-		q.depth--
+	i := slices.Index(list, target)
+	if i < 0 {
+		return false
+	}
+	q.depth--
+	if list = slices.Delete(list, i, i+1); len(list) > 0 {
+		q.perClient[target.client] = list
 		return true
 	}
-	return false
+	delete(q.perClient, target.client)
+	k := slices.Index(q.order, target.client)
+	q.order = slices.Delete(q.order, k, k+1)
+	if q.rr > k {
+		q.rr--
+	}
+	return true
 }
 
 // close stops admission. Queued jobs still drain through pop; workers exit

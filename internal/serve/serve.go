@@ -20,11 +20,15 @@
 // Admission control: the queue depth is bounded; past the bound requests
 // get 429 with a Retry-After hint. Dispatch is round-robin over client IDs
 // (X-Client-ID header, else the remote host), so a flooding client cannot
-// starve others. Draining (SIGTERM) stops admission with 503 but completes
+// starve others. A /v1/mix cell already resident (in memory, or on disk) is
+// no job: the handler writes its stored encoding and returns, so a hit is
+// never queued, never counts against its client's share and never gets a 429.
+// Draining (SIGTERM) stops admission, hits included, with 503 but completes
 // every accepted job before shutdown.
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -299,11 +303,7 @@ func (s *Server) Run(ctx context.Context, ln net.Listener, drainTimeout time.Dur
 	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	derr := s.Drain(dctx)
-	serr := hs.Shutdown(dctx)
-	if derr != nil {
-		return derr
-	}
-	return serr
+	return cmp.Or(derr, hs.Shutdown(dctx))
 }
 
 // Drain stops admission (new requests get 503), lets every accepted job
@@ -318,10 +318,9 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.workers.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		s.journal.closeFile()
-		return nil
 	case <-ctx.Done():
 		s.jobMu.Lock()
 		for _, j := range s.jobs {
@@ -329,9 +328,10 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 		s.jobMu.Unlock()
 		<-done
-		s.journal.closeFile()
-		return fmt.Errorf("serve: drain deadline exceeded, running jobs cancelled: %w", ctx.Err())
+		err = fmt.Errorf("serve: drain deadline exceeded, running jobs cancelled: %w", ctx.Err())
 	}
+	s.journal.closeFile()
+	return err
 }
 
 // Draining reports whether the server has stopped admitting work.
@@ -386,11 +386,21 @@ type GridAccepted struct {
 	CellsTotal int    `json:"cells_total"`
 }
 
-// httpError writes a JSON error body with the given status.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
+// writeJSON answers status with v as a JSON body.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	json.NewEncoder(w).Encode(v)
+}
+
+// httpError writes a JSON error body with the given status.
+func httpError(w http.ResponseWriter, status int, format string, args ...any) {
+	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// gridAccepted is the 202 body for an accepted grid job.
+func gridAccepted(j *job) GridAccepted {
+	return GridAccepted{ID: j.id, StatusURL: "/v1/jobs/" + j.id, CellsTotal: j.cellsTotal}
 }
 
 // clientID identifies the requester for fairness: the X-Client-ID header
@@ -461,28 +471,44 @@ func (s *Server) newJobID() string {
 	return "job-" + strconv.FormatInt(s.nextID.Add(1), 10)
 }
 
+// validate checks a request's mix and scheme names, bandwidth scale (0 is
+// set to 1) and timeout, answering 400 for the first bad one (ok false).
+func (s *Server) validate(w http.ResponseWriter, mixNames, schemes []string, scale *float64, timeoutS float64) (mixes []workload.Mix, r *exper.Runner, timeout time.Duration, ok bool) {
+	if *scale == 0 {
+		*scale = 1
+	}
+	mixes, err := resolve(mixNames, schemes)
+	if err == nil {
+		r, err = s.runnerFor(*scale)
+	}
+	if err == nil {
+		timeout, err = s.effectiveTimeout(timeoutS)
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+	}
+	return mixes, r, timeout, err == nil
+}
+
 func (s *Server) handleMix(w http.ResponseWriter, r *http.Request) {
 	var req MixRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	if req.Scale == 0 {
-		req.Scale = 1
-	}
-	mixes, err := resolve([]string{req.Mix}, []string{req.Scheme})
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	mixes, runner, timeout, ok := s.validate(w, []string{req.Mix}, []string{req.Scheme}, &req.Scale, req.TimeoutS)
+	if !ok {
 		return
 	}
-	if _, err := s.runnerFor(req.Scale); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	timeout, err := s.effectiveTimeout(req.TimeoutS)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+	// A resident cell is a lookup and one Write; only a miss becomes a job.
+	// While draining there is no lookup: admit answers 503, as to any request.
+	if !s.draining.Load() {
+		if body, err := runner.ResidentJSON(mixes[0], req.Scheme); err == nil {
+			s.col.Add(obs.ServeHits, 1)
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(body)
+			return
+		}
 	}
 	j := newJob(s.newJobID(), clientID(r), "mix", req.Scale, mixes, []string{req.Scheme}, timeout)
 	if s.admit(w, j) == nil {
@@ -499,8 +525,9 @@ func (s *Server) handleMix(w http.ResponseWriter, r *http.Request) {
 	snap := j.snapshot()
 	switch {
 	case snap.State == JobDone:
+		body, _ := runner.EncodeCell(snap.Results[0]) // the bytes its hits get
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(snap.Results[0])
+		w.Write(body)
 	case snap.State == JobCancelled:
 		httpError(w, http.StatusConflict, "job %s cancelled", j.id)
 	case snap.ErrorKind == ErrKindDeadline:
@@ -516,34 +543,15 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	if req.Scale == 0 {
-		req.Scale = 1
-	}
-	mixes, err := resolve(req.Mixes, req.Schemes)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if _, err := s.runnerFor(req.Scale); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	timeout, err := s.effectiveTimeout(req.TimeoutS)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	mixes, _, timeout, ok := s.validate(w, req.Mixes, req.Schemes, &req.Scale, req.TimeoutS)
+	if !ok {
 		return
 	}
 	j := newJob(s.newJobID(), clientID(r), "grid", req.Scale, mixes, req.Schemes, timeout)
 	if s.admit(w, j) == nil {
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(GridAccepted{
-		ID:         j.id,
-		StatusURL:  "/v1/jobs/" + j.id,
-		CellsTotal: j.cellsTotal,
-	})
+	writeJSON(w, http.StatusAccepted, gridAccepted(j))
 }
 
 func (s *Server) lookupJob(id string) *job {
@@ -576,8 +584,7 @@ func (s *Server) handleJobsList(w http.ResponseWriter, _ *http.Request) {
 		}
 		return snaps[a].ID < snaps[b].ID
 	})
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string][]JobSnapshot{"jobs": snaps})
+	writeJSON(w, http.StatusOK, map[string][]JobSnapshot{"jobs": snaps})
 }
 
 // handleJobRetry re-enqueues a terminal job's spec as a fresh job — the
@@ -601,13 +608,7 @@ func (s *Server) handleJobRetry(w http.ResponseWriter, r *http.Request) {
 	// The old job's spec now lives on in the new one: a "retried" terminal
 	// record stops the next restart from replaying it as interrupted again.
 	s.journal.terminal(old, JobState("retried"))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(GridAccepted{
-		ID:         j.id,
-		StatusURL:  "/v1/jobs/" + j.id,
-		CellsTotal: j.cellsTotal,
-	})
+	writeJSON(w, http.StatusAccepted, gridAccepted(j))
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -617,8 +618,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("watch") == "" {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(j.snapshot())
+		writeJSON(w, http.StatusOK, j.snapshot())
 		return
 	}
 	// Streamed progress: one JSON line per state change, ending with the
@@ -653,8 +653,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cancelJob(j)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(j.snapshot())
+	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
 // finish moves j to state exactly once: whichever caller wins the terminal

@@ -110,16 +110,14 @@ func MotivationMix() Mix {
 	return Mix{Name: "motivation", Benchmarks: []string{"libquantum", "milc", "gromacs", "gobmk"}}
 }
 
-// MixByName finds any named mix.
+// MixByName finds any named mix. Only the mix found is copied: servers
+// resolve a name per request.
 func MixByName(name string) (Mix, error) {
-	for _, m := range AllMixes() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	for _, m := range QoSMixes() {
-		if m.Name == name {
-			return m, nil
+	for _, table := range [][]Mix{homoMixes, heteroMixes, qosMixes} {
+		for _, m := range table {
+			if m.Name == name {
+				return cloneMixes([]Mix{m})[0], nil
+			}
 		}
 	}
 	if m := MotivationMix(); m.Name == name {
