@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -82,5 +84,174 @@ func TestRestoreRefusesIncompatibleState(t *testing.T) {
 				t.Error("refused restore changed the cache")
 			}
 		})
+	}
+}
+
+// lruOp is one access of the LRU round-trip stream. A requota op instead
+// re-partitions the shared cache's ways.
+type lruOp struct {
+	addr    uint64
+	write   bool
+	app     int
+	requota []int
+}
+
+// lruStream is a seeded access stream in batches: every batch is issued in one
+// cycle and the cache is then left to go quiescent (no MSHR, no pending event,
+// nothing in flight below), which is where a snapshot may be taken. The first
+// three batches are fixed: a miss; a hit on that line followed by a miss into
+// the same set, so the fill lands after the hit; and a lone hit. 24 lines over
+// four sets of four ways keep every set under pressure.
+func lruStream(seed int64, apps int, requotaAt int, requota []int) [][]lruOp {
+	batches := [][]lruOp{
+		{{addr: 0x000}},
+		{{addr: 0x008}, {addr: 0x100, write: true}},
+		{{addr: 0x100}},
+	}
+	r := rand.New(rand.NewSource(seed))
+	for len(batches) < 400 {
+		if len(batches) == requotaAt {
+			batches = append(batches, []lruOp{{requota: requota}})
+			continue
+		}
+		batch := make([]lruOp, 1+r.Intn(3))
+		for i := range batch {
+			batch[i] = lruOp{addr: uint64(r.Intn(24))*64 + uint64(r.Intn(64)), write: r.Intn(3) == 0, app: r.Intn(apps)}
+		}
+		batches = append(batches, batch)
+	}
+	return batches
+}
+
+// lruCache is what the round trip needs of either cache.
+type lruCache interface {
+	snapCache
+	Tick(now int64)
+	OutstandingMisses() int
+}
+
+// TestSnapshotLRURoundTrip: a cache restored from a snapshot into a fresh
+// cache must make every later replacement decision the original makes. Both
+// are driven with the rest of the stream after the snapshot point and must
+// agree on every access's verdict (refused, miss or hit), on the counters
+// after every batch, and on the read and writeback streams the lower level
+// sees. The points cover a fresh cache (lruTick below Ways), the line a hit
+// stamped just before a fill into its set, and warm, saturated sets — for a
+// private cache with a depth-2 prefetcher and for a shared cache whose quota
+// is re-partitioned mid-stream, before some snapshots and after others.
+func TestSnapshotLRURoundTrip(t *testing.T) {
+	cfg := Config{Name: "R", SizeBytes: 1024, Ways: 4, LineBytes: 64, HitLatency: 2, MSHRs: 8}
+	prefetch := cfg
+	prefetch.PrefetchDepth = 2
+	cases := []struct {
+		name    string
+		apps    int
+		requota []int
+		build   func(low *fakeLower) (lruCache, error)
+		stats   func(c lruCache) []Stats
+	}{
+		{
+			name: "private+prefetch2", apps: 1,
+			build: func(low *fakeLower) (lruCache, error) { return New(prefetch, low) },
+			stats: func(c lruCache) []Stats { return []Stats{c.(*Cache).Stats()} },
+		},
+		{
+			name: "shared/requota", apps: 2, requota: []int{3, 1},
+			build: func(low *fakeLower) (lruCache, error) { return NewShared(cfg, 2, []int{1, 3}, low) },
+			stats: func(c lruCache) []Stats { return append([]Stats(nil), c.(*SharedCache).stats...) },
+		},
+	}
+	// lruTick reads the engine's clock, to check the fresh-cache point is one.
+	lruTick := func(c lruCache) uint64 {
+		if p, ok := c.(*Cache); ok {
+			return p.lruTick
+		}
+		return c.(*SharedCache).lruTick
+	}
+	const requotaAt = 150
+	for _, tc := range cases {
+		for seed := int64(1); seed <= 4; seed++ {
+			stream := lruStream(seed, tc.apps, requotaAt, tc.requota)
+			for _, at := range []int{0, 1, 2, 3, 40, requotaAt, 260} {
+				t.Run(fmt.Sprintf("%s/seed=%d/at=%d", tc.name, seed, at), func(t *testing.T) {
+					build := func() (lruCache, *fakeLower) {
+						low := &fakeLower{delay: 3}
+						c, err := tc.build(low)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return c, low
+					}
+					// run issues one batch at cycle now, settles the cache and
+					// returns each access's verdict and the next free cycle.
+					run := func(c lruCache, low *fakeLower, now int64, batch []lruOp) ([]string, int64) {
+						var verdicts []string
+						for _, op := range batch {
+							if op.requota != nil {
+								if err := c.(*SharedCache).SetQuota(op.requota); err != nil {
+									t.Fatal(err)
+								}
+								continue
+							}
+							hits := tc.stats(c)[op.app].Hits
+							req := &mem.Request{Addr: op.addr, Write: op.write, App: op.app, Done: func(int64) {}}
+							switch {
+							case !c.Access(now, req):
+								verdicts = append(verdicts, "refused")
+							case tc.stats(c)[op.app].Hits > hits:
+								verdicts = append(verdicts, "hit")
+							default:
+								verdicts = append(verdicts, "miss")
+							}
+						}
+						for end := now + 2*cfg.HitLatency + 2; now < end; {
+							now++
+							c.Tick(now)
+							low.deliver()
+						}
+						if c.OutstandingMisses() != 0 || len(low.pending) != 0 {
+							t.Fatalf("cycle %d: not quiescent: %d MSHRs, %d requests below", now, c.OutstandingMisses(), len(low.pending))
+						}
+						return verdicts, now
+					}
+
+					orig, origLow := build()
+					now := int64(0)
+					for _, batch := range stream[:at] {
+						_, now = run(orig, origLow, now, batch)
+					}
+					if at == 1 {
+						if tick := lruTick(orig); tick >= uint64(cfg.Ways) {
+							t.Fatalf("the fresh-cache point has lruTick %d, want below %d ways", tick, cfg.Ways)
+						}
+					}
+					restored, restLow := build()
+					if err := restored.Restore(orig.Snapshot()); err != nil {
+						t.Fatal(err)
+					}
+					reads, writes := len(origLow.reads), len(origLow.writes)
+					for i, batch := range stream[at:] {
+						want, next := run(orig, origLow, now, batch)
+						got, _ := run(restored, restLow, now, batch)
+						now = next
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("batch %d: restored verdicts %v, original %v", at+i, got, want)
+						}
+						if got, want := tc.stats(restored), tc.stats(orig); !reflect.DeepEqual(got, want) {
+							t.Fatalf("batch %d: restored stats %+v, original %+v", at+i, got, want)
+						}
+					}
+					if !reflect.DeepEqual(restLow.reads, origLow.reads[reads:]) {
+						t.Error("read streams differ after the snapshot")
+					}
+					if !reflect.DeepEqual(restLow.writes, origLow.writes[writes:]) {
+						t.Error("writeback streams differ after the snapshot")
+					}
+					if s := tc.stats(orig); s[0].Writebacks == 0 || s[0].Hits == 0 {
+						t.Errorf("stream too tame to compare: %+v", s)
+					}
+				})
+			}
+		}
 	}
 }
