@@ -21,7 +21,7 @@ GO ?= go
 # and even a ratio of two best-of-N timings jitters; the gate exists to catch
 # structural regressions (e.g. a kernel that stopped sleeping: idle_speedup
 # 5x -> 1x), not scheduling noise. Allocation counts (the _allocs_per_op
-# figures) fail on any growth.
+# figures) and checkpoint bytes (snapshot_bytes_per_op) fail on any growth.
 BENCH_TOLERANCE ?= 50
 
 # Benchmark noise controls. The simulator is single-threaded, so benchmarks
@@ -119,7 +119,8 @@ bench:
 # they shrink beyond BENCH_TOLERANCE percent, the cell counters
 # (figures_unique_cells, figures_requested_cells) when they grow beyond it,
 # and the allocation counts (event_queue_allocs_per_op, memctrl_allocs_per_op,
-# serve_hit_allocs_per_op) on any growth. ns/op rows, the serve _per_sec
+# serve_hit_allocs_per_op) and the checkpoint size (snapshot_bytes_per_op) on
+# any growth. ns/op rows, the serve _per_sec
 # rates and serve_warm_speedup are written to the reports by `make bench`
 # but not gated here.
 bench-check:

@@ -46,6 +46,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes <= 0 || c.Ways <= 0 || c.LineBytes <= 0:
 		return errors.New("cache: size, ways and line bytes must be positive")
+	case c.Ways > maxWays:
+		return fmt.Errorf("cache: %d ways, a checkpoint ranks at most %d", c.Ways, maxWays)
 	case c.SizeBytes%(c.Ways*c.LineBytes) != 0:
 		return fmt.Errorf("cache: size %d not divisible by ways*line %d", c.SizeBytes, c.Ways*c.LineBytes)
 	case c.HitLatency < 0:

@@ -81,6 +81,7 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 576, Ways: 3, LineBytes: 64, MSHRs: 1}, // 3 sets: not power of two
 		{SizeBytes: 512, Ways: 2, LineBytes: 64, MSHRs: 0}, // no MSHRs
 		{SizeBytes: 512, Ways: 2, LineBytes: 64, MSHRs: 1, HitLatency: -1},
+		{SizeBytes: 2 * maxWays * 64, Ways: 2 * maxWays, LineBytes: 64, MSHRs: 1}, // ranks overflow a snapshot's meta word
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

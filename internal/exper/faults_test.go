@@ -188,7 +188,7 @@ func TestFigure4CellPanic(t *testing.T) {
 	scaled := []workload.Mix{mixes[0].Scale(2), mixes[1].Scale(2)}
 	_, err = sub.RunGrid(context.Background(), scaled, []string{"equal", "square-root"})
 	check(err)
-	if entries, _, pins := sub.prepared.held(); entries != len(scaled) || pins != 0 {
+	if entries, pins := sub.prepared.held(); entries != len(scaled) || pins != 0 {
 		t.Fatalf("failed grid left %d entries with %d pins, want %d and 0", entries, pins, len(scaled))
 	}
 	in.DisarmAll()

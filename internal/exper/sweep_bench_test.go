@@ -46,9 +46,9 @@ func benchSweepRunner(b *testing.B, memoize bool) (*Runner, workload.Mix, []stri
 }
 
 // BenchmarkSweep compares one mix x K schemes simulated cold (one warmup per
-// cell) against the forked path RunGrid uses (one warmup per mix, then the
-// warmed system and a restore of its checkpoint per cell). benchjson derives
-// sweep_fork_speedup from the pair.
+// cell) against the forked path RunGrid uses (one warmup and snapshot per mix,
+// then a new system restored from the checkpoint per cell, as forkPrepared
+// builds it). benchjson derives sweep_fork_speedup from the pair.
 func BenchmarkSweep(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		r, mix, schemes := benchSweepRunner(b, false)
@@ -69,12 +69,13 @@ func BenchmarkSweep(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p, sys, err := r.prepareMix(mix)
+			p, _, err := r.prepareMix(mix)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for _, scheme := range schemes {
-				if err := sys.Restore(p.cp); err != nil {
+				sys, err := r.forkPrepared(p)
+				if err != nil {
 					b.Fatal(err)
 				}
 				if err := applyScheme(sys, scheme, apcAlone, api); err != nil {

@@ -50,6 +50,44 @@ func benchRun(b *testing.B, kernel Kernel, profs []workload.Profile) {
 	b.ReportMetric(float64(window*int64(b.N))/b.Elapsed().Seconds(), "cycles/s")
 }
 
+// warmedHetero5 builds and warms the system a runner prepares for the Table
+// IV mix hetero-5 under the experiment engine's Quick configuration (a
+// 100k-instruction functional warmup): a prepared base's checkpoint is one
+// Snapshot of it.
+func warmedHetero5(tb testing.TB) *System {
+	tb.Helper()
+	mix, err := workload.MixByName("hetero-5")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	profs, err := mix.Profiles()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.WarmupInstructions = 100_000
+	sys, err := New(cfg, profs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys.Warmup()
+	return sys
+}
+
+// BenchmarkSnapshot measures one checkpoint of a warmed 4-core system. Its
+// B/op is what a prepared base keeps resident (benchjson gates it as
+// snapshot_bytes_per_op; TestCheckpointBytesCeiling is its tier-1 ceiling).
+func BenchmarkSnapshot(b *testing.B) {
+	sys := warmedHetero5(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRunIdle measures System.Run on an idle-heavy (latency-bound)
 // mix under both kernels; the wake scheduler's acceptance bar is a >= 2x
 // speedup here.

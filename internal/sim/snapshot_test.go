@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bwpart/internal/dram"
@@ -305,5 +306,27 @@ func TestRestoreRefusesOtherTopology(t *testing.T) {
 				t.Error("refused restore changed the system")
 			}
 		})
+	}
+}
+
+// TestCheckpointBytesCeiling bounds what a prepared base keeps resident: one
+// Snapshot of a warmed 4-core system allocates at most 11 B per cache line (a
+// line snapshots as its tag and a 2-byte meta word) plus 32 KiB for every
+// other component.
+func TestCheckpointBytesCeiling(t *testing.T) {
+	sys := warmedHetero5(t)
+	lines := len(sys.cores) * (sys.cfg.L1.SizeBytes/sys.cfg.L1.LineBytes + sys.cfg.L2.SizeBytes/sys.cfg.L2.LineBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cp, err := sys.Snapshot()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(cp)
+	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(11*lines+32<<10); got > ceiling {
+		t.Errorf("Snapshot allocated %d B for %d cache lines, ceiling %d B", got, lines, ceiling)
+	} else {
+		t.Logf("Snapshot allocated %d B for %d cache lines (%.2f B a line), ceiling %d B", got, lines, float64(got)/float64(lines), ceiling)
 	}
 }

@@ -12,8 +12,8 @@
 // With -against OLD.json the new results are additionally compared to a
 // previously committed report: any host-stable derived figure that worsened
 // by more than -tolerance percent (a speedup ratio shrinking, a cell counter
-// growing) fails the run (non-zero exit); an allocation count fails on any
-// growth. Absolute ns/op rows, the _per_sec rates and serve_warm_speedup
+// growing) fails the run (non-zero exit); an allocation count or byte figure
+// fails on any growth. Absolute ns/op rows, the _per_sec rates and serve_warm_speedup
 // are recorded, not gated: on a shared host the same
 // binary reads them 2-3x apart within a minute, and bench/ (interleaved
 // pairs, medians) is the source of truth for them. This is the
@@ -163,8 +163,8 @@ type Regression struct {
 // compare checks every gated figure present in both reports and returns
 // those that worsened by more than tolerance percent, plus the number of
 // figures compared. Gated are the derived figures a busy host cannot move:
-// "_speedup" ratios (worse means smaller) and counters such as allocs/op or
-// unique cells (worse means larger). Benchmark ns/op rows and "_per_sec"
+// "_speedup" ratios (worse means smaller) and counters such as allocs/op,
+// B/op or unique cells (worse means larger). Benchmark ns/op rows and "_per_sec"
 // rates are not compared. Figures that exist on only one side are skipped:
 // the gate guards known figures, it does not pin the set.
 func compare(old, new *Report, tolerance float64) (regs []Regression, compared int) {
@@ -206,8 +206,10 @@ func compare(old, new *Report, tolerance float64) (regs []Regression, compared i
 			}
 		}
 		compared++
-		// An allocation count is exact work, not host time: any growth fails.
-		if pct > tolerance || (strings.HasSuffix(key, "_allocs_per_op") && cur > was) {
+		// Allocation counts and bytes are exact work, not host time: any
+		// growth fails.
+		exact := strings.HasSuffix(key, "_allocs_per_op") || strings.HasSuffix(key, "_bytes_per_op")
+		if pct > tolerance || (exact && cur > was) {
 			regs = append(regs, Regression{Name: "derived/" + key, Old: was, New: cur, Pct: pct})
 		}
 	}
@@ -280,8 +282,8 @@ func parse(r io.Reader) (*Report, error) {
 // present: naive/skip speedups for the System.Run mixes, the event-queue
 // and memory-controller allocation counts, the sweep fork and figure-suite
 // memoization speedups, the memoized figure pass's unique-vs-requested cell
-// counts, and the serving stack's warm-vs-cold speedup, sustained request
-// rates and allocations per resident hit.
+// counts, the serving stack's warm-vs-cold speedup, sustained request rates
+// and allocations per resident hit, and the bytes of one system checkpoint.
 func derive(rep *Report, byName map[string]*Bench) {
 	speedup := func(key, naive, skip string) {
 		n, s := byName[naive], byName[skip]
@@ -326,20 +328,20 @@ func derive(rep *Report, byName map[string]*Bench) {
 			}
 		}
 	}
-	// worstAllocs records under key the largest allocs/op among the
+	// worst records under key the largest allocs/op (or B/op) among the
 	// benchmarks match selects, if there are any. Each benchmark counts with
 	// its smallest run: an allocation in the measured loop shows in every
 	// run, a stray one from the runtime (one iteration at -benchtime 1x
 	// counts every malloc in the process) does not.
-	worstAllocs := func(key string, match func(name string) bool) {
+	worst := func(key string, perOp func(Run) *float64, match func(name string) bool) {
 		for name, b := range byName {
 			if !match(name) {
 				continue
 			}
 			least := math.Inf(1)
 			for _, r := range b.Runs {
-				if r.AllocsPerOp != nil {
-					least = min(least, *r.AllocsPerOp)
+				if v := perOp(r); v != nil {
+					least = min(least, *v)
 				}
 			}
 			if !math.IsInf(least, 1) {
@@ -347,16 +349,21 @@ func derive(rep *Report, byName map[string]*Bench) {
 			}
 		}
 	}
-	worstAllocs("event_queue_allocs_per_op", func(name string) bool { return name == "BenchmarkQueueSchedule" })
+	allocs := func(r Run) *float64 { return r.AllocsPerOp }
+	worst("event_queue_allocs_per_op", allocs, func(name string) bool { return name == "BenchmarkQueueSchedule" })
 	// One resident /v1/mix hit through the handler (TestHitAllocCeiling is the
 	// same call's tier-1 ceiling).
-	worstAllocs("serve_hit_allocs_per_op", func(name string) bool { return name == "BenchmarkServe/handler_hit" })
+	worst("serve_hit_allocs_per_op", allocs, func(name string) bool { return name == "BenchmarkServe/handler_hit" })
 	// The controller suite (picks, ticks, the saturated controller) is
 	// allocation-free in steady state; this is what its bench-check step gates.
-	worstAllocs("memctrl_allocs_per_op", func(name string) bool {
+	worst("memctrl_allocs_per_op", allocs, func(name string) bool {
 		return name == "BenchmarkControllerSaturated" ||
 			strings.HasPrefix(name, "BenchmarkPick/") || strings.HasPrefix(name, "BenchmarkTick")
 	})
+	// The bytes one checkpoint of a warmed system takes: what every prepared
+	// base keeps resident (TestCheckpointBytesCeiling is its tier-1 ceiling).
+	worst("snapshot_bytes_per_op", func(r Run) *float64 { return r.BytesPerOp },
+		func(name string) bool { return name == "BenchmarkSnapshot" })
 	// Deterministic key order is json.Marshal's default for maps; sort the
 	// benchmark list too in case input interleaves packages.
 	sort.SliceStable(rep.Benchmarks, func(i, j int) bool {

@@ -224,6 +224,36 @@ func TestCompareGatesDerivedCounters(t *testing.T) {
 	}
 }
 
+const snapshotSample = `goos: linux
+pkg: bwpart/internal/sim
+BenchmarkSnapshot-2   	    2000	    180000 ns/op	  190900 B/op	      78 allocs/op
+BenchmarkSnapshot-2   	    2000	    170000 ns/op	  190824 B/op	      77 allocs/op
+PASS
+`
+
+// TestSnapshotBytesGateOnAnyGrowth: a checkpoint's B/op is derived from the
+// best run and, like an allocation count, fails the gate on one more byte
+// whatever the tolerance, while shrinking passes.
+func TestSnapshotBytesGateOnAnyGrowth(t *testing.T) {
+	rep, err := parse(strings.NewReader(snapshotSample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Derived["snapshot_bytes_per_op"]; got != 190824 {
+		t.Fatalf("snapshot_bytes_per_op = %v, want 190824 (best run)", got)
+	}
+	old := &Report{Derived: map[string]float64{"snapshot_bytes_per_op": 190824}}
+	grown := &Report{Derived: map[string]float64{"snapshot_bytes_per_op": 190825}}
+	if regs, compared := compare(old, grown, 50); compared != 1 || len(regs) != 1 ||
+		regs[0].Name != "derived/snapshot_bytes_per_op" {
+		t.Errorf("one more checkpoint byte must fail at any tolerance: regs=%+v compared=%d", regs, compared)
+	}
+	shrunk := &Report{Derived: map[string]float64{"snapshot_bytes_per_op": 100000}}
+	if regs, _ := compare(old, shrunk, 0); len(regs) != 0 {
+		t.Errorf("smaller checkpoint flagged: %+v", regs)
+	}
+}
+
 // TestCompareRecordsServeWarmSpeedup: the warm/cold serve ratio is host time
 // and never fails the gate, however far it falls.
 func TestCompareRecordsServeWarmSpeedup(t *testing.T) {
