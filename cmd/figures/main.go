@@ -9,6 +9,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,44 +24,68 @@ import (
 	"bwpart/internal/pprofutil"
 )
 
+// Flags live on the default command line so the count of flags stays in one
+// place; run parses them from its arguments.
+var (
+	exp           = flag.String("exp", "all", "experiment: all, fig1..fig4, table3, table4, validate, online, pagepolicy, enforcement, heuristics, sharedl2, energy, mechanism, interval, repeat")
+	quick         = flag.Bool("quick", false, "use reduced simulation windows")
+	seed          = flag.Int64("seed", 1, "simulation seed")
+	outPath       = flag.String("o", "", "also write the report to this file")
+	parallel      = flag.Int("parallel", 0, "max concurrent simulations (0 = $BWPART_PARALLELISM or GOMAXPROCS)")
+	progress      = flag.Bool("progress", false, "render a progress ticker on stderr")
+	statsJSON     = flag.String("stats-json", "", "write run statistics (job counters, stage timings, queue depths) to this JSON file")
+	cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile    = flag.String("memprofile", "", "write a heap profile to this file at exit")
+	tracePath     = flag.String("trace", "", "write an execution trace (go tool trace) to this file")
+	checkpointDir = flag.String("checkpoint-dir", "",
+		"persist finished sweep cells to this directory and resume interrupted grid experiments from them")
+)
+
+// usageError is a bad command line: main reports it without the log prefix
+// and exits 2.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
-	exp := flag.String("exp", "all", "experiment: all, fig1..fig4, table3, table4, validate, online, pagepolicy, enforcement, heuristics, sharedl2, energy, mechanism, interval, repeat")
-	quick := flag.Bool("quick", false, "use reduced simulation windows")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	outPath := flag.String("o", "", "also write the report to this file")
-	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = $BWPART_PARALLELISM or GOMAXPROCS)")
-	progress := flag.Bool("progress", false, "render a progress ticker on stderr")
-	statsJSON := flag.String("stats-json", "", "write run statistics (job counters, stage timings, queue depths) to this JSON file")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	tracePath := flag.String("trace", "", "write an execution trace (go tool trace) to this file")
-	checkpointDir := flag.String("checkpoint-dir", "",
-		"persist finished sweep cells to this directory and resume interrupted grid experiments from them")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		var usage usageError
+		if errors.As(err, &usage) {
+			fmt.Fprintln(os.Stderr, usage)
+			os.Exit(2)
+		}
+		log.Fatal(err)
+	}
+}
+
+// run parses args, runs the selected experiments and writes the report to
+// stdout (and to -o). Every exit path flushes the statistics file and the
+// profiles before returning.
+func run(args []string, stdout io.Writer) (err error) {
+	if err := flag.CommandLine.Parse(args); err != nil {
+		return err
+	}
 
 	prof, err := pprofutil.Start(*cpuProfile, *memProfile, *tracePath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer func() {
-		if err := prof.Stop(); err != nil {
-			log.Print(err)
+		if stopErr := prof.Stop(); stopErr != nil {
+			log.Print(stopErr)
 		}
 	}()
-	// log.Fatal skips deferred calls, so every fatal path below goes through
-	// this wrapper to flush the profiles first.
-	fatalf := func(format string, args ...any) { prof.Stop(); log.Fatalf(format, args...) }
 
-	out := io.Writer(os.Stdout)
+	out := stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		defer f.Close()
-		out = io.MultiWriter(os.Stdout, f)
+		out = io.MultiWriter(stdout, f)
 	}
 
 	// Ctrl-C / SIGTERM cancel the experiment fan-outs between simulations;
@@ -79,7 +104,7 @@ func main() {
 	if *checkpointDir != "" {
 		cfg.Checkpoint, err = bwpart.NewCheckpointStore(*checkpointDir)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 	}
 	col := bwpart.NewRunObserver()
@@ -88,23 +113,26 @@ func main() {
 		ticker := col.StartTicker(os.Stderr, 500*time.Millisecond)
 		defer ticker.Stop()
 	}
-	writeStats := func() {
-		if err := col.Snapshot().WriteFile(*statsJSON); err != nil {
-			fatalf("%v", err)
+	defer func() {
+		if statsErr := col.Snapshot().WriteFile(*statsJSON); statsErr != nil && err == nil {
+			err = statsErr
 		}
-	}
-	defer writeStats()
+	}()
 	runner, err := bwpart.NewRunner(cfg)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
+	var failed error
 	run := func(name string, fn func() error) {
+		if failed != nil {
+			return
+		}
 		start := time.Now()
 		fmt.Fprintf(out, "### %s\n", name)
 		if err := fn(); err != nil {
-			writeStats()
-			fatalf("%s: %v", name, err)
+			failed = fmt.Errorf("%s: %w", name, err)
+			return
 		}
 		fmt.Fprintf(out, "(%s in %s)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
@@ -326,8 +354,11 @@ func main() {
 			return nil
 		})
 	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose from all, fig1..fig4, table3, table4, validate, online, pagepolicy, enforcement, heuristics, sharedl2, energy, mechanism, interval, repeat\n", *exp)
-		os.Exit(2)
+	if failed != nil {
+		return failed
 	}
+	if !ran {
+		return usageError(fmt.Sprintf("unknown experiment %q; choose from all, fig1..fig4, table3, table4, validate, online, pagepolicy, enforcement, heuristics, sharedl2, energy, mechanism, interval, repeat", *exp))
+	}
+	return nil
 }
