@@ -7,6 +7,7 @@ package bwpart_test
 // (produced by cmd/figures without -quick).
 
 import (
+	"math"
 	"testing"
 
 	"bwpart"
@@ -44,11 +45,9 @@ func BenchmarkTable4(b *testing.B) {
 		}
 		var dev float64
 		for _, row := range t4.Rows {
-			d := row.ReferenceRSD - row.PaperRSD
-			if d < 0 {
-				d = -d
-			}
-			dev += d
+			rsd, _ := t4.Value(row.Key, "RSD")
+			paper, _ := t4.Value(row.Key, "RSD(paper)")
+			dev += math.Abs(rsd - paper)
 		}
 		b.ReportMetric(dev/float64(len(t4.Rows)), "mean-RSD-abs-dev")
 	}
@@ -63,10 +62,15 @@ func BenchmarkFigure1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(f.Normalized["square-root"][bwpart.ObjectiveHsp], "hsp-sqrt")
-		b.ReportMetric(f.Normalized["proportional"][bwpart.ObjectiveMinFairness], "minf-prop")
-		b.ReportMetric(f.Normalized["priority-apc"][bwpart.ObjectiveWsp], "wsp-apc")
-		b.ReportMetric(f.Normalized["priority-api"][bwpart.ObjectiveIPCSum], "ipcsum-api")
+		for _, m := range []struct{ scheme, col, unit string }{
+			{"square-root", "Hsp", "hsp-sqrt"},
+			{"proportional", "MinFairness", "minf-prop"},
+			{"priority-apc", "Wsp", "wsp-apc"},
+			{"priority-api", "IPCsum", "ipcsum-api"},
+		} {
+			v, _ := f.Value(m.scheme, m.col)
+			b.ReportMetric(v, m.unit)
+		}
 	}
 }
 
@@ -79,13 +83,12 @@ func BenchmarkFigure2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		headline := f[len(f)-1] // percentages, rows keyed by objective
 		for _, obj := range bwpart.Objectives() {
-			overNoPart, overEqual, err := f.HeadlineGains(obj)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(100*overNoPart, "pct-"+obj.String()+"-vs-nopart")
-			b.ReportMetric(100*overEqual, "pct-"+obj.String()+"-vs-equal")
+			overNoPart, _ := headline.Value(obj.String(), "vs no-part")
+			overEqual, _ := headline.Value(obj.String(), "vs equal")
+			b.ReportMetric(overNoPart, "pct-"+obj.String()+"-vs-nopart")
+			b.ReportMetric(overEqual, "pct-"+obj.String()+"-vs-equal")
 		}
 	}
 }
@@ -99,8 +102,9 @@ func BenchmarkFigure3(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, m := range f.Mixes {
-			b.ReportMetric(m.IPCQoS, "hmmer-ipc-"+m.Mix.Name)
+		for _, row := range f.Rows {
+			ipc, _ := f.Value(row.Key, "hmmer IPC QoS")
+			b.ReportMetric(ipc, "hmmer-ipc-"+row.Key)
 		}
 	}
 }
@@ -114,9 +118,10 @@ func BenchmarkFigure4(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		series := f.NormalizedToEqual[bwpart.ObjectiveHsp]
-		b.ReportMetric(series[0], "hsp-vs-equal-3.2GBs")
-		b.ReportMetric(series[len(series)-1], "hsp-vs-equal-6.4GBs")
+		lo, _ := f.Value(bwpart.ObjectiveHsp.String(), "3.2 GB/s")
+		hi, _ := f.Value(bwpart.ObjectiveHsp.String(), "6.4 GB/s")
+		b.ReportMetric(lo, "hsp-vs-equal-3.2GBs")
+		b.ReportMetric(hi, "hsp-vs-equal-6.4GBs")
 	}
 }
 
@@ -194,12 +199,12 @@ func BenchmarkHeuristics(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// The fraction of the optimal scheme's Wsp gain over
+		// No_partitioning that each heuristic captures: (h-1)/(opt-1).
+		opt, _ := h.Value("priority-apc", "Wsp")
 		for _, name := range []string{"stfm", "parbs", "atlas", "tcm"} {
-			frac, err := h.CapturedFraction(name, bwpart.ObjectiveWsp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(frac, name+"-wsp-capture")
+			v, _ := h.Value(name, "Wsp")
+			b.ReportMetric((v-1)/(opt-1), name+"-wsp-capture")
 		}
 	}
 }
@@ -217,9 +222,18 @@ func BenchmarkSharedL2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Rows[0].APIShared[3]*1000, "hmmer-apki-2way")
-		b.ReportMetric(res.Rows[1].APIShared[3]*1000, "hmmer-apki-5way")
-		b.ReportMetric(100*res.APIInvariance(), "pct-api-deviation")
+		api2, _ := res.Value("[2 2 2 2]/hmmer", "API (equal shares)")
+		api5, _ := res.Value("[1 1 1 5]/hmmer", "API (equal shares)")
+		b.ReportMetric(api2*1000, "hmmer-apki-2way")
+		b.ReportMetric(api5*1000, "hmmer-apki-5way")
+		equal, part := res.Column("API (equal shares)"), res.Column("API (partitioned)")
+		var dev float64
+		for i := range equal {
+			if equal[i] > 0 {
+				dev = math.Max(dev, math.Abs(part[i]-equal[i])/equal[i])
+			}
+		}
+		b.ReportMetric(100*dev, "pct-api-deviation")
 	}
 }
 
@@ -232,6 +246,11 @@ func BenchmarkPhaseAdaptation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.EstimateSwing, "estimate-swing-x")
+		est := res.Column("est APC_alone (phased)")
+		lo, hi := est[0], est[0]
+		for _, v := range est {
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
+		}
+		b.ReportMetric(hi/lo, "estimate-swing-x")
 	}
 }

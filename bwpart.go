@@ -24,7 +24,7 @@
 //
 //	runner, _ := bwpart.NewRunner(bwpart.QuickExperiments())
 //	fig1, _ := runner.Figure1()
-//	fmt.Println(fig1.Render())
+//	fmt.Print(fig1)
 package bwpart
 
 import (
@@ -88,24 +88,17 @@ type (
 	ExperimentConfig = exper.Config
 	// Runner executes the paper's experiments.
 	Runner = exper.Runner
-	// Figure1Result .. Table4Result mirror the paper's evaluation items.
-	Figure1Result    = exper.Figure1Result
-	Figure2Result    = exper.Figure2Result
-	Figure3Result    = exper.Figure3Result
-	Figure4Result    = exper.Figure4Result
+	// Table is what every study returns: formatted rows, the numbers
+	// behind them (Table.Value) and note lines; String renders it.
+	Table = exper.Table
+	// Study is one named experiment of the figure suite (see Studies).
+	Study = exper.Study
+	// Table3Result, ValidationResult and OnlineResult are the typed
+	// results behind the table3, validate and online studies (Table lays
+	// each out).
 	Table3Result     = exper.Table3Result
-	Table4Result     = exper.Table4Result
-	OnlineResult     = exper.OnlineResult
 	ValidationResult = exper.ValidationResult
-	// Extension-study results.
-	PagePolicyResult  = exper.PagePolicyResult
-	EnforcementResult = exper.EnforcementResult
-	MechanismResult   = exper.MechanismResult
-	HeuristicResult   = exper.HeuristicStudy
-	SharedL2Result    = exper.SharedL2Result
-	EnergyResult      = exper.EnergyResult
-	IntervalResult    = exper.IntervalResult
-	PhaseStudyResult  = exper.PhaseStudyResult
+	OnlineResult     = exper.OnlineResult
 	// MixRun is one (mix, scheme) simulation measurement.
 	MixRun = exper.MixRun
 	// GridCell is one (mix, scheme) point of a sweep grid (see Runner.RunGrid).
@@ -289,7 +282,10 @@ func QuickExperiments() ExperimentConfig { return exper.Quick() }
 func NewRunner(cfg ExperimentConfig) (*Runner, error) { return exper.NewRunner(cfg) }
 
 // Table4 computes the workload-construction table (no simulation needed).
-func Table4() (*Table4Result, error) { return exper.Table4() }
+func Table4() (*Table, error) { return exper.Table4() }
+
+// Studies lists the figure suite (cmd/figures -exp all) in report order.
+func Studies() []Study { return exper.Studies() }
 
 // Heuristic memory schedulers from the paper's related work (install on a
 // System via sys.Controller().SetScheduler).

@@ -1,10 +1,10 @@
-// Command figures regenerates the paper's evaluation artifacts: Table III,
-// Table IV, Figures 1-4, the model-validation study, and the
-// online-profiling study.
+// Command figures regenerates the paper's evaluation artifacts — Table III,
+// Table IV, Figures 1-4 — and the extension studies: one bwpart.Study each,
+// rendered in report order.
 //
 // Usage:
 //
-//	figures [-exp all|fig1..fig4|table3|table4|validate|online|...] [-quick] [-seed N] [-o report.txt]
+//	figures [-exp all|<study>] [-quick] [-seed N] [-o report.txt]
 package main
 
 import (
@@ -16,7 +16,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sort"
+	"strings"
 	"syscall"
 	"time"
 
@@ -27,7 +27,7 @@ import (
 // Flags live on the default command line so the count of flags stays in one
 // place; run parses them from its arguments.
 var (
-	exp           = flag.String("exp", "all", "experiment: all, fig1..fig4, table3, table4, validate, online, pagepolicy, enforcement, heuristics, sharedl2, energy, mechanism, interval, repeat")
+	exp           = flag.String("exp", "all", "experiment: all, "+studyNames())
 	quick         = flag.Bool("quick", false, "use reduced simulation windows")
 	seed          = flag.Int64("seed", 1, "simulation seed")
 	outPath       = flag.String("o", "", "also write the report to this file")
@@ -41,6 +41,16 @@ var (
 		"persist finished sweep cells to this directory and resume interrupted grid experiments from them")
 )
 
+// studyNames lists the registry's study names, for the help text and the
+// unknown-experiment message.
+func studyNames() string {
+	var names []string
+	for _, s := range bwpart.Studies() {
+		names = append(names, s.Name)
+	}
+	return strings.Join(names, ", ")
+}
+
 // usageError is a bad command line: main reports it without the log prefix
 // and exits 2.
 type usageError string
@@ -50,7 +60,7 @@ func (e usageError) Error() string { return string(e) }
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if _, err := run(os.Args[1:], os.Stdout); err != nil {
 		var usage usageError
 		if errors.As(err, &usage) {
 			fmt.Fprintln(os.Stderr, usage)
@@ -60,17 +70,26 @@ func main() {
 	}
 }
 
-// run parses args, runs the selected experiments and writes the report to
-// stdout (and to -o). Every exit path flushes the statistics file and the
-// profiles before returning.
-func run(args []string, stdout io.Writer) (err error) {
+// run parses args, runs the selected studies and writes the report to
+// stdout (and to -o). It returns each finished study's tables by name. Every
+// exit path flushes the statistics file and the profiles before returning.
+func run(args []string, stdout io.Writer) (tables map[string][]*bwpart.Table, err error) {
 	if err := flag.CommandLine.Parse(args); err != nil {
-		return err
+		return nil, err
+	}
+	var studies []bwpart.Study
+	for _, s := range bwpart.Studies() {
+		if *exp == "all" || *exp == s.Name {
+			studies = append(studies, s)
+		}
+	}
+	if len(studies) == 0 {
+		return nil, usageError(fmt.Sprintf("unknown experiment %q; choose from all, %s", *exp, studyNames()))
 	}
 
 	prof, err := pprofutil.Start(*cpuProfile, *memProfile, *tracePath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer func() {
 		if stopErr := prof.Stop(); stopErr != nil {
@@ -82,7 +101,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer f.Close()
 		out = io.MultiWriter(stdout, f)
@@ -104,7 +123,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	if *checkpointDir != "" {
 		cfg.Checkpoint, err = bwpart.NewCheckpointStore(*checkpointDir)
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	col := bwpart.NewRunObserver()
@@ -120,245 +139,25 @@ func run(args []string, stdout io.Writer) (err error) {
 	}()
 	runner, err := bwpart.NewRunner(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	var failed error
-	run := func(name string, fn func() error) {
-		if failed != nil {
-			return
-		}
+	tables = make(map[string][]*bwpart.Table, len(studies))
+	for _, s := range studies {
 		start := time.Now()
-		fmt.Fprintf(out, "### %s\n", name)
-		if err := fn(); err != nil {
-			failed = fmt.Errorf("%s: %w", name, err)
-			return
+		fmt.Fprintf(out, "### %s\n", s.Name)
+		ts, err := s.Run(runner)
+		if err != nil {
+			return tables, fmt.Errorf("%s: %w", s.Name, err)
 		}
-		fmt.Fprintf(out, "(%s in %s)\n\n", name, time.Since(start).Round(time.Millisecond))
+		for i, t := range ts {
+			if i > 0 {
+				fmt.Fprintln(out)
+			}
+			fmt.Fprint(out, t)
+		}
+		tables[s.Name] = ts
+		fmt.Fprintf(out, "(%s in %s)\n\n", s.Name, time.Since(start).Round(time.Millisecond))
 	}
-
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-	ran := false
-
-	if want("table4") {
-		ran = true
-		run("table4", func() error {
-			t4, err := bwpart.Table4()
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, t4.Render())
-			return nil
-		})
-	}
-	if want("table3") {
-		ran = true
-		run("table3", func() error {
-			t3, err := runner.Table3()
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, t3.Render())
-			fmt.Fprintf(out, "intensity class matches: %d/16\n", t3.ClassMatches())
-			return nil
-		})
-	}
-	if want("fig1") {
-		ran = true
-		run("fig1", func() error {
-			f, err := runner.Figure1()
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, f.Render())
-			return nil
-		})
-	}
-	if want("fig2") {
-		ran = true
-		run("fig2", func() error {
-			f, err := runner.Figure2()
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, f.Render())
-			fmt.Fprint(out, f.RenderHeadline())
-			return nil
-		})
-	}
-	if want("fig3") {
-		ran = true
-		run("fig3", func() error {
-			f, err := runner.Figure3()
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, f.Render())
-			return nil
-		})
-	}
-	if want("fig4") {
-		ran = true
-		run("fig4", func() error {
-			f, err := runner.Figure4()
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, f.Render())
-			apcs, err := runner.AloneAPCScaling([]string{"lbm", "leslie3d"}, []int{1, 2})
-			if err != nil {
-				return err
-			}
-			// Sorted so the report is byte-stable across runs (map order
-			// would interleave the two lines randomly).
-			names := make([]string, 0, len(apcs))
-			for name := range apcs {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				series := apcs[name]
-				fmt.Fprintf(out, "APKC_alone scaling %s: %.2f -> %.2f (paper: lbm +83.7%%, leslie3d +24.5%%)\n",
-					name, series[0], series[1])
-			}
-			return nil
-		})
-	}
-	if want("validate") {
-		ran = true
-		run("validate", func() error {
-			v, err := runner.ValidateModel(bwpart.HeteroMixes()[:2])
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, v.Render())
-			return nil
-		})
-	}
-	if want("online") {
-		ran = true
-		run("online", func() error {
-			mix, err := bwpart.MixByName("hetero-5")
-			if err != nil {
-				return err
-			}
-			o, err := runner.RunOnline(mix, "square-root", 200_000, 4)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, o.Render())
-			return nil
-		})
-	}
-	if want("pagepolicy") {
-		ran = true
-		run("pagepolicy", func() error {
-			p, err := runner.PagePolicyStudy(bwpart.HeteroMixes()[:3])
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, p.Render())
-			return nil
-		})
-	}
-	if want("enforcement") {
-		ran = true
-		run("enforcement", func() error {
-			e, err := runner.EnforcementStudy(bwpart.HeteroMixes()[:3])
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, e.Render())
-			return nil
-		})
-	}
-	if want("heuristics") {
-		ran = true
-		run("heuristics", func() error {
-			h, err := runner.RunHeuristics(bwpart.HeteroMixes())
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, h.Render())
-			return nil
-		})
-	}
-	if want("sharedl2") {
-		ran = true
-		run("sharedl2", func() error {
-			mix, err := bwpart.MixByName("homo-1")
-			if err != nil {
-				return err
-			}
-			s, err := runner.SharedL2Study(mix, [][]int{{2, 2, 2, 2}, {1, 1, 1, 5}, {5, 1, 1, 1}})
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, s.Render())
-			return nil
-		})
-	}
-	if want("energy") {
-		ran = true
-		run("energy", func() error {
-			mix, err := bwpart.MixByName("hetero-5")
-			if err != nil {
-				return err
-			}
-			e, err := runner.EnergyStudy(mix)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, e.Render())
-			return nil
-		})
-	}
-	if want("mechanism") {
-		ran = true
-		run("mechanism", func() error {
-			m, err := runner.MechanismStudy(bwpart.HeteroMixes()[:3])
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, m.Render())
-			return nil
-		})
-	}
-	if want("interval") {
-		ran = true
-		run("interval", func() error {
-			mix, err := bwpart.MixByName("hetero-5")
-			if err != nil {
-				return err
-			}
-			iv, err := runner.IntervalStudy(mix, "square-root", []int64{60_000, 150_000, 300_000})
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, iv.Render())
-			return nil
-		})
-	}
-	if want("repeat") {
-		ran = true
-		run("repeat", func() error {
-			mix, err := bwpart.MixByName("hetero-5")
-			if err != nil {
-				return err
-			}
-			rr, err := runner.Repeatability(mix, "square-root", 5)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, rr.Render())
-			return nil
-		})
-	}
-	if failed != nil {
-		return failed
-	}
-	if !ran {
-		return usageError(fmt.Sprintf("unknown experiment %q; choose from all, fig1..fig4, table3, table4, validate, online, pagepolicy, enforcement, heuristics, sharedl2, energy, mechanism, interval, repeat", *exp))
-	}
-	return nil
+	return tables, nil
 }

@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(res.Render())
+	fmt.Print(res)
 	fmt.Println()
 	fmt.Println("reading the table: the online estimate column swings as the phased app")
 	fmt.Println("moves between phases; a static (profile-once) partition keeps serving the")

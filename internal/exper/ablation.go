@@ -1,9 +1,6 @@
 package exper
 
 import (
-	"fmt"
-	"strings"
-
 	"bwpart/internal/core"
 	"bwpart/internal/dram"
 	"bwpart/internal/memctrl"
@@ -18,44 +15,25 @@ import (
 // mechanism for priority schemes (strict priority vs share-based
 // enforcement of the same model allocation).
 
-// PagePolicyRow compares one workload under the two row policies.
-type PagePolicyRow struct {
-	Mix            string
-	Scheme         string
-	ClosePageIPC   float64 // IPC sum under close-page + chosen scheduler
-	OpenPageIPC    float64 // IPC sum under open-page + FR-FCFS baseline
-	CloseBusUtil   float64
-	OpenBusUtil    float64
-	OpenRowHitRate float64
-}
-
-// PagePolicyResult is the page-policy ablation outcome.
-type PagePolicyResult struct {
-	Rows []PagePolicyRow
-}
-
 // PagePolicyStudy compares the close-page FCFS baseline against open-page
-// FR-FCFS on the given mixes. FR-FCFS is the bandwidth-utilization
-// optimization the paper's related work discusses (Rixner et al.): it
-// should recover row hits on streaming workloads.
-func (r *Runner) PagePolicyStudy(mixes []workload.Mix) (*PagePolicyResult, error) {
-	out := &PagePolicyResult{}
+// FR-FCFS on the given mixes: IPC sum and bus utilization under each, one
+// row per mix. FR-FCFS is the bandwidth-utilization optimization the
+// paper's related work discusses (Rixner et al.): it should recover row
+// hits on streaming workloads.
+func (r *Runner) PagePolicyStudy(mixes []workload.Mix) (*Table, error) {
+	t := newTable("Ablation: close-page FCFS vs open-page FR-FCFS",
+		"workload", "IPCsum close", "IPCsum open", "busUtil close", "busUtil open")
 	for _, mix := range mixes {
 		profs, err := mix.Profiles()
 		if err != nil {
 			return nil, err
 		}
-		row := PagePolicyRow{Mix: mix.Name, Scheme: "fcfs-vs-frfcfs"}
-
 		// Close page + FCFS (the paper's baseline): the runner's own
 		// configuration, so it can fork the mix's shared warm base.
 		closeRes, err := r.runSched(mix, memctrl.NewFCFS())
 		if err != nil {
 			return nil, err
 		}
-		row.ClosePageIPC = ipcSum(closeRes)
-		row.CloseBusUtil = closeRes.BusUtilization
-
 		// Open page + FR-FCFS.
 		openCfg := r.cfg.Sim
 		openCfg.DRAM.Policy = dram.OpenPage
@@ -63,11 +41,10 @@ func (r *Runner) PagePolicyStudy(mixes []workload.Mix) (*PagePolicyResult, error
 		if err != nil {
 			return nil, err
 		}
-		row.OpenPageIPC = ipcSum(openRes)
-		row.OpenBusUtil = openRes.BusUtilization
-		out.Rows = append(out.Rows, row)
+		t.add(txt(mix.Name), f3(ipcSum(closeRes)), f3(ipcSum(openRes)),
+			f2(closeRes.BusUtilization), f2(openRes.BusUtilization))
 	}
-	return out, nil
+	return t, nil
 }
 
 // runRaw measures profs on a cold system built from simCfg: functional
@@ -106,52 +83,22 @@ func ipcSum(res sim.Result) float64 {
 	return s
 }
 
-// Render prints the page-policy comparison.
-func (p *PagePolicyResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Ablation: close-page FCFS vs open-page FR-FCFS\n")
-	t := newTable("workload", "IPCsum close", "IPCsum open", "busUtil close", "busUtil open")
-	for _, row := range p.Rows {
-		t.addRow(row.Mix, f3(row.ClosePageIPC), f3(row.OpenPageIPC),
-			f2(row.CloseBusUtil), f2(row.OpenBusUtil))
+// ratio is a/b, or 0 when b is 0.
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
 	}
-	b.WriteString(t.String())
-	return b.String()
-}
-
-// EnforcementRow compares strict-priority enforcement against share-based
-// enforcement of the same model allocation.
-type EnforcementRow struct {
-	Mix       string
-	Objective metrics.Objective
-	// Strict uses the priority scheduler; Shares enforces the model's
-	// water-filled allocation as start-time-fair shares.
-	Strict float64
-	Shares float64
-}
-
-// MechanismRow compares the two share-enforcement mechanisms (start-time
-// fair queueing vs MemGuard-style budget throttling) realizing the same
-// scheme on the same mix.
-type MechanismRow struct {
-	Mix       string
-	Scheme    string
-	Objective metrics.Objective
-	STF       float64
-	Budget    float64
-}
-
-// MechanismResult is the share-enforcement mechanism ablation outcome.
-type MechanismResult struct {
-	Rows []MechanismRow
+	return a / b
 }
 
 // MechanismStudy enforces the Square_root scheme via start-time-fair
 // queueing and via per-period budget throttling on the given mixes and
-// compares the achieved Hsp. The model prescribes *allocations*; this
-// ablation shows the hardware mechanism realizing them is interchangeable.
-func (r *Runner) MechanismStudy(mixes []workload.Mix) (*MechanismResult, error) {
-	out := &MechanismResult{}
+// compares the achieved Hsp, one row per mix. The model prescribes
+// *allocations*; this ablation shows the hardware mechanism realizing them
+// is interchangeable.
+func (r *Runner) MechanismStudy(mixes []workload.Mix) (*Table, error) {
+	t := newTable("Ablation: start-time-fair vs budget-throttle enforcement of square-root shares",
+		"workload", "objective", "STF", "budget", "budget/STF")
 	for _, mix := range mixes {
 		apcAlone, _, ipcAlone, err := r.aloneVectors(mix)
 		if err != nil {
@@ -185,40 +132,18 @@ func (r *Runner) MechanismStudy(mixes []workload.Mix) (*MechanismResult, error) 
 		if err != nil {
 			return nil, err
 		}
-		out.Rows = append(out.Rows, MechanismRow{
-			Mix: mix.Name, Scheme: "square-root", Objective: metrics.ObjectiveHsp,
-			STF: stfVal, Budget: btVal,
-		})
+		t.add(txt(mix.Name), txt(metrics.ObjectiveHsp.String()), f3(stfVal), f3(btVal), f3(ratio(btVal, stfVal)))
 	}
-	return out, nil
-}
-
-// Render prints the mechanism comparison.
-func (m *MechanismResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Ablation: start-time-fair vs budget-throttle enforcement of square-root shares\n")
-	t := newTable("workload", "objective", "STF", "budget", "budget/STF")
-	for _, row := range m.Rows {
-		ratio := 0.0
-		if row.STF != 0 {
-			ratio = row.Budget / row.STF
-		}
-		t.addRow(row.Mix, row.Objective.String(), f3(row.STF), f3(row.Budget), fmt.Sprintf("%.3f", ratio))
-	}
-	b.WriteString(t.String())
-	return b.String()
-}
-
-// EnforcementResult is the enforcement ablation outcome.
-type EnforcementResult struct {
-	Rows []EnforcementRow
+	return t, nil
 }
 
 // EnforcementStudy measures, for the two priority schemes, how much of the
 // objective value depends on *strict* priority scheduling versus merely
-// enforcing the model's allocation via fair-queueing shares.
-func (r *Runner) EnforcementStudy(mixes []workload.Mix) (*EnforcementResult, error) {
-	out := &EnforcementResult{}
+// enforcing the model's allocation via fair-queueing shares. Rows are keyed
+// "mix/objective".
+func (r *Runner) EnforcementStudy(mixes []workload.Mix) (*Table, error) {
+	t := newTable("Ablation: strict-priority vs share-based enforcement of priority allocations",
+		"workload", "objective", "strict", "shares", "strict/shares")
 	cases := []struct {
 		obj    metrics.Objective
 		scheme *core.PriorityScheme
@@ -274,29 +199,9 @@ func (r *Runner) EnforcementStudy(mixes []workload.Mix) (*EnforcementResult, err
 			if err != nil {
 				return nil, err
 			}
-			out.Rows = append(out.Rows, EnforcementRow{
-				Mix:       mix.Name,
-				Objective: cse.obj,
-				Strict:    strictVal,
-				Shares:    shareVal,
-			})
+			t.addKeyed(mix.Name+"/"+cse.obj.String(), txt(mix.Name), txt(cse.obj.String()),
+				f3(strictVal), f3(shareVal), f3(ratio(strictVal, shareVal)))
 		}
 	}
-	return out, nil
-}
-
-// Render prints the enforcement comparison.
-func (e *EnforcementResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Ablation: strict-priority vs share-based enforcement of priority allocations\n")
-	t := newTable("workload", "objective", "strict", "shares", "strict/shares")
-	for _, row := range e.Rows {
-		ratio := 0.0
-		if row.Shares != 0 {
-			ratio = row.Strict / row.Shares
-		}
-		t.addRow(row.Mix, row.Objective.String(), f3(row.Strict), f3(row.Shares), fmt.Sprintf("%.3f", ratio))
-	}
-	b.WriteString(t.String())
-	return b.String()
+	return t, nil
 }

@@ -18,16 +18,17 @@ func TestPagePolicyStudy(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	row := res.Rows[0]
-	if row.ClosePageIPC <= 0 || row.OpenPageIPC <= 0 {
-		t.Fatalf("degenerate run: %+v", row)
+	if value(t, res, "hetero-6", "IPCsum close") <= 0 || value(t, res, "hetero-6", "IPCsum open") <= 0 {
+		t.Fatalf("degenerate run:\n%s", res)
 	}
 	// Both policies must keep utilization in a sane band on a
 	// bandwidth-hungry mix.
-	if row.CloseBusUtil < 0.5 || row.CloseBusUtil > 1 || row.OpenBusUtil < 0.5 || row.OpenBusUtil > 1 {
-		t.Fatalf("utilization out of band: %+v", row)
+	for _, col := range []string{"busUtil close", "busUtil open"} {
+		if u := value(t, res, "hetero-6", col); u < 0.5 || u > 1 {
+			t.Fatalf("utilization out of band:\n%s", res)
+		}
 	}
-	if !strings.Contains(res.Render(), "hetero-6") {
+	if !strings.Contains(res.String(), "hetero-6") {
 		t.Fatal("render missing row")
 	}
 }
@@ -43,21 +44,21 @@ func TestEnforcementStudy(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		if row.Strict <= 0 || row.Shares <= 0 {
-			t.Fatalf("degenerate: %+v", row)
+		strict, shares := value(t, res, row.Key, "strict"), value(t, res, row.Key, "shares")
+		if strict <= 0 || shares <= 0 {
+			t.Fatalf("degenerate: %v", row.Cells)
 		}
 		// The two enforcement mechanisms realize the same model allocation;
 		// they must land within 25% of each other.
-		ratio := row.Strict / row.Shares
+		ratio := strict / shares
 		if ratio < 0.75 || ratio > 1.33 {
-			t.Errorf("%s/%v: enforcement mechanisms diverge: strict %.3f vs shares %.3f",
-				row.Mix, row.Objective, row.Strict, row.Shares)
+			t.Errorf("%s: enforcement mechanisms diverge: strict %.3f vs shares %.3f", row.Key, strict, shares)
 		}
-		if row.Objective != metrics.ObjectiveWsp && row.Objective != metrics.ObjectiveIPCSum {
-			t.Errorf("unexpected objective %v", row.Objective)
+		if obj := row.Cells[1]; obj != metrics.ObjectiveWsp.String() && obj != metrics.ObjectiveIPCSum.String() {
+			t.Errorf("unexpected objective %v", obj)
 		}
 	}
-	if !strings.Contains(res.Render(), "strict") {
+	if !strings.Contains(res.String(), "strict") {
 		t.Fatal("render missing header")
 	}
 }
@@ -72,23 +73,23 @@ func TestEnergyStudy(t *testing.T) {
 	if len(res.Rows) != 7 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	var baseEnergy, bestEff, baseEff float64
 	for _, row := range res.Rows {
-		if row.TotalMJ <= 0 || row.DynamicPJPerBit <= 0 || row.IPCSumPerMJ <= 0 {
-			t.Fatalf("degenerate row: %+v", row)
+		for _, col := range []string{"energy (mJ)", "dyn pJ/bit", "IPCsum per mJ"} {
+			if value(t, res, row.Key, col) <= 0 {
+				t.Fatalf("degenerate row: %v", row.Cells)
+			}
 		}
-		if row.Scheme == NoPartitioning {
-			baseEnergy = row.TotalMJ
-			baseEff = row.IPCSumPerMJ
-		}
-		if row.IPCSumPerMJ > bestEff {
-			bestEff = row.IPCSumPerMJ
-		}
+	}
+	baseEnergy := value(t, res, NoPartitioning, "energy (mJ)")
+	baseEff := value(t, res, NoPartitioning, "IPCsum per mJ")
+	bestEff := 0.0
+	for _, eff := range res.Column("IPCsum per mJ") {
+		bestEff = max(bestEff, eff)
 	}
 	// B is roughly scheme-invariant, so total energy varies little...
 	for _, row := range res.Rows {
-		if row.TotalMJ < baseEnergy*0.8 || row.TotalMJ > baseEnergy*1.2 {
-			t.Errorf("%s: energy %v far from baseline %v", row.Scheme, row.TotalMJ, baseEnergy)
+		if e := value(t, res, row.Key, "energy (mJ)"); e < baseEnergy*0.8 || e > baseEnergy*1.2 {
+			t.Errorf("%s: energy %v far from baseline %v", row.Key, e, baseEnergy)
 		}
 	}
 	// ...so energy efficiency follows throughput: partitioning must beat
@@ -96,7 +97,7 @@ func TestEnergyStudy(t *testing.T) {
 	if bestEff < baseEff*1.2 {
 		t.Errorf("no scheme improved energy efficiency: best %v vs base %v", bestEff, baseEff)
 	}
-	if !strings.Contains(res.Render(), "pJ/bit") {
+	if !strings.Contains(res.String(), "pJ/bit") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -111,17 +112,17 @@ func TestMechanismStudy(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	row := res.Rows[0]
-	if row.STF <= 0 || row.Budget <= 0 {
-		t.Fatalf("degenerate: %+v", row)
+	stf, budget := value(t, res, "hetero-5", "STF"), value(t, res, "hetero-5", "budget")
+	if stf <= 0 || budget <= 0 {
+		t.Fatalf("degenerate:\n%s", res)
 	}
 	// The two mechanisms realize the same shares; outcomes must agree
 	// within enforcement tolerance.
-	ratio := row.Budget / row.STF
+	ratio := budget / stf
 	if ratio < 0.85 || ratio > 1.18 {
-		t.Fatalf("mechanisms diverge: STF %.3f vs budget %.3f", row.STF, row.Budget)
+		t.Fatalf("mechanisms diverge: STF %.3f vs budget %.3f", stf, budget)
 	}
-	if !strings.Contains(res.Render(), "budget/STF") {
+	if !strings.Contains(res.String(), "budget/STF") {
 		t.Fatal("render incomplete")
 	}
 }

@@ -1,8 +1,8 @@
 // Package exper defines runnable reproductions of every table and figure
 // in the paper's evaluation (Table III, Table IV, Figures 1-4) plus the
 // model-validation and online-profiling extensions. Each experiment returns
-// a structured result with a Render method that prints the same rows or
-// series the paper reports.
+// a Table holding the rows or series the paper reports together with the
+// numbers behind them; Studies lists the figure suite.
 package exper
 
 import (

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -110,26 +111,54 @@ func TestFigure1ShapesMatchPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Proportional must be the fairness winner among the five schemes.
-	if got := f.BestSchemeFor(metrics.ObjectiveMinFairness); got != "proportional" {
+	if got := f.BestInColumn("MinFairness"); got != "proportional" {
 		t.Errorf("fairness winner = %s, want proportional", got)
 	}
 	// Priority schemes must crater fairness below the baseline.
 	for _, s := range []string{"priority-apc", "priority-api"} {
-		if f.Normalized[s][metrics.ObjectiveMinFairness] >= 1 {
-			t.Errorf("%s fairness %.3f, expected below No_partitioning", s, f.Normalized[s][metrics.ObjectiveMinFairness])
+		if v := value(t, f, s, "MinFairness"); v >= 1 {
+			t.Errorf("%s fairness %.3f, expected below No_partitioning", s, v)
 		}
 	}
 	// Square_root must beat Proportional on Hsp (Cauchy ordering).
-	if f.Normalized["square-root"][metrics.ObjectiveHsp] <= f.Normalized["proportional"][metrics.ObjectiveHsp] {
+	if value(t, f, "square-root", "Hsp") <= value(t, f, "proportional", "Hsp") {
 		t.Error("square-root did not beat proportional on Hsp")
 	}
 	// Rendering includes every scheme row.
-	text := f.Render()
+	text := f.String()
 	for _, s := range Figure1Schemes() {
 		if !strings.Contains(text, s) {
 			t.Errorf("render missing %s", s)
 		}
 	}
+}
+
+// TestFigure1WinnerTieBreak: priority-api and priority-apc tie exactly on
+// Figure 1's IPCsum, so the winner must come from legend order (priority-api
+// is listed first), the same answer on every call.
+func TestFigure1WinnerTieBreak(t *testing.T) {
+	f, err := quickRunner(t).Figure1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if api, apc := value(t, f, "priority-api", "IPCsum"), value(t, f, "priority-apc", "IPCsum"); api != apc {
+		t.Fatalf("the quick Figure 1 no longer ties on IPCsum (priority-api %v, priority-apc %v): pick another tie", api, apc)
+	}
+	for i := 0; i < 64; i++ {
+		if got := f.BestInColumn("IPCsum"); got != "priority-api" {
+			t.Fatalf("call %d: IPCsum winner = %s, want priority-api", i, got)
+		}
+	}
+}
+
+// value reads a number the test needs from tb, failing when it is absent.
+func value(t *testing.T, tb *Table, key, col string) float64 {
+	t.Helper()
+	v, ok := tb.Value(key, col)
+	if !ok {
+		t.Fatalf("%q: no value at row %q, column %q", tb.Title, key, col)
+	}
+	return v
 }
 
 func TestTable3QuickSubset(t *testing.T) {
@@ -159,14 +188,14 @@ func TestTable4(t *testing.T) {
 	}
 	hetero := 0
 	for _, row := range t4.Rows {
-		if row.Heterogeneous {
+		if row.Cells[4] == "heterogeneous" {
 			hetero++
 		}
 	}
 	if hetero != 7 {
 		t.Fatalf("hetero mixes = %d, want 7", hetero)
 	}
-	if !strings.Contains(t4.Render(), "hetero-7") {
+	if !strings.Contains(t4.String(), "hetero-7") {
 		t.Fatal("render missing rows")
 	}
 }
@@ -177,34 +206,33 @@ func TestFigure3QoSHoldsTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Mixes) != 2 {
-		t.Fatalf("mixes = %d", len(f.Mixes))
+	if len(f.Rows) != 2 {
+		t.Fatalf("mixes = %d", len(f.Rows))
 	}
-	for _, m := range f.Mixes {
+	for _, row := range f.Rows {
 		// The guarantee must hold within enforcement tolerance.
-		if m.IPCQoS < f.Target*0.85 {
-			t.Errorf("%s: guaranteed IPC %.3f below target %.2f", m.Mix.Name, m.IPCQoS, f.Target)
+		ipc := value(t, f, row.Key, "hmmer IPC QoS")
+		if ipc < QoSTargetIPC*0.85 {
+			t.Errorf("%s: guaranteed IPC %.3f below target %.2f", row.Key, ipc, QoSTargetIPC)
 		}
 		// And must not wildly overshoot either (it is a partition, not a
 		// priority grant).
-		if m.IPCQoS > f.Target*1.35 {
-			t.Errorf("%s: guaranteed IPC %.3f far above target %.2f", m.Mix.Name, m.IPCQoS, f.Target)
+		if ipc > QoSTargetIPC*1.35 {
+			t.Errorf("%s: guaranteed IPC %.3f far above target %.2f", row.Key, ipc, QoSTargetIPC)
 		}
-		for obj, v := range m.BestEffortNormalized {
-			if v <= 0 {
-				t.Errorf("%s: best-effort %v = %v", m.Mix.Name, obj, v)
+		for _, col := range []string{"BE Hsp (norm)", "BE Wsp (norm)", "BE IPCsum (norm)"} {
+			if v := value(t, f, row.Key, col); v <= 0 {
+				t.Errorf("%s: %s = %v", row.Key, col, v)
 			}
 		}
 	}
 	// mix-2's best-effort group must improve over No_partitioning (its
 	// guarantee is nearly free: hmmer already ran at ~target). mix-1 pays
 	// for lifting hmmer from starvation — see EXPERIMENTS.md.
-	for _, m := range f.Mixes {
-		if m.Mix.Name == "mix-2" && m.BestEffortNormalized[metrics.ObjectiveIPCSum] <= 1 {
-			t.Errorf("mix-2 best-effort IPCsum not improved: %.3f", m.BestEffortNormalized[metrics.ObjectiveIPCSum])
-		}
+	if v := value(t, f, "mix-2", "BE IPCsum (norm)"); v <= 1 {
+		t.Errorf("mix-2 best-effort IPCsum not improved: %.3f", v)
 	}
-	if !strings.Contains(f.Render(), "mix-1") {
+	if !strings.Contains(f.String(), "mix-1") {
 		t.Fatal("render missing mix-1")
 	}
 }
@@ -226,7 +254,7 @@ func TestOnlineProfilingConverges(t *testing.T) {
 			t.Errorf("%v = %v", obj, res.Values[obj])
 		}
 	}
-	if !strings.Contains(res.Render(), "estimator error") {
+	if !strings.Contains(res.Table().String(), "estimator error") {
 		t.Fatal("render missing error line")
 	}
 }
@@ -260,7 +288,7 @@ func TestValidateModelSmall(t *testing.T) {
 	if e := v.MeanRelError(); e > 0.5 {
 		t.Errorf("mean model error %.2f", e)
 	}
-	if !strings.Contains(v.Render(), "mean relative error") {
+	if !strings.Contains(v.Table().String(), "mean relative error") {
 		t.Fatal("render missing summary")
 	}
 }
@@ -284,16 +312,23 @@ func TestOptimalSchemeNameMapping(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	tb := newTable("a", "bb")
-	tb.addRow("x", "y")
-	tb.addf("p\tq")
+	tb := newTable("title", "a", "bb")
+	tb.add(txt("x"), txt("y"))
+	tb.add(txt("p"), f3(0.25))
+	tb.note("note")
 	s := tb.String()
-	if !strings.Contains(s, "a") || !strings.Contains(s, "q") {
+	if !strings.Contains(s, "a") || !strings.Contains(s, "0.250") {
 		t.Fatalf("bad table: %q", s)
 	}
 	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) != 4 {
+	if len(lines) != 6 {
 		t.Fatalf("lines = %d", len(lines))
+	}
+	if v, ok := tb.Value("p", "bb"); !ok || v != 0.25 {
+		t.Errorf("Value(p, bb) = %v, %v; want 0.25, true", v, ok)
+	}
+	if _, ok := tb.Value("x", "bb"); ok {
+		t.Error("a text cell has a value")
 	}
 }
 
@@ -340,13 +375,15 @@ func TestFigure2ParallelMatchesSerial(t *testing.T) {
 		}
 		return out
 	}
-	ratio := func(run, base *MixRun) map[metrics.Objective]float64 {
-		m := make(map[metrics.Objective]float64, 4)
-		for _, obj := range metrics.Objectives() {
-			m[obj] = run.Values[obj] / base.Values[obj]
+	// check requires the figure's value at (key, col) to equal want exactly.
+	check := func(tb *Table, key, col string, want float64) {
+		t.Helper()
+		if got := value(t, tb, key, col); got != want {
+			t.Errorf("%q %s/%s: grid %v, serial %v", tb.Title, key, col, got, want)
 		}
-		return m
 	}
+	objCols := map[metrics.Objective]string{metrics.ObjectiveHsp: "Hsp", metrics.ObjectiveMinFairness: "MinFairness",
+		metrics.ObjectiveWsp: "Wsp", metrics.ObjectiveIPCSum: "IPCsum"}
 
 	f1, err := grid.Figure1()
 	if err != nil {
@@ -354,43 +391,38 @@ func TestFigure2ParallelMatchesSerial(t *testing.T) {
 	}
 	mot := workload.MotivationMix()
 	row := rows(grid, serial, []workload.Mix{mot}, append([]string{NoPartitioning}, Figure1Schemes()...))[0]
-	want1 := &Figure1Result{Mix: mot, Normalized: map[string]map[metrics.Objective]float64{}, Baseline: row[0].Values}
 	for i, scheme := range Figure1Schemes() {
-		want1.Normalized[scheme] = ratio(row[1+i], row[0])
-	}
-	if !reflect.DeepEqual(f1, want1) {
-		t.Errorf("Figure1 diverges from the serial loop:\ngrid:   %s\nserial: %s", f1.Render(), want1.Render())
+		for obj, col := range objCols {
+			check(f1, scheme, col, row[1+i].Values[obj]/row[0].Values[obj])
+		}
 	}
 
 	f2, err := grid.Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2 := &Figure2Result{
-		Normalized: map[string]map[string]map[metrics.Objective]float64{},
-		HeteroAvg:  newAvgMap(),
-		HomoAvg:    newAvgMap(),
-	}
 	mixes := workload.AllMixes()
-	heteroN, homoN := 0, 0
-	for mi, row := range rows(grid, serial, mixes, append([]string{NoPartitioning}, Figure2Schemes()...)) {
-		perScheme := map[string]map[metrics.Objective]float64{}
-		for i, scheme := range Figure2Schemes() {
-			perScheme[scheme] = ratio(row[1+i], row[0])
+	serialRows := rows(grid, serial, mixes, append([]string{NoPartitioning}, Figure2Schemes()...))
+	for oi, obj := range metrics.Objectives() {
+		hetSum, homSum := make([]float64, len(Figure2Schemes())), make([]float64, len(Figure2Schemes()))
+		hetN, homN := 0, 0
+		for mi, row := range serialRows {
+			sum := homSum
+			if mixes[mi].Heterogeneous() {
+				sum, hetN = hetSum, hetN+1
+			} else {
+				homN++
+			}
+			for si, scheme := range Figure2Schemes() {
+				v := row[1+si].Values[obj] / row[0].Values[obj]
+				check(f2[oi], mixes[mi].Name, scheme, v)
+				sum[si] += v
+			}
 		}
-		want2.Normalized[mixes[mi].Name] = perScheme
-		if mixes[mi].Heterogeneous() {
-			heteroN++
-			accumulate(want2.HeteroAvg, perScheme)
-		} else {
-			homoN++
-			accumulate(want2.HomoAvg, perScheme)
+		for si, scheme := range Figure2Schemes() {
+			check(f2[oi], "hetero-avg", scheme, hetSum[si]/float64(hetN))
+			check(f2[oi], "homo-avg", scheme, homSum[si]/float64(homN))
 		}
-	}
-	scale(want2.HeteroAvg, heteroN)
-	scale(want2.HomoAvg, homoN)
-	if !reflect.DeepEqual(f2, want2) {
-		t.Errorf("Figure2 diverges from the serial loop:\ngrid:   %s\nserial: %s", f2.Render(), want2.Render())
 	}
 
 	f4mixes, factors := workload.HeteroMixes()[:2], []int{1, 2}
@@ -398,7 +430,6 @@ func TestFigure2ParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want4 := &Figure4Result{NormalizedToEqual: map[metrics.Objective][]float64{}}
 	schemes := []string{"equal"}
 	for _, obj := range metrics.Objectives() {
 		name, err := optimalSchemeName(obj)
@@ -406,7 +437,6 @@ func TestFigure2ParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		schemes = append(schemes, name)
-		want4.NormalizedToEqual[obj] = make([]float64, len(factors))
 	}
 	for si, factor := range factors {
 		gsub, err := grid.scaledRunner(factor)
@@ -417,29 +447,30 @@ func TestFigure2ParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want4.Points = append(want4.Points, ScalePoint{Factor: factor, GBs: ssub.cfg.Sim.DRAM.PeakBandwidthGBs()})
+		col := fmt.Sprintf("%.1f GB/s", ssub.cfg.Sim.DRAM.PeakBandwidthGBs())
+		if f4.Header[1+si] != col {
+			t.Errorf("Figure4Scaled column %d is %q, want %q", 1+si, f4.Header[1+si], col)
+		}
 		scaled := make([]workload.Mix, len(f4mixes))
 		for i, mix := range f4mixes {
 			scaled[i] = mix.Scale(factor)
 		}
+		sums := make([]float64, len(metrics.Objectives()))
 		for _, row := range rows(gsub, ssub, scaled, schemes) {
 			for oi, obj := range metrics.Objectives() {
-				want4.NormalizedToEqual[obj][si] += row[1+oi].Values[obj] / row[0].Values[obj]
+				sums[oi] += row[1+oi].Values[obj] / row[0].Values[obj]
 			}
 		}
-		for _, obj := range metrics.Objectives() {
-			want4.NormalizedToEqual[obj][si] /= float64(len(scaled))
+		for oi, obj := range metrics.Objectives() {
+			check(f4, obj.String(), col, sums[oi]/float64(len(scaled)))
 		}
-	}
-	if !reflect.DeepEqual(f4, want4) {
-		t.Errorf("Figure4Scaled diverges from the serial loop:\ngrid:   %s\nserial: %s", f4.Render(), want4.Render())
 	}
 }
 
 // TestFigure4ScaledParallelismInvariant: Figure 4's cells fan out, so its
 // result must not depend on how many workers resolve them.
 func TestFigure4ScaledParallelismInvariant(t *testing.T) {
-	var results []*Figure4Result
+	var results []*Table
 	for _, parallelism := range []int{1, 4} {
 		cfg := memoTestConfig()
 		cfg.Parallelism = parallelism
@@ -454,7 +485,7 @@ func TestFigure4ScaledParallelismInvariant(t *testing.T) {
 		results = append(results, f4)
 	}
 	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Errorf("Figure4Scaled depends on Parallelism:\n1: %s\n4: %s", results[0].Render(), results[1].Render())
+		t.Errorf("Figure4Scaled depends on Parallelism:\n1: %s\n4: %s", results[0], results[1])
 	}
 }
 
@@ -465,20 +496,22 @@ func TestRepeatability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Seeds != 3 || len(res.Rows) != 4 {
-		t.Fatalf("shape: %+v", res)
+	if !strings.HasSuffix(res.Title, "over 3 seeds") || len(res.Rows) != 4 {
+		t.Fatalf("shape: %s", res)
 	}
 	for _, row := range res.Rows {
-		if row.Mean <= 0 {
-			t.Errorf("%v: mean %v", row.Objective, row.Mean)
+		if mean := value(t, res, row.Key, "mean"); mean <= 0 {
+			t.Errorf("%s: mean %v", row.Key, mean)
 		}
 	}
 	// Generators are the only stochastic element: run-to-run noise must be
 	// small relative to the effects the paper measures.
-	if res.MaxRSD() > 10 {
-		t.Errorf("run-to-run RSD %v%% too large", res.MaxRSD())
+	for _, rsd := range res.Column("RSD") {
+		if rsd > 10 {
+			t.Errorf("run-to-run RSD %v%% too large", rsd)
+		}
 	}
-	if !strings.Contains(res.Render(), "seeds") {
+	if !strings.Contains(res.String(), "seeds") {
 		t.Fatal("render incomplete")
 	}
 }

@@ -2,7 +2,6 @@ package exper
 
 import (
 	"fmt"
-	"strings"
 
 	"bwpart/internal/core"
 	"bwpart/internal/metrics"
@@ -14,53 +13,37 @@ import (
 // hmmer's IPC at 0.6").
 const QoSTargetIPC = 0.6
 
-// Figure3Mix is the outcome of the QoS experiment on one mix.
-type Figure3Mix struct {
-	Mix workload.Mix
-	// GuardedApp is the index of hmmer within the mix.
-	GuardedApp int
-	// IPCNoPart / IPCQoS: hmmer's IPC without management and under the
-	// QoS-guaranteed partitioning.
-	IPCNoPart float64
-	IPCQoS    float64
-	// BestEffortNormalized[objective]: the best-effort group's metric under
-	// QoS partitioning with that objective's optimal best-effort scheme,
-	// normalized to the same group's metric under No_partitioning.
-	BestEffortNormalized map[metrics.Objective]float64
-}
-
-// Figure3Result reproduces the QoS-guarantee experiment (paper Sec. VI-B).
-type Figure3Result struct {
-	Target float64
-	Mixes  []Figure3Mix
-}
-
 // beObjectives are the three best-effort metrics the paper reports.
 func beObjectives() []metrics.Objective {
 	return []metrics.Objective{metrics.ObjectiveHsp, metrics.ObjectiveWsp, metrics.ObjectiveIPCSum}
 }
 
-// Figure3 runs the QoS experiment on the paper's two mixes.
-func (r *Runner) Figure3() (*Figure3Result, error) {
-	out := &Figure3Result{Target: QoSTargetIPC}
+// Figure3 reproduces the QoS-guarantee experiment (paper Sec. VI-B) on the
+// paper's two mixes: hmmer's IPC without management and under the
+// QoS-guaranteed partitioning, and the best-effort group's Hsp, Wsp and
+// IPCsum under each objective's optimal best-effort scheme, normalized to
+// the same group under No_partitioning. Rows are keyed by mix.
+func (r *Runner) Figure3() (*Table, error) {
 	mixes := workload.QoSMixes()
 	bases, err := r.RunGrid(r.baseCtx(), mixes, []string{NoPartitioning})
 	if err != nil {
 		return nil, err
 	}
+	t := newTable(fmt.Sprintf("Figure 3: QoS guarantee (hmmer target IPC = %.2f)", QoSTargetIPC),
+		"mix", "hmmer IPC no-part", "hmmer IPC QoS", "BE Hsp (norm)", "BE Wsp (norm)", "BE IPCsum (norm)")
 	for i, mix := range mixes {
-		fm, err := r.runQoSMix(mix, bases[i])
+		cells, err := r.runQoSMix(mix, bases[i])
 		if err != nil {
 			return nil, err
 		}
-		out.Mixes = append(out.Mixes, *fm)
+		t.add(append([]cell{txt(mix.Name)}, cells...)...)
 	}
-	return out, nil
+	return t, nil
 }
 
 // runQoSMix runs the QoS-guaranteed partitionings of one mix against its
-// No_partitioning run.
-func (r *Runner) runQoSMix(mix workload.Mix, base *MixRun) (*Figure3Mix, error) {
+// No_partitioning run and returns the figure's cells for it.
+func (r *Runner) runQoSMix(mix workload.Mix, base *MixRun) ([]cell, error) {
 	guarded := -1
 	for i, b := range mix.Benchmarks {
 		if b == "hmmer" {
@@ -71,12 +54,6 @@ func (r *Runner) runQoSMix(mix workload.Mix, base *MixRun) (*Figure3Mix, error) 
 		return nil, fmt.Errorf("exper: mix %s has no hmmer to guard", mix.Name)
 	}
 	apcAlone, api, ipcAlone := base.APCAlone, base.API, base.IPCAlone
-	fm := &Figure3Mix{
-		Mix:                  mix,
-		GuardedApp:           guarded,
-		IPCNoPart:            base.Result.Apps[guarded].IPC,
-		BestEffortNormalized: make(map[metrics.Objective]float64, 3),
-	}
 
 	beIdx := make([]int, 0, len(mix.Benchmarks)-1)
 	for i := range mix.Benchmarks {
@@ -100,8 +77,8 @@ func (r *Runner) runQoSMix(mix workload.Mix, base *MixRun) (*Figure3Mix, error) 
 	b := base.Result.TotalAPC
 	guarantees := []core.Guarantee{{App: guarded, TargetIPC: r.qosTarget(apcAlone[guarded], api[guarded])}}
 
+	var beCells []cell
 	var qosIPCSum float64
-	var qosIPCSamples int
 	for _, obj := range beObjectives() {
 		scheme, err := core.OptimalFor(obj)
 		if err != nil {
@@ -124,12 +101,11 @@ func (r *Runner) runQoSMix(mix workload.Mix, base *MixRun) (*Figure3Mix, error) 
 		if err != nil {
 			return nil, err
 		}
-		fm.BestEffortNormalized[obj] = num / den
+		beCells = append(beCells, f3(num/den))
 		qosIPCSum += run.Apps[guarded].IPC
-		qosIPCSamples++
 	}
-	fm.IPCQoS = qosIPCSum / float64(qosIPCSamples)
-	return fm, nil
+	ipcQoS := qosIPCSum / float64(len(beCells))
+	return append([]cell{f3(base.Result.Apps[guarded].IPC), f3(ipcQoS)}, beCells...), nil
 }
 
 // qosTarget clamps the paper's 0.6 target to what the application can
@@ -163,20 +139,4 @@ func (r *Runner) runWithShares(mix workload.Mix, apcTargets []float64) (sim.Resu
 	return r.runConfigured(mix, func(sys *sim.System) error {
 		return sys.ApplyShares(shares)
 	})
-}
-
-// Render prints the figure's two groups of bars.
-func (f *Figure3Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 3: QoS guarantee (hmmer target IPC = %.2f)\n", f.Target)
-	t := newTable("mix", "hmmer IPC no-part", "hmmer IPC QoS",
-		"BE Hsp (norm)", "BE Wsp (norm)", "BE IPCsum (norm)")
-	for _, m := range f.Mixes {
-		t.addRow(m.Mix.Name, f3(m.IPCNoPart), f3(m.IPCQoS),
-			f3(m.BestEffortNormalized[metrics.ObjectiveHsp]),
-			f3(m.BestEffortNormalized[metrics.ObjectiveWsp]),
-			f3(m.BestEffortNormalized[metrics.ObjectiveIPCSum]))
-	}
-	b.WriteString(t.String())
-	return b.String()
 }

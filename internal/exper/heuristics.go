@@ -1,26 +1,10 @@
 package exper
 
 import (
-	"fmt"
-	"strings"
-
 	"bwpart/internal/memctrl"
 	"bwpart/internal/metrics"
 	"bwpart/internal/workload"
 )
-
-// HeuristicStudy positions the heuristic memory schedulers from the
-// paper's related work (STFM, PARBS, ATLAS, TCM) against the model-derived
-// optimal partitioning schemes: for each objective it reports the
-// hetero-average normalized value of every heuristic next to the optimal
-// scheme's. The paper's thesis is that heuristics improve performance by
-// *implicitly* partitioning bandwidth; this experiment shows how much of
-// the explicitly-optimal gain each heuristic captures.
-type HeuristicStudy struct {
-	// Normalized[configName][objective]: hetero-average vs No_partitioning.
-	Normalized map[string]map[metrics.Objective]float64
-	Configs    []string
-}
 
 // heuristicFactories builds fresh scheduler instances per run (stateful
 // policies must not leak state across mixes).
@@ -40,17 +24,21 @@ func heuristicFactories(numApps int, seed int64) map[string]func() (memctrl.Sche
 // HeuristicNames lists the implemented heuristics in citation order.
 func HeuristicNames() []string { return []string{"stfm", "parbs", "atlas", "tcm"} }
 
-// RunHeuristics evaluates the heuristics plus the four optimal schemes on
-// the given mixes, all normalized to No_partitioning and averaged.
-func (r *Runner) RunHeuristics(mixes []workload.Mix) (*HeuristicStudy, error) {
+// RunHeuristics positions the heuristic memory schedulers from the paper's
+// related work (STFM, PARBS, ATLAS, TCM) against the model-derived optimal
+// schemes: one row per configuration (heuristics, then Equal and the four
+// optimal schemes), each objective's value normalized to No_partitioning
+// and averaged over the given mixes. The paper's thesis is that heuristics
+// improve performance by *implicitly* partitioning bandwidth; the table shows
+// how much of the explicitly-optimal gain each heuristic captures.
+func (r *Runner) RunHeuristics(mixes []workload.Mix) (*Table, error) {
 	configs := append(append([]string{}, HeuristicNames()...),
 		"equal", "square-root", "proportional", "priority-apc", "priority-api")
-	out := &HeuristicStudy{
-		Normalized: make(map[string]map[metrics.Objective]float64),
-		Configs:    configs,
-	}
+	objectives := metrics.Objectives() // the table's column order
+	// sum[config][oi] accumulates the normalized values over mixes.
+	sum := make(map[string][]float64, len(configs))
 	for _, cfgName := range configs {
-		out.Normalized[cfgName] = make(map[metrics.Objective]float64, 4)
+		sum[cfgName] = make([]float64, len(objectives))
 	}
 	// Scheme configurations are one grid: the baseline, then each scheme.
 	schemes := append([]string{NoPartitioning}, configs[len(HeuristicNames()):]...)
@@ -62,8 +50,8 @@ func (r *Runner) RunHeuristics(mixes []workload.Mix) (*HeuristicStudy, error) {
 		row := runs[mi*len(schemes) : (mi+1)*len(schemes)]
 		base, ipcAlone := row[0], row[0].IPCAlone
 		for si, cfgName := range schemes[1:] {
-			for _, obj := range metrics.Objectives() {
-				out.Normalized[cfgName][obj] += row[1+si].Values[obj] / base.Values[obj]
+			for oi, obj := range objectives {
+				sum[cfgName][oi] += row[1+si].Values[obj] / base.Values[obj]
 			}
 		}
 		// Heuristic configurations install the scheduler directly, starting
@@ -78,53 +66,24 @@ func (r *Runner) RunHeuristics(mixes []workload.Mix) (*HeuristicStudy, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, obj := range metrics.Objectives() {
+			for oi, obj := range objectives {
 				v, err := obj.Eval(res.IPCs(), ipcAlone)
 				if err != nil {
 					return nil, err
 				}
-				out.Normalized[h][obj] += v / base.Values[obj]
+				sum[h][oi] += v / base.Values[obj]
 			}
 		}
 	}
-	for _, vals := range out.Normalized {
-		for obj := range vals {
-			vals[obj] /= float64(len(mixes))
+	t := newTable("Heuristic schedulers vs model-derived optimal schemes (normalized to No_partitioning)",
+		"config", "Hsp", "MinFairness", "Wsp", "IPCsum")
+	for _, cfgName := range configs {
+		cells := []cell{txt(cfgName)}
+		for _, v := range sum[cfgName] {
+			cells = append(cells, f3(v/float64(len(mixes))))
 		}
+		t.add(cells...)
 	}
-	return out, nil
-}
-
-// Render prints the comparison table.
-func (h *HeuristicStudy) Render() string {
-	var b strings.Builder
-	b.WriteString("Heuristic schedulers vs model-derived optimal schemes (normalized to No_partitioning)\n")
-	t := newTable("config", "Hsp", "MinFairness", "Wsp", "IPCsum")
-	for _, cfgName := range h.Configs {
-		v := h.Normalized[cfgName]
-		t.addRow(cfgName, f3(v[metrics.ObjectiveHsp]), f3(v[metrics.ObjectiveMinFairness]),
-			f3(v[metrics.ObjectiveWsp]), f3(v[metrics.ObjectiveIPCSum]))
-	}
-	b.WriteString(t.String())
-	b.WriteString("(optimal for each column: square-root, proportional, priority-apc, priority-api)\n")
-	return b.String()
-}
-
-// CapturedFraction returns, for an objective, the fraction of the optimal
-// scheme's gain over No_partitioning that a heuristic captures
-// ((h-1)/(opt-1); can exceed 1 or go negative).
-func (h *HeuristicStudy) CapturedFraction(heuristic string, obj metrics.Objective) (float64, error) {
-	optName, err := optimalSchemeName(obj)
-	if err != nil {
-		return 0, err
-	}
-	hv, ok := h.Normalized[heuristic]
-	if !ok {
-		return 0, fmt.Errorf("exper: unknown heuristic %q", heuristic)
-	}
-	opt := h.Normalized[optName][obj]
-	if opt == 1 {
-		return 0, fmt.Errorf("exper: optimal gain is zero for %v", obj)
-	}
-	return (hv[obj] - 1) / (opt - 1), nil
+	t.note("(optimal for each column: square-root, proportional, priority-apc, priority-api)")
+	return t, nil
 }

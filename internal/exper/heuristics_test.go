@@ -16,54 +16,59 @@ func TestHeuristicStudySingleMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every config present with all four objectives, positive values.
-	for _, cfgName := range h.Configs {
-		vals := h.Normalized[cfgName]
-		if len(vals) != 4 {
-			t.Fatalf("%s: %d objectives", cfgName, len(vals))
-		}
-		for obj, v := range vals {
-			if v <= 0 {
-				t.Errorf("%s/%v = %v", cfgName, obj, v)
+	if len(h.Rows) != len(HeuristicNames())+5 {
+		t.Fatalf("configs = %d", len(h.Rows))
+	}
+	for _, row := range h.Rows {
+		for _, col := range h.Header[1:] {
+			if v := value(t, h, row.Key, col); v <= 0 {
+				t.Errorf("%s/%s = %v", row.Key, col, v)
 			}
 		}
 	}
 	// Fairness-oriented heuristics must not collapse fairness the way the
 	// strict priority schemes do.
+	strict := value(t, h, "priority-api", "MinFairness")
 	for _, hName := range HeuristicNames() {
-		if h.Normalized[hName][metrics.ObjectiveMinFairness] <= h.Normalized["priority-api"][metrics.ObjectiveMinFairness] {
-			t.Errorf("%s fairness (%.3f) at or below strict priority (%.3f)",
-				hName, h.Normalized[hName][metrics.ObjectiveMinFairness],
-				h.Normalized["priority-api"][metrics.ObjectiveMinFairness])
+		if v := value(t, h, hName, "MinFairness"); v <= strict {
+			t.Errorf("%s fairness (%.3f) at or below strict priority (%.3f)", hName, v, strict)
 		}
 	}
 	// Render includes every row.
-	text := h.Render()
-	for _, cfgName := range h.Configs {
-		if !strings.Contains(text, cfgName) {
-			t.Errorf("render missing %s", cfgName)
+	text := h.String()
+	for _, row := range h.Rows {
+		if !strings.Contains(text, row.Key) {
+			t.Errorf("render missing %s", row.Key)
 		}
 	}
 }
 
+// TestCapturedFraction reads, from the heuristics table, the fraction of each
+// objective's optimal-scheme gain over No_partitioning that a heuristic
+// captures, (h-1)/(opt-1): the paper's thesis is that heuristics partition
+// bandwidth implicitly and suboptimally, so none may capture more than all
+// of it.
 func TestCapturedFraction(t *testing.T) {
-	h := &HeuristicStudy{
-		Normalized: map[string]map[metrics.Objective]float64{
-			"stfm":         {metrics.ObjectiveWsp: 1.15},
-			"priority-apc": {metrics.ObjectiveWsp: 1.30},
-		},
-	}
-	frac, err := h.CapturedFraction("stfm", metrics.ObjectiveWsp)
+	r := quickRunner(t)
+	mix, _ := workload.MixByName("hetero-5")
+	h, err := r.RunHeuristics([]workload.Mix{mix})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frac < 0.49 || frac > 0.51 {
-		t.Fatalf("captured fraction = %v, want 0.5", frac)
-	}
-	if _, err := h.CapturedFraction("bogus", metrics.ObjectiveWsp); err == nil {
-		t.Error("unknown heuristic accepted")
-	}
-	h.Normalized["priority-apc"][metrics.ObjectiveWsp] = 1.0
-	if _, err := h.CapturedFraction("stfm", metrics.ObjectiveWsp); err == nil {
-		t.Error("zero optimal gain accepted")
+	for oi, obj := range metrics.Objectives() { // the table's column order
+		optName, err := optimalSchemeName(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := h.Header[1+oi]
+		opt := value(t, h, optName, col)
+		if opt <= 1 {
+			t.Fatalf("%s: optimal scheme %s gains nothing (%.3f)", col, optName, opt)
+		}
+		for _, hName := range HeuristicNames() {
+			if frac := (value(t, h, hName, col) - 1) / (opt - 1); frac > 1 {
+				t.Errorf("%s captures %.2f of %s's %s gain", hName, frac, optName, col)
+			}
+		}
 	}
 }

@@ -3,40 +3,25 @@ package exper
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"bwpart/internal/metrics"
 	"bwpart/internal/workload"
 )
 
-// IntervalPoint is one repartitioning-interval setting and the objective
-// it achieved.
-type IntervalPoint struct {
-	EpochCycles int64
-	Hsp         float64
-	// EstimatorError is the final online APC_alone estimation error.
-	EstimatorError float64
-}
-
-// IntervalResult is the repartitioning-interval sensitivity study: the
-// paper re-profiles and repartitions every 10M cycles; this sweep shows
-// how the outcome depends on the interval choice (too short: noisy
-// estimates; long: slower adaptation — on stationary workloads mainly the
-// noise matters).
-type IntervalResult struct {
-	Mix    workload.Mix
-	Scheme string
-	Points []IntervalPoint
-}
-
-// IntervalStudy runs the online loop with several epoch lengths on one mix
-// under one scheme. The total simulated work is held roughly constant: the
-// epoch count scales inversely with the epoch length.
-func (r *Runner) IntervalStudy(mix workload.Mix, scheme string, epochs []int64) (*IntervalResult, error) {
+// IntervalStudy is the repartitioning-interval sensitivity study: the paper
+// re-profiles and repartitions every 10M cycles; this sweep runs the online
+// loop with several epoch lengths on one mix under one scheme and reports,
+// per epoch length, the Hsp achieved and the final online APC_alone
+// estimation error (too short: noisy estimates; long: slower adaptation —
+// on stationary workloads mainly the noise matters). The total simulated
+// work is held roughly constant: the epoch count scales inversely with the
+// epoch length.
+func (r *Runner) IntervalStudy(mix workload.Mix, scheme string, epochs []int64) (*Table, error) {
 	if len(epochs) == 0 {
 		return nil, errors.New("exper: no interval points")
 	}
-	out := &IntervalResult{Mix: mix, Scheme: scheme}
+	t := newTable(fmt.Sprintf("Repartitioning interval sensitivity: %s under %s", mix.Name, scheme),
+		"epoch (cycles)", "Hsp", "estimator error")
 	const totalBudget = 600_000 // cycles of online adaptation per point
 	for _, epoch := range epochs {
 		if epoch <= 0 {
@@ -50,23 +35,7 @@ func (r *Runner) IntervalStudy(mix workload.Mix, scheme string, epochs []int64) 
 		if err != nil {
 			return nil, err
 		}
-		out.Points = append(out.Points, IntervalPoint{
-			EpochCycles:    epoch,
-			Hsp:            res.Values[metrics.ObjectiveHsp],
-			EstimatorError: res.EstimatorError(),
-		})
+		t.add(txt(fmt.Sprintf("%d", epoch)), f3(res.Values[metrics.ObjectiveHsp]), pct(res.EstimatorError()))
 	}
-	return out, nil
-}
-
-// Render prints the sweep.
-func (ir *IntervalResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Repartitioning interval sensitivity: %s under %s\n", ir.Mix.Name, ir.Scheme)
-	t := newTable("epoch (cycles)", "Hsp", "estimator error")
-	for _, p := range ir.Points {
-		t.addRow(fmt.Sprintf("%d", p.EpochCycles), f3(p.Hsp), fmt.Sprintf("%.1f%%", 100*p.EstimatorError))
-	}
-	b.WriteString(t.String())
-	return b.String()
+	return t, nil
 }

@@ -277,13 +277,13 @@ func TestFigureSuiteMemoizedMatchesCold(t *testing.T) {
 	}
 
 	if !reflect.DeepEqual(wf1, cf1) {
-		t.Errorf("Figure1 memoized diverges from cold:\nmemo: %s\ncold: %s", wf1.Render(), cf1.Render())
+		t.Errorf("Figure1 memoized diverges from cold:\nmemo: %s\ncold: %s", wf1, cf1)
 	}
 	if !reflect.DeepEqual(wf2, cf2) {
-		t.Errorf("Figure2 memoized diverges from cold:\nmemo: %s\ncold: %s", wf2.Render(), cf2.Render())
+		t.Errorf("Figure2 memoized diverges from cold:\nmemo: %s\ncold: %s", wf2, cf2)
 	}
 	if !reflect.DeepEqual(wf3, cf3) {
-		t.Errorf("Figure3 memoized diverges from cold:\nmemo: %s\ncold: %s", wf3.Render(), cf3.Render())
+		t.Errorf("Figure3 memoized diverges from cold:\nmemo: %s\ncold: %s", wf3, cf3)
 	}
 
 	// The suite shares cells across figures (Figure 1's mix and Figure 3's
@@ -323,6 +323,6 @@ func TestHeuristicsSharedBaseMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wh, ch) {
-		t.Errorf("heuristic study on shared warm bases diverges from cold:\nmemo: %s\ncold: %s", wh.Render(), ch.Render())
+		t.Errorf("heuristic study on shared warm bases diverges from cold:\nmemo: %s\ncold: %s", wh, ch)
 	}
 }

@@ -3,7 +3,6 @@ package exper
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"bwpart/internal/core"
 	"bwpart/internal/memctrl"
@@ -17,7 +16,8 @@ import (
 // deployable implementation: APC_alone is never measured by running apps
 // alone; it is estimated every epoch from the three online counters
 // (N_accesses, T_cyc,shared, T_cyc,interference, Sec. IV-C) and the
-// partitioning is refreshed at every epoch boundary.
+// partitioning is refreshed at every epoch boundary. It stays a typed result
+// because IntervalStudy reads its objective values and estimator error.
 type OnlineResult struct {
 	Mix    workload.Mix
 	Scheme string
@@ -137,15 +137,14 @@ func (o *OnlineResult) EstimatorError() float64 {
 	return sum / float64(len(o.EstimatedAPCAlone))
 }
 
-// Render prints the online-run summary.
-func (o *OnlineResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Online profiling run: %s under %s (%d epochs)\n", o.Mix.Name, o.Scheme, o.Epochs)
-	t := newTable("app", "APC_alone est", "APC_alone oracle")
+// Table lays out the estimates next to the oracle, one row per app, with
+// the mean estimator error as a note.
+func (o *OnlineResult) Table() *Table {
+	t := newTable(fmt.Sprintf("Online profiling run: %s under %s (%d epochs)", o.Mix.Name, o.Scheme, o.Epochs),
+		"app", "APC_alone est", "APC_alone oracle")
 	for i, name := range o.Mix.Benchmarks {
-		t.addRow(name, fmt.Sprintf("%.5f", o.EstimatedAPCAlone[i]), fmt.Sprintf("%.5f", o.OracleAPCAlone[i]))
+		t.add(txt(name), numf("%.5f", o.EstimatedAPCAlone[i]), numf("%.5f", o.OracleAPCAlone[i]))
 	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "mean relative estimator error: %.1f%%\n", 100*o.EstimatorError())
-	return b.String()
+	t.note("mean relative estimator error: %.1f%%", 100*o.EstimatorError())
+	return t
 }

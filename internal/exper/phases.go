@@ -3,7 +3,6 @@ package exper
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"bwpart/internal/core"
 	"bwpart/internal/cpu"
@@ -13,37 +12,19 @@ import (
 	"bwpart/internal/workload"
 )
 
-// PhaseEpoch records one repartitioning epoch of the phase study.
-type PhaseEpoch struct {
-	// EstimatedAPC is the online APC_alone estimate for the phased app at
-	// the end of the epoch (online system only).
-	EstimatedAPC float64
-	// StaticIPC / OnlineIPC: the phased app's IPC during this epoch under
-	// the stale-shares system and the adapting system.
-	StaticIPC float64
-	OnlineIPC float64
-	// StaticTotalIPC / OnlineTotalIPC: whole-system IPC sums.
-	StaticTotalIPC float64
-	OnlineTotalIPC float64
-}
-
-// PhaseStudyResult compares static (profile-once) partitioning against the
-// paper's periodic re-profiling on a workload whose first application
-// alternates between a compute phase (povray-like) and a memory-streaming
-// phase (lbm-like). Sec. IV-C: "when an application's behavior changes,
-// its APC_alone will be updated ... our partitioning schemes will change
-// an application's bandwidth share correspondingly".
-type PhaseStudyResult struct {
-	Epochs []PhaseEpoch
-	// EstimateSwing is max/min of the online APC_alone estimates across
-	// epochs — evidence the profiler tracks the phases.
-	EstimateSwing float64
-}
-
-// PhaseStudy runs the comparison. phaseInstr is the phase length in
-// instructions for the phased app; the study runs the given number of
-// epochs of epochCycles each after a one-epoch FCFS profiling prologue.
-func (r *Runner) PhaseStudy(phaseInstr, epochCycles int64, epochs int) (*PhaseStudyResult, error) {
+// PhaseStudy compares static (profile-once) partitioning against the paper's
+// periodic re-profiling on a workload whose first application alternates
+// between a compute phase (povray-like) and a memory-streaming phase
+// (lbm-like). Sec. IV-C: "when an application's behavior changes, its
+// APC_alone will be updated ... our partitioning schemes will change an
+// application's bandwidth share correspondingly". phaseInstr is the phase
+// length in instructions for the phased app; the study runs the given number
+// of epochs of epochCycles each after a one-epoch FCFS profiling prologue.
+// One row per epoch (keyed by its index) holds the online APC_alone estimate
+// for the phased app, its IPC under both systems and both systems' IPC sums;
+// the note gives the estimate's max/min swing across epochs, the evidence the
+// profiler tracks the phases.
+func (r *Runner) PhaseStudy(phaseInstr, epochCycles int64, epochs int) (*Table, error) {
 	if phaseInstr <= 0 || epochCycles <= 0 || epochs < 2 {
 		return nil, errors.New("exper: phase study needs positive windows and >= 2 epochs")
 	}
@@ -123,7 +104,8 @@ func (r *Runner) PhaseStudy(phaseInstr, epochCycles int64, epochs int) (*PhaseSt
 		return nil, err
 	}
 
-	out := &PhaseStudyResult{}
+	t := newTable("Phase adaptation: static (profile-once) vs online re-profiling (Proportional shares)",
+		"epoch", "est APC_alone (phased)", "phased IPC static", "phased IPC online", "total IPC static", "total IPC online")
 	minEst, maxEst := 0.0, 0.0
 	for e := 0; e < epochs; e++ {
 		static.ResetStats()
@@ -145,19 +127,8 @@ func (r *Runner) PhaseStudy(phaseInstr, epochCycles int64, epochs int) (*PhaseSt
 		if err := online.ApplyScheme(core.Proportional(), est, apis); err != nil {
 			return nil, err
 		}
-
-		ep := PhaseEpoch{
-			EstimatedAPC: est[0],
-			StaticIPC:    sRes.Apps[0].IPC,
-			OnlineIPC:    oRes.Apps[0].IPC,
-		}
-		for _, a := range sRes.Apps {
-			ep.StaticTotalIPC += a.IPC
-		}
-		for _, a := range oRes.Apps {
-			ep.OnlineTotalIPC += a.IPC
-		}
-		out.Epochs = append(out.Epochs, ep)
+		t.add(txt(fmt.Sprintf("%d", e)), numf("%.5f", est[0]),
+			f3(sRes.Apps[0].IPC), f3(oRes.Apps[0].IPC), f3(ipcSum(sRes)), f3(ipcSum(oRes)))
 		if e == 0 || est[0] < minEst {
 			minEst = est[0]
 		}
@@ -165,10 +136,12 @@ func (r *Runner) PhaseStudy(phaseInstr, epochCycles int64, epochs int) (*PhaseSt
 			maxEst = est[0]
 		}
 	}
+	swing := 0.0
 	if minEst > 0 {
-		out.EstimateSwing = maxEst / minEst
+		swing = maxEst / minEst
 	}
-	return out, nil
+	t.note("online estimate swing across epochs: %.2fx", swing)
+	return t, nil
 }
 
 // coreFor derives the per-app core config from a profile.
@@ -189,18 +162,4 @@ func sanitize(est, apis []float64) {
 			apis[i] = 1e-3
 		}
 	}
-}
-
-// Render prints the per-epoch comparison.
-func (p *PhaseStudyResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Phase adaptation: static (profile-once) vs online re-profiling (Proportional shares)\n")
-	t := newTable("epoch", "est APC_alone (phased)", "phased IPC static", "phased IPC online", "total IPC static", "total IPC online")
-	for i, e := range p.Epochs {
-		t.addRow(fmt.Sprintf("%d", i), fmt.Sprintf("%.5f", e.EstimatedAPC),
-			f3(e.StaticIPC), f3(e.OnlineIPC), f3(e.StaticTotalIPC), f3(e.OnlineTotalIPC))
-	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "online estimate swing across epochs: %.2fx\n", p.EstimateSwing)
-	return b.String()
 }

@@ -13,35 +13,39 @@ func TestPhaseStudyTracksPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Epochs) != 6 {
-		t.Fatalf("epochs = %d", len(res.Epochs))
+	if len(res.Rows) != 6 {
+		t.Fatalf("epochs = %d", len(res.Rows))
 	}
 	// The online profiler must see the phase change: its APC_alone
 	// estimate for the phased app swings substantially across epochs
 	// (lbm-like streaming vs povray-like compute).
-	if res.EstimateSwing < 1.5 {
-		t.Errorf("estimate swing %.2fx — phases not tracked", res.EstimateSwing)
+	if lo, hi := span(res.Column("est APC_alone (phased)")); hi < 1.5*lo {
+		t.Errorf("estimate swing %.2fx — phases not tracked", hi/lo)
 	}
 	// The phased app's measured IPC must also swing with the phases, and
 	// both systems stay live.
-	minIPC, maxIPC := res.Epochs[0].OnlineIPC, res.Epochs[0].OnlineIPC
-	for _, e := range res.Epochs {
-		if e.StaticIPC <= 0 || e.OnlineIPC <= 0 || e.StaticTotalIPC <= 0 || e.OnlineTotalIPC <= 0 {
-			t.Fatalf("degenerate epoch: %+v", e)
-		}
-		if e.OnlineIPC < minIPC {
-			minIPC = e.OnlineIPC
-		}
-		if e.OnlineIPC > maxIPC {
-			maxIPC = e.OnlineIPC
+	for _, row := range res.Rows {
+		for _, col := range res.Header[2:] {
+			if value(t, res, row.Key, col) <= 0 {
+				t.Fatalf("degenerate epoch: %v", row.Cells)
+			}
 		}
 	}
-	if maxIPC < 2*minIPC {
+	if minIPC, maxIPC := span(res.Column("phased IPC online")); maxIPC < 2*minIPC {
 		t.Errorf("phased app IPC swing %.3f..%.3f too small for a phase change", minIPC, maxIPC)
 	}
-	if !strings.Contains(res.Render(), "estimate swing") {
+	if !strings.Contains(res.String(), "estimate swing") {
 		t.Fatal("render incomplete")
 	}
+}
+
+// span returns the smallest and largest of xs.
+func span(xs []float64) (lo, hi float64) {
+	lo, hi = xs[0], xs[0]
+	for _, x := range xs {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	return lo, hi
 }
 
 func TestPhaseStudyValidation(t *testing.T) {
@@ -67,18 +71,18 @@ func TestIntervalStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d", len(res.Points))
+	if len(res.Rows) != 3 {
+		t.Fatalf("points = %d", len(res.Rows))
 	}
-	for _, p := range res.Points {
-		if p.Hsp <= 0 {
-			t.Errorf("epoch %d: Hsp %v", p.EpochCycles, p.Hsp)
+	for _, row := range res.Rows {
+		if hsp := value(t, res, row.Key, "Hsp"); hsp <= 0 {
+			t.Errorf("epoch %s: Hsp %v", row.Key, hsp)
 		}
-		if p.EstimatorError < 0 || p.EstimatorError > 2 {
-			t.Errorf("epoch %d: estimator error %v out of band", p.EpochCycles, p.EstimatorError)
+		if e := value(t, res, row.Key, "estimator error"); e < 0 || e > 2 {
+			t.Errorf("epoch %s: estimator error %v out of band", row.Key, e)
 		}
 	}
-	if !strings.Contains(res.Render(), "epoch") {
+	if !strings.Contains(res.String(), "epoch") {
 		t.Fatal("render incomplete")
 	}
 }

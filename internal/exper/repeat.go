@@ -3,33 +3,12 @@ package exper
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"bwpart/internal/mathx"
 	"bwpart/internal/metrics"
 	"bwpart/internal/workload"
 	"bwpart/internal/xrand"
 )
-
-// RepeatabilityRow summarizes one objective's variation across seeds.
-type RepeatabilityRow struct {
-	Objective metrics.Objective
-	Mean      float64
-	Std       float64
-	// RSDPercent = 100*std/mean: the run-to-run noise figure.
-	RSDPercent float64
-}
-
-// RepeatabilityResult quantifies simulation run-to-run variation for one
-// (mix, scheme) across independent seeds. Workload generators are the only
-// stochastic element; this study backs EXPERIMENTS.md's claim that the
-// paper's orderings are stable across seeds.
-type RepeatabilityResult struct {
-	Mix    workload.Mix
-	Scheme string
-	Seeds  int
-	Rows   []RepeatabilityRow
-}
 
 // subSeed derives the i-th sub-study seed from a base seed through a
 // splitmix64 mixer. Adjacent base seeds must not produce overlapping
@@ -39,14 +18,17 @@ func subSeed(base int64, i int) int64 {
 	return int64(xrand.Mix(uint64(base), uint64(i)+1))
 }
 
-// Repeatability runs (mix, scheme) under `seeds` different seeds and
-// reports mean, standard deviation and RSD per objective. Each seed gets
-// its own runner so alone profiles are re-measured under that seed too.
-func (r *Runner) Repeatability(mix workload.Mix, scheme string, seeds int) (*RepeatabilityResult, error) {
+// Repeatability quantifies simulation run-to-run variation for one (mix,
+// scheme): it runs under `seeds` different seeds and reports mean, standard
+// deviation and RSD (in percent) per objective, rows keyed by objective
+// name. Workload generators are the only stochastic element; this study
+// backs EXPERIMENTS.md's claim that the paper's orderings are stable across
+// seeds. Each seed gets its own runner so alone profiles are re-measured
+// under that seed too.
+func (r *Runner) Repeatability(mix workload.Mix, scheme string, seeds int) (*Table, error) {
 	if seeds < 2 {
 		return nil, errors.New("exper: repeatability needs at least 2 seeds")
 	}
-	values := make(map[metrics.Objective][]float64, 4)
 	results := make([]*MixRun, seeds)
 	err := r.runBatch(seeds, func(i int) error {
 		// Each per-seed runner inherits the parent's result cache via the
@@ -68,46 +50,22 @@ func (r *Runner) Repeatability(mix workload.Mix, scheme string, seeds int) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	for _, run := range results {
-		for _, obj := range metrics.Objectives() {
-			values[obj] = append(values[obj], run.Values[obj])
-		}
-	}
-	out := &RepeatabilityResult{Mix: mix, Scheme: scheme, Seeds: seeds}
+	t := newTable(fmt.Sprintf("Run-to-run variation: %s under %s over %d seeds", mix.Name, scheme, seeds),
+		"objective", "mean", "std", "RSD")
 	for _, obj := range metrics.Objectives() {
-		mean, std, err := mathx.MeanStd(values[obj])
+		values := make([]float64, len(results))
+		for i, run := range results {
+			values[i] = run.Values[obj]
+		}
+		mean, std, err := mathx.MeanStd(values)
 		if err != nil {
 			return nil, err
 		}
-		row := RepeatabilityRow{Objective: obj, Mean: mean, Std: std}
+		rsd := 0.0
 		if mean != 0 {
-			row.RSDPercent = 100 * std / mean
+			rsd = 100 * std / mean
 		}
-		out.Rows = append(out.Rows, row)
+		t.add(txt(obj.String()), f3(mean), numf("%.4f", std), numf("%.1f%%", rsd))
 	}
-	return out, nil
-}
-
-// MaxRSD returns the largest run-to-run RSD across objectives.
-func (rr *RepeatabilityResult) MaxRSD() float64 {
-	worst := 0.0
-	for _, row := range rr.Rows {
-		if row.RSDPercent > worst {
-			worst = row.RSDPercent
-		}
-	}
-	return worst
-}
-
-// Render prints the variation table.
-func (rr *RepeatabilityResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Run-to-run variation: %s under %s over %d seeds\n", rr.Mix.Name, rr.Scheme, rr.Seeds)
-	t := newTable("objective", "mean", "std", "RSD")
-	for _, row := range rr.Rows {
-		t.addRow(row.Objective.String(), f3(row.Mean), fmt.Sprintf("%.4f", row.Std),
-			fmt.Sprintf("%.1f%%", row.RSDPercent))
-	}
-	b.WriteString(t.String())
-	return b.String()
+	return t, nil
 }

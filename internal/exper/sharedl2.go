@@ -3,7 +3,6 @@ package exper
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"bwpart/internal/core"
 	"bwpart/internal/memctrl"
@@ -12,38 +11,15 @@ import (
 	"bwpart/internal/workload"
 )
 
-// SharedL2Row records one L2 way-partition point.
-type SharedL2Row struct {
-	Quota []int
-	// APIShared per app under this capacity partition, measured with
-	// equal bandwidth shares so every application makes progress (an
-	// unmanaged FCFS baseline can starve the latency-sensitive app
-	// outright, leaving nothing to measure).
-	APIShared []float64
-	// APIUnderPartitioning re-measures API with proportional bandwidth
-	// partitioning active: the footnote's invariance claim says it should
-	// match APIShared.
-	APIUnderPartitioning []float64
-	// HspPartitioned is the Hsp achieved when the model (fed the measured
-	// API_shared and APC values) drives proportional partitioning on this
-	// topology.
-	HspPartitioned float64
-	HspBaseline    float64
-}
-
-// SharedL2Result is the shared-L2 extension study (paper footnote 1): the
-// model extends to a way-partitioned shared L2 by replacing API with
-// API_shared, which depends on the capacity share but not on bandwidth
-// partitioning.
-type SharedL2Result struct {
-	Mix  workload.Mix
-	Rows []SharedL2Row
-}
-
-// SharedL2Study sweeps L2 way partitions for a mix and verifies the two
-// claims behind the paper's footnote: API varies with capacity share, and
-// is invariant to the bandwidth partitioning applied on top.
-func (r *Runner) SharedL2Study(mix workload.Mix, quotas [][]int) (*SharedL2Result, error) {
+// SharedL2Study is the shared-L2 extension (paper footnote 1): the model
+// extends to a way-partitioned shared L2 by replacing API with API_shared,
+// which depends on the capacity share but not on bandwidth partitioning. It
+// sweeps L2 way partitions for a mix and checks both claims: per quota and
+// app (rows keyed "[quota]/app"), API under equal bandwidth shares next to
+// API re-measured under proportional partitioning, plus the partitioned /
+// baseline Hsp ratio on each quota's first row and the largest API
+// deviation as a note.
+func (r *Runner) SharedL2Study(mix workload.Mix, quotas [][]int) (*Table, error) {
 	if len(quotas) == 0 {
 		return nil, errors.New("exper: no quota points")
 	}
@@ -51,24 +27,27 @@ func (r *Runner) SharedL2Study(mix workload.Mix, quotas [][]int) (*SharedL2Resul
 	if err != nil {
 		return nil, err
 	}
-	out := &SharedL2Result{Mix: mix}
+	t := newTable(fmt.Sprintf("Shared-L2 extension (footnote 1) on %s: API vs way partition", mix.Name),
+		"quota", "app", "API (equal shares)", "API (partitioned)", "Hsp part/base")
+	worst := 0.0
 	for _, quota := range quotas {
 		if len(quota) != len(profs) {
 			return nil, fmt.Errorf("exper: quota %v for %d apps", quota, len(profs))
 		}
-		row := SharedL2Row{Quota: append([]int(nil), quota...)}
-
-		// Phase 1: measure API_shared under equal bandwidth shares.
+		// Phase 1: measure API_shared under equal bandwidth shares, so every
+		// application makes progress (an unmanaged FCFS baseline can starve
+		// the latency-sensitive app outright, leaving nothing to measure).
 		sysCfg := r.sharedL2Config(quota)
 		base, err := r.runSharedOnce(sysCfg, profs, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		row.APIShared = base.APIs()
+		apiShared := base.APIs()
 		baselineIPC := base.IPCs()
 
 		// Phase 2: apply proportional bandwidth partitioning fed by the
-		// measured shared-topology characteristics, and re-measure API.
+		// measured shared-topology characteristics, and re-measure API: the
+		// footnote's invariance claim says it should match.
 		apc := base.APCs()
 		api := base.APIs()
 		for i := range apc {
@@ -83,7 +62,7 @@ func (r *Runner) SharedL2Study(mix workload.Mix, quotas [][]int) (*SharedL2Resul
 		if err != nil {
 			return nil, err
 		}
-		row.APIUnderPartitioning = part.APIs()
+		apiPart := part.APIs()
 
 		// Hsp of the partitioned run vs the FCFS baseline, using the
 		// FCFS run's per-app IPC as a common reference (relative Hsp
@@ -104,11 +83,27 @@ func (r *Runner) SharedL2Study(mix workload.Mix, quotas [][]int) (*SharedL2Resul
 		if err != nil {
 			return nil, err
 		}
-		row.HspPartitioned = hspPart
-		row.HspBaseline = hspBase
-		out.Rows = append(out.Rows, row)
+		label := fmt.Sprintf("%v", quota)
+		for i, name := range mix.Benchmarks {
+			first, hsp := txt(""), txt("")
+			if i == 0 {
+				first, hsp = txt(label), f3(hspPart/hspBase)
+			}
+			t.addKeyed(label+"/"+name, first, txt(name),
+				numf("%.5f", apiShared[i]), numf("%.5f", apiPart[i]), hsp)
+			if apiShared[i] > 0 {
+				d := (apiPart[i] - apiShared[i]) / apiShared[i]
+				if d < 0 {
+					d = -d
+				}
+				if d > worst {
+					worst = d
+				}
+			}
+		}
 	}
-	return out, nil
+	t.note("max API deviation under bandwidth partitioning: %.1f%%", 100*worst)
+	return t, nil
 }
 
 func (r *Runner) sharedL2Config(quota []int) sim.Config {
@@ -140,48 +135,4 @@ func (r *Runner) runSharedOnce(cfg sim.Config, profs []workload.Profile, apc, ap
 		}
 		return sys.Controller().SetScheduler(stf)
 	})
-}
-
-// APIInvariance returns the max relative deviation of API between the equal-share
-// and partitioned runs across all rows and apps (the footnote's claim is
-// that this stays small).
-func (s *SharedL2Result) APIInvariance() float64 {
-	worst := 0.0
-	for _, row := range s.Rows {
-		for i := range row.APIShared {
-			if row.APIShared[i] <= 0 {
-				continue
-			}
-			d := (row.APIUnderPartitioning[i] - row.APIShared[i]) / row.APIShared[i]
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
-}
-
-// Render prints the sweep.
-func (s *SharedL2Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Shared-L2 extension (footnote 1) on %s: API vs way partition\n", s.Mix.Name)
-	t := newTable("quota", "app", "API (equal shares)", "API (partitioned)", "Hsp part/base")
-	for _, row := range s.Rows {
-		for i, name := range s.Mix.Benchmarks {
-			first := ""
-			ratio := ""
-			if i == 0 {
-				first = fmt.Sprintf("%v", row.Quota)
-				ratio = fmt.Sprintf("%.3f", row.HspPartitioned/row.HspBaseline)
-			}
-			t.addRow(first, name, fmt.Sprintf("%.5f", row.APIShared[i]),
-				fmt.Sprintf("%.5f", row.APIUnderPartitioning[i]), ratio)
-		}
-	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "max API deviation under bandwidth partitioning: %.1f%%\n", 100*s.APIInvariance())
-	return b.String()
 }

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -18,21 +19,22 @@ func TestSharedL2Study(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
+	if len(res.Rows) != 2*len(mix.Benchmarks) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	// hmmer (index 3) with 5 ways must have lower API than with 2 ways:
 	// capacity share drives API, the footnote's first claim.
-	if res.Rows[1].APIShared[3] >= res.Rows[0].APIShared[3] {
-		t.Errorf("hmmer API did not fall with more L2: %v -> %v",
-			res.Rows[0].APIShared[3], res.Rows[1].APIShared[3])
+	api2 := value(t, res, "[2 2 2 2]/hmmer", "API (equal shares)")
+	api5 := value(t, res, "[1 1 1 5]/hmmer", "API (equal shares)")
+	if api5 >= api2 {
+		t.Errorf("hmmer API did not fall with more L2: %v -> %v", api2, api5)
 	}
 	// Second claim: API invariant under bandwidth partitioning (within
 	// measurement tolerance).
-	if dev := res.APIInvariance(); dev > 0.25 {
+	if dev := apiDeviation(t, res); dev > 0.25 {
 		t.Errorf("API deviated %.0f%% under bandwidth partitioning", 100*dev)
 	}
-	if !strings.Contains(res.Render(), "hmmer") {
+	if !strings.Contains(res.String(), "hmmer") {
 		t.Fatal("render missing app rows")
 	}
 }
@@ -58,11 +60,25 @@ func TestSharedL2NoAppFullyStarvedInBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, api := range res.Rows[0].APIShared {
-		if api <= 0 {
-			t.Errorf("app %d (%s) measured zero API in the baseline", i, mix.Benchmarks[i])
+	for i, name := range mix.Benchmarks {
+		if api := value(t, res, "[1 1 1 5]/"+name, "API (equal shares)"); api <= 0 {
+			t.Errorf("app %d (%s) measured zero API in the baseline", i, name)
 		}
 	}
+}
+
+// apiDeviation is the largest relative change of an app's API between the
+// equal-share and the partitioned run, over every row of a shared-L2 table.
+func apiDeviation(t *testing.T, res *Table) float64 {
+	t.Helper()
+	worst := 0.0
+	for _, row := range res.Rows {
+		equal, part := value(t, res, row.Key, "API (equal shares)"), value(t, res, row.Key, "API (partitioned)")
+		if equal > 0 {
+			worst = max(worst, math.Abs(part-equal)/equal)
+		}
+	}
+	return worst
 }
 
 // TestSharedL2StudyHonoursTracer: the study's runs go through the same

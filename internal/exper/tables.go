@@ -18,7 +18,8 @@ type Table3Row struct {
 	PaperClass    workload.Intensity
 }
 
-// Table3Result reproduces the benchmark classification table.
+// Table3Result reproduces the benchmark classification table. It stays a
+// typed result because the benchmark harness counts its class matches.
 type Table3Result struct {
 	Rows []Table3Row
 }
@@ -48,18 +49,18 @@ func (r *Runner) Table3() (*Table3Result, error) {
 	return out, nil
 }
 
-// Render prints the characterization table.
-func (t3 *Table3Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Table III: benchmark classification (measured vs paper)\n")
-	t := newTable("name", "APKC", "APKC(paper)", "APKI", "APKI(paper)", "class", "class(paper)")
+// Table lays out the characterization, keyed by benchmark name, with the
+// class-match count as a note.
+func (t3 *Table3Result) Table() *Table {
+	t := newTable("Table III: benchmark classification (measured vs paper)",
+		"name", "APKC", "APKC(paper)", "APKI", "APKI(paper)", "class", "class(paper)")
 	for _, row := range t3.Rows {
-		t.addRow(row.Name, f3(row.MeasuredAPKC), f3(row.PaperAPKC),
+		t.add(txt(row.Name), f3(row.MeasuredAPKC), f3(row.PaperAPKC),
 			f3(row.MeasuredAPKI), f3(row.PaperAPKI),
-			row.MeasuredClass.String(), row.PaperClass.String())
+			txt(row.MeasuredClass.String()), txt(row.PaperClass.String()))
 	}
-	b.WriteString(t.String())
-	return b.String()
+	t.note("intensity class matches: %d/16", t3.ClassMatches())
+	return t
 }
 
 // ClassMatches counts benchmarks whose measured intensity class equals the
@@ -74,52 +75,20 @@ func (t3 *Table3Result) ClassMatches() int {
 	return n
 }
 
-// Table4Row is one workload mix with its heterogeneity.
-type Table4Row struct {
-	Name          string
-	Benchmarks    []string
-	ReferenceRSD  float64
-	PaperRSD      float64
-	Heterogeneous bool
-}
-
-// Table4Result reproduces the workload construction table. It is purely
-// computational (RSD of reference APC_alone values).
-type Table4Result struct {
-	Rows []Table4Row
-}
-
-// Table4 builds the workload table.
-func Table4() (*Table4Result, error) {
-	out := &Table4Result{}
+// Table4 reproduces the workload construction table. It is purely
+// computational (RSD of reference APC_alone values); rows are keyed by mix.
+func Table4() (*Table, error) {
+	t := newTable("Table IV: workload construction", "workload", "benchmarks", "RSD", "RSD(paper)", "group")
 	for _, m := range workload.AllMixes() {
 		rsd, err := m.ReferenceRSD()
 		if err != nil {
 			return nil, err
 		}
-		out.Rows = append(out.Rows, Table4Row{
-			Name:          m.Name,
-			Benchmarks:    m.Benchmarks,
-			ReferenceRSD:  rsd,
-			PaperRSD:      m.PaperRSD,
-			Heterogeneous: m.Heterogeneous(),
-		})
-	}
-	return out, nil
-}
-
-// Render prints the workload table.
-func (t4 *Table4Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Table IV: workload construction\n")
-	t := newTable("workload", "benchmarks", "RSD", "RSD(paper)", "group")
-	for _, row := range t4.Rows {
 		group := "homogeneous"
-		if row.Heterogeneous {
+		if m.Heterogeneous() {
 			group = "heterogeneous"
 		}
-		t.addRow(row.Name, strings.Join(row.Benchmarks, "-"), f2(row.ReferenceRSD), f2(row.PaperRSD), group)
+		t.add(txt(m.Name), txt(strings.Join(m.Benchmarks, "-")), f2(rsd), f2(m.PaperRSD), txt(group))
 	}
-	b.WriteString(t.String())
-	return b.String()
+	return t, nil
 }

@@ -1,9 +1,6 @@
 package exper
 
 import (
-	"fmt"
-	"strings"
-
 	"bwpart/internal/core"
 	"bwpart/internal/metrics"
 	"bwpart/internal/workload"
@@ -34,7 +31,8 @@ func (v ValidationRow) RelError() float64 {
 	return d / v.Measured
 }
 
-// ValidationResult aggregates model-vs-simulation comparisons.
+// ValidationResult aggregates model-vs-simulation comparisons. It stays a
+// typed result because the benchmark harness reads its relative errors.
 type ValidationResult struct {
 	Rows []ValidationRow
 }
@@ -92,16 +90,16 @@ func (v *ValidationResult) MeanRelError() float64 {
 	return sum / float64(len(v.Rows))
 }
 
-// Render prints the comparison.
-func (v *ValidationResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Model validation: predicted vs measured objective values\n")
-	t := newTable("mix", "scheme", "objective", "predicted", "measured", "rel err")
+// Table lays out the comparison, one row per (mix, scheme, objective) keyed
+// "mix/scheme/objective"; "rel err" holds the fraction.
+func (v *ValidationResult) Table() *Table {
+	t := newTable("Model validation: predicted vs measured objective values",
+		"mix", "scheme", "objective", "predicted", "measured", "rel err")
 	for _, row := range v.Rows {
-		t.addRow(row.Mix, row.Scheme, row.Objective.String(),
-			f3(row.Predicted), f3(row.Measured), fmt.Sprintf("%.1f%%", 100*row.RelError()))
+		t.addKeyed(row.Mix+"/"+row.Scheme+"/"+row.Objective.String(),
+			txt(row.Mix), txt(row.Scheme), txt(row.Objective.String()),
+			f3(row.Predicted), f3(row.Measured), pct(row.RelError()))
 	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "mean relative error: %.1f%%\n", 100*v.MeanRelError())
-	return b.String()
+	t.note("mean relative error: %.1f%%", 100*v.MeanRelError())
+	return t
 }
