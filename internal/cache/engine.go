@@ -210,10 +210,13 @@ func (e *engine) Tick(now int64) {
 	e.deferred = kept
 }
 
-// runEvents dispatches every due event in (cycle, seq) order.
+// runEvents dispatches every due event in the order it was scheduled.
 func (e *engine) runEvents(now int64) {
-	for len(e.events.h) > 0 && e.events.h[0].cycle <= now {
-		ev := e.events.h.Pop()
+	for {
+		ev, ok := e.events.due(now)
+		if !ok {
+			return
+		}
 		if ev.send {
 			e.sendLower(ev.cycle, ev.req)
 		} else {

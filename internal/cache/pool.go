@@ -1,7 +1,8 @@
 package cache
 
 import (
-	"bwpart/internal/event"
+	"fmt"
+
 	"bwpart/internal/mem"
 )
 
@@ -17,48 +18,78 @@ import (
 // level (send) or deliver its completion callback (!send). Carrying the
 // request itself — rather than a bare closure — keeps the event queue
 // serializable: a checkpoint captures the request's identity and a restore
-// re-links the event to the restored request object. Before orders by
-// (cycle, seq) — the same strict total order as the closure-based event
-// queue this replaces, so dispatch order is bit-identical.
+// re-links the event to the restored request object.
 type cev struct {
 	cycle int64
-	seq   uint64
 	req   *mem.Request
 	send  bool
 }
 
-func (a cev) Before(b cev) bool {
-	if a.cycle != b.cycle {
-		return a.cycle < b.cycle
-	}
-	return a.seq < b.seq
-}
-
-// cacheEvents is a typed deterministic future-event list for cache actions.
+// cacheEvents is the cache's deterministic future-event list. Every event is
+// scheduled HitLatency cycles after the access that raises it, and accesses
+// arrive in nondecreasing cycle order, so push order already is dispatch
+// order (by cycle, ties in scheduling order) and the list is a head-indexed
+// FIFO rather than a heap. push panics on an event due before the tail,
+// which would break that premise.
 type cacheEvents struct {
-	h   event.Heap[cev]
-	seq uint64
+	q    []cev // q[head:] is pending, in dispatch order
+	head int
 }
 
 // scheduleDone schedules req.Done(cycle) at cycle (hit callbacks). The
 // request must have a completion callback; callers guard.
 func (q *cacheEvents) scheduleDone(cycle int64, req *mem.Request) {
-	q.seq++
-	q.h.Push(cev{cycle: cycle, seq: q.seq, req: req})
+	q.push(cev{cycle: cycle, req: req})
 }
 
 // scheduleSend schedules req to be sent to the lower level at cycle.
 func (q *cacheEvents) scheduleSend(cycle int64, req *mem.Request) {
-	q.seq++
-	q.h.Push(cev{cycle: cycle, seq: q.seq, req: req, send: true})
+	q.push(cev{cycle: cycle, req: req, send: true})
 }
+
+func (q *cacheEvents) push(ev cev) {
+	if n := len(q.q); n > q.head && ev.cycle < q.q[n-1].cycle {
+		panic(fmt.Sprintf("cache event at cycle %d pushed behind one at cycle %d", ev.cycle, q.q[n-1].cycle))
+	}
+	if len(q.q) == cap(q.q) && q.head >= len(q.q)/2 {
+		// At least half the array is spent: slide the pending events to the
+		// front rather than grow it.
+		n := copy(q.q, q.q[q.head:])
+		clear(q.q[n:])
+		q.q, q.head = q.q[:n], 0
+	}
+	q.q = append(q.q, ev)
+}
+
+// due pops and returns the earliest event if it is due by now.
+func (q *cacheEvents) due(now int64) (cev, bool) {
+	if q.head == len(q.q) || q.q[q.head].cycle > now {
+		return cev{}, false
+	}
+	ev := q.q[q.head]
+	q.q[q.head] = cev{} // drop the request reference
+	q.head++
+	if q.head == len(q.q) {
+		q.q, q.head = q.q[:0], 0
+	}
+	return ev, true
+}
+
+// pending returns the scheduled events in dispatch order.
+func (q *cacheEvents) pending() []cev { return q.q[q.head:] }
 
 // next returns the earliest pending cycle and whether one exists.
 func (q *cacheEvents) next() (int64, bool) {
-	if len(q.h) == 0 {
+	if q.head == len(q.q) {
 		return 0, false
 	}
-	return q.h[0].cycle, true
+	return q.q[q.head].cycle, true
+}
+
+// reset empties the list.
+func (q *cacheEvents) reset() {
+	clear(q.q)
+	q.q, q.head = q.q[:0], 0
 }
 
 // wbReq is a pooled writeback request. Its Done callback — invoked when

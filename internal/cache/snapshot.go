@@ -13,8 +13,8 @@ import (
 // every component has rebuilt its own request objects:
 //
 //	phase 1  Restore(st):        lines, stats, MSHRs (own fill requests
-//	                             rebuilt with fresh closures), event seq.
-//	phase 2  Relink(st, resolve): waiter lists, the event heap, and the
+//	                             rebuilt with fresh closures).
+//	phase 2  Relink(st, resolve): waiter lists, the event queue, and the
 //	                             deferred retry list, resolving each captured
 //	                             RequestState through the system's resolver.
 //
@@ -24,7 +24,6 @@ import (
 // cevState is the serialized form of one scheduled cache event.
 type cevState struct {
 	cycle int64
-	seq   uint64
 	send  bool
 	req   mem.RequestState
 }
@@ -62,8 +61,7 @@ type State struct {
 	stats    []Stats // one row for a Cache, one per app for a SharedCache
 	quota    []int   // SharedCache only
 	mshrs    []mshrState
-	eventSeq uint64
-	events   []cevState
+	events   []cevState // in dispatch order
 	deferred []mem.RequestState
 }
 
@@ -103,12 +101,11 @@ func (e *engine) snapshot(stats []Stats, quota []int, owners bool) *State {
 	}
 	n := len(e.sets) * e.cfg.Ways
 	st := &State{
-		tags:     make([]uint64, n),
-		meta:     make([]uint16, n),
-		lruTick:  e.lruTick,
-		stats:    append([]Stats(nil), stats...),
-		quota:    append([]int(nil), quota...),
-		eventSeq: e.events.seq,
+		tags:    make([]uint64, n),
+		meta:    make([]uint16, n),
+		lruTick: e.lruTick,
+		stats:   append([]Stats(nil), stats...),
+		quota:   append([]int(nil), quota...),
 	}
 	if owners {
 		st.owners = make([]int32, n)
@@ -140,9 +137,10 @@ func (e *engine) snapshot(stats []Stats, quota []int, owners bool) *State {
 		st.mshrs = append(st.mshrs, ms)
 	}
 	sort.Slice(st.mshrs, func(i, j int) bool { return st.mshrs[i].la < st.mshrs[j].la })
-	st.events = make([]cevState, len(e.events.h))
-	for i, ev := range e.events.h {
-		st.events[i] = cevState{cycle: ev.cycle, seq: ev.seq, send: ev.send, req: mem.CaptureRequest(ev.req)}
+	pending := e.events.pending()
+	st.events = make([]cevState, len(pending))
+	for i, ev := range pending {
+		st.events[i] = cevState{cycle: ev.cycle, send: ev.send, req: mem.CaptureRequest(ev.req)}
 	}
 	st.deferred = make([]mem.RequestState, len(e.deferred))
 	for i, r := range e.deferred {
@@ -226,15 +224,14 @@ func (e *engine) restore(st *State, statRows, quotaRows int) error {
 		m.write, m.prefetch, m.hasWaiter, m.wbApp = ms.write, ms.prefetch, ms.hasWaiter, ms.wbApp
 		e.mshrs[ms.la] = m
 	}
-	e.events.h = e.events.h[:0]
-	e.events.seq = st.eventSeq
+	e.events.reset()
 	e.deferred = e.deferred[:0]
 	return nil
 }
 
 // Relink is checkpoint phase 2: resolve every retained foreign request and
-// reinstall waiter lists, the event heap (in captured array order, which
-// preserves the heap layout exactly), and the deferred retry list.
+// reinstall waiter lists, the event queue (in captured dispatch order), and
+// the deferred retry list.
 func (e *engine) Relink(st *State, resolve mem.Resolver) error {
 	for _, ms := range st.mshrs {
 		m := e.mshrs[ms.la]
@@ -251,7 +248,7 @@ func (e *engine) Relink(st *State, resolve mem.Resolver) error {
 		if err != nil {
 			return fmt.Errorf("cache %s: event at cycle %d: %w", e.cfg.Name, es.cycle, err)
 		}
-		e.events.h = append(e.events.h, cev{cycle: es.cycle, seq: es.seq, req: req, send: es.send})
+		e.events.push(cev{cycle: es.cycle, req: req, send: es.send})
 	}
 	for _, ds := range st.deferred {
 		req, err := resolve(ds)
