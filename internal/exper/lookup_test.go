@@ -101,6 +101,85 @@ func TestRunGridDiskHitsPromoteToMemory(t *testing.T) {
 	}
 }
 
+// TestRunGridEachDeliversEveryCellOnce: the per-cell callback fires exactly
+// once per cell whichever tier resolves it — a disk hit, a memory hit or a
+// simulation — hands over the run RunGridEach returns at that grid index,
+// never fires for a failed cell, and never fires after RunGridEach returns.
+func TestRunGridEachDeliversEveryCellOnce(t *testing.T) {
+	dir := t.TempDir()
+	mixes := make([]workload.Mix, 3)
+	for i, name := range []string{"hetero-1", "hetero-2", "homo-1"} {
+		var err error
+		if mixes[i], err = workload.MixByName(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	schemes := []string{"equal", "square-root"}
+
+	// hetero-1's cells go to disk in one process; the next process makes
+	// hetero-2/equal memory-resident and leaves the other three cells cold,
+	// so both workers deliver simulated cells.
+	r1, _ := storeRunner(t, dir)
+	if _, err := r1.RunGrid(context.Background(), mixes[:1], schemes); err != nil {
+		t.Fatal(err)
+	}
+	r, col := storeRunner(t, dir)
+	if _, err := r.RunMix(mixes[1], "equal"); err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		mu       sync.Mutex
+		returned bool
+		got      = map[int]*MixRun{}
+		calls    int
+	)
+	each := func(cell int, run *MixRun) {
+		mu.Lock()
+		defer mu.Unlock()
+		if returned {
+			t.Errorf("cell %d delivered after RunGridEach returned", cell)
+		}
+		calls++
+		got[cell] = run
+	}
+	runs, err := r.RunGridEach(context.Background(), mixes, schemes, each)
+	mu.Lock()
+	returned = true
+	mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One memory hit, two disk hits, three simulations (plus the setup miss).
+	wantCache(t, "mixed-tier grid", col, 1, 4, 0, 2)
+	if calls != len(runs) || len(got) != len(runs) {
+		t.Fatalf("callback fired %d times over %d distinct cells, want %d each", calls, len(got), len(runs))
+	}
+	for i, cell := range Grid(mixes, schemes) {
+		if runs[i].Mix.Name != cell.Mix.Name || runs[i].Scheme != cell.Scheme {
+			t.Errorf("result %d is %s/%s, want %s/%s", i, runs[i].Mix.Name, runs[i].Scheme, cell.Mix.Name, cell.Scheme)
+		}
+		if got[i] != runs[i] {
+			t.Errorf("cell %d: callback saw a different run than RunGridEach returned", i)
+		}
+	}
+
+	// A failing cell is never delivered.
+	mu.Lock()
+	returned, calls, got = false, 0, map[int]*MixRun{}
+	mu.Unlock()
+	bad := []string{"no-such-scheme", "equal"}
+	if _, err := r.RunGridEach(context.Background(), mixes[1:2], bad, each); err == nil {
+		t.Fatal("unknown scheme accepted")
+	}
+	mu.Lock()
+	returned = true
+	if _, ok := got[0]; ok || calls != 1 {
+		t.Errorf("failing grid delivered cells %v (%d calls), want only the resident cell 1", got, calls)
+	}
+	mu.Unlock()
+}
+
 // TestRunGridHitsLeaveWarmBasesAlone cycles one-cell RunGrid hits over all 14
 // Table IV mixes — more than the registry's 8 warm bases. A hit must not pin,
 // re-warm, evict, or fork anything: it never reaches the simulation phases.

@@ -183,29 +183,46 @@ func Grid(mixes []workload.Mix, schemes []string) []GridCell {
 	return cells
 }
 
-// RunGrid is the experiment engine's sweep entry point. Every cell takes the
-// same lookup order as RunMix (see Runner.lookup). A first pass resolves the
-// resident cells — memory or disk tier — on the calling goroutine, so a grid
-// that is entirely resident profiles, pins, forks, and dispatches nothing.
-// Only the cells left over are simulated: grid points sharing a mix share one
-// warm base from the prepared-mix registry, and finished cells persist
-// through Config.Checkpoint. They are dispatched in mix-groups no larger than
-// the registry's warm-base capacity: each group's bases are prepared in
-// parallel and pinned, the group's cells fork and measure in parallel, then
-// the pins drop — so a thousand-mix sweep holds a bounded number of warm
-// systems while still keeping every worker busy.
-//
-// Results arrive in deterministic row-major order matching
-// Grid(mixes, schemes). ctx cancels the sweep between simulations.
+// RunGrid is the experiment engine's sweep entry point: RunGridEach without a
+// per-cell callback.
 func (r *Runner) RunGrid(ctx context.Context, mixes []workload.Mix, schemes []string) ([]*MixRun, error) {
+	return r.RunGridEach(ctx, mixes, schemes, nil)
+}
+
+// RunGridEach resolves every cell of Grid(mixes, schemes). Every cell takes
+// the same lookup order as RunMix (see Runner.lookup). A first pass resolves
+// the resident cells — memory or disk tier — on the calling goroutine, so a
+// grid that is entirely resident profiles, pins, forks, and dispatches
+// nothing. Only the cells left over are simulated: grid points sharing a mix
+// share one warm base from the prepared-mix registry, and finished cells
+// persist through Config.Checkpoint. They are dispatched in mix-groups no
+// larger than the registry's warm-base capacity: each group's bases are
+// prepared in parallel and pinned, the group's cells — across all of its
+// mixes — fork and measure in parallel, then the pins drop. So a
+// thousand-mix sweep holds a bounded number of warm systems while still
+// keeping every worker busy.
+//
+// each, when non-nil, is called exactly once per delivered cell with the
+// cell's index in the grid, from whichever goroutine resolved it (the caller
+// for a resident cell, a pool worker for a simulated one), so it must be safe
+// for concurrent use. It is never called for a failed cell, nor after
+// RunGridEach returns. Results arrive in deterministic row-major order
+// matching Grid(mixes, schemes). ctx cancels the sweep between simulations.
+func (r *Runner) RunGridEach(ctx context.Context, mixes []workload.Mix, schemes []string, each func(cell int, run *MixRun)) ([]*MixRun, error) {
 	cells := Grid(mixes, schemes)
 	results := make([]*MixRun, len(cells))
+	deliver := func(ci int, run *MixRun) {
+		results[ci] = run
+		if each != nil {
+			each(ci, run)
+		}
+	}
 	var missing []int
 	for i, cell := range cells {
 		// Any failure — not resident, or a joined simulation that failed —
 		// sends the cell to the simulation phases, which report it.
 		if run, err := r.lookup(cell.Mix, cell.Scheme, false); err == nil {
-			results[i] = run
+			deliver(i, run)
 		} else {
 			missing = append(missing, i)
 		}
@@ -240,7 +257,7 @@ func (r *Runner) RunGrid(ctx context.Context, mixes []workload.Mix, schemes []st
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", cell.Mix.Name, cell.Scheme, err)
 		}
-		results[ci] = run
+		deliver(ci, run)
 		return nil
 	}
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bwpart/internal/exper"
@@ -99,6 +100,11 @@ func newJob(id, client, kind string, scale float64, mixes []workload.Mix, scheme
 	}
 }
 
+// testHookUpdate, when set, sees the job's snapshot after every applied
+// update, under the job lock, so a test can observe each transition that the
+// watch stream may coalesce. Unset outside tests.
+var testHookUpdate atomic.Pointer[func(JobSnapshot)]
+
 // update applies fn under the job lock and wakes every watcher, reporting
 // whether it was applied. Reaching a terminal state also closes done
 // (exactly once: transitions out of a terminal state are ignored and report
@@ -111,6 +117,9 @@ func (j *job) update(fn func()) bool {
 		return false
 	}
 	fn()
+	if hook := testHookUpdate.Load(); hook != nil {
+		(*hook)(j.snapshotLocked())
+	}
 	close(j.updated)
 	j.updated = make(chan struct{})
 	terminal := j.state.Terminal()

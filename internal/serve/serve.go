@@ -802,13 +802,14 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// executeJob runs one job mix-by-mix: each mix's schemes go through one
-// RunGrid call (shared warm base, group pinning, result-cache dedup), and a
-// progress event fires per completed mix. Cancellation is honored between
-// mixes and, inside RunGrid, between simulations. A panic anywhere in the
-// job path — below the experiment engine's own per-cell recovery — is the
-// daemon's last resort: the job fails with a stack-carrying "panic" error
-// and the server keeps serving.
+// executeJob runs one job as one engine fan-out: the whole grid goes through
+// a single RunGridEach call (shared warm bases, group pinning, result-cache
+// dedup), so cells of different mixes share the workers, and cells_done rises
+// by one per delivered cell. Cancellation is honored, inside the engine,
+// between simulations. A panic anywhere in the job path — below the
+// experiment engine's own per-cell recovery — is the daemon's last resort:
+// the job fails with a stack-carrying "panic" error and the server keeps
+// serving.
 func (s *Server) executeJob(ctx context.Context, j *job) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -823,29 +824,23 @@ func (s *Server) executeJob(ctx context.Context, j *job) {
 		s.finish(j, JobFailed, err.Error(), "", nil)
 		return
 	}
-	results := make([]*exper.MixRun, 0, j.cellsTotal)
-	for _, mix := range j.mixes {
-		runs, err := runner.RunGrid(ctx, []workload.Mix{mix}, j.scheme)
-		if err != nil {
-			switch {
-			case j.ctx.Err() != nil:
-				s.finish(j, JobCancelled, "", "", nil)
-			case ctx.Err() != nil:
-				s.finish(j, JobFailed,
-					fmt.Sprintf("deadline exceeded after %v: %v", j.timeout, err),
-					ErrKindDeadline, nil)
-			case errors.Is(err, exper.ErrJobPanicked):
-				s.finish(j, JobFailed, err.Error(), ErrKindPanic, nil)
-			default:
-				s.finish(j, JobFailed, err.Error(), "", nil)
-			}
-			return
-		}
-		results = append(results, runs...)
-		j.update(func() { j.cellsDone = len(results) })
-	}
-	s.finish(j, JobDone, "", "", func() {
-		j.results = results
-		j.cellsDone = len(results)
+	results, err := runner.RunGridEach(ctx, j.mixes, j.scheme, func(int, *exper.MixRun) {
+		j.update(func() { j.cellsDone++ })
 	})
+	if err != nil {
+		switch {
+		case j.ctx.Err() != nil:
+			s.finish(j, JobCancelled, "", "", nil)
+		case ctx.Err() != nil:
+			s.finish(j, JobFailed,
+				fmt.Sprintf("deadline exceeded after %v: %v", j.timeout, err),
+				ErrKindDeadline, nil)
+		case errors.Is(err, exper.ErrJobPanicked):
+			s.finish(j, JobFailed, err.Error(), ErrKindPanic, nil)
+		default:
+			s.finish(j, JobFailed, err.Error(), "", nil)
+		}
+		return
+	}
+	s.finish(j, JobDone, "", "", func() { j.results = results })
 }

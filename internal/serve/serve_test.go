@@ -194,6 +194,89 @@ func TestServeGridMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestGridJobIsOneFanOut: a 3-mix x 2-scheme grid job runs as one engine
+// fan-out, yet its results are byte-identical to per-mix RunGrid calls
+// concatenated in mix order, and cells_done rises by exactly one per cell.
+// Progress is observed at every job transition, not through the watch
+// stream, which may coalesce updates.
+func TestGridJobIsOneFanOut(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		trans []JobSnapshot
+	)
+	hook := func(s JobSnapshot) {
+		mu.Lock()
+		trans = append(trans, s)
+		mu.Unlock()
+	}
+	testHookUpdate.Store(&hook)
+	t.Cleanup(func() { testHookUpdate.Store(nil) })
+
+	_, ts := newTestServer(t, Options{Workers: 1})
+	mixNames := []string{"hetero-1", "hetero-2", "homo-1"}
+	schemes := []string{"equal", "square-root"}
+	resp := postJSON(t, ts.Client(), ts.URL+"/v1/grid", GridRequest{Mixes: mixNames, Schemes: schemes}, nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status %d, want 202", resp.StatusCode)
+	}
+	acc := decodeBody[GridAccepted](t, resp)
+	if snap := waitJob(t, ts, acc.ID, 60*time.Second); snap.State != JobDone {
+		t.Fatalf("job state %q (error %q), want done", snap.State, snap.Error)
+	}
+
+	st, err := ts.Client().Get(ts.URL + "/v1/jobs/" + acc.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := decodeBody[struct{ Results json.RawMessage }](t, st).Results
+	direct, err := exper.NewRunner(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perMix []*exper.MixRun
+	for _, name := range mixNames {
+		mix, err := workload.MixByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := direct.RunGrid(context.Background(), []workload.Mix{mix}, schemes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perMix = append(perMix, runs...)
+	}
+	want, err := json.Marshal(perMix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("grid job results differ from per-mix RunGrid calls:\n got %.200s\nwant %.200s", got, want)
+	}
+
+	// Every transition of this job: running at 0, one per cell, then done.
+	mu.Lock()
+	defer mu.Unlock()
+	var done []int
+	var states []JobState
+	for _, s := range trans {
+		if s.ID == acc.ID {
+			done = append(done, s.CellsDone)
+			states = append(states, s.State)
+		}
+	}
+	wantDone := []int{0} // running
+	for n := 1; n <= len(mixNames)*len(schemes); n++ {
+		wantDone = append(wantDone, n)
+	}
+	wantDone = append(wantDone, len(wantDone)-1) // done
+	if !reflect.DeepEqual(done, wantDone) {
+		t.Errorf("cells_done at each transition = %v, want %v", done, wantDone)
+	}
+	if n := len(states); n == 0 || states[0] != JobRunning || states[n-1] != JobDone {
+		t.Errorf("transition states = %v, want running ... done", states)
+	}
+}
+
 func waitJob(t *testing.T, ts *httptest.Server, id string, timeout time.Duration) JobSnapshot {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
