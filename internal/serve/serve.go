@@ -65,6 +65,15 @@ const (
 	defaultJobRetention = 256
 )
 
+// Run's edge limits: a client that has not finished a request's headers
+// within readHeaderTimeout, or leaves a keep-alive connection idle for
+// idleTimeout, is disconnected, so slow or stalled clients cannot pin
+// connections and goroutines indefinitely.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Options configures a Server.
 type Options struct {
 	// Exper is the base experiment configuration. Obs, Cache, and
@@ -292,7 +301,11 @@ func (s *Server) Handler() http.Handler {
 // shuts down — all within drainTimeout, past which running jobs are
 // cancelled. Returns nil on a clean drain.
 func (s *Server) Run(ctx context.Context, ln net.Listener, drainTimeout time.Duration) error {
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

@@ -763,6 +763,60 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
+// TestServeDropsSlowHeaderClient: a client that sends half a request header
+// and stalls is disconnected once Run's header timeout passes, and the server
+// keeps serving everyone else.
+func TestServeDropsSlowHeaderClient(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{Exper: testConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- s.Run(ctx, ln, 60*time.Second) }()
+	defer func() {
+		cancel()
+		if err := <-runErr; err != nil {
+			t.Errorf("run: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: sweepd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	n, err := conn.Read(make([]byte, 512))
+	elapsed := time.Since(start)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("still connected %v after a partial header (timeout %v)", elapsed, readHeaderTimeout)
+	}
+	if err == nil {
+		t.Fatalf("server answered a partial header with %d bytes", n)
+	}
+	if elapsed < readHeaderTimeout/2 {
+		t.Errorf("disconnected after %v, before the %v header timeout", elapsed, readHeaderTimeout)
+	}
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d after dropping the slow client", resp.StatusCode)
+	}
+}
+
 // TestServeMixBodyBytes pins the exact /v1/mix body, byte for byte, on every
 // path a cell can be answered by: it must be json.Marshal of what a direct
 // RunMix returns for the requested labels, plus the newline json.Encoder
