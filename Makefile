@@ -3,10 +3,10 @@
 # experiment engine, its observability collector, the serving layer, and
 # the memory controller), a server smoke test over a real TCP listener, a
 # time-boxed native fuzz of the simulation-kernel differential, a compile of
-# every benchmark, and a vet + compile of the nested bench/ module (the
-# BENCHMARK.json harness) against the working tree. `make bench` refreshes the
-# committed benchmark reports (BENCH_kernel.json, BENCH_memctrl.json,
-# BENCH_sweep.json, BENCH_serve.json);
+# every benchmark, and a vet + compile + golden smoke of the nested bench/
+# module (the BENCHMARK.json harness) against the working tree. `make bench`
+# refreshes the committed benchmark reports (BENCH_kernel.json,
+# BENCH_memctrl.json, BENCH_sweep.json, BENCH_serve.json);
 # `make bench-check` re-runs the benchmarks and fails if a host-stable derived
 # figure (a speedup ratio, an allocation or cell count) worsened beyond the
 # tolerance against those committed reports — run it alongside `make check`
@@ -89,11 +89,16 @@ benchbuild:
 	$(GO) test -run '^$$' -bench 'ThisMatchesNoBenchmark' -benchtime 1x ./...
 
 # benchmod vets and compiles the nested bench/ module, which only `replace`s
-# ../ (offline-safe) and which ./... above does not reach: a root-package API
-# change that would break the benchmark harness fails here, not in the
-# pipeline's benchmark run.
+# ../ (offline-safe) and which ./... above does not reach, then runs its golden
+# smoke: every workload at tiny size, every cell checked against
+# bench/golden.json, and BENCHMARK.json against the harness's metric tables.
+# A root-package API change that would break the harness, or a change to any
+# cell's digest, fails here, not in the pipeline's benchmark run. The harness's
+# wall-clock test (TestReplayedCellAccounting) is left out: it can flake on a
+# loaded host.
 benchmod:
-	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && \
+		$(GO) test -run 'TestSmoke|TestSpecMatchesBenchmarkJSON' ./...
 
 # bench runs the simulation-kernel and event-queue benchmarks (3 repeats of
 # one iteration each) and condenses them into BENCH_kernel.json with the
