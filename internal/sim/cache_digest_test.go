@@ -4,10 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 )
+
+var updateDigests = flag.Bool("update", false, "rewrite testdata/cache_digests.json and testdata/kernel_stats.json from the current code")
 
 // cacheDigestTopos are the cache hierarchies the digests pin: the private
 // L2s with and without the next-line prefetcher, and the shared
@@ -29,12 +33,28 @@ var cacheDigestTopos = []struct {
 	{name: "shared/5-1-1-1-requota", shared: true, quota: []int{5, 1, 1, 1}, requota: []int{2, 2, 1, 3}},
 }
 
+// halvesKernelStats is the kernel's work on one digest run: the system that
+// ran up to the snapshot, and the restored one that finished the window, one
+// line per counter row (see kernelLines) so a re-record diffs by component.
+type halvesKernelStats struct {
+	Before, After []string
+}
+
+// kernelLines renders ks as one line for the run and one per component.
+func kernelLines(ks KernelStats) []string {
+	out := []string{fmt.Sprintf("cycles %d ticked %d leapt %d", ks.Cycles, ks.Ticked, ks.Leapt)}
+	for _, c := range ks.Components {
+		out = append(out, fmt.Sprintf("%s ticks %d slept %d pokes %d", c.Name, c.Ticks, c.Slept, c.Pokes))
+	}
+	return out
+}
+
 // cacheDigest runs one system — functional warmup, a settle phase, then a
 // measurement window sliced in the middle by Snapshot and a Restore into a
-// freshly built system that finishes it — and hashes everything the cache
-// hierarchy can influence: the windowed Result, every cache's counters, and
-// the kernel counters of both halves.
-func cacheDigest(t *testing.T, cfg Config, requota []int) string {
+// freshly built system that finishes it. It hashes everything the cache
+// hierarchy can influence — the windowed Result and every cache's counters —
+// and returns that behaviour digest with the kernel counters of both halves.
+func cacheDigest(t *testing.T, cfg Config, requota []int) (string, halvesKernelStats) {
 	t.Helper()
 	const settle, first, rest = 6_000, 17_003, 23_000
 	names := []string{"lbm", "milc", "soplex", "povray"}
@@ -74,36 +94,60 @@ func cacheDigest(t *testing.T, cfg Config, requota []int) string {
 			fmt.Fprintf(h, "l2.%d %+v\n", i, fresh.l2s[i].Stats())
 		}
 	}
-	fmt.Fprintf(h, "kernel before %+v\n", sys.KernelStats())
-	fmt.Fprintf(h, "kernel after %+v\n", fresh.KernelStats())
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), halvesKernelStats{kernelLines(sys.KernelStats()), kernelLines(fresh.KernelStats())}
 }
 
-// TestCacheDigests pins the cache hierarchy's behaviour bit for bit: each
-// digest must equal the one in testdata/cache_digests.json, recorded while
-// Cache and SharedCache were still two separate implementations.
-// bench/golden.json pins only the private topology and is not tier-1. A
-// mismatch prints the new digest; re-record only for an intended behaviour
-// change.
-func TestCacheDigests(t *testing.T) {
-	raw, err := os.ReadFile("testdata/cache_digests.json")
+// readDigestFile decodes one of the testdata maps into want.
+func readDigestFile(t *testing.T, path string, want any) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want map[string]string
-	if err := json.Unmarshal(raw, &want); err != nil {
+	if err := json.Unmarshal(raw, want); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// writeDigestFile rewrites one of the testdata maps (keys sorted).
+func writeDigestFile(t *testing.T, path string, v any) {
+	t.Helper()
+	raw, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheDigests pins the cache hierarchy's behaviour bit for bit and the
+// kernel's work separately. Behaviour: one digest per topology and seed in
+// testdata/cache_digests.json, which the naive loop and the wake scheduler
+// must both reproduce (first recorded while Cache and SharedCache were still
+// two separate implementations). Work: the KernelStats of both halves per
+// kernel in testdata/kernel_stats.json, so a pure scheduling change moves
+// only that file. bench/golden.json pins only the private topology and is
+// not tier-1. `go test ./internal/sim -run TestCacheDigests -update`
+// rewrites both files; re-record the behaviour file only for an intended
+// behaviour change.
+func TestCacheDigests(t *testing.T) {
+	const behaviourPath, kernelPath = "testdata/cache_digests.json", "testdata/kernel_stats.json"
+	var want map[string]string
+	var wantKS map[string]halvesKernelStats
+	readDigestFile(t, behaviourPath, &want)
+	readDigestFile(t, kernelPath, &wantKS)
+	got := map[string]string{}
+	gotKS := map[string]halvesKernelStats{}
 	kernels := []struct {
 		name string
 		k    Kernel
 	}{{"naive", KernelNaive}, {"wake", KernelCycleSkipping}}
-	n := 0
 	for _, topo := range cacheDigestTopos {
 		for _, kern := range kernels {
 			for seed := int64(1); seed <= 3; seed++ {
+				bkey := fmt.Sprintf("%s/seed=%d", topo.name, seed)
 				key := fmt.Sprintf("%s/%s/seed=%d", topo.name, kern.name, seed)
-				n++
 				t.Run(key, func(t *testing.T) {
 					cfg := fastCfg()
 					cfg.Kernel = kern.k
@@ -114,14 +158,31 @@ func TestCacheDigests(t *testing.T) {
 					if topo.l2MSHRs > 0 {
 						cfg.L2.MSHRs = topo.l2MSHRs
 					}
-					if got := cacheDigest(t, cfg, topo.requota); got != want[key] {
-						t.Errorf("digest %s, recorded %q", got, want[key])
+					digest, ks := cacheDigest(t, cfg, topo.requota)
+					if prev, ok := got[bkey]; ok && prev != digest {
+						t.Errorf("behaviour digest %s differs from the other kernel's %s", digest, prev)
+					}
+					got[bkey], gotKS[key] = digest, ks
+					if *updateDigests {
+						return
+					}
+					if digest != want[bkey] {
+						t.Errorf("behaviour digest %s, recorded %q", digest, want[bkey])
+					}
+					if w, ok := wantKS[key]; !ok || !reflect.DeepEqual(ks, w) {
+						t.Errorf("kernel stats\ngot      %q\nrecorded %q", ks, w)
 					}
 				})
 			}
 		}
 	}
-	if len(want) != n {
-		t.Errorf("testdata/cache_digests.json has %d digests, the test computes %d", len(want), n)
+	if *updateDigests {
+		writeDigestFile(t, behaviourPath, got)
+		writeDigestFile(t, kernelPath, gotKS)
+		return
+	}
+	if len(want) != len(got) || len(wantKS) != len(gotKS) {
+		t.Errorf("testdata has %d behaviour digests and %d kernel records, the test computes %d and %d",
+			len(want), len(wantKS), len(got), len(gotKS))
 	}
 }
