@@ -104,12 +104,19 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the counters.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// Access implements mem.Port. A hit schedules the requester's callback at
-// now+HitLatency. A miss allocates an MSHR (merging with an outstanding
-// miss for the same line) and forwards a fill to the lower level; Access
-// returns false when no MSHR is free, and the caller must retry later.
+// Access implements mem.Port. A hit on an InPlace request is answered in
+// place: Ready becomes now+HitLatency and nothing is scheduled (see package
+// mem). Any other hit with a callback schedules it at now+HitLatency. A miss
+// allocates an MSHR (merging with an outstanding miss for the same line) and
+// forwards a fill to the lower level; Access returns false when no MSHR is
+// free, and the caller must retry later.
+//
+// Only a hit that schedules its callback wakes the cache. Any other hit
+// touches LRU state and counters alone, and the kernel may leave a sleeping
+// cache asleep through it: SkipSpan reads neither, and integrates only the
+// refusals of the deferred list's head, which a hit does not touch. Misses
+// wake it before touching any state.
 func (c *Cache) Access(now int64, req *mem.Request) bool {
-	c.wake.Wake()
 	la := c.lineAddr(req.Addr)
 	if l := c.lookup(la); l != nil {
 		c.lruTick++
@@ -122,11 +129,16 @@ func (c *Cache) Access(now int64, req *mem.Request) bool {
 			l.dirty = true
 		}
 		c.stats.Hits++
-		if req.Done != nil {
+		switch {
+		case req.InPlace:
+			req.Ready = now + c.cfg.HitLatency
+		case req.Done != nil:
+			c.wake.Wake()
 			c.events.scheduleDone(now+c.cfg.HitLatency, req)
 		}
 		return true
 	}
+	c.wake.Wake()
 
 	// Miss: merge into an outstanding fill when possible. Requests without
 	// a completion callback (posted stores) fold into the MSHR's state but

@@ -2,6 +2,16 @@
 // level of the memory hierarchy (L1, L2, memory controller). A component
 // accepts a Request through its Port and invokes the request's Done callback
 // at the cycle the data becomes available to the requester.
+//
+// A requester that knows how to wait on its own clock may opt a request into
+// in-place completion (Request.InPlace). A port that has the data at Access
+// time — an L1 hit — may then answer within Access: it writes the cycle the
+// data becomes available into Request.Ready, schedules nothing, never calls
+// Done and wakes nobody. The requester treats the access as completing at
+// that cycle, exactly as if Done(Ready) had been delivered then. Answering in
+// place is the port's choice: it may ignore InPlace and complete through
+// Done as for any request, so an opted-in requester keeps its Done callback
+// and tells the two paths apart by Ready, which it sets to -1 before Access.
 package mem
 
 // Request is one memory access travelling down the hierarchy. Addr is a byte
@@ -12,8 +22,15 @@ type Request struct {
 	Addr  uint64
 	Write bool
 	// Done, if non-nil, is invoked exactly once when the access completes,
-	// with the completion cycle. Posted writes may have a nil Done.
+	// with the completion cycle, unless the port answered in place. Posted
+	// writes may have a nil Done.
 	Done func(cycle int64)
+	// InPlace opts the request into in-place completion (see the package
+	// doc); Ready is where a port that answers in place writes the cycle the
+	// data becomes available. A port that does not answer in place leaves
+	// Ready untouched.
+	InPlace bool
+	Ready   int64
 	// Origin names the component object that owns this Request, so a
 	// checkpoint can serialize a retained *Request as plain data and a
 	// restore can resolve it back to the live object (whose Done closure

@@ -86,7 +86,7 @@ func (s *System) Snapshot() (*Checkpoint, error) {
 			return nil, fmt.Errorf("sim: app %d stream %T does not support checkpointing", i, s.specs[i].Stream)
 		}
 		cp.streams = append(cp.streams, cs.StreamState())
-		cp.cores = append(cp.cores, s.cores[i].Snapshot())
+		cp.cores = append(cp.cores, s.cores[i].Snapshot(s.now))
 	}
 	for _, c := range s.snapCaches {
 		cp.caches = append(cp.caches, c.Snapshot())
