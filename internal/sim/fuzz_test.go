@@ -5,24 +5,34 @@ import (
 	"testing"
 
 	"bwpart/internal/dram"
+	"bwpart/internal/workload"
 )
 
 // FuzzKernelEquivalence is the native-fuzzing form of the kernel
 // differential: every input names one system (application count and draw,
 // scheduler, topology, controller queue bound) and one pattern of uneven Run
 // slices, and the wake scheduler — straight, and sliced with a mid-window
-// fork — must reproduce the naive loop bit for bit (see diffKernels). The
-// seed corpus walks the scheduler x topology table of TestBusySpanKernelFuzz,
-// so a plain `go test` already runs one case per cell; `make fuzz` mutates
-// from there for a bounded time.
+// fork — must reproduce the naive loop bit for bit (see diffKernels). With
+// rehit set, application 0 runs the cold re-hit stream of
+// TestKernelSleepCoverage instead of its profile. The seed corpus walks the
+// scheduler x topology table of TestBusySpanKernelFuzz, so a plain `go test`
+// already runs one case per cell, then adds the two sleeps on the core's own
+// clock: all-low-BaseIPC mixes (seeds 12 and 24 draw four of milc,
+// libquantum, soplex and omnetpp), which sleep short of dispatch credit, and
+// re-hit streams, whose cold loads the L1 answers in place. `make fuzz`
+// mutates from there for a bounded time.
 func FuzzKernelEquivalence(f *testing.F) {
 	r := rand.New(rand.NewSource(0xb5))
 	for sched := range busySchedulers(2) {
 		for _, shared := range []bool{false, true} {
-			f.Add(r.Int63(), uint8(r.Intn(16)), uint8(sched), shared, uint8(r.Intn(24)), uint16(r.Intn(1<<16)))
+			f.Add(r.Int63(), uint8(r.Intn(16)), uint8(sched), shared, uint8(r.Intn(24)), uint16(r.Intn(1<<16)), false)
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64, apps, sched uint8, shared bool, queueCap uint8, slices uint16) {
+	f.Add(int64(12), uint8(3), uint8(0), false, uint8(0), uint16(0x2c1b), false)
+	f.Add(int64(24), uint8(3), uint8(1), true, uint8(5), uint16(0x0e57), false)
+	f.Add(int64(35), uint8(2), uint8(2), false, uint8(0), uint16(0x13a4), true)
+	f.Add(int64(66), uint8(3), uint8(3), true, uint8(6), uint16(0x7701), true)
+	f.Fuzz(func(t *testing.T, seed int64, apps, sched uint8, shared bool, queueCap uint8, slices uint16, rehit bool) {
 		n := 1 + int(apps)%16
 		if shared && n > 8 {
 			n = 8 // one way per application at least
@@ -48,6 +58,30 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if queueCap%4 != 0 {
 			kc.queueCap = 2 + int(queueCap)%30
 		}
+		if rehit {
+			kc.specs = func(t *testing.T) []AppSpec {
+				specs := profileSpecs(t, names, kc.seed)
+				specs[0] = rehitSpec(uint64(seed))
+				return specs
+			}
+		}
 		diffKernels(t, kc)
 	})
+}
+
+// profileSpecs is what New builds for names under seed: one synthetic
+// benchmark per core on its profile's ILP ceiling and MLP bound.
+func profileSpecs(t *testing.T, names []string, seed int64) []AppSpec {
+	t.Helper()
+	specs := make([]AppSpec, len(names))
+	for i, p := range mustProfiles(t, names...) {
+		gen, err := workload.NewGenerator(p, i, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core := fastCfg().Core
+		core.BaseIPC, core.MaxOutstandingLoads = p.BaseIPC, p.MLP
+		specs[i] = AppSpec{Name: p.Name, Core: core, Stream: gen, Warm: gen.Warmup}
+	}
+	return specs
 }
