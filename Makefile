@@ -12,7 +12,8 @@
 # tolerance against those committed reports — run it alongside `make check`
 # before sending a performance-sensitive PR. Absolute ns/op are a record, not a
 # gate: compare them with bench/run.sh (interleaved pairs, medians).
-# `make loc` prints the size figures CHANGES.md and ROADMAP.md quote.
+# `make loc` prints the size figures CHANGES.md and ROADMAP.md quote, and
+# `make testtime` the tier-1 suite's wall time per package.
 
 GO ?= go
 
@@ -40,7 +41,7 @@ BENCH_ENV = GOMAXPROCS=$(BENCH_GOMAXPROCS)
 # quiet one.
 BENCH_MEMCTRL = for pass in 1 2 3 4 5; do $(BENCH_ENV) $(GO) test -run '^$$' -bench . -benchmem -benchtime 2000000x ./internal/memctrl || exit 1; done
 
-.PHONY: check fmt vet build test race smoke fuzz chaos benchbuild benchmod bench bench-check loc
+.PHONY: check fmt vet build test race smoke fuzz chaos benchbuild benchmod bench bench-check loc testtime
 
 check: fmt vet build test race smoke fuzz benchbuild benchmod
 
@@ -147,3 +148,9 @@ loc:
 		| xargs wc -l | awk '$$2 != "total" { sub(/^\.\//, "", $$2); sub(/\/?[^\/]*$$/, "", $$2); \
 		n[$$2 == "" ? "." : $$2] += $$1; t += $$1 } END { for (p in n) printf "%6d %s\n", n[p], p; printf "%6d total\n", t }' | sort -k2
 	@printf '%6d flags under cmd/\n' "$$(grep -rhoE 'flag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func)[A-Za-z]*\(' cmd --include='*.go' | wc -l)"
+
+# testtime runs the tier-1 suite once, uncached, and prints every package's
+# wall time, slowest first, with their sum and the run's wall time: the
+# per-PR tier-1 budget in one command. It fails when a test fails.
+testtime:
+	$(GO) test -count=1 -json ./... | $(GO) run ./tools/testtime
