@@ -70,6 +70,11 @@ func Studies() []Study {
 		{"repeat", onMix("hetero-5", func(r *Runner, mix workload.Mix) (*Table, error) {
 			return r.Repeatability(mix, "square-root", 5)
 		})},
+		{"phase", func(r *Runner) ([]*Table, error) {
+			// 100k-instruction phases, shares re-derived every 200k cycles
+			// over 6 epochs.
+			return one(r.PhaseStudy(100_000, 200_000, 6))
+		}},
 	}
 }
 
