@@ -152,13 +152,14 @@ func (c Config) ScaleChannels(factor int) Config {
 	return c
 }
 
-// Validate checks the configuration for internal consistency.
+// Validate checks the configuration for internal consistency. NaN fails
+// every comparison, so the clock and timing checks are written to reject it.
 func (c Config) Validate() error {
 	switch {
-	case c.CPUGHz <= 0:
-		return errors.New("dram: CPUGHz must be positive")
-	case c.BusMHz <= 0:
-		return errors.New("dram: BusMHz must be positive")
+	case !(c.CPUGHz > 0) || math.IsInf(c.CPUGHz, 1):
+		return errors.New("dram: CPUGHz must be positive and finite")
+	case !(c.BusMHz > 0) || math.IsInf(c.BusMHz, 1):
+		return errors.New("dram: BusMHz must be positive and finite")
 	case c.BusBytes <= 0:
 		return errors.New("dram: BusBytes must be positive")
 	case c.LineBytes <= 0 || c.LineBytes%c.BusBytes != 0:
@@ -169,12 +170,24 @@ func (c Config) Validate() error {
 		return errors.New("dram: RowBytes must be at least LineBytes")
 	case c.RowBytes%c.LineBytes != 0:
 		return errors.New("dram: RowBytes must be a multiple of LineBytes")
-	case c.TRPns < 0 || c.TRCDns < 0 || c.CLns < 0 || c.TRFCns < 0 || c.TREFIns < 0:
-		return errors.New("dram: timing parameters must be non-negative")
+	case !finiteNonNegative(c.TRPns, c.TRCDns, c.CLns, c.TRFCns, c.TREFIns):
+		return errors.New("dram: timing parameters must be finite and non-negative")
 	case c.TRFCns > 0 && c.TREFIns <= c.TRFCns:
 		return errors.New("dram: TREFIns must exceed TRFCns when refresh is enabled")
+	case math.IsInf(c.PeakBandwidthGBs(), 1):
+		return errors.New("dram: peak bandwidth must be finite")
 	}
 	return nil
+}
+
+// finiteNonNegative reports whether every v is a finite number >= 0.
+func finiteNonNegative(vs ...float64) bool {
+	for _, v := range vs {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return false
+		}
+	}
+	return true
 }
 
 // Timing is the device timing converted into CPU cycles.

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -61,6 +62,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.RowBytes = 100 }, // not multiple of line
 		func(c *Config) { c.TRPns = -1 },
 		func(c *Config) { c.TREFIns = 100; c.TRFCns = 200 },
+		func(c *Config) { c.BusMHz = math.NaN() },
+		func(c *Config) { c.BusMHz = math.Inf(1) },
+		func(c *Config) { c.CPUGHz = math.NaN() },
+		func(c *Config) { c.TRPns = math.NaN() },
+		func(c *Config) { *c = c.ScaleBandwidth(1e300) }, // peak GB/s overflows
 	}
 	for i, mutate := range bad {
 		cfg := DDR2_400()

@@ -610,6 +610,7 @@ func TestServeBadRequests(t *testing.T) {
 		"unknown mix":    {"/v1/mix", MixRequest{Mix: "no-such-mix", Scheme: "equal"}, http.StatusBadRequest},
 		"unknown scheme": {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "no-such-scheme"}, http.StatusBadRequest},
 		"bad scale":      {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "equal", Scale: -2}, http.StatusBadRequest},
+		"huge scale":     {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "equal", Scale: 1e300}, http.StatusBadRequest},
 		"empty grid":     {"/v1/grid", GridRequest{}, http.StatusBadRequest},
 	} {
 		resp := postJSON(t, ts.Client(), ts.URL+tc.path, tc.body, nil)
