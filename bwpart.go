@@ -385,7 +385,8 @@ func NewSystemFromSpecs(cfg SimConfig, specs []AppSpec) (*System, error) {
 type (
 	// TraceRecord is one off-chip access.
 	TraceRecord = trace.Record
-	// TraceWriter streams records to an io.Writer (see bwsim -trace).
+	// TraceWriter streams records to an io.Writer; ExperimentConfig.Tracer
+	// feeds it every off-chip access of a shared run.
 	TraceWriter = trace.Writer
 	// TraceReader decodes a recorded trace.
 	TraceReader = trace.Reader
