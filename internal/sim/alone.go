@@ -25,6 +25,9 @@ func ProfileAlone(cfg Config, p workload.Profile, cycles int64) (AloneProfile, e
 	if cycles <= 0 {
 		return AloneProfile{}, fmt.Errorf("sim: non-positive profiling window %d", cycles)
 	}
+	// A way quota splits a mix's shared L2; alone, the one application gets
+	// every way, as a nil quota gives it.
+	cfg.L2WayQuota = nil
 	sys, err := New(cfg, []workload.Profile{p})
 	if err != nil {
 		return AloneProfile{}, err

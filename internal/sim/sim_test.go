@@ -99,6 +99,19 @@ func TestProfileAloneValidation(t *testing.T) {
 	if _, err := ProfileAlone(fastCfg(), p, 0); err == nil {
 		t.Error("zero window accepted")
 	}
+	// A shared L2's way quota is the mix's: profiled alone, the app gets
+	// every way, as with a nil quota.
+	want, err := ProfileAlone(sharedCfg(nil), p, 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ProfileAlone(sharedCfg([]int{2, 2, 2, 2}), p, 20_000)
+	if err != nil {
+		t.Fatalf("quota {2,2,2,2}: %v", err)
+	}
+	if got != want {
+		t.Errorf("quota {2,2,2,2} profiled %+v, nil quota %+v", got, want)
+	}
 }
 
 func TestTotalAPCBoundedByPeak(t *testing.T) {
