@@ -32,12 +32,9 @@ func NewBudgetThrottle(shares []float64, periodCycles int64) (*BudgetThrottle, e
 	if periodCycles <= 0 {
 		return nil, errors.New("memctrl: period must be positive")
 	}
-	var total float64
-	for _, s := range shares {
-		if s <= 0 {
-			return nil, errors.New("memctrl: shares must be positive")
-		}
-		total += s
+	total, err := shareTotal(shares)
+	if err != nil {
+		return nil, err
 	}
 	b := &BudgetThrottle{
 		shares:       make([]float64, len(shares)),

@@ -16,6 +16,11 @@ func TestBudgetThrottleValidation(t *testing.T) {
 	if _, err := NewBudgetThrottle([]float64{0.5, 0}, 1000); err == nil {
 		t.Error("zero share accepted")
 	}
+	for _, bad := range nonFiniteShares() {
+		if _, err := NewBudgetThrottle(bad, 1000); err == nil {
+			t.Errorf("NewBudgetThrottle(%v) accepted", bad)
+		}
+	}
 	if _, err := NewBudgetThrottle([]float64{1, 1}, 0); err == nil {
 		t.Error("zero period accepted")
 	}

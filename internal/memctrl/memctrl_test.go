@@ -209,6 +209,14 @@ func TestStartTimeFairCatchUp(t *testing.T) {
 	}
 }
 
+// nonFiniteShares are two-app share vectors with a NaN or infinite share, or
+// with finite shares whose sum overflows.
+func nonFiniteShares() [][]float64 {
+	return [][]float64{
+		{math.NaN(), 1}, {1, math.Inf(1)}, {math.Inf(-1), 1}, {math.MaxFloat64, math.MaxFloat64},
+	}
+}
+
 func TestStartTimeFairSetSharesValidation(t *testing.T) {
 	if _, err := NewStartTimeFair(nil); err == nil {
 		t.Error("empty shares accepted")
@@ -219,6 +227,14 @@ func TestStartTimeFairSetSharesValidation(t *testing.T) {
 	stf, _ := NewStartTimeFair([]float64{1, 1})
 	if err := stf.SetShares([]float64{1}); err == nil {
 		t.Error("length mismatch accepted")
+	}
+	for _, bad := range nonFiniteShares() {
+		if _, err := NewStartTimeFair(bad); err == nil {
+			t.Errorf("NewStartTimeFair(%v) accepted", bad)
+		}
+		if err := stf.SetShares(bad); err == nil {
+			t.Errorf("SetShares(%v) accepted", bad)
+		}
 	}
 	if err := stf.SetShares([]float64{2, 6}); err != nil {
 		t.Error(err)

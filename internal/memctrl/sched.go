@@ -3,8 +3,10 @@ package memctrl
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"bwpart/internal/dram"
+	"bwpart/internal/mathx"
 )
 
 // Scheduler selects which queued request the controller issues next.
@@ -215,18 +217,29 @@ func (s *StartTimeFair) SetShares(shares []float64) error {
 	if len(shares) != len(s.shares) {
 		return fmt.Errorf("memctrl: share vector length %d, want %d", len(shares), len(s.shares))
 	}
-	var total float64
-	for _, b := range shares {
-		if b <= 0 {
-			return errors.New("memctrl: shares must be positive")
-		}
-		total += b
+	total, err := shareTotal(shares)
+	if err != nil {
+		return err
 	}
 	for i, b := range shares {
 		s.shares[i] = b / total
 		s.invShares[i] = 1 / s.shares[i]
 	}
 	return nil
+}
+
+// shareTotal is the sum of a share vector whose every share is positive and
+// finite (NaN and ±Inf compare false against zero, so a sign test alone
+// lets them through) and whose sum is finite.
+func shareTotal(shares []float64) (float64, error) {
+	var total float64
+	for _, b := range shares {
+		total += b
+	}
+	if !mathx.AllPositive(shares) || math.IsInf(total, 0) {
+		return 0, errors.New("memctrl: shares must be positive and finite")
+	}
+	return total, nil
 }
 
 // Shares returns the normalized share vector.
