@@ -2,7 +2,8 @@
 # test suite, a race-detector pass over the concurrent packages (the
 # experiment engine, its observability collector, the serving layer, and
 # the memory controller), a server smoke test over a real TCP listener, a
-# run of examples/quickstart, a time-boxed native fuzz of the
+# run of examples/quickstart, a one-mix sweep through a heuristic
+# scheduler, a time-boxed native fuzz of the
 # simulation-kernel differential, a compile of every benchmark, and a vet +
 # compile + golden smoke of the nested bench/ module (the BENCHMARK.json
 # harness) against the working tree. `make bench` refreshes the committed
@@ -64,11 +65,13 @@ race:
 	$(GO) test -race ./internal/exper/... ./internal/obs/... ./internal/memctrl/... ./internal/serve/...
 
 # smoke boots the daemon on an ephemeral port through the real serving path
-# (TCP listener, health check, one mix request, drain on cancel), then runs
-# the README's minimal consumer of the bwpart facade.
+# (TCP listener, health check, one mix request, drain on cancel), runs
+# the README's minimal consumer of the bwpart facade, then sweeps a
+# heuristic-scheduler cell through the command line's policy names.
 smoke:
 	$(GO) test -run TestServeSmoke -count 1 ./internal/serve
 	$(GO) run ./examples/quickstart > /dev/null
+	$(GO) run ./cmd/sweep -mixes hetero-1 -schemes no-partitioning,stfm -parallel 1 > /dev/null
 
 # fuzz mutates the kernel differential (naive oracle vs wake scheduler, run
 # straight and in uneven slices with a mid-window fork) from its seed corpus

@@ -99,9 +99,10 @@ type (
 	Table3Result     = exper.Table3Result
 	ValidationResult = exper.ValidationResult
 	OnlineResult     = exper.OnlineResult
-	// MixRun is one (mix, scheme) simulation measurement.
+	// MixRun is one cell's simulation measurement.
 	MixRun = exper.MixRun
-	// GridCell is one (mix, scheme) point of a sweep grid (see Runner.RunGrid).
+	// GridCell is a cell: a mix under a controller policy, with an explicit
+	// share vector for the share-taking policies (see Runner.RunGrid).
 	GridCell = exper.GridCell
 	// CheckpointStore persists finished sweep cells so an interrupted
 	// RunGrid resumes instead of restarting. Install via

@@ -35,7 +35,7 @@ func main() {
 	mixesFlag := flag.String("mixes", "hetero-1,hetero-2,hetero-3,hetero-4,hetero-5,hetero-6,hetero-7",
 		"comma-separated mix names")
 	schemesFlag := flag.String("schemes", "no-partitioning,equal,proportional,square-root,two-thirds-power,priority-apc,priority-api",
-		"comma-separated scheme names")
+		"comma-separated policy names: no-partitioning, a partitioning scheme, a heuristic scheduler (stfm, parbs, atlas, tcm) or fr-fcfs")
 	scalesFlag := flag.String("scales", "1", "comma-separated bandwidth scale factors")
 	quick := flag.Bool("quick", true, "use reduced simulation windows")
 	seed := flag.Int64("seed", 1, "simulation seed")

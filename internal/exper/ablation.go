@@ -3,7 +3,6 @@ package exper
 import (
 	"bwpart/internal/core"
 	"bwpart/internal/dram"
-	"bwpart/internal/memctrl"
 	"bwpart/internal/metrics"
 	"bwpart/internal/sim"
 	"bwpart/internal/workload"
@@ -19,60 +18,30 @@ import (
 // FR-FCFS on the given mixes: IPC sum and bus utilization under each, one
 // row per mix. FR-FCFS is the bandwidth-utilization optimization the
 // paper's related work discusses (Rixner et al.): it should recover row
-// hits on streaming workloads.
+// hits on streaming workloads. The close-page half is the runner's own
+// No_partitioning cells; the open-page half runs fr-fcfs cells on a runner
+// derived with open-page DRAM.
 func (r *Runner) PagePolicyStudy(mixes []workload.Mix) (*Table, error) {
+	closed, err := r.RunGrid(r.baseCtx(), mixes, []string{NoPartitioning})
+	if err != nil {
+		return nil, err
+	}
+	sub, err := r.derived(func(c *sim.Config) { c.DRAM.Policy = dram.OpenPage })
+	if err != nil {
+		return nil, err
+	}
+	open, err := sub.RunGrid(r.baseCtx(), mixes, []string{"fr-fcfs"})
+	if err != nil {
+		return nil, err
+	}
 	t := newTable("Ablation: close-page FCFS vs open-page FR-FCFS",
 		"workload", "IPCsum close", "IPCsum open", "busUtil close", "busUtil open")
-	for _, mix := range mixes {
-		profs, err := mix.Profiles()
-		if err != nil {
-			return nil, err
-		}
-		// Close page + FCFS (the paper's baseline): the runner's own
-		// configuration, so it can fork the mix's shared warm base.
-		closeRes, err := r.runSched(mix, memctrl.NewFCFS())
-		if err != nil {
-			return nil, err
-		}
-		// Open page + FR-FCFS.
-		openCfg := r.cfg.Sim
-		openCfg.DRAM.Policy = dram.OpenPage
-		openRes, err := r.runRaw(openCfg, profs, setScheduler(memctrl.NewFRFCFS(8)))
-		if err != nil {
-			return nil, err
-		}
+	for i, mix := range mixes {
+		closeRes, openRes := closed[i].Result, open[i].Result
 		t.add(txt(mix.Name), f3(ipcSum(closeRes)), f3(ipcSum(openRes)),
 			f2(closeRes.BusUtilization), f2(openRes.BusUtilization))
 	}
 	return t, nil
-}
-
-// runRaw measures profs on a cold system built from simCfg: functional
-// warmup, then apply and the shared settle + measure tail. Studies that change
-// the simulator configuration itself (the open-page ablation, the shared-L2
-// topology) must use it — their systems cannot share the runner's warm bases;
-// mix-level studies under the runner's own configuration go through
-// runConfigured, which can.
-func (r *Runner) runRaw(simCfg sim.Config, profs []workload.Profile, apply func(sys *sim.System) error) (sim.Result, error) {
-	sys, err := sim.New(simCfg, profs)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	sys.Warmup()
-	if err := apply(sys); err != nil {
-		return sim.Result{}, err
-	}
-	return r.measure(sys), nil
-}
-
-// setScheduler is the apply step that installs sched.
-func setScheduler(sched memctrl.Scheduler) func(sys *sim.System) error {
-	return func(sys *sim.System) error { return sys.Controller().SetScheduler(sched) }
-}
-
-// runSched measures a mix under an explicitly installed scheduler.
-func (r *Runner) runSched(mix workload.Mix, sched memctrl.Scheduler) (sim.Result, error) {
-	return r.runConfigured(mix, setScheduler(sched))
 }
 
 func ipcSum(res sim.Result) float64 {
@@ -92,58 +61,44 @@ func ratio(a, b float64) float64 {
 }
 
 // MechanismStudy enforces the Square_root scheme via start-time-fair
-// queueing and via per-period budget throttling on the given mixes and
-// compares the achieved Hsp, one row per mix. The model prescribes
-// *allocations*; this ablation shows the hardware mechanism realizing them
-// is interchangeable.
+// queueing (the square-root cell) and via per-period budget throttling of
+// the same shares on the given mixes and compares the achieved Hsp, one row
+// per mix. The model prescribes *allocations*; this ablation shows the
+// hardware mechanism realizing them is interchangeable.
 func (r *Runner) MechanismStudy(mixes []workload.Mix) (*Table, error) {
+	stf, err := r.RunGrid(r.baseCtx(), mixes, []string{"square-root"})
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]GridCell, len(mixes))
+	for i, mix := range mixes {
+		shares, err := core.SquareRoot().Shares(stf[i].APCAlone)
+		if err != nil {
+			return nil, err
+		}
+		cells[i] = GridCell{Mix: mix, Scheme: "budget", Shares: shares}
+	}
+	budget, err := r.cells(cells)
+	if err != nil {
+		return nil, err
+	}
 	t := newTable("Ablation: start-time-fair vs budget-throttle enforcement of square-root shares",
 		"workload", "objective", "STF", "budget", "budget/STF")
-	for _, mix := range mixes {
-		apcAlone, _, ipcAlone, err := r.aloneVectors(mix)
-		if err != nil {
-			return nil, err
-		}
-		shares, err := core.SquareRoot().Shares(apcAlone)
-		if err != nil {
-			return nil, err
-		}
-		stf, err := memctrl.NewStartTimeFair(shares)
-		if err != nil {
-			return nil, err
-		}
-		stfRes, err := r.runSched(mix, stf)
-		if err != nil {
-			return nil, err
-		}
-		bt, err := memctrl.NewBudgetThrottle(shares, 20_000)
-		if err != nil {
-			return nil, err
-		}
-		btRes, err := r.runSched(mix, bt)
-		if err != nil {
-			return nil, err
-		}
-		stfVal, err := metrics.Hsp(stfRes.IPCs(), ipcAlone)
-		if err != nil {
-			return nil, err
-		}
-		btVal, err := metrics.Hsp(btRes.IPCs(), ipcAlone)
-		if err != nil {
-			return nil, err
-		}
-		t.add(txt(mix.Name), txt(metrics.ObjectiveHsp.String()), f3(stfVal), f3(btVal), f3(ratio(btVal, stfVal)))
+	obj := metrics.ObjectiveHsp
+	for i, mix := range mixes {
+		stfVal, btVal := stf[i].Values[obj], budget[i].Values[obj]
+		t.add(txt(mix.Name), txt(obj.String()), f3(stfVal), f3(btVal), f3(ratio(btVal, stfVal)))
 	}
 	return t, nil
 }
 
 // EnforcementStudy measures, for the two priority schemes, how much of the
 // objective value depends on *strict* priority scheduling versus merely
-// enforcing the model's allocation via fair-queueing shares. Rows are keyed
-// "mix/objective".
+// enforcing the model's allocation via fair-queueing shares. The strict runs
+// are the priority scheme cells; the share runs are start-time-fair cells
+// over the allocation each scheme makes of the strict run's throughput. Rows
+// are keyed "mix/objective".
 func (r *Runner) EnforcementStudy(mixes []workload.Mix) (*Table, error) {
-	t := newTable("Ablation: strict-priority vs share-based enforcement of priority allocations",
-		"workload", "objective", "strict", "shares", "strict/shares")
 	cases := []struct {
 		obj    metrics.Objective
 		scheme *core.PriorityScheme
@@ -151,57 +106,37 @@ func (r *Runner) EnforcementStudy(mixes []workload.Mix) (*Table, error) {
 		{metrics.ObjectiveWsp, core.PriorityAPC()},
 		{metrics.ObjectiveIPCSum, core.PriorityAPI()},
 	}
-	for _, mix := range mixes {
-		apcAlone, api, ipcAlone, err := r.aloneVectors(mix)
+	schemes := make([]string, len(cases))
+	for ci, cse := range cases {
+		schemes[ci] = cse.scheme.Name()
+	}
+	strict, err := r.RunGrid(r.baseCtx(), mixes, schemes)
+	if err != nil {
+		return nil, err
+	}
+	shareCells := make([]GridCell, len(strict))
+	for i, run := range strict {
+		alloc, err := cases[i%len(cases)].scheme.Allocate(run.APCAlone, run.API, run.Result.TotalAPC)
 		if err != nil {
 			return nil, err
 		}
-		for _, cse := range cases {
-			// Strict priority enforcement.
-			order, err := cse.scheme.Order(apcAlone, api)
-			if err != nil {
-				return nil, err
-			}
-			pr, err := memctrl.NewPriority(order)
-			if err != nil {
-				return nil, err
-			}
-			strictRes, err := r.runSched(mix, pr)
-			if err != nil {
-				return nil, err
-			}
-			strictVal, err := cse.obj.Eval(strictRes.IPCs(), ipcAlone)
-			if err != nil {
-				return nil, err
-			}
-
-			// Share-based enforcement of the same allocation.
-			alloc, err := cse.scheme.Allocate(apcAlone, api, strictRes.TotalAPC)
-			if err != nil {
-				return nil, err
-			}
-			shares := make([]float64, len(alloc))
-			for i, x := range alloc {
-				shares[i] = x
-				if shares[i] < 1e-6 {
-					shares[i] = 1e-6
-				}
-			}
-			stf, err := memctrl.NewStartTimeFair(shares)
-			if err != nil {
-				return nil, err
-			}
-			shareRes, err := r.runSched(mix, stf)
-			if err != nil {
-				return nil, err
-			}
-			shareVal, err := cse.obj.Eval(shareRes.IPCs(), ipcAlone)
-			if err != nil {
-				return nil, err
-			}
-			t.addKeyed(mix.Name+"/"+cse.obj.String(), txt(mix.Name), txt(cse.obj.String()),
-				f3(strictVal), f3(shareVal), f3(ratio(strictVal, shareVal)))
+		shares := make([]float64, len(alloc))
+		for j, x := range alloc {
+			shares[j] = max(x, 1e-6)
 		}
+		shareCells[i] = GridCell{Mix: run.Mix, Scheme: "start-time-fair", Shares: shares}
+	}
+	shared, err := r.cells(shareCells)
+	if err != nil {
+		return nil, err
+	}
+	t := newTable("Ablation: strict-priority vs share-based enforcement of priority allocations",
+		"workload", "objective", "strict", "shares", "strict/shares")
+	for i := range strict {
+		mix, obj := mixes[i/len(cases)], cases[i%len(cases)].obj
+		strictVal, shareVal := strict[i].Values[obj], shared[i].Values[obj]
+		t.addKeyed(mix.Name+"/"+obj.String(), txt(mix.Name), txt(obj.String()),
+			f3(strictVal), f3(shareVal), f3(ratio(strictVal, shareVal)))
 	}
 	return t, nil
 }

@@ -10,7 +10,7 @@ import (
 	"bwpart/internal/sim"
 )
 
-// ResultCache memoizes finished (config fingerprint, mix, scheme) cells in
+// ResultCache memoizes finished cells, keyed by config fingerprint and cell, in
 // memory with single-flight deduplication: concurrent requests for the same
 // cell share one simulation, and every caller — leader or waiter — gets its
 // own deep copy, so mutating a returned MixRun can never corrupt the cached
@@ -238,6 +238,9 @@ func (c *ResultCache) evictLocked(col *obs.Collector) {
 func copyMixRun(run *MixRun) *MixRun {
 	cp := *run
 	cp.Mix.Benchmarks = append([]string(nil), run.Mix.Benchmarks...)
+	if run.Shares != nil {
+		cp.Shares = append([]float64(nil), run.Shares...)
+	}
 	cp.IPCAlone = append([]float64(nil), run.IPCAlone...)
 	cp.APCAlone = append([]float64(nil), run.APCAlone...)
 	cp.API = append([]float64(nil), run.API...)
@@ -257,7 +260,7 @@ func mixRunBytes(run *MixRun) int64 {
 	for _, b := range run.Mix.Benchmarks {
 		size += int64(unsafe.Sizeof(b)) + int64(len(b))
 	}
-	size += int64(len(run.IPCAlone)+len(run.APCAlone)+len(run.API)) * 8
+	size += int64(len(run.Shares)+len(run.IPCAlone)+len(run.APCAlone)+len(run.API)) * 8
 	for i := range run.Result.Apps {
 		a := &run.Result.Apps[i]
 		size += int64(unsafe.Sizeof(*a)) + int64(len(a.Name))

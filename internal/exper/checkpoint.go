@@ -15,10 +15,10 @@ import (
 	"bwpart/internal/workload"
 )
 
-// CheckpointStore persists finished (mix, scheme) sweep cells as JSON files
+// CheckpointStore persists finished cells as JSON files
 // so an interrupted RunGrid resumes where it stopped instead of starting
 // over. Files are keyed like the in-memory result cache — by the mix's
-// benchmark list, the scheme, and a fingerprint of every configuration knob
+// benchmark list, the policy, its share vector, and a fingerprint of every configuration knob
 // that affects the measurement — so results recorded under a different
 // configuration are never mistaken for the current sweep's: a stale file is
 // simply a cache miss.
@@ -123,8 +123,8 @@ func (s *CheckpointStore) degrade(op string, err error) {
 // difference or version bump makes old files plain misses. The version and a
 // fingerprint prefix lead the name only so an operator can tell (and prune)
 // one configuration's files.
-func (s *CheckpointStore) cellPath(r *Runner, mix workload.Mix, scheme string) string {
-	key := sha256.Sum256([]byte(cellKey(r.fp, mix, scheme)))
+func (s *CheckpointStore) cellPath(r *Runner, c GridCell) string {
+	key := sha256.Sum256([]byte(cellKey(r.fp, c)))
 	return filepath.Join(s.dir, fmt.Sprintf("v%d-%s-%x.json", FingerprintVersion, r.fp[:16], key))
 }
 
@@ -136,24 +136,24 @@ func (s *CheckpointStore) Has(r *Runner, mix workload.Mix, scheme string) bool {
 	if s == nil {
 		return false
 	}
-	_, err := os.Stat(s.cellPath(r, mix, scheme))
+	_, err := os.Stat(s.cellPath(r, GridCell{Mix: mix, Scheme: scheme}))
 	return err == nil
 }
 
 // Load returns the stored cell for (mix, scheme) under r's configuration,
 // or (nil, false) when absent, unreadable, or recorded for a different
-// benchmark list or scheme — any such miss just means the cell is
+// benchmark list, policy or share vector — any such miss just means the cell is
 // re-simulated. Display labels are not compared: an aliased mix may have
 // written the file. A read error other than "file does not exist"
 // additionally degrades the store. A nil store holds nothing.
 func (s *CheckpointStore) Load(r *Runner, mix workload.Mix, scheme string) (*MixRun, bool) {
-	run, _ := s.load(r, mix, scheme)
+	run, _ := s.load(r, GridCell{Mix: mix, Scheme: scheme})
 	return run, run != nil
 }
 
 // load is Load plus the file's bytes as the cell's encoding (newline added),
 // so a promoted cell is never re-encoded. A miss is a nil run.
-func (s *CheckpointStore) load(r *Runner, mix workload.Mix, scheme string) (*MixRun, []byte) {
+func (s *CheckpointStore) load(r *Runner, c GridCell) (*MixRun, []byte) {
 	if s == nil || s.Degraded() {
 		return nil, nil
 	}
@@ -161,7 +161,7 @@ func (s *CheckpointStore) load(r *Runner, mix workload.Mix, scheme string) (*Mix
 		s.degrade("read", err)
 		return nil, nil
 	}
-	data, err := os.ReadFile(s.cellPath(r, mix, scheme))
+	data, err := os.ReadFile(s.cellPath(r, c))
 	if err != nil {
 		if !os.IsNotExist(err) {
 			s.degrade("read", err)
@@ -172,7 +172,7 @@ func (s *CheckpointStore) load(r *Runner, mix workload.Mix, scheme string) (*Mix
 	if err := json.Unmarshal(data, &run); err != nil {
 		return nil, nil
 	}
-	if !slices.Equal(run.Mix.Benchmarks, mix.Benchmarks) || run.Scheme != scheme {
+	if !slices.Equal(run.Mix.Benchmarks, c.Mix.Benchmarks) || run.Scheme != c.Scheme || !slices.Equal(run.Shares, c.Shares) {
 		return nil, nil
 	}
 	return &run, append(data, '\n')
@@ -209,7 +209,7 @@ func (s *CheckpointStore) Save(r *Runner, run *MixRun) error {
 		op, err = "rename", s.injector().Err(faultinject.CheckpointRename)
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), s.cellPath(r, run.Mix, run.Scheme))
+		err = os.Rename(tmp.Name(), s.cellPath(r, GridCell{Mix: run.Mix, Scheme: run.Scheme, Shares: run.Shares}))
 	}
 	if err != nil {
 		os.Remove(tmp.Name())

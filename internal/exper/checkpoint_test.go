@@ -84,7 +84,7 @@ func TestCheckpointResume(t *testing.T) {
 	// Pinning it keeps directories written by earlier builds loadable: a
 	// change that moves it must bump FingerprintVersion on purpose.
 	const equalCell = "v2-1e4169cd91b781c5-e3a0f175983c8720c6932261ab2ad22e446d9da5ab297387f5a0ce5bad2420a9.json"
-	if got := filepath.Base(store.cellPath(r, mix, "equal")); got != equalCell {
+	if got := filepath.Base(store.cellPath(r, GridCell{Mix: mix, Scheme: "equal"})); got != equalCell {
 		t.Errorf("hetero-1/equal is stored as %s, earlier builds wrote %s", got, equalCell)
 	}
 
@@ -119,7 +119,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	// A truncated file is a miss, not an error.
-	if err := os.WriteFile(store.cellPath(r, mix, "equal"), []byte("{"), 0o644); err != nil {
+	if err := os.WriteFile(store.cellPath(r, GridCell{Mix: mix, Scheme: "equal"}), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := store.Load(r, mix, "equal"); ok {
@@ -150,7 +150,7 @@ func TestCheckpointPartialResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(store.cellPath(r, mix, "proportional")); err != nil {
+	if err := os.Remove(store.cellPath(r, GridCell{Mix: mix, Scheme: "proportional"})); err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := cfg

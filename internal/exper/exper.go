@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sync"
 
-	"bwpart/internal/core"
 	"bwpart/internal/faultinject"
 	"bwpart/internal/metrics"
 	"bwpart/internal/obs"
@@ -50,12 +49,12 @@ type Config struct {
 	// memory-controller queue-depth statistics for every run. Nil disables
 	// observability at negligible cost.
 	Obs *obs.Collector
-	// Checkpoint, when set, persists every finished (mix, scheme) cell and
+	// Checkpoint, when set, persists every finished cell and
 	// resumes interrupted work by loading the cells already on disk instead
 	// of re-simulating them.
 	Checkpoint *CheckpointStore
 	// Cache shares an in-memory result cache across runners: a unique
-	// (config fingerprint, mix, scheme) cell is simulated at most once per
+	// (config fingerprint, cell) pair is simulated at most once per
 	// process, concurrent requests coalesce onto one simulation, and every
 	// caller gets an isolated deep copy. Nil gives the runner a private
 	// cache (NewRunner fills this field, so sub-runners derived from
@@ -137,10 +136,10 @@ const preparedCap = 8
 
 // Runner executes experiments. Standalone profiles are cached per benchmark
 // (single-flight, so concurrent first requests share one profiling run),
-// and unless Config.NoMemoize is set, every (mix, scheme) cell flows
-// through a memoized executor: the result cache deduplicates whole cells
-// and the prepared-mix registry shares one warm base per mix across RunMix,
-// the figures, heuristics, and repeatability studies.
+// and unless Config.NoMemoize is set, every cell — a (mix, policy, shares)
+// value, see GridCell — flows through a memoized executor: the result cache
+// deduplicates whole cells and the prepared-mix registry shares one warm base
+// per mix across RunMix, RunGrid and every windowed study.
 type Runner struct {
 	cfg Config
 	fp  string // canonical configuration fingerprint, fixed at construction
@@ -287,10 +286,14 @@ func (r *Runner) runMeasured(sys *sim.System, cycles int64) {
 	}
 }
 
-// MixRun is one (mix, scheme) measurement.
+// MixRun is one cell's measurement: the mix under the policy named Scheme,
+// enforcing Shares when the policy takes a share vector.
 type MixRun struct {
-	Mix      workload.Mix
-	Scheme   string
+	Mix    workload.Mix
+	Scheme string
+	// Shares is absent from a plain cell's JSON, so plain cells encode as
+	// they did before cells could carry one.
+	Shares   []float64 `json:",omitempty"`
 	IPCAlone []float64
 	APCAlone []float64
 	API      []float64
@@ -303,7 +306,7 @@ type MixRun struct {
 // immutable profiles plus the checkpoint of its warmed state. RunGrid
 // prepares each mix once and restores the checkpoint into a new system per
 // cell, so the functional warmup is paid once per mix instead of once per
-// (mix, scheme) cell.
+// cell.
 type preparedMix struct {
 	profs []workload.Profile
 	cp    *sim.Checkpoint
@@ -373,34 +376,30 @@ func (r *Runner) measure(sys *sim.System) sim.Result {
 	return sys.Results()
 }
 
-// runConfigured is the one way to measure a mix from its warmed state: apply
-// installs the configuration under test (a scheme, a scheduler, shares) and
-// measure runs. When memoizing, the system is a fresh one restored from the
-// mix's shared warm checkpoint, whose base stays pinned against LRU eviction
-// for the duration; it is garbage once measured.
-// Under NoMemoize a private system is built and warmed for this one run: the
-// reference executor the differential tests compare every memoized path
-// against.
-func (r *Runner) runConfigured(mix workload.Mix, apply func(sys *sim.System) error) (sim.Result, error) {
+// runConfigured measures one cell from its mix's warmed state: pol installs
+// the cell's controller configuration and measure runs. When memoizing, the
+// system is a fresh one restored from the mix's shared warm checkpoint, whose
+// base stays pinned against LRU eviction for the duration; it is garbage once
+// measured. Under NoMemoize a private system is built and warmed for this one
+// run: the reference executor the differential tests compare every memoized
+// path against.
+func (r *Runner) runConfigured(c GridCell, pol policy, a policyArgs) (sim.Result, error) {
+	var sys *sim.System
+	var err error
 	if r.prepared == nil {
-		_, sys, err := r.prepareMix(mix)
-		if err == nil {
-			err = apply(sys)
-		}
-		if err != nil {
+		_, sys, err = r.prepareMix(c.Mix)
+	} else {
+		var e *preparedEntry
+		var release func()
+		if e, release, err = r.prepared.acquire(c.Mix); err != nil {
 			return sim.Result{}, err
 		}
-		return r.measure(sys), nil
+		defer release()
+		r.cfg.Obs.Add(obs.WarmForks, 1)
+		sys, err = r.forkPrepared(e.p)
 	}
-	e, release, err := r.prepared.acquire(mix)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	defer release()
-	r.cfg.Obs.Add(obs.WarmForks, 1)
-	sys, err := r.forkPrepared(e.p)
 	if err == nil {
-		err = apply(sys)
+		err = pol.apply(sys, a)
 	}
 	if err != nil {
 		return sim.Result{}, err
@@ -408,35 +407,25 @@ func (r *Runner) runConfigured(mix workload.Mix, apply func(sys *sim.System) err
 	return r.measure(sys), nil
 }
 
-// applyScheme installs a cell's scheme: NoPartitioning, or a core scheme fed
-// the mix's standalone profile vectors.
-func applyScheme(sys *sim.System, scheme string, apcAlone, api []float64) error {
-	if scheme == NoPartitioning {
-		return sys.ApplyNoPartitioning()
-	}
-	sch, err := core.ByName(scheme)
-	if err != nil {
-		return err
-	}
-	return sys.ApplyScheme(sch, apcAlone, api)
-}
-
-// runCell simulates one (mix, scheme) cell and evaluates all four objectives
-// on the measured IPCs.
-func (r *Runner) runCell(mix workload.Mix, scheme string) (*MixRun, error) {
-	apcAlone, api, ipcAlone, err := r.aloneVectors(mix)
+// runCell simulates one cell and evaluates all four objectives on the
+// measured IPCs.
+func (r *Runner) runCell(c GridCell) (*MixRun, error) {
+	pol, err := policyFor(c)
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.runConfigured(mix, func(sys *sim.System) error {
-		return applyScheme(sys, scheme, apcAlone, api)
-	})
+	apcAlone, api, ipcAlone, err := r.aloneVectors(c.Mix)
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.runConfigured(c, pol, policyArgs{apcAlone: apcAlone, api: api, shares: c.Shares, seed: r.cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
 	run := &MixRun{
-		Mix:      mix,
-		Scheme:   scheme,
+		Mix:      c.Mix,
+		Scheme:   c.Scheme,
+		Shares:   c.Shares,
 		IPCAlone: ipcAlone,
 		APCAlone: apcAlone,
 		API:      api,
@@ -447,25 +436,27 @@ func (r *Runner) runCell(mix workload.Mix, scheme string) (*MixRun, error) {
 	for _, obj := range metrics.Objectives() {
 		v, err := obj.Eval(shared, ipcAlone)
 		if err != nil {
-			return nil, fmt.Errorf("exper: %s/%s: %w", mix.Name, scheme, err)
+			return nil, fmt.Errorf("exper: %s/%s: %w", c.Mix.Name, c.Scheme, err)
 		}
 		run.Values[obj] = v
 	}
 	return run, nil
 }
 
-// RunMix resolves one mix under one scheme (NoPartitioning or a core scheme
-// name) and evaluates all four objectives. Unless the runner was built with
+// RunMix resolves one mix under one policy — any CheckPolicy accepts:
+// NoPartitioning, a core scheme, a heuristic scheduler or fr-fcfs — and
+// evaluates all four objectives. Unless the runner was built with
 // NoMemoize, an identical cell already resolved (by any entry point sharing
 // the cache) is returned as a deep copy, a concurrent identical request joins
 // the in-flight one, and a fresh cell is measured from the mix's shared warm
 // checkpoint.
 func (r *Runner) RunMix(mix workload.Mix, scheme string) (*MixRun, error) {
-	return r.lookup(mix, scheme, true)
+	return r.lookup(GridCell{Mix: mix, Scheme: scheme}, true)
 }
 
 // lookup is the engine's one lookup order for a cell, which every entry
-// point flows through: the in-memory result cache, then the on-disk
+// point and every windowed study flows through: the cell's policy is
+// checked against the registry, then the in-memory result cache, then the on-disk
 // checkpoint store (a disk hit is promoted into the cache under the cell's
 // single-flight key), then — only when simulate is set — a real simulation.
 // Without simulate a cell in neither tier fails with errNotResident and
@@ -473,11 +464,14 @@ func (r *Runner) RunMix(mix workload.Mix, scheme string) (*MixRun, error) {
 // cache is bypassed — a cache hit would silently skip the trace the caller
 // asked for — but warm-base sharing still applies (forked runs emit
 // bit-identical traces).
-func (r *Runner) lookup(mix workload.Mix, scheme string, simulate bool) (*MixRun, error) {
-	load := func() (*MixRun, []byte) { return r.cfg.Checkpoint.load(r, mix, scheme) }
+func (r *Runner) lookup(c GridCell, simulate bool) (*MixRun, error) {
+	if _, err := policyFor(c); err != nil {
+		return nil, err
+	}
+	load := func() (*MixRun, []byte) { return r.cfg.Checkpoint.load(r, c) }
 	var sim func() (*MixRun, error)
 	if simulate {
-		sim = func() (*MixRun, error) { return r.simulateCell(mix, scheme) }
+		sim = func() (*MixRun, error) { return r.simulateCell(c) }
 	}
 	var run *MixRun
 	var err error
@@ -485,7 +479,7 @@ func (r *Runner) lookup(mix workload.Mix, scheme string, simulate bool) (*MixRun
 		run, _, err = resolveCell(r.cfg.Obs, load, sim)
 	} else {
 		var f *cellFlight
-		if f, err = r.cache.flight(cellKey(r.fp, mix, scheme), r.cfg.Obs, load, sim, true); err == nil {
+		if f, err = r.cache.flight(cellKey(r.fp, c), r.cfg.Obs, load, sim, true); err == nil {
 			run = copyMixRun(f.run) // the master is never handed out
 		}
 	}
@@ -496,8 +490,8 @@ func (r *Runner) lookup(mix workload.Mix, scheme string, simulate bool) (*MixRun
 	// labels of an aliased mix (e.g. hetero-5 serving the motivation mix).
 	// Restamp the requested mix's display fields; the benchmark list is equal
 	// by key construction and the simulation never read the labels.
-	run.Mix.Name = mix.Name
-	run.Mix.PaperRSD = mix.PaperRSD
+	run.Mix.Name = c.Mix.Name
+	run.Mix.PaperRSD = c.Mix.PaperRSD
 	return run, nil
 }
 
@@ -506,14 +500,16 @@ func (r *Runner) lookup(mix workload.Mix, scheme string, simulate bool) (*MixRun
 // a cell in flight, simulating or copying. Any other cell fails, as does every
 // cell of a runner without a result cache or with a tracer.
 func (r *Runner) ResidentJSON(mix workload.Mix, scheme string) ([]byte, error) {
-	return r.residentJSON(mix, scheme, r.cfg.Obs, func() (*MixRun, []byte) { return r.cfg.Checkpoint.load(r, mix, scheme) })
+	c := GridCell{Mix: mix, Scheme: scheme}
+	return r.residentJSON(c, r.cfg.Obs, func() (*MixRun, []byte) { return r.cfg.Checkpoint.load(r, c) })
 }
 
 // EncodeCell is encodeRun(run) for a run this runner resolved: the resident
 // cell's stored bytes (a memory probe, uncounted), so a miss answers with what
 // its hits get.
 func (r *Runner) EncodeCell(run *MixRun) ([]byte, error) {
-	if enc, err := r.residentJSON(run.Mix, run.Scheme, nil, func() (*MixRun, []byte) { return nil, nil }); err == nil {
+	c := GridCell{Mix: run.Mix, Scheme: run.Scheme, Shares: run.Shares}
+	if enc, err := r.residentJSON(c, nil, func() (*MixRun, []byte) { return nil, nil }); err == nil {
 		return enc, nil
 	}
 	return encodeRun(run)
@@ -521,18 +517,18 @@ func (r *Runner) EncodeCell(run *MixRun) ([]byte, error) {
 
 // residentJSON is ResidentJSON counted on col, with load as the disk tier. An
 // aliased mix gets a fresh encoding of the master restamped, as lookup does.
-func (r *Runner) residentJSON(mix workload.Mix, scheme string, col *obs.Collector, load func() (*MixRun, []byte)) ([]byte, error) {
+func (r *Runner) residentJSON(c GridCell, col *obs.Collector, load func() (*MixRun, []byte)) ([]byte, error) {
 	if r.cache == nil || r.cfg.Tracer != nil {
 		return nil, errNotResident
 	}
-	key := cellKey(r.fp, mix, scheme)
+	key := cellKey(r.fp, c)
 	f, err := r.cache.flight(key, col, load, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	if f.run.Mix.Name != mix.Name || f.run.Mix.PaperRSD != mix.PaperRSD {
+	if f.run.Mix.Name != c.Mix.Name || f.run.Mix.PaperRSD != c.Mix.PaperRSD {
 		cp := *f.run
-		cp.Mix.Name, cp.Mix.PaperRSD = mix.Name, mix.PaperRSD
+		cp.Mix.Name, cp.Mix.PaperRSD = c.Mix.Name, c.Mix.PaperRSD
 		return encodeRun(&cp)
 	}
 	return r.cache.encoding(key, f, r.cfg.Obs)
@@ -547,12 +543,12 @@ func encodeRun(run *MixRun) ([]byte, error) {
 
 // simulateCell is the last step of the lookup order: a real simulation,
 // persisted to the checkpoint store.
-func (r *Runner) simulateCell(mix workload.Mix, scheme string) (*MixRun, error) {
+func (r *Runner) simulateCell(c GridCell) (*MixRun, error) {
 	r.cfg.Faults.Sleep(faultinject.CellDelay)
 	if r.cfg.Faults.Fire(faultinject.CellPanic) {
-		panic(fmt.Sprintf("injected cell panic (%s/%s)", mix.Name, scheme))
+		panic(fmt.Sprintf("injected cell panic (%s/%s)", c.Mix.Name, c.Scheme))
 	}
-	run, err := r.runCell(mix, scheme)
+	run, err := r.runCell(c)
 	if err != nil {
 		return nil, err
 	}

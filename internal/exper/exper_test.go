@@ -2,6 +2,7 @@ package exper
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -101,6 +102,27 @@ func TestRunMixUnknownScheme(t *testing.T) {
 	mix, _ := workload.MixByName("hetero-5")
 	if _, err := r.RunMix(mix, "bogus"); err == nil {
 		t.Fatal("unknown scheme accepted")
+	}
+	// A name alone cannot select a share-taking policy, and a cell's share
+	// vector must fit its policy and mix.
+	for _, name := range []string{"start-time-fair", "budget"} {
+		if _, err := r.RunMix(mix, name); err == nil {
+			t.Errorf("RunMix(%s) without shares accepted", name)
+		}
+		if err := CheckPolicy(name); err == nil {
+			t.Errorf("CheckPolicy(%s) accepted", name)
+		}
+	}
+	for _, c := range []GridCell{
+		{Mix: mix, Scheme: "equal", Shares: []float64{1, 1, 1, 1}},
+		{Mix: mix, Scheme: "start-time-fair", Shares: []float64{1, 1, 1}},
+		{Mix: mix, Scheme: "start-time-fair", Shares: []float64{math.NaN(), 1, 1, 1}},
+		{Mix: mix, Scheme: "budget", Shares: []float64{1, math.Inf(1), 1, 1}},
+		{Mix: mix, Scheme: "budget", Shares: []float64{1, 0, 1, 1}},
+	} {
+		if _, err := r.cells([]GridCell{c}); err == nil {
+			t.Errorf("cell %s %v accepted", c.Scheme, c.Shares)
+		}
 	}
 }
 
@@ -363,7 +385,7 @@ func TestFigure2ParallelMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := gr.lookup(mix, scheme, false)
+				got, err := gr.lookup(GridCell{Mix: mix, Scheme: scheme}, false)
 				if err != nil {
 					t.Fatalf("%s/%s: the figure did not resolve this cell: %v", mix.Name, scheme, err)
 				}

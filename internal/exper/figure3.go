@@ -2,10 +2,10 @@ package exper
 
 import (
 	"fmt"
+	"slices"
 
 	"bwpart/internal/core"
 	"bwpart/internal/metrics"
-	"bwpart/internal/sim"
 	"bwpart/internal/workload"
 )
 
@@ -22,17 +22,36 @@ func beObjectives() []metrics.Objective {
 // paper's two mixes: hmmer's IPC without management and under the
 // QoS-guaranteed partitioning, and the best-effort group's Hsp, Wsp and
 // IPCsum under each objective's optimal best-effort scheme, normalized to
-// the same group under No_partitioning. Rows are keyed by mix.
+// the same group under No_partitioning. Each QoS-guaranteed partitioning is
+// a start-time-fair cell over its allocation. Rows are keyed by mix.
 func (r *Runner) Figure3() (*Table, error) {
 	mixes := workload.QoSMixes()
 	bases, err := r.RunGrid(r.baseCtx(), mixes, []string{NoPartitioning})
 	if err != nil {
 		return nil, err
 	}
+	guarded := make([]int, len(mixes))
+	var cells []GridCell
+	for i, mix := range mixes {
+		guarded[i] = slices.Index(mix.Benchmarks, "hmmer")
+		if guarded[i] < 0 {
+			return nil, fmt.Errorf("exper: mix %s has no hmmer to guard", mix.Name)
+		}
+		qos, err := r.qosCells(bases[i], guarded[i])
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, qos...)
+	}
+	runs, err := r.cells(cells)
+	if err != nil {
+		return nil, err
+	}
 	t := newTable(fmt.Sprintf("Figure 3: QoS guarantee (hmmer target IPC = %.2f)", QoSTargetIPC),
 		"mix", "hmmer IPC no-part", "hmmer IPC QoS", "BE Hsp (norm)", "BE Wsp (norm)", "BE IPCsum (norm)")
+	per := len(beObjectives())
 	for i, mix := range mixes {
-		cells, err := r.runQoSMix(mix, bases[i])
+		cells, err := qosRow(bases[i], runs[i*per:(i+1)*per], guarded[i])
 		if err != nil {
 			return nil, err
 		}
@@ -41,22 +60,46 @@ func (r *Runner) Figure3() (*Table, error) {
 	return t, nil
 }
 
-// runQoSMix runs the QoS-guaranteed partitionings of one mix against its
-// No_partitioning run and returns the figure's cells for it.
-func (r *Runner) runQoSMix(mix workload.Mix, base *MixRun) ([]cell, error) {
-	guarded := -1
-	for i, b := range mix.Benchmarks {
-		if b == "hmmer" {
-			guarded = i
+// qosCells are one mix's QoS-guaranteed partitionings, one per best-effort
+// objective: the guarded app's target is reserved and the rest split by the
+// objective's optimal scheme, enforced as start-time-fair shares.
+func (r *Runner) qosCells(base *MixRun, guarded int) ([]GridCell, error) {
+	apcAlone, api := base.APCAlone, base.API
+	// Use the throughput the unmanaged system actually sustains as B: the
+	// share a guarantee needs is relative to deliverable service, not the
+	// theoretical bus peak.
+	b := base.Result.TotalAPC
+	guarantees := []core.Guarantee{{App: guarded, TargetIPC: r.qosTarget(apcAlone[guarded], api[guarded])}}
+	var cells []GridCell
+	for _, obj := range beObjectives() {
+		scheme, err := core.OptimalFor(obj)
+		if err != nil {
+			return nil, err
 		}
+		alloc, err := core.QoSAllocate(scheme, apcAlone, api, b, guarantees)
+		if err != nil {
+			return nil, err
+		}
+		var total float64
+		for _, x := range alloc.APCShared {
+			total += x
+		}
+		shares := make([]float64, len(alloc.APCShared))
+		for i, x := range alloc.APCShared {
+			// STF needs strictly positive rates; a starved best-effort app
+			// keeps a vanishing share.
+			shares[i] = max(x/total, 1e-6)
+		}
+		cells = append(cells, GridCell{Mix: base.Mix, Scheme: "start-time-fair", Shares: shares})
 	}
-	if guarded < 0 {
-		return nil, fmt.Errorf("exper: mix %s has no hmmer to guard", mix.Name)
-	}
-	apcAlone, api, ipcAlone := base.APCAlone, base.API, base.IPCAlone
+	return cells, nil
+}
 
-	beIdx := make([]int, 0, len(mix.Benchmarks)-1)
-	for i := range mix.Benchmarks {
+// qosRow is the figure's cells for one mix: its No_partitioning run and its
+// QoS-guaranteed runs in beObjectives order.
+func qosRow(base *MixRun, runs []*MixRun, guarded int) ([]cell, error) {
+	beIdx := make([]int, 0, len(base.Mix.Benchmarks)-1)
+	for i := range base.Mix.Benchmarks {
 		if i != guarded {
 			beIdx = append(beIdx, i)
 		}
@@ -69,31 +112,13 @@ func (r *Runner) runQoSMix(mix workload.Mix, base *MixRun) ([]cell, error) {
 		return out
 	}
 	baseShared := subset(base.Result.IPCs())
-	beAlone := subset(ipcAlone)
-
-	// Use the throughput the unmanaged system actually sustains as B: the
-	// share a guarantee needs is relative to deliverable service, not the
-	// theoretical bus peak.
-	b := base.Result.TotalAPC
-	guarantees := []core.Guarantee{{App: guarded, TargetIPC: r.qosTarget(apcAlone[guarded], api[guarded])}}
+	beAlone := subset(base.IPCAlone)
 
 	var beCells []cell
 	var qosIPCSum float64
-	for _, obj := range beObjectives() {
-		scheme, err := core.OptimalFor(obj)
-		if err != nil {
-			return nil, err
-		}
-		alloc, err := core.QoSAllocate(scheme, apcAlone, api, b, guarantees)
-		if err != nil {
-			return nil, err
-		}
-		run, err := r.runWithShares(mix, alloc.APCShared)
-		if err != nil {
-			return nil, err
-		}
-		shared := subset(run.IPCs())
-		num, err := obj.Eval(shared, beAlone)
+	for oi, obj := range beObjectives() {
+		run := runs[oi].Result
+		num, err := obj.Eval(subset(run.IPCs()), beAlone)
 		if err != nil {
 			return nil, err
 		}
@@ -117,26 +142,4 @@ func (r *Runner) qosTarget(apcAlone, api float64) float64 {
 		return aloneIPC * 0.95
 	}
 	return QoSTargetIPC
-}
-
-// runWithShares simulates the mix with an explicit APC allocation enforced
-// as start-time-fair shares, forking the mix's shared warm base when
-// memoization is on (a cold system otherwise).
-func (r *Runner) runWithShares(mix workload.Mix, apcTargets []float64) (sim.Result, error) {
-	shares := make([]float64, len(apcTargets))
-	var total float64
-	for _, x := range apcTargets {
-		total += x
-	}
-	for i, x := range apcTargets {
-		shares[i] = x / total
-		if shares[i] < 1e-6 {
-			// STF needs strictly positive rates; a starved best-effort app
-			// keeps a vanishing share.
-			shares[i] = 1e-6
-		}
-	}
-	return r.runConfigured(mix, func(sys *sim.System) error {
-		return sys.ApplyShares(shares)
-	})
 }

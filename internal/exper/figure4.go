@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bwpart/internal/metrics"
+	"bwpart/internal/sim"
 	"bwpart/internal/workload"
 )
 
@@ -76,15 +77,21 @@ func (r *Runner) Figure4Scaled(mixes []workload.Mix, factors []int) (*Table, err
 	return t, nil
 }
 
-// scaledRunner builds the sub-runner for one bandwidth scale point.
-// APC_alone depends on the memory system, so profiles cannot be shared
-// across bandwidths. The sub-runner inherits the parent's result cache (its
-// configuration is a copy of the parent's), but its scaled DRAM yields a
-// different fingerprint, so its cells key separately.
-func (r *Runner) scaledRunner(factor int) (*Runner, error) {
+// derived builds a sub-runner whose simulator configuration is the parent's
+// changed by edit: a bandwidth scale point of Figure 4, the open-page
+// ablation, a way quota of the shared-L2 study. APC_alone depends on the
+// simulated system, so it profiles alone and warms bases under its own
+// configuration. It inherits the parent's result cache, checkpoint store and
+// collector, and its cells key under its own fingerprint.
+func (r *Runner) derived(edit func(*sim.Config)) (*Runner, error) {
 	cfg := r.cfg
-	cfg.Sim.DRAM = cfg.Sim.DRAM.ScaleBandwidth(float64(factor))
+	edit(&cfg.Sim)
 	return NewRunner(cfg)
+}
+
+// scaledRunner is the derived runner for one bandwidth scale point.
+func (r *Runner) scaledRunner(factor int) (*Runner, error) {
+	return r.derived(func(c *sim.Config) { c.DRAM = c.DRAM.ScaleBandwidth(float64(factor)) })
 }
 
 // AloneAPCScaling measures how each benchmark's standalone APC grows with

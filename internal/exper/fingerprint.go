@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"strconv"
 	"strings"
 
 	"bwpart/internal/cache"
@@ -152,14 +153,23 @@ func configFingerprint(c Config) string {
 	return f.sum()
 }
 
-// cellKey names one (config, mix, scheme) cell for the in-memory result
+// cellKey names one cell under one configuration for the in-memory result
 // cache. The key is content-addressed: the mix contributes its ordered
 // benchmark list, not its display name, so two differently-named mixes over
 // the same applications (the motivation mix is Table IV's hetero-5) share
 // one cell. The cell executor relabels returned copies with the requested
-// mix's name.
-func cellKey(fp string, mix workload.Mix, scheme string) string {
-	return fp + "/" + strings.Join(mix.Benchmarks, "+") + "/" + scheme
+// mix's name. A share vector appends each share's exact bit pattern, so a
+// plain cell keeps the key it had before cells could carry one.
+func cellKey(fp string, c GridCell) string {
+	key := fp + "/" + strings.Join(c.Mix.Benchmarks, "+") + "/" + c.Scheme
+	if len(c.Shares) == 0 {
+		return key
+	}
+	b := []byte(key)
+	for _, s := range c.Shares {
+		b = strconv.AppendUint(append(b, '/'), math.Float64bits(s), 16)
+	}
+	return string(b)
 }
 
 // mixKey identifies a mix for the prepared-base registry (one warm base per

@@ -2,6 +2,7 @@ package exper
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -81,12 +82,19 @@ func TestCellKeySeparation(t *testing.T) {
 	}
 	fp := configFingerprint(Quick())
 	keys := map[string]bool{
-		cellKey(fp, mixA, "equal"):        true,
-		cellKey(fp, mixA, "square-root"):  true,
-		cellKey(fp, mixB, "equal"):        true,
-		cellKey("otherfp", mixA, "equal"): true,
+		cellKey(fp, GridCell{Mix: mixA, Scheme: "equal"}):        true,
+		cellKey(fp, GridCell{Mix: mixA, Scheme: "square-root"}):  true,
+		cellKey(fp, GridCell{Mix: mixB, Scheme: "equal"}):        true,
+		cellKey("otherfp", GridCell{Mix: mixA, Scheme: "equal"}): true,
 	}
-	if len(keys) != 4 {
+	// A share vector is keyed by its exact bits: two vectors one ulp apart
+	// in one share are two cells.
+	shares := []float64{0.1, 0.2, 0.3, 0.4}
+	nudged := append([]float64(nil), shares...)
+	nudged[2] = math.Nextafter(nudged[2], 1)
+	keys[cellKey(fp, GridCell{Mix: mixA, Scheme: "start-time-fair", Shares: shares})] = true
+	keys[cellKey(fp, GridCell{Mix: mixA, Scheme: "start-time-fair", Shares: nudged})] = true
+	if len(keys) != 6 {
 		t.Errorf("cell keys collide: %v", keys)
 	}
 	hetero5, err := workload.MixByName("hetero-5")
@@ -94,7 +102,7 @@ func TestCellKeySeparation(t *testing.T) {
 		t.Fatal(err)
 	}
 	motivation := workload.MotivationMix()
-	if cellKey(fp, motivation, "equal") != cellKey(fp, hetero5, "equal") {
+	if cellKey(fp, GridCell{Mix: motivation, Scheme: "equal"}) != cellKey(fp, GridCell{Mix: hetero5, Scheme: "equal"}) {
 		t.Error("motivation mix and hetero-5 run the same applications but key separately")
 	}
 	if mixKey(motivation) != mixKey(hetero5) {
@@ -119,16 +127,16 @@ func TestCheckpointPathVersioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := store.cellPath(r, mix, "equal")
+	path := store.cellPath(r, GridCell{Mix: mix, Scheme: "equal"})
 	if want := fmt.Sprintf("v%d-%s-", FingerprintVersion, r.fp[:16]); !strings.HasPrefix(filepath.Base(path), want) {
 		t.Errorf("cell path %q lacks the version tag and fingerprint prefix %q", path, want)
 	}
 	renamed := mix
 	renamed.Name = "some-other-label"
-	if store.cellPath(r, renamed, "equal") != path {
+	if store.cellPath(r, GridCell{Mix: renamed, Scheme: "equal"}) != path {
 		t.Error("cell path depends on the mix's display name")
 	}
-	if store.cellPath(r, mix, "square-root") == path {
+	if store.cellPath(r, GridCell{Mix: mix, Scheme: "square-root"}) == path {
 		t.Error("two schemes share one cell path")
 	}
 }

@@ -14,8 +14,8 @@ import (
 // BusySpanSafe marker: under them the controller stays busy-but-deterministic
 // for long stretches, so this is the path where the cycle-skipping kernel's
 // busy-span integration does real work at the experiment level. Each
-// heuristic runs the full exper measurement pipeline (warmup, settle,
-// measure) under both kernels and both topologies; Result and off-chip
+// heuristic runs as a cell through the exper measurement pipeline (warmup,
+// fork, settle, measure) under both kernels and both topologies; Result and off-chip
 // access trace must match bit for bit.
 func TestExperHeuristicKernelsBitIdentical(t *testing.T) {
 	if testing.Short() {
@@ -25,13 +25,11 @@ func TestExperHeuristicKernelsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profs, err := mix.Profiles()
-	if err != nil {
-		t.Fatal(err)
-	}
 	run := func(t *testing.T, kernel sim.Kernel, shared bool, h string) (sim.Result, []diffTrace) {
 		t.Helper()
 		cfg := Quick()
+		// Alone profiles only feed the objective values, not the run.
+		cfg.ProfileCycles = 20_000
 		cfg.SettleCycles = 30_000
 		cfg.MeasureCycles = 150_000
 		cfg.Sim.Kernel = kernel
@@ -44,15 +42,11 @@ func TestExperHeuristicKernelsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched, err := heuristicFactories(len(profs), cfg.Seed)[h]()
+		run, err := r.RunMix(mix, h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.runRaw(r.cfg.Sim, profs, setScheduler(sched))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, trace
+		return run.Result, trace
 	}
 	for _, shared := range []bool{false, true} {
 		for _, h := range HeuristicNames() {
@@ -66,7 +60,7 @@ func TestExperHeuristicKernelsBitIdentical(t *testing.T) {
 					t.Errorf("%s: traces diverge (naive %d records, skip %d)", h, len(ntr), len(str))
 				}
 				if len(str) == 0 {
-					t.Errorf("%s: empty trace — tracer not wired through runRaw", h)
+					t.Errorf("%s: empty trace — tracer not wired through the cell executor", h)
 				}
 			})
 		}

@@ -342,11 +342,11 @@ func TestCheckpointKeyedLikeMemoryTier(t *testing.T) {
 	}
 	// Even hetero-5's payload planted at the impostor's own path is refused:
 	// its benchmark list is not the requested one.
-	data, err := os.ReadFile(store.cellPath(r, hetero5, "equal"))
+	data, err := os.ReadFile(store.cellPath(r, GridCell{Mix: hetero5, Scheme: "equal"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(store.cellPath(r, impostor, "equal"), data, 0o644); err != nil {
+	if err := os.WriteFile(store.cellPath(r, GridCell{Mix: impostor, Scheme: "equal"}), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := store.Load(r, impostor, "equal"); ok {
@@ -454,7 +454,7 @@ func TestDiskPromotionKeepsFileBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(r1.cfg.Checkpoint.cellPath(r1, mix, "equal"), indented, 0o644); err != nil {
+	if err := os.WriteFile(r1.cfg.Checkpoint.cellPath(r1, GridCell{Mix: mix, Scheme: "equal"}), indented, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r2, col := storeRunner(t, dir)

@@ -326,3 +326,76 @@ func TestHeuristicsSharedBaseMatchesCold(t *testing.T) {
 		t.Errorf("heuristic study on shared warm bases diverges from cold:\nmemo: %s\ncold: %s", wh, ch)
 	}
 }
+
+// TestStudiesRerunFromCells runs every study whose windowed runs are cells
+// — heuristics, enforcement, mechanism, Figure 3, the page-policy ablation
+// and the shared-L2 study, the last two on derived runners — twice on one
+// runner with tiny windows. The second pass must be all result-cache hits:
+// no simulation, no warm-base fork, no settle or measurement window, and the
+// same tables.
+func TestStudiesRerunFromCells(t *testing.T) {
+	cfg := Quick()
+	cfg.Sim.WarmupInstructions = 5_000
+	cfg.ProfileCycles = 20_000
+	cfg.SettleCycles = 2_000
+	cfg.MeasureCycles = 20_000
+	cfg.Obs = obs.NewCollector()
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hetero := workload.HeteroMixes()[:2]
+	homo1, err := workload.MixByName("homo-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	studies := []func() (*Table, error){
+		func() (*Table, error) { return r.RunHeuristics(hetero) },
+		func() (*Table, error) { return r.EnforcementStudy(hetero[:1]) },
+		func() (*Table, error) { return r.MechanismStudy(hetero[:1]) },
+		r.Figure3,
+		func() (*Table, error) { return r.PagePolicyStudy(hetero[:1]) },
+		func() (*Table, error) { return r.SharedL2Study(homo1, [][]int{{2, 2, 2, 2}}) },
+	}
+	pass := func() []string {
+		var out []string
+		for _, study := range studies {
+			tab, err := study()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, tab.String())
+		}
+		return out
+	}
+	stages := func(s obs.Snapshot) map[string]int64 {
+		m := map[string]int64{}
+		for _, st := range s.Stages {
+			m[st.Name] = st.Count
+		}
+		return m
+	}
+	first := pass()
+	before := cfg.Obs.Snapshot()
+	second := pass()
+	after := cfg.Obs.Snapshot()
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("rerun tables differ:\n%s\nvs\n%s", first, second)
+	}
+	if d := after.Cache.Misses - before.Cache.Misses; d != 0 {
+		t.Errorf("rerun simulated %d cells", d)
+	}
+	if d := after.Cache.WarmForks - before.Cache.WarmForks; d != 0 {
+		t.Errorf("rerun forked %d warm bases", d)
+	}
+	b, a := stages(before), stages(after)
+	for _, stage := range []string{obs.StageWarmup, obs.StageSettle, obs.StageMeasure} {
+		if d := a[stage] - b[stage]; d != 0 {
+			t.Errorf("rerun ran %d %s stages", d, stage)
+		}
+	}
+	if before.Cache.Misses == 0 || after.Cache.Hits == before.Cache.Hits {
+		t.Errorf("first pass simulated %d cells, rerun hit %d: the studies bypass the cell cache",
+			before.Cache.Misses, after.Cache.Hits-before.Cache.Hits)
+	}
+}

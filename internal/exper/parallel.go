@@ -166,10 +166,16 @@ func (r *Runner) runBatch(n int, fn func(i int) error) error {
 	return runJobs(r.baseCtx(), r.parallelism(), r.cfg.Obs, n, fn)
 }
 
-// GridCell names one (mix, scheme) point of a sweep grid.
+// GridCell is a cell, the engine's unit of measurement: a mix under a
+// controller policy from the registry (Scheme: NoPartitioning, a core
+// scheme, a heuristic scheduler, fr-fcfs, or a share-taking policy), with an
+// explicit share vector exactly when the policy takes one. Every windowed
+// run — a sweep's grid point or a study's configuration — is a cell, so it
+// is memoized, checkpointed, and forks its mix's warm base.
 type GridCell struct {
 	Mix    workload.Mix
 	Scheme string
+	Shares []float64
 }
 
 // Grid expands mixes x schemes in row-major (mix-major) order.
@@ -189,19 +195,7 @@ func (r *Runner) RunGrid(ctx context.Context, mixes []workload.Mix, schemes []st
 	return r.RunGridEach(ctx, mixes, schemes, nil)
 }
 
-// RunGridEach resolves every cell of Grid(mixes, schemes). Every cell takes
-// the same lookup order as RunMix (see Runner.lookup). A first pass resolves
-// the resident cells — memory or disk tier — on the calling goroutine, so a
-// grid that is entirely resident profiles, pins, forks, and dispatches
-// nothing. Only the cells left over are simulated: grid points sharing a mix
-// share one warm base from the prepared-mix registry, and finished cells
-// persist through Config.Checkpoint. They are dispatched in mix-groups no
-// larger than the registry's warm-base capacity: each group's bases are
-// prepared in parallel and pinned, the group's cells — across all of its
-// mixes — fork and measure in parallel, then the pins drop. So a
-// thousand-mix sweep holds a bounded number of warm systems while still
-// keeping every worker busy.
-//
+// RunGridEach resolves every cell of Grid(mixes, schemes) through runCells.
 // each, when non-nil, is called exactly once per delivered cell with the
 // cell's index in the grid, from whichever goroutine resolved it (the caller
 // for a resident cell, a pool worker for a simulated one), so it must be safe
@@ -209,7 +203,28 @@ func (r *Runner) RunGrid(ctx context.Context, mixes []workload.Mix, schemes []st
 // RunGridEach returns. Results arrive in deterministic row-major order
 // matching Grid(mixes, schemes). ctx cancels the sweep between simulations.
 func (r *Runner) RunGridEach(ctx context.Context, mixes []workload.Mix, schemes []string, each func(cell int, run *MixRun)) ([]*MixRun, error) {
-	cells := Grid(mixes, schemes)
+	return r.runCells(ctx, Grid(mixes, schemes), each)
+}
+
+// cells resolves a study's cells through runCells on the runner's base
+// context.
+func (r *Runner) cells(cells []GridCell) ([]*MixRun, error) {
+	return r.runCells(r.baseCtx(), cells, nil)
+}
+
+// runCells resolves every cell, in order, each taking the same lookup order
+// as RunMix (see Runner.lookup). A first pass resolves the resident
+// cells — memory or disk tier — on the calling goroutine, so a batch that is
+// entirely resident profiles, pins, forks, and dispatches nothing. Only the
+// cells left over are simulated: cells sharing a mix share one warm base from
+// the prepared-mix registry, and finished cells persist through
+// Config.Checkpoint. They are dispatched in mix-groups no larger than the
+// registry's warm-base capacity: each group's bases are prepared in parallel
+// and pinned, the group's cells — across all of its mixes — fork and measure
+// in parallel, then the pins drop. So a thousand-mix sweep holds a bounded
+// number of warm systems while still keeping every worker busy. each is
+// RunGridEach's callback, with indices into cells.
+func (r *Runner) runCells(ctx context.Context, cells []GridCell, each func(cell int, run *MixRun)) ([]*MixRun, error) {
 	results := make([]*MixRun, len(cells))
 	deliver := func(ci int, run *MixRun) {
 		results[ci] = run
@@ -218,10 +233,10 @@ func (r *Runner) RunGridEach(ctx context.Context, mixes []workload.Mix, schemes 
 		}
 	}
 	var missing []int
-	for i, cell := range cells {
+	for i, c := range cells {
 		// Any failure — not resident, or a joined simulation that failed —
 		// sends the cell to the simulation phases, which report it.
-		if run, err := r.lookup(cell.Mix, cell.Scheme, false); err == nil {
+		if run, err := r.lookup(c, false); err == nil {
 			deliver(i, run)
 		} else {
 			missing = append(missing, i)
@@ -232,30 +247,28 @@ func (r *Runner) RunGridEach(ctx context.Context, mixes []workload.Mix, schemes 
 	}
 
 	// Only mixes with missing cells need alone profiles and a warmed base.
-	needIdx := make([]int, 0, len(mixes))
-	seen := make(map[int]bool, len(mixes))
-	byMix := make(map[int][]int, len(mixes)) // mix index -> missing cell indices
+	var needMixes []workload.Mix
+	byMix := make(map[string][]int) // mixKey -> missing cell indices
 	for _, ci := range missing {
-		mi := ci / len(schemes)
-		if !seen[mi] {
-			seen[mi] = true
-			needIdx = append(needIdx, mi)
+		key := mixKey(cells[ci].Mix)
+		if byMix[key] == nil {
+			needMixes = append(needMixes, cells[ci].Mix)
 		}
-		byMix[mi] = append(byMix[mi], ci)
+		byMix[key] = append(byMix[key], ci)
 	}
 	var benchmarks []string
-	for _, mi := range needIdx {
-		benchmarks = append(benchmarks, mixes[mi].Benchmarks...)
+	for _, mix := range needMixes {
+		benchmarks = append(benchmarks, mix.Benchmarks...)
 	}
 	if err := r.warmAloneCache(ctx, benchmarks); err != nil {
 		return nil, err
 	}
 
 	measure := func(ci int) error {
-		cell := cells[ci]
-		run, err := r.RunMix(cell.Mix, cell.Scheme)
+		c := cells[ci]
+		run, err := r.lookup(c, true)
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", cell.Mix.Name, cell.Scheme, err)
+			return fmt.Errorf("%s/%s: %w", c.Mix.Name, c.Scheme, err)
 		}
 		deliver(ci, run)
 		return nil
@@ -269,16 +282,16 @@ func (r *Runner) RunGridEach(ctx context.Context, mixes []workload.Mix, schemes 
 	}
 
 	groupSize := r.prepared.cap
-	for start := 0; start < len(needIdx); start += groupSize {
-		group := needIdx[start:min(start+groupSize, len(needIdx))]
+	for start := 0; start < len(needMixes); start += groupSize {
+		group := needMixes[start:min(start+groupSize, len(needMixes))]
 
 		// Pin (and prepare, first time) the group's warm bases in parallel,
 		// so the group's cells never race to re-warm an evicted base.
 		releases := make([]func(), len(group))
 		err := runJobs(ctx, r.parallelism(), nil, len(group), func(k int) error {
-			_, release, err := r.prepared.acquire(mixes[group[k]])
+			_, release, err := r.prepared.acquire(group[k])
 			if err != nil {
-				return fmt.Errorf("%s: %w", mixes[group[k]].Name, err)
+				return fmt.Errorf("%s: %w", group[k].Name, err)
 			}
 			releases[k] = release
 			return nil
@@ -295,9 +308,9 @@ func (r *Runner) RunGridEach(ctx context.Context, mixes []workload.Mix, schemes 
 			return nil, err
 		}
 
-		groupCells := make([]int, 0, len(group)*len(schemes))
-		for _, mi := range group {
-			groupCells = append(groupCells, byMix[mi]...)
+		var groupCells []int
+		for _, mix := range group {
+			groupCells = append(groupCells, byMix[mixKey(mix)]...)
 		}
 		err = runJobs(ctx, r.parallelism(), r.cfg.Obs, len(groupCells), func(k int) error {
 			return measure(groupCells[k])

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"bwpart/internal/core"
-	"bwpart/internal/memctrl"
 	"bwpart/internal/metrics"
 	"bwpart/internal/sim"
 	"bwpart/internal/workload"
@@ -23,45 +22,53 @@ func (r *Runner) SharedL2Study(mix workload.Mix, quotas [][]int) (*Table, error)
 	if len(quotas) == 0 {
 		return nil, errors.New("exper: no quota points")
 	}
-	profs, err := mix.Profiles()
-	if err != nil {
-		return nil, err
-	}
 	t := newTable(fmt.Sprintf("Shared-L2 extension (footnote 1) on %s: API vs way partition", mix.Name),
 		"quota", "app", "API (equal shares)", "API (partitioned)", "Hsp part/base")
 	worst := 0.0
 	for _, quota := range quotas {
-		if len(quota) != len(profs) {
-			return nil, fmt.Errorf("exper: quota %v for %d apps", quota, len(profs))
+		if len(quota) != len(mix.Benchmarks) {
+			return nil, fmt.Errorf("exper: quota %v for %d apps", quota, len(mix.Benchmarks))
+		}
+		sub, err := r.derived(func(c *sim.Config) {
+			c.SharedL2 = true
+			c.L2WayQuota = quota
+			// A 512 KB shared L2: small enough that a single way (64 KB)
+			// cannot hold an application's L2-resident working set, so the
+			// capacity share visibly moves API — the effect the footnote
+			// describes.
+			c.L2.SizeBytes = 512 << 10
+		})
+		if err != nil {
+			return nil, err
 		}
 		// Phase 1: measure API_shared under equal bandwidth shares, so every
 		// application makes progress (an unmanaged FCFS baseline can starve
 		// the latency-sensitive app outright, leaving nothing to measure).
-		sysCfg := r.sharedL2Config(quota)
-		base, err := r.runSharedOnce(sysCfg, profs, nil, nil)
+		base, err := sub.RunMix(mix, "equal")
 		if err != nil {
 			return nil, err
 		}
-		apiShared := base.APIs()
-		baselineIPC := base.IPCs()
+		apiShared := base.Result.APIs()
+		baselineIPC := base.Result.IPCs()
 
 		// Phase 2: apply proportional bandwidth partitioning fed by the
 		// measured shared-topology characteristics, and re-measure API: the
 		// footnote's invariance claim says it should match.
-		apc := base.APCs()
-		api := base.APIs()
+		apc := base.Result.APCs()
 		for i := range apc {
 			if apc[i] <= 0 {
 				apc[i] = 1e-6
 			}
-			if api[i] <= 0 {
-				api[i] = 1e-6
-			}
 		}
-		part, err := r.runSharedOnce(sysCfg, profs, apc, api)
+		shares, err := core.Proportional().Shares(apc)
 		if err != nil {
 			return nil, err
 		}
+		partRun, err := sub.lookup(GridCell{Mix: mix, Scheme: "start-time-fair", Shares: shares}, true)
+		if err != nil {
+			return nil, err
+		}
+		part := partRun.Result
 		apiPart := part.APIs()
 
 		// Hsp of the partitioned run vs the FCFS baseline, using the
@@ -70,10 +77,7 @@ func (r *Runner) SharedL2Study(mix workload.Mix, quotas [][]int) (*Table, error)
 		// starved by the baseline gets a floor so the ratio stays finite.
 		ref := make([]float64, len(baselineIPC))
 		for i, v := range baselineIPC {
-			if v < 1e-6 {
-				v = 1e-6
-			}
-			ref[i] = v
+			ref[i] = max(v, 1e-6)
 		}
 		hspPart, err := metrics.Hsp(part.IPCs(), ref)
 		if err != nil {
@@ -104,35 +108,4 @@ func (r *Runner) SharedL2Study(mix workload.Mix, quotas [][]int) (*Table, error)
 	}
 	t.note("max API deviation under bandwidth partitioning: %.1f%%", 100*worst)
 	return t, nil
-}
-
-func (r *Runner) sharedL2Config(quota []int) sim.Config {
-	cfg := r.cfg.Sim
-	cfg.SharedL2 = true
-	cfg.L2WayQuota = quota
-	// A 512 KB shared L2: small enough that a single way (64 KB) cannot
-	// hold an application's L2-resident working set, so the capacity share
-	// visibly moves API — the effect the footnote describes.
-	cfg.L2.SizeBytes = 512 << 10
-	return cfg
-}
-
-// runSharedOnce runs the shared-L2 system; when apc/api are non-nil it
-// applies square-root partitioning derived from them, otherwise equal
-// bandwidth shares (a progress-guaranteeing baseline for measuring API).
-func (r *Runner) runSharedOnce(cfg sim.Config, profs []workload.Profile, apc, api []float64) (sim.Result, error) {
-	return r.runRaw(cfg, profs, func(sys *sim.System) error {
-		if apc != nil {
-			return sys.ApplyScheme(core.Proportional(), apc, api)
-		}
-		shares := make([]float64, len(profs))
-		for i := range shares {
-			shares[i] = 1 / float64(len(profs))
-		}
-		stf, err := memctrl.NewStartTimeFair(shares)
-		if err != nil {
-			return err
-		}
-		return sys.Controller().SetScheduler(stf)
-	})
 }

@@ -78,7 +78,7 @@ func BenchmarkSweep(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := applyScheme(sys, scheme, apcAlone, api); err != nil {
+				if err := policies[scheme].apply(sys, policyArgs{apcAlone: apcAlone, api: api}); err != nil {
 					b.Fatal(err)
 				}
 				r.measure(sys)

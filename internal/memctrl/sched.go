@@ -228,9 +228,8 @@ func (s *StartTimeFair) SetShares(shares []float64) error {
 	return nil
 }
 
-// shareTotal is the sum of a share vector whose every share is positive and
-// finite (NaN and ±Inf compare false against zero, so a sign test alone
-// lets them through) and whose sum is finite.
+// shareTotal sums a share vector after checking every share and the sum are
+// positive and finite (a sign test alone lets NaN through).
 func shareTotal(shares []float64) (float64, error) {
 	var total float64
 	for _, b := range shares {

@@ -46,7 +46,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bwpart/internal/core"
 	"bwpart/internal/exper"
 	"bwpart/internal/faultinject"
 	"bwpart/internal/obs"
@@ -429,7 +428,7 @@ func clientID(r *http.Request) string {
 	return host
 }
 
-// resolve validates mix and scheme names at admission time, so malformed
+// resolve validates mix and policy names at admission time, so malformed
 // requests are refused with 400 instead of wasting a queue slot.
 func resolve(mixNames, schemes []string) ([]workload.Mix, error) {
 	if len(mixNames) == 0 || len(schemes) == 0 {
@@ -444,10 +443,7 @@ func resolve(mixNames, schemes []string) ([]workload.Mix, error) {
 		mixes[i] = m
 	}
 	for _, scheme := range schemes {
-		if scheme == exper.NoPartitioning {
-			continue
-		}
-		if _, err := core.ByName(scheme); err != nil {
+		if err := exper.CheckPolicy(scheme); err != nil {
 			return nil, err
 		}
 	}

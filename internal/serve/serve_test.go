@@ -598,8 +598,9 @@ func TestServeCancelQueuedJob(t *testing.T) {
 	}
 }
 
-// TestServeBadRequests pins the 4xx surface: unknown names and malformed
-// parameters are refused at admission, never queued.
+// TestServeBadRequests pins the 4xx surface: unknown names, share-taking
+// policies and malformed parameters are refused at admission, never queued,
+// while any other registered policy (a heuristic here) is served.
 func TestServeBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	for name, tc := range map[string]struct {
@@ -612,6 +613,10 @@ func TestServeBadRequests(t *testing.T) {
 		"bad scale":      {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "equal", Scale: -2}, http.StatusBadRequest},
 		"huge scale":     {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "equal", Scale: 1e300}, http.StatusBadRequest},
 		"empty grid":     {"/v1/grid", GridRequest{}, http.StatusBadRequest},
+		// The share-taking policies need a share vector no request carries.
+		"share policy":      {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "start-time-fair"}, http.StatusBadRequest},
+		"share policy grid": {"/v1/grid", GridRequest{Mixes: []string{"hetero-1"}, Schemes: []string{"budget"}}, http.StatusBadRequest},
+		"heuristic":         {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "stfm"}, http.StatusOK},
 	} {
 		resp := postJSON(t, ts.Client(), ts.URL+tc.path, tc.body, nil)
 		if resp.StatusCode != tc.want {
@@ -627,8 +632,9 @@ func TestServeBadRequests(t *testing.T) {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
 	}
 	resp.Body.Close()
-	if got := s.Obs().Snapshot().Admission.Accepted; got != 0 {
-		t.Errorf("bad requests were admitted: accepted = %d", got)
+	// Only the heuristic request may be admitted.
+	if got := s.Obs().Snapshot().Admission.Accepted; got != 1 {
+		t.Errorf("bad requests were admitted: accepted = %d, want 1", got)
 	}
 }
 
