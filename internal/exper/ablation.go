@@ -78,7 +78,7 @@ func (r *Runner) MechanismStudy(mixes []workload.Mix) (*Table, error) {
 		}
 		cells[i] = GridCell{Mix: mix, Scheme: "budget", Shares: shares}
 	}
-	budget, err := r.cells(cells)
+	budget, err := r.runCells(r.baseCtx(), cells, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func (r *Runner) EnforcementStudy(mixes []workload.Mix) (*Table, error) {
 		}
 		shareCells[i] = GridCell{Mix: run.Mix, Scheme: "start-time-fair", Shares: shares}
 	}
-	shared, err := r.cells(shareCells)
+	shared, err := r.runCells(r.baseCtx(), shareCells, nil)
 	if err != nil {
 		return nil, err
 	}

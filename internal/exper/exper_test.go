@@ -120,7 +120,7 @@ func TestRunMixUnknownScheme(t *testing.T) {
 		{Mix: mix, Scheme: "budget", Shares: []float64{1, math.Inf(1), 1, 1}},
 		{Mix: mix, Scheme: "budget", Shares: []float64{1, 0, 1, 1}},
 	} {
-		if _, err := r.cells([]GridCell{c}); err == nil {
+		if _, err := r.lookup(c, true); err == nil {
 			t.Errorf("cell %s %v accepted", c.Scheme, c.Shares)
 		}
 	}

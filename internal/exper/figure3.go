@@ -43,7 +43,7 @@ func (r *Runner) Figure3() (*Table, error) {
 		}
 		cells = append(cells, qos...)
 	}
-	runs, err := r.cells(cells)
+	runs, err := r.runCells(r.baseCtx(), cells, nil)
 	if err != nil {
 		return nil, err
 	}

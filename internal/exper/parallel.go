@@ -206,12 +206,6 @@ func (r *Runner) RunGridEach(ctx context.Context, mixes []workload.Mix, schemes 
 	return r.runCells(ctx, Grid(mixes, schemes), each)
 }
 
-// cells resolves a study's cells through runCells on the runner's base
-// context.
-func (r *Runner) cells(cells []GridCell) ([]*MixRun, error) {
-	return r.runCells(r.baseCtx(), cells, nil)
-}
-
 // runCells resolves every cell, in order, each taking the same lookup order
 // as RunMix (see Runner.lookup). A first pass resolves the resident
 // cells — memory or disk tier — on the calling goroutine, so a batch that is
