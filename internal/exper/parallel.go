@@ -14,7 +14,7 @@ import (
 	"bwpart/internal/workload"
 )
 
-// Simulations of distinct (mix, scheme) pairs are independent, so the big
+// Simulations of distinct cells are independent, so the big
 // sweeps fan out across a bounded worker pool. Determinism is preserved:
 // each simulation is seeded independently of scheduling order, results are
 // keyed by job index, and a failing sweep always reports the lowest-index
