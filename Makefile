@@ -14,8 +14,9 @@
 # tolerance against those committed reports — run it alongside `make check`
 # before sending a performance-sensitive PR. Absolute ns/op are a record, not a
 # gate: compare them with bench/run.sh (interleaved pairs, medians).
-# `make loc` prints the size figures CHANGES.md and ROADMAP.md quote, and
-# `make testtime` the tier-1 suite's wall time per package.
+# `make loc` prints the size figures CHANGES.md and ROADMAP.md quote (package
+# sizes, checkpoint code, flags), and `make testtime` the tier-1 suite's wall
+# time per package.
 
 GO ?= go
 
@@ -148,11 +149,13 @@ bench-check:
 
 # loc prints the size figures quoted in CHANGES.md and ROADMAP.md: non-test Go
 # lines per package outside bench/ (plain line counts, comments included) with
-# their total, and the number of flag definitions under cmd/.
+# their total, the checkpoint code (the lines of every internal/*/snapshot.go),
+# and the number of flag definitions under cmd/.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" { sub(/^\.\//, "", $$2); sub(/\/?[^\/]*$$/, "", $$2); \
 		n[$$2 == "" ? "." : $$2] += $$1; t += $$1 } END { for (p in n) printf "%6d %s\n", n[p], p; printf "%6d total\n", t }' | sort -k2
+	@printf '%6d checkpoint code (internal/*/snapshot.go)\n' "$$(cat internal/*/snapshot.go | wc -l)"
 	@printf '%6d flags under cmd/\n' "$$(grep -rhoE 'flag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func)[A-Za-z]*\(' cmd --include='*.go' | wc -l)"
 
 # testtime runs the tier-1 suite once, uncached, and prints every package's

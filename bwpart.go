@@ -292,6 +292,8 @@ func Studies() []Study { return exper.Studies() }
 // System via sys.Controller().SetScheduler).
 type (
 	// MemScheduler is the memory controller scheduling-policy interface.
+	// It is sealed: the policies constructed below are its only
+	// implementations.
 	MemScheduler = memctrl.Scheduler
 	// STFM is stall-time fair memory scheduling (Mutlu & Moscibroda '07).
 	STFM = memctrl.STFM

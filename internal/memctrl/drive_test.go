@@ -3,6 +3,8 @@ package memctrl
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"bwpart/internal/dram"
@@ -30,7 +32,8 @@ type schedCase struct {
 	mk   func(t *testing.T) Scheduler
 }
 
-// diffSchedulers enumerates every scheduler under test.
+// diffSchedulers enumerates every scheduler under test: each policy once,
+// write-drain over FR-FCFS, and write-drain over PARBS.
 func diffSchedulers(numApps int) []schedCase {
 	shares := make([]float64, numApps)
 	order := make([]int, numApps)
@@ -80,6 +83,16 @@ func diffSchedulers(numApps int) []schedCase {
 			s, err := NewPARBS(numApps, 5)
 			return must(t, s, err)
 		}},
+		// WriteDrain issues non-head entries, so this is the one shape in
+		// which PARBS-marked entries leave a queue out of order.
+		{"writedrain-parbs", func(t *testing.T) Scheduler {
+			p, err := NewPARBS(numApps, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewWriteDrain(p, 12, 4)
+			return must(t, s, err)
+		}},
 	}
 }
 
@@ -119,6 +132,9 @@ type diffDriver struct {
 	r            *rand.Rand
 	addr         []uint64
 	issues, done []issueRec
+	// retired is the completion tracer's stream. Unlike done it covers
+	// writes and requests restored without a Done callback.
+	retired []issueRec
 }
 
 func newDiffDriver(numApps int, seed int64) *diffDriver {
@@ -129,10 +145,13 @@ func newDiffDriver(numApps int, seed int64) *diffDriver {
 	return d
 }
 
-// attach records c's issue stream into the driver.
+// attach records c's issue and completion streams into the driver.
 func (d *diffDriver) attach(c *Controller) {
 	c.SetTracer(func(cycle int64, app int, addr uint64, write bool) {
 		d.issues = append(d.issues, issueRec{cycle, app, addr, write})
+	})
+	c.SetCompletionTracer(func(cycle int64, app int, addr uint64, write bool) {
+		d.retired = append(d.retired, issueRec{cycle, app, addr, write})
 	})
 }
 
@@ -197,15 +216,11 @@ func diffDrive(t *testing.T, c *Controller, numApps int, seed int64, cycles int6
 	return d.issues, d.done, c.Stats()
 }
 
-// restoreInto snapshots c and its device and restores both into a fresh
+// restoreInto restores st and a snapshot of c's device into a fresh
 // controller over a fresh device. Captured requests resolve to new requests
-// without Done callbacks; the counters under test do not read them.
-func restoreInto(t *testing.T, c *Controller, policy dram.PagePolicy) *Controller {
+// without Done callbacks, so forks are compared by the completion tracer.
+func restoreInto(t *testing.T, st *ControllerState, c *Controller, policy dram.PagePolicy) *Controller {
 	t.Helper()
-	st, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
 	dev := testDevice(t, policy)
 	if err := dev.Restore(c.Device().Snapshot()); err != nil {
 		t.Fatal(err)
@@ -223,11 +238,106 @@ func restoreInto(t *testing.T, c *Controller, policy dram.PagePolicy) *Controlle
 	return fork
 }
 
+// forkRun is what a controller did from a snapshot on, and its final policy.
+type forkRun struct {
+	issues, retired []issueRec
+	stats           []AppStats
+	sched           Scheduler
+}
+
+// branch returns a driver that has recorded nothing and continues d's
+// address streams under a fresh seed.
+func (d *diffDriver) branch(seed int64) *diffDriver {
+	return &diffDriver{r: rand.New(rand.NewSource(seed)), addr: slices.Clone(d.addr)}
+}
+
+// finish drives c from cycle from to cycle to, drains it, and returns what
+// d recorded with c's final stats and policy.
+func (d *diffDriver) finish(t *testing.T, c *Controller, from, to int64) forkRun {
+	t.Helper()
+	d.attach(c)
+	for cyc := from; cyc < to; cyc++ {
+		d.step(t, c, cyc)
+	}
+	d.drain(t, c, to)
+	return forkRun{d.issues, d.retired, c.Stats(), c.Scheduler()}
+}
+
+// twinDrive drives a controller under first for two phases of phase cycles,
+// swapping in swap (when non-nil) between them, and restores a Snapshot
+// taken after them into a fresh controller over a fresh device;
+// afterSnapshot (when non-nil) sees the live controller between the
+// Snapshot and the Restore. It then drives the live controller, and after
+// it the restored one, through the same third phase and drain, and returns
+// what each did from the snapshot on. The queued-write counters are checked
+// after every cycle.
+func twinDrive(t *testing.T, policy dram.PagePolicy, numApps int, seed, phase int64,
+	first, swap Scheduler, afterSnapshot func(live *Controller)) (live, fork forkRun) {
+	t.Helper()
+	c, err := New(testDevice(t, policy), numApps, 0, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDiffDriver(numApps, seed)
+	cyc := int64(0)
+	for ; cyc < phase; cyc++ {
+		d.step(t, c, cyc)
+	}
+	if swap != nil {
+		if err := c.SetScheduler(swap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ; cyc < 2*phase; cyc++ {
+		d.step(t, c, cyc)
+	}
+	if c.Pending() == 0 {
+		t.Fatal("nothing queued at the snapshot — workload broken")
+	}
+	st := c.Snapshot()
+	if afterSnapshot != nil {
+		afterSnapshot(c)
+	}
+	restored := restoreInto(t, st, c, policy)
+	checkQueuedWrites(t, restored, cyc)
+	live = d.branch(seed+1).finish(t, c, cyc, 3*phase)
+	fork = d.branch(seed+1).finish(t, restored, cyc, 3*phase)
+	if len(live.issues) == 0 {
+		t.Fatal("controller issued nothing after the snapshot — workload broken")
+	}
+	return live, fork
+}
+
+// checkTwins fails the test when a restored controller's run diverged from
+// its twin's, naming the first differing record.
+func checkTwins(t *testing.T, fork, twin forkRun) {
+	t.Helper()
+	for _, s := range []struct {
+		what       string
+		fork, twin []issueRec
+	}{{"issue", fork.issues, twin.issues}, {"completion", fork.retired, twin.retired}} {
+		for i := 0; i < len(s.fork) && i < len(s.twin); i++ {
+			if s.fork[i] != s.twin[i] {
+				t.Fatalf("%s %d: fork %+v, twin %+v", s.what, i, s.fork[i], s.twin[i])
+			}
+		}
+		if len(s.fork) != len(s.twin) {
+			t.Fatalf("%s trace: fork %d records, twin %d", s.what, len(s.fork), len(s.twin))
+		}
+	}
+	if !slices.Equal(fork.stats, twin.stats) {
+		t.Fatalf("stats: fork %+v, twin %+v", fork.stats, twin.stats)
+	}
+}
+
 // TestIndexedPickMatchesReference checks, for every scheduler, page policy
-// and app count, that the queued-write counter behind WriteDrain's
-// watermark equals a full-queue count after every driven cycle — through a
-// mid-run SetScheduler swap to the next policy of the table, a Snapshot
-// restored into a fresh controller, and the final drain.
+// and app count, that a controller restored from a mid-run Snapshot
+// continues exactly as the unforked controller it was taken from, under the
+// same input: the same issue trace, completion-tracer stream and Stats.
+// The live controller runs first, so a snapshot that aliased its state
+// would diverge. Before the snapshot the drive swaps to the next policy of
+// the table, and the queued-write counter behind WriteDrain's watermark
+// must equal a full-queue count after every driven cycle.
 func TestIndexedPickMatchesReference(t *testing.T) {
 	const phase = int64(12_000)
 	for _, policy := range []dram.PagePolicy{dram.OpenPage, dram.ClosePage} {
@@ -238,38 +348,123 @@ func TestIndexedPickMatchesReference(t *testing.T) {
 				for seed := int64(1); seed <= 3; seed++ {
 					name := fmt.Sprintf("%s/policy=%v/apps=%d/seed=%d", sc.name, policy, numApps, seed)
 					t.Run(name, func(t *testing.T) {
-						c, err := New(testDevice(t, policy), numApps, 0, sc.mk(t))
-						if err != nil {
-							t.Fatal(err)
-						}
-						d := newDiffDriver(numApps, seed)
-						d.attach(c)
-						cyc := int64(0)
-						for ; cyc < phase; cyc++ {
-							d.step(t, c, cyc)
-						}
-						if err := c.SetScheduler(next.mk(t)); err != nil {
-							t.Fatal(err)
-						}
-						for ; cyc < 2*phase; cyc++ {
-							d.step(t, c, cyc)
-						}
-						if c.Pending() == 0 {
-							t.Fatal("nothing queued at the snapshot — workload broken")
-						}
-						fork := restoreInto(t, c, policy)
-						checkQueuedWrites(t, fork, cyc)
-						d.attach(fork)
-						for ; cyc < 3*phase; cyc++ {
-							d.step(t, fork, cyc)
-						}
-						d.drain(t, fork, cyc)
-						if len(d.issues) == 0 {
-							t.Fatal("controller issued nothing — workload broken")
-						}
+						live, fork := twinDrive(t, policy, numApps, seed, phase, sc.mk(t), next.mk(t), nil)
+						checkTwins(t, fork, live)
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestRestoreKeepsSnapshotShares changes the live StartTimeFair's shares
+// right after Snapshot. The restored controller must keep the shares the
+// snapshot saw and continue as the fork of a controller whose shares never
+// changed; a clone that aliased the share vector would pick up the change.
+func TestRestoreKeepsSnapshotShares(t *testing.T) {
+	const numApps, phase = 3, int64(8_000)
+	shares := []float64{0.6, 0.3, 0.1}
+	for _, policy := range []dram.PagePolicy{dram.OpenPage, dram.ClosePage} {
+		t.Run(policy.String(), func(t *testing.T) {
+			mk := func() Scheduler {
+				s, err := NewStartTimeFair(shares)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			want := mk().(*StartTimeFair).Shares()
+			_, untouched := twinDrive(t, policy, numApps, 7, phase, mk(), nil, nil)
+			live, fork := twinDrive(t, policy, numApps, 7, phase, mk(), nil, func(live *Controller) {
+				if err := live.Scheduler().(*StartTimeFair).SetShares([]float64{0.1, 0.3, 0.6}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if slices.Equal(live.issues, untouched.issues) {
+				t.Fatal("the new shares changed no pick — test broken")
+			}
+			if got := fork.sched.(*StartTimeFair).Shares(); !slices.Equal(got, want) {
+				t.Fatalf("restored controller has shares %v, the snapshot saw %v", got, want)
+			}
+			checkTwins(t, fork, untouched)
+		})
+	}
+}
+
+// TestOneCheckpointSeedsManyForks restores two controllers from one
+// Snapshot in turn and drives each through the same workload. The second
+// must repeat the first: the first fork's run may not reach the
+// checkpoint's copy of the policy.
+func TestOneCheckpointSeedsManyForks(t *testing.T) {
+	const numApps, phase = 3, int64(6_000)
+	for _, sc := range diffSchedulers(numApps) {
+		t.Run(sc.name, func(t *testing.T) {
+			c, err := New(testDevice(t, dram.OpenPage), numApps, 0, sc.mk(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := newDiffDriver(numApps, 1)
+			for cyc := int64(0); cyc < phase; cyc++ {
+				d.step(t, c, cyc)
+			}
+			st := c.Snapshot()
+			var runs [2]forkRun
+			for i := range runs {
+				runs[i] = d.branch(2).finish(t, restoreInto(t, st, c, dram.OpenPage), phase, 2*phase)
+			}
+			checkTwins(t, runs[1], runs[0])
+		})
+	}
+}
+
+// TestCloneSharesNoMemory holds every scheduler's clone to the checkpoint
+// contract: after a drive that fills the policy's state, the clone is
+// deeply equal to the original, and none of its slices or pointers reaches
+// the original's memory.
+func TestCloneSharesNoMemory(t *testing.T) {
+	const numApps = 3
+	for _, sc := range diffSchedulers(numApps) {
+		t.Run(sc.name, func(t *testing.T) {
+			c, err := New(testDevice(t, dram.OpenPage), numApps, 0, sc.mk(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffDrive(t, c, numApps, 1, 5_000)
+			orig := c.Scheduler()
+			clone := orig.clone()
+			if !reflect.DeepEqual(clone, orig) {
+				t.Fatalf("clone %+v differs from the original %+v", clone, orig)
+			}
+			checkNoSharing(t, reflect.ValueOf(orig), reflect.ValueOf(clone), sc.name)
+		})
+	}
+}
+
+// checkNoSharing walks a and b, values of one type, and fails the test where
+// a non-empty slice or a pointer to a non-zero-size value has the same
+// address in both.
+func checkNoSharing(t *testing.T, a, b reflect.Value, path string) {
+	t.Helper()
+	switch a.Kind() {
+	case reflect.Pointer:
+		if a.IsNil() || a.Type().Elem().Size() == 0 {
+			return
+		}
+		if a.Pointer() == b.Pointer() {
+			t.Errorf("%s: clone shares the pointer", path)
+		}
+		checkNoSharing(t, a.Elem(), b.Elem(), path)
+	case reflect.Slice:
+		if a.Cap() > 0 && a.Pointer() == b.Pointer() {
+			t.Errorf("%s: clone shares the backing array", path)
+		}
+	case reflect.Interface:
+		if !a.IsNil() {
+			checkNoSharing(t, a.Elem(), b.Elem(), path)
+		}
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			checkNoSharing(t, a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name)
 		}
 	}
 }

@@ -342,13 +342,23 @@ func (t *TCM) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 // parallelism); batched requests strictly precede unbatched ones.
 
 // PARBS is the batch scheduler.
+//
+// A batch marks a prefix of each app queue, and entries only ever leave a
+// queue (new arrivals take larger sequence numbers), so the marked entries
+// of app a are exactly its queued entries with seq <= edge[a]. This holds
+// even when entries leave out of order, as under WriteDrain: a marked entry
+// that leaves is counted off in OnIssue, and an unmarked one was never in
+// the set. Marks are thus plain values, copied with the scheduler.
 type PARBS struct {
 	// MarkingCap is the maximum requests marked per application per batch
 	// (paper: 5).
 	MarkingCap int
 
-	marked      map[*Entry]bool
-	markedCount []int
+	// edge[a] is the sequence number of app a's last marked entry; the
+	// initial 0 marks nothing, as sequence numbers start at 1.
+	edge        []int64
+	markedCount []int // marked entries still queued, per app
+	marked      int   // sum of markedCount; a new batch forms at 0
 	rank        []int
 }
 
@@ -362,7 +372,7 @@ func NewPARBS(numApps, markingCap int) (*PARBS, error) {
 	}
 	return &PARBS{
 		MarkingCap:  markingCap,
-		marked:      make(map[*Entry]bool),
+		edge:        make([]int64, numApps),
 		markedCount: make([]int, numApps),
 		rank:        make([]int, numApps),
 	}, nil
@@ -375,15 +385,19 @@ func (*PARBS) HeadOnly() bool { return true }
 // and drain via OnIssue; there are no wall-clock quanta at all.
 func (*PARBS) BusySpanSafe() bool { return true }
 
+// isMarked reports whether e, queued for app a, belongs to the current batch.
+func (p *PARBS) isMarked(e *Entry, a int) bool { return e.seq <= p.edge[a] }
+
 func (p *PARBS) OnIssue(e *Entry) {
-	if p.marked[e] {
-		delete(p.marked, e)
-		p.markedCount[e.Req.App]--
+	if a := e.Req.App; p.isMarked(e, a) {
+		p.markedCount[a]--
+		p.marked--
 	}
 }
 
 // newBatch marks up to MarkingCap oldest requests per app and ranks apps by
-// marked count ascending (shortest first).
+// marked count ascending (shortest first). It runs only once the previous
+// batch has fully drained, so no queued entry is marked yet.
 func (p *PARBS) newBatch(c *Controller) {
 	for a := range c.queues {
 		q := &c.queues[a]
@@ -391,13 +405,11 @@ func (p *PARBS) newBatch(c *Controller) {
 		if n > p.MarkingCap {
 			n = p.MarkingCap
 		}
-		for i := 0; i < n; i++ {
-			e := q.at(i)
-			if !p.marked[e] {
-				p.marked[e] = true
-				p.markedCount[a]++
-			}
+		if n > 0 {
+			p.edge[a] = q.at(n - 1).seq
 		}
+		p.markedCount[a] = n
+		p.marked += n
 	}
 	// Rank by marked count ascending; ties by app index.
 	n := len(p.rank)
@@ -416,7 +428,7 @@ func (p *PARBS) newBatch(c *Controller) {
 }
 
 func (p *PARBS) Pick(now int64, c *Controller, dev *dram.Device) Pick {
-	if len(p.marked) == 0 && c.queued > 0 {
+	if p.marked == 0 && c.queued > 0 {
 		p.newBatch(c)
 	}
 	var bestMarked, bestUnmarked *Entry
@@ -426,7 +438,7 @@ func (p *PARBS) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 		if e == nil {
 			continue
 		}
-		if p.marked[e] {
+		if p.isMarked(e, app) {
 			r := p.rank[app]
 			if bestMarked == nil || r < bestRank || (r == bestRank && e.seq < bestMarked.seq) {
 				bestMarked, bestRank = e, r

@@ -3,6 +3,7 @@ package memctrl
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bwpart/internal/dram"
@@ -287,16 +288,7 @@ func TestPriorityValidation(t *testing.T) {
 }
 
 func TestFRFCFSPrefersRowHits(t *testing.T) {
-	dev := testDevice(t, dram.OpenPage)
-	c, _ := New(dev, 2, 0, NewFRFCFS(8))
-	cfg := dev.Config()
-	var order []string
-	mk := func(name string, app int, addr uint64) *mem.Request {
-		return &mem.Request{App: app, Addr: addr, Done: func(int64) { order = append(order, name) }}
-	}
-	// Open a row for app 0 by serving one access, then enqueue: an older
-	// row-miss (app 1, same bank different row) and a younger row-hit
-	// (app 0). FR-FCFS must serve the row hit first.
+	cfg := testDevice(t, dram.OpenPage).Config()
 	base := uint64(0)
 	co := cfg.Decode(base)
 	sameRowNext := base + uint64(cfg.LineBytes*cfg.Ranks*cfg.BanksPerRank) // next col, same row/bank
@@ -307,15 +299,56 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 	if c3 := cfg.Decode(otherRow); c3.Row == co.Row || cfg.GlobalBank(c3) != cfg.GlobalBank(co) {
 		t.Fatalf("address math wrong for other row: %+v vs %+v", co, c3)
 	}
-
-	c.Access(0, mk("warm", 0, base))
-	cyc := run(c, 0, 1000)
-	c.Access(cyc, mk("miss-old", 1, otherRow))
-	c.Access(cyc+1, mk("hit-young", 0, sameRowNext))
-	run(c, cyc, 5000)
-	want := []string{"warm", "hit-young", "miss-old"}
-	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
-		t.Fatalf("order = %v, want %v", order, want)
+	type arrival struct {
+		name string
+		app  int
+		addr uint64
+	}
+	// Each case opens base's row for app 0 by serving one access, then
+	// enqueues its arrivals one cycle apart.
+	for _, tc := range []struct {
+		name  string
+		depth int
+		queue []arrival
+		want  []string
+	}{
+		// An older row miss (app 1, same bank different row) and a younger
+		// row hit (app 0): the row hit is served first.
+		{"younger-hit", 8,
+			[]arrival{{"miss-old", 1, otherRow}, {"hit-young", 0, sameRowNext}},
+			[]string{"warm", "hit-young", "miss-old"}},
+		// Depth 0 scans the whole queue: the row hit at depth 1 of app 0's
+		// queue is served before the row-miss head in front of it.
+		{"depth-0-whole-queue", 0,
+			[]arrival{{"miss-head", 0, otherRow}, {"hit-deep", 0, sameRowNext}},
+			[]string{"warm", "hit-deep", "miss-head"}},
+		// Depth 1 sees heads only, so the same queue is served in order.
+		{"depth-1-heads-only", 1,
+			[]arrival{{"miss-head", 0, otherRow}, {"hit-deep", 0, sameRowNext}},
+			[]string{"warm", "miss-head", "hit-deep"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(testDevice(t, dram.OpenPage), 2, 0, NewFRFCFS(tc.depth))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var order []string
+			access := func(cyc int64, a arrival) {
+				done := func(int64) { order = append(order, a.name) }
+				if !c.Access(cyc, &mem.Request{App: a.app, Addr: a.addr, Done: done}) {
+					t.Fatalf("%s refused", a.name)
+				}
+			}
+			access(0, arrival{"warm", 0, base})
+			cyc := run(c, 0, 1000)
+			for i, a := range tc.queue {
+				access(cyc+int64(i), a)
+			}
+			run(c, cyc, 5000)
+			if !slices.Equal(order, tc.want) {
+				t.Fatalf("order = %v, want %v", order, tc.want)
+			}
+		})
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 
 // Scheduler selects which queued request the controller issues next.
 // Implementations live in this package and read the controller's queues
-// directly. Pick must only return entries whose bank is ready at now.
+// directly. Pick must only return entries whose bank is ready at now. The
+// interface is sealed by clone, the checkpoint contract (snapshot.go).
 type Scheduler interface {
 	// Pick returns the chosen entry (Pick.Entry nil when none issuable).
 	Pick(now int64, c *Controller, dev *dram.Device) Pick
@@ -23,6 +24,10 @@ type Scheduler interface {
 	// are bank-blocked.
 	HeadOnly() bool
 	Name() string
+	// clone returns a copy of the policy's configuration and state that
+	// shares no memory with the receiver. Controller.Snapshot stores one and
+	// Restore installs a clone of it.
+	clone() Scheduler
 }
 
 // IdleSkipSafeScheduler is the opt-in marker for the cycle-skipping
@@ -122,8 +127,8 @@ func (*FCFS) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 // FRFCFS prioritizes row-buffer hits over older row misses.
 type FRFCFS struct {
 	// MaxScanDepth bounds how deep into each app queue the row-hit scan
-	// looks (0 = heads only). Real controllers have bounded associative
-	// search over the request buffer.
+	// looks; 0 or less scans the whole queue. Real controllers have bounded
+	// associative search over the request buffer.
 	MaxScanDepth int
 }
 

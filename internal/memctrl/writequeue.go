@@ -37,9 +37,11 @@ func NewWriteDrain(inner Scheduler, highWatermark, drainTo int) (*WriteDrain, er
 
 func (w *WriteDrain) Name() string { return w.inner.Name() + "+write-drain" }
 
-// HeadOnly defers to the inner policy; the class filter only ever skips
-// candidates, which is safe for the controller's head-only fast path
-// exactly when the inner policy's is.
+// HeadOnly is false whatever the inner policy: pickClass issues an app's
+// oldest entry of the wanted class, which need not be its head, and the
+// controller's head-only paths (the nextTry gate, earliestIssueCycle) watch
+// only the heads' banks, so they would sleep through a non-head entry
+// becoming issuable.
 func (w *WriteDrain) HeadOnly() bool { return false }
 
 func (w *WriteDrain) OnIssue(e *Entry) { w.inner.OnIssue(e) }

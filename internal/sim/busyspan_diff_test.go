@@ -28,7 +28,10 @@ var busyFuzzPool = []string{
 // spans all three span contracts: idle-skip-safe (FCFS, FR-FCFS,
 // StartTimeFair, Priority, BudgetThrottle, WriteDrain over a safe inner),
 // busy-span-safe (STFM, ATLAS, TCM, PARBS), and no contract at all
-// (WriteDrain over STFM, exercised by TestKernelUnsafeSchedulerFallsBack).
+// (WriteDrain over PARBS, the one shape in which batch-marked entries leave
+// a queue out of order; WriteDrain over STFM is exercised by
+// TestKernelUnsafeSchedulerFallsBack). New entries go last: the fuzz seed
+// corpus and the per-cell case streams are drawn in list order.
 func busySchedulers(numApps int) []struct {
 	name string
 	mk   func(t *testing.T) memctrl.Scheduler
@@ -84,6 +87,14 @@ func busySchedulers(numApps int) []struct {
 			s, err := memctrl.NewPARBS(numApps, 5)
 			return mustSched(t, s, err)
 		}},
+		{"writedrain-parbs", func(t *testing.T) memctrl.Scheduler {
+			p, err := memctrl.NewPARBS(numApps, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := memctrl.NewWriteDrain(p, 12, 4)
+			return mustSched(t, s, err)
+		}},
 	}
 }
 
@@ -122,11 +133,11 @@ func (fc busyFuzzCase) kernelCase(shared bool, policy dram.PagePolicy,
 	}
 }
 
-// TestBusySpanKernelFuzz is the randomized differential fuzz across all ten
-// schedulers x both topologies x both page policies: each combination gets
-// deterministic pseudo-random system configurations, and the cycle-skipping
-// kernel must reproduce the naive loop's Result, issue trace, and
-// completion trace bit for bit.
+// TestBusySpanKernelFuzz is the randomized differential fuzz across all
+// eleven scheduler configurations x both topologies x both page policies:
+// each combination gets deterministic pseudo-random system configurations,
+// and the cycle-skipping kernel must reproduce the naive loop's Result,
+// issue trace, and completion trace bit for bit.
 func TestBusySpanKernelFuzz(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential fuzz is slow")

@@ -64,21 +64,16 @@ type Checkpoint struct {
 // Cycle returns the simulated cycle at which the checkpoint was taken.
 func (cp *Checkpoint) Cycle() int64 { return cp.now }
 
-// Snapshot captures the system's complete simulation state. It fails when
-// the installed scheduler or a workload stream does not implement the
-// checkpoint contract.
+// Snapshot captures the system's complete simulation state. It fails when a
+// workload stream does not implement the checkpoint contract.
 func (s *System) Snapshot() (*Checkpoint, error) {
-	ctrlSt, err := s.ctrl.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
 	cp := &Checkpoint{
 		now:             s.now,
 		statsStart:      s.statsStart,
 		busBusyAtReset:  s.busBusyAtReset,
 		devStatsAtReset: s.devStatsAtReset,
 		dev:             s.dev.Snapshot(),
-		ctrl:            ctrlSt,
+		ctrl:            s.ctrl.Snapshot(),
 	}
 	for i := range s.cores {
 		cs, ok := s.specs[i].Stream.(checkpointStream)

@@ -14,7 +14,7 @@ import (
 // spans the checkpoint-relevant shapes: stateless (FCFS), idle-skip-safe
 // with writeback class state (WriteDrain+FR-FCFS), float tag
 // state (StartTimeFair), time-anchored fallback state (STFM), an RNG stream
-// (TCM), and live entry references (PARBS).
+// (TCM), and per-app batch marks (PARBS).
 type snapshotSched struct {
 	name   string
 	shared bool // also exercise the shared-L2 topology
