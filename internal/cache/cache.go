@@ -245,6 +245,12 @@ func (c *Cache) AccountRejects(app int, n int64) {
 	c.stats.Rejects += n
 }
 
+// Resident implements mem.ResidencyProber: whether addr's line is resident,
+// so an Access to it would hit. It reads the tag array and nothing else.
+func (c *Cache) Resident(addr uint64) bool {
+	return c.lookup(c.lineAddr(addr)) != nil
+}
+
 // Touch installs addr's line functionally for fast-forward cache warmup
 // before timed simulation (see engine.touchResident).
 func (c *Cache) Touch(addr uint64, write bool) {

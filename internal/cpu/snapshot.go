@@ -151,6 +151,9 @@ func (c *Core) Restore(st *CoreState) error {
 	}
 	c.loadSeq = st.loadSeq
 	c.stats = st.stats
+	// A snapshot is taken between Run calls, where the core has run ahead
+	// of nothing: the restored core may tick at any cycle.
+	c.ahead, c.open = 0, false
 	return nil
 }
 

@@ -77,6 +77,18 @@ func (d *Device) refreshDelay(co Coord, start int64) int64 {
 	return start
 }
 
+// MinLatency is the fewest cycles from an Issue to the completion cycle it
+// returns: a column access to an open row on a free bus outside refresh,
+// plus the activate close-page always pays. An Issue at cycle t never
+// completes before t+MinLatency.
+func (d *Device) MinLatency() int64 {
+	lat := d.t.CL + d.t.Burst
+	if d.cfg.Policy == ClosePage {
+		lat += d.t.TRCD
+	}
+	return lat
+}
+
 // RowHit reports whether an access to co would hit the currently open row
 // (always false under close-page policy).
 func (d *Device) RowHit(co Coord) bool {

@@ -103,6 +103,18 @@ type RejectAccounter interface {
 	AccountRejects(app int, n int64)
 }
 
+// ResidencyProber is the run-ahead contract for hits: a Port additionally
+// implementing it reports whether an Access to addr would hit right now,
+// without touching any state. A hit that needs no callback — an InPlace
+// load or a posted store — changes only state private to the port (LRU
+// order, counters) and wakes nobody, so a requester that knows nothing else
+// reaches the port before a given cycle may issue such hits ahead of the
+// cycle they belong to, and stop at the first access the probe does not
+// clear.
+type ResidencyProber interface {
+	Resident(addr uint64) bool
+}
+
 // Waker is the handle a simulation kernel attaches to a component it may
 // leave unticked through a skippable span. The component calls Wake on its
 // own handle at the top of every entry point another component can reach

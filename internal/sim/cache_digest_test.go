@@ -40,11 +40,17 @@ type halvesKernelStats struct {
 	Before, After []string
 }
 
-// kernelLines renders ks as one line for the run and one per component.
+// kernelLines renders ks as one line for the run and one per component; a
+// core's line adds its run-ahead counters when it has any (wake kernel).
 func kernelLines(ks KernelStats) []string {
 	out := []string{fmt.Sprintf("cycles %d ticked %d leapt %d", ks.Cycles, ks.Ticked, ks.Leapt)}
 	for _, c := range ks.Components {
-		out = append(out, fmt.Sprintf("%s ticks %d slept %d pokes %d", c.Name, c.Ticks, c.Slept, c.Pokes))
+		line := fmt.Sprintf("%s ticks %d slept %d pokes %d", c.Name, c.Ticks, c.Slept, c.Pokes)
+		if sp := c.Spans; sp != (SpanStops{}) {
+			line += fmt.Sprintf(" ahead %d spans miss %d stall %d refresh %d horizon %d end %d",
+				c.Ahead, sp.Miss, sp.Stall, sp.Refresh, sp.Horizon, sp.RunEnd)
+		}
+		out = append(out, line)
 	}
 	return out
 }

@@ -27,6 +27,7 @@ type kernelCase struct {
 	queueCap int
 	seed     int64
 	prefetch int // L2PrefetchDepth
+	l1MSHRs  int // overrides Config.L1.MSHRs when positive
 	l2MSHRs  int // overrides Config.L2.MSHRs when positive
 	sched    func(t *testing.T) memctrl.Scheduler
 	// settle and measure are the two timed phases (ResetStats in between).
@@ -65,6 +66,9 @@ func buildCase(t *testing.T, kernel Kernel, kc kernelCase) *System {
 	cfg.L2PrefetchDepth = kc.prefetch
 	if kc.seed != 0 {
 		cfg.Seed = kc.seed
+	}
+	if kc.l1MSHRs > 0 {
+		cfg.L1.MSHRs = kc.l1MSHRs
 	}
 	if kc.l2MSHRs > 0 {
 		cfg.L2.MSHRs = kc.l2MSHRs
