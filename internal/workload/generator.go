@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"bwpart/internal/cpu"
 	"bwpart/internal/xrand"
@@ -41,8 +42,9 @@ type Generator struct {
 	memProb  float64
 	coldProb float64
 	// gapLogDenom is log(1-memProb), the constant denominator of drawGap's
-	// geometric inversion.
+	// geometric inversion; gaps is its bucket table (nil when memProb is 1).
 	gapLogDenom float64
+	gaps        *gapTable
 
 	seqPtr uint64
 }
@@ -64,6 +66,9 @@ func NewGenerator(p Profile, app int, seed int64) (*Generator, error) {
 		coldProb: p.ColdPerKI / p.MemRefsPerKI,
 	}
 	g.gapLogDenom = math.Log(1 - g.memProb)
+	if g.memProb < 1 {
+		g.gaps = gapTableFor(g.gapLogDenom)
+	}
 	g.gap = g.drawGap()
 	return g, nil
 }
@@ -74,13 +79,69 @@ func (g *Generator) drawGap() int {
 	if g.memProb >= 1 {
 		return 0
 	}
-	u := g.rng.Float64()
+	// The 53 bits of a Float64 draw; most buckets of them invert to one gap.
+	m := g.rng.Uint64() >> 11
+	if gap := g.gaps[m>>(53-gapBucketBits)]; gap >= 0 {
+		return int(gap)
+	}
+	u := float64(m) / (1 << 53)
 	// Geometric via inversion; mean (1-p)/p.
 	gap := int(math.Log(1-u) / g.gapLogDenom)
 	if gap < 0 {
 		gap = 0
 	}
 	return gap
+}
+
+// gapBucketBits is how many leading bits of drawGap's 53-bit uniform draw
+// index its gapTable.
+const gapBucketBits = 10
+
+// gapTable holds, for each of the 1<<gapBucketBits equal slices of drawGap's
+// uniform draw u, the gap every u in the slice inverts to, or -1 when the
+// slice straddles a gap boundary (or its gap exceeds an int16) and the draw
+// must be inverted through math.Log. Looking a draw up is thus
+// bit-identical to inverting it: the table only answers where the
+// inversion is provably constant.
+type gapTable [1 << gapBucketBits]int16
+
+// gapSlack widens each slice's inverted range, relatively and absolutely,
+// far beyond the few ulps by which math.Log, the division and the
+// table-building arithmetic may each miss the exact inversion.
+const gapSlack = 1e-9
+
+// newGapTable builds the table for the denominator log(1-memProb) < 0. The
+// exact inversion log(1-u)/denom is increasing in u, so a slice's draws
+// land between the inversions of its first and last u; when one gap covers
+// both with gapSlack to spare, it covers every draw in between.
+func newGapTable(denom float64) *gapTable {
+	t := new(gapTable)
+	for b := range t {
+		lo := float64(b) / (1 << gapBucketBits)
+		hi := float64(b+1)/(1<<gapBucketBits) - 1.0/(1<<53)
+		vlo := math.Log1p(-lo) / denom
+		vhi := math.Log1p(-hi) / denom
+		g := max(math.Floor(vlo*(1-gapSlack)-gapSlack), 0)
+		if g != max(math.Floor(vhi*(1+gapSlack)+gapSlack), 0) || g > math.MaxInt16 {
+			t[b] = -1
+			continue
+		}
+		t[b] = int16(g)
+	}
+	return t
+}
+
+// gapTables shares one gapTable per denominator across generators: the
+// table is read-only once built.
+var gapTables sync.Map // math.Float64bits(denom) -> *gapTable
+
+func gapTableFor(denom float64) *gapTable {
+	key := math.Float64bits(denom)
+	if t, ok := gapTables.Load(key); ok {
+		return t.(*gapTable)
+	}
+	t, _ := gapTables.LoadOrStore(key, newGapTable(denom))
+	return t.(*gapTable)
 }
 
 // Profile returns the generator's profile.
@@ -99,6 +160,14 @@ func (g *Generator) Next() cpu.Instr {
 		return cpu.Instr{Mem: true, Cold: true, Write: g.isWrite(), Addr: g.coldAddr()}
 	}
 	return cpu.Instr{Mem: true, Write: g.isWrite(), Addr: g.warmAddr()}
+}
+
+// SkipGap implements cpu.GapStream: it consumes up to n of the non-memory
+// instructions left before the next reference.
+func (g *Generator) SkipGap(n int) int {
+	n = min(n, g.gap)
+	g.gap -= n
+	return n
 }
 
 func (g *Generator) isWrite() bool {
@@ -174,9 +243,11 @@ type Toucher interface {
 // mirrors the paper's atomic-mode fast-forward before timed simulation.
 func (g *Generator) Warmup(t Toucher, n int64) {
 	for i := int64(0); i < n; i++ {
-		in := g.Next()
-		if in.Mem {
-			t.Touch(in.Addr, in.Write)
+		if k := g.SkipGap(int(min(n-i, math.MaxInt32))); k > 0 {
+			i += int64(k) - 1
+			continue
 		}
+		in := g.Next()
+		t.Touch(in.Addr, in.Write)
 	}
 }

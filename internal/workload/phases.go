@@ -62,6 +62,19 @@ func (g *PhasedGenerator) Next() cpu.Instr {
 	return in
 }
 
+// SkipGap implements cpu.GapStream: the active phase's non-memory run,
+// cut at the phase's end as Next would switch there.
+func (g *PhasedGenerator) SkipGap(n int) int {
+	n = g.gens[g.current].SkipGap(int(min(int64(n), g.remaining)))
+	g.remaining -= int64(n)
+	if g.remaining <= 0 {
+		g.current = (g.current + 1) % len(g.phases)
+		g.remaining = g.phases[g.current].Instructions
+		g.switches++
+	}
+	return n
+}
+
 // CurrentPhase returns the index of the active phase.
 func (g *PhasedGenerator) CurrentPhase() int { return g.current }
 
