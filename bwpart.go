@@ -66,8 +66,6 @@ type (
 type (
 	// SimConfig describes the simulated CMP (cores, caches, DRAM).
 	SimConfig = sim.Config
-	// Kernel selects the simulation main-loop implementation.
-	Kernel = sim.Kernel
 	// DRAMConfig describes the DRAM geometry and timing.
 	DRAMConfig = dram.Config
 	// System is an assembled CMP running one application per core.
@@ -231,16 +229,6 @@ func IPCSum(shared []float64) (float64, error)             { return metrics.IPCS
 func MinFairness(shared, alone []float64) (float64, error) { return metrics.MinFairness(shared, alone) }
 
 // Simulation entry points.
-
-// Simulation kernels (SimConfig.Kernel).
-const (
-	// KernelCycleSkipping leaps over quiescent spans; bit-identical to the
-	// naive loop and the default.
-	KernelCycleSkipping = sim.KernelCycleSkipping
-	// KernelNaive ticks every component every cycle: the reference loop, a
-	// test oracle; no CLI selects it.
-	KernelNaive = sim.KernelNaive
-)
 
 // DefaultSimConfig returns the paper's baseline system (Table II).
 func DefaultSimConfig() SimConfig { return sim.DefaultConfig() }

@@ -41,15 +41,6 @@ func (q *Queue) At(cycle int64, fn func()) {
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.h) }
 
-// NextCycle returns the cycle of the earliest pending event and whether one
-// exists.
-func (q *Queue) NextCycle() (int64, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].cycle, true
-}
-
 // RunUntil executes, in order, every event scheduled at or before cycle.
 // Events may schedule further events; those are honored if they also fall at
 // or before cycle.

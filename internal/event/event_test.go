@@ -7,9 +7,6 @@ func TestZeroValueUsable(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatal("zero queue not empty")
 	}
-	if _, ok := q.NextCycle(); ok {
-		t.Fatal("NextCycle on empty queue reported an event")
-	}
 	q.RunUntil(100) // must not panic
 }
 
@@ -68,15 +65,5 @@ func TestPastEventFiresOnNextRun(t *testing.T) {
 	q.RunUntil(0)
 	if !fired {
 		t.Fatal("past-scheduled event did not fire")
-	}
-}
-
-func TestNextCycle(t *testing.T) {
-	var q Queue
-	q.At(42, func() {})
-	q.At(7, func() {})
-	c, ok := q.NextCycle()
-	if !ok || c != 7 {
-		t.Fatalf("NextCycle = %d, %v; want 7, true", c, ok)
 	}
 }

@@ -38,10 +38,6 @@ func (h *Heap[T]) Pop() T {
 // Len returns the number of elements.
 func (h Heap[T]) Len() int { return len(h) }
 
-// Peek returns the minimum element without removing it. The heap must be
-// non-empty.
-func (h Heap[T]) Peek() T { return h[0] }
-
 // Clone returns an independent copy of the heap in the same array order.
 // Copying the backing array verbatim preserves the heap invariant, so a
 // checkpoint can store the clone and a restore can install it directly

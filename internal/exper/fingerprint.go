@@ -22,10 +22,6 @@ import (
 // FingerprintVersion is folded in (and stamped into checkpoint file names)
 // so any change to the encoding or to the simulator's result semantics
 // invalidates old checkpoints as ordinary cache misses.
-//
-// Deliberately excluded: Sim.Kernel. It selects an execution strategy that
-// is bit-identical by contract (enforced by the kernel differential suites),
-// so cells recorded under one kernel are valid under the other.
 
 // FingerprintVersion tags the canonical cell encoding. Bump it whenever the
 // fingerprint encoding or the meaning of a recorded cell changes.

@@ -4,17 +4,20 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"bwpart/internal/dram"
-	"bwpart/internal/sim"
 	"bwpart/internal/workload"
 )
 
 // TestFingerprintCanonical pins the fingerprint's two contracts: identical
 // configurations collide (stably, across Runner instances) and every
-// result-affecting knob separates.
+// result-affecting knob separates. The knobs are the hand-listed mutations
+// below plus every field of sim.Config, found by reflection down to the
+// leaves of its DRAM, cache, core and power configurations, so a field added
+// later cannot be left out of the cell key unnoticed.
 func TestFingerprintCanonical(t *testing.T) {
 	base := configFingerprint(Quick())
 	if again := configFingerprint(Quick()); again != base {
@@ -53,18 +56,53 @@ func TestFingerprintCanonical(t *testing.T) {
 		}
 		seen[fp] = m.name
 	}
-}
 
-// TestFingerprintKernelInvariant documents the deliberate exclusion: the
-// simulation kernels are bit-identical by contract (the differential suites
-// enforce it), so cells recorded under one are served under the other.
-func TestFingerprintKernelInvariant(t *testing.T) {
-	base := Quick()
-	naive := Quick()
-	naive.Sim.Kernel = sim.KernelNaive
-	if configFingerprint(base) != configFingerprint(naive) {
-		t.Error("kernel choice changed the fingerprint; kernels are bit-identical and must share cells")
+	// perturb changes every leaf under v in turn, and requires each change
+	// to move the fingerprint of cfg, of which v is a part. A nil pointer
+	// is first set to its zero value, which must move it too, and then
+	// walked.
+	cfg := Quick()
+	var perturb func(path string, v reflect.Value)
+	perturb = func(path string, v reflect.Value) {
+		before := configFingerprint(cfg)
+		moved := func() {
+			if configFingerprint(cfg) == before {
+				t.Errorf("changing %s leaves the fingerprint as it was", path)
+			}
+		}
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		defer v.Set(old)
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := range v.NumField() {
+				perturb(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+			return
+		case reflect.Pointer:
+			if !v.IsNil() {
+				t.Fatalf("%s: Quick sets it; the walk expects nil", path)
+			}
+			v.Set(reflect.New(v.Type().Elem()))
+			moved()
+			perturb(path, v.Elem())
+			return
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 1)
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Slice:
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+		default:
+			t.Fatalf("%s: no perturbation for a %s field", path, v.Kind())
+		}
+		moved()
 	}
+	perturb("Sim", reflect.ValueOf(&cfg.Sim).Elem())
 }
 
 // TestCellKeySeparation checks the in-memory cache key separates benchmark

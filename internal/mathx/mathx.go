@@ -9,7 +9,7 @@ import (
 )
 
 // ErrEmpty is returned by reductions over empty slices where no neutral
-// element exists (e.g. Min, Max, RSD).
+// element exists (e.g. Mean, RSD).
 var ErrEmpty = errors.New("mathx: empty input")
 
 // Sum returns the Kahan-compensated sum of xs. For the short vectors used in
@@ -32,64 +32,6 @@ func Mean(xs []float64) (float64, error) {
 		return 0, ErrEmpty
 	}
 	return Sum(xs) / float64(len(xs)), nil
-}
-
-// HarmonicMean returns the harmonic mean of xs. Any non-positive element
-// makes the harmonic mean undefined and yields an error.
-func HarmonicMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var inv float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("mathx: harmonic mean of non-positive value")
-		}
-		inv += 1 / x
-	}
-	return float64(len(xs)) / inv, nil
-}
-
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	mean, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs))), nil
 }
 
 // SampleStdDev returns the sample (n-1 denominator) standard deviation.
@@ -159,18 +101,6 @@ func OnSimplex(xs []float64, eps float64) bool {
 	return math.Abs(Sum(xs)-1) <= eps
 }
 
-// Dot returns the dot product of a and b. The slices must be equal length.
-func Dot(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, errors.New("mathx: dot of unequal lengths")
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s, nil
-}
-
 // AllPositive reports whether every element of xs is strictly positive and
 // finite.
 func AllPositive(xs []float64) bool {
@@ -202,21 +132,6 @@ func ApproxEqual(a, b, absTol, relTol float64) bool {
 	}
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= relTol*scale
-}
-
-// GeoMean returns the geometric mean of xs; all elements must be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("mathx: geometric mean of non-positive value")
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
 }
 
 // MeanStd returns the mean and sample standard deviation of xs (std 0 for

@@ -37,71 +37,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestHarmonicMean(t *testing.T) {
-	got, err := HarmonicMean([]float64{1, 1, 1})
-	if err != nil || got != 1 {
-		t.Fatalf("HarmonicMean(1,1,1) = %v, %v", got, err)
-	}
-	got, err = HarmonicMean([]float64{2, 2})
-	if err != nil || got != 2 {
-		t.Fatalf("HarmonicMean(2,2) = %v, %v", got, err)
-	}
-	// Classic: harmonic mean of 1 and 3 is 1.5.
-	got, err = HarmonicMean([]float64{1, 3})
-	if err != nil || !ApproxEqual(got, 1.5, 1e-12, 0) {
-		t.Fatalf("HarmonicMean(1,3) = %v, %v; want 1.5", got, err)
-	}
-	if _, err := HarmonicMean([]float64{1, 0}); err == nil {
-		t.Fatal("HarmonicMean with zero should error")
-	}
-	if _, err := HarmonicMean(nil); err == nil {
-		t.Fatal("HarmonicMean(nil) should error")
-	}
-}
-
-func TestHarmonicLEArithmetic(t *testing.T) {
-	// AM-HM inequality, checked over random positive vectors.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(8)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = 0.1 + r.Float64()*10
-		}
-		hm, err1 := HarmonicMean(xs)
-		am, err2 := Mean(xs)
-		return err1 == nil && err2 == nil && hm <= am+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	mn, err := Min(xs)
-	if err != nil || mn != -1 {
-		t.Fatalf("Min = %v, %v", mn, err)
-	}
-	mx, err := Max(xs)
-	if err != nil || mx != 7 {
-		t.Fatalf("Max = %v, %v", mx, err)
-	}
-	if _, err := Min(nil); err == nil {
-		t.Fatal("Min(nil) should error")
-	}
-	if _, err := Max(nil); err == nil {
-		t.Fatal("Max(nil) should error")
-	}
-}
-
-func TestStdDevConstant(t *testing.T) {
-	sd, err := StdDev([]float64{5, 5, 5, 5})
-	if err != nil || sd != 0 {
-		t.Fatalf("StdDev(const) = %v, %v; want 0", sd, err)
-	}
-}
-
 func TestRSDKnownValue(t *testing.T) {
 	// Values 2,4,4,4,5,5,7,9: mean 5, sum of squared deviations 32,
 	// sample stddev sqrt(32/7) => RSD = 100*sqrt(32/7)/5.
@@ -195,16 +130,6 @@ func TestOnSimplex(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	got, err := Dot([]float64{1, 2}, []float64{3, 4})
-	if err != nil || got != 11 {
-		t.Fatalf("Dot = %v, %v", got, err)
-	}
-	if _, err := Dot([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("Dot of unequal lengths should error")
-	}
-}
-
 func TestAllPositive(t *testing.T) {
 	if !AllPositive([]float64{1, 2}) {
 		t.Fatal("AllPositive(1,2) = false")
@@ -235,37 +160,6 @@ func TestApproxEqual(t *testing.T) {
 	}
 	if ApproxEqual(1, 2, 1e-9, 1e-9) {
 		t.Fatal("1 != 2")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	gm, err := GeoMean([]float64{1, 4})
-	if err != nil || !ApproxEqual(gm, 2, 1e-12, 0) {
-		t.Fatalf("GeoMean(1,4) = %v, %v; want 2", gm, err)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Fatal("GeoMean with zero should error")
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Fatal("GeoMean(nil) should error")
-	}
-}
-
-func TestGeoMeanBetweenHarmonicAndArithmetic(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(6)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = 0.5 + r.Float64()*4
-		}
-		hm, _ := HarmonicMean(xs)
-		gm, _ := GeoMean(xs)
-		am, _ := Mean(xs)
-		return hm <= gm+1e-9 && gm <= am+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -50,10 +50,10 @@ func NewBudgetThrottle(shares []float64, periodCycles int64) (*BudgetThrottle, e
 func (*BudgetThrottle) Name() string   { return "BudgetThrottle" }
 func (*BudgetThrottle) HeadOnly() bool { return true }
 
-// IdleSkipSafe: replenish is anchored to a fixed period grid and budgets
-// are reset by assignment, so one replenish at the wake cycle leaves the
-// same budgets as replenishing at every boundary crossed during the span.
-func (*BudgetThrottle) IdleSkipSafe() bool { return true }
+// span: idle-safe; replenish is anchored to a fixed period grid and
+// budgets are reset by assignment, so one replenish at the wake cycle leaves
+// the same budgets as replenishing at every boundary crossed during the span.
+func (*BudgetThrottle) span() spanClass { return spanIdle }
 
 func (b *BudgetThrottle) OnIssue(e *Entry) {
 	b.budget[e.Req.App]--

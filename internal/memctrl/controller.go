@@ -52,17 +52,13 @@ type Controller struct {
 	cfg      dram.Config
 	channels int
 	sched    Scheduler
-	// headOnly, idleSafe and spanSafe cache the corresponding scheduler
-	// interface calls; SetScheduler refreshes them.
+	// headOnly and span cache the scheduler's HeadOnly and span class;
+	// SetScheduler refreshes them. A busy-safe class is kept only for a
+	// head-only scheduler: for it the set of cycles at which Tick calls Pick
+	// is fully determined by nextTry and the completion queue, so skipping
+	// the non-Pick cycles in between is bit-identical to ticking them.
 	headOnly bool
-	idleSafe bool
-	// spanSafe marks a head-only scheduler that opted into busy-span
-	// skipping (see BusySpanSafeScheduler): Pick-visible state mutates only
-	// inside Pick/OnIssue, and for head-only policies the set of cycles at
-	// which Tick calls Pick is fully determined by nextTry and the
-	// completion queue — so skipping the non-Pick cycles in between is
-	// bit-identical to ticking them.
-	spanSafe bool
+	span     spanClass
 	// completions is the typed completion queue: one record per in-flight
 	// access, ordered by (cycle, seq) exactly like the closure-based event
 	// queue it replaces, without allocating a closure per issue.
@@ -172,16 +168,6 @@ func (c *Controller) SetCompletionTracer(fn func(cycle int64, app int, addr uint
 	c.completionTracer = fn
 }
 
-// SetMaxInFlight overrides how many accesses may be issued to the device
-// before earlier ones complete. Values below 1 are rejected.
-func (c *Controller) SetMaxInFlight(n int) error {
-	if n < 1 {
-		return errors.New("memctrl: maxInFlight must be >= 1")
-	}
-	c.maxInFlight = n
-	return nil
-}
-
 // Device exposes the underlying DRAM device (read-only use intended).
 func (c *Controller) Device() *dram.Device { return c.dev }
 
@@ -202,8 +188,10 @@ func (c *Controller) SetScheduler(s Scheduler) error {
 func (c *Controller) applyScheduler(s Scheduler) {
 	c.sched = s
 	c.headOnly = s.HeadOnly()
-	c.idleSafe = schedIdleSkipSafe(s)
-	c.spanSafe = c.headOnly && schedBusySpanSafe(s)
+	c.span = s.span()
+	if c.span == spanBusy && !c.headOnly {
+		c.span = spanNone
+	}
 }
 
 // Access implements mem.Port. It enqueues the request, returning false when
@@ -443,13 +431,13 @@ func (c *Controller) accountInterference(now int64, issued *Entry) {
 // now, faces a skippable span — no issue, completion, or stat side effect
 // other than the per-cycle interference accounting (integrated by SkipSpan)
 // can occur before the returned cycle. With queued requests the claim
-// additionally requires the scheduler to have opted into one of the span
-// contracts; otherwise the controller must be ticked every cycle.
+// additionally requires a scheduler whose span class is not spanNone;
+// otherwise the controller must be ticked every cycle.
 //
-// For an idle-skip-safe scheduler (Pick is a pure function of queue/bank
+// For an idle-safe scheduler (Pick is a pure function of queue/bank
 // state) the bound is the earliest cycle any candidate could issue:
 // Pick-call cycles in between may be skipped because their Picks return nil
-// without side effects. For a busy-span-safe scheduler (stateful Pick,
+// without side effects. For a busy-safe scheduler (stateful Pick,
 // head-only) no Pick-call cycle may be skipped, so the bound is nextTry —
 // the exact gate Tick applies before calling the scheduler. Within
 // [now+1, nextTry) the naive loop provably calls nothing but runCompletions
@@ -466,11 +454,11 @@ func (c *Controller) NextEventCycle(now int64) (int64, bool) {
 	if c.queued == 0 {
 		return next, true
 	}
-	if !c.idleSafe && !c.spanSafe {
+	if c.span == spanNone {
 		return 0, false
 	}
 	if c.inFlight < c.maxInFlight {
-		if c.idleSafe {
+		if c.span == spanIdle {
 			if t := c.earliestIssueCycle(now); t < next {
 				next = t
 			}

@@ -55,10 +55,10 @@ func (*STFM) Name() string   { return "STFM" }
 func (*STFM) HeadOnly() bool { return true }
 func (*STFM) OnIssue(*Entry) {}
 
-// BusySpanSafe: the slowdown window (lastUpdate, start, interfAt) advances
+// span: busy-safe; the slowdown window (lastUpdate, start, interfAt) advances
 // only inside Pick via updateSlowdowns, lazily from Pick's now — no state
 // moves between Pick calls, so skipping non-Pick cycles is exact.
-func (*STFM) BusySpanSafe() bool { return true }
+func (*STFM) span() spanClass { return spanBusy }
 
 // updateSlowdowns refreshes the per-app slowdown estimates (cheap; runs at
 // most once per 1024 cycles).
@@ -158,12 +158,12 @@ func NewATLAS(numApps int, quantum int64, decay float64) (*ATLAS, error) {
 func (*ATLAS) Name() string   { return "ATLAS" }
 func (*ATLAS) HeadOnly() bool { return true }
 
-// BusySpanSafe: attained service moves in OnIssue; the quantum decay fires
+// span: busy-safe; attained service moves in OnIssue; the quantum decay fires
 // lazily inside Pick when now crosses quantumEnd. A quantum boundary inside
 // a skipped span needs no wakeup — the naive loop would not have called
 // Pick there either, and the first Pick after the span applies the same
 // single decay at the same now.
-func (*ATLAS) BusySpanSafe() bool { return true }
+func (*ATLAS) span() spanClass { return spanBusy }
 
 func (a *ATLAS) OnIssue(e *Entry) {
 	a.attained[e.Req.App] += float64(a.burst)
@@ -251,10 +251,10 @@ func (*TCM) Name() string   { return "TCM" }
 func (*TCM) HeadOnly() bool { return true }
 func (*TCM) OnIssue(*Entry) {}
 
-// BusySpanSafe: reclustering and rank shuffling (and the RNG they consume)
+// span: busy-safe; reclustering and rank shuffling (and the RNG they consume)
 // fire lazily inside Pick when now crosses the quantum clocks; nothing
 // moves between Pick calls.
-func (*TCM) BusySpanSafe() bool { return true }
+func (*TCM) span() spanClass { return spanBusy }
 
 // recluster recomputes clusters from the bandwidth used during the last
 // quantum.
@@ -381,9 +381,9 @@ func NewPARBS(numApps, markingCap int) (*PARBS, error) {
 func (*PARBS) Name() string   { return "PARBS" }
 func (*PARBS) HeadOnly() bool { return true }
 
-// BusySpanSafe: batches form inside Pick (when the previous batch drains)
+// span: busy-safe; batches form inside Pick (when the previous batch drains)
 // and drain via OnIssue; there are no wall-clock quanta at all.
-func (*PARBS) BusySpanSafe() bool { return true }
+func (*PARBS) span() spanClass { return spanBusy }
 
 // isMarked reports whether e, queued for app a, belongs to the current batch.
 func (p *PARBS) isMarked(e *Entry, a int) bool { return e.seq <= p.edge[a] }

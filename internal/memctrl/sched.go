@@ -28,52 +28,39 @@ type Scheduler interface {
 	// shares no memory with the receiver. Controller.Snapshot stores one and
 	// Restore installs a clone of it.
 	clone() Scheduler
+	// span returns the policy's span class.
+	span() spanClass
 }
 
-// IdleSkipSafeScheduler is the opt-in marker for the cycle-skipping
-// simulation kernel. A scheduler declaring IdleSkipSafe() == true promises
-// that its Pick decisions depend only on the controller/device state at the
-// Pick cycle, never on how many times (or at which cycles) Pick was called
-// while nothing was issuable — so skipping the dead cycles of an idle span
-// and scanning once at the wake cycle reproduces the naive loop's issue
-// sequence exactly. Policies with time-anchored internal state (STFM's
-// slowdown windows, ATLAS/TCM quanta) must not implement it (or return
-// false): the kernel then falls back to ticking the controller every cycle
-// while requests are queued.
-type IdleSkipSafeScheduler interface {
-	IdleSkipSafe() bool
-}
+// spanClass is what a scheduler lets the controller sleep through while
+// requests are queued (Controller.NextEventCycle), the contract between the
+// policy and the simulation kernel's wake scheduler.
+type spanClass uint8
 
-// schedIdleSkipSafe reports whether s opted into idle-span skipping.
-func schedIdleSkipSafe(s Scheduler) bool {
-	m, ok := s.(IdleSkipSafeScheduler)
-	return ok && m.IdleSkipSafe()
-}
-
-// BusySpanSafeScheduler is the opt-in marker for busy-span skipping, the
-// weaker sibling of IdleSkipSafeScheduler for policies whose Pick IS
-// stateful. A head-only scheduler declaring BusySpanSafe() == true promises
-// that every piece of state its decisions read or write mutates only inside
-// Pick (or OnIssue) — never between calls as a function of wall-clock time.
-// Quantum and epoch clocks (ATLAS quanta, TCM recluster/shuffle timers,
-// STFM's slowdown refresh, PARBS batch formation) qualify because they
-// advance lazily from the now passed to Pick. Under that promise the
-// controller may skip exactly the cycles at which Tick would not have
-// called Pick anyway — for head-only policies those are fully determined by
-// the cached nextTry gate and the completion queue — so the scheduler sees
-// the identical sequence of (now, queue, bank) observations as under naive
-// ticking, and its state evolves bit-identically. Policies that are already
-// IdleSkipSafe do not need this: the controller prefers the stronger
-// contract's more aggressive bound.
-type BusySpanSafeScheduler interface {
-	BusySpanSafe() bool
-}
-
-// schedBusySpanSafe reports whether s opted into busy-span skipping.
-func schedBusySpanSafe(s Scheduler) bool {
-	m, ok := s.(BusySpanSafeScheduler)
-	return ok && m.BusySpanSafe()
-}
+const (
+	// spanNone: the controller ticks every cycle while requests are queued.
+	spanNone spanClass = iota
+	// spanBusy: every piece of state the policy's decisions read or write
+	// mutates only inside Pick (or OnIssue) — never between calls as a
+	// function of wall-clock time. Quantum and epoch clocks (ATLAS quanta,
+	// TCM recluster/shuffle timers, STFM's slowdown refresh, PARBS batch
+	// formation) qualify because they advance lazily from the now passed to
+	// Pick. The controller may then skip exactly the cycles at which Tick
+	// would not have called Pick anyway — for a head-only policy those are
+	// fully determined by the cached nextTry gate and the completion queue —
+	// so the policy sees the identical sequence of (now, queue, bank)
+	// observations as under per-cycle ticking, and its state evolves
+	// bit-identically. The controller honours it only for a HeadOnly policy.
+	spanBusy
+	// spanIdle: Pick decisions depend only on the controller and device
+	// state at the Pick cycle, never on how many times (or at which cycles)
+	// Pick was called while nothing was issuable, so skipping the dead
+	// cycles of an idle span and scanning once at the wake cycle reproduces
+	// the per-cycle issue sequence exactly. Policies with time-anchored
+	// internal state (STFM's slowdown windows, ATLAS/TCM quanta) are not
+	// idle-safe.
+	spanIdle
+)
 
 // bankReady reports whether e's bank can begin new work at now, through the
 // bank index cached at enqueue.
@@ -104,8 +91,8 @@ func (*FCFS) Name() string   { return "FCFS" }
 func (*FCFS) HeadOnly() bool { return true }
 func (*FCFS) OnIssue(*Entry) {}
 
-// IdleSkipSafe: Pick is a pure function of queue and bank state.
-func (*FCFS) IdleSkipSafe() bool { return true }
+// span: idle-safe; Pick is a pure function of queue and bank state.
+func (*FCFS) span() spanClass { return spanIdle }
 
 func (*FCFS) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 	var best *Entry
@@ -140,8 +127,8 @@ func (*FRFCFS) Name() string   { return "FR-FCFS" }
 func (*FRFCFS) HeadOnly() bool { return false }
 func (*FRFCFS) OnIssue(*Entry) {}
 
-// IdleSkipSafe: Pick is a pure function of queue, bank and row state.
-func (*FRFCFS) IdleSkipSafe() bool { return true }
+// span: idle-safe; Pick is a pure function of queue, bank and row state.
+func (*FRFCFS) span() spanClass { return spanIdle }
 
 func (s *FRFCFS) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 	var bestHit, bestOld Pick
@@ -256,8 +243,8 @@ func (s *StartTimeFair) Shares() []float64 {
 func (*StartTimeFair) Name() string   { return "StartTimeFair" }
 func (*StartTimeFair) HeadOnly() bool { return true }
 
-// IdleSkipSafe: tags advance only on issue, never with wall-clock cycles.
-func (*StartTimeFair) IdleSkipSafe() bool { return true }
+// span: idle-safe; tags advance only on issue, never with wall-clock cycles.
+func (*StartTimeFair) span() spanClass { return spanIdle }
 
 func (s *StartTimeFair) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 	var best *Entry
@@ -313,8 +300,8 @@ func (*Priority) Name() string   { return "Priority" }
 func (*Priority) HeadOnly() bool { return true }
 func (*Priority) OnIssue(*Entry) {}
 
-// IdleSkipSafe: the rank permutation is fixed; Pick is pure.
-func (*Priority) IdleSkipSafe() bool { return true }
+// span: idle-safe; the rank permutation is fixed; Pick is pure.
+func (*Priority) span() spanClass { return spanIdle }
 
 func (p *Priority) Pick(now int64, c *Controller, dev *dram.Device) Pick {
 	var best *Entry

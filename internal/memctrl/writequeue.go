@@ -46,11 +46,17 @@ func (w *WriteDrain) HeadOnly() bool { return false }
 
 func (w *WriteDrain) OnIssue(e *Entry) { w.inner.OnIssue(e) }
 
-// IdleSkipSafe defers to the inner policy: the drain hysteresis depends
-// only on the queued read/write counts, which are frozen across an idle
-// span, so the draining flag settles to the same value whether Pick runs
-// every span cycle or once at the wake cycle.
-func (w *WriteDrain) IdleSkipSafe() bool { return schedIdleSkipSafe(w.inner) }
+// span is idle-safe exactly when the inner policy is: the drain hysteresis
+// depends only on the queued read/write counts, which are frozen across an
+// idle span, so the draining flag settles to the same value whether Pick
+// runs every span cycle or once at the wake cycle. A busy-safe inner policy
+// gives none: WriteDrain is not head-only.
+func (w *WriteDrain) span() spanClass {
+	if w.inner.span() == spanIdle {
+		return spanIdle
+	}
+	return spanNone
+}
 
 // pickClass runs the inner scheduler but only accepts entries of the
 // wanted class, by scanning each app's queue for its oldest entry of that

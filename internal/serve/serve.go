@@ -346,9 +346,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// Draining reports whether the server has stopped admitting work.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // QueueDepth reports the accepted-but-undispatched job count.
 func (s *Server) QueueDepth() int { return s.queue.size() }
 

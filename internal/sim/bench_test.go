@@ -23,29 +23,29 @@ func idleHeavyProfile() workload.Profile {
 	}
 }
 
-// benchSystem assembles and settles a benchmark system outside the timer.
-func benchSystem(b *testing.B, kernel Kernel, profs []workload.Profile) *System {
+// benchSystem assembles and settles a benchmark system under run outside
+// the timer.
+func benchSystem(b *testing.B, run loop, profs []workload.Profile) *System {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.WarmupInstructions = 50_000
-	cfg.Kernel = kernel
 	sys, err := New(cfg, profs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sys.Warmup()
-	sys.Run(50_000)
+	run(sys, 50_000)
 	sys.ResetStats()
 	return sys
 }
 
-func benchRun(b *testing.B, kernel Kernel, profs []workload.Profile) {
-	sys := benchSystem(b, kernel, profs)
+func benchRun(b *testing.B, run loop, profs []workload.Profile) {
+	sys := benchSystem(b, run, profs)
 	const window = 200_000
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.Run(window)
+		run(sys, window)
 	}
 	b.ReportMetric(float64(window*int64(b.N))/b.Elapsed().Seconds(), "cycles/s")
 }
@@ -89,12 +89,12 @@ func BenchmarkSnapshot(b *testing.B) {
 }
 
 // BenchmarkRunIdle measures System.Run on an idle-heavy (latency-bound)
-// mix under both kernels; the wake scheduler's acceptance bar is a >= 2x
+// mix under the reference loop and the wake scheduler; the wake scheduler's acceptance bar is a >= 2x
 // speedup here.
 func BenchmarkRunIdle(b *testing.B) {
 	profs := []workload.Profile{idleHeavyProfile(), idleHeavyProfile()}
-	b.Run("naive", func(b *testing.B) { benchRun(b, KernelNaive, profs) })
-	b.Run("skip", func(b *testing.B) { benchRun(b, KernelCycleSkipping, profs) })
+	b.Run("naive", func(b *testing.B) { benchRun(b, naiveLoop, profs) })
+	b.Run("skip", func(b *testing.B) { benchRun(b, wakeLoop, profs) })
 }
 
 // BenchmarkRunMixed measures System.Run on the Table IV mix hetero-1 (milc,
@@ -110,8 +110,8 @@ func BenchmarkRunMixed(b *testing.B) {
 		}
 		profs = append(profs, p)
 	}
-	b.Run("naive", func(b *testing.B) { benchRun(b, KernelNaive, profs) })
-	b.Run("skip", func(b *testing.B) { benchRun(b, KernelCycleSkipping, profs) })
+	b.Run("naive", func(b *testing.B) { benchRun(b, naiveLoop, profs) })
+	b.Run("skip", func(b *testing.B) { benchRun(b, wakeLoop, profs) })
 }
 
 // BenchmarkRunSaturated measures System.Run on a bandwidth-saturated mix
@@ -123,6 +123,6 @@ func BenchmarkRunSaturated(b *testing.B) {
 		b.Fatal(err)
 	}
 	profs := []workload.Profile{lbm, lbm, lbm, lbm}
-	b.Run("naive", func(b *testing.B) { benchRun(b, KernelNaive, profs) })
-	b.Run("skip", func(b *testing.B) { benchRun(b, KernelCycleSkipping, profs) })
+	b.Run("naive", func(b *testing.B) { benchRun(b, naiveLoop, profs) })
+	b.Run("skip", func(b *testing.B) { benchRun(b, wakeLoop, profs) })
 }

@@ -24,10 +24,10 @@ var busyFuzzPool = []string{
 }
 
 // busySchedulers enumerates every scheduler under test with a fresh-instance
-// factory (the two kernels must never share mutable policy state). The list
-// spans all three span contracts: idle-skip-safe (FCFS, FR-FCFS,
-// StartTimeFair, Priority, BudgetThrottle, WriteDrain over a safe inner),
-// busy-span-safe (STFM, ATLAS, TCM, PARBS), and no contract at all
+// factory (the two loops must never share mutable policy state). The list
+// spans all three span classes: idle-safe (FCFS, FR-FCFS, StartTimeFair,
+// Priority, BudgetThrottle, WriteDrain over an idle-safe inner), busy-safe
+// (STFM, ATLAS, TCM, PARBS), and none
 // (WriteDrain over PARBS, the one shape in which batch-marked entries leave
 // a queue out of order; WriteDrain over STFM is exercised by
 // TestKernelUnsafeSchedulerFallsBack). New entries go last: the fuzz seed

@@ -60,7 +60,7 @@ func kernelLines(ks KernelStats) []string {
 // freshly built system that finishes it. It hashes everything the cache
 // hierarchy can influence — the windowed Result and every cache's counters —
 // and returns that behaviour digest with the kernel counters of both halves.
-func cacheDigest(t *testing.T, cfg Config, requota []int) (string, halvesKernelStats) {
+func cacheDigest(t *testing.T, run loop, cfg Config, requota []int) (string, halvesKernelStats) {
 	t.Helper()
 	const settle, first, rest = 6_000, 17_003, 23_000
 	names := []string{"lbm", "milc", "soplex", "povray"}
@@ -69,14 +69,14 @@ func cacheDigest(t *testing.T, cfg Config, requota []int) (string, halvesKernelS
 		t.Fatal(err)
 	}
 	sys.Warmup()
-	sys.Run(settle)
+	run(sys, settle)
 	sys.ResetStats()
 	if requota != nil {
 		if err := sys.SharedL2().SetQuota(requota); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sys.Run(first)
+	run(sys, first)
 	cp, err := sys.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func cacheDigest(t *testing.T, cfg Config, requota []int) (string, halvesKernelS
 	if err := fresh.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
-	fresh.Run(rest)
+	run(fresh, rest)
 
 	h := sha256.New()
 	fmt.Fprintf(h, "result %+v\n", fresh.Results())
@@ -147,8 +147,8 @@ func TestCacheDigests(t *testing.T) {
 	gotKS := map[string]halvesKernelStats{}
 	kernels := []struct {
 		name string
-		k    Kernel
-	}{{"naive", KernelNaive}, {"wake", KernelCycleSkipping}}
+		run  loop
+	}{{"naive", naiveLoop}, {"wake", wakeLoop}}
 	for _, topo := range cacheDigestTopos {
 		for _, kern := range kernels {
 			for seed := int64(1); seed <= 3; seed++ {
@@ -156,7 +156,6 @@ func TestCacheDigests(t *testing.T) {
 				key := fmt.Sprintf("%s/%s/seed=%d", topo.name, kern.name, seed)
 				t.Run(key, func(t *testing.T) {
 					cfg := fastCfg()
-					cfg.Kernel = kern.k
 					cfg.Seed = seed
 					cfg.L2PrefetchDepth = topo.prefetch
 					cfg.SharedL2 = topo.shared
@@ -164,7 +163,7 @@ func TestCacheDigests(t *testing.T) {
 					if topo.l2MSHRs > 0 {
 						cfg.L2.MSHRs = topo.l2MSHRs
 					}
-					digest, ks := cacheDigest(t, cfg, topo.requota)
+					digest, ks := cacheDigest(t, kern.run, cfg, topo.requota)
 					if prev, ok := got[bkey]; ok && prev != digest {
 						t.Errorf("behaviour digest %s differs from the other kernel's %s", digest, prev)
 					}

@@ -48,13 +48,57 @@ func TestKernelsBitIdenticalSingleApp(t *testing.T) {
 	}
 }
 
-// TestKernelUnsafeSchedulerFallsBack ensures a scheduler with neither the
-// IdleSkipSafe nor the BusySpanSafe marker still produces naive-identical
-// results under the wake scheduler: the controller refuses to sleep while
-// requests are queued, and every other component sleeps around it.
-// WriteDrain wrapping STFM is such a scheduler: WriteDrain is not head-only
-// and STFM's batched inner state disqualifies the wrapper from deferring to
-// the inner policy's markers.
+// interleaved returns a loop that hands its calls to the wake scheduler and
+// the reference loop in turn, starting with the wake scheduler.
+func interleaved() loop {
+	calls := 0
+	return func(s *System, cycles int64) {
+		calls++
+		if calls%2 == 1 {
+			s.Run(cycles)
+		} else {
+			s.runNaive(cycles)
+		}
+	}
+}
+
+// TestKernelsInterleaved drives one system alternately with Run and the
+// reference loop, in uneven slices with a mid-window fork, and demands the
+// observations of a pure reference run, for every scheduler of
+// busySchedulers on the private L2s, the private L2s prefetching two lines
+// deep, and the shared L2. The reference loop ticks every component as it
+// finds it, so a Run that returned with a component still marked asleep
+// shows up here: the next access to it rouses it and integrates cycles the
+// reference loop already ticked.
+func TestKernelsInterleaved(t *testing.T) {
+	names := []string{"lbm", "milc", "soplex", "povray"}
+	topos := []struct {
+		name     string
+		shared   bool
+		prefetch int
+	}{{"private", false, 0}, {"private+prefetch2", false, 2}, {"shared", true, 0}}
+	for _, topo := range topos {
+		for _, sched := range busySchedulers(len(names)) {
+			t.Run(topo.name+"/"+sched.name, func(t *testing.T) {
+				kc := kernelCase{
+					names: names, shared: topo.shared, prefetch: topo.prefetch, sched: sched.mk,
+					settle: 15_000, measure: 45_000,
+					slices: []int64{1, 7, 1024, 3, 5_000, 13, 777},
+				}
+				want, _ := observe(t, naiveLoop, kc, false, false)
+				got, _ := observe(t, interleaved(), kc, true, true)
+				diffObs(t, "interleaved", want, got)
+			})
+		}
+	}
+}
+
+// TestKernelUnsafeSchedulerFallsBack ensures a scheduler of span class
+// none still produces naive-identical results under the wake scheduler: the
+// controller refuses to sleep while requests are queued, and every other
+// component sleeps around it. WriteDrain wrapping STFM is such a scheduler:
+// WriteDrain is idle-safe only over an idle-safe inner policy, and it is not
+// head-only, so STFM's busy-safe class does not carry over.
 func TestKernelUnsafeSchedulerFallsBack(t *testing.T) {
 	_, ks := diffKernels(t, kernelCase{
 		names: []string{"lbm", "soplex"},
@@ -304,7 +348,7 @@ func TestWakeBoundaryRule(t *testing.T) {
 		Cache   cache.Stats
 		Dones   int
 	}
-	run := func(kernel Kernel, fromBelow bool) (atPoke, after seen, ks KernelStats) {
+	drive := func(run loop, fromBelow bool) (atPoke, after seen, ks KernelStats) {
 		lower := &boundaryLower{refuseFrom: 8}
 		cfg := cache.L2()
 		cfg.HitLatency = 2
@@ -317,7 +361,7 @@ func TestWakeBoundaryRule(t *testing.T) {
 			return &mem.Request{Addr: addr, Done: func(int64) { dones++ }}
 		}
 		look := func() seen { return seen{lower.rejects, c.Stats(), dones} }
-		s := &System{cfg: Config{Kernel: kernel}}
+		s := &System{}
 		s.addComponent("lower", &boundaryStub{script: func(now int64) {
 			if fromBelow && now == poke {
 				lower.accepted[0].Done(now) // the fill of the first miss returns
@@ -337,13 +381,13 @@ func TestWakeBoundaryRule(t *testing.T) {
 				atPoke = look()
 			}
 		}}, nil)
-		s.Run(poke + 2)
+		run(s, poke+2)
 		return atPoke, look(), s.KernelStats()
 	}
 	for _, fromBelow := range []bool{false, true} {
 		t.Run(fmt.Sprintf("fromBelow=%v", fromBelow), func(t *testing.T) {
-			wantAt, wantAfter, _ := run(KernelNaive, fromBelow)
-			gotAt, gotAfter, ks := run(KernelCycleSkipping, fromBelow)
+			wantAt, wantAfter, _ := drive(naiveLoop, fromBelow)
+			gotAt, gotAfter, ks := drive(wakeLoop, fromBelow)
 			if !reflect.DeepEqual(wantAt, gotAt) {
 				t.Errorf("end of cycle %d:\nnaive %+v\nwake  %+v", poke, wantAt, gotAt)
 			}

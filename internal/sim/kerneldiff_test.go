@@ -12,10 +12,39 @@ import (
 
 // This file is the machinery shared by every naive ≡ wake-scheduler
 // differential in the package (kernel_test.go, busyspan_diff_test.go,
-// fuzz_test.go): one description of a system under test, one observation
-// record, and diffKernels, which runs the oracle once and the wake scheduler
-// twice — straight, and in uneven Run slices with a mid-window fork — and
-// demands bit-identical observations from both.
+// fuzz_test.go, cell_diff_test.go): the reference loop, one description of
+// a system under test, one observation record, and diffKernels, which runs
+// the oracle once and the wake scheduler twice — straight, and in uneven Run
+// slices with a mid-window fork — and demands bit-identical observations
+// from both.
+
+// runNaive is the reference loop the wake scheduler (Run) is held to: it
+// ticks every component once per simulated cycle, in slot order, and counts
+// every one of those cycles as ticked. It drives a system built by New or
+// NewFromSpecs as it is: Run leaves every Waker awake, and this loop never
+// puts one to sleep, so every Wake is a no-op.
+func (s *System) runNaive(cycles int64) {
+	end := s.now + cycles
+	for ; s.now < end; s.now++ {
+		for i := range s.slots {
+			s.slots[i].c.Tick(s.now)
+		}
+	}
+	ran := max(cycles, 0)
+	s.ticked += ran
+	for i := range s.slots {
+		s.slots[i].Ticks += ran
+	}
+}
+
+// loop is how a test advances a system: naiveLoop, the reference, or
+// wakeLoop, the wake scheduler under test.
+type loop func(s *System, cycles int64)
+
+var (
+	naiveLoop loop = (*System).runNaive
+	wakeLoop  loop = (*System).Run
+)
 
 // kernelCase is one system configuration of the differential. The zero
 // value of every optional field is the package default.
@@ -54,12 +83,11 @@ type kernelObs struct {
 	Ctrl        []memctrl.AppStats
 }
 
-// buildCase assembles kc's system under kernel, installs a fresh scheduler,
-// and runs functional warmup.
-func buildCase(t *testing.T, kernel Kernel, kc kernelCase) *System {
+// buildCase assembles kc's system, installs a fresh scheduler, and runs
+// functional warmup.
+func buildCase(t *testing.T, kc kernelCase) *System {
 	t.Helper()
 	cfg := fastCfg()
-	cfg.Kernel = kernel
 	cfg.SharedL2 = kc.shared
 	cfg.DRAM.Policy = kc.policy
 	cfg.QueueCap = kc.queueCap
@@ -92,28 +120,29 @@ func buildCase(t *testing.T, kernel Kernel, kc kernelCase) *System {
 	return sys
 }
 
-// runSliced advances sys by cycles: each slice once, then the remainder.
-func runSliced(sys *System, cycles int64, slices []int64) {
+// runSliced advances sys by cycles under run: each slice once, then the
+// remainder.
+func runSliced(run loop, sys *System, cycles int64, slices []int64) {
 	for _, n := range slices {
 		if n <= 0 || n >= cycles {
 			break
 		}
-		sys.Run(n)
+		run(sys, n)
 		cycles -= n
 	}
-	sys.Run(cycles)
+	run(sys, cycles)
 }
 
-// observe drives kc under kernel and records the observations. With sliced
+// observe drives kc under run and records the observations. With sliced
 // set both phases run in kc.slices; with fork set the measurement window is
 // additionally interrupted a third of the way in by Fork, and the fork — not
 // the parent — finishes the window, so any sleep state leaking into a
 // Snapshot (or missing from the end-of-Run flush) shows up as a divergence.
 // The returned kernel counters are those of the system that finished the
 // window (the fork's cover only its share).
-func observe(t *testing.T, kernel Kernel, kc kernelCase, sliced, fork bool) (kernelObs, KernelStats) {
+func observe(t *testing.T, run loop, kc kernelCase, sliced, fork bool) (kernelObs, KernelStats) {
 	t.Helper()
-	sys := buildCase(t, kernel, kc)
+	sys := buildCase(t, kc)
 	var obs kernelObs
 	trace := func(sys *System) {
 		sys.Controller().SetTracer(func(cycle int64, app int, addr uint64, write bool) {
@@ -128,12 +157,12 @@ func observe(t *testing.T, kernel Kernel, kc kernelCase, sliced, fork bool) (ker
 	if sliced {
 		slices = kc.slices
 	}
-	runSliced(sys, kc.settle, slices)
+	runSliced(run, sys, kc.settle, slices)
 	sys.ResetStats()
 	measure := kc.measure
 	if fork {
 		first := measure / 3
-		runSliced(sys, first, slices)
+		runSliced(run, sys, first, slices)
 		measure -= first
 		child, err := sys.Fork()
 		if err != nil {
@@ -142,7 +171,7 @@ func observe(t *testing.T, kernel Kernel, kc kernelCase, sliced, fork bool) (ker
 		sys = child
 		trace(sys)
 	}
-	runSliced(sys, measure, slices)
+	runSliced(run, sys, measure, slices)
 	obs.Res = sys.Results()
 	for i := range sys.cores {
 		obs.Cores = append(obs.Cores, sys.cores[i].Stats())
@@ -209,12 +238,12 @@ func diffKernels(t *testing.T, kc kernelCase) (kernelObs, KernelStats) {
 	if kc.slices == nil {
 		kc.slices = defaultSlices
 	}
-	want, nks := observe(t, KernelNaive, kc, false, false)
+	want, nks := observe(t, naiveLoop, kc, false, false)
 	checkKernelStats(t, nks, kc.settle+kc.measure)
-	straight, ks := observe(t, KernelCycleSkipping, kc, false, false)
+	straight, ks := observe(t, wakeLoop, kc, false, false)
 	diffObs(t, "straight", want, straight)
 	checkKernelStats(t, ks, kc.settle+kc.measure)
-	forked, _ := observe(t, KernelCycleSkipping, kc, true, true)
+	forked, _ := observe(t, wakeLoop, kc, true, true)
 	diffObs(t, "sliced+forked", want, forked)
 	if len(want.Issues) == 0 {
 		t.Errorf("empty issue trace — workload never reached the controller")

@@ -107,7 +107,7 @@ var runAheadCases = []struct {
 	{"run-slices-fork", kernelCase{names: []string{"hmmer", "gromacs", "lbm", "povray"},
 		settle: 15_000, measure: 50_000, slices: []int64{1, 7, 1024}},
 		func(t *testing.T, kc kernelCase, _ kernelObs, _ KernelStats) bool {
-			_, sliced := observe(t, KernelCycleSkipping, kc, true, true)
+			_, sliced := observe(t, wakeLoop, kc, true, true)
 			_, _, sp := coreRunAhead(sliced)
 			return sp.RunEnd > 0
 		}},

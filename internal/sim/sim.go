@@ -17,27 +17,6 @@ import (
 	"bwpart/internal/workload"
 )
 
-// Kernel selects how System.Run advances simulated time.
-type Kernel int
-
-const (
-	// KernelCycleSkipping (the default) is the wake scheduler: after a
-	// component ticks, its NextEventCycle decides whether it sleeps until
-	// its own next event; a sleeping component is not ticked, and its slept
-	// cycles are integrated lazily by one SkipSpan when another component
-	// pokes it or its wake cycle arrives; a core additionally runs its own
-	// cycles ahead after each tick, up to its memory hierarchy's next event
-	// (System.runAhead). Simulated time advances by one cycle while
-	// anything is due and jumps to the minimum wake cycle otherwise. It is
-	// bit-identical to KernelNaive — the differential and fuzz tests in
-	// this package and internal/exper enforce that — and faster wherever
-	// any component has nothing to do (DESIGN.md §7).
-	KernelCycleSkipping Kernel = iota
-	// KernelNaive ticks every component once per simulated cycle. It is
-	// the reference semantics: a test oracle; no CLI selects it.
-	KernelNaive
-)
-
 // component is the tickable simulation unit System.Run drives: cores,
 // caches, and the memory controller. The discrete-event contract:
 // NextEventCycle(now) reports, after the component ticked at cycle now,
@@ -70,7 +49,7 @@ type component interface {
 // entry every cycle); from <= wake, and they differ exactly while it sleeps.
 type slot struct {
 	c    component
-	w    *mem.Waker // nil under KernelNaive
+	w    *mem.Waker // c's handle: Run puts it to sleep, the tests' reference loop never does
 	from int64
 	// core is c as a core, nil for the other components; l1 and l2 are the
 	// slots of its L1 and of the L2 below it (the shared L2 under SharedL2),
@@ -107,9 +86,6 @@ type Config struct {
 	// timed phase (the paper uses 500M in atomic mode; scaled down here).
 	WarmupInstructions int64
 	Seed               int64
-	// Kernel selects Run's advancement strategy; the zero value is the
-	// cycle-skipping kernel. KernelNaive is a test oracle; no CLI selects it.
-	Kernel Kernel
 	// Power overrides the DRAM power parameters used for the window energy
 	// estimate in Results (nil = dram.DefaultPowerConfig()).
 	Power *dram.PowerConfig
@@ -141,8 +117,7 @@ type System struct {
 	cores    []*cpu.Core
 	// slots is every tickable unit in the exact per-cycle order the
 	// topology requires (controller first, then caches bottom-up, then the
-	// core, per application); Run drives this one list for both topologies
-	// and both kernels.
+	// core, per application); Run drives this one list for both topologies.
 	slots []slot
 	wakes []int64
 	now   int64
@@ -224,28 +199,22 @@ func (s *System) Warmup() {
 	}
 }
 
-// Run advances the system by the given number of cycles under the
-// configured kernel. Both kernels drive the same component list in the same
-// per-cycle order; the wake scheduler skips the components that are asleep
-// (see Kernel) and integrates their slept cycles in closed form, so its
-// results are bit-identical to the naive loop's. Every sleeper is flushed
-// before Run returns: Results, ResetStats, Snapshot, SetScheduler and the
-// epoch loops between Run calls always see canonical component state.
+// Run advances the system by the given number of cycles. It is a wake
+// scheduler over the component list: after a component ticks, its
+// NextEventCycle decides whether it sleeps until its own next event; a
+// sleeping component is not ticked, and its slept cycles are integrated
+// lazily by one SkipSpan when another component pokes it or its wake cycle
+// arrives; a core additionally runs its own cycles ahead after each tick, up
+// to its memory hierarchy's next event (runAhead). Simulated time advances
+// by one cycle while anything is due and jumps to the minimum wake cycle
+// otherwise. Its results are bit-identical to ticking every component every
+// cycle in the same order — the reference loop this package's differential
+// and fuzz tests hold it to (DESIGN.md §7). Every sleeper is flushed and
+// marked awake before Run returns: Results, ResetStats, Snapshot,
+// SetScheduler and the epoch loops between Run calls always see canonical
+// component state.
 func (s *System) Run(cycles int64) {
 	end := s.now + cycles
-	if s.cfg.Kernel == KernelNaive {
-		for ; s.now < end; s.now++ {
-			for i := range s.slots {
-				s.slots[i].c.Tick(s.now)
-			}
-		}
-		ran := max(cycles, 0)
-		s.ticked += ran
-		for i := range s.slots {
-			s.slots[i].Ticks += ran
-		}
-		return
-	}
 	for i := range s.slots {
 		s.wakes[i], s.slots[i].from = s.now, s.now
 	}
@@ -295,7 +264,11 @@ func (s *System) Run(cycles int64) {
 		s.now = next
 	}
 	for i := range s.slots {
-		if sl := &s.slots[i]; sl.from < end {
+		// A slot ticked at end-1 with its wake past end has nothing to
+		// integrate, but must not stay marked asleep either.
+		sl := &s.slots[i]
+		sl.w.SetAsleep(false)
+		if sl.from < end {
 			sl.integrate(end)
 		}
 	}
@@ -401,10 +374,10 @@ func (s *System) rouse(i int) {
 // ticked, or slept (integrated in closed form), plus how many times another
 // component roused it from sleep before its own wake cycle. Ticks + Slept
 // equals the cycles Run has advanced, for every component. Ahead and Spans
-// are a core's run-ahead (zero for other components and under
-// KernelNaive): the cycles it ran past its ticks inside their horizons,
-// part of Slept, and its ticks counted by what ended the span each one
-// started.
+// are a core's run-ahead (zero for other components, and under the
+// reference loop of this package's tests, which ticks every component every
+// cycle): the cycles it ran past its ticks inside their horizons, part of
+// Slept, and its ticks counted by what ended the span each one started.
 type ComponentKernelStats struct {
 	Name                string // "ctrl", "l2", "l2.<app>", "l1.<app>", "core.<app>"
 	Ticks, Slept, Pokes int64

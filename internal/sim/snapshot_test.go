@@ -11,7 +11,7 @@ import (
 )
 
 // snapshotSched builds one scheduler configuration under test. The set
-// spans the checkpoint-relevant shapes: stateless (FCFS), idle-skip-safe
+// spans the checkpoint-relevant shapes: stateless (FCFS), idle-safe
 // with writeback class state (WriteDrain+FR-FCFS), float tag
 // state (StartTimeFair), time-anchored fallback state (STFM), an RNG stream
 // (TCM), and per-app batch marks (PARBS).

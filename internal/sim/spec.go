@@ -127,10 +127,9 @@ func NewFromSpecs(cfg Config, specs []AppSpec) (*System, error) {
 	return s, nil
 }
 
-// addComponent appends c to the tick order. Under the wake scheduler it
-// also attaches c's wake handle, registers it as upstream of the component
-// it sends accesses to (lower), and returns it; the naive oracle runs with
-// no handles (nil, on which every Waker method is a no-op).
+// addComponent appends c to the tick order, attaches c's wake handle,
+// registers it as upstream of the component it sends accesses to (lower),
+// and returns it.
 func (s *System) addComponent(name string, c component, lower *mem.Waker) *mem.Waker {
 	i := len(s.slots)
 	s.slots = append(s.slots, slot{c: c, lower: -1, ComponentKernelStats: ComponentKernelStats{Name: name}})
@@ -140,9 +139,6 @@ func (s *System) addComponent(name string, c component, lower *mem.Waker) *mem.W
 		}
 	}
 	s.wakes = append(s.wakes, 0)
-	if s.cfg.Kernel == KernelNaive {
-		return nil
-	}
 	w := mem.NewWaker(func() { s.rouse(i) })
 	c.SetWaker(w)
 	lower.AddUpstream(w)
