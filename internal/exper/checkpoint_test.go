@@ -80,10 +80,10 @@ func TestCheckpointResume(t *testing.T) {
 	if len(files) != len(schemes) {
 		t.Fatalf("sweep left %d checkpoint files, want %d: %v", len(files), len(schemes), files)
 	}
-	// The file name is the cell's content address under FingerprintVersion 2.
+	// The file name is the cell's content address under FingerprintVersion 3.
 	// Pinning it keeps directories written by earlier builds loadable: a
 	// change that moves it must bump FingerprintVersion on purpose.
-	const equalCell = "v2-1e4169cd91b781c5-e3a0f175983c8720c6932261ab2ad22e446d9da5ab297387f5a0ce5bad2420a9.json"
+	const equalCell = "v3-a091c3af5a2bbd2c-31226eeafe0127d57e4de8a7e9420bf70469e875662cb1809d5f0c1a35bc3ae1.json"
 	if got := filepath.Base(store.cellPath(r, GridCell{Mix: mix, Scheme: "equal"})); got != equalCell {
 		t.Errorf("hetero-1/equal is stored as %s, earlier builds wrote %s", got, equalCell)
 	}

@@ -18,9 +18,10 @@ var updateCompat = flag.Bool("update", false, "rewrite testdata/plain_cells.gold
 // TestPlainCellCompat pins, for a few cells without a share vector, the three
 // things a checkpoint directory and a resident cache are keyed or filled by:
 // the memory tier's cellKey, the checkpoint file name and encodeRun's bytes.
-// The golden was written by the build before cells could carry shares, and
-// its directories stay valid under FingerprintVersion 2 only while these
-// hold; regenerate with -update only together with a FingerprintVersion bump.
+// The golden was first written by the build before cells could carry
+// shares and re-recorded at the FingerprintVersion 3 bump (keys and file
+// names only); directories stay valid only while these hold, so regenerate
+// with -update only together with a FingerprintVersion bump.
 func TestPlainCellCompat(t *testing.T) {
 	store, err := NewCheckpointStore(t.TempDir())
 	if err != nil {
