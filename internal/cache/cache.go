@@ -77,6 +77,12 @@ type Stats struct {
 	PrefetchUseful int64
 }
 
+// Sub returns the counts accumulated from the earlier reading o to s.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{s.Hits - o.Hits, s.Misses - o.Misses, s.MSHRMerges - o.MSHRMerges, s.Writebacks - o.Writebacks,
+		s.Rejects - o.Rejects, s.Prefetches - o.Prefetches, s.PrefetchUseful - o.PrefetchUseful}
+}
+
 // Cache is one private cache level: one Stats row, the next-line prefetcher,
 // plain LRU replacement. Not safe for concurrent use.
 type Cache struct {
@@ -100,9 +106,6 @@ func New(cfg Config, lower mem.Port) (*Cache, error) {
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Access implements mem.Port. A hit on an InPlace request is answered in
 // place: Ready becomes now+HitLatency and nothing is scheduled (see package

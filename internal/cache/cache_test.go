@@ -306,17 +306,6 @@ func TestTouchPropagatesToLowerCache(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	c, low := newTestCache(t)
-	c.Access(0, &mem.Request{Addr: 0x40, Done: func(int64) {}})
-	drive(c, 0, 5)
-	low.deliver()
-	c.ResetStats()
-	if st := c.Stats(); st != (Stats{}) {
-		t.Fatalf("stats not cleared: %+v", st)
-	}
-}
-
 func TestTwoLevelHierarchyEndToEnd(t *testing.T) {
 	low := &fakeLower{delay: 50}
 	l2, _ := New(L2(), low)

@@ -105,13 +105,6 @@ func (c *SharedCache) SetQuota(quota []int) error {
 // StatsFor returns app's counters.
 func (c *SharedCache) StatsFor(app int) Stats { return c.stats[app] }
 
-// ResetStats zeroes all per-app counters.
-func (c *SharedCache) ResetStats() {
-	for i := range c.stats {
-		c.stats[i] = Stats{}
-	}
-}
-
 // Access implements mem.Port; req.App selects the partition.
 func (c *SharedCache) Access(now int64, req *mem.Request) bool {
 	if req.App < 0 || req.App >= c.numApps {

@@ -96,6 +96,12 @@ type Stats struct {
 	RejectStallCycles int64 // cycles stalled because L1 refused the access
 }
 
+// Sub returns the counts accumulated from the earlier reading o to s.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{s.Cycles - o.Cycles, s.Retired - o.Retired, s.Loads - o.Loads, s.Stores - o.Stores,
+		s.ROBFullCycles - o.ROBFullCycles, s.MLPStallCycles - o.MLPStallCycles, s.RejectStallCycles - o.RejectStallCycles}
+}
+
 // IPC returns retired instructions per cycle over the window.
 func (s Stats) IPC() float64 {
 	if s.Cycles == 0 {
@@ -261,10 +267,6 @@ func (c *Core) refreshParams(now int64) {
 
 // Stats returns a snapshot of the counters.
 func (c *Core) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the measurement counters without disturbing
-// microarchitectural state, so a measurement window can start mid-stream.
-func (c *Core) ResetStats() { c.stats = Stats{} }
 
 // Tick advances the core one cycle: release the MLP slots of cold loads
 // answered in place that are now ready, retire from the ROB head, then

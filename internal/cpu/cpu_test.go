@@ -273,23 +273,6 @@ func TestStatsCountersConsistent(t *testing.T) {
 	}
 }
 
-func TestResetStatsKeepsPipelineState(t *testing.T) {
-	l1 := &stubL1{latency: 50}
-	c, _ := New(DefaultConfig(), 0, l1, memEvery(3))
-	for cyc := int64(0); cyc < 100; cyc++ {
-		l1.tick(cyc)
-		c.Tick(cyc)
-	}
-	occ := c.ROBOccupancy()
-	c.ResetStats()
-	if got := c.Stats(); got.Retired != 0 || got.Cycles != 0 {
-		t.Fatalf("stats not cleared: %+v", got)
-	}
-	if c.ROBOccupancy() != occ {
-		t.Fatal("ResetStats disturbed the ROB")
-	}
-}
-
 func TestRetireInOrder(t *testing.T) {
 	// A load followed by non-mem instructions: none of the younger
 	// instructions may retire before the load returns.

@@ -125,12 +125,12 @@ func TestDynamicStreamParamsApplied(t *testing.T) {
 	}
 	// Switch the phase: the core must speed up.
 	ds.baseIPC = 3.0
-	c.ResetStats()
+	before := c.Stats()
 	for cyc := int64(40_000); cyc < 80_000; cyc++ {
 		l1.tick(cyc)
 		c.Tick(cyc)
 	}
-	if got := c.Stats().IPC(); got < 2.5 {
+	if got := c.Stats().Sub(before).IPC(); got < 2.5 {
 		t.Fatalf("dynamic BaseIPC not refreshed upward: IPC %v", got)
 	}
 }

@@ -240,6 +240,12 @@ type Stats struct {
 	RowHits       int64
 }
 
+// Sub returns the counts accumulated from the earlier reading o to s.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{s.ServedReads - o.ServedReads, s.ServedWrites - o.ServedWrites, s.BusBusyCycles - o.BusBusyCycles,
+		s.Activates - o.Activates, s.RowHits - o.RowHits}
+}
+
 // Stats returns accumulated counters.
 func (d *Device) Stats() Stats {
 	s := Stats{ServedReads: d.servedReads, ServedWrites: d.servedWrites}

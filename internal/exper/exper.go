@@ -347,7 +347,7 @@ func (r *Runner) forkPrepared(p *preparedMix) (*sim.System, error) {
 	return sys, sys.Restore(p.cp)
 }
 
-// measure is the one settle → reset → measure tail every run shares, cells
+// measure is the one settle → mark → measure tail every run shares, cells
 // and studies alike: sys is warmed and already carries the configuration
 // under test. With a collector installed the two windows are stage-timed, the
 // measurement window samples the queue depth, and the system's kernel

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"bwpart/internal/core"
-	"bwpart/internal/memctrl"
 	"bwpart/internal/metrics"
 	"bwpart/internal/profile"
 	"bwpart/internal/sim"
@@ -73,13 +72,13 @@ func (r *Runner) RunOnline(mix workload.Mix, scheme string, epochCycles int64, e
 		Values:         make(map[metrics.Objective]float64, 4),
 	}
 	var est []float64
-	var statsBuf []memctrl.AppStats // reused across epochs; the tracker never retains it
-	var apiBuf []float64            // reused across epochs
+	var win sim.Counters // reused across epochs; the tracker never retains it
+	var apiBuf []float64 // reused across epochs
 	for e := 0; e < epochs; e++ {
 		sys.ResetStats()
 		sys.Run(epochCycles)
-		statsBuf = sys.Controller().StatsInto(statsBuf)
-		est, err = tracker.Update(statsBuf, epochCycles)
+		sys.WindowInto(&win)
+		est, err = tracker.Update(win)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 
 	"bwpart/internal/core"
 	"bwpart/internal/cpu"
-	"bwpart/internal/memctrl"
 	"bwpart/internal/profile"
 	"bwpart/internal/sim"
 	"bwpart/internal/workload"
@@ -71,7 +70,7 @@ func (r *Runner) PhaseStudy(phaseInstr, epochCycles int64, epochs int) (*Table, 
 		return nil, err
 	}
 
-	var statsBuf []memctrl.AppStats // reused across epochs; EstimateAll never retains it
+	var win sim.Counters // reused across epochs; EstimateAll never retains it
 
 	// Prologue: both systems profile under FCFS for one epoch.
 	prologue := func(sys *sim.System) ([]float64, []float64, error) {
@@ -80,8 +79,8 @@ func (r *Runner) PhaseStudy(phaseInstr, epochCycles int64, epochs int) (*Table, 
 		}
 		sys.ResetStats()
 		sys.Run(epochCycles)
-		statsBuf = sys.Controller().StatsInto(statsBuf)
-		est, err := profile.EstimateAll(statsBuf, epochCycles)
+		sys.WindowInto(&win)
+		est, err := profile.EstimateAll(win)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -115,8 +114,8 @@ func (r *Runner) PhaseStudy(phaseInstr, epochCycles int64, epochs int) (*Table, 
 
 		sRes := static.Results()
 		oRes := online.Results()
-		statsBuf = online.Controller().StatsInto(statsBuf)
-		est, err := profile.EstimateAll(statsBuf, epochCycles)
+		online.WindowInto(&win)
+		est, err := profile.EstimateAll(win)
 		if err != nil {
 			return nil, err
 		}

@@ -388,20 +388,6 @@ func TestNoInterferenceWhenAlone(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	dev := testDevice(t, dram.ClosePage)
-	c, _ := New(dev, 1, 0, NewFCFS())
-	c.Access(0, &mem.Request{App: 0, Addr: 0})
-	run(c, 0, 2000)
-	if c.Stats()[0].Served() != 1 {
-		t.Fatal("expected one served")
-	}
-	c.ResetStats()
-	if c.Stats()[0].Served() != 0 {
-		t.Fatal("ResetStats did not clear counters")
-	}
-}
-
 func TestSetSchedulerSwap(t *testing.T) {
 	dev := testDevice(t, dram.ClosePage)
 	c, _ := New(dev, 2, 0, NewFCFS())

@@ -13,7 +13,7 @@ package profile
 import (
 	"errors"
 
-	"bwpart/internal/memctrl"
+	"bwpart/internal/sim"
 )
 
 // Estimate applies Eq. 12/13 to one application's counters.
@@ -34,15 +34,15 @@ func Estimate(accesses, cyclesShared, cyclesInterference int64) (float64, error)
 	return float64(accesses) / float64(alone), nil
 }
 
-// EstimateAll applies the estimator to a whole controller stats snapshot
-// over a window of the given length.
-func EstimateAll(stats []memctrl.AppStats, windowCycles int64) ([]float64, error) {
-	if windowCycles <= 0 {
+// EstimateAll applies the estimator to every application's controller
+// counters over a measurement window (sim.System.WindowInto).
+func EstimateAll(w sim.Counters) ([]float64, error) {
+	if w.Cycles <= 0 {
 		return nil, errors.New("profile: non-positive window")
 	}
-	out := make([]float64, len(stats))
-	for i, st := range stats {
-		est, err := Estimate(st.Served(), windowCycles, st.InterferenceCycles)
+	out := make([]float64, len(w.Apps))
+	for i, a := range w.Apps {
+		est, err := Estimate(a.Ctrl.Served(), w.Cycles, a.Ctrl.InterferenceCycles)
 		if err != nil {
 			return nil, err
 		}
@@ -72,13 +72,13 @@ func NewTracker(n int, alpha float64) (*Tracker, error) {
 	return &Tracker{alpha: alpha, est: make([]float64, n), init: make([]bool, n)}, nil
 }
 
-// Update folds one epoch's controller stats into the smoothed estimates and
-// returns the current values.
-func (t *Tracker) Update(stats []memctrl.AppStats, windowCycles int64) ([]float64, error) {
-	if len(stats) != len(t.est) {
+// Update folds one epoch's window into the smoothed estimates and returns
+// the current values.
+func (t *Tracker) Update(w sim.Counters) ([]float64, error) {
+	if len(w.Apps) != len(t.est) {
 		return nil, errors.New("profile: stats length mismatch")
 	}
-	fresh, err := EstimateAll(stats, windowCycles)
+	fresh, err := EstimateAll(w)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bwpart/internal/memctrl"
+	"bwpart/internal/sim"
 )
 
 func TestEstimateBasic(t *testing.T) {
@@ -47,14 +48,14 @@ func TestEstimateAll(t *testing.T) {
 		{Reads: 80, Writes: 20, InterferenceCycles: 500},
 		{Reads: 10, Writes: 0, InterferenceCycles: 0},
 	}
-	got, err := EstimateAll(stats, 1000)
+	got, err := EstimateAll(window(1000, stats...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got[0]-0.2) > 1e-12 || math.Abs(got[1]-0.01) > 1e-12 {
 		t.Fatalf("EstimateAll = %v", got)
 	}
-	if _, err := EstimateAll(stats, 0); err == nil {
+	if _, err := EstimateAll(window(0, stats...)); err == nil {
 		t.Error("zero window accepted")
 	}
 }
@@ -76,7 +77,7 @@ func TestTrackerFirstEpochUnsmoothed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := tr.Update([]memctrl.AppStats{{Reads: 100}}, 1000)
+	est, err := tr.Update(window(1000, memctrl.AppStats{Reads: 100}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +88,8 @@ func TestTrackerFirstEpochUnsmoothed(t *testing.T) {
 
 func TestTrackerSmoothing(t *testing.T) {
 	tr, _ := NewTracker(1, 0.5)
-	tr.Update([]memctrl.AppStats{{Reads: 100}}, 1000)           // 0.1
-	est, _ := tr.Update([]memctrl.AppStats{{Reads: 300}}, 1000) // raw 0.3
+	tr.Update(window(1000, memctrl.AppStats{Reads: 100}))           // 0.1
+	est, _ := tr.Update(window(1000, memctrl.AppStats{Reads: 300})) // raw 0.3
 	want := 0.5*0.3 + 0.5*0.1
 	if math.Abs(est[0]-want) > 1e-12 {
 		t.Fatalf("smoothed = %v, want %v", est[0], want)
@@ -97,17 +98,27 @@ func TestTrackerSmoothing(t *testing.T) {
 
 func TestTrackerLengthMismatch(t *testing.T) {
 	tr, _ := NewTracker(2, 0.5)
-	if _, err := tr.Update([]memctrl.AppStats{{}}, 1000); err == nil {
+	if _, err := tr.Update(window(1000, memctrl.AppStats{})); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }
 
 func TestTrackerEstimatesIsCopy(t *testing.T) {
 	tr, _ := NewTracker(1, 1)
-	tr.Update([]memctrl.AppStats{{Reads: 100}}, 1000)
+	tr.Update(window(1000, memctrl.AppStats{Reads: 100}))
 	e := tr.Estimates()
 	e[0] = 99
 	if tr.Estimates()[0] == 99 {
 		t.Fatal("Estimates aliases internal state")
 	}
+}
+
+// window is a measurement window of the given length over the given
+// controller counters, one application each.
+func window(cycles int64, ctrl ...memctrl.AppStats) sim.Counters {
+	w := sim.Counters{Cycles: cycles}
+	for _, c := range ctrl {
+		w.Apps = append(w.Apps, sim.AppCounters{Ctrl: c})
+	}
+	return w
 }

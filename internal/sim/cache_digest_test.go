@@ -92,13 +92,10 @@ func cacheDigest(t *testing.T, run loop, cfg Config, requota []int) (string, hal
 
 	h := sha256.New()
 	fmt.Fprintf(h, "result %+v\n", fresh.Results())
-	for i := range fresh.cores {
-		fmt.Fprintf(h, "l1.%d %+v\n", i, fresh.l1s[i].Stats())
-		if fresh.sharedL2 != nil {
-			fmt.Fprintf(h, "l2.%d %+v\n", i, fresh.sharedL2.StatsFor(i))
-		} else {
-			fmt.Fprintf(h, "l2.%d %+v\n", i, fresh.l2s[i].Stats())
-		}
+	var w Counters
+	fresh.WindowInto(&w)
+	for i, a := range w.Apps {
+		fmt.Fprintf(h, "l1.%d %+v\nl2.%d %+v\n", i, a.L1, i, a.L2)
 	}
 	return hex.EncodeToString(h.Sum(nil)), halvesKernelStats{kernelLines(sys.KernelStats()), kernelLines(fresh.KernelStats())}
 }

@@ -8,6 +8,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"bwpart/internal/cache"
 	"bwpart/internal/cpu"
@@ -134,20 +135,14 @@ type System struct {
 	// minLat is the DRAM's fewest cycles from issue to completion, the
 	// run-ahead horizon's bound on a request the controller has yet to issue.
 	minLat int64
-	// statsBuf is the reused controller-stats snapshot buffer for Results.
-	statsBuf []memctrl.AppStats
+	// mark is the reading the measurement window starts from; win is the
+	// buffer Results and APIsInto reuse for the window.
+	mark *Counters
+	win  Counters
 	// snapCaches lists every cache in snap-id order (shared L2 first when
 	// present, then per-app L2/L1 in construction order) so the checkpoint
 	// resolver can dispatch on mem.Origin.Comp.
 	snapCaches []snapCache
-	// statsStart marks the cycle ResetStats was last called, for APC rates.
-	statsStart int64
-	// busBusyAtReset snapshots cumulative bus-busy cycles at ResetStats so
-	// utilization is computed over the measurement window only.
-	busBusyAtReset int64
-	// devStatsAtReset snapshots cumulative device counters at ResetStats
-	// for windowed energy estimation.
-	devStatsAtReset dram.Stats
 }
 
 // New builds a system running one synthetic benchmark per core, with the
@@ -397,8 +392,8 @@ type SpanStops struct {
 // KernelStats reports the kernel's work since the system was built or last
 // restored: Cycles simulated, split into Ticked (at least one component
 // ticked) and Leapt (none did), and the per-component breakdown in tick
-// order. They are plain counters — diagnostics of the simulator, not of the
-// simulated machine — so ResetStats leaves them alone.
+// order. They are diagnostics of the simulator, not of the simulated machine,
+// so they are not part of a measurement window (Counters).
 type KernelStats struct {
 	Cycles, Ticked, Leapt int64
 	Components            []ComponentKernelStats
@@ -416,33 +411,67 @@ func (s *System) KernelStats() KernelStats {
 // SharedL2 returns the shared L2 (nil in the private topology).
 func (s *System) SharedL2() *cache.SharedCache { return s.sharedL2 }
 
-// QueueDepths snapshots the memory controller's per-app queue depths (see
-// memctrl.Controller.QueueDepths); total pending is available via
-// Controller().Pending().
-func (s *System) QueueDepths() []int { return s.ctrl.QueueDepths() }
-
-// QueueDepthsInto appends the per-app queue depths to buf[:0] and returns
-// it — the allocation-free form periodic samplers (internal/obs) use.
+// QueueDepthsInto appends the memory controller's per-app queue depths to
+// buf[:0] and returns it, allocation-free for periodic samplers
+// (internal/obs); total pending is Controller().Pending().
 func (s *System) QueueDepthsInto(buf []int) []int { return s.ctrl.QueueDepthsInto(buf) }
 
-// ResetStats zeroes every measurement counter; microarchitectural and
-// scheduler state persist, so a measurement window starts from warm state.
-func (s *System) ResetStats() {
-	s.ctrl.ResetStats()
-	for i := range s.cores {
-		s.cores[i].ResetStats()
-		s.l1s[i].ResetStats()
-		if s.l2s[i] != nil {
-			s.l2s[i].ResetStats()
+// AppCounters is one application's counters in its core, L1, L2 (its row of
+// the shared L2 in that topology) and the memory controller.
+type AppCounters struct {
+	Core   cpu.Stats
+	L1, L2 cache.Stats
+	Ctrl   memctrl.AppStats
+}
+
+// Counters is a reading of every measurement counter of a System: the cycle,
+// the DRAM device's totals and one row per application. Counters only count
+// up, so a measurement window is exactly the reading now minus the mark
+// ResetStats took.
+type Counters struct {
+	Cycles int64
+	DRAM   dram.Stats
+	Apps   []AppCounters
+}
+
+// read sets c to the counters' current values, reusing c.Apps.
+func (s *System) read(c *Counters) {
+	c.Cycles, c.DRAM, c.Apps = s.now, s.dev.Stats(), slices.Grow(c.Apps[:0], len(s.cores))
+	for i, core := range s.cores {
+		a := AppCounters{Core: core.Stats(), L1: s.l1s[i].Stats(), Ctrl: s.ctrl.StatsFor(i)}
+		if s.sharedL2 != nil {
+			a.L2 = s.sharedL2.StatsFor(i)
+		} else {
+			a.L2 = s.l2s[i].Stats()
 		}
+		c.Apps = append(c.Apps, a)
 	}
-	if s.sharedL2 != nil {
-		s.sharedL2.ResetStats()
+}
+
+// zeroMark is the mark of a new system: every counter starts at zero. With no
+// rows, WindowInto leaves the reading as it is.
+var zeroMark Counters
+
+// ResetStats starts a measurement window by marking the counters' current
+// values. It changes no simulation state, and it never writes into the mark
+// it replaces, which checkpoints taken earlier share.
+func (s *System) ResetStats() {
+	m := new(Counters)
+	s.read(m)
+	s.mark = m
+}
+
+// WindowInto sets w to the counts of the current measurement window — the
+// reading now minus the mark — reusing w.Apps, so a per-epoch reader
+// allocates nothing after its first call.
+func (s *System) WindowInto(w *Counters) {
+	s.read(w)
+	w.Cycles -= s.mark.Cycles
+	w.DRAM = w.DRAM.Sub(s.mark.DRAM)
+	for i, m := range s.mark.Apps {
+		a := &w.Apps[i]
+		a.Core, a.L1, a.L2, a.Ctrl = a.Core.Sub(m.Core), a.L1.Sub(m.L1), a.L2.Sub(m.L2), a.Ctrl.Sub(m.Ctrl)
 	}
-	s.statsStart = s.now
-	st := s.dev.Stats()
-	s.busBusyAtReset = st.BusBusyCycles
-	s.devStatsAtReset = st
 }
 
 // AppResult is one application's measurement over the last window.
@@ -480,62 +509,46 @@ type Result struct {
 
 // Results snapshots the current window's measurements.
 func (s *System) Results() Result {
-	window := s.now - s.statsStart
-	res := Result{WindowCycles: window}
-	s.statsBuf = s.ctrl.StatsInto(s.statsBuf)
-	ctrlStats := s.statsBuf
+	w := &s.win
+	s.WindowInto(w)
+	res := Result{WindowCycles: w.Cycles}
 	var totalAccesses int64
-	for i := range s.cores {
-		cs := s.cores[i].Stats()
-		served := ctrlStats[i].Served()
+	for i, a := range w.Apps {
+		served := a.Ctrl.Served()
 		totalAccesses += served
 		ar := AppResult{
 			Name:               s.specs[i].Name,
-			Instructions:       cs.Retired,
-			Cycles:             cs.Cycles,
-			IPC:                cs.IPC(),
+			Instructions:       a.Core.Retired,
+			Cycles:             a.Core.Cycles,
+			IPC:                a.Core.IPC(),
 			OffChipAccesses:    served,
-			InterferenceCycles: ctrlStats[i].InterferenceCycles,
+			InterferenceCycles: a.Ctrl.InterferenceCycles,
 		}
-		if cs.Cycles > 0 {
-			ar.APC = float64(served) / float64(cs.Cycles)
+		if a.Core.Cycles > 0 {
+			ar.APC = float64(served) / float64(a.Core.Cycles)
 			ar.APKC = ar.APC * 1000
 		}
-		if cs.Retired > 0 {
-			ar.API = float64(served) / float64(cs.Retired)
+		if a.Core.Retired > 0 {
+			ar.API = float64(served) / float64(a.Core.Retired)
 			ar.APKI = ar.API * 1000
 		}
-		var l2 cache.Stats
-		if s.sharedL2 != nil {
-			l2 = s.sharedL2.StatsFor(i)
-		} else {
-			l2 = s.l2s[i].Stats()
-		}
-		if l2.Hits+l2.Misses > 0 {
+		if l2 := a.L2; l2.Hits+l2.Misses > 0 {
 			ar.L2MissRate = float64(l2.Misses) / float64(l2.Hits+l2.Misses)
 		}
 		res.Apps = append(res.Apps, ar)
 	}
-	if window > 0 {
-		devNow := s.dev.Stats()
-		res.TotalAPC = float64(totalAccesses) / float64(window)
-		busy := devNow.BusBusyCycles - s.busBusyAtReset
-		res.BusUtilization = float64(busy) / float64(window*int64(s.cfg.DRAM.Channels))
-		delta := dram.Stats{
-			ServedReads:  devNow.ServedReads - s.devStatsAtReset.ServedReads,
-			ServedWrites: devNow.ServedWrites - s.devStatsAtReset.ServedWrites,
-			Activates:    devNow.Activates - s.devStatsAtReset.Activates,
-			RowHits:      devNow.RowHits - s.devStatsAtReset.RowHits,
-		}
+	if w.Cycles > 0 {
+		res.TotalAPC = float64(totalAccesses) / float64(w.Cycles)
+		res.BusUtilization = float64(w.DRAM.BusBusyCycles) / float64(w.Cycles*int64(s.cfg.DRAM.Channels))
 		power := dram.DefaultPowerConfig()
 		if s.cfg.Power != nil {
 			power = *s.cfg.Power
 		}
-		if e, err := dram.EstimateEnergy(s.cfg.DRAM, power, delta, window); err != nil {
+		if e, err := dram.EstimateEnergy(s.cfg.DRAM, power, w.DRAM, w.Cycles); err != nil {
 			res.EnergyError = err.Error()
 		} else {
 			res.Energy = e
-			res.EnergyPerBitPJ = dram.EnergyPerBitPJ(s.cfg.DRAM, e, delta)
+			res.EnergyPerBitPJ = dram.EnergyPerBitPJ(s.cfg.DRAM, e, w.DRAM)
 		}
 	}
 	return res
@@ -546,13 +559,12 @@ func (s *System) Results() Result {
 // accessor for per-epoch readers (the online repartitioning loop) that only
 // need the API vector, not a full Result.
 func (s *System) APIsInto(buf []float64) []float64 {
-	s.statsBuf = s.ctrl.StatsInto(s.statsBuf)
+	s.WindowInto(&s.win)
 	buf = buf[:0]
-	for i := range s.cores {
-		retired := s.cores[i].Stats().Retired
+	for _, a := range s.win.Apps {
 		api := 0.0
-		if retired > 0 {
-			api = float64(s.statsBuf[i].Served()) / float64(retired)
+		if a.Core.Retired > 0 {
+			api = float64(a.Ctrl.Served()) / float64(a.Core.Retired)
 		}
 		buf = append(buf, api)
 	}

@@ -2,9 +2,14 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"bwpart/internal/cache"
 	"bwpart/internal/core"
+	"bwpart/internal/cpu"
+	"bwpart/internal/dram"
+	"bwpart/internal/memctrl"
 	"bwpart/internal/metrics"
 	"bwpart/internal/workload"
 )
@@ -406,5 +411,35 @@ func TestL2PrefetchLatencyForBandwidthTrade(t *testing.T) {
 	baseAPKI, pfAPKI := runBench(0), runBench(4)
 	if pfAPKI <= baseAPKI*1.1 {
 		t.Fatalf("prefetching should amplify off-chip traffic: APKI %v -> %v", baseAPKI, pfAPKI)
+	}
+}
+
+// TestCountersSubtractEveryField: a window is a difference of two readings
+// only if every counter is an int64 that its type's Sub subtracts. A counter
+// added to one of the four Stats types without its Sub term fails here.
+func TestCountersSubtractEveryField(t *testing.T) {
+	checkSub(t, cpu.Stats.Sub)
+	checkSub(t, cache.Stats.Sub)
+	checkSub(t, memctrl.AppStats.Sub)
+	checkSub(t, dram.Stats.Sub)
+}
+
+func checkSub[T any](t *testing.T, sub func(T, T) T) {
+	t.Helper()
+	var a, b T
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		if va.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("%T.%s is not an int64 counter", a, va.Type().Field(i).Name)
+		}
+		va.Field(i).SetInt(int64(100 * (i + 1)))
+		vb.Field(i).SetInt(int64(i + 1))
+	}
+	d := sub(a, b)
+	vd := reflect.ValueOf(d)
+	for i := 0; i < vd.NumField(); i++ {
+		if got, want := vd.Field(i).Int(), int64(99*(i+1)); got != want {
+			t.Errorf("%T.Sub: field %s = %d, want %d", a, vd.Type().Field(i).Name, got, want)
+		}
 	}
 }

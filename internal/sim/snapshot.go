@@ -44,15 +44,13 @@ type checkpointStream interface {
 	ForkStream() cpu.Stream
 }
 
-// Checkpoint is a complete snapshot of a System mid-run. It is plain data:
-// it shares no memory with the system it came from, stays valid however
-// that system advances, and may be restored into any number of systems
-// built from the same Config and specs (Fork does exactly that).
+// Checkpoint is a complete snapshot of a System mid-run. It is plain data
+// that shares no memory with its system but the immutable window mark, stays
+// valid however that system advances, and may be restored into any number of
+// systems built from the same Config and specs (Fork does exactly that).
 type Checkpoint struct {
-	now             int64
-	statsStart      int64
-	busBusyAtReset  int64
-	devStatsAtReset dram.Stats
+	now  int64
+	mark *Counters
 
 	dev     *dram.DeviceState
 	ctrl    *memctrl.ControllerState
@@ -68,12 +66,10 @@ func (cp *Checkpoint) Cycle() int64 { return cp.now }
 // workload stream does not implement the checkpoint contract.
 func (s *System) Snapshot() (*Checkpoint, error) {
 	cp := &Checkpoint{
-		now:             s.now,
-		statsStart:      s.statsStart,
-		busBusyAtReset:  s.busBusyAtReset,
-		devStatsAtReset: s.devStatsAtReset,
-		dev:             s.dev.Snapshot(),
-		ctrl:            s.ctrl.Snapshot(),
+		now:  s.now,
+		mark: s.mark,
+		dev:  s.dev.Snapshot(),
+		ctrl: s.ctrl.Snapshot(),
 	}
 	for i := range s.cores {
 		cs, ok := s.specs[i].Stream.(checkpointStream)
@@ -172,9 +168,7 @@ func (s *System) Restore(cp *Checkpoint) error {
 		return fmt.Errorf("sim: %w", err)
 	}
 	s.now = cp.now
-	s.statsStart = cp.statsStart
-	s.busBusyAtReset = cp.busBusyAtReset
-	s.devStatsAtReset = cp.devStatsAtReset
+	s.mark = cp.mark
 	s.ticked, s.leapt = 0, 0
 	for i := range s.slots {
 		s.slots[i].ComponentKernelStats = ComponentKernelStats{Name: s.slots[i].Name}

@@ -124,6 +124,7 @@ func NewFromSpecs(cfg Config, specs []AppSpec) (*System, error) {
 		cs := &s.slots[len(s.slots)-1]
 		cs.core, cs.l1, cs.l2 = core, l1Slot, l2Slot
 	}
+	s.mark = &zeroMark
 	return s, nil
 }
 
