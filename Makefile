@@ -67,13 +67,20 @@ race:
 
 # smoke boots the daemon on an ephemeral port through the real serving path
 # (TCP listener, health check, one mix request, drain on cancel), runs
-# the README's minimal consumer of the bwpart facade, then sweeps the cells
+# the README's minimal consumer of the bwpart facade, sweeps the cells
 # of the two heuristic schedulers that keep counter baselines (STFM, TCM)
-# through the command line's policy names.
+# through the command line's policy names, then runs the interval study's
+# online cells twice over one checkpoint directory: the second run must
+# load every cell from disk and simulate none.
 smoke:
 	$(GO) test -run TestServeSmoke -count 1 ./internal/serve
 	$(GO) run ./examples/quickstart > /dev/null
 	$(GO) run ./cmd/sweep -mixes hetero-1 -schemes no-partitioning,stfm,tcm -parallel 1 > /dev/null
+	@ckpt="$$(mktemp -d)"; trap 'rm -rf "$$ckpt"' EXIT; \
+	$(GO) run ./cmd/figures -quick -exp interval -checkpoint-dir "$$ckpt" > /dev/null && \
+	$(GO) run ./cmd/figures -quick -exp interval -checkpoint-dir "$$ckpt" -stats-json "$$ckpt/stats.json" > /dev/null && \
+	if ! grep -q '"misses": 0,' "$$ckpt/stats.json"; then \
+		echo "smoke: the interval study's rerun over its checkpoint dir simulated cells"; exit 1; fi
 
 # fuzz mutates the kernel differential (naive oracle vs wake scheduler, run
 # straight and in uneven slices with a mid-window fork) from its seed corpus

@@ -140,7 +140,8 @@ func BenchmarkModelValidation(b *testing.B) {
 }
 
 // BenchmarkOnlineProfiling reports the online APC_alone estimator's mean
-// relative error against the run-alone oracle (paper Sec. IV-C).
+// relative error against the run-alone oracle (paper Sec. IV-C): the online
+// cell's MixRun.EstimatorError.
 func BenchmarkOnlineProfiling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := quickRunner(b)
@@ -148,11 +149,11 @@ func BenchmarkOnlineProfiling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		o, err := r.RunOnline(mix, "square-root", 150_000, 4)
+		run, err := r.RunOnline(mix, "square-root", 150_000, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*o.EstimatorError(), "pct-estimator-error")
+		b.ReportMetric(100*run.EstimatorError(), "pct-estimator-error")
 	}
 }
 

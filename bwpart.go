@@ -91,16 +91,14 @@ type (
 	Table = exper.Table
 	// Study is one named experiment of the figure suite (see Studies).
 	Study = exper.Study
-	// Table3Result, ValidationResult and OnlineResult are the typed
-	// results behind the table3, validate and online studies (Table lays
-	// each out).
+	// Table3Result and ValidationResult are the typed results behind the
+	// table3 and validate studies (Table lays each out).
 	Table3Result     = exper.Table3Result
 	ValidationResult = exper.ValidationResult
-	OnlineResult     = exper.OnlineResult
 	// MixRun is one cell's simulation measurement.
 	MixRun = exper.MixRun
 	// GridCell is a cell: a mix under a controller policy, with an explicit
-	// share vector for the share-taking policies (see Runner.RunGrid).
+	// share vector for the share-taking policies, epochs for the online ones.
 	GridCell = exper.GridCell
 	// CheckpointStore persists finished sweep cells so an interrupted
 	// RunGrid resumes instead of restarting. Install via

@@ -243,6 +243,9 @@ func copyMixRun(run *MixRun) *MixRun {
 	}
 	cp.IPCAlone = append([]float64(nil), run.IPCAlone...)
 	cp.APCAlone = append([]float64(nil), run.APCAlone...)
+	if run.EstimatedAPCAlone != nil {
+		cp.EstimatedAPCAlone = append([]float64(nil), run.EstimatedAPCAlone...)
+	}
 	cp.API = append([]float64(nil), run.API...)
 	cp.Result.Apps = append([]sim.AppResult(nil), run.Result.Apps...)
 	cp.Values = maps.Clone(run.Values)
@@ -260,7 +263,7 @@ func mixRunBytes(run *MixRun) int64 {
 	for _, b := range run.Mix.Benchmarks {
 		size += int64(unsafe.Sizeof(b)) + int64(len(b))
 	}
-	size += int64(len(run.Shares)+len(run.IPCAlone)+len(run.APCAlone)+len(run.API)) * 8
+	size += int64(len(run.Shares)+len(run.IPCAlone)+len(run.APCAlone)+len(run.EstimatedAPCAlone)+len(run.API)) * 8
 	for i := range run.Result.Apps {
 		a := &run.Result.Apps[i]
 		size += int64(unsafe.Sizeof(*a)) + int64(len(a.Name))

@@ -18,7 +18,7 @@ import (
 // CheckpointStore persists finished cells as JSON files
 // so an interrupted RunGrid resumes where it stopped instead of starting
 // over. Files are keyed like the in-memory result cache — by the mix's
-// benchmark list, the policy, its share vector, and a fingerprint of every configuration knob
+// benchmark list, the policy, its share vector or epochs, and a fingerprint of every configuration knob
 // that affects the measurement — so results recorded under a different
 // configuration are never mistaken for the current sweep's: a stale file is
 // simply a cache miss.
@@ -142,7 +142,7 @@ func (s *CheckpointStore) Has(r *Runner, mix workload.Mix, scheme string) bool {
 
 // Load returns the stored cell for (mix, scheme) under r's configuration,
 // or (nil, false) when absent, unreadable, or recorded for a different
-// benchmark list, policy or share vector — any such miss just means the cell is
+// benchmark list, policy, share vector or epochs — any such miss just means the cell is
 // re-simulated. Display labels are not compared: an aliased mix may have
 // written the file. A read error other than "file does not exist"
 // additionally degrades the store. A nil store holds nothing.
@@ -172,7 +172,8 @@ func (s *CheckpointStore) load(r *Runner, c GridCell) (*MixRun, []byte) {
 	if err := json.Unmarshal(data, &run); err != nil {
 		return nil, nil
 	}
-	if !slices.Equal(run.Mix.Benchmarks, c.Mix.Benchmarks) || run.Scheme != c.Scheme || !slices.Equal(run.Shares, c.Shares) {
+	if !slices.Equal(run.Mix.Benchmarks, c.Mix.Benchmarks) || run.Scheme != c.Scheme || !slices.Equal(run.Shares, c.Shares) ||
+		run.Epoch != c.Epoch || run.Epochs != c.Epochs {
 		return nil, nil
 	}
 	return &run, append(data, '\n')
@@ -209,7 +210,7 @@ func (s *CheckpointStore) Save(r *Runner, run *MixRun) error {
 		op, err = "rename", s.injector().Err(faultinject.CheckpointRename)
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), s.cellPath(r, GridCell{Mix: run.Mix, Scheme: run.Scheme, Shares: run.Shares}))
+		err = os.Rename(tmp.Name(), s.cellPath(r, run.cell()))
 	}
 	if err != nil {
 		os.Remove(tmp.Name())

@@ -136,8 +136,8 @@ const preparedCap = 8
 
 // Runner executes experiments. Standalone profiles are cached per benchmark
 // (single-flight, so concurrent first requests share one profiling run),
-// and unless Config.NoMemoize is set, every cell — a (mix, policy, shares)
-// value, see GridCell — flows through a memoized executor: the result cache
+// and unless Config.NoMemoize is set, every cell — a (mix, policy, shares,
+// epochs) value, see GridCell — flows through a memoized executor: the result cache
 // deduplicates whole cells and the prepared-mix registry shares one warm base
 // per mix across RunMix, RunGrid and every windowed study.
 type Runner struct {
@@ -287,19 +287,31 @@ func (r *Runner) runMeasured(sys *sim.System, cycles int64) {
 }
 
 // MixRun is one cell's measurement: the mix under the policy named Scheme,
-// enforcing Shares when the policy takes a share vector.
+// enforcing Shares when the policy takes a share vector and running Epochs
+// epochs of Epoch cycles when it is online.
 type MixRun struct {
 	Mix    workload.Mix
 	Scheme string
-	// Shares is absent from a plain cell's JSON, so plain cells encode as
-	// they did before cells could carry one.
+	// Shares, Epoch, Epochs and EstimatedAPCAlone are absent from a plain
+	// cell's JSON, so plain cells encode as they did before cells could
+	// carry them.
 	Shares   []float64 `json:",omitempty"`
+	Epoch    int64     `json:",omitempty"`
+	Epochs   int       `json:",omitempty"`
 	IPCAlone []float64
 	APCAlone []float64
-	API      []float64
-	Result   sim.Result
+	// EstimatedAPCAlone is an online cell's final smoothed APC_alone
+	// estimate per app.
+	EstimatedAPCAlone []float64 `json:",omitempty"`
+	API               []float64
+	Result            sim.Result
 	// Values holds the four objectives evaluated on the measured IPCs.
 	Values map[metrics.Objective]float64
+}
+
+// cell is the cell run measured.
+func (run *MixRun) cell() GridCell {
+	return GridCell{Mix: run.Mix, Scheme: run.Scheme, Shares: run.Shares, Epoch: run.Epoch, Epochs: run.Epochs}
 }
 
 // preparedMix is the shared prefix of every measurement on one mix: its
@@ -347,18 +359,28 @@ func (r *Runner) forkPrepared(p *preparedMix) (*sim.System, error) {
 	return sys, sys.Restore(p.cp)
 }
 
-// measure is the one settle → mark → measure tail every run shares, cells
-// and studies alike: sys is warmed and already carries the configuration
-// under test. With a collector installed the two windows are stage-timed, the
-// measurement window samples the queue depth, and the system's kernel
-// counters join the totals.
-func (r *Runner) measure(sys *sim.System) sim.Result {
+// measure is the one settle → mark → measure tail every cell shares: sys is
+// warmed and already carries the configuration under test. The settle window
+// is SettleCycles long, or an online policy's epochs, whose final estimates
+// measure returns. With a collector installed the two windows are
+// stage-timed, the measurement window samples the queue depth, and the
+// system's kernel counters join the totals.
+func (r *Runner) measure(sys *sim.System, pol policy, a policyArgs) (sim.Result, []float64, error) {
 	if r.cfg.Tracer != nil {
 		sys.Controller().SetTracer(r.cfg.Tracer)
 	}
+	var est []float64
+	var err error
 	stop := r.cfg.Obs.StageStart(obs.StageSettle)
-	sys.Run(r.cfg.SettleCycles)
+	if pol.settle == nil {
+		sys.Run(r.cfg.SettleCycles)
+	} else {
+		est, err = pol.settle(sys, a)
+	}
 	stop()
+	if err != nil {
+		return sim.Result{}, nil, err
+	}
 	sys.ResetStats()
 	stop = r.cfg.Obs.StageStart(obs.StageMeasure)
 	r.runMeasured(sys, r.cfg.MeasureCycles)
@@ -373,7 +395,7 @@ func (r *Runner) measure(sys *sim.System) sim.Result {
 		}
 		r.cfg.Obs.AddKernel(tot)
 	}
-	return sys.Results()
+	return sys.Results(), est, nil
 }
 
 // runConfigured measures one cell from its mix's warmed state: pol installs
@@ -383,28 +405,31 @@ func (r *Runner) measure(sys *sim.System) sim.Result {
 // measured. Under NoMemoize a private system is built and warmed for this one
 // run: the reference executor the differential tests compare every memoized
 // path against.
-func (r *Runner) runConfigured(c GridCell, pol policy, a policyArgs) (sim.Result, error) {
+func (r *Runner) runConfigured(pol policy, a policyArgs) (sim.Result, []float64, error) {
+	var p *preparedMix
 	var sys *sim.System
 	var err error
 	if r.prepared == nil {
-		_, sys, err = r.prepareMix(c.Mix)
+		p, sys, err = r.prepareMix(a.cell.Mix)
 	} else {
 		var e *preparedEntry
 		var release func()
-		if e, release, err = r.prepared.acquire(c.Mix); err != nil {
-			return sim.Result{}, err
+		if e, release, err = r.prepared.acquire(a.cell.Mix); err != nil {
+			return sim.Result{}, nil, err
 		}
 		defer release()
 		r.cfg.Obs.Add(obs.WarmForks, 1)
-		sys, err = r.forkPrepared(e.p)
+		p = e.p
+		sys, err = r.forkPrepared(p)
 	}
 	if err == nil {
+		a.profs = p.profs
 		err = pol.apply(sys, a)
 	}
 	if err != nil {
-		return sim.Result{}, err
+		return sim.Result{}, nil, err
 	}
-	return r.measure(sys), nil
+	return r.measure(sys, pol, a)
 }
 
 // runCell simulates one cell and evaluates all four objectives on the
@@ -418,19 +443,22 @@ func (r *Runner) runCell(c GridCell) (*MixRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.runConfigured(c, pol, policyArgs{apcAlone: apcAlone, api: api, shares: c.Shares, seed: r.cfg.Seed})
+	res, est, err := r.runConfigured(pol, policyArgs{cell: c, apcAlone: apcAlone, api: api, seed: r.cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
 	run := &MixRun{
-		Mix:      c.Mix,
-		Scheme:   c.Scheme,
-		Shares:   c.Shares,
-		IPCAlone: ipcAlone,
-		APCAlone: apcAlone,
-		API:      api,
-		Result:   res,
-		Values:   make(map[metrics.Objective]float64, 4),
+		Mix:               c.Mix,
+		Scheme:            c.Scheme,
+		Shares:            c.Shares,
+		Epoch:             c.Epoch,
+		Epochs:            c.Epochs,
+		IPCAlone:          ipcAlone,
+		APCAlone:          apcAlone,
+		EstimatedAPCAlone: est,
+		API:               api,
+		Result:            res,
+		Values:            make(map[metrics.Objective]float64, 4),
 	}
 	shared := res.IPCs()
 	for _, obj := range metrics.Objectives() {
@@ -508,8 +536,7 @@ func (r *Runner) ResidentJSON(mix workload.Mix, scheme string) ([]byte, error) {
 // cell's stored bytes (a memory probe, uncounted), so a miss answers with what
 // its hits get.
 func (r *Runner) EncodeCell(run *MixRun) ([]byte, error) {
-	c := GridCell{Mix: run.Mix, Scheme: run.Scheme, Shares: run.Shares}
-	if enc, err := r.residentJSON(c, nil, func() (*MixRun, []byte) { return nil, nil }); err == nil {
+	if enc, err := r.residentJSON(run.cell(), nil, func() (*MixRun, []byte) { return nil, nil }); err == nil {
 		return enc, nil
 	}
 	return encodeRun(run)

@@ -113,15 +113,23 @@ func TestRunMixUnknownScheme(t *testing.T) {
 			t.Errorf("CheckPolicy(%s) accepted", name)
 		}
 	}
+	// Nor an online one: its epochs come with the cell.
+	if err := CheckPolicy("online:square-root"); err == nil {
+		t.Error("CheckPolicy(online:square-root) accepted")
+	}
 	for _, c := range []GridCell{
 		{Mix: mix, Scheme: "equal", Shares: []float64{1, 1, 1, 1}},
+		{Mix: mix, Scheme: "equal", Epoch: 1000},
+		{Mix: mix, Scheme: "online:square-root"},
+		{Mix: mix, Scheme: "online:square-root", Epoch: 1000, Epochs: 1},
+		{Mix: mix, Scheme: "online:bogus", Epoch: 1000, Epochs: 2},
 		{Mix: mix, Scheme: "start-time-fair", Shares: []float64{1, 1, 1}},
 		{Mix: mix, Scheme: "start-time-fair", Shares: []float64{math.NaN(), 1, 1, 1}},
 		{Mix: mix, Scheme: "budget", Shares: []float64{1, math.Inf(1), 1, 1}},
 		{Mix: mix, Scheme: "budget", Shares: []float64{1, 0, 1, 1}},
 	} {
 		if _, err := r.lookup(c, true); err == nil {
-			t.Errorf("cell %s %v accepted", c.Scheme, c.Shares)
+			t.Errorf("cell %s %v %dx%d accepted", c.Scheme, c.Shares, c.Epochs, c.Epoch)
 		}
 	}
 }
@@ -276,7 +284,7 @@ func TestOnlineProfilingConverges(t *testing.T) {
 			t.Errorf("%v = %v", obj, res.Values[obj])
 		}
 	}
-	if !strings.Contains(res.Table().String(), "estimator error") {
+	if !strings.Contains(onlineTable(res).String(), "estimator error") {
 		t.Fatal("render missing error line")
 	}
 }

@@ -156,16 +156,21 @@ func configFingerprint(c Config) string {
 // benchmark list, not its display name, so two differently-named mixes over
 // the same applications (the motivation mix is Table IV's hetero-5) share
 // one cell. The cell executor relabels returned copies with the requested
-// mix's name. A share vector appends each share's exact bit pattern, so a
-// plain cell keeps the key it had before cells could carry one.
+// mix's name. A share vector appends each share's exact bit pattern and an
+// online cell its epoch length and count, so a plain cell keeps the key it had
+// before cells could carry either.
 func cellKey(fp string, c GridCell) string {
 	key := fp + "/" + strings.Join(c.Mix.Benchmarks, "+") + "/" + c.Scheme
-	if len(c.Shares) == 0 {
+	if len(c.Shares) == 0 && c.Epoch == 0 && c.Epochs == 0 {
 		return key
 	}
 	b := []byte(key)
 	for _, s := range c.Shares {
 		b = strconv.AppendUint(append(b, '/'), math.Float64bits(s), 16)
+	}
+	if c.Epoch != 0 || c.Epochs != 0 {
+		b = strconv.AppendInt(append(b, "/epochs="...), int64(c.Epochs), 10)
+		b = strconv.AppendInt(append(b, 'x'), c.Epoch, 10)
 	}
 	return string(b)
 }

@@ -106,7 +106,7 @@ func TestFingerprintCanonical(t *testing.T) {
 }
 
 // TestCellKeySeparation checks the in-memory cache key separates benchmark
-// lists, schemes, and configurations — and, being content-addressed,
+// lists, schemes, share vectors, epochs and configurations — and, being content-addressed,
 // collides exactly when two mixes name the same applications (the
 // motivation mix aliases hetero-5).
 func TestCellKeySeparation(t *testing.T) {
@@ -132,7 +132,12 @@ func TestCellKeySeparation(t *testing.T) {
 	nudged[2] = math.Nextafter(nudged[2], 1)
 	keys[cellKey(fp, GridCell{Mix: mixA, Scheme: "start-time-fair", Shares: shares})] = true
 	keys[cellKey(fp, GridCell{Mix: mixA, Scheme: "start-time-fair", Shares: nudged})] = true
-	if len(keys) != 6 {
+	// An online cell is keyed by its epoch length and count.
+	for _, c := range []GridCell{{Epoch: 20_000, Epochs: 3}, {Epoch: 30_000, Epochs: 2}, {Epoch: 20_000, Epochs: 30}} {
+		c.Mix, c.Scheme = mixA, "online:equal"
+		keys[cellKey(fp, c)] = true
+	}
+	if len(keys) != 9 {
 		t.Errorf("cell keys collide: %v", keys)
 	}
 	hetero5, err := workload.MixByName("hetero-5")

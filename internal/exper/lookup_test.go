@@ -318,7 +318,9 @@ func TestDiskHitSingleFlight(t *testing.T) {
 // TestCheckpointKeyedLikeMemoryTier: the disk tier identifies a cell by its
 // benchmark list, not its display name. Two same-named mixes over different
 // benchmarks cannot alias (neither through the file name nor through a
-// planted payload), and aliased mixes share one file.
+// planted payload), and aliased mixes share one file. An online cell loads
+// back with its estimates, and its payload planted at the path of another
+// epoch length is refused.
 func TestCheckpointKeyedLikeMemoryTier(t *testing.T) {
 	dir := t.TempDir()
 	r, col := storeRunner(t, dir)
@@ -371,6 +373,27 @@ func TestCheckpointKeyedLikeMemoryTier(t *testing.T) {
 		t.Errorf("directory holds %d cell files, want 2: %v", len(files), files)
 	}
 	wantCache(t, "aliased pair", col, 1, 1, 0, 0)
+
+	online := GridCell{Mix: hetero5, Scheme: "online:square-root", Epoch: 20_000, Epochs: 2}
+	orun, err := r.RunOnline(hetero5, "square-root", online.Epoch, online.Epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := store.load(r, online); got == nil || len(got.EstimatedAPCAlone) == 0 || !reflect.DeepEqual(got, orun) {
+		t.Errorf("online cell does not load back with its estimates: %+v", got)
+	}
+	data, err = os.ReadFile(store.cellPath(r, online))
+	if err != nil {
+		t.Fatal(err)
+	}
+	longer := online
+	longer.Epoch *= 2
+	if err := os.WriteFile(store.cellPath(r, longer), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := store.load(r, longer); got != nil {
+		t.Error("load accepted a payload recorded for another epoch length")
+	}
 }
 
 // TestResidentProbeHandsOverToSimulation: a full lookup that joins a

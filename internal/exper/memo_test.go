@@ -299,8 +299,9 @@ func TestFigureSuiteMemoizedMatchesCold(t *testing.T) {
 }
 
 // TestHeuristicsSharedBaseMatchesCold pins the heuristic path (explicit
-// scheduler installed on a fork of the shared warm base) against the cold
-// reference executor.
+// scheduler installed on a fork of the shared warm base) and an online cell
+// (its epoch loop run on such a fork) against the cold reference executor,
+// which warms a system of its own per cell.
 func TestHeuristicsSharedBaseMatchesCold(t *testing.T) {
 	cfg := memoTestConfig()
 	warm, err := NewRunner(cfg)
@@ -325,14 +326,25 @@ func TestHeuristicsSharedBaseMatchesCold(t *testing.T) {
 	if !reflect.DeepEqual(wh, ch) {
 		t.Errorf("heuristic study on shared warm bases diverges from cold:\nmemo: %s\ncold: %s", wh, ch)
 	}
+	wo, err := warm.RunOnline(mixes[0], "square-root", 40_000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := cold.RunOnline(mixes[0], "square-root", 40_000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wo, co) {
+		t.Errorf("online cell on a shared warm base diverges from cold:\nmemo: %+v\ncold: %+v", wo, co)
+	}
 }
 
 // TestStudiesRerunFromCells runs every study whose windowed runs are cells
 // — heuristics, enforcement, mechanism, Figure 3, the page-policy ablation
-// and the shared-L2 study, the last two on derived runners — twice on one
-// runner with tiny windows. The second pass must be all result-cache hits:
-// no simulation, no warm-base fork, no settle or measurement window, and the
-// same tables.
+// and the shared-L2 study, the last two on derived runners, an online run and
+// the interval study — twice on one runner with tiny windows. The second pass
+// must be all result-cache hits: no simulation, no warm-base fork, no settle
+// (epoch loop) or measurement window, and the same tables.
 func TestStudiesRerunFromCells(t *testing.T) {
 	cfg := Quick()
 	cfg.Sim.WarmupInstructions = 5_000
@@ -349,6 +361,10 @@ func TestStudiesRerunFromCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hetero5, err := workload.MixByName("hetero-5")
+	if err != nil {
+		t.Fatal(err)
+	}
 	studies := []func() (*Table, error){
 		func() (*Table, error) { return r.RunHeuristics(hetero) },
 		func() (*Table, error) { return r.EnforcementStudy(hetero[:1]) },
@@ -356,6 +372,14 @@ func TestStudiesRerunFromCells(t *testing.T) {
 		r.Figure3,
 		func() (*Table, error) { return r.PagePolicyStudy(hetero[:1]) },
 		func() (*Table, error) { return r.SharedL2Study(homo1, [][]int{{2, 2, 2, 2}}) },
+		func() (*Table, error) {
+			run, err := r.RunOnline(hetero5, "square-root", 10_000, 2)
+			if err != nil {
+				return nil, err
+			}
+			return onlineTable(run), nil
+		},
+		func() (*Table, error) { return r.IntervalStudy(hetero5, "equal", []int64{200_000, 300_000}) },
 	}
 	pass := func() []string {
 		var out []string

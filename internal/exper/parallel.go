@@ -168,14 +168,17 @@ func (r *Runner) runBatch(n int, fn func(i int) error) error {
 
 // GridCell is a cell, the engine's unit of measurement: a mix under a
 // controller policy from the registry (Scheme: NoPartitioning, a core
-// scheme, a heuristic scheduler, fr-fcfs, or a share-taking policy), with an
-// explicit share vector exactly when the policy takes one. Every windowed
-// run — a sweep's grid point or a study's configuration — is a cell, so it
-// is memoized, checkpointed, and forks its mix's warm base.
+// scheme, a heuristic scheduler, fr-fcfs, a share-taking policy, or a core
+// scheme run online), with an explicit share vector exactly when the policy
+// takes one, and Epochs epochs of Epoch cycles exactly when it is online.
+// Every windowed run — a sweep's grid point or a study's configuration — is
+// a cell, so it is memoized, checkpointed, and forks its mix's warm base.
 type GridCell struct {
 	Mix    workload.Mix
 	Scheme string
 	Shares []float64
+	Epoch  int64
+	Epochs int
 }
 
 // Grid expands mixes x schemes in row-major (mix-major) order.

@@ -6,7 +6,6 @@ import (
 
 	"bwpart/internal/core"
 	"bwpart/internal/cpu"
-	"bwpart/internal/profile"
 	"bwpart/internal/sim"
 	"bwpart/internal/workload"
 )
@@ -27,79 +26,57 @@ func (r *Runner) PhaseStudy(phaseInstr, epochCycles int64, epochs int) (*Table, 
 	if phaseInstr <= 0 || epochCycles <= 0 || epochs < 2 {
 		return nil, errors.New("exper: phase study needs positive windows and >= 2 epochs")
 	}
-	mkSystem := func() (*sim.System, error) {
-		phased, err := workload.TwoPhase("povray", "lbm", phaseInstr, 0, r.cfg.Seed)
+	phased, err := workload.TwoPhase("povray", "lbm", phaseInstr, 0, r.cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	pov, err := workload.ByName("povray")
+	if err != nil {
+		return nil, err
+	}
+	specs := []sim.AppSpec{{
+		Name:   "phased",
+		Core:   coreFor(r.cfg.Sim, pov),
+		Stream: phased,
+		Warm:   phased.Warmup,
+	}}
+	for i, name := range []string{"milc", "gromacs", "gobmk"} {
+		p, err := workload.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		pov, err := workload.ByName("povray")
+		gen, err := workload.NewGenerator(p, i+1, r.cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		specs := []sim.AppSpec{{
-			Name:   "phased",
-			Core:   coreFor(r.cfg.Sim, pov),
-			Stream: phased,
-			Warm:   phased.Warmup,
-		}}
-		for i, name := range []string{"milc", "gromacs", "gobmk"} {
-			p, err := workload.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			gen, err := workload.NewGenerator(p, i+1, r.cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			specs = append(specs, sim.AppSpec{Name: name, Core: coreFor(r.cfg.Sim, p), Stream: gen, Warm: gen.Warmup})
-		}
-		sys, err := sim.NewFromSpecs(r.cfg.Sim, specs)
-		if err != nil {
-			return nil, err
-		}
-		sys.Warmup()
-		return sys, nil
+		specs = append(specs, sim.AppSpec{Name: name, Core: coreFor(r.cfg.Sim, p), Stream: gen, Warm: gen.Warmup})
 	}
+	static, err := sim.NewFromSpecs(r.cfg.Sim, specs)
+	if err != nil {
+		return nil, err
+	}
+	static.Warmup()
 
-	static, err := mkSystem()
+	// Raw estimates (alpha 1) and a 1e-3 API fallback: the loop re-derives
+	// shares from the latest epoch alone.
+	fallback := make([]float64, len(specs))
+	for i := range fallback {
+		fallback[i] = 1e-3
+	}
+	loop, err := newEpochLoop(core.Proportional(), epochCycles, 1, fallback)
 	if err != nil {
 		return nil, err
 	}
-	online, err := mkSystem()
+	// Prologue: one epoch profiled under FCFS sets the shares both systems
+	// start from; the online system is a fork of the static one from there.
+	if err := static.ApplyNoPartitioning(); err != nil {
+		return nil, err
+	}
+	if _, err := loop.step(static); err != nil {
+		return nil, err
+	}
+	online, err := static.Fork()
 	if err != nil {
-		return nil, err
-	}
-
-	var win sim.Counters // reused across epochs; EstimateAll never retains it
-
-	// Prologue: both systems profile under FCFS for one epoch.
-	prologue := func(sys *sim.System) ([]float64, []float64, error) {
-		if err := sys.ApplyNoPartitioning(); err != nil {
-			return nil, nil, err
-		}
-		sys.ResetStats()
-		sys.Run(epochCycles)
-		sys.WindowInto(&win)
-		est, err := profile.EstimateAll(win)
-		if err != nil {
-			return nil, nil, err
-		}
-		apis := sys.Results().APIs()
-		sanitize(est, apis)
-		return est, apis, nil
-	}
-	estS, apiS, err := prologue(static)
-	if err != nil {
-		return nil, err
-	}
-	if err := static.ApplyScheme(core.Proportional(), estS, apiS); err != nil {
-		return nil, err
-	}
-	estO, apiO, err := prologue(online)
-	if err != nil {
-		return nil, err
-	}
-	if err := online.ApplyScheme(core.Proportional(), estO, apiO); err != nil {
 		return nil, err
 	}
 
@@ -109,23 +86,14 @@ func (r *Runner) PhaseStudy(phaseInstr, epochCycles int64, epochs int) (*Table, 
 	for e := 0; e < epochs; e++ {
 		static.ResetStats()
 		static.Run(epochCycles)
-		online.ResetStats()
-		online.Run(epochCycles)
-
 		sRes := static.Results()
-		oRes := online.Results()
-		online.WindowInto(&win)
-		est, err := profile.EstimateAll(win)
+		// The online system repartitions from fresh estimates; the static
+		// one keeps its stale shares.
+		est, err := loop.step(online)
 		if err != nil {
 			return nil, err
 		}
-		apis := oRes.APIs()
-		sanitize(est, apis)
-		// Online system repartitions from fresh estimates; static keeps
-		// its stale shares.
-		if err := online.ApplyScheme(core.Proportional(), est, apis); err != nil {
-			return nil, err
-		}
+		oRes := online.Results()
 		t.add(txt(fmt.Sprintf("%d", e)), numf("%.5f", est[0]),
 			f3(sRes.Apps[0].IPC), f3(oRes.Apps[0].IPC), f3(ipcSum(sRes)), f3(ipcSum(oRes)))
 		if e == 0 || est[0] < minEst {
@@ -149,16 +117,4 @@ func coreFor(simCfg sim.Config, p workload.Profile) cpu.Config {
 	c.BaseIPC = p.BaseIPC
 	c.MaxOutstandingLoads = p.MLP
 	return c
-}
-
-// sanitize clamps estimator outputs to usable positive values.
-func sanitize(est, apis []float64) {
-	for i := range est {
-		if est[i] <= 0 {
-			est[i] = 1e-6
-		}
-		if apis[i] <= 0 {
-			apis[i] = 1e-3
-		}
-	}
 }

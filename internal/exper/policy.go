@@ -7,23 +7,33 @@ import (
 	"bwpart/internal/mathx"
 	"bwpart/internal/memctrl"
 	"bwpart/internal/sim"
+	"bwpart/internal/workload"
 )
 
 // policy is one entry of the registry a cell's controller configuration is
 // resolved from. apply installs it on a warmed system; a policy with shares
 // set enforces the cell's explicit share vector, and only such cells carry
-// one.
+// one. A policy with settle set is online: settle replaces the cell's settle
+// window (it runs the cell's epochs and returns the final APC_alone
+// estimates), and only such cells carry an epoch length and count.
 type policy struct {
 	shares bool
 	apply  func(sys *sim.System, a policyArgs) error
+	settle func(sys *sim.System, a policyArgs) ([]float64, error)
 }
 
-// policyArgs is what a policy may read: the mix's standalone profile
-// vectors, the cell's share vector and the runner's seed.
+// policyArgs is what a policy may read: the cell (its share vector and
+// epochs), the mix's profiles and standalone profile vectors, and the
+// runner's seed.
 type policyArgs struct {
-	apcAlone, api, shares []float64
-	seed                  int64
+	cell          GridCell
+	profs         []workload.Profile
+	apcAlone, api []float64
+	seed          int64
 }
+
+// onlinePrefix+scheme is scheme run online (see RunOnline).
+const onlinePrefix = "online:"
 
 // installs is a policy's apply step that installs a fresh scheduler from mk
 // per cell (the heuristics carry state, so no two runs may share one).
@@ -51,25 +61,34 @@ var policies = func() map[string]policy {
 		"tcm": {apply: installs(func(n int, a policyArgs) (*memctrl.TCM, error) {
 			return memctrl.NewTCM(n, 100_000, 8_000, 0.25, a.seed)
 		})},
-		"start-time-fair": {shares: true, apply: func(sys *sim.System, a policyArgs) error { return sys.ApplyShares(a.shares) }},
+		"start-time-fair": {shares: true, apply: func(sys *sim.System, a policyArgs) error { return sys.ApplyShares(a.cell.Shares) }},
 		"budget": {shares: true, apply: installs(func(_ int, a policyArgs) (*memctrl.BudgetThrottle, error) {
-			return memctrl.NewBudgetThrottle(a.shares, 20_000)
+			return memctrl.NewBudgetThrottle(a.cell.Shares, 20_000)
 		})},
 	}
 	for _, s := range core.Schemes() {
 		m[s.Name()] = policy{apply: func(sys *sim.System, a policyArgs) error { return sys.ApplyScheme(s, a.apcAlone, a.api) }}
+		m[onlinePrefix+s.Name()] = policy{
+			apply:  func(sys *sim.System, _ policyArgs) error { return sys.ApplyNoPartitioning() },
+			settle: func(sys *sim.System, a policyArgs) ([]float64, error) { return runEpochs(sys, s, a) },
+		}
 	}
 	return m
 }()
 
 // policyFor resolves a cell's policy: a registered name, with a share vector
 // exactly when the policy takes one, holding one positive finite share per
-// application.
+// application, and with epochs exactly when the policy is online: a positive
+// length and at least two of them.
 func policyFor(c GridCell) (policy, error) {
 	p, ok := policies[c.Scheme]
 	switch {
 	case !ok:
 		return policy{}, fmt.Errorf("exper: unknown policy %q", c.Scheme)
+	case p.settle == nil && (c.Epoch != 0 || c.Epochs != 0):
+		return policy{}, fmt.Errorf("exper: policy %s takes no epochs", c.Scheme)
+	case p.settle != nil && (c.Epoch <= 0 || c.Epochs < 2):
+		return policy{}, fmt.Errorf("exper: online policy %s needs a positive epoch length and at least 2 epochs, got %d x %d cycles", c.Scheme, c.Epochs, c.Epoch)
 	case !p.shares && len(c.Shares) > 0:
 		return policy{}, fmt.Errorf("exper: policy %s takes no share vector", c.Scheme)
 	case p.shares && len(c.Shares) == 0:
@@ -83,7 +102,7 @@ func policyFor(c GridCell) (policy, error) {
 // CheckPolicy reports whether a request that names only a policy — RunMix,
 // RunGrid, POST /v1/mix — may select name: NoPartitioning, a core scheme, a
 // heuristic scheduler or fr-fcfs. The share-taking policies need a cell with
-// a share vector and are rejected.
+// a share vector, the online ones a cell with epochs, and are rejected.
 func CheckPolicy(name string) error {
 	_, err := policyFor(GridCell{Scheme: name})
 	return err

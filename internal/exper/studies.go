@@ -50,11 +50,11 @@ func Studies() []Study {
 			return []*Table{v.Table()}, nil
 		}},
 		{"online", onMix("hetero-5", func(r *Runner, mix workload.Mix) (*Table, error) {
-			o, err := r.RunOnline(mix, "square-root", 200_000, 4)
+			run, err := r.RunOnline(mix, "square-root", 200_000, 4)
 			if err != nil {
 				return nil, err
 			}
-			return o.Table(), nil
+			return onlineTable(run), nil
 		})},
 		{"pagepolicy", func(r *Runner) ([]*Table, error) { return one(r.PagePolicyStudy(workload.HeteroMixes()[:3])) }},
 		{"enforcement", func(r *Runner) ([]*Table, error) { return one(r.EnforcementStudy(workload.HeteroMixes()[:3])) }},

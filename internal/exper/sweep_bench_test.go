@@ -78,10 +78,13 @@ func BenchmarkSweep(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := policies[scheme].apply(sys, policyArgs{apcAlone: apcAlone, api: api}); err != nil {
+				pol, a := policies[scheme], policyArgs{apcAlone: apcAlone, api: api}
+				if err := pol.apply(sys, a); err != nil {
 					b.Fatal(err)
 				}
-				r.measure(sys)
+				if _, _, err := r.measure(sys, pol, a); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
