@@ -1,87 +1,63 @@
 package exper
 
 import (
-	"errors"
 	"maps"
-	"sync"
 	"unsafe"
 
 	"bwpart/internal/obs"
 	"bwpart/internal/sim"
 )
 
-// ResultCache memoizes finished cells, keyed by config fingerprint and cell, in
-// memory with single-flight deduplication: concurrent requests for the same
-// cell share one simulation, and every caller — leader or waiter — gets its
-// own deep copy, so mutating a returned MixRun can never corrupt the cached
-// master. A cache may be shared across runners (e.g. one cache for every
-// bandwidth scale of a sweep); cells from different configurations never
-// collide because the fingerprint is part of the key.
-//
-// The cache is byte-accounted: SetMaxBytes (or Config.CacheBytes through
-// NewRunner) bounds the resident size of finished cells, and inserting past
-// the bound evicts least-recently-used finished cells. Eviction only removes
-// cells from the map — callers already waiting on an evicted flight still
-// complete normally — so a bounded cache stays safe at service lifetimes
-// where the set of distinct cells grows without limit. An evicted cell's
-// next request is an ordinary miss (re-simulated, or served by the
-// persistent checkpoint tier when one is configured).
-//
-// Errors are not cached: a failed flight is removed so a later request
-// retries, and every caller that joined the flight observes the error.
+// ResultCache memoizes finished cells, keyed by config fingerprint and cell: it
+// is the engine's memo (single-flight, failures forgotten) at a cost of each
+// cell's bytes. Concurrent requests for a cell share one simulation, and every
+// caller gets its own deep copy, so mutating a returned MixRun can never
+// corrupt the cached master. A cache may be shared across runners (e.g. one
+// cache for every bandwidth scale of a sweep); cells from different
+// configurations never collide because the fingerprint is part of the key.
+// SetMaxBytes (or Config.CacheBytes through NewRunner) bounds the resident
+// bytes, so a cache stays bounded at service lifetimes where the set of
+// distinct cells grows without limit; an evicted cell's next request is an
+// ordinary miss (re-simulated, or served by the checkpoint tier).
 type ResultCache struct {
-	mu       sync.Mutex
-	cells    map[string]*cellFlight
-	maxBytes int64 // 0 = unbounded
-	curBytes int64 // total bytes of finished cells resident in the map
-	clock    int64 // logical LRU clock, bumped per touch
+	memo[cellValue]
 }
 
-// cellFlight is one in-flight or finished cell. done is closed exactly once,
-// after run/err are final. enc, bytes and lastUse are owned by the cache's
-// mutex; enc never changes once set.
-type cellFlight struct {
-	done    chan struct{}
-	run     *MixRun // immutable master copy; nil iff err != nil
-	enc     []byte  // encodeRun(run): read off disk, else built by encoding
-	err     error
-	bytes   int64 // accounted size of run and enc once finished; 0 while in flight
-	lastUse int64 // cache clock at last lookup or insert
+// cellValue is a finished cell: its immutable master copy and, once read off
+// disk or first asked for, its encoding. enc is owned by the memo's mutex and
+// never changes once set.
+type cellValue struct {
+	run *MixRun
+	enc []byte
 }
 
 // NewResultCache returns an empty, unbounded cache.
 func NewResultCache() *ResultCache {
-	return &ResultCache{cells: make(map[string]*cellFlight)}
+	return &ResultCache{newMemo[cellValue](0, func(col *obs.Collector, evicted, bytes int64) {
+		col.Add(obs.CellEvictions, evicted)
+		col.Set(obs.CellBytes, bytes)
+	})}
 }
 
 // SetMaxBytes bounds the resident bytes of finished cells (0 = unbounded).
 // Shrinking the bound evicts immediately. Safe to call on a cache already
 // shared across runners.
-func (c *ResultCache) SetMaxBytes(n int64) {
-	c.mu.Lock()
-	c.maxBytes = n
-	c.evictLocked(nil)
-	c.mu.Unlock()
-}
+func (c *ResultCache) SetMaxBytes(n int64) { c.trim(n, nil) }
 
 // Len reports how many finished cells the cache holds (in-flight cells
 // count too; they resolve to finished or are removed on error).
 func (c *ResultCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.cells)
+	return len(c.entries)
 }
 
 // Bytes reports the accounted resident size of finished cells.
 func (c *ResultCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.curBytes
+	return c.cost
 }
-
-// errNotResident fails a resident-only lookup (nil sim) for a cell that is in
-// neither tier.
-var errNotResident = errors.New("exper: cell not resident")
 
 // resolveCell is the lookup order below the memory tier: load (the disk tier:
 // a run and its encoding, or a nil run), then sim when set. A cell served from
@@ -101,135 +77,57 @@ func resolveCell(col *obs.Collector, load func() (*MixRun, []byte), sim func() (
 
 // flight resolves the cell for key in the engine's one lookup order — memory
 // tier, then resolveCell — running load and sim at most once per key across
-// all concurrent callers, and returns the finished flight. What the leader
+// all concurrent callers, and returns the finished entry. What the leader
 // resolves becomes its master, which callers only read (lookup hands out deep
 // copies), so a disk hit is promoted and the cell's next request is a memory
 // hit. Without wait, a cell in flight is errNotResident. Every resolved cell
 // counts exactly once: obs.CellHits on a finished cell, obs.CellCoalesced for
 // joining an in-flight one, else resolveCell's count.
-func (c *ResultCache) flight(key string, col *obs.Collector, load func() (*MixRun, []byte), sim func() (*MixRun, error), wait bool) (*cellFlight, error) {
-	c.mu.Lock()
-	for f := c.cells[key]; f != nil; f = c.cells[key] {
-		c.clock++
-		f.lastUse = c.clock
-		finished := f.finished()
-		c.mu.Unlock()
-		if !finished && !wait {
-			return nil, errNotResident
+func (c *ResultCache) flight(key string, col *obs.Collector, load func() (*MixRun, []byte), sim func() (*MixRun, error), wait bool) (*memoEntry[cellValue], error) {
+	build := func() (cellValue, int64, error) {
+		run, enc, err := resolveCell(col, load, sim)
+		if err != nil {
+			return cellValue{}, 0, err
 		}
-		<-f.done
-		if f.err == errNotResident && sim != nil {
+		return cellValue{run, enc}, mixRunBytes(run) + int64(len(enc)), nil
+	}
+	for {
+		e, how, err := c.get(key, col, wait, false, build)
+		if err == errNotResident && how == coalesced && wait && sim != nil {
 			// A resident-only lookup led that flight and found nothing: look
 			// again, and simulate unless another caller got there first.
-			c.mu.Lock()
 			continue
 		}
-		if f.err != nil {
-			return nil, f.err
-		}
-		if finished {
-			col.Add(obs.CellHits, 1)
-		} else {
-			col.Add(obs.CellCoalesced, 1)
-		}
-		return f, nil
-	}
-	c.clock++
-	f := &cellFlight{done: make(chan struct{}), lastUse: c.clock}
-	c.cells[key] = f
-	c.mu.Unlock()
-
-	// An unpublished flight fails with err: resolveCell's, else — a panicking
-	// sim, which would otherwise deadlock every waiter — this one, and the
-	// panic propagates (runJobs converts it into a job error).
-	err := errors.New("exper: cell simulation panicked")
-	defer func() {
-		if f.run == nil {
-			c.fail(key, f, err)
-		}
-	}()
-	run, enc, err := resolveCell(col, load, sim)
-	if err != nil {
-		return nil, err
-	}
-	// Publish and account in one critical section. The finished cell is itself
-	// evictable, so a cell larger than the whole budget is dropped at once.
-	c.mu.Lock()
-	f.run, f.enc, f.bytes = run, enc, mixRunBytes(run)+int64(len(enc))
-	close(f.done)
-	c.curBytes += f.bytes
-	c.evictLocked(col)
-	col.Set(obs.CellBytes, c.curBytes)
-	c.mu.Unlock()
-	return f, nil
-}
-
-// encoding returns f.enc, built once under the mutex and charged to the budget
-// while f is resident (which may evict).
-func (c *ResultCache) encoding(key string, f *cellFlight, col *obs.Collector) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if f.enc == nil {
-		enc, err := encodeRun(f.run)
 		if err != nil {
 			return nil, err
 		}
-		f.enc, f.bytes = enc, f.bytes+int64(len(enc))
-		if c.cells[key] == f {
-			c.curBytes += int64(len(enc))
-			c.evictLocked(col)
-			col.Set(obs.CellBytes, c.curBytes)
+		switch how {
+		case hit:
+			col.Add(obs.CellHits, 1)
+		case coalesced:
+			col.Add(obs.CellCoalesced, 1)
 		}
+		return e, nil
 	}
-	return f.enc, nil
 }
 
-// fail publishes err to the flight's waiters and forgets the flight, so a
-// later request retries.
-func (c *ResultCache) fail(key string, f *cellFlight, err error) {
-	f.err = err
+// encoding returns the cell's encoding, built once under the mutex and charged
+// to the budget while the cell is resident (which may evict).
+func (c *ResultCache) encoding(key string, e *memoEntry[cellValue], col *obs.Collector) ([]byte, error) {
 	c.mu.Lock()
-	delete(c.cells, key)
-	c.mu.Unlock()
-	close(f.done)
-}
-
-// finished reports whether the flight has resolved.
-func (f *cellFlight) finished() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// evictLocked drops least-recently-used finished cells until the account
-// fits the bound. In-flight cells are never evicted (their bytes are not
-// yet accounted, and waiters hold the flight pointer anyway — removal from
-// the map never disturbs a waiter, it only makes the next lookup a miss).
-func (c *ResultCache) evictLocked(col *obs.Collector) {
-	if c.maxBytes <= 0 {
-		return
-	}
-	for c.curBytes > c.maxBytes {
-		var victimKey string
-		var victim *cellFlight
-		for key, f := range c.cells {
-			if !f.finished() || f.err != nil {
-				continue // in flight, or being removed by its leader
-			}
-			if victim == nil || f.lastUse < victim.lastUse {
-				victim, victimKey = f, key
-			}
+	defer c.mu.Unlock()
+	if e.val.enc == nil {
+		enc, err := encodeRun(e.val.run)
+		if err != nil {
+			return nil, err
 		}
-		if victim == nil {
-			return
+		e.val.enc, e.cost = enc, e.cost+int64(len(enc))
+		if c.entries[key] == e {
+			c.cost += int64(len(enc))
+			c.trimLocked(col)
 		}
-		delete(c.cells, victimKey)
-		c.curBytes -= victim.bytes
-		col.Add(obs.CellEvictions, 1)
 	}
+	return e.val.enc, nil
 }
 
 // copyMixRun deep-copies a MixRun. Every field is plain data (slices of

@@ -154,12 +154,12 @@ func accounted(c *ResultCache) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n int64
-	for _, f := range c.cells {
-		if f.finished() && f.err == nil {
-			n += f.bytes
+	for _, e := range c.entries {
+		if e.finished() {
+			n += e.cost
 		}
 	}
-	if n != c.curBytes {
+	if n != c.cost {
 		return -1
 	}
 	return n

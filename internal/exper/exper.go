@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
 	"bwpart/internal/faultinject"
 	"bwpart/internal/metrics"
@@ -128,13 +127,13 @@ func (c Config) Validate() error {
 	return c.Sim.DRAM.Validate()
 }
 
-// preparedCap bounds how many warm mix bases a runner keeps alive at once
-// (LRU-evicted beyond that; bases pinned by in-flight measurements never
+// preparedCap bounds how many finished warm mix bases a runner keeps alive at
+// once (LRU-evicted beyond that; bases pinned by in-flight measurements never
 // are): enough that the paper's figure suites keep their working set warm,
 // small enough that huge sweeps stay memory-bounded.
 const preparedCap = 8
 
-// Runner executes experiments. Standalone profiles are cached per benchmark
+// Runner executes experiments. Standalone profiles are memoized per benchmark
 // (single-flight, so concurrent first requests share one profiling run),
 // and unless Config.NoMemoize is set, every cell — a (mix, policy, shares,
 // epochs) value, see GridCell — flows through a memoized executor: the result cache
@@ -144,19 +143,9 @@ type Runner struct {
 	cfg Config
 	fp  string // canonical configuration fingerprint, fixed at construction
 
-	aloneMu      sync.Mutex
-	alone        map[string]sim.AloneProfile
-	aloneFlights map[string]*aloneFlight
-
-	cache    *ResultCache      // nil iff NoMemoize
-	prepared *preparedRegistry // nil iff NoMemoize
-}
-
-// aloneFlight is one in-flight standalone profiling run.
-type aloneFlight struct {
-	done chan struct{}
-	ap   sim.AloneProfile
-	err  error
+	alone    memo[sim.AloneProfile] // unbounded, cost 0
+	cache    *ResultCache           // nil iff NoMemoize
+	prepared *preparedRegistry      // nil iff NoMemoize
 }
 
 // NewRunner builds a Runner over cfg.
@@ -165,11 +154,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, err
 	}
 	cfg.Sim.Seed = cfg.Seed
-	r := &Runner{
-		alone:        make(map[string]sim.AloneProfile),
-		aloneFlights: make(map[string]*aloneFlight),
-		fp:           configFingerprint(cfg),
-	}
+	r := &Runner{alone: newMemo[sim.AloneProfile](0, nil), fp: configFingerprint(cfg)}
 	if !cfg.NoMemoize {
 		if cfg.Cache == nil {
 			cfg.Cache = NewResultCache()
@@ -178,7 +163,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 			cfg.Cache.SetMaxBytes(cfg.CacheBytes)
 		}
 		r.cache = cfg.Cache
-		r.prepared = &preparedRegistry{r: r, cap: preparedCap, entries: make(map[string]*preparedEntry)}
+		r.prepared = newPreparedRegistry(r)
 	}
 	// cfg.Cache is written back (above) so sub-runners built from this
 	// runner's Config() — per-seed repeatability runners, Figure 4's
@@ -191,58 +176,26 @@ func NewRunner(cfg Config) (*Runner, error) {
 // Config returns the runner's configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
-// Alone returns the cached standalone profile of a benchmark, profiling it
+// Alone returns the memoized standalone profile of a benchmark, profiling it
 // on first use. Safe for concurrent use: concurrent first requests for the
 // same benchmark coalesce onto one profiling run (single-flight), so a
-// profile run happens once per (benchmark, memory configuration).
+// profile run happens once per (benchmark, memory configuration); a failed
+// one is retried by the next request.
 func (r *Runner) Alone(name string) (sim.AloneProfile, error) {
-	r.aloneMu.Lock()
-	if ap, ok := r.alone[name]; ok {
-		r.aloneMu.Unlock()
-		return ap, nil
-	}
-	if f, ok := r.aloneFlights[name]; ok {
-		r.aloneMu.Unlock()
-		<-f.done
-		return f.ap, f.err
-	}
-	f := &aloneFlight{done: make(chan struct{})}
-	r.aloneFlights[name] = f
-	r.aloneMu.Unlock()
-
-	// Published however this returns: a panic mid-profile keeps the error
-	// below and must not leave waiters blocked on the flight.
-	f.err = errors.New("exper: standalone profiling panicked")
-	defer r.finishAloneFlight(name, f)
-	p, err := workload.ByName(name)
+	e, _, err := r.alone.get(name, nil, true, false, func() (sim.AloneProfile, int64, error) {
+		p, err := workload.ByName(name)
+		if err != nil {
+			return sim.AloneProfile{}, 0, err
+		}
+		stop := r.cfg.Obs.StageStart(obs.StageProfile)
+		ap, err := sim.ProfileAlone(r.cfg.Sim, p, r.cfg.ProfileCycles)
+		stop()
+		return ap, 0, err
+	})
 	if err != nil {
-		f.err = err
-		return f.ap, err
+		return sim.AloneProfile{}, err
 	}
-	stop := r.cfg.Obs.StageStart(obs.StageProfile)
-	f.ap, f.err = sim.ProfileAlone(r.cfg.Sim, p, r.cfg.ProfileCycles)
-	stop()
-	return f.ap, f.err
-}
-
-// finishAloneFlight publishes a completed profiling flight: successes enter
-// the cache, failures are forgotten so a later request retries.
-func (r *Runner) finishAloneFlight(name string, f *aloneFlight) {
-	r.aloneMu.Lock()
-	if f.err == nil {
-		r.alone[name] = f.ap
-	}
-	delete(r.aloneFlights, name)
-	r.aloneMu.Unlock()
-	close(f.done)
-}
-
-// cached reports whether a benchmark's standalone profile is already known.
-func (r *Runner) cached(name string) bool {
-	r.aloneMu.Lock()
-	_, ok := r.alone[name]
-	r.aloneMu.Unlock()
-	return ok
+	return e.val, nil
 }
 
 // aloneVectors resolves the profile vectors for a mix.
@@ -412,14 +365,12 @@ func (r *Runner) runConfigured(pol policy, a policyArgs) (sim.Result, []float64,
 	if r.prepared == nil {
 		p, sys, err = r.prepareMix(a.cell.Mix)
 	} else {
-		var e *preparedEntry
 		var release func()
-		if e, release, err = r.prepared.acquire(a.cell.Mix); err != nil {
+		if p, release, err = r.prepared.acquire(a.cell.Mix); err != nil {
 			return sim.Result{}, nil, err
 		}
 		defer release()
 		r.cfg.Obs.Add(obs.WarmForks, 1)
-		p = e.p
 		sys, err = r.forkPrepared(p)
 	}
 	if err == nil {
@@ -506,9 +457,9 @@ func (r *Runner) lookup(c GridCell, simulate bool) (*MixRun, error) {
 	if r.cache == nil || r.cfg.Tracer != nil {
 		run, _, err = resolveCell(r.cfg.Obs, load, sim)
 	} else {
-		var f *cellFlight
-		if f, err = r.cache.flight(cellKey(r.fp, c), r.cfg.Obs, load, sim, true); err == nil {
-			run = copyMixRun(f.run) // the master is never handed out
+		var e *memoEntry[cellValue]
+		if e, err = r.cache.flight(cellKey(r.fp, c), r.cfg.Obs, load, sim, true); err == nil {
+			run = copyMixRun(e.val.run) // the master is never handed out
 		}
 	}
 	if err != nil {
@@ -549,16 +500,16 @@ func (r *Runner) residentJSON(c GridCell, col *obs.Collector, load func() (*MixR
 		return nil, errNotResident
 	}
 	key := cellKey(r.fp, c)
-	f, err := r.cache.flight(key, col, load, nil, false)
+	e, err := r.cache.flight(key, col, load, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	if f.run.Mix.Name != c.Mix.Name || f.run.Mix.PaperRSD != c.Mix.PaperRSD {
-		cp := *f.run
+	if run := e.val.run; run.Mix.Name != c.Mix.Name || run.Mix.PaperRSD != c.Mix.PaperRSD {
+		cp := *run
 		cp.Mix.Name, cp.Mix.PaperRSD = c.Mix.Name, c.Mix.PaperRSD
 		return encodeRun(&cp)
 	}
-	return r.cache.encoding(key, f, r.cfg.Obs)
+	return r.cache.encoding(key, e, r.cfg.Obs)
 }
 
 // encodeRun is a cell's one encoding: json.Marshal(run) — the bytes

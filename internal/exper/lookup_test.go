@@ -437,7 +437,7 @@ func TestResidentProbeHandsOverToSimulation(t *testing.T) {
 			got <- nil
 			return
 		}
-		got <- f.run
+		got <- f.val.run
 	}()
 	// Wait for the full lookup to join the probe's flight (its touch bumps
 	// the LRU clock past the leader's), then let the probe miss.

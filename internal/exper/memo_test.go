@@ -1,8 +1,12 @@
 package exper
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bwpart/internal/obs"
@@ -421,5 +425,207 @@ func TestStudiesRerunFromCells(t *testing.T) {
 	if before.Cache.Misses == 0 || after.Cache.Hits == before.Cache.Hits {
 		t.Errorf("first pass simulated %d cells, rerun hit %d: the studies bypass the cell cache",
 			before.Cache.Misses, after.Cache.Hits-before.Cache.Hits)
+	}
+}
+
+// memoKeys lists the keys m holds, sorted.
+func memoKeys[V any](m *memo[V]) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	keys := make([]string, 0, len(m.entries))
+	for k := range m.entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// waitClock spins until m has served n gets: a caller's get has reached the
+// table (and, for a key in flight, joined its build) once the clock counts it.
+func waitClock[V any](m *memo[V], n int64) {
+	for {
+		m.mu.Lock()
+		c := m.clock
+		m.mu.Unlock()
+		if c >= n {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// constBuild builds v at cost.
+func constBuild(v int, cost int64) func() (int, int64, error) {
+	return func() (int, int64, error) { return v, cost, nil }
+}
+
+// TestMemoSingleFlight: concurrent gets of one key run its build once; one
+// caller leads it and every other joins it.
+func TestMemoSingleFlight(t *testing.T) {
+	const callers = 8
+	m := newMemo[int](0, nil)
+	release := make(chan struct{})
+	var builds atomic.Int32
+	build := func() (int, int64, error) {
+		builds.Add(1)
+		<-release
+		return 42, 0, nil
+	}
+	var wg sync.WaitGroup
+	hows := make([]found, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			e, how, err := m.get("k", nil, true, false, build)
+			if err != nil || e.val != 42 {
+				t.Errorf("caller %d: %v, %v", i, e, err)
+			}
+			hows[i] = how
+		}(i)
+	}
+	waitClock(&m, callers)
+	close(release)
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("%d builds, want 1", n)
+	}
+	count := map[found]int{}
+	for _, how := range hows {
+		count[how]++
+	}
+	if count[led] != 1 || count[coalesced] != callers-1 {
+		t.Errorf("led/coalesced/hit = %d/%d/%d, want 1/%d/0", count[led], count[coalesced], count[hit], callers-1)
+	}
+	if _, how, _ := m.get("k", nil, true, false, build); how != hit || builds.Load() != 1 {
+		t.Errorf("a get after the build was %v with %d builds, want a hit and 1", how, builds.Load())
+	}
+}
+
+// TestMemoForgetsFailedBuild: a failed build is not kept, so the next get of
+// its key builds again.
+func TestMemoForgetsFailedBuild(t *testing.T) {
+	m := newMemo[int](0, nil)
+	boom := errors.New("boom")
+	if _, how, err := m.get("k", nil, true, false, func() (int, int64, error) { return 0, 0, boom }); err != boom || how != led {
+		t.Fatalf("failed build: %v, %v; want boom, led", how, err)
+	}
+	if keys := memoKeys(&m); len(keys) != 0 {
+		t.Fatalf("failed build kept as %v", keys)
+	}
+	if e, how, err := m.get("k", nil, true, false, constBuild(7, 0)); err != nil || how != led || e.val != 7 {
+		t.Fatalf("retry: %v, %v; want a new build of 7", how, err)
+	}
+}
+
+// TestMemoPanicPublishesToWaiter: a panicking build fails the caller waiting
+// on it with errBuildPanicked instead of leaving it blocked, the panic goes on
+// up the leader's stack, and the next get builds the key afresh.
+func TestMemoPanicPublishesToWaiter(t *testing.T) {
+	m := newMemo[int](0, nil)
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		m.get("k", nil, true, true, func() (int, int64, error) {
+			<-release
+			panic("build exploded")
+		})
+	}()
+	waitClock(&m, 1)
+	waited := make(chan error, 1)
+	go func() {
+		_, how, err := m.get("k", nil, true, true, constBuild(1, 0))
+		if how != coalesced {
+			t.Errorf("waiter was %v, want coalesced", how)
+		}
+		waited <- err
+	}()
+	waitClock(&m, 2)
+	close(release)
+	if err := <-waited; err != errBuildPanicked {
+		t.Errorf("waiter got %v, want errBuildPanicked", err)
+	}
+	if p := <-recovered; p != "build exploded" {
+		t.Errorf("leader recovered %v, want the build's panic", p)
+	}
+	if keys := memoKeys(&m); len(keys) != 0 {
+		t.Fatalf("panicked build kept as %v", keys)
+	}
+	if e, how, err := m.get("k", nil, true, false, constBuild(3, 0)); err != nil || how != led || e.val != 3 {
+		t.Fatalf("after the panic: %v, %v; want a new build of 3", how, err)
+	}
+}
+
+// TestMemoTrimSkipsPinned: eviction never takes a pinned entry, even the
+// least recently used one, and the memo stays over its bound while everything
+// is pinned; unpinning trims.
+func TestMemoTrimSkipsPinned(t *testing.T) {
+	var evicted int64
+	m := newMemo[int](1, func(_ *obs.Collector, n, _ int64) { evicted += n })
+	a, _, _ := m.get("a", nil, true, true, constBuild(1, 1))
+	m.get("b", nil, true, false, constBuild(2, 1))
+	if keys := memoKeys(&m); !reflect.DeepEqual(keys, []string{"a"}) {
+		t.Fatalf("after publishing an unpinned b over a pinned a: %v, want [a]", keys)
+	}
+	c, _, _ := m.get("c", nil, true, true, constBuild(3, 1))
+	if keys := memoKeys(&m); !reflect.DeepEqual(keys, []string{"a", "c"}) || m.cost != 2 {
+		t.Fatalf("everything pinned: %v at cost %d, want [a c] at 2", keys, m.cost)
+	}
+	m.unpin(a, nil)
+	if keys := memoKeys(&m); !reflect.DeepEqual(keys, []string{"c"}) || m.cost != 1 || evicted != 2 {
+		t.Fatalf("after unpinning a: %v at cost %d with %d evictions, want [c] at 1 with 2", keys, m.cost, evicted)
+	}
+	m.unpin(c, nil)
+	if keys := memoKeys(&m); !reflect.DeepEqual(keys, []string{"c"}) {
+		t.Fatalf("unpinning c within the bound evicted it: %v", keys)
+	}
+}
+
+// TestMemoEvictsLeastRecentlyUsed: past the bound, the entry whose last get is
+// oldest goes, and a hit counts as use.
+func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
+	m := newMemo[int](2, nil)
+	m.get("a", nil, true, false, constBuild(1, 1))
+	m.get("b", nil, true, false, constBuild(2, 1))
+	if _, how, _ := m.get("a", nil, true, false, constBuild(0, 1)); how != hit {
+		t.Fatalf("second get of a was %v, want a hit", how)
+	}
+	m.get("c", nil, true, false, constBuild(3, 1))
+	if keys := memoKeys(&m); !reflect.DeepEqual(keys, []string{"a", "c"}) {
+		t.Fatalf("after publishing c: %v, want b (least recently used) gone", keys)
+	}
+	m.trim(1, nil)
+	if keys := memoKeys(&m); !reflect.DeepEqual(keys, []string{"c"}) {
+		t.Fatalf("after shrinking the bound: %v, want a gone", keys)
+	}
+}
+
+// TestMemoNoWaitInFlight: a get that will not wait is told errNotResident for
+// a build in flight and runs no build of its own; once the build is published
+// it is a hit.
+func TestMemoNoWaitInFlight(t *testing.T) {
+	m := newMemo[int](0, nil)
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.get("k", nil, true, false, func() (int, int64, error) {
+			<-release
+			return 5, 0, nil
+		})
+	}()
+	waitClock(&m, 1)
+	e, how, err := m.get("k", nil, false, true, func() (int, int64, error) {
+		t.Error("a get without wait ran a build")
+		return 0, 0, nil
+	})
+	if err != errNotResident || how != coalesced || e != nil {
+		t.Errorf("get without wait on a build in flight: %v, %v, %v; want errNotResident", e, how, err)
+	}
+	close(release)
+	<-done
+	if e, how, err := m.get("k", nil, false, false, constBuild(0, 0)); err != nil || how != hit || e.val != 5 || e.pins != 0 {
+		t.Errorf("get without wait on the published entry: %v, %v; want a hit on 5 with no pin", how, err)
 	}
 }

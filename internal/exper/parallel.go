@@ -278,7 +278,7 @@ func (r *Runner) runCells(ctx context.Context, cells []GridCell, each func(cell 
 		})
 	}
 
-	groupSize := r.prepared.cap
+	groupSize := int(r.prepared.bound)
 	for start := 0; start < len(needMixes); start += groupSize {
 		group := needMixes[start:min(start+groupSize, len(needMixes))]
 
@@ -321,13 +321,14 @@ func (r *Runner) runCells(ctx context.Context, cells []GridCell, each func(cell 
 }
 
 // warmAloneCache profiles the named benchmarks concurrently, skipping
-// duplicates and those already profiled. Alone is already single-flight, so
-// this is purely a fan-out: after it returns, later lookups are cache reads.
+// duplicates. Alone is already single-flight and a profiled benchmark is a
+// hit, so this is purely a fan-out: after it returns, later lookups are memo
+// reads.
 func (r *Runner) warmAloneCache(ctx context.Context, benchmarks []string) error {
 	seen := map[string]bool{}
 	var names []string
 	for _, b := range benchmarks {
-		if !seen[b] && !r.cached(b) {
+		if !seen[b] {
 			seen[b] = true
 			names = append(names, b)
 		}

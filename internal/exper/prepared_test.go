@@ -12,11 +12,7 @@ import (
 
 // setCap overrides the warm-base LRU bound (preparedCap in production) so a
 // test can force evictions with two or three mixes.
-func (g *preparedRegistry) setCap(n int) {
-	g.mu.Lock()
-	g.cap = n
-	g.mu.Unlock()
-}
+func (g *preparedRegistry) setCap(n int) { g.trim(int64(n), g.r.cfg.Obs) }
 
 // held counts what the registry retains: entries (one checkpoint each, and
 // nothing else) and outstanding pins.
@@ -24,7 +20,7 @@ func (g *preparedRegistry) held() (entries, pins int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, e := range g.entries {
-		pins += e.refs
+		pins += e.pins
 	}
 	return len(g.entries), pins
 }
@@ -85,12 +81,12 @@ func TestPreparedRegistryHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				e, release, err := r.prepared.acquire(mixes[(w+i)%len(mixes)])
+				p, release, err := r.prepared.acquire(mixes[(w+i)%len(mixes)])
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				sys, err := r.forkPrepared(e.p)
+				sys, err := r.forkPrepared(p)
 				if err != nil {
 					t.Error(err)
 					release()
@@ -102,8 +98,8 @@ func TestPreparedRegistryHammer(t *testing.T) {
 				}
 				inHand[sys] = true
 				mu.Unlock()
-				if sys.Now() != e.p.cp.Cycle() {
-					t.Errorf("worker %d round %d: system at cycle %d, checkpoint at %d", w, i, sys.Now(), e.p.cp.Cycle())
+				if sys.Now() != p.cp.Cycle() {
+					t.Errorf("worker %d round %d: system at cycle %d, checkpoint at %d", w, i, sys.Now(), p.cp.Cycle())
 				}
 				sys.Run(500)
 				mu.Lock()
