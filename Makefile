@@ -69,13 +69,19 @@ race:
 # (TCP listener, health check, one mix request, drain on cancel), runs
 # the README's minimal consumer of the bwpart facade, sweeps the cells
 # of the two heuristic schedulers that keep counter baselines (STFM, TCM)
-# through the command line's policy names, then runs the interval study's
-# online cells twice over one checkpoint directory: the second run must
-# load every cell from disk and simulate none.
+# through the command line's policy names, checks that a sweep over an
+# unknown policy exits non-zero before profiling anything, then runs the
+# interval study's online cells twice over one checkpoint directory: the
+# second run must load every cell from disk and simulate none.
 smoke:
 	$(GO) test -run TestServeSmoke -count 1 ./internal/serve
 	$(GO) run ./examples/quickstart > /dev/null
 	$(GO) run ./cmd/sweep -mixes hetero-1 -schemes no-partitioning,stfm,tcm -parallel 1 > /dev/null
+	@stats="$$(mktemp)"; trap 'rm -f "$$stats"' EXIT; \
+	if $(GO) run ./cmd/sweep -mixes hetero-1 -schemes bogus-scheme -stats-json "$$stats" > /dev/null 2>&1; then \
+		echo "smoke: a sweep over an unknown policy exited 0"; exit 1; fi; \
+	if grep -q alone-profiling "$$stats"; then \
+		echo "smoke: a sweep over an unknown policy profiled benchmarks before failing"; exit 1; fi
 	@ckpt="$$(mktemp -d)"; trap 'rm -rf "$$ckpt"' EXIT; \
 	$(GO) run ./cmd/figures -quick -exp interval -checkpoint-dir "$$ckpt" > /dev/null && \
 	$(GO) run ./cmd/figures -quick -exp interval -checkpoint-dir "$$ckpt" -stats-json "$$ckpt/stats.json" > /dev/null && \

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -491,4 +492,28 @@ func TestDiskPromotionKeepsFileBytes(t *testing.T) {
 		}
 	}
 	wantCache(t, "promoted", col, 1, 0, 0, 1)
+}
+
+// TestRunGridRejectedPolicyFailsFast: a grid with a cell whose policy the
+// registry rejects fails from the first pass, naming that cell, before any
+// benchmark is profiled, any base warmed or any job dispatched.
+func TestRunGridRejectedPolicyFailsFast(t *testing.T) {
+	cfg := memoTestConfig()
+	cfg.Obs = obs.NewCollector()
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := workload.MixByName("hetero-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.RunGrid(context.Background(), []workload.Mix{mix}, []string{"equal", "bogus-scheme", "online:square-root"})
+	if err == nil || !strings.Contains(err.Error(), "cell 1 (hetero-1/bogus-scheme)") {
+		t.Fatalf("error %v does not name the lowest-index rejected cell", err)
+	}
+	s := cfg.Obs.Snapshot()
+	if len(s.Stages) != 0 || s.Jobs.Total != 0 {
+		t.Errorf("a rejected grid ran stages %+v and %d jobs, want none", s.Stages, s.Jobs.Total)
+	}
 }

@@ -212,9 +212,11 @@ func (r *Runner) RunGridEach(ctx context.Context, mixes []workload.Mix, schemes 
 // runCells resolves every cell, in order, each taking the same lookup order
 // as RunMix (see Runner.lookup). A first pass resolves the resident
 // cells — memory or disk tier — on the calling goroutine, so a batch that is
-// entirely resident profiles, pins, forks, and dispatches nothing. Only the
-// cells left over are simulated: cells sharing a mix share one warm base from
-// the prepared-mix registry, and finished cells persist through
+// entirely resident profiles, pins, forks, and dispatches nothing, and a batch
+// with a cell the first pass rejects (an unknown policy, say) fails before
+// anything is simulated, naming its lowest-index such cell. Only the cells
+// that are not resident are simulated: cells sharing a mix share one warm
+// base from the prepared-mix registry, and finished cells persist through
 // Config.Checkpoint. They are dispatched in mix-groups no larger than the
 // registry's warm-base capacity: each group's bases are prepared in parallel
 // and pinned, the group's cells — across all of its mixes — fork and measure
@@ -230,14 +232,20 @@ func (r *Runner) runCells(ctx context.Context, cells []GridCell, each func(cell 
 		}
 	}
 	var missing []int
+	var firstErr error
 	for i, c := range cells {
-		// Any failure — not resident, or a joined simulation that failed —
-		// sends the cell to the simulation phases, which report it.
-		if run, err := r.lookup(c, false); err == nil {
+		run, err := r.lookup(c, false)
+		switch {
+		case err == nil:
 			deliver(i, run)
-		} else {
+		case errors.Is(err, errNotResident):
 			missing = append(missing, i)
+		case firstErr == nil:
+			firstErr = fmt.Errorf("cell %d (%s/%s): %w", i, c.Mix.Name, c.Scheme, err)
 		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	if len(missing) == 0 {
 		return results, nil
