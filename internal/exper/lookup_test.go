@@ -517,3 +517,39 @@ func TestRunGridRejectedPolicyFailsFast(t *testing.T) {
 		t.Errorf("a rejected grid ran stages %+v and %d jobs, want none", s.Stages, s.Jobs.Total)
 	}
 }
+
+// TestRepeatabilityRerunIsAllHits: a second Repeatability on the same runner
+// reads every seed's cell from the result cache and dispatches no job, as a
+// resident grid does.
+func TestRepeatabilityRerunIsAllHits(t *testing.T) {
+	const seeds = 2
+	cfg := memoTestConfig()
+	cfg.Obs = obs.NewCollector()
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := workload.MixByName("hetero-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := r.Repeatability(mix, "equal", seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := cfg.Obs.Snapshot()
+	second, err := r.Repeatability(mix, "equal", seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := cfg.Obs.Snapshot()
+	if before.Jobs.Total != seeds {
+		t.Errorf("first pass counted %d jobs, want %d", before.Jobs.Total, seeds)
+	}
+	if jobs, hits := after.Jobs.Total-before.Jobs.Total, after.Cache.Hits-before.Cache.Hits; jobs != 0 || hits != seeds {
+		t.Errorf("rerun added %d jobs and %d hits, want 0 and %d", jobs, hits, seeds)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("rerun differs:\n%s\n%s", first, second)
+	}
+}

@@ -159,13 +159,6 @@ func (r *Runner) baseCtx() context.Context {
 	return context.Background()
 }
 
-// runBatch runs a batch under the runner's configured parallelism and
-// collector. Config.BaseContext, when set, cancels dispatch of
-// not-yet-started jobs.
-func (r *Runner) runBatch(n int, fn func(i int) error) error {
-	return runJobs(r.baseCtx(), r.parallelism(), r.cfg.Obs, n, fn)
-}
-
 // GridCell is a cell, the engine's unit of measurement: a mix under a
 // controller policy from the registry (Scheme: NoPartitioning, a core
 // scheme, a heuristic scheduler, fr-fcfs, a share-taking policy, or a core

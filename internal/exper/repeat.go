@@ -29,23 +29,35 @@ func (r *Runner) Repeatability(mix workload.Mix, scheme string, seeds int) (*Tab
 	if seeds < 2 {
 		return nil, errors.New("exper: repeatability needs at least 2 seeds")
 	}
+	// Each per-seed runner inherits the parent's result cache via the config
+	// copy; distinct seeds fingerprint distinctly, so nothing collides. The
+	// seed cells already resident are read first, as runCells does, so a
+	// repeated study over the same seeds is all hits and dispatches no job.
+	subs := make([]*Runner, seeds)
 	results := make([]*MixRun, seeds)
-	err := r.runBatch(seeds, func(i int) error {
-		// Each per-seed runner inherits the parent's result cache via the
-		// config copy; distinct seeds fingerprint distinctly, so nothing
-		// collides, and a repeated study over the same seeds is all hits.
+	var missing []int
+	for i := range subs {
 		cfg := r.cfg
 		cfg.Seed = subSeed(r.cfg.Seed, i)
 		sub, err := NewRunner(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		run, err := sub.RunMix(mix, scheme)
-		if err != nil {
-			return err
+		subs[i] = sub
+		switch run, err := sub.lookup(GridCell{Mix: mix, Scheme: scheme}, false); {
+		case err == nil:
+			results[i] = run
+		case errors.Is(err, errNotResident):
+			missing = append(missing, i)
+		default:
+			return nil, err
 		}
+	}
+	err := runJobs(r.baseCtx(), r.parallelism(), r.cfg.Obs, len(missing), func(k int) error {
+		i := missing[k]
+		run, err := subs[i].RunMix(mix, scheme)
 		results[i] = run
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
