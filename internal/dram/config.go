@@ -177,8 +177,18 @@ func (c Config) Validate() error {
 	case math.IsInf(c.PeakBandwidthGBs(), 1):
 		return errors.New("dram: peak bandwidth must be finite")
 	}
+	for _, ns := range c.timingNs() {
+		if !(ns*c.cyclesPerNs() <= MaxTimingCycles) {
+			return fmt.Errorf("dram: a timing of %g ns is over %d CPU cycles", ns, int64(MaxTimingCycles))
+		}
+	}
 	return nil
 }
+
+// MaxTimingCycles bounds every Timing field Validate accepts, so that a cycle
+// count plus a latency cannot wrap int64 (2^40 cycles is over three minutes
+// of simulated time at 5 GHz).
+const MaxTimingCycles = 1 << 40
 
 // finiteNonNegative reports whether every v is a finite number >= 0.
 func finiteNonNegative(vs ...float64) bool {
@@ -207,20 +217,19 @@ func (c Config) cyclesPerNs() float64 { return c.CPUGHz }
 // burst time follows from the line size and the DDR data rate:
 // beats = LineBytes/BusBytes, two beats per bus cycle.
 func (c Config) Timing() Timing {
+	var cy [6]int64
+	for i, ns := range c.timingNs() {
+		cy[i] = int64(math.Ceil(ns * c.cyclesPerNs()))
+	}
+	return Timing{TRP: cy[0], TRCD: cy[1], CL: cy[2], Burst: cy[3], TRFC: cy[4], TREFI: cy[5]}
+}
+
+// timingNs lists the Timing fields, in field order, in nanoseconds.
+func (c Config) timingNs() [6]float64 {
 	beats := float64(c.LineBytes / c.BusBytes)
 	busCycles := beats / 2 // DDR: two transfers per bus clock
 	burstNs := busCycles / c.BusMHz * 1e3
-	toCycles := func(ns float64) int64 {
-		return int64(math.Ceil(ns * c.cyclesPerNs()))
-	}
-	return Timing{
-		TRP:   toCycles(c.TRPns),
-		TRCD:  toCycles(c.TRCDns),
-		CL:    toCycles(c.CLns),
-		Burst: toCycles(burstNs),
-		TRFC:  toCycles(c.TRFCns),
-		TREFI: toCycles(c.TREFIns),
-	}
+	return [6]float64{c.TRPns, c.TRCDns, c.CLns, burstNs, c.TRFCns, c.TREFIns}
 }
 
 // PeakBandwidthGBs returns the aggregate peak data bandwidth in GB/s

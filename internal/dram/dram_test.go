@@ -66,7 +66,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.BusMHz = math.Inf(1) },
 		func(c *Config) { c.CPUGHz = math.NaN() },
 		func(c *Config) { c.TRPns = math.NaN() },
-		func(c *Config) { *c = c.ScaleBandwidth(1e300) }, // peak GB/s overflows
+		func(c *Config) { *c = c.ScaleBandwidth(1e300) },  // peak GB/s overflows
+		func(c *Config) { *c = c.ScaleBandwidth(1e-300) }, // burst cycles overflow int64
+		func(c *Config) { c.TREFIns = 1e300 },             // refresh interval overflows int64
+		func(c *Config) { c.CLns = MaxTimingCycles/c.CPUGHz + 1 },
 	}
 	for i, mutate := range bad {
 		cfg := DDR2_400()

@@ -612,6 +612,7 @@ func TestServeBadRequests(t *testing.T) {
 		"unknown scheme": {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "no-such-scheme"}, http.StatusBadRequest},
 		"bad scale":      {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "equal", Scale: -2}, http.StatusBadRequest},
 		"huge scale":     {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "equal", Scale: 1e300}, http.StatusBadRequest},
+		"tiny scale":     {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "equal", Scale: 1e-300}, http.StatusBadRequest}, // burst cycles wrap int64
 		"empty grid":     {"/v1/grid", GridRequest{}, http.StatusBadRequest},
 		// The share-taking policies need a share vector no request carries.
 		"share policy":      {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "start-time-fair"}, http.StatusBadRequest},
