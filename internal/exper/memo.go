@@ -97,6 +97,8 @@ func (m *memo[V]) get(key string, col *obs.Collector, wait, pin bool, build func
 	m.entries[key] = e
 	m.mu.Unlock()
 
+	// e.err stays errBuildPanicked unless build returns, so a panicking build
+	// is forgotten and published to its waiters before the panic goes on.
 	defer func() {
 		if e.err != nil {
 			m.mu.Lock()
