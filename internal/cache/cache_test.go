@@ -81,7 +81,8 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 576, Ways: 3, LineBytes: 64, MSHRs: 1}, // 3 sets: not power of two
 		{SizeBytes: 512, Ways: 2, LineBytes: 64, MSHRs: 0}, // no MSHRs
 		{SizeBytes: 512, Ways: 2, LineBytes: 64, MSHRs: 1, HitLatency: -1},
-		{SizeBytes: 2 * maxWays * 64, Ways: 2 * maxWays, LineBytes: 64, MSHRs: 1}, // ranks overflow a snapshot's meta word
+		{SizeBytes: 2 * maxWays * 64, Ways: 2 * maxWays, LineBytes: 64, MSHRs: 1}, // ranks overflow a line's meta word
+		{SizeBytes: 512, Ways: 2, LineBytes: 1, MSHRs: 1},                         // a line address could be the empty-way tag
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
