@@ -8,14 +8,16 @@ import (
 	"bwpart/internal/mem"
 )
 
-// probedL1 is a twinL1 answering hits in place that also reports residency,
-// so a core over it may run ahead.
+// probedL1 is a twinL1 answering hits in place that also issues accesses
+// only as hits, so a core over it may run ahead.
 type probedL1 struct{ *twinL1 }
 
-// Resident implements mem.ResidencyProber with twinL1's hit rule. Stores
-// are always accepted, but only loads to resident lines are cleared: a
-// store to another line stops a span like a miss would.
-func (p probedL1) Resident(addr uint64) bool { return (addr/64)%4 != 0 }
+// AccessResident implements mem.ResidencyProber with twinL1's hit rule.
+// Stores are always accepted by Access, but only accesses to resident lines
+// are taken here: a store to another line stops a span like a miss would.
+func (p probedL1) AccessResident(now int64, req *mem.Request) bool {
+	return (req.Addr/64)%4 != 0 && p.Access(now, req)
+}
 
 // driveAhead runs the core of driveTwin over port the way the simulation
 // kernel does: the core ticks only when due — at its NextEventCycle, or when

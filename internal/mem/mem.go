@@ -104,15 +104,16 @@ type RejectAccounter interface {
 }
 
 // ResidencyProber is the run-ahead contract for hits: a Port additionally
-// implementing it reports whether an Access to addr would hit right now,
-// without touching any state. A hit that needs no callback — an InPlace
-// load or a posted store — changes only state private to the port (LRU
-// order, counters) and wakes nobody, so a requester that knows nothing else
-// reaches the port before a given cycle may issue such hits ahead of the
-// cycle they belong to, and stop at the first access the probe does not
-// clear.
+// implementing it issues an access only if it would hit right now.
+// AccessResident is Access for a request whose line is resident; for any
+// other request it touches no state and returns false. A hit that needs no
+// callback — an InPlace load or a posted store — changes only state private
+// to the port (LRU order, counters) and wakes nobody, so a requester that
+// knows nothing else reaches the port before a given cycle may issue such
+// hits ahead of the cycle they belong to, and stop at the first access the
+// port does not take.
 type ResidencyProber interface {
-	Resident(addr uint64) bool
+	AccessResident(now int64, req *Request) bool
 }
 
 // Waker is the handle a simulation kernel attaches to a component it may

@@ -8,6 +8,7 @@ import (
 
 	"bwpart/internal/dram"
 	"bwpart/internal/memctrl"
+	"bwpart/internal/workload"
 )
 
 // snapshotSched builds one scheduler configuration under test. The set
@@ -358,6 +359,44 @@ func TestCheckpointBytesCeiling(t *testing.T) {
 		t.Errorf("Snapshot allocated %d B for %d cache lines, ceiling %d B", got, lines, ceiling)
 	} else {
 		t.Logf("Snapshot allocated %d B for %d cache lines (%.2f B a line), ceiling %d B", got, lines, float64(got)/float64(lines), ceiling)
+	}
+}
+
+// TestForkBytesCeiling bounds what forking a prepared base allocates: a new
+// system restored from a warmed 4-core checkpoint (exper's forkPrepared path)
+// allocates at most 11 B per cache line (a line lives as its tag and a 2-byte
+// meta word, in the checkpoint's layout, and a restore copies into it) plus
+// 64 KiB for every other component.
+func TestForkBytesCeiling(t *testing.T) {
+	sys := warmedHetero5(t)
+	cp, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := workload.MixByName("hetero-5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	profs, err := mix.Profiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := len(sys.cores) * (sys.cfg.L1.SizeBytes/sys.cfg.L1.LineBytes + sys.cfg.L2.SizeBytes/sys.cfg.L2.LineBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fork, err := New(sys.cfg, profs)
+	if err == nil {
+		err = fork.Restore(cp)
+	}
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(fork)
+	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(11*lines+64<<10); got > ceiling {
+		t.Errorf("a fork allocated %d B for %d cache lines, ceiling %d B", got, lines, ceiling)
+	} else {
+		t.Logf("a fork allocated %d B for %d cache lines (%.2f B a line), ceiling %d B", got, lines, float64(got)/float64(lines), ceiling)
 	}
 }
 
