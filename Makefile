@@ -70,9 +70,10 @@ race:
 # the README's minimal consumer of the bwpart facade, sweeps the cells
 # of the two heuristic schedulers that keep counter baselines (STFM, TCM)
 # through the command line's policy names, checks that a sweep over an
-# unknown policy exits non-zero before profiling anything, then runs the
-# interval study's online cells twice over one checkpoint directory: the
-# second run must load every cell from disk and simulate none.
+# unknown policy exits non-zero before profiling anything, checks that the
+# fig3 study, whose batch names some cells twice, runs one job per missed
+# cell, then runs the interval study's online cells twice over one checkpoint
+# directory: the second run must load every cell from disk and simulate none.
 smoke:
 	$(GO) test -run TestServeSmoke -count 1 ./internal/serve
 	$(GO) run ./examples/quickstart > /dev/null
@@ -82,6 +83,11 @@ smoke:
 		echo "smoke: a sweep over an unknown policy exited 0"; exit 1; fi; \
 	if grep -q alone-profiling "$$stats"; then \
 		echo "smoke: a sweep over an unknown policy profiled benchmarks before failing"; exit 1; fi
+	@stats="$$(mktemp)"; trap 'rm -f "$$stats"' EXIT; \
+	$(GO) run ./cmd/figures -quick -exp fig3 -stats-json "$$stats" > /dev/null || exit 1; \
+	jobs="$$(grep -m1 '"total":' "$$stats" | tr -dc 0-9)"; misses="$$(grep -m1 '"misses":' "$$stats" | tr -dc 0-9)"; \
+	if [ -z "$$jobs" ] || [ "$$jobs" != "$$misses" ]; then \
+		echo "smoke: figures -exp fig3 ran $$jobs jobs for $$misses missed cells"; exit 1; fi
 	@ckpt="$$(mktemp -d)"; trap 'rm -rf "$$ckpt"' EXIT; \
 	$(GO) run ./cmd/figures -quick -exp interval -checkpoint-dir "$$ckpt" > /dev/null && \
 	$(GO) run ./cmd/figures -quick -exp interval -checkpoint-dir "$$ckpt" -stats-json "$$ckpt/stats.json" > /dev/null && \

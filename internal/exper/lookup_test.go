@@ -553,3 +553,42 @@ func TestRepeatabilityRerunIsAllHits(t *testing.T) {
 		t.Errorf("rerun differs:\n%s\n%s", first, second)
 	}
 }
+
+// TestRunCellsRepeatedCellIsOneJob: a batch that names one missing cell twice
+// starts one job for it and counts the repeat as coalesced, on every run, yet
+// delivers a run and calls each once for every index; the repeat gets its own
+// copy.
+func TestRunCellsRepeatedCellIsOneJob(t *testing.T) {
+	cfg := memoTestConfig()
+	cfg.Obs = obs.NewCollector()
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := workload.MixByName("hetero-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []GridCell{{Mix: mix, Scheme: "equal"}, {Mix: mix, Scheme: "square-root"}, {Mix: mix, Scheme: "equal"}}
+	var mu sync.Mutex
+	calls := map[int]int{}
+	runs, err := r.runCells(context.Background(), cells, func(ci int, _ *MixRun) {
+		mu.Lock()
+		calls[ci]++
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cfg.Obs.Snapshot()
+	if s.Jobs.Total != 2 || s.Cache.Misses != 2 || s.Cache.Coalesced != 1 || s.Cache.Hits != 0 {
+		t.Errorf("jobs %d, misses %d, coalesced %d, hits %d; want 2, 2, 1, 0",
+			s.Jobs.Total, s.Cache.Misses, s.Cache.Coalesced, s.Cache.Hits)
+	}
+	if want := map[int]int{0: 1, 1: 1, 2: 1}; !reflect.DeepEqual(calls, want) {
+		t.Errorf("each called %v times per index, want %v", calls, want)
+	}
+	if runs[2] == runs[0] || !reflect.DeepEqual(runs[2], runs[0]) {
+		t.Error("the repeated cell's run is not an equal copy of the first's")
+	}
+}

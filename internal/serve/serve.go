@@ -496,10 +496,30 @@ func (s *Server) validate(w http.ResponseWriter, mixNames, schemes []string, sca
 	return mixes, r, timeout, err == nil
 }
 
+// maxBodyBytes caps a request body. A mix or grid request names mixes and
+// schemes: a few hundred bytes, a few kilobytes for a grid over every mix.
+const maxBodyBytes = 1 << 20
+
+// decodeRequest decodes r's JSON body into v, reading at most maxBodyBytes of
+// it, and answers 413 for a longer body and 400 for any other decode error
+// (ok false).
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+	default:
+		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+	}
+	return false
+}
+
 func (s *Server) handleMix(w http.ResponseWriter, r *http.Request) {
 	var req MixRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	mixes, runner, timeout, ok := s.validate(w, []string{req.Mix}, []string{req.Scheme}, &req.Scale, req.TimeoutS)
@@ -545,8 +565,7 @@ func (s *Server) handleMix(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	var req GridRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	mixes, _, timeout, ok := s.validate(w, req.Mixes, req.Schemes, &req.Scale, req.TimeoutS)

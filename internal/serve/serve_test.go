@@ -618,6 +618,9 @@ func TestServeBadRequests(t *testing.T) {
 		"share policy":      {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "start-time-fair"}, http.StatusBadRequest},
 		"share policy grid": {"/v1/grid", GridRequest{Mixes: []string{"hetero-1"}, Schemes: []string{"budget"}}, http.StatusBadRequest},
 		"heuristic":         {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "stfm"}, http.StatusOK},
+		// Bodies over the 1 MiB cap.
+		"huge mix body":  {"/v1/mix", MixRequest{Mix: strings.Repeat("x", 2<<20), Scheme: "equal"}, http.StatusRequestEntityTooLarge},
+		"huge grid body": {"/v1/grid", GridRequest{Mixes: []string{strings.Repeat("x", 2<<20)}, Schemes: []string{"equal"}}, http.StatusRequestEntityTooLarge},
 	} {
 		resp := postJSON(t, ts.Client(), ts.URL+tc.path, tc.body, nil)
 		if resp.StatusCode != tc.want {
