@@ -95,7 +95,7 @@ smoke:
 		echo "smoke: the interval study's rerun over its checkpoint dir simulated cells"; exit 1; fi
 
 # fuzz mutates the kernel differential (naive oracle vs wake scheduler, run
-# straight and in uneven slices with a mid-window fork) from its seed corpus
+# straight and in uneven slices) from its seed corpus
 # for a bounded time. Failing inputs land in internal/sim/testdata/fuzz.
 FUZZTIME ?= 20s
 fuzz:

@@ -9,7 +9,7 @@ import (
 )
 
 // A line is its tag and one meta word, in the layout a checkpoint keeps
-// (snapshot.go), so that taking or restoring one copies three slices. An
+// (snapshot.go), so that taking or restoring one copies the line arrays. An
 // empty way holds invalidTag; a line address is an address divided by
 // LineBytes (at least 2), so no line address reaches it. The meta word holds
 // the flag bits below and, above metaRankShift, the line's LRU rank within
@@ -48,8 +48,9 @@ type mshr struct {
 // engine is everything a cache level does that does not depend on who may
 // occupy which way: the line arrays, the pooled MSHR table, the typed event
 // queue, deferred lower-level sends, the kernel's span contract, and the
-// checkpoint (snapshot.go). Cache and SharedCache embed it and add what is
-// their own — Access accounting, the victim choice, writeback attribution.
+// checkpoint of an idle cache (snapshot.go). Cache and SharedCache embed it
+// and add what is their own — Access accounting, the victim choice,
+// writeback attribution.
 type engine struct {
 	cfg Config
 	mru uint16 // the top rank, Ways-1, in place in a meta word
@@ -76,9 +77,6 @@ type engine struct {
 	fillDone func(m *mshr) func(cycle int64)
 	wbs      wbPool
 	deferred []*mem.Request // lower-level requests rejected, to retry
-	// snapID identifies this cache instance in checkpoint request origins
-	// (mem.Origin.Comp); assigned by the system builder via SetSnapID.
-	snapID int32
 	// wake is the kernel's wake handle (nil when driven standalone).
 	wake *mem.Waker
 }
@@ -214,7 +212,6 @@ func (e *engine) newMSHR(la uint64, app int) *mshr {
 	m.app = app
 	m.fillReq.App = app
 	m.fillReq.Addr = e.byteAddr(la)
-	m.fillReq.Origin = mem.Origin{Kind: mem.OriginCacheFill, Comp: e.snapID, Key: la}
 	return m
 }
 

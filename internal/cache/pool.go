@@ -16,9 +16,8 @@ import (
 
 // cev is one scheduled cache action on a request: forward it to the lower
 // level (send) or deliver its completion callback (!send). Carrying the
-// request itself — rather than a bare closure — keeps the event queue
-// serializable: a checkpoint captures the request's identity and a restore
-// re-links the event to the restored request object.
+// request itself rather than a closure over it costs no allocation per
+// event.
 type cev struct {
 	cycle int64
 	req   *mem.Request
@@ -86,12 +85,6 @@ func (q *cacheEvents) next() (int64, bool) {
 	return q.q[q.head].cycle, true
 }
 
-// reset empties the list.
-func (q *cacheEvents) reset() {
-	clear(q.q)
-	q.q, q.head = q.q[:0], 0
-}
-
 // wbReq is a pooled writeback request. Its Done callback — invoked when
 // the write retires at whatever level absorbs it — returns it to the free
 // list, which is exactly when the request memory is safe to reuse.
@@ -102,9 +95,6 @@ type wbReq struct {
 // wbPool recycles writeback requests.
 type wbPool struct {
 	free []*wbReq
-	// comp is the owning cache's snapshot id, stamped into each handed-out
-	// request's Origin so checkpoints can attribute retained writebacks.
-	comp int32
 }
 
 // get returns a ready-to-send writeback request for (app, addr).
@@ -120,6 +110,5 @@ func (p *wbPool) get(app int, addr uint64) *mem.Request {
 	}
 	w.req.App = app
 	w.req.Addr = addr
-	w.req.Origin = mem.Origin{Kind: mem.OriginCacheWB, Comp: p.comp}
 	return &w.req
 }

@@ -40,65 +40,84 @@ func TestLineSize(t *testing.T) {
 // snapCache is what the restore table needs of either cache.
 type snapCache interface {
 	mem.Port
+	Tick(now int64)
+	Idle() bool
 	Snapshot() *State
 	Restore(*State) error
 }
 
 // TestRestoreRefusesIncompatibleState: both caches restore through one
 // validation, which must refuse — before changing anything — a nil state,
-// another geometry (size or associativity), more MSHRs than the cache has, a
-// state of the other kind, and another app count.
+// another geometry (size or associativity), a state of the other kind,
+// another app count, and any state into a cache that holds a request (the
+// "too many MSHRs" cases: a restore allows none in use).
 func TestRestoreRefusesIncompatibleState(t *testing.T) {
-	cfg := sharedCfg() // 8 MSHRs
-	fewMSHRs := cfg
-	fewMSHRs.MSHRs = 2
+	cfg := sharedCfg()
 	bigger := cfg
 	bigger.SizeBytes *= 2
 	narrower := cfg // as many lines, in twice as many sets
 	narrower.Ways /= 2
+	lows := map[snapCache]*fakeLower{}
 	private := func(cfg Config) snapCache {
-		c, err := New(cfg, &fakeLower{delay: 5})
+		low := &fakeLower{delay: 5}
+		c, err := New(cfg, low)
 		if err != nil {
 			t.Fatal(err)
 		}
+		lows[c] = low
 		return c
 	}
 	shared := func(cfg Config, quota ...int) snapCache {
-		c, err := NewShared(cfg, len(quota), quota, &fakeLower{delay: 5})
+		low := &fakeLower{delay: 5}
+		c, err := NewShared(cfg, len(quota), quota, low)
 		if err != nil {
 			t.Fatal(err)
 		}
+		lows[c] = low
 		return c
 	}
-	// busy returns c's state with four misses outstanding.
-	busy := func(c snapCache) *State {
-		for i := 0; i < 4; i++ {
-			if !c.Access(0, &mem.Request{Addr: uint64(i) * 64, Done: func(int64) {}}) {
-				t.Fatal("miss refused")
-			}
+	// dirty gives c a dirty line and lets the write miss that installs it
+	// complete, so c is idle again.
+	dirty := func(c snapCache) snapCache {
+		if !c.Access(0, &mem.Request{Addr: 0x40, Write: true}) {
+			t.Fatal("write miss refused")
 		}
-		return c.Snapshot()
+		for now := int64(1); now <= 2*cfg.HitLatency+1; now++ {
+			c.Tick(now)
+			lows[c].deliver()
+		}
+		if !c.Idle() {
+			t.Fatal("the write miss did not complete")
+		}
+		return c
+	}
+	// busy leaves c with a miss outstanding.
+	busy := func(c snapCache) snapCache {
+		if !c.Access(0, &mem.Request{Addr: 0x80, Done: func(int64) {}}) {
+			t.Fatal("miss refused")
+		}
+		return c
 	}
 	cases := []struct {
 		name string
 		into snapCache
 		st   *State
 	}{
-		{"private/nil", private(cfg), nil},
-		{"shared/nil", shared(cfg, 4, 4), nil},
-		{"private/geometry", private(cfg), private(bigger).Snapshot()},
-		{"shared/geometry", shared(cfg, 4, 4), shared(bigger, 4, 4).Snapshot()},
-		{"private/associativity", private(cfg), private(narrower).Snapshot()},
-		{"shared/associativity", shared(cfg, 4, 4), shared(narrower, 2, 2).Snapshot()},
-		{"private/too many MSHRs", private(fewMSHRs), busy(private(cfg))},
-		{"shared/too many MSHRs", shared(fewMSHRs, 4, 4), busy(shared(cfg, 4, 4))},
-		{"private/shared state", private(cfg), shared(cfg, 8).Snapshot()},
-		{"shared/private state", shared(cfg, 8), private(cfg).Snapshot()},
-		{"shared/app count", shared(cfg, 4, 4), shared(cfg, 8).Snapshot()},
+		{"private/nil", dirty(private(cfg)), nil},
+		{"shared/nil", dirty(shared(cfg, 4, 4)), nil},
+		{"private/geometry", dirty(private(cfg)), private(bigger).Snapshot()},
+		{"shared/geometry", dirty(shared(cfg, 4, 4)), shared(bigger, 4, 4).Snapshot()},
+		{"private/associativity", dirty(private(cfg)), private(narrower).Snapshot()},
+		{"shared/associativity", dirty(shared(cfg, 4, 4)), shared(narrower, 2, 2).Snapshot()},
+		// A restore refuses a cache with any MSHR in use.
+		{"private/too many MSHRs", busy(dirty(private(cfg))), private(cfg).Snapshot()},
+		{"shared/too many MSHRs", busy(dirty(shared(cfg, 4, 4))), shared(cfg, 4, 4).Snapshot()},
+		{"private/shared state", dirty(private(cfg)), shared(cfg, 8).Snapshot()},
+		{"shared/private state", dirty(shared(cfg, 8)), private(cfg).Snapshot()},
+		{"shared/app count", dirty(shared(cfg, 4, 4)), shared(cfg, 8).Snapshot()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.into.Access(0, &mem.Request{Addr: 0x40, Write: true})
 			before := tc.into.Snapshot()
 			if err := tc.into.Restore(tc.st); err == nil {
 				t.Fatal("incompatible state accepted")
@@ -149,7 +168,6 @@ func lruStream(seed int64, apps int, requotaAt int, requota []int) [][]lruOp {
 // lruCache is what the round trip needs of either cache.
 type lruCache interface {
 	snapCache
-	Tick(now int64)
 	OutstandingMisses() int
 }
 

@@ -158,65 +158,3 @@ func TestInPlaceMatchesTimedCompletion(t *testing.T) {
 			mlpStalls, rejectStalls, answered)
 	}
 }
-
-// hitAllL1 answers every opted-in load in place after latency cycles.
-type hitAllL1 struct{ latency int64 }
-
-func (p hitAllL1) Access(now int64, req *mem.Request) bool {
-	if req.InPlace {
-		req.Ready = now + p.latency
-	}
-	return true
-}
-
-// lcgStream is a copyable stream: a quarter of its instructions are loads,
-// half of them cold.
-type lcgStream struct{ x uint64 }
-
-func (s *lcgStream) Next() Instr {
-	s.x = s.x*6364136223846793005 + 1442695040888963407
-	if s.x>>62 != 0 {
-		return Instr{}
-	}
-	return Instr{Mem: true, Cold: s.x>>61&1 == 0, Addr: s.x >> 40 << 6}
-}
-
-// TestSnapshotKeepsInPlaceHits checkpoints a core at every cycle of a
-// stretch in which its L1 answers every load in place, restores each
-// snapshot into a fresh core, and requires the restored core to run on
-// exactly as the original: ready cycles of entries not yet retired, and the
-// MLP slots of cold loads not yet released, travel in the snapshot. With a
-// zero hit latency a cold load issued in the last cycle before the snapshot
-// is already ready but still holds its slot.
-func TestSnapshotKeepsInPlaceHits(t *testing.T) {
-	cfg := Config{Width: 4, ROBSize: 16, BaseIPC: 2, MaxOutstandingLoads: 2}
-	for _, latency := range []int64{0, 1, 5} {
-		for at := int64(1); at <= 120; at++ {
-			build := func(s *lcgStream) *Core {
-				c, err := New(cfg, 0, hitAllL1{latency}, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c
-			}
-			stream := &lcgStream{x: 7}
-			orig := build(stream)
-			for cyc := int64(0); cyc < at; cyc++ {
-				orig.Tick(cyc)
-			}
-			streamCopy := *stream
-			restored := build(&streamCopy)
-			if err := restored.Restore(orig.Snapshot(at)); err != nil {
-				t.Fatal(err)
-			}
-			for cyc := at; cyc < at+200; cyc++ {
-				orig.Tick(cyc)
-				restored.Tick(cyc)
-				if orig.Stats() != restored.Stats() || orig.OutstandingLoads() != restored.OutstandingLoads() {
-					t.Fatalf("latency %d, snapshot before cycle %d: diverged at cycle %d\noriginal %+v, %d loads out\nrestored %+v, %d loads out",
-						latency, at, cyc, orig.Stats(), orig.OutstandingLoads(), restored.Stats(), restored.OutstandingLoads())
-				}
-			}
-		}
-	}
-}

@@ -38,17 +38,6 @@ func (h *Heap[T]) Pop() T {
 // Len returns the number of elements.
 func (h Heap[T]) Len() int { return len(h) }
 
-// Clone returns an independent copy of the heap in the same array order.
-// Copying the backing array verbatim preserves the heap invariant, so a
-// checkpoint can store the clone and a restore can install it directly
-// without re-heapifying (which could reorder equal elements).
-func (h Heap[T]) Clone() Heap[T] {
-	if h == nil {
-		return nil
-	}
-	return append(Heap[T](nil), h...)
-}
-
 func (h Heap[T]) siftUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2

@@ -300,9 +300,10 @@ func (r *Runner) prepareMix(mix workload.Mix) (*preparedMix, *sim.System, error)
 	return &preparedMix{profs: profs, cp: cp}, sys, nil
 }
 
-// forkPrepared builds a fresh system positioned at p's warm checkpoint. It
-// reads only p's immutable parts, so any number of cells can fork one
-// prepared mix concurrently (forked runs are bit-identical to cold runs; the
+// forkPrepared builds a fresh system and copies p's warm checkpoint — its
+// cache lines, cache counters and stream states — into it. It reads only
+// p's immutable parts, so any number of cells can fork one prepared mix
+// concurrently (forked runs are bit-identical to cold runs; the
 // differential tests in this package enforce it).
 func (r *Runner) forkPrepared(p *preparedMix) (*sim.System, error) {
 	sys, err := sim.New(r.cfg.Sim, p.profs)

@@ -56,28 +56,31 @@ func (r *Runner) PhaseStudy(phaseInstr, epochCycles int64, epochs int) (*Table, 
 		return nil, err
 	}
 	static.Warmup()
+	// The online system is a fork of the static one at the warm point.
+	online, err := static.Fork()
+	if err != nil {
+		return nil, err
+	}
 
-	// Raw estimates (alpha 1) and a 1e-3 API fallback: the loop re-derives
+	// Raw estimates (alpha 1) and a 1e-3 API fallback: a loop re-derives
 	// shares from the latest epoch alone.
 	fallback := make([]float64, len(specs))
 	for i := range fallback {
 		fallback[i] = 1e-3
 	}
-	loop, err := newEpochLoop(core.Proportional(), epochCycles, 1, fallback)
-	if err != nil {
-		return nil, err
-	}
-	// Prologue: one epoch profiled under FCFS sets the shares both systems
-	// start from; the online system is a fork of the static one from there.
-	if err := static.ApplyNoPartitioning(); err != nil {
-		return nil, err
-	}
-	if _, err := loop.step(static); err != nil {
-		return nil, err
-	}
-	online, err := static.Fork()
-	if err != nil {
-		return nil, err
+	// Prologue: each system profiles one epoch under FCFS, the policy it was
+	// built with, through its own loop and repartitions from it. The two
+	// systems are identical, so both loops see the same counters and both
+	// systems start from the same shares; the static one keeps them, the
+	// online one's loop (the last built) carries on.
+	var loop *epochLoop
+	for _, sys := range []*sim.System{static, online} {
+		if loop, err = newEpochLoop(core.Proportional(), epochCycles, 1, fallback); err != nil {
+			return nil, err
+		}
+		if _, err := loop.step(sys); err != nil {
+			return nil, err
+		}
 	}
 
 	t := newTable("Phase adaptation: static (profile-once) vs online re-profiling (Proportional shares)",

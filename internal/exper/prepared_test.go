@@ -98,8 +98,8 @@ func TestPreparedRegistryHammer(t *testing.T) {
 				}
 				inHand[sys] = true
 				mu.Unlock()
-				if sys.Now() != p.cp.Cycle() {
-					t.Errorf("worker %d round %d: system at cycle %d, checkpoint at %d", w, i, sys.Now(), p.cp.Cycle())
+				if sys.Now() != 0 {
+					t.Errorf("worker %d round %d: a fork of the warm point at cycle %d", w, i, sys.Now())
 				}
 				sys.Run(500)
 				mu.Lock()

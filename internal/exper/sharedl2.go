@@ -17,7 +17,8 @@ import (
 // app (rows keyed "[quota]/app"), API under equal bandwidth shares next to
 // API re-measured under proportional partitioning, plus the partitioned /
 // baseline Hsp ratio on each quota's first row and the largest API
-// deviation as a note.
+// deviation as a note. Phase 2's cell depends on phase 1's result, so each
+// quota resolves its two cells one after the other, each through runCells.
 func (r *Runner) SharedL2Study(mix workload.Mix, quotas [][]int) (*Table, error) {
 	if len(quotas) == 0 {
 		return nil, errors.New("exper: no quota points")
@@ -44,7 +45,7 @@ func (r *Runner) SharedL2Study(mix workload.Mix, quotas [][]int) (*Table, error)
 		// Phase 1: measure API_shared under equal bandwidth shares, so every
 		// application makes progress (an unmanaged FCFS baseline can starve
 		// the latency-sensitive app outright, leaving nothing to measure).
-		base, err := sub.RunMix(mix, "equal")
+		base, err := sub.resolveOne(GridCell{Mix: mix, Scheme: "equal"})
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +65,7 @@ func (r *Runner) SharedL2Study(mix workload.Mix, quotas [][]int) (*Table, error)
 		if err != nil {
 			return nil, err
 		}
-		partRun, err := sub.lookup(GridCell{Mix: mix, Scheme: "start-time-fair", Shares: shares}, true)
+		partRun, err := sub.resolveOne(GridCell{Mix: mix, Scheme: "start-time-fair", Shares: shares})
 		if err != nil {
 			return nil, err
 		}
@@ -108,4 +109,14 @@ func (r *Runner) SharedL2Study(mix workload.Mix, quotas [][]int) (*Table, error)
 	}
 	t.note("max API deviation under bandwidth partitioning: %.1f%%", 100*worst)
 	return t, nil
+}
+
+// resolveOne resolves one cell through runCells, so a miss is a job like a
+// batch cell's.
+func (r *Runner) resolveOne(c GridCell) (*MixRun, error) {
+	runs, err := r.runCells(r.baseCtx(), []GridCell{c}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return runs[0], nil
 }

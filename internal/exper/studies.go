@@ -50,7 +50,7 @@ func Studies() []Study {
 			return []*Table{v.Table()}, nil
 		}},
 		{"online", onMix("hetero-5", func(r *Runner, mix workload.Mix) (*Table, error) {
-			run, err := r.RunOnline(mix, "square-root", 200_000, 4)
+			run, err := r.resolveOne(GridCell{Mix: mix, Scheme: onlinePrefix + "square-root", Epoch: 200_000, Epochs: 4})
 			if err != nil {
 				return nil, err
 			}

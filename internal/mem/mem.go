@@ -12,6 +12,10 @@
 // place is the port's choice: it may ignore InPlace and complete through
 // Done as for any request, so an opted-in requester keeps its Done callback
 // and tells the two paths apart by Ready, which it sets to -1 before Access.
+//
+// A Request is live state only: no checkpoint ever holds one. A system is
+// checkpointed at its warm point, before any request exists (sim.Checkpoint),
+// so a Request carries no identity beyond its payload and its Done callback.
 package mem
 
 // Request is one memory access travelling down the hierarchy. Addr is a byte
@@ -31,58 +35,7 @@ type Request struct {
 	// Ready untouched.
 	InPlace bool
 	Ready   int64
-	// Origin names the component object that owns this Request, so a
-	// checkpoint can serialize a retained *Request as plain data and a
-	// restore can resolve it back to the live object (whose Done closure
-	// points into the restored component). Requests that are never retained
-	// across an Access call (posted stores) may leave it zero.
-	Origin Origin
 }
-
-// OriginKind classifies the owner of a retained Request.
-type OriginKind uint8
-
-const (
-	// OriginNone marks a request with no snapshot identity.
-	OriginNone OriginKind = iota
-	// OriginCoreLoad is a core load slot; Key is the slot's load id.
-	OriginCoreLoad
-	// OriginCacheFill is a cache MSHR's fill request; Key is the line
-	// address, Comp the owning cache's snapshot id.
-	OriginCacheFill
-	// OriginCacheWB is a cache writeback; Comp is the owning cache's
-	// snapshot id (writebacks carry no key: App+Addr identify the data).
-	OriginCacheWB
-)
-
-// Origin identifies the owner of a retained Request: the kind of component,
-// which component instance (Comp, a snapshot id assigned at system build),
-// and an owner-specific Key.
-type Origin struct {
-	Kind OriginKind
-	Comp int32
-	Key  uint64
-}
-
-// RequestState is the serialized form of a retained Request: enough to find
-// the owning object after restore (Origin) plus the payload fields for
-// owners that recreate the request rather than locate it.
-type RequestState struct {
-	Origin Origin
-	App    int
-	Addr   uint64
-	Write  bool
-}
-
-// CaptureRequest serializes a retained request for a checkpoint.
-func CaptureRequest(r *Request) RequestState {
-	return RequestState{Origin: r.Origin, App: r.App, Addr: r.Addr, Write: r.Write}
-}
-
-// Resolver maps a captured RequestState back to the live *Request owned by
-// the restored component graph. Restores thread one through every component
-// that retained foreign requests (controller queues, cache waiter lists).
-type Resolver func(RequestState) (*Request, error)
 
 // Port accepts memory requests. Access returns false when the component
 // cannot take the request this cycle (structural hazard: MSHRs or queue

@@ -106,6 +106,9 @@ type Controller struct {
 	// asleep retrying for, so it wakes them.
 	wake    *mem.Waker
 	starved bool
+	// swapped records that SetScheduler replaced the scheduler New
+	// installed (see Pristine).
+	swapped bool
 }
 
 // SetWaker attaches the simulation kernel's wake handle.
@@ -143,7 +146,7 @@ func New(dev *dram.Device, numApps, queueCap int, sched Scheduler) (*Controller,
 // completion queue by (cycle, seq) — the same total order as the closure
 // event queue it replaces. It carries the request itself (stable until its
 // Done fires, which is this completion) so the retirement stats read the
-// request's fields and a checkpoint can serialize the pending completion.
+// request's fields.
 type completion struct {
 	cycle int64
 	seq   uint64
@@ -186,8 +189,15 @@ func (c *Controller) SetScheduler(s Scheduler) error {
 		return errors.New("memctrl: nil scheduler")
 	}
 	c.applyScheduler(s)
+	c.swapped = true
 	return nil
 }
+
+// Pristine reports whether the controller is as New built it: it has taken
+// no access and runs the scheduler it was built with. A system checkpoint
+// carries no controller state, so only a pristine controller is checkpointed
+// or restored into.
+func (c *Controller) Pristine() bool { return c.seq == 0 && !c.swapped }
 
 // applyScheduler installs s and refreshes the cached scheduler traits.
 func (c *Controller) applyScheduler(s Scheduler) {

@@ -3,8 +3,6 @@ package memctrl
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
-	"slices"
 	"testing"
 
 	"bwpart/internal/dram"
@@ -133,7 +131,7 @@ type diffDriver struct {
 	addr         []uint64
 	issues, done []issueRec
 	// retired is the completion tracer's stream. Unlike done it covers
-	// writes and requests restored without a Done callback.
+	// posted writes.
 	retired []issueRec
 }
 
@@ -216,128 +214,13 @@ func diffDrive(t *testing.T, c *Controller, numApps int, seed int64, cycles int6
 	return d.issues, d.done, c.Stats()
 }
 
-// restoreInto restores st and a snapshot of c's device into a fresh
-// controller over a fresh device. Captured requests resolve to new requests
-// without Done callbacks, so forks are compared by the completion tracer.
-func restoreInto(t *testing.T, st *ControllerState, c *Controller, policy dram.PagePolicy) *Controller {
-	t.Helper()
-	dev := testDevice(t, policy)
-	if err := dev.Restore(c.Device().Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	fork, err := New(dev, c.numApps, 0, NewFCFS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resolve := func(rs mem.RequestState) (*mem.Request, error) {
-		return &mem.Request{Origin: rs.Origin, App: rs.App, Addr: rs.Addr, Write: rs.Write}, nil
-	}
-	if err := fork.Restore(st, resolve); err != nil {
-		t.Fatal(err)
-	}
-	return fork
-}
-
-// forkRun is what a controller did from a snapshot on, and its final policy.
-type forkRun struct {
-	issues, retired []issueRec
-	stats           []AppStats
-	sched           Scheduler
-}
-
-// branch returns a driver that has recorded nothing and continues d's
-// address streams under a fresh seed.
-func (d *diffDriver) branch(seed int64) *diffDriver {
-	return &diffDriver{r: rand.New(rand.NewSource(seed)), addr: slices.Clone(d.addr)}
-}
-
-// finish drives c from cycle from to cycle to, drains it, and returns what
-// d recorded with c's final stats and policy.
-func (d *diffDriver) finish(t *testing.T, c *Controller, from, to int64) forkRun {
-	t.Helper()
-	d.attach(c)
-	for cyc := from; cyc < to; cyc++ {
-		d.step(t, c, cyc)
-	}
-	d.drain(t, c, to)
-	return forkRun{d.issues, d.retired, c.Stats(), c.Scheduler()}
-}
-
-// twinDrive drives a controller under first for two phases of phase cycles,
-// swapping in swap (when non-nil) between them, and restores a Snapshot
-// taken after them into a fresh controller over a fresh device;
-// afterSnapshot (when non-nil) sees the live controller between the
-// Snapshot and the Restore. It then drives the live controller, and after
-// it the restored one, through the same third phase and drain, and returns
-// what each did from the snapshot on. The queued-write counters are checked
-// after every cycle.
-func twinDrive(t *testing.T, policy dram.PagePolicy, numApps int, seed, phase int64,
-	first, swap Scheduler, afterSnapshot func(live *Controller)) (live, fork forkRun) {
-	t.Helper()
-	c, err := New(testDevice(t, policy), numApps, 0, first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := newDiffDriver(numApps, seed)
-	cyc := int64(0)
-	for ; cyc < phase; cyc++ {
-		d.step(t, c, cyc)
-	}
-	if swap != nil {
-		if err := c.SetScheduler(swap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for ; cyc < 2*phase; cyc++ {
-		d.step(t, c, cyc)
-	}
-	if c.Pending() == 0 {
-		t.Fatal("nothing queued at the snapshot — workload broken")
-	}
-	st := c.Snapshot()
-	if afterSnapshot != nil {
-		afterSnapshot(c)
-	}
-	restored := restoreInto(t, st, c, policy)
-	checkQueuedWrites(t, restored, cyc)
-	live = d.branch(seed+1).finish(t, c, cyc, 3*phase)
-	fork = d.branch(seed+1).finish(t, restored, cyc, 3*phase)
-	if len(live.issues) == 0 {
-		t.Fatal("controller issued nothing after the snapshot — workload broken")
-	}
-	return live, fork
-}
-
-// checkTwins fails the test when a restored controller's run diverged from
-// its twin's, naming the first differing record.
-func checkTwins(t *testing.T, fork, twin forkRun) {
-	t.Helper()
-	for _, s := range []struct {
-		what       string
-		fork, twin []issueRec
-	}{{"issue", fork.issues, twin.issues}, {"completion", fork.retired, twin.retired}} {
-		for i := 0; i < len(s.fork) && i < len(s.twin); i++ {
-			if s.fork[i] != s.twin[i] {
-				t.Fatalf("%s %d: fork %+v, twin %+v", s.what, i, s.fork[i], s.twin[i])
-			}
-		}
-		if len(s.fork) != len(s.twin) {
-			t.Fatalf("%s trace: fork %d records, twin %d", s.what, len(s.fork), len(s.twin))
-		}
-	}
-	if !slices.Equal(fork.stats, twin.stats) {
-		t.Fatalf("stats: fork %+v, twin %+v", fork.stats, twin.stats)
-	}
-}
-
-// TestIndexedPickMatchesReference checks, for every scheduler, page policy
-// and app count, that a controller restored from a mid-run Snapshot
-// continues exactly as the unforked controller it was taken from, under the
-// same input: the same issue trace, completion-tracer stream and Stats.
-// The live controller runs first, so a snapshot that aliased its state
-// would diverge. Before the snapshot the drive swaps to the next policy of
-// the table, and the queued-write counter behind WriteDrain's watermark
-// must equal a full-queue count after every driven cycle.
+// TestIndexedPickMatchesReference drives, for every scheduler, page policy
+// and app count, one controller under the scheduler for a phase, swaps in
+// the next policy of the table with requests queued, drives two more phases
+// and drains. The queued-write counters behind WriteDrain's watermark must
+// equal a full-queue count after every driven cycle, and every issued access
+// must retire exactly once: as many completions as issues per app, each
+// counted once in Stats.
 func TestIndexedPickMatchesReference(t *testing.T) {
 	const phase = int64(12_000)
 	for _, policy := range []dram.PagePolicy{dram.OpenPage, dram.ClosePage} {
@@ -348,8 +231,7 @@ func TestIndexedPickMatchesReference(t *testing.T) {
 				for seed := int64(1); seed <= 3; seed++ {
 					name := fmt.Sprintf("%s/policy=%v/apps=%d/seed=%d", sc.name, policy, numApps, seed)
 					t.Run(name, func(t *testing.T) {
-						live, fork := twinDrive(t, policy, numApps, seed, phase, sc.mk(t), next.mk(t), nil)
-						checkTwins(t, fork, live)
+						swapDriveMatrix(t, policy, numApps, seed, phase, sc.mk(t), next.mk(t))
 					})
 				}
 			}
@@ -357,114 +239,43 @@ func TestIndexedPickMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRestoreKeepsSnapshotShares changes the live StartTimeFair's shares
-// right after Snapshot. The restored controller must keep the shares the
-// snapshot saw and continue as the fork of a controller whose shares never
-// changed; a clone that aliased the share vector would pick up the change.
-func TestRestoreKeepsSnapshotShares(t *testing.T) {
-	const numApps, phase = 3, int64(8_000)
-	shares := []float64{0.6, 0.3, 0.1}
-	for _, policy := range []dram.PagePolicy{dram.OpenPage, dram.ClosePage} {
-		t.Run(policy.String(), func(t *testing.T) {
-			mk := func() Scheduler {
-				s, err := NewStartTimeFair(shares)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			}
-			want := mk().(*StartTimeFair).Shares()
-			_, untouched := twinDrive(t, policy, numApps, 7, phase, mk(), nil, nil)
-			live, fork := twinDrive(t, policy, numApps, 7, phase, mk(), nil, func(live *Controller) {
-				if err := live.Scheduler().(*StartTimeFair).SetShares([]float64{0.1, 0.3, 0.6}); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if slices.Equal(live.issues, untouched.issues) {
-				t.Fatal("the new shares changed no pick — test broken")
-			}
-			if got := fork.sched.(*StartTimeFair).Shares(); !slices.Equal(got, want) {
-				t.Fatalf("restored controller has shares %v, the snapshot saw %v", got, want)
-			}
-			checkTwins(t, fork, untouched)
-		})
-	}
-}
-
-// TestOneCheckpointSeedsManyForks restores two controllers from one
-// Snapshot in turn and drives each through the same workload. The second
-// must repeat the first: the first fork's run may not reach the
-// checkpoint's copy of the policy.
-func TestOneCheckpointSeedsManyForks(t *testing.T) {
-	const numApps, phase = 3, int64(6_000)
-	for _, sc := range diffSchedulers(numApps) {
-		t.Run(sc.name, func(t *testing.T) {
-			c, err := New(testDevice(t, dram.OpenPage), numApps, 0, sc.mk(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := newDiffDriver(numApps, 1)
-			for cyc := int64(0); cyc < phase; cyc++ {
-				d.step(t, c, cyc)
-			}
-			st := c.Snapshot()
-			var runs [2]forkRun
-			for i := range runs {
-				runs[i] = d.branch(2).finish(t, restoreInto(t, st, c, dram.OpenPage), phase, 2*phase)
-			}
-			checkTwins(t, runs[1], runs[0])
-		})
-	}
-}
-
-// TestCloneSharesNoMemory holds every scheduler's clone to the checkpoint
-// contract: after a drive that fills the policy's state, the clone is
-// deeply equal to the original, and none of its slices or pointers reaches
-// the original's memory.
-func TestCloneSharesNoMemory(t *testing.T) {
-	const numApps = 3
-	for _, sc := range diffSchedulers(numApps) {
-		t.Run(sc.name, func(t *testing.T) {
-			c, err := New(testDevice(t, dram.OpenPage), numApps, 0, sc.mk(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffDrive(t, c, numApps, 1, 5_000)
-			orig := c.Scheduler()
-			clone := orig.clone()
-			if !reflect.DeepEqual(clone, orig) {
-				t.Fatalf("clone %+v differs from the original %+v", clone, orig)
-			}
-			checkNoSharing(t, reflect.ValueOf(orig), reflect.ValueOf(clone), sc.name)
-		})
-	}
-}
-
-// checkNoSharing walks a and b, values of one type, and fails the test where
-// a non-empty slice or a pointer to a non-zero-size value has the same
-// address in both.
-func checkNoSharing(t *testing.T, a, b reflect.Value, path string) {
+// swapDriveMatrix is one cell of TestIndexedPickMatchesReference.
+func swapDriveMatrix(t *testing.T, policy dram.PagePolicy, numApps int, seed, phase int64, first, swap Scheduler) {
 	t.Helper()
-	switch a.Kind() {
-	case reflect.Pointer:
-		if a.IsNil() || a.Type().Elem().Size() == 0 {
-			return
+	c, err := New(testDevice(t, policy), numApps, 0, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDiffDriver(numApps, seed)
+	d.attach(c)
+	cyc := int64(0)
+	for ; cyc < phase; cyc++ {
+		d.step(t, c, cyc)
+	}
+	if c.Pending() == 0 {
+		t.Fatal("nothing queued at the swap — workload broken")
+	}
+	if err := c.SetScheduler(swap); err != nil {
+		t.Fatal(err)
+	}
+	for ; cyc < 3*phase; cyc++ {
+		d.step(t, c, cyc)
+	}
+	d.drain(t, c, cyc)
+	if len(d.issues) == 0 {
+		t.Fatal("controller issued nothing — workload broken")
+	}
+	perApp := func(recs []issueRec) []int64 {
+		n := make([]int64, numApps)
+		for _, rec := range recs {
+			n[rec.app]++
 		}
-		if a.Pointer() == b.Pointer() {
-			t.Errorf("%s: clone shares the pointer", path)
-		}
-		checkNoSharing(t, a.Elem(), b.Elem(), path)
-	case reflect.Slice:
-		if a.Cap() > 0 && a.Pointer() == b.Pointer() {
-			t.Errorf("%s: clone shares the backing array", path)
-		}
-	case reflect.Interface:
-		if !a.IsNil() {
-			checkNoSharing(t, a.Elem(), b.Elem(), path)
-		}
-	case reflect.Struct:
-		for i := 0; i < a.NumField(); i++ {
-			checkNoSharing(t, a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name)
+		return n
+	}
+	issued, retired := perApp(d.issues), perApp(d.retired)
+	for app, st := range c.Stats() {
+		if retired[app] != issued[app] || st.Served() != issued[app] {
+			t.Fatalf("app %d: %d accesses issued, %d retired, %d served", app, issued[app], retired[app], st.Served())
 		}
 	}
 }

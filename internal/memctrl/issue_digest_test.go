@@ -50,8 +50,9 @@ func TestIssueTraceDigests(t *testing.T) {
 	// The diffDrive table plus write-drain around two head-only policies, so
 	// every class filter / inner pick combination has a pinned trace. The
 	// table's write-drain over PARBS joined it after the digests were
-	// recorded and has none; TestIndexedPickMatchesReference and the kernel
-	// differential check it instead.
+	// recorded and has none; TestIndexedPickMatchesReference (queue counters,
+	// every access retired once) and the kernel differential check it
+	// instead.
 	scheds := slices.DeleteFunc(diffSchedulers(numApps), func(sc schedCase) bool {
 		return sc.name == "writedrain-parbs"
 	})

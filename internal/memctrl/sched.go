@@ -12,7 +12,7 @@ import (
 // Scheduler selects which queued request the controller issues next.
 // Implementations live in this package and read the controller's queues
 // directly. Pick must only return entries whose bank is ready at now. The
-// interface is sealed by clone, the checkpoint contract (snapshot.go).
+// interface is sealed by span, the contract with the simulation kernel.
 type Scheduler interface {
 	// Pick returns the chosen entry (Pick.Entry nil when none issuable).
 	Pick(now int64, c *Controller, dev *dram.Device) Pick
@@ -24,10 +24,6 @@ type Scheduler interface {
 	// are bank-blocked.
 	HeadOnly() bool
 	Name() string
-	// clone returns a copy of the policy's configuration and state that
-	// shares no memory with the receiver. Controller.Snapshot stores one and
-	// Restore installs a clone of it.
-	clone() Scheduler
 	// span returns the policy's span class.
 	span() spanClass
 }

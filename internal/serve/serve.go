@@ -501,10 +501,13 @@ func (s *Server) validate(w http.ResponseWriter, mixNames, schemes []string, sca
 const maxBodyBytes = 1 << 20
 
 // decodeRequest decodes r's JSON body into v, reading at most maxBodyBytes of
-// it, and answers 413 for a longer body and 400 for any other decode error
-// (ok false).
+// it, and answers 413 for a longer body and 400 for any other decode error,
+// an unknown field included (ok false): a misspelt field would otherwise
+// run the request with that field's default.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:

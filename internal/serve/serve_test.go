@@ -618,6 +618,8 @@ func TestServeBadRequests(t *testing.T) {
 		"share policy":      {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "start-time-fair"}, http.StatusBadRequest},
 		"share policy grid": {"/v1/grid", GridRequest{Mixes: []string{"hetero-1"}, Schemes: []string{"budget"}}, http.StatusBadRequest},
 		"heuristic":         {"/v1/mix", MixRequest{Mix: "hetero-1", Scheme: "stfm"}, http.StatusOK},
+		// A misspelt field must not run the cell at the default scale.
+		"unknown field": {"/v1/mix", map[string]any{"mix": "hetero-1", "scheme": "equal", "scale_factor": 2}, http.StatusBadRequest},
 		// Bodies over the 1 MiB cap.
 		"huge mix body":  {"/v1/mix", MixRequest{Mix: strings.Repeat("x", 2<<20), Scheme: "equal"}, http.StatusRequestEntityTooLarge},
 		"huge grid body": {"/v1/grid", GridRequest{Mixes: []string{strings.Repeat("x", 2<<20)}, Schemes: []string{"equal"}}, http.StatusRequestEntityTooLarge},

@@ -33,15 +33,9 @@ var cacheDigestTopos = []struct {
 	{name: "shared/5-1-1-1-requota", shared: true, quota: []int{5, 1, 1, 1}, requota: []int{2, 2, 1, 3}},
 }
 
-// halvesKernelStats is the kernel's work on one digest run: the system that
-// ran up to the snapshot, and the restored one that finished the window, one
-// line per counter row (see kernelLines) so a re-record diffs by component.
-type halvesKernelStats struct {
-	Before, After []string
-}
-
-// kernelLines renders ks as one line for the run and one per component; a
-// core's line adds its run-ahead counters when it has any (wake kernel).
+// kernelLines renders ks as one line for the run and one per component, so
+// a re-record diffs by component; a core's line adds its run-ahead counters
+// when it has any (wake kernel).
 func kernelLines(ks KernelStats) []string {
 	out := []string{fmt.Sprintf("cycles %d ticked %d leapt %d", ks.Cycles, ks.Ticked, ks.Leapt)}
 	for _, c := range ks.Components {
@@ -55,16 +49,14 @@ func kernelLines(ks KernelStats) []string {
 	return out
 }
 
-// cacheDigest runs one system — functional warmup, a settle phase, then a
-// measurement window sliced in the middle by Snapshot and a Restore into a
-// freshly built system that finishes it. It hashes everything the cache
+// cacheDigest runs one system straight through — functional warmup, a
+// settle phase, then a measurement window. It hashes everything the cache
 // hierarchy can influence — the windowed Result and every cache's counters —
-// and returns that behaviour digest with the kernel counters of both halves.
-func cacheDigest(t *testing.T, run loop, cfg Config, requota []int) (string, halvesKernelStats) {
+// and returns that behaviour digest with the run's kernel counters.
+func cacheDigest(t *testing.T, run loop, cfg Config, requota []int) (string, []string) {
 	t.Helper()
-	const settle, first, rest = 6_000, 17_003, 23_000
-	names := []string{"lbm", "milc", "soplex", "povray"}
-	sys, err := New(cfg, mustProfiles(t, names...))
+	const settle, measure = 6_000, 40_003
+	sys, err := New(cfg, mustProfiles(t, "lbm", "milc", "soplex", "povray"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,28 +68,16 @@ func cacheDigest(t *testing.T, run loop, cfg Config, requota []int) (string, hal
 			t.Fatal(err)
 		}
 	}
-	run(sys, first)
-	cp, err := sys.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := New(cfg, mustProfiles(t, names...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	run(fresh, rest)
+	run(sys, measure)
 
 	h := sha256.New()
-	fmt.Fprintf(h, "result %+v\n", fresh.Results())
+	fmt.Fprintf(h, "result %+v\n", sys.Results())
 	var w Counters
-	fresh.WindowInto(&w)
+	sys.WindowInto(&w)
 	for i, a := range w.Apps {
 		fmt.Fprintf(h, "l1.%d %+v\nl2.%d %+v\n", i, a.L1, i, a.L2)
 	}
-	return hex.EncodeToString(h.Sum(nil)), halvesKernelStats{kernelLines(sys.KernelStats()), kernelLines(fresh.KernelStats())}
+	return hex.EncodeToString(h.Sum(nil)), kernelLines(sys.KernelStats())
 }
 
 // readDigestFile decodes one of the testdata maps into want.
@@ -128,20 +108,23 @@ func writeDigestFile(t *testing.T, path string, v any) {
 // kernel's work separately. Behaviour: one digest per topology and seed in
 // testdata/cache_digests.json, which the naive loop and the wake scheduler
 // must both reproduce (first recorded while Cache and SharedCache were still
-// two separate implementations). Work: the KernelStats of both halves per
-// kernel in testdata/kernel_stats.json, so a pure scheduling change moves
-// only that file. bench/golden.json pins only the private topology and is
+// two separate implementations, and while the window was still split by a
+// mid-run Snapshot and Restore). Work: the run's KernelStats per kernel in
+// testdata/kernel_stats.json, so a pure scheduling change moves only that
+// file. bench/golden.json pins only the private topology and is
 // not tier-1. `go test ./internal/sim -run TestCacheDigests -update`
 // rewrites both files; re-record the behaviour file only for an intended
 // behaviour change.
 func TestCacheDigests(t *testing.T) {
 	const behaviourPath, kernelPath = "testdata/cache_digests.json", "testdata/kernel_stats.json"
 	var want map[string]string
-	var wantKS map[string]halvesKernelStats
-	readDigestFile(t, behaviourPath, &want)
-	readDigestFile(t, kernelPath, &wantKS)
+	var wantKS map[string][]string
+	if !*updateDigests {
+		readDigestFile(t, behaviourPath, &want)
+		readDigestFile(t, kernelPath, &wantKS)
+	}
 	got := map[string]string{}
-	gotKS := map[string]halvesKernelStats{}
+	gotKS := map[string][]string{}
 	kernels := []struct {
 		name string
 		run  loop

@@ -11,8 +11,9 @@ import (
 // FuzzKernelEquivalence is the native-fuzzing form of the kernel
 // differential: every input names one system (application count and draw,
 // scheduler, topology, controller queue bound) and one pattern of uneven Run
-// slices, and the wake scheduler — straight, and sliced with a mid-window
-// fork — must reproduce the naive loop bit for bit (see diffKernels). The
+// slices, and the wake scheduler — straight, and sliced, which catches a
+// sleeper the end-of-Run flush missed — must reproduce the naive loop bit
+// for bit (see diffKernels). The
 // variant bits reshape the system: fuzzRehit runs the cold re-hit stream of
 // TestKernelSleepCoverage as application 0 instead of its profile,
 // fuzzPhased a phased stream (parameter refreshes), fuzzOneL1MSHR gives

@@ -63,7 +63,7 @@ func interleaved() loop {
 }
 
 // TestKernelsInterleaved drives one system alternately with Run and the
-// reference loop, in uneven slices with a mid-window fork, and demands the
+// reference loop, in uneven slices, and demands the
 // observations of a pure reference run, for every scheduler of
 // busySchedulers on the private L2s, the private L2s prefetching two lines
 // deep, and the shared L2. The reference loop ticks every component as it
@@ -85,8 +85,8 @@ func TestKernelsInterleaved(t *testing.T) {
 					settle: 15_000, measure: 45_000,
 					slices: []int64{1, 7, 1024, 3, 5_000, 13, 777},
 				}
-				want, _ := observe(t, naiveLoop, kc, false, false)
-				got, _ := observe(t, interleaved(), kc, true, true)
+				want, _ := observe(t, naiveLoop, kc, false)
+				got, _ := observe(t, interleaved(), kc, true)
 				diffObs(t, "interleaved", want, got)
 			})
 		}

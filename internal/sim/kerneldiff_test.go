@@ -15,8 +15,7 @@ import (
 // fuzz_test.go, cell_diff_test.go): the reference loop, one description of
 // a system under test, one observation record, and diffKernels, which runs
 // the oracle once and the wake scheduler twice — straight, and in uneven Run
-// slices with a mid-window fork — and demands bit-identical observations
-// from both.
+// slices — and demands bit-identical observations from both.
 
 // runNaive is the reference loop the wake scheduler (Run) is held to: it
 // ticks every component once per simulated cycle, in slot order, and counts
@@ -134,44 +133,25 @@ func runSliced(run loop, sys *System, cycles int64, slices []int64) {
 }
 
 // observe drives kc under run and records the observations. With sliced
-// set both phases run in kc.slices; with fork set the measurement window is
-// additionally interrupted a third of the way in by Fork, and the fork — not
-// the parent — finishes the window, so any sleep state leaking into a
-// Snapshot (or missing from the end-of-Run flush) shows up as a divergence.
-// The returned kernel counters are those of the system that finished the
-// window (the fork's cover only its share).
-func observe(t *testing.T, run loop, kc kernelCase, sliced, fork bool) (kernelObs, KernelStats) {
+// set both phases run in kc.slices, so a component left asleep (or not
+// integrated) by the end-of-Run flush shows up as a divergence.
+func observe(t *testing.T, run loop, kc kernelCase, sliced bool) (kernelObs, KernelStats) {
 	t.Helper()
 	sys := buildCase(t, kc)
 	var obs kernelObs
-	trace := func(sys *System) {
-		sys.Controller().SetTracer(func(cycle int64, app int, addr uint64, write bool) {
-			obs.Issues = append(obs.Issues, traceRec{cycle, app, addr, write})
-		})
-		sys.Controller().SetCompletionTracer(func(cycle int64, app int, addr uint64, write bool) {
-			obs.Completions = append(obs.Completions, traceRec{cycle, app, addr, write})
-		})
-	}
-	trace(sys)
+	sys.Controller().SetTracer(func(cycle int64, app int, addr uint64, write bool) {
+		obs.Issues = append(obs.Issues, traceRec{cycle, app, addr, write})
+	})
+	sys.Controller().SetCompletionTracer(func(cycle int64, app int, addr uint64, write bool) {
+		obs.Completions = append(obs.Completions, traceRec{cycle, app, addr, write})
+	})
 	var slices []int64
 	if sliced {
 		slices = kc.slices
 	}
 	runSliced(run, sys, kc.settle, slices)
 	sys.ResetStats()
-	measure := kc.measure
-	if fork {
-		first := measure / 3
-		runSliced(run, sys, first, slices)
-		measure -= first
-		child, err := sys.Fork()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys = child
-		trace(sys)
-	}
-	runSliced(run, sys, measure, slices)
+	runSliced(run, sys, kc.measure, slices)
 	obs.Res = sys.Results()
 	for i := range sys.cores {
 		obs.Cores = append(obs.Cores, sys.cores[i].Stats())
@@ -227,7 +207,7 @@ func checkKernelStats(t *testing.T, ks KernelStats, window int64) {
 }
 
 // diffKernels is the differential: the naive oracle once, the wake
-// scheduler straight, and sliced with a mid-window fork. It returns
+// scheduler straight, and sliced. It returns
 // the oracle's observations and the straight wake drive's kernel counters
 // for case-specific assertions.
 func diffKernels(t *testing.T, kc kernelCase) (kernelObs, KernelStats) {
@@ -238,13 +218,14 @@ func diffKernels(t *testing.T, kc kernelCase) (kernelObs, KernelStats) {
 	if kc.slices == nil {
 		kc.slices = defaultSlices
 	}
-	want, nks := observe(t, naiveLoop, kc, false, false)
+	want, nks := observe(t, naiveLoop, kc, false)
 	checkKernelStats(t, nks, kc.settle+kc.measure)
-	straight, ks := observe(t, wakeLoop, kc, false, false)
+	straight, ks := observe(t, wakeLoop, kc, false)
 	diffObs(t, "straight", want, straight)
 	checkKernelStats(t, ks, kc.settle+kc.measure)
-	forked, _ := observe(t, wakeLoop, kc, true, true)
-	diffObs(t, "sliced+forked", want, forked)
+	sliced, sks := observe(t, wakeLoop, kc, true)
+	diffObs(t, "sliced", want, sliced)
+	checkKernelStats(t, sks, kc.settle+kc.measure)
 	if len(want.Issues) == 0 {
 		t.Errorf("empty issue trace — workload never reached the controller")
 	}

@@ -55,8 +55,7 @@ func hotSpec(x uint64) AppSpec {
 
 // runAheadCases are the differential cases of the cores' run-ahead, one per
 // way a span can stop, each compared bit for bit with the naive loop by
-// diffKernels (straight, and in 1-, 7- and 1024-cycle Run slices finished
-// by a mid-window fork). reached names what the case must have exercised,
+// diffKernels (straight, and in 1-, 7- and 1024-cycle Run slices). reached names what the case must have exercised,
 // from the naive observations and the straight wake drive's counters (the
 // run-end case reads the sliced drive's). FuzzKernelEquivalence's seed
 // corpus repeats them.
@@ -103,11 +102,13 @@ var runAheadCases = []struct {
 			_, _, sp := coreRunAhead(ks)
 			return sp.Refresh > 0
 		}},
-	// Run slices whose ends cut spans short, then a fork mid-window.
+	// Run slices whose ends cut spans short. (The name keeps the suffix of
+	// the mid-window fork it also took: the suite's pinned test list keys on
+	// full test names.)
 	{"run-slices-fork", kernelCase{names: []string{"hmmer", "gromacs", "lbm", "povray"},
 		settle: 15_000, measure: 50_000, slices: []int64{1, 7, 1024}},
 		func(t *testing.T, kc kernelCase, _ kernelObs, _ KernelStats) bool {
-			_, sliced := observe(t, wakeLoop, kc, true, true)
+			_, sliced := observe(t, wakeLoop, kc, true)
 			_, _, sp := coreRunAhead(sliced)
 			return sp.RunEnd > 0
 		}},

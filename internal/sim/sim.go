@@ -139,10 +139,10 @@ type System struct {
 	// buffer Results and APIsInto reuse for the window.
 	mark *Counters
 	win  Counters
-	// snapCaches lists every cache in snap-id order (shared L2 first when
-	// present, then per-app L2/L1 in construction order) so the checkpoint
-	// resolver can dispatch on mem.Origin.Comp.
-	snapCaches []snapCache
+	// caches lists every cache in construction order — the shared L2 first
+	// when present, then each app's L2 and L1 — which is the order a
+	// Checkpoint keeps their states in.
+	caches []snapCache
 }
 
 // New builds a system running one synthetic benchmark per core, with the
@@ -205,9 +205,8 @@ func (s *System) Warmup() {
 // otherwise. Its results are bit-identical to ticking every component every
 // cycle in the same order — the reference loop this package's differential
 // and fuzz tests hold it to (DESIGN.md §7). Every sleeper is flushed and
-// marked awake before Run returns: Results, ResetStats, Snapshot,
-// SetScheduler and the epoch loops between Run calls always see canonical
-// component state.
+// marked awake before Run returns: Results, ResetStats, SetScheduler and
+// the epoch loops between Run calls always see canonical component state.
 func (s *System) Run(cycles int64) {
 	end := s.now + cycles
 	for i := range s.slots {

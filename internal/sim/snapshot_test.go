@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"testing"
 
+	"bwpart/internal/core"
 	"bwpart/internal/dram"
+	"bwpart/internal/mem"
 	"bwpart/internal/memctrl"
 	"bwpart/internal/workload"
 )
@@ -61,10 +63,9 @@ func measureTraced(sys *System, settle, measure int64) (Result, []traceRec) {
 	return sys.Results(), trace
 }
 
-// buildWarm builds a system, installs the scheduler, and advances it
-// through functional warmup plus warm cycles of timed execution — the
-// shared prefix a checkpoint should let experiment sweeps pay once.
-func buildWarm(t *testing.T, shared bool, sched snapshotSched, warm int64) *System {
+// buildWarm builds a system of the four-app test mix and runs its
+// functional warmup: the warm point a checkpoint is taken at.
+func buildWarm(t *testing.T, shared bool) *System {
 	t.Helper()
 	cfg := fastCfg()
 	cfg.SharedL2 = shared
@@ -72,6 +73,14 @@ func buildWarm(t *testing.T, shared bool, sched snapshotSched, warm int64) *Syst
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.Warmup()
+	return sys
+}
+
+// runSched installs sched on sys and runs warm cycles of timed execution,
+// then settle + measure with a tracer attached (measureTraced).
+func runSched(t *testing.T, sys *System, sched snapshotSched, warm, settle, measure int64) (Result, []traceRec) {
+	t.Helper()
 	s, err := sched.make(sys.NumApps())
 	if err != nil {
 		t.Fatal(err)
@@ -79,17 +88,16 @@ func buildWarm(t *testing.T, shared bool, sched snapshotSched, warm int64) *Syst
 	if err := sys.Controller().SetScheduler(s); err != nil {
 		t.Fatal(err)
 	}
-	sys.Warmup()
 	sys.Run(warm)
-	return sys
+	return measureTraced(sys, settle, measure)
 }
 
-// TestForkMatchesColdRun is the tentpole differential check: a system
-// forked from a checkpoint after warmup+warm cycles must produce the exact
-// issue trace and Result of an identically configured system that ran the
-// whole history cold, for every scheduler state shape and both topologies.
-// (The subtest names end in ref=false: the reference-pick axis is gone, the
-// suite's pinned test list keys on the full names.)
+// TestForkMatchesColdRun is the differential check of the checkpoint: a
+// system forked at the warm point must then produce the exact issue trace
+// and Result of an identically configured system that warmed up itself, for
+// every scheduler state shape and both topologies. (The subtest names end
+// in ref=false: the reference-pick axis is gone, the suite's pinned test
+// list keys on the full names.)
 func TestForkMatchesColdRun(t *testing.T) {
 	const warm, settle, measure = 25_000, 10_000, 60_000
 	for _, sched := range snapshotScheds() {
@@ -100,16 +108,12 @@ func TestForkMatchesColdRun(t *testing.T) {
 		for _, shared := range topos {
 			name := fmt.Sprintf("%s/shared=%v/ref=false", sched.name, shared)
 			t.Run(name, func(t *testing.T) {
-				base := buildWarm(t, shared, sched, warm)
-				fork, err := base.Fork()
+				fork, err := buildWarm(t, shared).Fork()
 				if err != nil {
 					t.Fatal(err)
 				}
-				forkRes, forkTrace := measureTraced(fork, settle, measure)
-
-				cold := buildWarm(t, shared, sched, warm)
-				coldRes, coldTrace := measureTraced(cold, settle, measure)
-
+				forkRes, forkTrace := runSched(t, fork, sched, warm, settle, measure)
+				coldRes, coldTrace := runSched(t, buildWarm(t, shared), sched, warm, settle, measure)
 				if !reflect.DeepEqual(coldRes, forkRes) {
 					t.Errorf("results diverge\ncold: %+v\nfork: %+v", coldRes, forkRes)
 				}
@@ -125,19 +129,20 @@ func TestForkMatchesColdRun(t *testing.T) {
 // after forking, both must continue with identical traces, and running one
 // must not perturb the other. The one value a checkpoint shares with its
 // origin, the measurement window's mark, must stay put when the origin
-// resets after the snapshot: a system restored from a mid-window checkpoint
-// finishes the window exactly as an unsliced run does.
+// resets after the snapshot: a system restored from a checkpoint taken
+// after a reset at the warm point measures its window from that reset, not
+// from the origin's later one.
 func TestForkIndependence(t *testing.T) {
 	sched := snapshotScheds()[1] // WriteDrain+FR-FCFS: pooled writebacks, deep picks
-	base := buildWarm(t, false, sched, 25_000)
+	base := buildWarm(t, false)
 	fork, err := base.Fork()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Run the fork to completion first; if it aliased parent state, the
 	// parent's subsequent run would diverge.
-	forkRes, forkTrace := measureTraced(fork, 10_000, 50_000)
-	baseRes, baseTrace := measureTraced(base, 10_000, 50_000)
+	forkRes, forkTrace := runSched(t, fork, sched, 25_000, 10_000, 50_000)
+	baseRes, baseTrace := runSched(t, base, sched, 25_000, 10_000, 50_000)
 	if !reflect.DeepEqual(baseRes, forkRes) {
 		t.Errorf("results diverge\nbase: %+v\nfork: %+v", baseRes, forkRes)
 	}
@@ -145,16 +150,18 @@ func TestForkIndependence(t *testing.T) {
 		t.Errorf("traces diverge (base %d records, fork %d)", len(baseTrace), len(forkTrace))
 	}
 
-	origin := buildWarm(t, false, sched, 25_000)
-	origin.Run(10_000)
+	unsliced := buildWarm(t, false)
+	unsliced.ResetStats()
+	unsliced.Run(30_000)
+	want := unsliced.Results()
+	origin := buildWarm(t, false)
 	origin.ResetStats()
-	origin.Run(20_000)
 	cp, err := origin.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	origin.ResetStats()
 	origin.Run(5_000)
+	origin.ResetStats()
 	sliced, err := New(origin.cfg, mustProfiles(t, "lbm", "milc", "soplex", "povray"))
 	if err != nil {
 		t.Fatal(err)
@@ -163,68 +170,92 @@ func TestForkIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sliced.Run(30_000)
-	if got, want := sliced.Results(), baseRes; !reflect.DeepEqual(want, got) {
+	if got := sliced.Results(); !reflect.DeepEqual(want, got) {
 		t.Errorf("a reset on the origin moved the checkpoint's window\nunsliced: %+v\nsliced:   %+v", want, got)
 	}
 }
 
-// TestRestoreRoundTripMidRun is the property check: at any point mid-run —
-// queues backed up, MSHRs occupied, events pending — Restore(Snapshot())
-// into the same system must replay the continuation bit-identically. The
-// snapshot offsets sweep the measurement window so captures land in
-// different microarchitectural states.
-func TestRestoreRoundTripMidRun(t *testing.T) {
-	for _, offset := range []int64{1, 777, 5_000, 20_000} {
-		for _, sched := range []snapshotSched{snapshotScheds()[1], snapshotScheds()[4]} {
-			t.Run(fmt.Sprintf("%s/offset=%d", sched.name, offset), func(t *testing.T) {
-				sys := buildWarm(t, false, sched, 10_000)
-				sys.Run(offset)
-				cp, err := sys.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cp.Cycle() != sys.Now() {
-					t.Fatalf("checkpoint cycle %d, system at %d", cp.Cycle(), sys.Now())
-				}
-				firstRes, firstTrace := measureTraced(sys, 5_000, 30_000)
-				if err := sys.Restore(cp); err != nil {
-					t.Fatal(err)
-				}
-				if sys.Now() != cp.Cycle() {
-					t.Fatalf("restore left system at cycle %d, want %d", sys.Now(), cp.Cycle())
-				}
-				againRes, againTrace := measureTraced(sys, 5_000, 30_000)
-				if !reflect.DeepEqual(firstRes, againRes) {
-					t.Errorf("results diverge after restore\nfirst: %+v\nagain: %+v", firstRes, againRes)
-				}
-				if !reflect.DeepEqual(firstTrace, againTrace) {
-					t.Errorf("traces diverge after restore (first %d records, again %d)",
-						len(firstTrace), len(againTrace))
-				}
-			})
-		}
-	}
-}
-
-// TestSnapshotSharedTopologyRoundTrip covers the shared-L2 restore path
-// (way quotas, per-app MSHR occupancy) through a mid-run round trip.
+// TestSnapshotSharedTopologyRoundTrip covers the shared-L2 restore path: a
+// warmed shared-L2 system whose way quotas were re-partitioned at the warm
+// point restores into a freshly built system, which keeps the new quotas
+// and runs on exactly as the original.
 func TestSnapshotSharedTopologyRoundTrip(t *testing.T) {
 	sched := snapshotScheds()[1]
-	sys := buildWarm(t, true, sched, 15_000)
+	sys := buildWarm(t, true)
+	quota := []int{3, 1, 2, 2}
+	if err := sys.SharedL2().SetQuota(quota); err != nil {
+		t.Fatal(err)
+	}
 	cp, err := sys.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstRes, firstTrace := measureTraced(sys, 5_000, 30_000)
-	if err := sys.Restore(cp); err != nil {
+	fresh, err := New(sys.cfg, mustProfiles(t, "lbm", "milc", "soplex", "povray"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	againRes, againTrace := measureTraced(sys, 5_000, 30_000)
+	if err := fresh.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.SharedL2().Quota(); !reflect.DeepEqual(got, quota) {
+		t.Fatalf("restored quotas %v, the checkpoint's %v", got, quota)
+	}
+	firstRes, firstTrace := runSched(t, sys, sched, 0, 5_000, 30_000)
+	againRes, againTrace := runSched(t, fresh, sched, 0, 5_000, 30_000)
 	if !reflect.DeepEqual(firstRes, againRes) {
 		t.Errorf("results diverge after restore\nfirst: %+v\nagain: %+v", firstRes, againRes)
 	}
 	if !reflect.DeepEqual(firstTrace, againTrace) {
 		t.Errorf("traces diverge after restore (first %d, again %d)", len(firstTrace), len(againTrace))
+	}
+}
+
+// TestSnapshotRefusesChangedSystem pins each refusal of the warm-point
+// contract: a system that has simulated a cycle, whose controller has a new
+// scheduler, or whose cache holds a request, may differ from a fresh build
+// in state a checkpoint does not carry, so Snapshot refuses it, and Restore
+// refuses to install into it.
+func TestSnapshotRefusesChangedSystem(t *testing.T) {
+	cases := []struct {
+		name   string
+		shared bool
+		change func(t *testing.T, sys *System) error
+	}{
+		{"one cycle", false, func(t *testing.T, sys *System) error {
+			sys.Run(1)
+			return nil
+		}},
+		{"SetScheduler", false, func(t *testing.T, sys *System) error {
+			return sys.Controller().SetScheduler(memctrl.NewFRFCFS(4))
+		}},
+		{"ApplyScheme", false, func(t *testing.T, sys *System) error {
+			ones := []float64{1, 1, 1, 1}
+			return sys.ApplyScheme(core.Proportional(), ones, ones)
+		}},
+		{"request in a cache", true, func(t *testing.T, sys *System) error {
+			if !sys.SharedL2().Access(0, &mem.Request{Addr: 1 << 40, Done: func(int64) {}}) {
+				t.Fatal("access refused")
+			}
+			return nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, err := buildWarm(t, tc.shared).Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := buildWarm(t, tc.shared)
+			if err := tc.change(t, sys); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := sys.Snapshot(); err == nil || got != nil {
+				t.Errorf("Snapshot = %v, %v; want a refusal", got, err)
+			}
+			if err := sys.Restore(cp); err == nil {
+				t.Error("Restore into the changed system accepted")
+			}
+		})
 	}
 }
 
@@ -292,9 +323,9 @@ func TestAPIsIntoMatchesResults(t *testing.T) {
 }
 
 // TestRestoreRefusesOtherTopology: every cache's state has one type, so a
-// checkpoint of the other L2 topology or another app count type-checks; it
-// must be refused before anything is restored — the system continues as a
-// twin that never saw the attempt.
+// warm-point checkpoint of the other L2 topology or another app count
+// type-checks; it must be refused before anything is restored — the warmed
+// system continues as a twin that never saw the attempt.
 func TestRestoreRefusesOtherTopology(t *testing.T) {
 	build := func(shared bool, names ...string) *System {
 		cfg := fastCfg()
@@ -304,7 +335,6 @@ func TestRestoreRefusesOtherTopology(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.Warmup()
-		sys.Run(8_000)
 		return sys
 	}
 	four := []string{"lbm", "milc", "soplex", "povray"}
@@ -341,9 +371,9 @@ func TestRestoreRefusesOtherTopology(t *testing.T) {
 }
 
 // TestCheckpointBytesCeiling bounds what a prepared base keeps resident: one
-// Snapshot of a warmed 4-core system allocates at most 11 B per cache line (a
-// line snapshots as its tag and a 2-byte meta word) plus 32 KiB for every
-// other component.
+// Snapshot of a warmed 4-core system allocates at most 10 B per cache line (a
+// line snapshots as its tag and a 2-byte meta word) plus 8 KiB for the
+// cache counters, the stream states and the headers (about 2 KiB measured).
 func TestCheckpointBytesCeiling(t *testing.T) {
 	sys := warmedHetero5(t)
 	lines := len(sys.cores) * (sys.cfg.L1.SizeBytes/sys.cfg.L1.LineBytes + sys.cfg.L2.SizeBytes/sys.cfg.L2.LineBytes)
@@ -355,7 +385,7 @@ func TestCheckpointBytesCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.KeepAlive(cp)
-	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(11*lines+32<<10); got > ceiling {
+	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(10*lines+8<<10); got > ceiling {
 		t.Errorf("Snapshot allocated %d B for %d cache lines, ceiling %d B", got, lines, ceiling)
 	} else {
 		t.Logf("Snapshot allocated %d B for %d cache lines (%.2f B a line), ceiling %d B", got, lines, float64(got)/float64(lines), ceiling)
@@ -364,9 +394,9 @@ func TestCheckpointBytesCeiling(t *testing.T) {
 
 // TestForkBytesCeiling bounds what forking a prepared base allocates: a new
 // system restored from a warmed 4-core checkpoint (exper's forkPrepared path)
-// allocates at most 11 B per cache line (a line lives as its tag and a 2-byte
+// allocates at most 10 B per cache line (a line lives as its tag and a 2-byte
 // meta word, in the checkpoint's layout, and a restore copies into it) plus
-// 64 KiB for every other component.
+// 32 KiB for every other component (about 19 KiB measured).
 func TestForkBytesCeiling(t *testing.T) {
 	sys := warmedHetero5(t)
 	cp, err := sys.Snapshot()
@@ -393,7 +423,7 @@ func TestForkBytesCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.KeepAlive(fork)
-	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(11*lines+64<<10); got > ceiling {
+	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(10*lines+32<<10); got > ceiling {
 		t.Errorf("a fork allocated %d B for %d cache lines, ceiling %d B", got, lines, ceiling)
 	} else {
 		t.Logf("a fork allocated %d B for %d cache lines (%.2f B a line), ceiling %d B", got, lines, float64(got)/float64(lines), ceiling)

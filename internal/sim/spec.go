@@ -72,8 +72,7 @@ func NewFromSpecs(cfg Config, specs []AppSpec) (*System, error) {
 			return nil, fmt.Errorf("sim: shared L2: %w", err)
 		}
 		s.sharedL2 = shared
-		shared.SetSnapID(int32(len(s.snapCaches)))
-		s.snapCaches = append(s.snapCaches, shared)
+		s.caches = append(s.caches, shared)
 		sharedSlot = len(s.slots)
 		sharedW = s.addComponent("l2", shared, ctrlW)
 	}
@@ -93,16 +92,14 @@ func NewFromSpecs(cfg Config, specs []AppSpec) (*System, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sim: app %d L2: %w", i, err)
 			}
-			l2.SetSnapID(int32(len(s.snapCaches)))
-			s.snapCaches = append(s.snapCaches, l2)
+			s.caches = append(s.caches, l2)
 			l1Lower = l2
 		}
 		l1, err := cache.New(cfg.L1, l1Lower)
 		if err != nil {
 			return nil, fmt.Errorf("sim: app %d L1: %w", i, err)
 		}
-		l1.SetSnapID(int32(len(s.snapCaches)))
-		s.snapCaches = append(s.snapCaches, l1)
+		s.caches = append(s.caches, l1)
 		core, err := cpu.New(spec.Core, i, l1, spec.Stream)
 		if err != nil {
 			return nil, fmt.Errorf("sim: app %d core: %w", i, err)
