@@ -269,7 +269,7 @@ func (run *MixRun) cell() GridCell {
 
 // preparedMix is the shared prefix of every measurement on one mix: its
 // immutable profiles plus the checkpoint of its warmed state. RunGrid
-// prepares each mix once and restores the checkpoint into a new system per
+// prepares each mix once and builds a new system from the checkpoint per
 // cell, so the functional warmup is paid once per mix instead of once per
 // cell.
 type preparedMix struct {
@@ -300,17 +300,14 @@ func (r *Runner) prepareMix(mix workload.Mix) (*preparedMix, *sim.System, error)
 	return &preparedMix{profs: profs, cp: cp}, sys, nil
 }
 
-// forkPrepared builds a fresh system and copies p's warm checkpoint — its
-// cache lines, cache counters and stream states — into it. It reads only
-// p's immutable parts, so any number of cells can fork one prepared mix
-// concurrently (forked runs are bit-identical to cold runs; the
-// differential tests in this package enforce it).
+// forkPrepared builds a system from p's warm checkpoint: its caches from
+// their saved lines and counters, its streams from their saved states,
+// everything else new. It reads only p's immutable parts, so any number of
+// cells can fork one prepared mix concurrently (forked runs are
+// bit-identical to cold runs; the differential tests in this package enforce
+// it).
 func (r *Runner) forkPrepared(p *preparedMix) (*sim.System, error) {
-	sys, err := sim.New(r.cfg.Sim, p.profs)
-	if err != nil {
-		return nil, err
-	}
-	return sys, sys.Restore(p.cp)
+	return sim.FromCheckpoint(r.cfg.Sim, p.profs, p.cp)
 }
 
 // measure is the one settle → mark → measure tail every cell shares: sys is
@@ -354,7 +351,7 @@ func (r *Runner) measure(sys *sim.System, pol policy, a policyArgs) (sim.Result,
 
 // runConfigured measures one cell from its mix's warmed state: pol installs
 // the cell's controller configuration and measure runs. When memoizing, the
-// system is a fresh one restored from the mix's shared warm checkpoint, whose
+// system is a new one built from the mix's shared warm checkpoint, whose
 // base stays pinned against LRU eviction for the duration; it is garbage once
 // measured. Under NoMemoize a private system is built and warmed for this one
 // run: the reference executor the differential tests compare every memoized

@@ -47,8 +47,8 @@ func benchSweepRunner(b *testing.B, memoize bool) (*Runner, workload.Mix, []stri
 
 // BenchmarkSweep compares one mix x K schemes simulated cold (one warmup per
 // cell) against the forked path RunGrid uses (one warmup and snapshot per mix,
-// then a new system restored from the checkpoint per cell, as forkPrepared
-// builds it). benchjson derives sweep_fork_speedup from the pair.
+// then a new system built from the checkpoint per cell, as forkPrepared
+// does). benchjson derives sweep_fork_speedup from the pair.
 func BenchmarkSweep(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		r, mix, schemes := benchSweepRunner(b, false)

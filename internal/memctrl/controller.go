@@ -195,8 +195,8 @@ func (c *Controller) SetScheduler(s Scheduler) error {
 
 // Pristine reports whether the controller is as New built it: it has taken
 // no access and runs the scheduler it was built with. A system checkpoint
-// carries no controller state, so only a pristine controller is checkpointed
-// or restored into.
+// carries no controller state, so only a pristine controller is
+// checkpointed.
 func (c *Controller) Pristine() bool { return c.seq == 0 && !c.swapped }
 
 // applyScheduler installs s and refreshes the cached scheduler traits.
