@@ -5,13 +5,21 @@
 //
 // A requester that knows how to wait on its own clock may opt a request into
 // in-place completion (Request.InPlace). A port that has the data at Access
-// time — an L1 hit — may then answer within Access: it writes the cycle the
-// data becomes available into Request.Ready, schedules nothing, never calls
-// Done and wakes nobody. The requester treats the access as completing at
-// that cycle, exactly as if Done(Ready) had been delivered then. Answering in
-// place is the port's choice: it may ignore InPlace and complete through
-// Done as for any request, so an opted-in requester keeps its Done callback
-// and tells the two paths apart by Ready, which it sets to -1 before Access.
+// time — a hit in a private cache — may then answer within Access: it writes
+// the cycle the data becomes available into Request.Ready, schedules nothing,
+// never calls Done and wakes nobody. The requester treats the access as
+// completing at that cycle, exactly as if Done(Ready) had been delivered
+// then. Answering in place is the port's choice: it may ignore InPlace and
+// complete through Done as for any request, so an opted-in requester keeps
+// its Done callback and tells the two paths apart by Ready, which it sets to
+// -1 before every Access.
+//
+// Two requesters opt in: a core's loads, which a private L1 answers on a
+// hit, and a cache's fills and writebacks, which a private L2 answers on a
+// hit. The L1 completes such a fill from its own tick at Ready, so the L2
+// neither schedules, wakes nor ticks for it. A shared L2 serves several L1s
+// and ignores InPlace, as the memory controller does: moving each answer
+// into its L1's tick would reorder the shared level's accesses.
 //
 // A Request is live state only: no checkpoint ever holds one. A system is
 // checkpointed at its warm point, before any request exists (sim.Checkpoint),

@@ -129,6 +129,9 @@ func build(cfg Config, specs []AppSpec, cp *Checkpoint) (*System, error) {
 		s.addComponent(fmt.Sprintf("core.%d", i), core, l1W)
 		cs := &s.slots[len(s.slots)-1]
 		cs.core, cs.l1, cs.l2 = core, l1Slot, l2Slot
+		if l2 != nil {
+			cs.fill = l1
+		}
 	}
 	return s, nil
 }
