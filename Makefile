@@ -1,7 +1,8 @@
 # Development targets. `make check` is the PR gate: gofmt, vet, build, the full
 # test suite, a race-detector pass over the concurrent packages (the
 # experiment engine, its observability collector, the serving layer, and
-# the memory controller), a server smoke test over a real TCP listener, a
+# the memory controller) and over the simulator's concurrent forks of one
+# checkpoint (TestConcurrentForks), a server smoke test over a real TCP listener, a
 # run of examples/quickstart, a one-mix sweep through the STFM and TCM
 # schedulers, a time-boxed native fuzz of the
 # simulation-kernel differential, a compile of every benchmark, and a vet +
@@ -64,6 +65,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/exper/... ./internal/obs/... ./internal/memctrl/... ./internal/serve/...
+	$(GO) test -race -run TestConcurrentForks ./internal/sim
 
 # smoke boots the daemon on an ephemeral port through the real serving path
 # (TCP listener, health check, one mix request, drain on cancel), runs
