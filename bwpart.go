@@ -95,7 +95,9 @@ type (
 	// table3 and validate studies (Table lays each out).
 	Table3Result     = exper.Table3Result
 	ValidationResult = exper.ValidationResult
-	// MixRun is one cell's simulation measurement.
+	// MixRun is one cell's simulation measurement. A runner's MixRun is
+	// shared with the result cache and every other caller of the cell:
+	// read it, never modify it.
 	MixRun = exper.MixRun
 	// GridCell is a cell: a mix under a controller policy, with an explicit
 	// share vector for the share-taking policies, epochs for the online ones.
@@ -108,6 +110,8 @@ type (
 	// with single-flight deduplication; share one via
 	// ExperimentConfig.Cache so identical cells across runners (e.g. the
 	// bandwidth scales of a sweep) are simulated at most once per process.
+	// Every caller of a cell gets the one cached MixRun, which it must not
+	// modify.
 	ResultCache = exper.ResultCache
 )
 
@@ -143,8 +147,9 @@ func NewRunObserver() *RunObserver { return obs.NewCollector() }
 type (
 	// Server is a resident simulation service (see cmd/sweepd).
 	Server = serve.Server
-	// ServerOptions configures NewServer (experiment config, worker count,
-	// queue depth, cache budget).
+	// ServerOptions configures NewServer (experiment config — with its
+	// collector, cache budget and fault injector — worker count, queue
+	// depth, job timeout).
 	ServerOptions = serve.Options
 	// JobSnapshot is the wire state of one server job.
 	JobSnapshot = serve.JobSnapshot

@@ -48,6 +48,7 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.Parallelism = *parallel
+	cfg.CacheBytes = int64(*cacheMB) << 20
 	if *checkpointDir != "" {
 		store, err := bwpart.NewCheckpointStore(*checkpointDir)
 		if err != nil {
@@ -59,7 +60,6 @@ func main() {
 		Exper:      cfg,
 		Workers:    *workers,
 		MaxQueue:   *maxQueue,
-		CacheBytes: int64(*cacheMB) << 20,
 		JobTimeout: *jobTimeout,
 	})
 	if err != nil {

@@ -1,23 +1,21 @@
 package exper
 
 import (
-	"maps"
 	"unsafe"
 
 	"bwpart/internal/obs"
-	"bwpart/internal/sim"
 )
 
 // ResultCache memoizes finished cells, keyed by config fingerprint and cell: it
 // is the engine's memo (single-flight, failures forgotten) at a cost of each
 // cell's bytes. Concurrent requests for a cell share one simulation, and every
-// caller gets its own deep copy, so mutating a returned MixRun can never
-// corrupt the cached master. A cache may be shared across runners (e.g. one
-// cache for every bandwidth scale of a sweep); cells from different
-// configurations never collide because the fingerprint is part of the key.
-// SetMaxBytes (or Config.CacheBytes through NewRunner) bounds the resident
-// bytes, so a cache stays bounded at service lifetimes where the set of
-// distinct cells grows without limit; an evicted cell's next request is an
+// caller gets the cached master itself, which it must not modify (runCell
+// copies what a master takes from its caller). A cache may be shared across
+// runners (e.g. one cache for every bandwidth scale of a sweep); cells from
+// different configurations never collide because the fingerprint is part of
+// the key. SetMaxBytes (or Config.CacheBytes through NewRunner) bounds the
+// resident bytes, so a cache stays bounded at service lifetimes where the set
+// of distinct cells grows without limit; an evicted cell's next request is an
 // ordinary miss (re-simulated, or served by the checkpoint tier).
 type ResultCache struct {
 	memo[cellValue]
@@ -78,11 +76,11 @@ func resolveCell(col *obs.Collector, load func() (*MixRun, []byte), sim func() (
 // flight resolves the cell for key in the engine's one lookup order — memory
 // tier, then resolveCell — running load and sim at most once per key across
 // all concurrent callers, and returns the finished entry. What the leader
-// resolves becomes its master, which callers only read (lookup hands out deep
-// copies), so a disk hit is promoted and the cell's next request is a memory
-// hit. Without wait, a cell in flight is errNotResident. Every resolved cell
-// counts exactly once: obs.CellHits on a finished cell, obs.CellCoalesced for
-// joining an in-flight one, else resolveCell's count.
+// resolves becomes its master, which every caller shares and only reads, so a
+// disk hit is promoted and the cell's next request is a memory hit. Without
+// wait, a cell in flight is errNotResident. Every resolved cell counts exactly
+// once: obs.CellHits on a finished cell, obs.CellCoalesced for joining an
+// in-flight one, else resolveCell's count.
 func (c *ResultCache) flight(key string, col *obs.Collector, load func() (*MixRun, []byte), sim func() (*MixRun, error), wait bool) (*memoEntry[cellValue], error) {
 	build := func() (cellValue, int64, error) {
 		run, enc, err := resolveCell(col, load, sim)
@@ -128,26 +126,6 @@ func (c *ResultCache) encoding(key string, e *memoEntry[cellValue], col *obs.Col
 		}
 	}
 	return e.val.enc, nil
-}
-
-// copyMixRun deep-copies a MixRun. Every field is plain data (slices of
-// scalars, a map of objective values), so an element-wise copy severs all
-// sharing between the cache's master copy and what callers receive.
-func copyMixRun(run *MixRun) *MixRun {
-	cp := *run
-	cp.Mix.Benchmarks = append([]string(nil), run.Mix.Benchmarks...)
-	if run.Shares != nil {
-		cp.Shares = append([]float64(nil), run.Shares...)
-	}
-	cp.IPCAlone = append([]float64(nil), run.IPCAlone...)
-	cp.APCAlone = append([]float64(nil), run.APCAlone...)
-	if run.EstimatedAPCAlone != nil {
-		cp.EstimatedAPCAlone = append([]float64(nil), run.EstimatedAPCAlone...)
-	}
-	cp.API = append([]float64(nil), run.API...)
-	cp.Result.Apps = append([]sim.AppResult(nil), run.Result.Apps...)
-	cp.Values = maps.Clone(run.Values)
-	return &cp
 }
 
 // mixRunBytes estimates the heap footprint of one cached MixRun: the struct

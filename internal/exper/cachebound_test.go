@@ -253,9 +253,9 @@ func TestResultCacheConcurrentHitsEvictResize(t *testing.T) {
 				// Odd keys arrive with their bytes, as a disk hit does.
 				load := func() (*MixRun, []byte) {
 					if i%2 == 1 {
-						return copyMixRun(runs[i]), append([]byte(nil), want[i]...)
+						return runs[i], append([]byte(nil), want[i]...)
 					}
-					return copyMixRun(runs[i]), nil
+					return runs[i], nil
 				}
 				f, err := c.flight(key, col, load, nil, true)
 				if err != nil {

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"bwpart/internal/faultinject"
 	"bwpart/internal/metrics"
@@ -55,9 +56,9 @@ type Config struct {
 	// Cache shares an in-memory result cache across runners: a unique
 	// (config fingerprint, cell) pair is simulated at most once per
 	// process, concurrent requests coalesce onto one simulation, and every
-	// caller gets an isolated deep copy. Nil gives the runner a private
-	// cache (NewRunner fills this field, so sub-runners derived from
-	// Runner.Config() inherit it).
+	// caller gets the cached cell itself, which it must not modify. Nil
+	// gives the runner a private cache (NewRunner fills this field, so
+	// sub-runners derived from Runner.Config() inherit it).
 	Cache *ResultCache
 	// CacheBytes bounds the resident size of the result cache: past the
 	// bound, least-recently-used finished cells are evicted (and their next
@@ -144,7 +145,7 @@ type Runner struct {
 	fp  string // canonical configuration fingerprint, fixed at construction
 
 	alone    memo[sim.AloneProfile] // unbounded, cost 0
-	cache    *ResultCache           // nil iff NoMemoize
+	cache    *ResultCache           // nil iff the runner memoizes no cell: NoMemoize or a Tracer
 	prepared *preparedRegistry      // nil iff NoMemoize
 }
 
@@ -162,7 +163,9 @@ func NewRunner(cfg Config) (*Runner, error) {
 		if cfg.CacheBytes > 0 {
 			cfg.Cache.SetMaxBytes(cfg.CacheBytes)
 		}
-		r.cache = cfg.Cache
+		if cfg.Tracer == nil { // a resolved cell would skip the trace asked for
+			r.cache = cfg.Cache
+		}
 		r.prepared = newPreparedRegistry(r)
 	}
 	// cfg.Cache is written back (above) so sub-runners built from this
@@ -241,7 +244,8 @@ func (r *Runner) runMeasured(sys *sim.System, cycles int64) {
 
 // MixRun is one cell's measurement: the mix under the policy named Scheme,
 // enforcing Shares when the policy takes a share vector and running Epochs
-// epochs of Epoch cycles when it is online.
+// epochs of Epoch cycles when it is online. A Runner's MixRun is shared with
+// its result cache and every other caller of the cell: never modify one.
 type MixRun struct {
 	Mix    workload.Mix
 	Scheme string
@@ -382,7 +386,8 @@ func (r *Runner) runConfigured(pol policy, a policyArgs) (sim.Result, []float64,
 }
 
 // runCell simulates one cell and evaluates all four objectives on the
-// measured IPCs.
+// measured IPCs. The run is the cell's master, handed out as it is, so it
+// copies the two slices it takes from c and is never written once built.
 func (r *Runner) runCell(c GridCell) (*MixRun, error) {
 	pol, err := policyFor(c)
 	if err != nil {
@@ -396,10 +401,12 @@ func (r *Runner) runCell(c GridCell) (*MixRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	mix := c.Mix
+	mix.Benchmarks = slices.Clone(mix.Benchmarks)
 	run := &MixRun{
-		Mix:               c.Mix,
+		Mix:               mix,
 		Scheme:            c.Scheme,
-		Shares:            c.Shares,
+		Shares:            slices.Clone(c.Shares),
 		Epoch:             c.Epoch,
 		Epochs:            c.Epochs,
 		IPCAlone:          ipcAlone,
@@ -422,11 +429,11 @@ func (r *Runner) runCell(c GridCell) (*MixRun, error) {
 
 // RunMix resolves one mix under one policy — any CheckPolicy accepts:
 // NoPartitioning, a core scheme, a heuristic scheduler or fr-fcfs — and
-// evaluates all four objectives. Unless the runner was built with
-// NoMemoize, an identical cell already resolved (by any entry point sharing
-// the cache) is returned as a deep copy, a concurrent identical request joins
-// the in-flight one, and a fresh cell is measured from the mix's shared warm
-// checkpoint.
+// evaluates all four objectives. Unless the runner was built with NoMemoize
+// or a Tracer, an identical cell already resolved (by any entry point sharing
+// the cache) is returned shared, never to be modified, a concurrent identical
+// request joins the in-flight one, and a fresh cell is measured from the
+// mix's shared warm checkpoint.
 func (r *Runner) RunMix(mix workload.Mix, scheme string) (*MixRun, error) {
 	return r.lookup(GridCell{Mix: mix, Scheme: scheme}, true)
 }
@@ -437,45 +444,56 @@ func (r *Runner) RunMix(mix workload.Mix, scheme string) (*MixRun, error) {
 // checkpoint store (a disk hit is promoted into the cache under the cell's
 // single-flight key), then — only when simulate is set — a real simulation.
 // Without simulate a cell in neither tier fails with errNotResident and
-// nothing is profiled, warmed, or forked. With a tracer installed the result
-// cache is bypassed — a cache hit would silently skip the trace the caller
-// asked for — but warm-base sharing still applies (forked runs emit
-// bit-identical traces).
+// nothing is profiled, warmed, or forked. With a tracer installed neither tier
+// is read — a resolved cell would silently skip the trace the caller asked
+// for — but warm-base sharing still applies (forked runs emit bit-identical
+// traces) and the simulated cell is still saved.
 func (r *Runner) lookup(c GridCell, simulate bool) (*MixRun, error) {
 	if _, err := policyFor(c); err != nil {
 		return nil, err
 	}
-	load := func() (*MixRun, []byte) { return r.cfg.Checkpoint.load(r, c) }
+	store := r.cfg.Checkpoint
+	if r.cfg.Tracer != nil {
+		store = nil // a nil store holds nothing
+	}
+	load := func() (*MixRun, []byte) { return store.load(r, c) }
 	var sim func() (*MixRun, error)
 	if simulate {
 		sim = func() (*MixRun, error) { return r.simulateCell(c) }
 	}
 	var run *MixRun
 	var err error
-	if r.cache == nil || r.cfg.Tracer != nil {
+	if r.cache == nil {
 		run, _, err = resolveCell(r.cfg.Obs, load, sim)
 	} else {
 		var e *memoEntry[cellValue]
 		if e, err = r.cache.flight(cellKey(r.fp, c), r.cfg.Obs, load, sim, true); err == nil {
-			run = copyMixRun(e.val.run) // the master is never handed out
+			run = e.val.run
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	// Cells are content-addressed in both tiers, so a hit may carry the
-	// labels of an aliased mix (e.g. hetero-5 serving the motivation mix).
-	// Restamp the requested mix's display fields; the benchmark list is equal
-	// by key construction and the simulation never read the labels.
-	run.Mix.Name = c.Mix.Name
-	run.Mix.PaperRSD = c.Mix.PaperRSD
-	return run, nil
+	return relabel(run, c.Mix), nil
+}
+
+// relabel returns run under mix's display labels: run itself when they match,
+// else a shallow copy sharing run's slices and map. Cells are content-addressed,
+// so a resolved cell may carry an alias's labels (hetero-5 for the motivation
+// mix); the simulation never read them.
+func relabel(run *MixRun, mix workload.Mix) *MixRun {
+	if run.Mix.Name == mix.Name && run.Mix.PaperRSD == mix.PaperRSD {
+		return run
+	}
+	cp := *run
+	cp.Mix.Name, cp.Mix.PaperRSD = mix.Name, mix.PaperRSD
+	return &cp
 }
 
 // ResidentJSON is encodeRun of what RunMix would return for a resident cell:
 // its stored bytes from memory or, promoting it, from disk — never waiting on
-// a cell in flight, simulating or copying. Any other cell fails, as does every
-// cell of a runner without a result cache or with a tracer.
+// a cell in flight or simulating. Any other cell fails, as does every cell of
+// a runner that memoizes no cell (NoMemoize or a Tracer).
 func (r *Runner) ResidentJSON(mix workload.Mix, scheme string) ([]byte, error) {
 	c := GridCell{Mix: mix, Scheme: scheme}
 	return r.residentJSON(c, r.cfg.Obs, func() (*MixRun, []byte) { return r.cfg.Checkpoint.load(r, c) })
@@ -492,9 +510,9 @@ func (r *Runner) EncodeCell(run *MixRun) ([]byte, error) {
 }
 
 // residentJSON is ResidentJSON counted on col, with load as the disk tier. An
-// aliased mix gets a fresh encoding of the master restamped, as lookup does.
+// aliased mix gets a fresh encoding of the master relabeled, as lookup does.
 func (r *Runner) residentJSON(c GridCell, col *obs.Collector, load func() (*MixRun, []byte)) ([]byte, error) {
-	if r.cache == nil || r.cfg.Tracer != nil {
+	if r.cache == nil {
 		return nil, errNotResident
 	}
 	key := cellKey(r.fp, c)
@@ -502,10 +520,8 @@ func (r *Runner) residentJSON(c GridCell, col *obs.Collector, load func() (*MixR
 	if err != nil {
 		return nil, err
 	}
-	if run := e.val.run; run.Mix.Name != c.Mix.Name || run.Mix.PaperRSD != c.Mix.PaperRSD {
-		cp := *run
-		cp.Mix.Name, cp.Mix.PaperRSD = c.Mix.Name, c.Mix.PaperRSD
-		return encodeRun(&cp)
+	if run := relabel(e.val.run, c.Mix); run != e.val.run {
+		return encodeRun(run)
 	}
 	return r.cache.encoding(key, e, r.cfg.Obs)
 }

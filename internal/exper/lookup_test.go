@@ -556,8 +556,8 @@ func TestRepeatabilityRerunIsAllHits(t *testing.T) {
 
 // TestRunCellsRepeatedCellIsOneJob: a batch that names one missing cell twice
 // starts one job for it and counts the repeat as coalesced, on every run, yet
-// delivers a run and calls each once for every index; the repeat gets its own
-// copy.
+// delivers a run and calls each once for every index; the repeat gets the
+// first index's run.
 func TestRunCellsRepeatedCellIsOneJob(t *testing.T) {
 	cfg := memoTestConfig()
 	cfg.Obs = obs.NewCollector()
@@ -588,7 +588,7 @@ func TestRunCellsRepeatedCellIsOneJob(t *testing.T) {
 	if want := map[int]int{0: 1, 1: 1, 2: 1}; !reflect.DeepEqual(calls, want) {
 		t.Errorf("each called %v times per index, want %v", calls, want)
 	}
-	if runs[2] == runs[0] || !reflect.DeepEqual(runs[2], runs[0]) {
-		t.Error("the repeated cell's run is not an equal copy of the first's")
+	if runs[2] != runs[0] {
+		t.Error("the repeated cell's run is not the first index's run")
 	}
 }

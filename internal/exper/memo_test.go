@@ -38,8 +38,8 @@ func stageCount(s obs.Snapshot, name string) int64 {
 
 // TestCellMemoizationSingleFlight floods one cell with concurrent RunMix
 // calls: exactly one simulation (one warmup) may run, every other caller is
-// a hit or coalesces onto the flight, and all callers get equal results on
-// distinct (isolated) allocations.
+// a hit or coalesces onto the flight, and all callers get the one cached
+// MixRun.
 func TestCellMemoizationSingleFlight(t *testing.T) {
 	cfg := memoTestConfig()
 	cfg.Obs = obs.NewCollector()
@@ -69,11 +69,8 @@ func TestCellMemoizationSingleFlight(t *testing.T) {
 		}
 	}
 	for i := 1; i < n; i++ {
-		if runs[i] == runs[0] {
-			t.Errorf("callers %d and 0 share one MixRun allocation", i)
-		}
-		if !reflect.DeepEqual(runs[i], runs[0]) {
-			t.Errorf("caller %d got a different result", i)
+		if runs[i] != runs[0] {
+			t.Errorf("callers %d and 0 got different MixRuns, want the one cached master", i)
 		}
 	}
 	s := cfg.Obs.Snapshot()
@@ -85,51 +82,6 @@ func TestCellMemoizationSingleFlight(t *testing.T) {
 	}
 	if got := stageCount(s, obs.StageWarmup); got != 1 {
 		t.Errorf("functional warmup ran %d times, want 1", got)
-	}
-}
-
-// TestResultDeepCopyIsolation mutates everything mutable in a returned
-// MixRun and checks the cache still serves the pristine result (equal to a
-// cold reference run).
-func TestResultDeepCopyIsolation(t *testing.T) {
-	r, err := NewRunner(memoTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldCfg := memoTestConfig()
-	coldCfg.NoMemoize = true
-	cold, err := NewRunner(coldCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix, err := workload.MixByName("hetero-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := r.RunMix(mix, "square-root")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Vandalize every shared-able field of the returned copy.
-	first.Scheme = "corrupted"
-	first.Mix.Benchmarks[0] = "corrupted"
-	first.IPCAlone[0] = -1
-	first.APCAlone[0] = -1
-	first.API[0] = -1
-	first.Result.Apps[0].IPC = -1
-	for obj := range first.Values {
-		first.Values[obj] = -1
-	}
-	second, err := r.RunMix(mix, "square-root")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cold.RunMix(mix, "square-root")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(second, want) {
-		t.Errorf("cache served a corrupted cell after caller mutation\ngot:  %+v\nwant: %+v", second, want)
 	}
 }
 

@@ -186,7 +186,7 @@ func Grid(mixes []workload.Mix, schemes []string) []GridCell {
 }
 
 // RunGrid is the experiment engine's sweep entry point: RunGridEach without a
-// per-cell callback.
+// per-cell callback. Its runs are shared as RunMix's are: never modify one.
 func (r *Runner) RunGrid(ctx context.Context, mixes []workload.Mix, schemes []string) ([]*MixRun, error) {
 	return r.RunGridEach(ctx, mixes, schemes, nil)
 }
@@ -197,7 +197,8 @@ func (r *Runner) RunGrid(ctx context.Context, mixes []workload.Mix, schemes []st
 // for a resident cell, a pool worker for a simulated one), so it must be safe
 // for concurrent use. It is never called for a failed cell, nor after
 // RunGridEach returns. Results arrive in deterministic row-major order
-// matching Grid(mixes, schemes). ctx cancels the sweep between simulations.
+// matching Grid(mixes, schemes), each shared as RunMix's are: never modify
+// one. ctx cancels the sweep between simulations.
 func (r *Runner) RunGridEach(ctx context.Context, mixes []workload.Mix, schemes []string, each func(cell int, run *MixRun)) ([]*MixRun, error) {
 	return r.runCells(ctx, Grid(mixes, schemes), each)
 }
@@ -215,10 +216,10 @@ func (r *Runner) RunGridEach(ctx context.Context, mixes []workload.Mix, schemes 
 // and pinned, the group's cells — across all of its mixes — fork and measure
 // in parallel, then the pins drop. So a thousand-mix sweep holds a bounded
 // number of warm systems while still keeping every worker busy. A cell the
-// batch repeats (by cellKey) is one job: its later indices get copies of what
-// the first resolves, each counted as coalesced onto it — unless the runner
-// does not memoize cells (no result cache, or a tracer), where every index
-// runs. each is RunGridEach's callback, with indices into cells.
+// batch repeats (by cellKey) is one job: its later indices get what the first
+// resolves (relabeled for an aliased mix), each counted as coalesced onto it —
+// unless the runner memoizes no cell (NoMemoize or a tracer), where every
+// index runs. each is RunGridEach's callback, with indices into cells.
 func (r *Runner) runCells(ctx context.Context, cells []GridCell, each func(cell int, run *MixRun)) ([]*MixRun, error) {
 	results := make([]*MixRun, len(cells))
 	deliver := func(ci int, run *MixRun) {
@@ -229,7 +230,6 @@ func (r *Runner) runCells(ctx context.Context, cells []GridCell, each func(cell 
 	}
 	var missing []int
 	var firstErr error
-	memoized := r.cache != nil && r.cfg.Tracer == nil
 	first := make(map[string]int)  // cellKey -> its first missing index
 	repeats := make(map[int][]int) // first missing index -> later ones
 	for i, c := range cells {
@@ -238,7 +238,7 @@ func (r *Runner) runCells(ctx context.Context, cells []GridCell, each func(cell 
 		case err == nil:
 			deliver(i, run)
 		case errors.Is(err, errNotResident):
-			if memoized {
+			if r.cache != nil {
 				key := cellKey(r.fp, c)
 				if f, ok := first[key]; ok {
 					repeats[f] = append(repeats[f], i)
@@ -284,10 +284,8 @@ func (r *Runner) runCells(ctx context.Context, cells []GridCell, each func(cell 
 		}
 		deliver(ci, run)
 		for _, ri := range repeats[ci] {
-			rep := copyMixRun(run)
-			rep.Mix.Name, rep.Mix.PaperRSD = cells[ri].Mix.Name, cells[ri].Mix.PaperRSD
 			r.cfg.Obs.Add(obs.CellCoalesced, 1)
-			deliver(ri, rep)
+			deliver(ri, relabel(run, cells[ri].Mix))
 		}
 		return nil
 	}

@@ -81,9 +81,9 @@ func TestChaosScheduleInvariants(t *testing.T) {
 	in.Arm(faultinject.QueueStall, faultinject.Rule{Every: 3, Delay: 3 * time.Millisecond})
 	in.Arm(faultinject.JobPanic, faultinject.Rule{Every: 6, Limit: 2})
 
-	cfg := testConfig()
+	cfg := faultConfig(in)
 	cfg.Checkpoint = store
-	s, err := New(Options{Exper: cfg, Workers: 3, Faults: in})
+	s, err := New(Options{Exper: cfg, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestChaosScheduleInvariants(t *testing.T) {
 func TestChaosWatchTerminatesOnPanickedJob(t *testing.T) {
 	in := faultinject.New(7)
 	in.Arm(faultinject.JobPanic, faultinject.Rule{})
-	_, ts := newTestServer(t, Options{Faults: in})
+	_, ts := newTestServer(t, Options{Exper: faultConfig(in)})
 	resp := postJSON(t, ts.Client(), ts.URL+"/v1/grid",
 		GridRequest{Mixes: []string{"hetero-1"}, Schemes: []string{"equal"}}, nil)
 	if resp.StatusCode != http.StatusAccepted {
@@ -292,7 +292,7 @@ func TestChaosWatchTerminatesOnCancelledJob(t *testing.T) {
 func TestChaosJobDeadline(t *testing.T) {
 	in := faultinject.New(9)
 	in.Arm(faultinject.CellDelay, faultinject.Rule{Delay: 30 * time.Second})
-	s, ts := newTestServer(t, Options{Workers: 1, JobTimeout: 2 * time.Second, Faults: in})
+	s, ts := newTestServer(t, Options{Exper: faultConfig(in), Workers: 1, JobTimeout: 2 * time.Second})
 
 	resp := postJSON(t, ts.Client(), ts.URL+"/v1/grid",
 		GridRequest{Mixes: []string{"hetero-1"}, Schemes: []string{"equal"}}, nil)
@@ -326,7 +326,7 @@ func TestChaosJobDeadline(t *testing.T) {
 func TestChaosRequestTimeout(t *testing.T) {
 	in := faultinject.New(10)
 	in.Arm(faultinject.CellDelay, faultinject.Rule{Delay: 3 * time.Second})
-	s, ts := newTestServer(t, Options{Workers: 2, Faults: in})
+	s, ts := newTestServer(t, Options{Exper: faultConfig(in), Workers: 2})
 
 	resp := postJSON(t, ts.Client(), ts.URL+"/v1/mix",
 		MixRequest{Mix: "hetero-1", Scheme: "equal", TimeoutS: 0.25}, nil)
@@ -396,7 +396,8 @@ func TestChaosKillAndResume(t *testing.T) {
 	// which the job is genuinely mid-grid.
 	in := faultinject.New(21)
 	in.Arm(faultinject.CellDelay, faultinject.Rule{After: 2, Delay: 400 * time.Millisecond})
-	s1, err := New(Options{Exper: cfg1, Workers: 1, Faults: in})
+	cfg1.Faults = in
+	s1, err := New(Options{Exper: cfg1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,9 +562,9 @@ func TestChaosJournalWriteFaultDisables(t *testing.T) {
 	}
 	in := faultinject.New(31)
 	in.Arm(faultinject.JournalWrite, faultinject.Rule{})
-	cfg := testConfig()
+	cfg := faultConfig(in)
 	cfg.Checkpoint = store
-	s, ts := newTestServer(t, Options{Faults: in, Exper: cfg})
+	s, ts := newTestServer(t, Options{Exper: cfg})
 	s.journal.mu.Lock()
 	s.journal.logf = func(string, ...any) {}
 	s.journal.mu.Unlock()

@@ -82,13 +82,15 @@ const (
 
 // Options configures a Server.
 type Options struct {
-	// Exper is the base experiment configuration. Obs, Cache, and
-	// CacheBytes are managed by the server (Obs/Cache are created when
-	// unset and shared across every scale's runner); everything else —
-	// windows, seed, kernel, parallelism, checkpoint store — is honored
-	// as given. Checkpoint, when set, is the persistent second cache tier:
-	// a restarted server serves previously simulated cells from disk
-	// without re-simulating.
+	// Exper is the base experiment configuration, shared by every scale's
+	// runner and honored as given except for three defaults: a nil Obs
+	// (the collector of every counter, exposed at /metrics) and a nil
+	// Cache are created, and a zero CacheBytes is DefaultCacheBytes
+	// (negative means unbounded). Checkpoint, when set, is the persistent
+	// second cache tier: a restarted server serves previously simulated
+	// cells from disk without re-simulating. Faults arms the fault
+	// injection layer across the serve and experiment layers (chaos tests
+	// only).
 	Exper exper.Config
 	// Workers is the number of jobs executed concurrently (each job fans
 	// its cells out internally under Exper.Parallelism). Default 2.
@@ -96,24 +98,14 @@ type Options struct {
 	// MaxQueue bounds the number of accepted-but-undispatched jobs;
 	// admission past it is refused with 429. Default 64.
 	MaxQueue int
-	// CacheBytes bounds the resident result cache (default 256 MiB;
-	// negative means unbounded).
-	CacheBytes int64
 	// RetryAfter is the hint returned with 429 responses. Default 1s.
 	RetryAfter time.Duration
-	// Obs receives every counter (admission, queue, cache, simulation
-	// stages). Created when nil; exposed at /metrics either way.
-	Obs *obs.Collector
 	// JobTimeout caps each job's wall-clock execution; a job past it fails
 	// with a "deadline" error and its worker moves on (the abandoned
 	// executor unwinds in the background and its late result is ignored).
 	// A request's timeout_s can tighten but never exceed this cap.
 	// 0 (the default) means unlimited.
 	JobTimeout time.Duration
-	// Faults arms the deterministic fault-injection layer across the serve
-	// and experiment layers (chaos tests only). Nil — the production
-	// default — makes every fault hook a one-branch no-op.
-	Faults *faultinject.Injector
 }
 
 // Server is a resident simulation service. Create with New, serve with
@@ -148,23 +140,19 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxQueue <= 0 {
 		opts.MaxQueue = DefaultMaxQueue
 	}
-	if opts.CacheBytes == 0 {
-		opts.CacheBytes = DefaultCacheBytes
-	}
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = DefaultRetryAfter
 	}
-	if opts.Obs == nil {
-		opts.Obs = obs.NewCollector()
+	if opts.Exper.Obs == nil {
+		opts.Exper.Obs = obs.NewCollector()
 	}
-	opts.Exper.Obs = opts.Obs
-	opts.Exper.Faults = opts.Faults
-	opts.Faults.OnFire(func(faultinject.Point) { opts.Obs.Add(obs.FaultsInjected, 1) })
+	col, faults := opts.Exper.Obs, opts.Exper.Faults
+	faults.OnFire(func(faultinject.Point) { col.Add(obs.FaultsInjected, 1) })
 	if opts.Exper.Cache == nil {
 		opts.Exper.Cache = exper.NewResultCache()
 	}
-	if opts.CacheBytes > 0 {
-		opts.Exper.CacheBytes = opts.CacheBytes
+	if opts.Exper.CacheBytes == 0 {
+		opts.Exper.CacheBytes = DefaultCacheBytes
 	}
 	// With a checkpoint store, the job journal lives beside the cell files
 	// and feeds crash-resume. Its records are replayed below; a journal that
@@ -174,15 +162,15 @@ func New(opts Options) (*Server, error) {
 	var replay []journalRecord
 	if opts.Exper.Checkpoint != nil {
 		var err error
-		jn, replay, err = openJournal(filepath.Join(opts.Exper.Checkpoint.Dir(), "journal.jsonl"), opts.Obs, opts.Faults)
+		jn, replay, err = openJournal(filepath.Join(opts.Exper.Checkpoint.Dir(), "journal.jsonl"), col, faults)
 		if err != nil {
-			opts.Obs.Add(obs.CheckpointErrors, 1)
+			col.Add(obs.CheckpointErrors, 1)
 			log.Printf("serve: opening job journal: %v (journaling disabled, resume still replayed)", err)
 		}
 	}
 	s := &Server{
 		opts:    opts,
-		col:     opts.Obs,
+		col:     col,
 		cache:   opts.Exper.Cache,
 		queue:   newFairQueue(opts.MaxQueue),
 		runners: make(map[uint64]*exper.Runner),
@@ -812,7 +800,7 @@ func (s *Server) worker() {
 		if !ok {
 			return
 		}
-		s.opts.Faults.Sleep(faultinject.QueueStall)
+		s.opts.Exper.Faults.Sleep(faultinject.QueueStall)
 		s.runJob(j)
 	}
 }
@@ -870,7 +858,7 @@ func (s *Server) executeJob(ctx context.Context, j *job) {
 			s.finish(j, JobFailed, fmt.Sprintf("job panicked: %v\n%s", r, debug.Stack()), ErrKindPanic, nil)
 		}
 	}()
-	if s.opts.Faults.Fire(faultinject.JobPanic) {
+	if s.opts.Exper.Faults.Fire(faultinject.JobPanic) {
 		panic("injected job panic")
 	}
 	runner, err := s.runnerFor(j.scale)

@@ -40,6 +40,13 @@ func testConfig() exper.Config {
 	return cfg
 }
 
+// faultConfig is testConfig with the fault injector in armed.
+func faultConfig(in *faultinject.Injector) exper.Config {
+	cfg := testConfig()
+	cfg.Faults = in
+	return cfg
+}
+
 // newTestServer builds a Server plus an httptest front end, tearing both
 // down (with a bounded drain) at test end.
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -446,7 +453,8 @@ func TestServeCheckpointPersistentTier(t *testing.T) {
 		}
 		cfg := testConfig()
 		cfg.Checkpoint = store
-		s, err := New(Options{Exper: cfg, Obs: col})
+		cfg.Obs = col
+		s, err := New(Options{Exper: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1075,7 +1083,7 @@ func TestServeHitsAreNotJobs(t *testing.T) {
 // worker, a resident cell is still answered while a miss is refused.
 func TestServeHitBypassesFullQueue(t *testing.T) {
 	in := faultinject.New(11)
-	s, ts := newTestServer(t, Options{Workers: 1, MaxQueue: 1, Faults: in})
+	s, ts := newTestServer(t, Options{Exper: faultConfig(in), Workers: 1, MaxQueue: 1})
 	post := func(req any, path string) int {
 		resp := postJSON(t, ts.Client(), ts.URL+path, req, nil)
 		io.Copy(io.Discard, resp.Body)
@@ -1107,11 +1115,46 @@ func TestServeHitBypassesFullQueue(t *testing.T) {
 	}
 }
 
+// TestServeTakesExperConfig: the collector, cache budget and fault injector
+// set in Options.Exper are the ones the server and its runners use; only a
+// zero budget becomes DefaultCacheBytes.
+func TestServeTakesExperConfig(t *testing.T) {
+	for _, budget := range []int64{1024, -1, 0} {
+		in := faultinject.New(1)
+		in.Arm(faultinject.QueueStall, faultinject.Rule{})
+		cfg := faultConfig(in)
+		cfg.Obs, cfg.CacheBytes = obs.NewCollector(), budget
+		s, _ := newTestServer(t, Options{Exper: cfg})
+		r, err := s.runnerFor(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := budget
+		if budget == 0 {
+			want = DefaultCacheBytes
+		}
+		got := r.Config()
+		if got.Obs != cfg.Obs || s.Obs() != cfg.Obs {
+			t.Errorf("budget %d: the server counts into a collector of its own", budget)
+		}
+		if got.CacheBytes != want {
+			t.Errorf("budget %d: the runner's budget is %d, want %d", budget, got.CacheBytes, want)
+		}
+		if got.Faults != in {
+			t.Errorf("budget %d: the runner has no or another fault injector", budget)
+		}
+		in.Fire(faultinject.QueueStall)
+		if n := cfg.Obs.Snapshot().Failures.FaultsInjected; n != 1 {
+			t.Errorf("budget %d: %d faults counted, want 1", budget, n)
+		}
+	}
+}
+
 // TestHitAllocCeiling gates the work of a resident hit, not its time: the
 // handler's allocations per hit (BenchmarkServe/handler_hit's call) may not
 // grow past today's count.
 func TestHitAllocCeiling(t *testing.T) {
-	const ceiling = 22
+	const ceiling = 17
 	s, _ := newTestServer(t, Options{})
 	hit := hitCall(s.Handler(), "hetero-1", "equal")
 	if code := hit(); code != http.StatusOK { // the miss that makes it resident
