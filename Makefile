@@ -154,8 +154,8 @@ bench:
 # they shrink beyond BENCH_TOLERANCE percent, the cell counters
 # (figures_unique_cells, figures_requested_cells) when they grow beyond it,
 # and the allocation counts (event_queue_allocs_per_op, memctrl_allocs_per_op,
-# serve_hit_allocs_per_op) and the checkpoint size (snapshot_bytes_per_op) on
-# any growth. ns/op rows, the serve _per_sec
+# serve_hit_allocs_per_op, rungrid_hit_allocs_per_op) and the checkpoint size
+# (snapshot_bytes_per_op) on any growth. ns/op rows, the serve _per_sec
 # rates and serve_warm_speedup are written to the reports by `make bench`
 # but not gated here.
 bench-check:

@@ -100,16 +100,21 @@ type (
 	// read it, never modify it.
 	MixRun = exper.MixRun
 	// GridCell is a cell: a mix under a controller policy, with an explicit
-	// share vector for the share-taking policies, epochs for the online ones.
+	// share vector for the share-taking policies, epochs for the online ones,
+	// on a CellSystem.
 	GridCell = exper.GridCell
+	// CellSystem is the simulated system a cell runs on, as edits of its
+	// runner's configuration (bandwidth scale, page policy, shared L2 way
+	// quota, seed); the zero value is the runner's own.
+	CellSystem = exper.System
 	// CheckpointStore persists finished sweep cells so an interrupted
 	// RunGrid resumes instead of restarting. Install via
 	// ExperimentConfig.Checkpoint.
 	CheckpointStore = exper.CheckpointStore
 	// ResultCache memoizes finished (config, mix, scheme) cells in memory
 	// with single-flight deduplication; share one via
-	// ExperimentConfig.Cache so identical cells across runners (e.g. the
-	// bandwidth scales of a sweep) are simulated at most once per process.
+	// ExperimentConfig.Cache so identical cells across runners are
+	// simulated at most once per process.
 	// Every caller of a cell gets the one cached MixRun, which it must not
 	// modify.
 	ResultCache = exper.ResultCache

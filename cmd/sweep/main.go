@@ -1,8 +1,9 @@
 // Command sweep runs a parameter grid — workload mixes x schemes x
 // bandwidth scales — and emits one CSV row per run with the four system
-// objectives, for plotting or regression tracking. Each scale's grid is
-// fanned out across the experiment engine's worker pool; rows are emitted
-// in deterministic grid order regardless of scheduling. The long-lived
+// objectives, for plotting or regression tracking. One runner resolves every
+// scale, each a bwpart.CellSystem of its cells; each scale's grid is fanned out
+// across the experiment engine's worker pool, and rows are emitted in
+// deterministic grid order regardless of scheduling. The long-lived
 // HTTP form of the same engine is cmd/sweepd.
 //
 // Usage:
@@ -96,10 +97,19 @@ func main() {
 		ticker := col.StartTicker(os.Stderr, 500*time.Millisecond)
 		defer ticker.Stop()
 	}
-	// One cache across every bandwidth scale: scales key their cells by
-	// distinct config fingerprints, so sharing is safe, and repeated cells
-	// within a process (e.g. overlapping grids) are simulated once.
-	cache := bwpart.NewResultCache()
+	cfg := bwpart.DefaultExperiments()
+	if *quick {
+		cfg = bwpart.QuickExperiments()
+	}
+	cfg.Seed = *seed
+	cfg.Parallelism = *parallel
+	cfg.Obs = col
+	cfg.Checkpoint = store
+	cfg.CacheBytes = int64(*cacheMB) << 20
+	runner, err := bwpart.NewRunner(cfg)
+	if err != nil {
+		fatal(err)
+	}
 
 	w := csv.NewWriter(os.Stdout)
 	header := []string{"scale", "gbs", "mix", "scheme",
@@ -109,23 +119,13 @@ func main() {
 	}
 
 	for _, scale := range scales {
-		cfg := bwpart.DefaultExperiments()
-		if *quick {
-			cfg = bwpart.QuickExperiments()
-		}
-		cfg.Seed = *seed
-		cfg.Parallelism = *parallel
-		cfg.Obs = col
-		cfg.Checkpoint = store
-		cfg.Cache = cache
-		cfg.CacheBytes = int64(*cacheMB) << 20
-		cfg.Sim.DRAM = cfg.Sim.DRAM.ScaleBandwidth(scale)
-		runner, err := bwpart.NewRunner(cfg)
+		system := bwpart.CellSystem{Scale: scale}
+		scaled, err := runner.SystemConfig(system)
 		if err != nil {
 			fatal(err)
 		}
-		gbs := cfg.Sim.DRAM.PeakBandwidthGBs()
-		runs, err := runner.RunGrid(ctx, mixes, schemes)
+		gbs := scaled.Sim.DRAM.PeakBandwidthGBs()
+		runs, err := runner.RunCells(ctx, system.Grid(mixes, schemes), nil)
 		if err != nil {
 			// Interrupted or failed mid-sweep: flush what's already written
 			// (completed scales) and the statistics before exiting.

@@ -2,7 +2,6 @@ package exper
 
 import (
 	"bwpart/internal/core"
-	"bwpart/internal/dram"
 	"bwpart/internal/metrics"
 	"bwpart/internal/sim"
 	"bwpart/internal/workload"
@@ -19,25 +18,21 @@ import (
 // row per mix. FR-FCFS is the bandwidth-utilization optimization the
 // paper's related work discusses (Rixner et al.): it should recover row
 // hits on streaming workloads. The close-page half is the runner's own
-// No_partitioning cells; the open-page half runs fr-fcfs cells on a runner
-// derived with open-page DRAM.
+// No_partitioning cells, the open-page half fr-fcfs cells on the open-page
+// System; both resolve as one batch.
 func (r *Runner) PagePolicyStudy(mixes []workload.Mix) (*Table, error) {
-	closed, err := r.RunGrid(r.baseCtx(), mixes, []string{NoPartitioning})
-	if err != nil {
-		return nil, err
+	cells := Grid(mixes, []string{NoPartitioning})
+	for _, mix := range mixes {
+		cells = append(cells, GridCell{Mix: mix, Scheme: "fr-fcfs", System: System{OpenPage: true}})
 	}
-	sub, err := r.derived(func(c *sim.Config) { c.DRAM.Policy = dram.OpenPage })
-	if err != nil {
-		return nil, err
-	}
-	open, err := sub.RunGrid(r.baseCtx(), mixes, []string{"fr-fcfs"})
+	runs, err := r.RunCells(r.baseCtx(), cells, nil)
 	if err != nil {
 		return nil, err
 	}
 	t := newTable("Ablation: close-page FCFS vs open-page FR-FCFS",
 		"workload", "IPCsum close", "IPCsum open", "busUtil close", "busUtil open")
 	for i, mix := range mixes {
-		closeRes, openRes := closed[i].Result, open[i].Result
+		closeRes, openRes := runs[i].Result, runs[len(mixes)+i].Result
 		t.add(txt(mix.Name), f3(ipcSum(closeRes)), f3(ipcSum(openRes)),
 			f2(closeRes.BusUtilization), f2(openRes.BusUtilization))
 	}
@@ -78,7 +73,7 @@ func (r *Runner) MechanismStudy(mixes []workload.Mix) (*Table, error) {
 		}
 		cells[i] = GridCell{Mix: mix, Scheme: "budget", Shares: shares}
 	}
-	budget, err := r.runCells(r.baseCtx(), cells, nil)
+	budget, err := r.RunCells(r.baseCtx(), cells, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +121,7 @@ func (r *Runner) EnforcementStudy(mixes []workload.Mix) (*Table, error) {
 		}
 		shareCells[i] = GridCell{Mix: run.Mix, Scheme: "start-time-fair", Shares: shares}
 	}
-	shared, err := r.runCells(r.baseCtx(), shareCells, nil)
+	shared, err := r.RunCells(r.baseCtx(), shareCells, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -6,14 +6,14 @@ import (
 	"bwpart/internal/obs"
 )
 
-// ResultCache memoizes finished cells, keyed by config fingerprint and cell: it
-// is the engine's memo (single-flight, failures forgotten) at a cost of each
-// cell's bytes. Concurrent requests for a cell share one simulation, and every
-// caller gets the cached master itself, which it must not modify (runCell
-// copies what a master takes from its caller). A cache may be shared across
-// runners (e.g. one cache for every bandwidth scale of a sweep); cells from
-// different configurations never collide because the fingerprint is part of
-// the key. SetMaxBytes (or Config.CacheBytes through NewRunner) bounds the
+// ResultCache memoizes finished cells, keyed by their system's fingerprint and
+// the cell: it is the engine's memo (single-flight, failures forgotten) at a
+// cost of each cell's bytes. Concurrent requests for a cell share one
+// simulation, and every caller gets the cached master itself, which it must
+// not modify (runCell copies what a master takes from its caller). A cache
+// serves every System of a runner's cells and may be shared across runners;
+// cells from different configurations never collide because the fingerprint
+// is part of the key. SetMaxBytes (or Config.CacheBytes through NewRunner) bounds the
 // resident bytes, so a cache stays bounded at service lifetimes where the set
 // of distinct cells grows without limit; an evicted cell's next request is an
 // ordinary miss (re-simulated, or served by the checkpoint tier).

@@ -198,7 +198,7 @@ func TestResultCacheBoundCoversEncodings(t *testing.T) {
 	bound := cache.Bytes() + int64(len(want["equal"])+len(want["square-root"])) - 1
 	cache.SetMaxBytes(bound)
 	for _, scheme := range []string{"equal", "square-root", "equal"} {
-		got, err := r.ResidentJSON(mix, scheme)
+		got, err := r.ResidentJSON(GridCell{Mix: mix, Scheme: scheme})
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}

@@ -73,8 +73,8 @@ func (s *CheckpointStore) SetLogf(logf func(format string, args ...any)) {
 }
 
 // attach installs the runner's collector and fault injector, first non-nil
-// wins — a store shared across runners (per-scale sweep runners, the serve
-// layer) keeps the first observability wiring it saw.
+// wins — a store shared across runners keeps the first observability wiring
+// it saw.
 func (s *CheckpointStore) attach(col *obs.Collector, faults *faultinject.Injector) {
 	if s == nil {
 		return
@@ -116,27 +116,28 @@ func (s *CheckpointStore) degrade(op string, err error) {
 	logf("exper: checkpoint %s failed; store degraded to in-memory only (cells still compute, persistence is off): %v", op, err)
 }
 
-// cellPath names the file for one cell by the SHA-256 of the same content-
-// addressed cellKey the memory tier uses, so the tiers agree on what a cell
-// is: mixes that alias in memory (the motivation mix is hetero-5) share one
-// file, same-named mixes over different benchmarks never do, and any config
-// difference or version bump makes old files plain misses. The version and a
-// fingerprint prefix lead the name only so an operator can tell (and prune)
-// one configuration's files.
-func (s *CheckpointStore) cellPath(r *Runner, c GridCell) string {
-	key := sha256.Sum256([]byte(cellKey(r.fp, c)))
-	return filepath.Join(s.dir, fmt.Sprintf("v%d-%s-%x.json", FingerprintVersion, r.fp[:16], key))
+// cellPath names the file for one cell on the system fingerprinted fp by the
+// SHA-256 of the same content-addressed cellKey the memory tier uses, so the
+// tiers agree on what a cell is: mixes that alias in memory (the motivation
+// mix is hetero-5) share one file, same-named mixes over different benchmarks
+// never do, and any config difference or version bump makes old files plain
+// misses. The version and a fingerprint prefix lead the name only so an
+// operator can tell (and prune) one configuration's files.
+func (s *CheckpointStore) cellPath(fp string, c GridCell) string {
+	key := sha256.Sum256([]byte(cellKey(fp, c)))
+	return filepath.Join(s.dir, fmt.Sprintf("v%d-%s-%x.json", FingerprintVersion, fp[:16], key))
 }
 
-// Has reports whether a file for the cell exists, without reading it: a
+// Has reports whether a file for r's cell c exists, without reading it: a
 // restarted server counts what an interrupted job already paid for this way,
 // which must neither consume a fault-injection schedule nor degrade the
 // store. Load decides whether the file is usable.
-func (s *CheckpointStore) Has(r *Runner, mix workload.Mix, scheme string) bool {
-	if s == nil {
+func (s *CheckpointStore) Has(r *Runner, c GridCell) bool {
+	on, err := r.system(c.System)
+	if s == nil || err != nil {
 		return false
 	}
-	_, err := os.Stat(s.cellPath(r, GridCell{Mix: mix, Scheme: scheme}))
+	_, err = os.Stat(s.cellPath(on.fp, c))
 	return err == nil
 }
 
@@ -147,13 +148,13 @@ func (s *CheckpointStore) Has(r *Runner, mix workload.Mix, scheme string) bool {
 // written the file. A read error other than "file does not exist"
 // additionally degrades the store. A nil store holds nothing.
 func (s *CheckpointStore) Load(r *Runner, mix workload.Mix, scheme string) (*MixRun, bool) {
-	run, _ := s.load(r, GridCell{Mix: mix, Scheme: scheme})
+	run, _ := s.load(r.own.fp, GridCell{Mix: mix, Scheme: scheme})
 	return run, run != nil
 }
 
-// load is Load plus the file's bytes as the cell's encoding (newline added),
-// so a promoted cell is never re-encoded. A miss is a nil run.
-func (s *CheckpointStore) load(r *Runner, c GridCell) (*MixRun, []byte) {
+// load is Load on the system fingerprinted fp, plus the file's bytes as the
+// cell's encoding (newline added), so a promoted cell is never re-encoded.
+func (s *CheckpointStore) load(fp string, c GridCell) (*MixRun, []byte) {
 	if s == nil || s.Degraded() {
 		return nil, nil
 	}
@@ -161,7 +162,7 @@ func (s *CheckpointStore) load(r *Runner, c GridCell) (*MixRun, []byte) {
 		s.degrade("read", err)
 		return nil, nil
 	}
-	data, err := os.ReadFile(s.cellPath(r, c))
+	data, err := os.ReadFile(s.cellPath(fp, c))
 	if err != nil {
 		if !os.IsNotExist(err) {
 			s.degrade("read", err)
@@ -179,12 +180,15 @@ func (s *CheckpointStore) load(r *Runner, c GridCell) (*MixRun, []byte) {
 	return &run, append(data, '\n')
 }
 
-// Save atomically persists one finished cell (temp file + rename), so a
-// crash mid-write never leaves a truncated checkpoint behind. An I/O error
-// degrades the store (logged and counted there) and is returned only for
-// visibility — callers must never fail a finished cell on it, and the
-// degraded store turns all further Saves into no-ops, as does a nil store.
-func (s *CheckpointStore) Save(r *Runner, run *MixRun) error {
+// Save atomically persists one finished cell of r's own system (temp file +
+// rename), so a crash mid-write never leaves a truncated checkpoint behind.
+// An I/O error degrades the store (logged and counted there) and is returned
+// only for visibility — callers must never fail a finished cell on it, and
+// the degraded store turns all further Saves into no-ops, as does a nil one.
+func (s *CheckpointStore) Save(r *Runner, run *MixRun) error { return s.save(r.own.fp, run) }
+
+// save is Save of a cell on the system fingerprinted fp.
+func (s *CheckpointStore) save(fp string, run *MixRun) error {
 	if s == nil || s.Degraded() {
 		return nil
 	}
@@ -210,7 +214,7 @@ func (s *CheckpointStore) Save(r *Runner, run *MixRun) error {
 		op, err = "rename", s.injector().Err(faultinject.CheckpointRename)
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), s.cellPath(r, run.cell()))
+		err = os.Rename(tmp.Name(), s.cellPath(fp, run.cell()))
 	}
 	if err != nil {
 		os.Remove(tmp.Name())

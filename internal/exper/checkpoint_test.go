@@ -84,7 +84,7 @@ func TestCheckpointResume(t *testing.T) {
 	// Pinning it keeps directories written by earlier builds loadable: a
 	// change that moves it must bump FingerprintVersion on purpose.
 	const equalCell = "v3-a091c3af5a2bbd2c-31226eeafe0127d57e4de8a7e9420bf70469e875662cb1809d5f0c1a35bc3ae1.json"
-	if got := filepath.Base(store.cellPath(r, GridCell{Mix: mix, Scheme: "equal"})); got != equalCell {
+	if got := filepath.Base(store.cellPath(r.own.fp, GridCell{Mix: mix, Scheme: "equal"})); got != equalCell {
 		t.Errorf("hetero-1/equal is stored as %s, earlier builds wrote %s", got, equalCell)
 	}
 
@@ -119,7 +119,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	// A truncated file is a miss, not an error.
-	if err := os.WriteFile(store.cellPath(r, GridCell{Mix: mix, Scheme: "equal"}), []byte("{"), 0o644); err != nil {
+	if err := os.WriteFile(store.cellPath(r.own.fp, GridCell{Mix: mix, Scheme: "equal"}), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := store.Load(r, mix, "equal"); ok {
@@ -150,7 +150,7 @@ func TestCheckpointPartialResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(store.cellPath(r, GridCell{Mix: mix, Scheme: "proportional"})); err != nil {
+	if err := os.Remove(store.cellPath(r.own.fp, GridCell{Mix: mix, Scheme: "proportional"})); err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := cfg

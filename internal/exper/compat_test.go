@@ -44,7 +44,7 @@ func TestPlainCellCompat(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&b, "%s %s\nkey %s\npath %s\njson %s", c.mix, c.scheme,
-			cellKey(r.fp, GridCell{Mix: mix, Scheme: c.scheme}), filepath.Base(store.cellPath(r, GridCell{Mix: mix, Scheme: c.scheme})), enc)
+			cellKey(r.own.fp, GridCell{Mix: mix, Scheme: c.scheme}), filepath.Base(store.cellPath(r.own.fp, GridCell{Mix: mix, Scheme: c.scheme})), enc)
 	}
 	golden := filepath.Join("testdata", "plain_cells.golden")
 	if *updateCompat {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"bwpart/internal/faultinject"
 	"bwpart/internal/metrics"
@@ -57,8 +58,9 @@ type Config struct {
 	// (config fingerprint, cell) pair is simulated at most once per
 	// process, concurrent requests coalesce onto one simulation, and every
 	// caller gets the cached cell itself, which it must not modify. Nil
-	// gives the runner a private cache (NewRunner fills this field, so
-	// sub-runners derived from Runner.Config() inherit it).
+	// gives the runner a private cache, for every System of its cells
+	// (NewRunner fills this field, so a runner built from another's Config()
+	// shares it).
 	Cache *ResultCache
 	// CacheBytes bounds the resident size of the result cache: past the
 	// bound, least-recently-used finished cells are evicted (and their next
@@ -79,8 +81,9 @@ type Config struct {
 	// one-branch no-op; production never sets this.
 	Faults *faultinject.Injector
 	// NoMemoize disables the result cache and warm-base sharing entirely:
-	// every RunMix re-warms and re-simulates from scratch. Test oracle (the
-	// cold executor the differential tests compare against); no CLI selects it.
+	// every RunMix re-warms and re-simulates from scratch, reading no stored
+	// cell (a Checkpoint still saves it). Test oracle (the cold executor the
+	// differential tests compare against); no CLI selects it.
 	NoMemoize bool
 }
 
@@ -128,25 +131,28 @@ func (c Config) Validate() error {
 	return c.Sim.DRAM.Validate()
 }
 
-// preparedCap bounds how many finished warm mix bases a runner keeps alive at
-// once (LRU-evicted beyond that; bases pinned by in-flight measurements never
-// are): enough that the paper's figure suites keep their working set warm,
-// small enough that huge sweeps stay memory-bounded.
+// preparedCap bounds the finished warm bases a runner keeps alive, counted in
+// four-core bases (see baseCost; LRU-evicted beyond that; bases pinned by
+// in-flight measurements never are): enough that the paper's figure suites
+// keep their working set warm, small enough that huge sweeps stay
+// memory-bounded, whatever the systems' core counts.
 const preparedCap = 8
 
-// Runner executes experiments. Standalone profiles are memoized per benchmark
-// (single-flight, so concurrent first requests share one profiling run),
-// and unless Config.NoMemoize is set, every cell — a (mix, policy, shares,
-// epochs) value, see GridCell — flows through a memoized executor: the result cache
-// deduplicates whole cells and the prepared-mix registry shares one warm base
-// per mix across RunMix, RunGrid and every windowed study.
+// Runner executes experiments. Standalone profiles are memoized per
+// (benchmark, system) (single-flight, so concurrent first requests share one
+// profiling run), and unless Config.NoMemoize is set, every cell — see
+// GridCell — flows through a memoized executor: the result cache deduplicates
+// whole cells and the prepared-mix registry shares one warm base per (system,
+// mix).
 type Runner struct {
 	cfg Config
-	fp  string // canonical configuration fingerprint, fixed at construction
+	own *system // the zero System: cfg and its fingerprint, fixed at construction
 
-	alone    memo[sim.AloneProfile] // unbounded, cost 0
-	cache    *ResultCache           // nil iff the runner memoizes no cell: NoMemoize or a Tracer
-	prepared *preparedRegistry      // nil iff NoMemoize
+	systemsMu sync.Mutex
+	systems   map[System]*system     // every other System a cell named, resolved once
+	alone     memo[sim.AloneProfile] // keyed by alone fingerprint and benchmark: unbounded, cost 0
+	cache     *ResultCache           // nil iff the runner memoizes no cell: NoMemoize or a Tracer
+	prepared  *preparedRegistry      // nil iff NoMemoize
 }
 
 // NewRunner builds a Runner over cfg.
@@ -155,7 +161,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, err
 	}
 	cfg.Sim.Seed = cfg.Seed
-	r := &Runner{alone: newMemo[sim.AloneProfile](0, nil), fp: configFingerprint(cfg)}
+	r := &Runner{systems: make(map[System]*system), alone: newMemo[sim.AloneProfile](0, nil)}
 	if !cfg.NoMemoize {
 		if cfg.Cache == nil {
 			cfg.Cache = NewResultCache()
@@ -168,10 +174,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		}
 		r.prepared = newPreparedRegistry(r)
 	}
-	// cfg.Cache is written back (above) so sub-runners built from this
-	// runner's Config() — per-seed repeatability runners, Figure 4's
-	// per-bandwidth runners — share the same process-wide cache.
-	r.cfg = cfg
+	r.cfg, r.own = cfg, newSystem(cfg) // with its Cache, which a runner built from Config() shares
 	cfg.Checkpoint.attach(cfg.Obs, cfg.Faults)
 	return r, nil
 }
@@ -179,19 +182,22 @@ func NewRunner(cfg Config) (*Runner, error) {
 // Config returns the runner's configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
-// Alone returns the memoized standalone profile of a benchmark, profiling it
-// on first use. Safe for concurrent use: concurrent first requests for the
-// same benchmark coalesce onto one profiling run (single-flight), so a
-// profile run happens once per (benchmark, memory configuration); a failed
-// one is retried by the next request.
-func (r *Runner) Alone(name string) (sim.AloneProfile, error) {
-	e, _, err := r.alone.get(name, nil, true, false, func() (sim.AloneProfile, int64, error) {
+// Alone returns the memoized standalone profile of a benchmark on the
+// runner's own system, profiling it on first use. Safe for concurrent use:
+// concurrent first requests coalesce onto one profiling run (single-flight),
+// so a profile run happens once per (benchmark, memory configuration); a
+// failed one is retried by the next request.
+func (r *Runner) Alone(name string) (sim.AloneProfile, error) { return r.aloneOn(r.own, name) }
+
+// aloneOn is Alone on on, keyed by its alone fingerprint.
+func (r *Runner) aloneOn(on *system, name string) (sim.AloneProfile, error) {
+	e, _, err := r.alone.get(on.aloneFP+"/"+name, nil, true, false, func() (sim.AloneProfile, int64, error) {
 		p, err := workload.ByName(name)
 		if err != nil {
 			return sim.AloneProfile{}, 0, err
 		}
 		stop := r.cfg.Obs.StageStart(obs.StageProfile)
-		ap, err := sim.ProfileAlone(r.cfg.Sim, p, r.cfg.ProfileCycles)
+		ap, err := sim.ProfileAlone(on.cfg.Sim, p, r.cfg.ProfileCycles)
 		stop()
 		return ap, 0, err
 	})
@@ -201,14 +207,14 @@ func (r *Runner) Alone(name string) (sim.AloneProfile, error) {
 	return e.val, nil
 }
 
-// aloneVectors resolves the profile vectors for a mix.
-func (r *Runner) aloneVectors(mix workload.Mix) (apcAlone, api, ipcAlone []float64, err error) {
+// aloneVectors resolves the profile vectors for a mix on on.
+func (r *Runner) aloneVectors(on *system, mix workload.Mix) (apcAlone, api, ipcAlone []float64, err error) {
 	n := len(mix.Benchmarks)
 	apcAlone = make([]float64, n)
 	api = make([]float64, n)
 	ipcAlone = make([]float64, n)
 	for i, name := range mix.Benchmarks {
-		ap, err := r.Alone(name)
+		ap, err := r.aloneOn(on, name)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("mix %s: %w", mix.Name, err)
 		}
@@ -271,26 +277,27 @@ func (run *MixRun) cell() GridCell {
 	return GridCell{Mix: run.Mix, Scheme: run.Scheme, Shares: run.Shares, Epoch: run.Epoch, Epochs: run.Epochs}
 }
 
-// preparedMix is the shared prefix of every measurement on one mix: its
-// immutable profiles plus the checkpoint of its warmed state. RunGrid
-// prepares each mix once and builds a new system from the checkpoint per
-// cell, so the functional warmup is paid once per mix instead of once per
-// cell.
+// preparedMix is the shared prefix of every measurement on one mix on one
+// system: its immutable profiles plus the checkpoint of its warmed state.
+// RunCells prepares each once and builds a new simulated system from the
+// checkpoint per cell, so the functional warmup is paid once per mix instead
+// of once per cell.
 type preparedMix struct {
+	on    *system
 	profs []workload.Profile
 	cp    *sim.Checkpoint
 }
 
-// prepareMix builds the mix's system, runs the functional warmup, and
-// snapshots the warmed state. The system is returned too, sitting exactly at
-// the checkpoint: the unmemoized executor measures on it, the registry drops
-// it.
-func (r *Runner) prepareMix(mix workload.Mix) (*preparedMix, *sim.System, error) {
+// prepareMix builds the mix's simulated system on on, runs the functional
+// warmup, and snapshots the warmed state. The system is returned too, sitting
+// exactly at the checkpoint: the unmemoized executor measures on it, the
+// registry drops it.
+func (r *Runner) prepareMix(on *system, mix workload.Mix) (*preparedMix, *sim.System, error) {
 	profs, err := mix.Profiles()
 	if err != nil {
 		return nil, nil, err
 	}
-	sys, err := sim.New(r.cfg.Sim, profs)
+	sys, err := sim.New(on.cfg.Sim, profs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -301,7 +308,7 @@ func (r *Runner) prepareMix(mix workload.Mix) (*preparedMix, *sim.System, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &preparedMix{profs: profs, cp: cp}, sys, nil
+	return &preparedMix{on: on, profs: profs, cp: cp}, sys, nil
 }
 
 // forkPrepared builds a system from p's warm checkpoint: its caches from
@@ -311,7 +318,7 @@ func (r *Runner) prepareMix(mix workload.Mix) (*preparedMix, *sim.System, error)
 // bit-identical to cold runs; the differential tests in this package enforce
 // it).
 func (r *Runner) forkPrepared(p *preparedMix) (*sim.System, error) {
-	return sim.FromCheckpoint(r.cfg.Sim, p.profs, p.cp)
+	return sim.FromCheckpoint(p.on.cfg.Sim, p.profs, p.cp)
 }
 
 // measure is the one settle → mark → measure tail every cell shares: sys is
@@ -360,15 +367,15 @@ func (r *Runner) measure(sys *sim.System, pol policy, a policyArgs) (sim.Result,
 // measured. Under NoMemoize a private system is built and warmed for this one
 // run: the reference executor the differential tests compare every memoized
 // path against.
-func (r *Runner) runConfigured(pol policy, a policyArgs) (sim.Result, []float64, error) {
+func (r *Runner) runConfigured(on *system, pol policy, a policyArgs) (sim.Result, []float64, error) {
 	var p *preparedMix
 	var sys *sim.System
 	var err error
 	if r.prepared == nil {
-		p, sys, err = r.prepareMix(a.cell.Mix)
+		p, sys, err = r.prepareMix(on, a.cell.Mix)
 	} else {
 		var release func()
-		if p, release, err = r.prepared.acquire(a.cell.Mix); err != nil {
+		if p, release, err = r.prepared.acquire(on, a.cell.Mix); err != nil {
 			return sim.Result{}, nil, err
 		}
 		defer release()
@@ -385,19 +392,19 @@ func (r *Runner) runConfigured(pol policy, a policyArgs) (sim.Result, []float64,
 	return r.measure(sys, pol, a)
 }
 
-// runCell simulates one cell and evaluates all four objectives on the
+// runCell simulates one cell on on and evaluates all four objectives on the
 // measured IPCs. The run is the cell's master, handed out as it is, so it
 // copies the two slices it takes from c and is never written once built.
-func (r *Runner) runCell(c GridCell) (*MixRun, error) {
+func (r *Runner) runCell(on *system, c GridCell) (*MixRun, error) {
 	pol, err := policyFor(c)
 	if err != nil {
 		return nil, err
 	}
-	apcAlone, api, ipcAlone, err := r.aloneVectors(c.Mix)
+	apcAlone, api, ipcAlone, err := r.aloneVectors(on, c.Mix)
 	if err != nil {
 		return nil, err
 	}
-	res, est, err := r.runConfigured(pol, policyArgs{cell: c, apcAlone: apcAlone, api: api, seed: r.cfg.Seed})
+	res, est, err := r.runConfigured(on, pol, policyArgs{cell: c, apcAlone: apcAlone, api: api, seed: on.cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -435,39 +442,35 @@ func (r *Runner) runCell(c GridCell) (*MixRun, error) {
 // request joins the in-flight one, and a fresh cell is measured from the
 // mix's shared warm checkpoint.
 func (r *Runner) RunMix(mix workload.Mix, scheme string) (*MixRun, error) {
-	return r.lookup(GridCell{Mix: mix, Scheme: scheme}, true)
+	return r.lookup(r.own, GridCell{Mix: mix, Scheme: scheme}, true)
 }
 
-// lookup is the engine's one lookup order for a cell, which every entry
-// point and every windowed study flows through: the cell's policy is
-// checked against the registry, then the in-memory result cache, then the on-disk
-// checkpoint store (a disk hit is promoted into the cache under the cell's
-// single-flight key), then — only when simulate is set — a real simulation.
-// Without simulate a cell in neither tier fails with errNotResident and
-// nothing is profiled, warmed, or forked. With a tracer installed neither tier
-// is read — a resolved cell would silently skip the trace the caller asked
-// for — but warm-base sharing still applies (forked runs emit bit-identical
-// traces) and the simulated cell is still saved.
-func (r *Runner) lookup(c GridCell, simulate bool) (*MixRun, error) {
+// lookup is the engine's one lookup order for a cell on on, its resolved
+// System, which every entry point and every windowed study flows through: the
+// cell's policy is checked against the registry, then the in-memory result
+// cache, then the on-disk checkpoint store (a disk hit is promoted into the
+// cache under the cell's single-flight key), then — only when simulate is set
+// — a real simulation. Without simulate a cell in neither tier fails with
+// errNotResident and nothing is profiled, warmed, or forked. A runner that
+// memoizes no cell (NoMemoize or a tracer) reads neither tier, which would
+// not give the cold reference or the trace asked for, but saves what it
+// simulates.
+func (r *Runner) lookup(on *system, c GridCell, simulate bool) (*MixRun, error) {
 	if _, err := policyFor(c); err != nil {
 		return nil, err
 	}
-	store := r.cfg.Checkpoint
-	if r.cfg.Tracer != nil {
-		store = nil // a nil store holds nothing
-	}
-	load := func() (*MixRun, []byte) { return store.load(r, c) }
 	var sim func() (*MixRun, error)
 	if simulate {
-		sim = func() (*MixRun, error) { return r.simulateCell(c) }
+		sim = func() (*MixRun, error) { return r.simulateCell(on, c) }
 	}
 	var run *MixRun
 	var err error
 	if r.cache == nil {
-		run, _, err = resolveCell(r.cfg.Obs, load, sim)
+		run, _, err = resolveCell(r.cfg.Obs, func() (*MixRun, []byte) { return nil, nil }, sim)
 	} else {
+		load := func() (*MixRun, []byte) { return r.cfg.Checkpoint.load(on.fp, c) }
 		var e *memoEntry[cellValue]
-		if e, err = r.cache.flight(cellKey(r.fp, c), r.cfg.Obs, load, sim, true); err == nil {
+		if e, err = r.cache.flight(cellKey(on.fp, c), r.cfg.Obs, load, sim, true); err == nil {
 			run = e.val.run
 		}
 	}
@@ -494,29 +497,33 @@ func relabel(run *MixRun, mix workload.Mix) *MixRun {
 // its stored bytes from memory or, promoting it, from disk — never waiting on
 // a cell in flight or simulating. Any other cell fails, as does every cell of
 // a runner that memoizes no cell (NoMemoize or a Tracer).
-func (r *Runner) ResidentJSON(mix workload.Mix, scheme string) ([]byte, error) {
-	c := GridCell{Mix: mix, Scheme: scheme}
-	return r.residentJSON(c, r.cfg.Obs, func() (*MixRun, []byte) { return r.cfg.Checkpoint.load(r, c) })
+func (r *Runner) ResidentJSON(c GridCell) ([]byte, error) {
+	return r.residentJSON(c, r.cfg.Obs, r.cfg.Checkpoint)
 }
 
-// EncodeCell is encodeRun(run) for a run this runner resolved: the resident
-// cell's stored bytes (a memory probe, uncounted), so a miss answers with what
-// its hits get.
-func (r *Runner) EncodeCell(run *MixRun) ([]byte, error) {
-	if enc, err := r.residentJSON(run.cell(), nil, func() (*MixRun, []byte) { return nil, nil }); err == nil {
+// EncodeCell is encodeRun(run) for run, the cell c this runner resolved: the
+// resident cell's stored bytes (a memory probe, uncounted), so a miss answers
+// with what its hits get.
+func (r *Runner) EncodeCell(c GridCell, run *MixRun) ([]byte, error) {
+	if enc, err := r.residentJSON(c, nil, nil); err == nil {
 		return enc, nil
 	}
 	return encodeRun(run)
 }
 
-// residentJSON is ResidentJSON counted on col, with load as the disk tier. An
-// aliased mix gets a fresh encoding of the master relabeled, as lookup does.
-func (r *Runner) residentJSON(c GridCell, col *obs.Collector, load func() (*MixRun, []byte)) ([]byte, error) {
+// residentJSON is ResidentJSON counted on col, with store (nil: none) as the
+// disk tier. An aliased mix gets a fresh encoding of the master relabeled, as
+// lookup does.
+func (r *Runner) residentJSON(c GridCell, col *obs.Collector, store *CheckpointStore) ([]byte, error) {
+	on, err := r.system(c.System)
+	if err != nil {
+		return nil, err
+	}
 	if r.cache == nil {
 		return nil, errNotResident
 	}
-	key := cellKey(r.fp, c)
-	e, err := r.cache.flight(key, col, load, nil, false)
+	key := cellKey(on.fp, c)
+	e, err := r.cache.flight(key, col, func() (*MixRun, []byte) { return store.load(on.fp, c) }, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -535,17 +542,17 @@ func encodeRun(run *MixRun) ([]byte, error) {
 
 // simulateCell is the last step of the lookup order: a real simulation,
 // persisted to the checkpoint store.
-func (r *Runner) simulateCell(c GridCell) (*MixRun, error) {
+func (r *Runner) simulateCell(on *system, c GridCell) (*MixRun, error) {
 	r.cfg.Faults.Sleep(faultinject.CellDelay)
 	if r.cfg.Faults.Fire(faultinject.CellPanic) {
 		panic(fmt.Sprintf("injected cell panic (%s/%s)", c.Mix.Name, c.Scheme))
 	}
-	run, err := r.runCell(c)
+	run, err := r.runCell(on, c)
 	if err != nil {
 		return nil, err
 	}
 	// A Save failure degrades the store — logged and counted there — but
 	// never fails a cell that was successfully simulated.
-	_ = r.cfg.Checkpoint.Save(r, run)
+	_ = r.cfg.Checkpoint.save(on.fp, run)
 	return run, nil
 }

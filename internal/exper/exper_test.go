@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"bwpart/internal/core"
 	"bwpart/internal/metrics"
 	"bwpart/internal/workload"
 )
@@ -128,7 +129,7 @@ func TestRunMixUnknownScheme(t *testing.T) {
 		{Mix: mix, Scheme: "budget", Shares: []float64{1, math.Inf(1), 1, 1}},
 		{Mix: mix, Scheme: "budget", Shares: []float64{1, 0, 1, 1}},
 	} {
-		if _, err := r.lookup(c, true); err == nil {
+		if _, err := r.lookup(r.own, c, true); err == nil {
 			t.Errorf("cell %s %v %dx%d accepted", c.Scheme, c.Shares, c.Epochs, c.Epoch)
 		}
 	}
@@ -331,12 +332,12 @@ func TestOptimalSchemeNameMapping(t *testing.T) {
 		metrics.ObjectiveIPCSum:      "priority-api",
 	}
 	for obj, want := range cases {
-		got, err := optimalSchemeName(obj)
-		if err != nil || got != want {
-			t.Errorf("optimalSchemeName(%v) = %s, %v", obj, got, err)
+		got, err := core.OptimalFor(obj)
+		if err != nil || got.Name() != want {
+			t.Errorf("core.OptimalFor(%v) = %v, %v", obj, got, err)
 		}
 	}
-	if _, err := optimalSchemeName(metrics.Objective(77)); err == nil {
+	if _, err := core.OptimalFor(metrics.Objective(77)); err == nil {
 		t.Error("unknown objective accepted")
 	}
 }
@@ -382,18 +383,27 @@ func TestFigure2ParallelMatchesSerial(t *testing.T) {
 	}
 	grid, serial := newRunner(4), newRunner(1)
 
-	// rows resolves mixes x schemes serially on sr, checking each cell against
-	// the one the figure left resident on gr.
-	rows := func(gr, sr *Runner, mixes []workload.Mix, schemes []string) [][]*MixRun {
+	// rows resolves mixes x schemes on system one at a time on serial,
+	// checking each cell against the one the figure left resident on grid.
+	rows := func(system System, mixes []workload.Mix, schemes []string) [][]*MixRun {
 		t.Helper()
+		gon, err := grid.system(system)
+		if err != nil {
+			t.Fatal(err)
+		}
+		son, err := serial.system(system)
+		if err != nil {
+			t.Fatal(err)
+		}
 		out := make([][]*MixRun, len(mixes))
 		for mi, mix := range mixes {
 			for _, scheme := range schemes {
-				want, err := sr.RunMix(mix, scheme)
+				c := GridCell{Mix: mix, Scheme: scheme, System: system}
+				want, err := serial.lookup(son, c, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := gr.lookup(GridCell{Mix: mix, Scheme: scheme}, false)
+				got, err := grid.lookup(gon, c, false)
 				if err != nil {
 					t.Fatalf("%s/%s: the figure did not resolve this cell: %v", mix.Name, scheme, err)
 				}
@@ -420,7 +430,7 @@ func TestFigure2ParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	mot := workload.MotivationMix()
-	row := rows(grid, serial, []workload.Mix{mot}, append([]string{NoPartitioning}, Figure1Schemes()...))[0]
+	row := rows(System{}, []workload.Mix{mot}, append([]string{NoPartitioning}, Figure1Schemes()...))[0]
 	for i, scheme := range Figure1Schemes() {
 		for obj, col := range objCols {
 			check(f1, scheme, col, row[1+i].Values[obj]/row[0].Values[obj])
@@ -432,7 +442,7 @@ func TestFigure2ParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixes := workload.AllMixes()
-	serialRows := rows(grid, serial, mixes, append([]string{NoPartitioning}, Figure2Schemes()...))
+	serialRows := rows(System{}, mixes, append([]string{NoPartitioning}, Figure2Schemes()...))
 	for oi, obj := range metrics.Objectives() {
 		hetSum, homSum := make([]float64, len(Figure2Schemes())), make([]float64, len(Figure2Schemes()))
 		hetN, homN := 0, 0
@@ -462,37 +472,34 @@ func TestFigure2ParallelMatchesSerial(t *testing.T) {
 	}
 	schemes := []string{"equal"}
 	for _, obj := range metrics.Objectives() {
-		name, err := optimalSchemeName(obj)
+		sch, err := core.OptimalFor(obj)
 		if err != nil {
 			t.Fatal(err)
 		}
-		schemes = append(schemes, name)
+		schemes = append(schemes, sch.Name())
 	}
 	for si, factor := range factors {
-		gsub, err := grid.scaledRunner(factor)
+		scaled := System{Scale: float64(factor)}
+		cfg, err := serial.SystemConfig(scaled)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ssub, err := serial.scaledRunner(factor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		col := fmt.Sprintf("%.1f GB/s", ssub.cfg.Sim.DRAM.PeakBandwidthGBs())
+		col := fmt.Sprintf("%.1f GB/s", cfg.Sim.DRAM.PeakBandwidthGBs())
 		if f4.Header[1+si] != col {
 			t.Errorf("Figure4Scaled column %d is %q, want %q", 1+si, f4.Header[1+si], col)
 		}
-		scaled := make([]workload.Mix, len(f4mixes))
+		scaledMixes := make([]workload.Mix, len(f4mixes))
 		for i, mix := range f4mixes {
-			scaled[i] = mix.Scale(factor)
+			scaledMixes[i] = mix.Scale(factor)
 		}
 		sums := make([]float64, len(metrics.Objectives()))
-		for _, row := range rows(gsub, ssub, scaled, schemes) {
+		for _, row := range rows(scaled, scaledMixes, schemes) {
 			for oi, obj := range metrics.Objectives() {
 				sums[oi] += row[1+oi].Values[obj] / row[0].Values[obj]
 			}
 		}
 		for oi, obj := range metrics.Objectives() {
-			check(f4, obj.String(), col, sums[oi]/float64(len(scaled)))
+			check(f4, obj.String(), col, sums[oi]/float64(len(scaledMixes)))
 		}
 	}
 }

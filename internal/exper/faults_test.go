@@ -178,17 +178,16 @@ func TestFigure4CellPanic(t *testing.T) {
 	_, err = r.Figure4Scaled(mixes, []int{2})
 	check(err)
 
-	// The same grid on a sub-runner the test can see into: every pin taken
-	// for the failed group is released, and the grid resolves once the fault
-	// clears.
-	sub, err := r.scaledRunner(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The same grid as cells the test builds: every pin taken for the failed
+	// group is released, and the grid resolves once the fault clears.
 	scaled := []workload.Mix{mixes[0].Scale(2), mixes[1].Scale(2)}
-	_, err = sub.RunGrid(context.Background(), scaled, []string{"equal", "square-root"})
+	cells := Grid(scaled, []string{"equal", "square-root"})
+	for i := range cells {
+		cells[i].System = System{Scale: 2}
+	}
+	_, err = r.RunCells(context.Background(), cells, nil)
 	check(err)
-	if entries, pins := sub.prepared.held(); entries != len(scaled) || pins != 0 {
+	if entries, pins := r.prepared.held(); entries != len(scaled) || pins != 0 {
 		t.Fatalf("failed grid left %d entries with %d pins, want %d and 0", entries, pins, len(scaled))
 	}
 	in.DisarmAll()

@@ -3,8 +3,8 @@ package exper
 import (
 	"fmt"
 
+	"bwpart/internal/core"
 	"bwpart/internal/metrics"
-	"bwpart/internal/sim"
 	"bwpart/internal/workload"
 )
 
@@ -12,49 +12,50 @@ import (
 // 16 cores for 3.2, 6.4, 12.8 GB/s): bandwidth and the number of copies of
 // each mix scale together by each factor, and for every objective the table
 // holds the mix-average of (optimal scheme / Equal) per scale point. Each
-// factor's grid is one RunGrid on that factor's scaled runner, in factor
-// order. Rows are keyed by objective name; columns by bandwidth ("3.2 GB/s").
+// factor's grid is one RunCells batch of System{Scale: factor} cells, in
+// factor order. Rows are keyed by objective name; columns by bandwidth ("3.2
+// GB/s").
 func (r *Runner) Figure4Scaled(mixes []workload.Mix, factors []int) (*Table, error) {
 	// Per scale point the grid is scaled mixes x {Equal, each objective's
 	// optimal scheme}.
 	objectives := metrics.Objectives()
 	schemes := []string{"equal"}
 	for _, obj := range objectives {
-		name, err := optimalSchemeName(obj)
+		sch, err := core.OptimalFor(obj)
 		if err != nil {
 			return nil, err
 		}
-		schemes = append(schemes, name)
+		schemes = append(schemes, sch.Name())
 	}
 	header := []string{"objective (optimal scheme)"}
-	// avg[obj][si] is obj's mix-average at scale point si.
 	avg := make(map[metrics.Objective][]float64, len(objectives))
 	for _, obj := range objectives {
 		avg[obj] = make([]float64, len(factors))
 	}
 	for si, factor := range factors {
-		sub, err := r.scaledRunner(factor)
+		scaled := System{Scale: float64(factor)}
+		cfg, err := r.SystemConfig(scaled)
 		if err != nil {
 			return nil, err
 		}
-		header = append(header, fmt.Sprintf("%.1f GB/s", sub.cfg.Sim.DRAM.PeakBandwidthGBs()))
-		scaled := make([]workload.Mix, len(mixes))
-		for mi, mix := range mixes {
-			scaled[mi] = mix.Scale(factor)
+		header = append(header, fmt.Sprintf("%.1f GB/s", cfg.Sim.DRAM.PeakBandwidthGBs()))
+		var cells []GridCell
+		for _, mix := range mixes {
+			cells = append(cells, scaled.Grid([]workload.Mix{mix.Scale(factor)}, schemes)...)
 		}
-		runs, err := sub.RunGrid(r.baseCtx(), scaled, schemes)
+		runs, err := r.RunCells(r.baseCtx(), cells, nil)
 		if err != nil {
 			return nil, err
 		}
-		for mi := range scaled {
-			row := runs[mi*len(schemes) : (mi+1)*len(schemes)]
+		for mi := range mixes {
+			row := runs[mi*len(schemes):][:len(schemes)]
 			for oi, obj := range objectives {
 				avg[obj][si] += row[1+oi].Values[obj] / row[0].Values[obj]
 			}
 		}
-		if len(scaled) > 0 {
+		if len(mixes) > 0 {
 			for _, obj := range objectives {
-				avg[obj][si] /= float64(len(scaled))
+				avg[obj][si] /= float64(len(mixes))
 			}
 		}
 	}
@@ -77,40 +78,27 @@ func (r *Runner) Figure4Scaled(mixes []workload.Mix, factors []int) (*Table, err
 	return t, nil
 }
 
-// derived builds a sub-runner whose simulator configuration is the parent's
-// changed by edit: a bandwidth scale point of Figure 4, the open-page
-// ablation, a way quota of the shared-L2 study. APC_alone depends on the
-// simulated system, so it profiles alone and warms bases under its own
-// configuration. It inherits the parent's result cache, checkpoint store and
-// collector, and its cells key under its own fingerprint.
-func (r *Runner) derived(edit func(*sim.Config)) (*Runner, error) {
-	cfg := r.cfg
-	edit(&cfg.Sim)
-	return NewRunner(cfg)
-}
-
-// scaledRunner is the derived runner for one bandwidth scale point.
-func (r *Runner) scaledRunner(factor int) (*Runner, error) {
-	return r.derived(func(c *sim.Config) { c.DRAM = c.DRAM.ScaleBandwidth(float64(factor)) })
-}
-
 // AloneAPCScaling measures how each benchmark's standalone APC grows with
 // bandwidth — the paper's explanation for why heterogeneity (and thus the
 // benefit of optimal partitioning) grows with scale: bandwidth-bound apps
 // (lbm) scale their APC_alone much faster than latency-bound ones
-// (leslie3d).
+// (leslie3d). Every (factor, benchmark) profile fans out as one batch.
 func (r *Runner) AloneAPCScaling(names []string, factors []int) (map[string][]float64, error) {
-	out := make(map[string][]float64, len(names))
-	for _, factor := range factors {
-		sub, err := r.scaledRunner(factor)
+	bases := make([]base, len(factors))
+	for i, factor := range factors {
+		on, err := r.system(System{Scale: float64(factor)})
 		if err != nil {
 			return nil, err
 		}
-		if err := sub.warmAloneCache(r.baseCtx(), names); err != nil {
-			return nil, err
-		}
+		bases[i] = base{on, workload.Mix{Benchmarks: names}}
+	}
+	if err := r.warmAloneCache(r.baseCtx(), bases); err != nil {
+		return nil, err
+	}
+	out := make(map[string][]float64, len(names))
+	for _, b := range bases {
 		for _, name := range names {
-			ap, err := sub.Alone(name)
+			ap, err := r.aloneOn(b.on, name)
 			if err != nil {
 				return nil, err
 			}

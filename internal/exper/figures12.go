@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"bwpart/internal/core"
 	"bwpart/internal/metrics"
 	"bwpart/internal/workload"
 )
@@ -107,27 +108,12 @@ func headline(fig2 []*Table) *Table {
 	t := newTable("Headline gains on heterogeneous workloads (optimal scheme vs No_partitioning / Equal):",
 		"objective", "scheme", "vs no-part", "paper", "vs equal", "paper")
 	for oi, obj := range metrics.Objectives() {
-		sch, _ := optimalSchemeName(obj)
-		opt, _ := fig2[oi].Value("hetero-avg", sch)
+		sch, _ := core.OptimalFor(obj)
+		opt, _ := fig2[oi].Value("hetero-avg", sch.Name())
 		eq, _ := fig2[oi].Value("hetero-avg", "equal")
 		p := paper[obj]
-		t.add(txt(obj.String()), txt(sch), numf("%+.1f%%", 100*(opt-1)), numf("%+.1f%%", 100*p[0]),
+		t.add(txt(obj.String()), txt(sch.Name()), numf("%+.1f%%", 100*(opt-1)), numf("%+.1f%%", 100*p[0]),
 			numf("%+.1f%%", 100*(opt/eq-1)), numf("%+.1f%%", 100*p[1]))
 	}
 	return t
-}
-
-func optimalSchemeName(obj metrics.Objective) (string, error) {
-	switch obj {
-	case metrics.ObjectiveHsp:
-		return "square-root", nil
-	case metrics.ObjectiveMinFairness:
-		return "proportional", nil
-	case metrics.ObjectiveWsp:
-		return "priority-apc", nil
-	case metrics.ObjectiveIPCSum:
-		return "priority-api", nil
-	default:
-		return "", fmt.Errorf("exper: unknown objective %v", obj)
-	}
 }

@@ -175,9 +175,9 @@ func cellKey(fp string, c GridCell) string {
 	return string(b)
 }
 
-// mixKey identifies a mix for the prepared-base registry (one warm base per
-// distinct benchmark list under a fixed runner configuration). Content-
-// addressed like cellKey, so aliased mixes warm once.
-func mixKey(mix workload.Mix) string {
-	return strings.Join(mix.Benchmarks, "+")
+// baseKey identifies a warm base in the prepared-base registry: one per
+// distinct benchmark list on each system. Content-addressed like cellKey, so
+// aliased mixes warm once.
+func baseKey(on *system, mix workload.Mix) string {
+	return on.fp + "/" + strings.Join(mix.Benchmarks, "+")
 }

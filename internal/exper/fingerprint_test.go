@@ -148,7 +148,7 @@ func TestCellKeySeparation(t *testing.T) {
 	if cellKey(fp, GridCell{Mix: motivation, Scheme: "equal"}) != cellKey(fp, GridCell{Mix: hetero5, Scheme: "equal"}) {
 		t.Error("motivation mix and hetero-5 run the same applications but key separately")
 	}
-	if mixKey(motivation) != mixKey(hetero5) {
+	if on := (&system{fp: fp}); baseKey(on, motivation) != baseKey(on, hetero5) {
 		t.Error("motivation mix and hetero-5 should share one prepared base")
 	}
 }
@@ -170,16 +170,16 @@ func TestCheckpointPathVersioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := store.cellPath(r, GridCell{Mix: mix, Scheme: "equal"})
-	if want := fmt.Sprintf("v%d-%s-", FingerprintVersion, r.fp[:16]); !strings.HasPrefix(filepath.Base(path), want) {
+	path := store.cellPath(r.own.fp, GridCell{Mix: mix, Scheme: "equal"})
+	if want := fmt.Sprintf("v%d-%s-", FingerprintVersion, r.own.fp[:16]); !strings.HasPrefix(filepath.Base(path), want) {
 		t.Errorf("cell path %q lacks the version tag and fingerprint prefix %q", path, want)
 	}
 	renamed := mix
 	renamed.Name = "some-other-label"
-	if store.cellPath(r, GridCell{Mix: renamed, Scheme: "equal"}) != path {
+	if store.cellPath(r.own.fp, GridCell{Mix: renamed, Scheme: "equal"}) != path {
 		t.Error("cell path depends on the mix's display name")
 	}
-	if store.cellPath(r, GridCell{Mix: mix, Scheme: "square-root"}) == path {
+	if store.cellPath(r.own.fp, GridCell{Mix: mix, Scheme: "square-root"}) == path {
 		t.Error("two schemes share one cell path")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"bwpart/internal/core"
 	"bwpart/internal/metrics"
 	"bwpart/internal/workload"
 )
@@ -56,10 +57,11 @@ func TestCapturedFraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for oi, obj := range metrics.Objectives() { // the table's column order
-		optName, err := optimalSchemeName(obj)
+		sch, err := core.OptimalFor(obj)
 		if err != nil {
 			t.Fatal(err)
 		}
+		optName := sch.Name()
 		col := h.Header[1+oi]
 		opt := value(t, h, optName, col)
 		if opt <= 1 {

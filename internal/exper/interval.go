@@ -28,7 +28,7 @@ func (r *Runner) IntervalStudy(mix workload.Mix, scheme string, epochs []int64) 
 		}
 		cells[i] = GridCell{Mix: mix, Scheme: onlinePrefix + scheme, Epoch: epoch, Epochs: max(int(totalBudget/epoch), 2)}
 	}
-	runs, err := r.runCells(r.baseCtx(), cells, nil)
+	runs, err := r.RunCells(r.baseCtx(), cells, nil)
 	if err != nil {
 		return nil, err
 	}

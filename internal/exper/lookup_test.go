@@ -102,11 +102,11 @@ func TestRunGridDiskHitsPromoteToMemory(t *testing.T) {
 	}
 }
 
-// TestRunGridEachDeliversEveryCellOnce: the per-cell callback fires exactly
+// TestRunCellsDeliversEveryCellOnce: the per-cell callback fires exactly
 // once per cell whichever tier resolves it — a disk hit, a memory hit or a
-// simulation — hands over the run RunGridEach returns at that grid index,
-// never fires for a failed cell, and never fires after RunGridEach returns.
-func TestRunGridEachDeliversEveryCellOnce(t *testing.T) {
+// simulation — hands over the run RunCells returns at that index,
+// never fires for a failed cell, and never fires after RunCells returns.
+func TestRunCellsDeliversEveryCellOnce(t *testing.T) {
 	dir := t.TempDir()
 	mixes := make([]workload.Mix, 3)
 	for i, name := range []string{"hetero-1", "hetero-2", "homo-1"} {
@@ -139,12 +139,12 @@ func TestRunGridEachDeliversEveryCellOnce(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		if returned {
-			t.Errorf("cell %d delivered after RunGridEach returned", cell)
+			t.Errorf("cell %d delivered after RunCells returned", cell)
 		}
 		calls++
 		got[cell] = run
 	}
-	runs, err := r.RunGridEach(context.Background(), mixes, schemes, each)
+	runs, err := r.RunCells(context.Background(), Grid(mixes, schemes), each)
 	mu.Lock()
 	returned = true
 	mu.Unlock()
@@ -161,7 +161,7 @@ func TestRunGridEachDeliversEveryCellOnce(t *testing.T) {
 			t.Errorf("result %d is %s/%s, want %s/%s", i, runs[i].Mix.Name, runs[i].Scheme, cell.Mix.Name, cell.Scheme)
 		}
 		if got[i] != runs[i] {
-			t.Errorf("cell %d: callback saw a different run than RunGridEach returned", i)
+			t.Errorf("cell %d: callback saw a different run than RunCells returned", i)
 		}
 	}
 
@@ -170,7 +170,7 @@ func TestRunGridEachDeliversEveryCellOnce(t *testing.T) {
 	returned, calls, got = false, 0, map[int]*MixRun{}
 	mu.Unlock()
 	bad := []string{"no-such-scheme", "equal"}
-	if _, err := r.RunGridEach(context.Background(), mixes[1:2], bad, each); err == nil {
+	if _, err := r.RunCells(context.Background(), Grid(mixes[1:2], bad), each); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
 	mu.Lock()
@@ -345,11 +345,11 @@ func TestCheckpointKeyedLikeMemoryTier(t *testing.T) {
 	}
 	// Even hetero-5's payload planted at the impostor's own path is refused:
 	// its benchmark list is not the requested one.
-	data, err := os.ReadFile(store.cellPath(r, GridCell{Mix: hetero5, Scheme: "equal"}))
+	data, err := os.ReadFile(store.cellPath(r.own.fp, GridCell{Mix: hetero5, Scheme: "equal"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(store.cellPath(r, GridCell{Mix: impostor, Scheme: "equal"}), data, 0o644); err != nil {
+	if err := os.WriteFile(store.cellPath(r.own.fp, GridCell{Mix: impostor, Scheme: "equal"}), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := store.Load(r, impostor, "equal"); ok {
@@ -380,19 +380,19 @@ func TestCheckpointKeyedLikeMemoryTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := store.load(r, online); got == nil || len(got.EstimatedAPCAlone) == 0 || !reflect.DeepEqual(got, orun) {
+	if got, _ := store.load(r.own.fp, online); got == nil || len(got.EstimatedAPCAlone) == 0 || !reflect.DeepEqual(got, orun) {
 		t.Errorf("online cell does not load back with its estimates: %+v", got)
 	}
-	data, err = os.ReadFile(store.cellPath(r, online))
+	data, err = os.ReadFile(store.cellPath(r.own.fp, online))
 	if err != nil {
 		t.Fatal(err)
 	}
 	longer := online
 	longer.Epoch *= 2
-	if err := os.WriteFile(store.cellPath(r, longer), data, 0o644); err != nil {
+	if err := os.WriteFile(store.cellPath(r.own.fp, longer), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := store.load(r, longer); got != nil {
+	if got, _ := store.load(r.own.fp, longer); got != nil {
 		t.Error("load accepted a payload recorded for another epoch length")
 	}
 }
@@ -478,12 +478,12 @@ func TestDiskPromotionKeepsFileBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(r1.cfg.Checkpoint.cellPath(r1, GridCell{Mix: mix, Scheme: "equal"}), indented, 0o644); err != nil {
+	if err := os.WriteFile(r1.cfg.Checkpoint.cellPath(r1.own.fp, GridCell{Mix: mix, Scheme: "equal"}), indented, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r2, col := storeRunner(t, dir)
 	for i := 0; i < 2; i++ { // the disk hit, then the memory hit it promoted
-		got, err := r2.ResidentJSON(mix, "equal")
+		got, err := r2.ResidentJSON(GridCell{Mix: mix, Scheme: "equal"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -572,7 +572,7 @@ func TestRunCellsRepeatedCellIsOneJob(t *testing.T) {
 	cells := []GridCell{{Mix: mix, Scheme: "equal"}, {Mix: mix, Scheme: "square-root"}, {Mix: mix, Scheme: "equal"}}
 	var mu sync.Mutex
 	calls := map[int]int{}
-	runs, err := r.runCells(context.Background(), cells, func(ci int, _ *MixRun) {
+	runs, err := r.RunCells(context.Background(), cells, func(ci int, _ *MixRun) {
 		mu.Lock()
 		calls[ci]++
 		mu.Unlock()

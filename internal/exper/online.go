@@ -22,7 +22,7 @@ import (
 // Values the objectives over the measurement window under the converged
 // partitioning.
 func (r *Runner) RunOnline(mix workload.Mix, scheme string, epochCycles int64, epochs int) (*MixRun, error) {
-	return r.lookup(GridCell{Mix: mix, Scheme: onlinePrefix + scheme, Epoch: epochCycles, Epochs: epochs}, true)
+	return r.lookup(r.own, GridCell{Mix: mix, Scheme: onlinePrefix + scheme, Epoch: epochCycles, Epochs: epochs}, true)
 }
 
 // runEpochs is an online cell's settle window. The first epoch runs

@@ -163,64 +163,65 @@ func (r *Runner) baseCtx() context.Context {
 // controller policy from the registry (Scheme: NoPartitioning, a core
 // scheme, a heuristic scheduler, fr-fcfs, a share-taking policy, or a core
 // scheme run online), with an explicit share vector exactly when the policy
-// takes one, and Epochs epochs of Epoch cycles exactly when it is online.
-// Every windowed run — a sweep's grid point or a study's configuration — is
-// a cell, so it is memoized, checkpointed, and forks its mix's warm base.
+// takes one and Epochs epochs of Epoch cycles exactly when it is online, on
+// a System. Every windowed run — a sweep's grid point or a study's
+// configuration — is a cell: memoized, checkpointed, forked from a warm base.
 type GridCell struct {
 	Mix    workload.Mix
 	Scheme string
 	Shares []float64
 	Epoch  int64
 	Epochs int
+	System System
 }
 
 // Grid expands mixes x schemes in row-major (mix-major) order.
-func Grid(mixes []workload.Mix, schemes []string) []GridCell {
+func Grid(mixes []workload.Mix, schemes []string) []GridCell { return System{}.Grid(mixes, schemes) }
+
+// Grid is Grid with every cell on s.
+func (s System) Grid(mixes []workload.Mix, schemes []string) []GridCell {
 	cells := make([]GridCell, 0, len(mixes)*len(schemes))
 	for _, mix := range mixes {
 		for _, scheme := range schemes {
-			cells = append(cells, GridCell{Mix: mix, Scheme: scheme})
+			cells = append(cells, GridCell{Mix: mix, Scheme: scheme, System: s})
 		}
 	}
 	return cells
 }
 
-// RunGrid is the experiment engine's sweep entry point: RunGridEach without a
-// per-cell callback. Its runs are shared as RunMix's are: never modify one.
+// RunGrid is the experiment engine's sweep entry point: RunCells over
+// Grid(mixes, schemes) without a per-cell callback. Its runs are shared as
+// RunMix's are: never modify one.
 func (r *Runner) RunGrid(ctx context.Context, mixes []workload.Mix, schemes []string) ([]*MixRun, error) {
-	return r.RunGridEach(ctx, mixes, schemes, nil)
+	return r.RunCells(ctx, Grid(mixes, schemes), nil)
 }
 
-// RunGridEach resolves every cell of Grid(mixes, schemes) through runCells.
-// each, when non-nil, is called exactly once per delivered cell with the
-// cell's index in the grid, from whichever goroutine resolved it (the caller
-// for a resident cell, a pool worker for a simulated one), so it must be safe
-// for concurrent use. It is never called for a failed cell, nor after
-// RunGridEach returns. Results arrive in deterministic row-major order
-// matching Grid(mixes, schemes), each shared as RunMix's are: never modify
-// one. ctx cancels the sweep between simulations.
-func (r *Runner) RunGridEach(ctx context.Context, mixes []workload.Mix, schemes []string, each func(cell int, run *MixRun)) ([]*MixRun, error) {
-	return r.runCells(ctx, Grid(mixes, schemes), each)
+// base is a mix on a resolved system: a warm base's identity.
+type base struct {
+	on  *system
+	mix workload.Mix
 }
 
-// runCells resolves every cell, in order, each taking the same lookup order
-// as RunMix (see Runner.lookup). A first pass resolves the resident
-// cells — memory or disk tier — on the calling goroutine, so a batch that is
-// entirely resident profiles, pins, forks, and dispatches nothing, and a batch
-// with a cell the first pass rejects (an unknown policy, say) fails before
-// anything is simulated, naming its lowest-index such cell. Only the cells
-// that are not resident are simulated: cells sharing a mix share one warm
-// base from the prepared-mix registry, and finished cells persist through
-// Config.Checkpoint. They are dispatched in mix-groups no larger than the
-// registry's warm-base capacity: each group's bases are prepared in parallel
-// and pinned, the group's cells — across all of its mixes — fork and measure
-// in parallel, then the pins drop. So a thousand-mix sweep holds a bounded
-// number of warm systems while still keeping every worker busy. A cell the
+// RunCells resolves every cell, in order, each taking RunMix's lookup order;
+// its runs are shared as RunMix's are: never modify one. ctx cancels the
+// batch between simulations. each, when non-nil, is called exactly once per
+// delivered cell with its index, from whichever goroutine resolved it, so it
+// must be safe for concurrent use; never for a failed cell, nor after
+// RunCells returns.
+//
+// A first pass resolves the resident cells — memory or disk tier — on the
+// calling goroutine, so an all-resident batch profiles, pins, forks, and
+// dispatches nothing, and a batch with a cell the first pass rejects (an
+// unknown policy or System) fails before anything is simulated, naming its
+// lowest-index such cell. The other cells are simulated in groups of warm
+// bases — one per (system, mix) — within the registry's bound (or one base):
+// each group's bases are prepared in parallel and pinned, its cells fork and
+// measure in parallel, then the pins drop, so a thousand-mix sweep holds a
+// bounded number of warm systems while keeping every worker busy. A cell the
 // batch repeats (by cellKey) is one job: its later indices get what the first
-// resolves (relabeled for an aliased mix), each counted as coalesced onto it —
-// unless the runner memoizes no cell (NoMemoize or a tracer), where every
-// index runs. each is RunGridEach's callback, with indices into cells.
-func (r *Runner) runCells(ctx context.Context, cells []GridCell, each func(cell int, run *MixRun)) ([]*MixRun, error) {
+// resolves (relabeled for an aliased mix), each counted as coalesced onto it
+// — unless the runner memoizes no cell, where every index runs.
+func (r *Runner) RunCells(ctx context.Context, cells []GridCell, each func(cell int, run *MixRun)) ([]*MixRun, error) {
 	results := make([]*MixRun, len(cells))
 	deliver := func(ci int, run *MixRun) {
 		results[ci] = run
@@ -228,25 +229,33 @@ func (r *Runner) runCells(ctx context.Context, cells []GridCell, each func(cell 
 			each(ci, run)
 		}
 	}
-	var missing []int
+	type pending struct { // a missing cell and its resolved System
+		ci int
+		on *system
+	}
+	var missing []pending
 	var firstErr error
 	first := make(map[string]int)  // cellKey -> its first missing index
 	repeats := make(map[int][]int) // first missing index -> later ones
 	for i, c := range cells {
-		run, err := r.lookup(c, false)
+		on, err := r.system(c.System)
+		var run *MixRun
+		if err == nil {
+			run, err = r.lookup(on, c, false)
+		}
 		switch {
 		case err == nil:
 			deliver(i, run)
 		case errors.Is(err, errNotResident):
 			if r.cache != nil {
-				key := cellKey(r.fp, c)
+				key := cellKey(on.fp, c)
 				if f, ok := first[key]; ok {
 					repeats[f] = append(repeats[f], i)
 					break
 				}
 				first[key] = i
 			}
-			missing = append(missing, i)
+			missing = append(missing, pending{i, on})
 		case firstErr == nil:
 			firstErr = fmt.Errorf("cell %d (%s/%s): %w", i, c.Mix.Name, c.Scheme, err)
 		}
@@ -258,32 +267,29 @@ func (r *Runner) runCells(ctx context.Context, cells []GridCell, each func(cell 
 		return results, nil
 	}
 
-	// Only mixes with missing cells need alone profiles and a warmed base.
-	var needMixes []workload.Mix
-	byMix := make(map[string][]int) // mixKey -> missing cell indices
-	for _, ci := range missing {
-		key := mixKey(cells[ci].Mix)
-		if byMix[key] == nil {
-			needMixes = append(needMixes, cells[ci].Mix)
+	// Only bases with missing cells need alone profiles and warming.
+	var bases []base
+	byBase := make(map[string][]pending) // baseKey -> missing cells
+	for _, m := range missing {
+		b := base{m.on, cells[m.ci].Mix}
+		key := baseKey(b.on, b.mix)
+		if byBase[key] == nil {
+			bases = append(bases, b)
 		}
-		byMix[key] = append(byMix[key], ci)
+		byBase[key] = append(byBase[key], m)
 	}
-	var benchmarks []string
-	for _, mix := range needMixes {
-		benchmarks = append(benchmarks, mix.Benchmarks...)
-	}
-	if err := r.warmAloneCache(ctx, benchmarks); err != nil {
+	if err := r.warmAloneCache(ctx, bases); err != nil {
 		return nil, err
 	}
 
-	measure := func(ci int) error {
-		c := cells[ci]
-		run, err := r.lookup(c, true)
+	measure := func(m pending) error {
+		c := cells[m.ci]
+		run, err := r.lookup(m.on, c, true)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", c.Mix.Name, c.Scheme, err)
 		}
-		deliver(ci, run)
-		for _, ri := range repeats[ci] {
+		deliver(m.ci, run)
+		for _, ri := range repeats[m.ci] {
 			r.cfg.Obs.Add(obs.CellCoalesced, 1)
 			deliver(ri, relabel(run, cells[ri].Mix))
 		}
@@ -297,17 +303,20 @@ func (r *Runner) runCells(ctx context.Context, cells []GridCell, each func(cell 
 		})
 	}
 
-	groupSize := int(r.prepared.bound)
-	for start := 0; start < len(needMixes); start += groupSize {
-		group := needMixes[start:min(start+groupSize, len(needMixes))]
+	for start, end := 0, 0; start < len(bases); start = end {
+		// A group is as many bases as the registry's bound holds, at least one.
+		for cost := int64(0); end == start || (end < len(bases) && cost+baseCost(bases[end].mix) <= r.prepared.bound); end++ {
+			cost += baseCost(bases[end].mix)
+		}
+		group := bases[start:end]
 
 		// Pin (and prepare, first time) the group's warm bases in parallel,
 		// so the group's cells never race to re-warm an evicted base.
 		releases := make([]func(), len(group))
 		err := runJobs(ctx, r.parallelism(), nil, len(group), func(k int) error {
-			_, release, err := r.prepared.acquire(group[k])
+			_, release, err := r.prepared.acquire(group[k].on, group[k].mix)
 			if err != nil {
-				return fmt.Errorf("%s: %w", group[k].Name, err)
+				return fmt.Errorf("%s: %w", group[k].mix.Name, err)
 			}
 			releases[k] = release
 			return nil
@@ -324,9 +333,9 @@ func (r *Runner) runCells(ctx context.Context, cells []GridCell, each func(cell 
 			return nil, err
 		}
 
-		var groupCells []int
-		for _, mix := range group {
-			groupCells = append(groupCells, byMix[mixKey(mix)]...)
+		var groupCells []pending
+		for _, b := range group {
+			groupCells = append(groupCells, byBase[baseKey(b.on, b.mix)]...)
 		}
 		err = runJobs(ctx, r.parallelism(), r.cfg.Obs, len(groupCells), func(k int) error {
 			return measure(groupCells[k])
@@ -339,21 +348,27 @@ func (r *Runner) runCells(ctx context.Context, cells []GridCell, each func(cell 
 	return results, nil
 }
 
-// warmAloneCache profiles the named benchmarks concurrently, skipping
-// duplicates. Alone is already single-flight and a profiled benchmark is a
-// hit, so this is purely a fan-out: after it returns, later lookups are memo
-// reads.
-func (r *Runner) warmAloneCache(ctx context.Context, benchmarks []string) error {
-	seen := map[string]bool{}
-	var names []string
-	for _, b := range benchmarks {
-		if !seen[b] {
-			seen[b] = true
-			names = append(names, b)
+// warmAloneCache profiles the benchmarks of every base on its system
+// concurrently, skipping duplicates. Alone is already single-flight and a
+// profiled benchmark is a hit, so this is purely a fan-out: after it returns,
+// later lookups are memo reads.
+func (r *Runner) warmAloneCache(ctx context.Context, bases []base) error {
+	type profile struct {
+		on   *system
+		name string
+	}
+	seen := map[profile]bool{}
+	var todo []profile
+	for _, b := range bases {
+		for _, name := range b.mix.Benchmarks {
+			if p := (profile{b.on, name}); !seen[p] {
+				seen[p] = true
+				todo = append(todo, p)
+			}
 		}
 	}
-	return runJobs(ctx, r.parallelism(), nil, len(names), func(i int) error {
-		_, err := r.Alone(names[i])
+	return runJobs(ctx, r.parallelism(), nil, len(todo), func(i int) error {
+		_, err := r.aloneOn(todo[i].on, todo[i].name)
 		return err
 	})
 }

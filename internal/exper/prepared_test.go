@@ -81,7 +81,7 @@ func TestPreparedRegistryHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				p, release, err := r.prepared.acquire(mixes[(w+i)%len(mixes)])
+				p, release, err := r.prepared.acquire(r.own, mixes[(w+i)%len(mixes)])
 				if err != nil {
 					t.Error(err)
 					return

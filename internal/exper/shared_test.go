@@ -40,13 +40,13 @@ func TestCacheOwnsItsCells(t *testing.T) {
 		return GridCell{Mix: m, Scheme: "start-time-fair", Shares: slices.Clone(shares)}
 	}
 	caller := []GridCell{fresh()}
-	if _, err := r.runCells(context.Background(), caller, nil); err != nil {
+	if _, err := r.RunCells(context.Background(), caller, nil); err != nil {
 		t.Fatal(err)
 	}
 	caller[0].Shares[0] = 99
 	caller[0].Mix.Benchmarks[0] = "corrupted"
 
-	runs, err := r.runCells(context.Background(), []GridCell{fresh()}, nil)
+	runs, err := r.RunCells(context.Background(), []GridCell{fresh()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCacheOwnsItsCells(t *testing.T) {
 	if !slices.Equal(hit.Shares, shares) || !slices.Equal(hit.Mix.Benchmarks, mix.Benchmarks) {
 		t.Errorf("hit carries shares %v and benchmarks %v, want %v and %v", hit.Shares, hit.Mix.Benchmarks, shares, mix.Benchmarks)
 	}
-	enc, err := r.EncodeCell(hit)
+	enc, err := r.EncodeCell(fresh(), hit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSharedMastersRace(t *testing.T) {
 				}
 				var enc []byte
 				if err == nil {
-					enc, err = r.ResidentJSON(mix, "equal")
+					enc, err = r.ResidentJSON(GridCell{Mix: mix, Scheme: "equal"})
 				}
 				if err == nil && !bytes.Equal(enc, wantJSON[i]) {
 					err = errors.New(mix.Name + ": ResidentJSON differs from the master's encoding relabeled")
@@ -189,7 +189,36 @@ func TestTracedRunnerReadsNoTier(t *testing.T) {
 		t.Error("a traced RunMix of a stored cell traced no access")
 	}
 	wantCache(t, "traced RunMix", cfg.Obs, 0, 1, 0, 0)
-	if _, err := r.ResidentJSON(mix, "equal"); !errors.Is(err, errNotResident) {
+	if _, err := r.ResidentJSON(GridCell{Mix: mix, Scheme: "equal"}); !errors.Is(err, errNotResident) {
 		t.Errorf("ResidentJSON on a traced runner: %v, want errNotResident", err)
+	}
+}
+
+// TestNoMemoizeRunnerReadsNoStoredCell: the cold reference executor simulates
+// a cell that an ordinary runner left in the checkpoint store, so a
+// differential test never compares the memoized path with what it wrote.
+func TestNoMemoizeRunnerReadsNoStoredCell(t *testing.T) {
+	plain, _ := storeRunner(t, t.TempDir())
+	mix, err := workload.MixByName("hetero-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.RunMix(mix, "equal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := plain.Config() // same checkpoint store
+	cfg.Obs, cfg.Cache, cfg.NoMemoize = obs.NewCollector(), nil, true
+	cold, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cold.RunMix(mix, "equal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCache(t, "NoMemoize RunMix of a stored cell", cfg.Obs, 0, 1, 0, 0)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("the cold run of a stored cell differs from the stored one")
 	}
 }

@@ -50,11 +50,12 @@ func Studies() []Study {
 			return []*Table{v.Table()}, nil
 		}},
 		{"online", onMix("hetero-5", func(r *Runner, mix workload.Mix) (*Table, error) {
-			run, err := r.resolveOne(GridCell{Mix: mix, Scheme: onlinePrefix + "square-root", Epoch: 200_000, Epochs: 4})
+			// One RunCells batch, so that a miss is a job like a batch cell's.
+			runs, err := r.RunCells(r.baseCtx(), []GridCell{{Mix: mix, Scheme: onlinePrefix + "square-root", Epoch: 200_000, Epochs: 4}}, nil)
 			if err != nil {
 				return nil, err
 			}
-			return onlineTable(run), nil
+			return onlineTable(runs[0]), nil
 		})},
 		{"pagepolicy", func(r *Runner) ([]*Table, error) { return one(r.PagePolicyStudy(workload.HeteroMixes()[:3])) }},
 		{"enforcement", func(r *Runner) ([]*Table, error) { return one(r.EnforcementStudy(workload.HeteroMixes()[:3])) }},

@@ -63,13 +63,13 @@ func BenchmarkSweep(b *testing.B) {
 	})
 	b.Run("forked", func(b *testing.B) {
 		r, mix, schemes := benchSweepRunner(b, false)
-		apcAlone, api, _, err := r.aloneVectors(mix)
+		apcAlone, api, _, err := r.aloneVectors(r.own, mix)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p, _, err := r.prepareMix(mix)
+			p, _, err := r.prepareMix(r.own, mix)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -27,7 +27,7 @@ type Table3Result struct {
 // Table3 characterizes every benchmark alone under the runner's memory
 // configuration.
 func (r *Runner) Table3() (*Table3Result, error) {
-	if err := r.warmAloneCache(r.baseCtx(), workload.Names()); err != nil {
+	if err := r.warmAloneCache(r.baseCtx(), []base{{r.own, workload.Mix{Benchmarks: workload.Names()}}}); err != nil {
 		return nil, err
 	}
 	out := &Table3Result{}

@@ -48,7 +48,7 @@ func (r *Runner) ValidateModel(mixes []workload.Mix) (*ValidationResult, error) 
 	out := &ValidationResult{}
 	idx := 0
 	for _, mix := range mixes {
-		apcAlone, api, _, err := r.aloneVectors(mix)
+		apcAlone, api, _, err := r.aloneVectors(r.own, mix)
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,8 @@
 // Package serve turns the experiment engine into a long-lived simulation
 // service: an HTTP/JSON API in front of a bounded, client-fair job queue
-// that executes every request through one process-wide set of runners, so
-// the single-flight result cache, the refcounted warm-base registry, and
-// the standalone-profile cache are shared across requests — a repeated grid
+// that executes every request, at any bandwidth scale, through one runner, so
+// the single-flight result cache, the refcounted warm-base registry, and the
+// standalone-profile cache are shared across requests — a repeated grid
 // point from any client is a cache hit, and a new scheme over an
 // already-warmed mix forks a resident base instead of re-warming.
 //
@@ -82,8 +82,8 @@ const (
 
 // Options configures a Server.
 type Options struct {
-	// Exper is the base experiment configuration, shared by every scale's
-	// runner and honored as given except for three defaults: a nil Obs
+	// Exper is the server's experiment configuration, which every scale
+	// edits, honored as given except for three defaults: a nil Obs
 	// (the collector of every counter, exposed at /metrics) and a nil
 	// Cache are created, and a zero CacheBytes is DefaultCacheBytes
 	// (negative means unbounded). Checkpoint, when set, is the persistent
@@ -111,13 +111,10 @@ type Options struct {
 // Server is a resident simulation service. Create with New, serve with
 // Run (or mount Handler into an existing mux), stop with Drain.
 type Server struct {
-	opts  Options
-	col   *obs.Collector
-	cache *exper.ResultCache
-	queue *fairQueue
-
-	runnerMu sync.Mutex
-	runners  map[uint64]*exper.Runner // keyed by Float64bits(scale)
+	opts   Options
+	col    *obs.Collector
+	runner *exper.Runner // every scale's cells, as exper.System{Scale: scale}
+	queue  *fairQueue
 
 	jobMu    sync.Mutex
 	jobs     map[string]*job
@@ -130,9 +127,8 @@ type Server struct {
 	workers  sync.WaitGroup
 }
 
-// New validates the options, builds the scale-1 runner eagerly (so a bad
-// configuration fails at startup, not on the first request), and starts the
-// worker pool.
+// New validates the options, builds the runner (so a bad configuration fails
+// at startup, not on the first request), and starts the worker pool.
 func New(opts Options) (*Server, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = DefaultWorkers
@@ -148,9 +144,6 @@ func New(opts Options) (*Server, error) {
 	}
 	col, faults := opts.Exper.Obs, opts.Exper.Faults
 	faults.OnFire(func(faultinject.Point) { col.Add(obs.FaultsInjected, 1) })
-	if opts.Exper.Cache == nil {
-		opts.Exper.Cache = exper.NewResultCache()
-	}
 	if opts.Exper.CacheBytes == 0 {
 		opts.Exper.CacheBytes = DefaultCacheBytes
 	}
@@ -168,17 +161,17 @@ func New(opts Options) (*Server, error) {
 			log.Printf("serve: opening job journal: %v (journaling disabled, resume still replayed)", err)
 		}
 	}
+	runner, err := exper.NewRunner(opts.Exper)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		opts:    opts,
 		col:     col,
-		cache:   opts.Exper.Cache,
+		runner:  runner,
 		queue:   newFairQueue(opts.MaxQueue),
-		runners: make(map[uint64]*exper.Runner),
 		jobs:    make(map[string]*job),
 		journal: jn,
-	}
-	if _, err := s.runnerFor(1); err != nil {
-		return nil, err
 	}
 	s.replayJournal(replay)
 	s.workers.Add(opts.Workers)
@@ -233,13 +226,9 @@ func (s *Server) replayJournal(recs []journalRecord) {
 		j.state = JobInterrupted
 		j.err = "interrupted: server exited mid-job; POST /v1/jobs/" + j.id + "/retry to resume"
 		close(j.done)
-		if r, err := s.runnerFor(rec.Scale); err == nil {
-			for _, m := range mixes {
-				for _, scheme := range rec.Schemes {
-					if s.opts.Exper.Checkpoint.Has(r, m, scheme) {
-						j.cellsDone++
-					}
-				}
+		for _, c := range (exper.System{Scale: j.scale}).Grid(mixes, rec.Schemes) {
+			if s.opts.Exper.Checkpoint.Has(s.runner, c) {
+				j.cellsDone++
 			}
 		}
 		s.jobMu.Lock()
@@ -247,30 +236,6 @@ func (s *Server) replayJournal(recs []journalRecord) {
 		s.jobMu.Unlock()
 		s.finishJob(j)
 	}
-}
-
-// runnerFor returns the resident runner for one bandwidth scale, building
-// it on first use. Every runner shares the server's collector, result
-// cache, and checkpoint store; cells never collide across scales because
-// the scaled DRAM config lands in the fingerprint.
-func (s *Server) runnerFor(scale float64) (*exper.Runner, error) {
-	if !(scale > 0) || math.IsInf(scale, 0) {
-		return nil, fmt.Errorf("scale %v must be a positive finite number", scale)
-	}
-	key := math.Float64bits(scale)
-	s.runnerMu.Lock()
-	defer s.runnerMu.Unlock()
-	if r, ok := s.runners[key]; ok {
-		return r, nil
-	}
-	cfg := s.opts.Exper
-	cfg.Sim.DRAM = cfg.Sim.DRAM.ScaleBandwidth(scale)
-	r, err := exper.NewRunner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.runners[key] = r
-	return r, nil
 }
 
 // Handler returns the server's HTTP routes.
@@ -478,13 +443,13 @@ func (s *Server) newJobID() string {
 
 // validate checks a request's mix and scheme names, bandwidth scale (0 is
 // set to 1) and timeout, answering 400 for the first bad one (ok false).
-func (s *Server) validate(w http.ResponseWriter, mixNames, schemes []string, scale *float64, timeoutS float64) (mixes []workload.Mix, r *exper.Runner, timeout time.Duration, ok bool) {
+func (s *Server) validate(w http.ResponseWriter, mixNames, schemes []string, scale *float64, timeoutS float64) (mixes []workload.Mix, timeout time.Duration, ok bool) {
 	if *scale == 0 {
 		*scale = 1
 	}
 	mixes, err := resolve(mixNames, schemes)
 	if err == nil {
-		r, err = s.runnerFor(*scale)
+		_, err = s.runner.SystemConfig(exper.System{Scale: *scale})
 	}
 	if err == nil {
 		timeout, err = s.effectiveTimeout(timeoutS)
@@ -492,7 +457,7 @@ func (s *Server) validate(w http.ResponseWriter, mixNames, schemes []string, sca
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 	}
-	return mixes, r, timeout, err == nil
+	return mixes, timeout, err == nil
 }
 
 // maxGridCells caps a grid's mixes × schemes: a 1 MiB body of repeated names
@@ -539,14 +504,15 @@ func (s *Server) handleMix(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	mixes, runner, timeout, ok := s.validate(w, []string{req.Mix}, []string{req.Scheme}, &req.Scale, req.TimeoutS)
+	mixes, timeout, ok := s.validate(w, []string{req.Mix}, []string{req.Scheme}, &req.Scale, req.TimeoutS)
 	if !ok {
 		return
 	}
+	cell := exper.GridCell{Mix: mixes[0], Scheme: req.Scheme, System: exper.System{Scale: req.Scale}}
 	// A resident cell is a lookup and one Write; only a miss becomes a job.
 	// While draining there is no lookup: admit answers 503, as to any request.
 	if !s.draining.Load() {
-		if body, err := runner.ResidentJSON(mixes[0], req.Scheme); err == nil {
+		if body, err := s.runner.ResidentJSON(cell); err == nil {
 			s.col.Add(obs.ServeHits, 1)
 			w.Header().Set("Content-Type", "application/json")
 			w.Write(body)
@@ -568,7 +534,7 @@ func (s *Server) handleMix(w http.ResponseWriter, r *http.Request) {
 	snap := j.snapshot()
 	switch {
 	case snap.State == JobDone:
-		body, _ := runner.EncodeCell(snap.Results[0]) // the bytes its hits get
+		body, _ := s.runner.EncodeCell(cell, snap.Results[0]) // the bytes its hits get
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body)
 	case snap.State == JobCancelled:
@@ -585,7 +551,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	mixes, _, timeout, ok := s.validate(w, req.Mixes, req.Schemes, &req.Scale, req.TimeoutS)
+	mixes, timeout, ok := s.validate(w, req.Mixes, req.Schemes, &req.Scale, req.TimeoutS)
 	if !ok {
 		return
 	}
@@ -778,16 +744,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.jobMu.Lock()
 	resident := len(s.jobs)
 	s.jobMu.Unlock()
-	s.runnerMu.Lock()
-	runners := len(s.runners)
-	s.runnerMu.Unlock()
 	draining := 0
 	if s.draining.Load() {
 		draining = 1
 	}
 	fmt.Fprintf(w, "# HELP bwpart_serve_queue_depth Accepted jobs waiting for a worker.\n# TYPE bwpart_serve_queue_depth gauge\nbwpart_serve_queue_depth %d\n", s.queue.size())
 	fmt.Fprintf(w, "# HELP bwpart_serve_jobs_resident Jobs retained in the registry.\n# TYPE bwpart_serve_jobs_resident gauge\nbwpart_serve_jobs_resident %d\n", resident)
-	fmt.Fprintf(w, "# HELP bwpart_serve_runners Resident per-scale runners.\n# TYPE bwpart_serve_runners gauge\nbwpart_serve_runners %d\n", runners)
 	fmt.Fprintf(w, "# HELP bwpart_serve_draining Whether admission is closed for drain.\n# TYPE bwpart_serve_draining gauge\nbwpart_serve_draining %d\n", draining)
 }
 
@@ -845,7 +807,7 @@ func (s *Server) runJob(j *job) {
 }
 
 // executeJob runs one job as one engine fan-out: the whole grid goes through
-// a single RunGridEach call (shared warm bases, group pinning, result-cache
+// a single RunCells call (shared warm bases, group pinning, result-cache
 // dedup), so cells of different mixes share the workers, and cells_done rises
 // by one per delivered cell. Cancellation is honored, inside the engine,
 // between simulations. A panic anywhere in the job path — below the
@@ -861,12 +823,7 @@ func (s *Server) executeJob(ctx context.Context, j *job) {
 	if s.opts.Exper.Faults.Fire(faultinject.JobPanic) {
 		panic("injected job panic")
 	}
-	runner, err := s.runnerFor(j.scale)
-	if err != nil {
-		s.finish(j, JobFailed, err.Error(), "", nil)
-		return
-	}
-	results, err := runner.RunGridEach(ctx, j.mixes, j.scheme, func(int, *exper.MixRun) {
+	results, err := s.runner.RunCells(ctx, exper.System{Scale: j.scale}.Grid(j.mixes, j.scheme), func(int, *exper.MixRun) {
 		j.update(func() { j.cellsDone++ })
 	})
 	if err != nil {

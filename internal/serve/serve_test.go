@@ -740,7 +740,6 @@ func TestServeMetricsAndHealth(t *testing.T) {
 		"bwpart_cell_cache_misses_total",
 		"bwpart_requests_accepted_total 1",
 		"bwpart_serve_queue_depth 0",
-		"bwpart_serve_runners 1",
 		"bwpart_serve_draining 0",
 	} {
 		if !strings.Contains(string(text), want) {
@@ -1116,7 +1115,7 @@ func TestServeHitBypassesFullQueue(t *testing.T) {
 }
 
 // TestServeTakesExperConfig: the collector, cache budget and fault injector
-// set in Options.Exper are the ones the server and its runners use; only a
+// set in Options.Exper are the ones the server and its runner use; only a
 // zero budget becomes DefaultCacheBytes.
 func TestServeTakesExperConfig(t *testing.T) {
 	for _, budget := range []int64{1024, -1, 0} {
@@ -1125,15 +1124,11 @@ func TestServeTakesExperConfig(t *testing.T) {
 		cfg := faultConfig(in)
 		cfg.Obs, cfg.CacheBytes = obs.NewCollector(), budget
 		s, _ := newTestServer(t, Options{Exper: cfg})
-		r, err := s.runnerFor(1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		want := budget
 		if budget == 0 {
 			want = DefaultCacheBytes
 		}
-		got := r.Config()
+		got := s.runner.Config()
 		if got.Obs != cfg.Obs || s.Obs() != cfg.Obs {
 			t.Errorf("budget %d: the server counts into a collector of its own", budget)
 		}

@@ -354,6 +354,9 @@ func derive(rep *Report, byName map[string]*Bench) {
 	// One resident /v1/mix hit through the handler (TestHitAllocCeiling is the
 	// same call's tier-1 ceiling).
 	worst("serve_hit_allocs_per_op", allocs, func(name string) bool { return name == "BenchmarkServe/handler_hit" })
+	// One RunGrid hit per Table IV mix, more mixes than the warm-base
+	// registry holds (TestHitAllocs is a one-cell hit's tier-1 ceiling).
+	worst("rungrid_hit_allocs_per_op", allocs, func(name string) bool { return name == "BenchmarkRunGridHitWide" })
 	// The controller suite (picks, ticks, the saturated controller) is
 	// allocation-free in steady state; this is what its bench-check step gates.
 	worst("memctrl_allocs_per_op", allocs, func(name string) bool {

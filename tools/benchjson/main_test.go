@@ -122,6 +122,30 @@ func TestParseDerivesServeFigures(t *testing.T) {
 	}
 }
 
+const gridHitSample = `goos: linux
+pkg: bwpart/internal/exper
+BenchmarkRunGridHitWide-2   	       1	    300000 ns/op	    9000 B/op	      85 allocs/op
+BenchmarkRunGridHitWide-2   	       1	    280000 ns/op	    8900 B/op	      84 allocs/op
+PASS
+`
+
+// TestParseDerivesGridHitAllocs: the wide RunGrid hit's allocs/op is derived
+// from its best run and, like every allocation count, fails the gate on one
+// more allocation whatever the tolerance.
+func TestParseDerivesGridHitAllocs(t *testing.T) {
+	rep, err := parse(strings.NewReader(gridHitSample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Derived["rungrid_hit_allocs_per_op"]; got != 84 {
+		t.Fatalf("rungrid_hit_allocs_per_op = %v, want 84 (best run)", got)
+	}
+	grown := &Report{Derived: map[string]float64{"rungrid_hit_allocs_per_op": 85}}
+	if regs, _ := compare(rep, grown, 50); len(regs) != 1 || regs[0].Name != "derived/rungrid_hit_allocs_per_op" {
+		t.Errorf("regressions = %+v, want exactly derived/rungrid_hit_allocs_per_op", regs)
+	}
+}
+
 const memctrlSample = `goos: linux
 pkg: bwpart/internal/memctrl
 BenchmarkPick/fcfs-2             	 2000000	        16.20 ns/op	       0 B/op	       0 allocs/op
