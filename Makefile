@@ -16,7 +16,7 @@
 # before sending a performance-sensitive PR. Absolute ns/op are a record, not a
 # gate: compare them with bench/run.sh (interleaved pairs, medians).
 # `make loc` prints the size figures CHANGES.md and ROADMAP.md quote (package
-# sizes, checkpoint code, flags), and `make testtime` the tier-1 suite's wall
+# sizes, checkpoint code, flags, Config fields), and `make testtime` the tier-1 suite's wall
 # time per package.
 
 GO ?= go
@@ -154,8 +154,9 @@ bench:
 # they shrink beyond BENCH_TOLERANCE percent, the cell counters
 # (figures_unique_cells, figures_requested_cells) when they grow beyond it,
 # and the allocation counts (event_queue_allocs_per_op, memctrl_allocs_per_op,
-# serve_hit_allocs_per_op, rungrid_hit_allocs_per_op) and the checkpoint size
-# (snapshot_bytes_per_op) on any growth. ns/op rows, the serve _per_sec
+# serve_hit_allocs_per_op, rungrid_hit_allocs_per_op), the checkpoint size
+# (snapshot_bytes_per_op) and the figure suite's functional warmups
+# (figures_warmups: one per warm base it prepares) on any growth. ns/op rows, the serve _per_sec
 # rates and serve_warm_speedup are written to the reports by `make bench`
 # but not gated here.
 bench-check:
@@ -172,13 +173,15 @@ bench-check:
 # loc prints the size figures quoted in CHANGES.md and ROADMAP.md: non-test Go
 # lines per package outside bench/ (plain line counts, comments included) with
 # their total, the checkpoint code (the lines of every internal/*/snapshot.go),
-# and the number of flag definitions under cmd/.
+# the number of flag definitions under cmd/ and the number of exper.Config
+# fields: the knobs a caller can set without a flag.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" { sub(/^\.\//, "", $$2); sub(/\/?[^\/]*$$/, "", $$2); \
 		n[$$2 == "" ? "." : $$2] += $$1; t += $$1 } END { for (p in n) printf "%6d %s\n", n[p], p; printf "%6d total\n", t }' | sort -k2
 	@printf '%6d checkpoint code (internal/*/snapshot.go)\n' "$$(cat internal/*/snapshot.go | wc -l)"
 	@printf '%6d flags under cmd/\n' "$$(grep -rhoE 'flag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func)[A-Za-z]*\(' cmd --include='*.go' | wc -l)"
+	@printf '%6d exper.Config fields\n' "$$(awk '/^type Config struct/ { f = 1; next } f && /^}/ { f = 0 } f && /^\t[A-Za-z]/' internal/exper/exper.go | wc -l)"
 
 # testtime runs the tier-1 suite once, uncached, and prints every package's
 # wall time, slowest first, with their sum and the run's wall time: the

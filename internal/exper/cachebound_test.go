@@ -77,12 +77,7 @@ func TestResultCacheLRUBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coldCfg := memoTestConfig()
-	coldCfg.NoMemoize = true
-	cold, err := NewRunner(coldCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := coldRunner(t, memoTestConfig())
 
 	steps := []string{"equal", "square-root", "equal"}
 	for i, scheme := range steps {
@@ -90,7 +85,7 @@ func TestResultCacheLRUBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cold.RunMix(mix, scheme)
+		want, err := coldRun(cold, GridCell{Mix: mix, Scheme: scheme})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,18 +15,13 @@ import (
 // check behind the forked sweep: every cell produced by RunGrid (one warmup
 // per mix, forked per scheme, memoized) must be byte-for-byte equal — full
 // Result, objective values, profile vectors — to the same cell simulated
-// cold by the NoMemoize reference executor (its own warmup per cell).
+// cold by the oracle (its own warmup per cell).
 func TestRunGridForkedMatchesColdCells(t *testing.T) {
 	r, err := NewRunner(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldCfg := Quick()
-	coldCfg.NoMemoize = true
-	cold, err := NewRunner(coldCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := coldRunner(t, Quick())
 	mix, err := workload.MixByName("hetero-1")
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +32,7 @@ func TestRunGridForkedMatchesColdCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, scheme := range schemes {
-		want, err := cold.RunMix(mix, scheme)
+		want, err := coldRun(cold, GridCell{Mix: mix, Scheme: scheme})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,11 +80,6 @@ type Config struct {
 	// internal/faultinject). Nil (the default) makes every fault hook a
 	// one-branch no-op; production never sets this.
 	Faults *faultinject.Injector
-	// NoMemoize disables the result cache and warm-base sharing entirely:
-	// every RunMix re-warms and re-simulates from scratch, reading no stored
-	// cell (a Checkpoint still saves it). Test oracle (the cold executor the
-	// differential tests compare against); no CLI selects it.
-	NoMemoize bool
 }
 
 // Default returns the full-fidelity configuration used for the recorded
@@ -140,19 +135,18 @@ const preparedCap = 8
 
 // Runner executes experiments. Standalone profiles are memoized per
 // (benchmark, system) (single-flight, so concurrent first requests share one
-// profiling run), and unless Config.NoMemoize is set, every cell — see
-// GridCell — flows through a memoized executor: the result cache deduplicates
-// whole cells and the prepared-mix registry shares one warm base per (system,
-// mix).
+// profiling run), and every cell — see GridCell — flows through one memoized
+// executor: the result cache deduplicates whole cells and the warm bases
+// share one warmed checkpoint per (system, mix).
 type Runner struct {
 	cfg Config
 	own *system // the zero System: cfg and its fingerprint, fixed at construction
 
 	systemsMu sync.Mutex
-	systems   map[System]*system     // every other System a cell named, resolved once
+	systems   map[System]*system     // every other System a cell named, resolved once (at most systemsCap)
 	alone     memo[sim.AloneProfile] // keyed by alone fingerprint and benchmark: unbounded, cost 0
-	cache     *ResultCache           // nil iff the runner memoizes no cell: NoMemoize or a Tracer
-	prepared  *preparedRegistry      // nil iff NoMemoize
+	bases     memo[*preparedMix]     // warm bases, keyed by baseKey: see acquire
+	cache     *ResultCache           // nil iff the runner has a Tracer: it memoizes no cell
 }
 
 // NewRunner builds a Runner over cfg.
@@ -161,20 +155,23 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, err
 	}
 	cfg.Sim.Seed = cfg.Seed
-	r := &Runner{systems: make(map[System]*system), alone: newMemo[sim.AloneProfile](0, nil)}
-	if !cfg.NoMemoize {
-		if cfg.Cache == nil {
-			cfg.Cache = NewResultCache()
-		}
-		if cfg.CacheBytes > 0 {
-			cfg.Cache.SetMaxBytes(cfg.CacheBytes)
-		}
-		if cfg.Tracer == nil { // a resolved cell would skip the trace asked for
-			r.cache = cfg.Cache
-		}
-		r.prepared = newPreparedRegistry(r)
+	if cfg.Cache == nil {
+		cfg.Cache = NewResultCache()
 	}
-	r.cfg, r.own = cfg, newSystem(cfg) // with its Cache, which a runner built from Config() shares
+	if cfg.CacheBytes > 0 {
+		cfg.Cache.SetMaxBytes(cfg.CacheBytes)
+	}
+	r := &Runner{
+		cfg: cfg, own: newSystem(cfg), // with its Cache, which a runner built from Config() shares
+		systems: make(map[System]*system),
+		alone:   newMemo[sim.AloneProfile](0, nil),
+		bases: newMemo[*preparedMix](preparedCap, func(col *obs.Collector, evicted, _ int64) {
+			col.Add(obs.PreparedEvictions, evicted)
+		}),
+	}
+	if cfg.Tracer == nil { // a resolved cell would skip the trace asked for
+		r.cache = cfg.Cache
+	}
 	cfg.Checkpoint.attach(cfg.Obs, cfg.Faults)
 	return r, nil
 }
@@ -289,34 +286,32 @@ type preparedMix struct {
 }
 
 // prepareMix builds the mix's simulated system on on, runs the functional
-// warmup, and snapshots the warmed state. The system is returned too, sitting
-// exactly at the checkpoint: the unmemoized executor measures on it, the
-// registry drops it.
-func (r *Runner) prepareMix(on *system, mix workload.Mix) (*preparedMix, *sim.System, error) {
+// warmup, and snapshots the warmed state; the warmed system is dropped.
+func (r *Runner) prepareMix(on *system, mix workload.Mix) (*preparedMix, error) {
 	profs, err := mix.Profiles()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sys, err := sim.New(on.cfg.Sim, profs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	stop := r.cfg.Obs.StageStart(obs.StageWarmup)
 	sys.Warmup()
 	stop()
 	cp, err := sys.Snapshot()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &preparedMix{on: on, profs: profs, cp: cp}, sys, nil
+	return &preparedMix{on: on, profs: profs, cp: cp}, nil
 }
 
 // forkPrepared builds a system from p's warm checkpoint: its caches from
 // their saved lines and counters, its streams from their saved states,
 // everything else new. It reads only p's immutable parts, so any number of
 // cells can fork one prepared mix concurrently (forked runs are
-// bit-identical to cold runs; the differential tests in this package enforce
-// it).
+// bit-identical to cold runs; the differential tests in this package check
+// it against the cold oracle).
 func (r *Runner) forkPrepared(p *preparedMix) (*sim.System, error) {
 	return sim.FromCheckpoint(p.on.cfg.Sim, p.profs, p.cp)
 }
@@ -360,41 +355,11 @@ func (r *Runner) measure(sys *sim.System, pol policy, a policyArgs) (sim.Result,
 	return sys.Results(), est, nil
 }
 
-// runConfigured measures one cell from its mix's warmed state: pol installs
-// the cell's controller configuration and measure runs. When memoizing, the
-// system is a new one built from the mix's shared warm checkpoint, whose
-// base stays pinned against LRU eviction for the duration; it is garbage once
-// measured. Under NoMemoize a private system is built and warmed for this one
-// run: the reference executor the differential tests compare every memoized
-// path against.
-func (r *Runner) runConfigured(on *system, pol policy, a policyArgs) (sim.Result, []float64, error) {
-	var p *preparedMix
-	var sys *sim.System
-	var err error
-	if r.prepared == nil {
-		p, sys, err = r.prepareMix(on, a.cell.Mix)
-	} else {
-		var release func()
-		if p, release, err = r.prepared.acquire(on, a.cell.Mix); err != nil {
-			return sim.Result{}, nil, err
-		}
-		defer release()
-		r.cfg.Obs.Add(obs.WarmForks, 1)
-		sys, err = r.forkPrepared(p)
-	}
-	if err == nil {
-		a.profs = p.profs
-		err = pol.apply(sys, a)
-	}
-	if err != nil {
-		return sim.Result{}, nil, err
-	}
-	return r.measure(sys, pol, a)
-}
-
 // runCell simulates one cell on on and evaluates all four objectives on the
-// measured IPCs. The run is the cell's master, handed out as it is, so it
-// copies the two slices it takes from c and is never written once built.
+// measured IPCs: a new system is built from the mix's shared warm checkpoint,
+// whose base stays pinned against LRU eviction for the duration, pol installs
+// the cell's controller configuration on it and measure runs; the system is
+// garbage once measured.
 func (r *Runner) runCell(on *system, c GridCell) (*MixRun, error) {
 	pol, err := policyFor(c)
 	if err != nil {
@@ -404,10 +369,33 @@ func (r *Runner) runCell(on *system, c GridCell) (*MixRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, est, err := r.runConfigured(on, pol, policyArgs{cell: c, apcAlone: apcAlone, api: api, seed: on.cfg.Seed})
+	p, release, err := r.acquire(on, c.Mix)
 	if err != nil {
 		return nil, err
 	}
+	defer release()
+	r.cfg.Obs.Add(obs.WarmForks, 1)
+	sys, err := r.forkPrepared(p)
+	if err != nil {
+		return nil, err
+	}
+	a := policyArgs{cell: c, profs: p.profs, apcAlone: apcAlone, api: api, seed: on.cfg.Seed}
+	if err := pol.apply(sys, a); err != nil {
+		return nil, err
+	}
+	res, est, err := r.measure(sys, pol, a)
+	if err != nil {
+		return nil, err
+	}
+	return newMixRun(a, ipcAlone, res, est)
+}
+
+// newMixRun is the cell a.cell measured as res (and, online, est) with all
+// four objectives evaluated on the measured IPCs. The run is the cell's
+// master, handed out as it is, so it copies the two slices it takes from the
+// cell and is never written once built.
+func newMixRun(a policyArgs, ipcAlone []float64, res sim.Result, est []float64) (*MixRun, error) {
+	c := a.cell
 	mix := c.Mix
 	mix.Benchmarks = slices.Clone(mix.Benchmarks)
 	run := &MixRun{
@@ -417,9 +405,9 @@ func (r *Runner) runCell(on *system, c GridCell) (*MixRun, error) {
 		Epoch:             c.Epoch,
 		Epochs:            c.Epochs,
 		IPCAlone:          ipcAlone,
-		APCAlone:          apcAlone,
+		APCAlone:          a.apcAlone,
 		EstimatedAPCAlone: est,
-		API:               api,
+		API:               a.api,
 		Result:            res,
 		Values:            make(map[metrics.Objective]float64, 4),
 	}
@@ -436,11 +424,11 @@ func (r *Runner) runCell(on *system, c GridCell) (*MixRun, error) {
 
 // RunMix resolves one mix under one policy — any CheckPolicy accepts:
 // NoPartitioning, a core scheme, a heuristic scheduler or fr-fcfs — and
-// evaluates all four objectives. Unless the runner was built with NoMemoize
-// or a Tracer, an identical cell already resolved (by any entry point sharing
-// the cache) is returned shared, never to be modified, a concurrent identical
-// request joins the in-flight one, and a fresh cell is measured from the
-// mix's shared warm checkpoint.
+// evaluates all four objectives. Unless the runner has a Tracer, an identical
+// cell already resolved (by any entry point sharing the cache) is returned
+// shared, never to be modified, and a concurrent identical request joins the
+// in-flight one; a fresh cell is measured from the mix's shared warm
+// checkpoint.
 func (r *Runner) RunMix(mix workload.Mix, scheme string) (*MixRun, error) {
 	return r.lookup(r.own, GridCell{Mix: mix, Scheme: scheme}, true)
 }
@@ -451,10 +439,9 @@ func (r *Runner) RunMix(mix workload.Mix, scheme string) (*MixRun, error) {
 // cache, then the on-disk checkpoint store (a disk hit is promoted into the
 // cache under the cell's single-flight key), then — only when simulate is set
 // — a real simulation. Without simulate a cell in neither tier fails with
-// errNotResident and nothing is profiled, warmed, or forked. A runner that
-// memoizes no cell (NoMemoize or a tracer) reads neither tier, which would
-// not give the cold reference or the trace asked for, but saves what it
-// simulates.
+// errNotResident and nothing is profiled, warmed, or forked. A runner with a
+// tracer memoizes no cell and reads neither tier, which would not give the
+// trace asked for, but saves what it simulates.
 func (r *Runner) lookup(on *system, c GridCell, simulate bool) (*MixRun, error) {
 	if _, err := policyFor(c); err != nil {
 		return nil, err
@@ -496,7 +483,7 @@ func relabel(run *MixRun, mix workload.Mix) *MixRun {
 // ResidentJSON is encodeRun of what RunMix would return for a resident cell:
 // its stored bytes from memory or, promoting it, from disk — never waiting on
 // a cell in flight or simulating. Any other cell fails, as does every cell of
-// a runner that memoizes no cell (NoMemoize or a Tracer).
+// a runner with a Tracer, which memoizes no cell.
 func (r *Runner) ResidentJSON(c GridCell) ([]byte, error) {
 	return r.residentJSON(c, r.cfg.Obs, r.cfg.Checkpoint)
 }

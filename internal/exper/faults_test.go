@@ -187,7 +187,7 @@ func TestFigure4CellPanic(t *testing.T) {
 	}
 	_, err = r.RunCells(context.Background(), cells, nil)
 	check(err)
-	if entries, pins := r.prepared.held(); entries != len(scaled) || pins != 0 {
+	if entries, pins := r.basesHeld(); entries != len(scaled) || pins != 0 {
 		t.Fatalf("failed grid left %d entries with %d pins, want %d and 0", entries, pins, len(scaled))
 	}
 	in.DisarmAll()

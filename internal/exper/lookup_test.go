@@ -221,15 +221,10 @@ func TestRunGridHitsLeaveWarmBasesAlone(t *testing.T) {
 }
 
 // TestResidentMatchesSimulated: whichever tier answers — memory, disk, or
-// either one through an aliased mix — the cell equals the cold reference
-// run of the requested mix, labels included.
+// either one through an aliased mix — the cell equals the cold oracle's run
+// of the requested mix, labels included.
 func TestResidentMatchesSimulated(t *testing.T) {
-	coldCfg := memoTestConfig()
-	coldCfg.NoMemoize = true
-	cold, err := NewRunner(coldCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := coldRunner(t, memoTestConfig())
 	hetero5, err := workload.MixByName("hetero-5")
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +232,7 @@ func TestResidentMatchesSimulated(t *testing.T) {
 	motivation := workload.MotivationMix()
 	want := map[string]*MixRun{}
 	for _, mix := range []workload.Mix{hetero5, motivation} {
-		if want[mix.Name], err = cold.RunMix(mix, "equal"); err != nil {
+		if want[mix.Name], err = coldRun(cold, GridCell{Mix: mix, Scheme: "equal"}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -141,13 +141,8 @@ func TestPreparedLRUEvictionRewarms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.prepared.setCap(1)
-	coldCfg := memoTestConfig()
-	coldCfg.NoMemoize = true
-	cold, err := NewRunner(coldCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r.setBaseCap(1)
+	cold := coldRunner(t, cfg)
 	mixA, err := workload.MixByName("hetero-1")
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +164,7 @@ func TestPreparedLRUEvictionRewarms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cold.RunMix(st.mix, st.scheme)
+		want, err := coldRun(cold, GridCell{Mix: st.mix, Scheme: st.scheme})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,8 +183,9 @@ func TestPreparedLRUEvictionRewarms(t *testing.T) {
 
 // TestFigureSuiteMemoizedMatchesCold is the full-figures differential: one
 // memoized runner producing Figure 1, Figure 2, and Figure 3 back to back —
-// cells shared across figures deduplicated, bases shared within mixes —
-// must reproduce exactly what independent cold runs produce.
+// cells shared across figures deduplicated, bases shared within mixes — must
+// hold in its result cache exactly what the cold oracle measures for each
+// cell.
 func TestFigureSuiteMemoizedMatchesCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure suite differential")
@@ -200,51 +196,22 @@ func TestFigureSuiteMemoizedMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldCfg := memoTestConfig()
-	coldCfg.NoMemoize = true
-	cold, err := NewRunner(coldCfg)
-	if err != nil {
+	if _, err := warm.Figure1(); err != nil {
 		t.Fatal(err)
 	}
-
-	wf1, err := warm.Figure1()
-	if err != nil {
+	if _, err := warm.Figure2(); err != nil {
 		t.Fatal(err)
 	}
-	wf2, err := warm.Figure2()
-	if err != nil {
+	if _, err := warm.Figure3(); err != nil {
 		t.Fatal(err)
 	}
-	wf3, err := warm.Figure3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf1, err := cold.Figure1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf2, err := cold.Figure2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf3, err := cold.Figure3()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(wf1, cf1) {
-		t.Errorf("Figure1 memoized diverges from cold:\nmemo: %s\ncold: %s", wf1, cf1)
-	}
-	if !reflect.DeepEqual(wf2, cf2) {
-		t.Errorf("Figure2 memoized diverges from cold:\nmemo: %s\ncold: %s", wf2, cf2)
-	}
-	if !reflect.DeepEqual(wf3, cf3) {
-		t.Errorf("Figure3 memoized diverges from cold:\nmemo: %s\ncold: %s", wf3, cf3)
+	s := cfg.Obs.Snapshot()
+	if n := checkCachedMatchCold(t, warm); int64(n) != s.Cache.Misses {
+		t.Errorf("checked %d cached cells, want the %d the suite simulated", n, s.Cache.Misses)
 	}
 
 	// The suite shares cells across figures (Figure 1's mix and Figure 3's
 	// baselines reappear in Figure 2's grid), so dedup must have happened.
-	s := cfg.Obs.Snapshot()
 	if s.Cache.Hits == 0 {
 		t.Errorf("figure suite recorded no cache hits: %+v", s.Cache)
 	}
@@ -256,37 +223,27 @@ func TestFigureSuiteMemoizedMatchesCold(t *testing.T) {
 
 // TestHeuristicsSharedBaseMatchesCold pins the heuristic path (explicit
 // scheduler installed on a fork of the shared warm base) and an online cell
-// (its epoch loop run on such a fork) against the cold reference executor,
-// which warms a system of its own per cell.
+// (its epoch loop run on such a fork) against the cold oracle, which warms a
+// system of its own per cell.
 func TestHeuristicsSharedBaseMatchesCold(t *testing.T) {
 	cfg := memoTestConfig()
+	cfg.Obs = obs.NewCollector()
 	warm, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldCfg := memoTestConfig()
-	coldCfg.NoMemoize = true
-	cold, err := NewRunner(coldCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mixes := workload.HeteroMixes()[:1]
-	wh, err := warm.RunHeuristics(mixes)
-	if err != nil {
+	if _, err := warm.RunHeuristics(mixes); err != nil {
 		t.Fatal(err)
 	}
-	ch, err := cold.RunHeuristics(mixes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wh, ch) {
-		t.Errorf("heuristic study on shared warm bases diverges from cold:\nmemo: %s\ncold: %s", wh, ch)
+	if n, sims := checkCachedMatchCold(t, warm), cfg.Obs.Snapshot().Cache.Misses; n == 0 || int64(n) != sims {
+		t.Errorf("checked %d cached cells, want the %d the heuristic study simulated", n, sims)
 	}
 	wo, err := warm.RunOnline(mixes[0], "square-root", 40_000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := cold.RunOnline(mixes[0], "square-root", 40_000, 3)
+	co, err := coldRun(coldRunner(t, cfg), GridCell{Mix: mixes[0], Scheme: onlinePrefix + "square-root", Epoch: 40_000, Epochs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

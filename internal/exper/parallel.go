@@ -220,7 +220,7 @@ type base struct {
 // bounded number of warm systems while keeping every worker busy. A cell the
 // batch repeats (by cellKey) is one job: its later indices get what the first
 // resolves (relabeled for an aliased mix), each counted as coalesced onto it
-// — unless the runner memoizes no cell, where every index runs.
+// — unless the runner has a Tracer and memoizes no cell: then every index runs.
 func (r *Runner) RunCells(ctx context.Context, cells []GridCell, each func(cell int, run *MixRun)) ([]*MixRun, error) {
 	results := make([]*MixRun, len(cells))
 	deliver := func(ci int, run *MixRun) {
@@ -296,16 +296,9 @@ func (r *Runner) RunCells(ctx context.Context, cells []GridCell, each func(cell 
 		return nil
 	}
 
-	if r.prepared == nil {
-		// Reference executor: every missing cell runs cold, fanned out flat.
-		return results, runJobs(ctx, r.parallelism(), r.cfg.Obs, len(missing), func(k int) error {
-			return measure(missing[k])
-		})
-	}
-
 	for start, end := 0, 0; start < len(bases); start = end {
 		// A group is as many bases as the registry's bound holds, at least one.
-		for cost := int64(0); end == start || (end < len(bases) && cost+baseCost(bases[end].mix) <= r.prepared.bound); end++ {
+		for cost := int64(0); end == start || (end < len(bases) && cost+baseCost(bases[end].mix) <= r.bases.bound); end++ {
 			cost += baseCost(bases[end].mix)
 		}
 		group := bases[start:end]
@@ -314,7 +307,7 @@ func (r *Runner) RunCells(ctx context.Context, cells []GridCell, each func(cell 
 		// so the group's cells never race to re-warm an evicted base.
 		releases := make([]func(), len(group))
 		err := runJobs(ctx, r.parallelism(), nil, len(group), func(k int) error {
-			_, release, err := r.prepared.acquire(group[k].on, group[k].mix)
+			_, release, err := r.acquire(group[k].on, group[k].mix)
 			if err != nil {
 				return fmt.Errorf("%s: %w", group[k].mix.Name, err)
 			}

@@ -10,19 +10,19 @@ import (
 	"bwpart/internal/workload"
 )
 
-// setCap overrides the warm-base LRU bound (preparedCap in production) so a
-// test can force evictions with two or three mixes.
-func (g *preparedRegistry) setCap(n int) { g.trim(int64(n), g.r.cfg.Obs) }
+// setBaseCap overrides the warm-base LRU bound (preparedCap in production) so
+// a test can force evictions with two or three mixes.
+func (r *Runner) setBaseCap(n int) { r.bases.trim(int64(n), r.cfg.Obs) }
 
-// held counts what the registry retains: entries (one checkpoint each, and
-// nothing else) and outstanding pins.
-func (g *preparedRegistry) held() (entries, pins int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, e := range g.entries {
+// basesHeld counts what the warm bases retain: entries (one checkpoint each,
+// and nothing else) and outstanding pins.
+func (r *Runner) basesHeld() (entries, pins int) {
+	r.bases.mu.Lock()
+	defer r.bases.mu.Unlock()
+	for _, e := range r.bases.entries {
 		pins += e.pins
 	}
-	return len(g.entries), pins
+	return len(r.bases.entries), pins
 }
 
 // TestPreparedRegistryBound pins the registry's memory contract on the grid
@@ -42,7 +42,7 @@ func TestPreparedRegistryBound(t *testing.T) {
 	if _, err := r.RunGrid(context.Background(), mixes, schemes); err != nil {
 		t.Fatal(err)
 	}
-	if entries, pins := r.prepared.held(); entries != preparedCap || pins != 0 {
+	if entries, pins := r.basesHeld(); entries != preparedCap || pins != 0 {
 		t.Errorf("registry holds %d entries with %d pins, want %d and 0", entries, pins, preparedCap)
 	}
 	s := cfg.Obs.Snapshot()
@@ -71,7 +71,7 @@ func TestPreparedRegistryHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	const capacity = 2
-	r.prepared.setCap(capacity)
+	r.setBaseCap(capacity)
 	mixes := workload.HeteroMixes()[:3]
 	var mu sync.Mutex
 	inHand := map[*sim.System]bool{}
@@ -81,7 +81,7 @@ func TestPreparedRegistryHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				p, release, err := r.prepared.acquire(r.own, mixes[(w+i)%len(mixes)])
+				p, release, err := r.acquire(r.own, mixes[(w+i)%len(mixes)])
 				if err != nil {
 					t.Error(err)
 					return
@@ -110,7 +110,7 @@ func TestPreparedRegistryHammer(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if entries, pins := r.prepared.held(); entries > capacity || pins != 0 {
+	if entries, pins := r.basesHeld(); entries > capacity || pins != 0 {
 		t.Errorf("registry holds %d entries with %d pins; want at most %d and 0", entries, pins, capacity)
 	}
 	if cfg.Obs.Snapshot().Cache.PreparedEvictions == 0 {

@@ -193,32 +193,3 @@ func TestTracedRunnerReadsNoTier(t *testing.T) {
 		t.Errorf("ResidentJSON on a traced runner: %v, want errNotResident", err)
 	}
 }
-
-// TestNoMemoizeRunnerReadsNoStoredCell: the cold reference executor simulates
-// a cell that an ordinary runner left in the checkpoint store, so a
-// differential test never compares the memoized path with what it wrote.
-func TestNoMemoizeRunnerReadsNoStoredCell(t *testing.T) {
-	plain, _ := storeRunner(t, t.TempDir())
-	mix, err := workload.MixByName("hetero-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plain.RunMix(mix, "equal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := plain.Config() // same checkpoint store
-	cfg.Obs, cfg.Cache, cfg.NoMemoize = obs.NewCollector(), nil, true
-	cold, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cold.RunMix(mix, "equal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCache(t, "NoMemoize RunMix of a stored cell", cfg.Obs, 0, 1, 0, 0)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("the cold run of a stored cell differs from the stored one")
-	}
-}

@@ -22,14 +22,12 @@ func benchSweepConfig() Config {
 }
 
 // benchSweepRunner builds a runner with the alone cache pre-warmed, so both
-// sweep variants measure only the per-cell simulation work. The cold arm
-// disables memoization: with the result cache on, every iteration past the
-// first would be a free cache hit and the pair would measure nothing.
-func benchSweepRunner(b *testing.B, memoize bool) (*Runner, workload.Mix, []string) {
+// sweep variants measure only the per-cell simulation work. Neither arm goes
+// through the result cache: every iteration past the first would be a free
+// hit and the pair would measure nothing.
+func benchSweepRunner(b *testing.B) (*Runner, workload.Mix, []string) {
 	b.Helper()
-	cfg := benchSweepConfig()
-	cfg.NoMemoize = !memoize
-	r, err := NewRunner(cfg)
+	r, err := NewRunner(benchSweepConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,31 +43,32 @@ func benchSweepRunner(b *testing.B, memoize bool) (*Runner, workload.Mix, []stri
 	return r, mix, []string{NoPartitioning, "equal", "square-root", "priority-apc"}
 }
 
-// BenchmarkSweep compares one mix x K schemes simulated cold (one warmup per
-// cell) against the forked path RunGrid uses (one warmup and snapshot per mix,
-// then a new system built from the checkpoint per cell, as forkPrepared
-// does). benchjson derives sweep_fork_speedup from the pair.
+// BenchmarkSweep compares one mix x K schemes simulated cold by the oracle,
+// coldRun (one warmup per cell), against the forked path RunGrid uses (one
+// warmup and snapshot per mix, then a new system built from the checkpoint
+// per cell, as forkPrepared does). benchjson derives sweep_fork_speedup from
+// the pair.
 func BenchmarkSweep(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
-		r, mix, schemes := benchSweepRunner(b, false)
+		r, mix, schemes := benchSweepRunner(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, scheme := range schemes {
-				if _, err := r.RunMix(mix, scheme); err != nil {
+				if _, err := coldRun(r, GridCell{Mix: mix, Scheme: scheme}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	})
 	b.Run("forked", func(b *testing.B) {
-		r, mix, schemes := benchSweepRunner(b, false)
+		r, mix, schemes := benchSweepRunner(b)
 		apcAlone, api, _, err := r.aloneVectors(r.own, mix)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p, _, err := r.prepareMix(r.own, mix)
+			p, err := r.prepareMix(r.own, mix)
 			if err != nil {
 				b.Fatal(err)
 			}

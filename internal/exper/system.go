@@ -39,8 +39,14 @@ func newSystem(cfg Config) *system {
 	return on
 }
 
-// system resolves s once per distinct value; the zero value is the runner's
-// own system, with no table lookup.
+// systemsCap bounds a runner's table of resolved systems: the figure suite
+// names a fixed few, while a long-lived service may be sent a new scale with
+// every request. A full table is cleared, and a System resolved again gets
+// the same configuration and fingerprint as before.
+const systemsCap = 64
+
+// system resolves s once per distinct value while the table holds it; the zero
+// value is the runner's own system, with no table lookup.
 func (r *Runner) system(s System) (*system, error) {
 	if s.Scale == 1 { // ScaleBandwidth(1) edits nothing
 		s.Scale = 0
@@ -71,6 +77,9 @@ func (r *Runner) system(s System) (*system, error) {
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("exper: system %+v: %w", s, err)
+	}
+	if len(r.systems) >= systemsCap {
+		clear(r.systems)
 	}
 	r.systems[s] = newSystem(cfg)
 	return r.systems[s], nil

@@ -160,6 +160,40 @@ func TestSystemRejectsBadValues(t *testing.T) {
 	}
 }
 
+// TestSystemTableBounded: a client naming ever new scales, as sweepd's scale
+// may, resolves every one of them while the runner's table of systems stays
+// within systemsCap, and a scale resolved again once its entry was cleared
+// gets the fingerprint it had. Nothing is simulated.
+func TestSystemTableBounded(t *testing.T) {
+	r, err := NewRunner(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := r.system(System{Scale: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 10_000; i++ {
+		if _, err := r.SystemConfig(System{Scale: 2 + float64(i)/1000}); err != nil {
+			t.Fatal(err)
+		}
+		r.systemsMu.Lock()
+		n := len(r.systems)
+		r.systemsMu.Unlock()
+		if n > systemsCap {
+			t.Fatalf("after %d scales the table holds %d systems, over its bound %d", i, n, systemsCap)
+		}
+	}
+	again, err := r.system(System{Scale: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == first || again.fp != first.fp || again.aloneFP != first.aloneFP {
+		t.Errorf("scale 1.5 resolved again: same entry %v, fingerprints %s / %s, want a new entry with %s / %s",
+			again == first, again.fp, again.aloneFP, first.fp, first.aloneFP)
+	}
+}
+
 // TestSystemsResolveConcurrently drives one runner's shared state — the
 // system table, the alone profiles, the warm-base registry and the result
 // cache — from concurrent batches on four systems; `make race` runs it under

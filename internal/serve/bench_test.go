@@ -14,15 +14,16 @@ import (
 )
 
 // benchServer starts a serving stack (Server + HTTP front end) and returns
-// the server, its base URL and a stop function (also run at cleanup). memoize=false
-// disables the result cache so every request pays a full simulation — the
-// cold reference the warm arms are compared against (benchjson derives
+// the server, its base URL and a stop function (also run at cleanup).
+// cacheBytes bounds the result cache (0: unbounded); 1 B evicts every cell as
+// soon as it is resolved, so every request misses it — the production miss
+// path the warm arms are compared against (benchjson derives
 // serve_warm_speedup from the pair). A non-empty checkpointDir makes it the
 // restart-safe configuration: checkpoint store plus job journal.
-func benchServer(b *testing.B, memoize bool, checkpointDir string) (*Server, string, func()) {
+func benchServer(b *testing.B, cacheBytes int64, checkpointDir string) (*Server, string, func()) {
 	b.Helper()
 	cfg := testConfig()
-	cfg.NoMemoize = !memoize
+	cfg.CacheBytes = cacheBytes
 	if checkpointDir != "" {
 		store, err := exper.NewCheckpointStore(checkpointDir)
 		if err != nil {
@@ -66,7 +67,9 @@ func benchRequest(b *testing.B, client *http.Client, url, mix, scheme string) {
 }
 
 // BenchmarkServe measures the serving stack end to end over HTTP. cold is
-// a request the resident cache cannot answer (full simulation per call);
+// a request the resident cache cannot answer (a server whose result cache
+// holds no cell: settle and measurement on a fork of the mix's warm base per
+// call);
 // warm is the same request answered from the cache; warm_disk is warm on a
 // server restarted over a populated checkpoint directory (each cell comes off
 // disk once, then from memory, and no request appends to the journal);
@@ -84,12 +87,14 @@ func BenchmarkServe(b *testing.B) {
 	}
 
 	b.Run("cold", func(b *testing.B) {
-		_, url, _ := benchServer(b, false, "")
+		_, url, _ := benchServer(b, 1, "")
 		client := &http.Client{Timeout: 120 * time.Second}
-		// One unmeasured request caches the standalone profiles inside the
-		// runner, so every timed request pays exactly the per-cell work
-		// (warmup + settle + measure), matching what the warm arm avoids.
+		// One unmeasured request per mix caches its standalone profiles and
+		// warm base inside the runner, so every timed request pays exactly
+		// the per-cell work of a miss (fork + settle + measure), what the
+		// warm arm avoids.
 		benchRequest(b, client, url, "hetero-1", exper.NoPartitioning)
+		benchRequest(b, client, url, "homo-1", exper.NoPartitioning)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c := cells[i%len(cells)]
@@ -112,24 +117,24 @@ func BenchmarkServe(b *testing.B) {
 	}
 
 	b.Run("warm", func(b *testing.B) {
-		_, url, _ := benchServer(b, true, "")
+		_, url, _ := benchServer(b, 0, "")
 		warmHits(b, &http.Client{Timeout: 120 * time.Second}, url)
 	})
 
 	b.Run("warm_disk", func(b *testing.B) {
 		dir := b.TempDir()
 		client := &http.Client{Timeout: 120 * time.Second}
-		_, url, stop := benchServer(b, true, dir)
+		_, url, stop := benchServer(b, 0, dir)
 		for _, c := range cells {
 			benchRequest(b, client, url, c.mix, c.scheme)
 		}
 		stop()
-		_, url, _ = benchServer(b, true, dir)
+		_, url, _ = benchServer(b, 0, dir)
 		warmHits(b, client, url)
 	})
 
 	b.Run("handler_hit", func(b *testing.B) {
-		s, _, _ := benchServer(b, true, "")
+		s, _, _ := benchServer(b, 0, "")
 		hit := hitCall(s.Handler(), cells[0].mix, cells[0].scheme)
 		// The first call is the miss that makes the cell resident; the rest
 		// settle lazily built state, so the one timed call at -benchtime 1x
@@ -147,7 +152,7 @@ func BenchmarkServe(b *testing.B) {
 	})
 
 	b.Run("concurrent", func(b *testing.B) {
-		_, url, _ := benchServer(b, true, "")
+		_, url, _ := benchServer(b, 0, "")
 		for _, c := range cells {
 			benchRequest(b, &http.Client{Timeout: 120 * time.Second}, url, c.mix, c.scheme)
 		}

@@ -989,8 +989,8 @@ func TestServeMixBodyBytes(t *testing.T) {
 		cfg.Checkpoint = store
 		return Options{Exper: cfg}
 	}
-	noMemoize := testConfig()
-	noMemoize.NoMemoize = true
+	evicting := testConfig()
+	evicting.CacheBytes = 1
 
 	for _, tc := range []struct {
 		name string
@@ -1034,8 +1034,10 @@ func TestServeMixBodyBytes(t *testing.T) {
 			body(ts, "hetero-5")
 			return body(ts, "motivation")
 		}},
-		{"no memoize", "hetero-1", func(t *testing.T) []byte {
-			_, ts := newTestServer(t, Options{Exper: noMemoize})
+		{"evicted miss", "hetero-1", func(t *testing.T) []byte {
+			// A 1 B cache evicts the cell as it resolves: the body is
+			// EncodeCell's encoding of the run, not a stored one.
+			_, ts := newTestServer(t, Options{Exper: evicting})
 			return body(ts, "hetero-1")
 		}},
 	} {

@@ -12,8 +12,8 @@
 // With -against OLD.json the new results are additionally compared to a
 // previously committed report: any host-stable derived figure that worsened
 // by more than -tolerance percent (a speedup ratio shrinking, a cell counter
-// growing) fails the run (non-zero exit); an allocation count or byte figure
-// fails on any growth. Absolute ns/op rows, the _per_sec rates and serve_warm_speedup
+// growing) fails the run (non-zero exit); an allocation count, a byte figure
+// or the figure suite's warmup count fails on any growth. Absolute ns/op rows, the _per_sec rates and serve_warm_speedup
 // are recorded, not gated: on a shared host the same
 // binary reads them 2-3x apart within a minute, and bench/ (interleaved
 // pairs, medians) is the source of truth for them. This is the
@@ -164,7 +164,7 @@ type Regression struct {
 // those that worsened by more than tolerance percent, plus the number of
 // figures compared. Gated are the derived figures a busy host cannot move:
 // "_speedup" ratios (worse means smaller) and counters such as allocs/op,
-// B/op or unique cells (worse means larger). Benchmark ns/op rows and "_per_sec"
+// B/op, unique cells or warmups (worse means larger). Benchmark ns/op rows and "_per_sec"
 // rates are not compared. Figures that exist on only one side are skipped:
 // the gate guards known figures, it does not pin the set.
 func compare(old, new *Report, tolerance float64) (regs []Regression, compared int) {
@@ -206,9 +206,10 @@ func compare(old, new *Report, tolerance float64) (regs []Regression, compared i
 			}
 		}
 		compared++
-		// Allocation counts and bytes are exact work, not host time: any
-		// growth fails.
-		exact := strings.HasSuffix(key, "_allocs_per_op") || strings.HasSuffix(key, "_bytes_per_op")
+		// Allocation counts, bytes and warmups are exact work, not host
+		// time: any growth fails.
+		exact := strings.HasSuffix(key, "_allocs_per_op") || strings.HasSuffix(key, "_bytes_per_op") ||
+			key == "figures_warmups"
 		if pct > tolerance || (exact && cur > was) {
 			regs = append(regs, Regression{Name: "derived/" + key, Old: was, New: cur, Pct: pct})
 		}
@@ -282,7 +283,7 @@ func parse(r io.Reader) (*Report, error) {
 // present: naive/skip speedups for the System.Run mixes, the event-queue
 // and memory-controller allocation counts, the sweep fork and figure-suite
 // memoization speedups, the memoized figure pass's unique-vs-requested cell
-// counts, the serving stack's warm-vs-cold speedup, sustained request rates
+// and warmup counts, the serving stack's warm-vs-cold speedup, sustained request rates
 // and allocations per resident hit, and the bytes of one system checkpoint.
 func derive(rep *Report, byName map[string]*Bench) {
 	speedup := func(key, naive, skip string) {
@@ -319,7 +320,7 @@ func derive(rep *Report, byName map[string]*Bench) {
 		for _, r := range m.Runs {
 			for unit, v := range r.Metrics {
 				switch unit {
-				case "unique_cells", "requested_cells":
+				case "unique_cells", "requested_cells", "warmups":
 					key := "figures_" + unit
 					if v > rep.Derived[key] {
 						rep.Derived[key] = v

@@ -129,6 +129,30 @@ BenchmarkRunGridHitWide-2   	       1	    280000 ns/op	    8900 B/op	      84 al
 PASS
 `
 
+const figureWarmupsSample = `goos: linux
+pkg: bwpart/internal/exper
+BenchmarkFigureSuite/memoized-2    	       1	1800000000 ns/op	       112.0 requested_cells	       105.0 unique_cells	        17.00 warmups	32890528 B/op	   76091 allocs/op
+BenchmarkFigureSuite/memoized-2    	       1	1900000000 ns/op	       112.0 requested_cells	       105.0 unique_cells	        17.00 warmups	32890216 B/op	   76086 allocs/op
+PASS
+`
+
+// TestParseDerivesFigureWarmups: the memoized figure pass's functional warmup
+// count is derived (the worst run), and one more warmup — a warm base the
+// suite no longer shares — fails the gate whatever the tolerance.
+func TestParseDerivesFigureWarmups(t *testing.T) {
+	rep, err := parse(strings.NewReader(figureWarmupsSample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Derived["figures_warmups"]; got != 17 {
+		t.Fatalf("figures_warmups = %v, want 17", got)
+	}
+	grown := &Report{Derived: map[string]float64{"figures_warmups": 18}}
+	if regs, _ := compare(rep, grown, 50); len(regs) != 1 || regs[0].Name != "derived/figures_warmups" {
+		t.Errorf("regressions = %+v, want exactly derived/figures_warmups", regs)
+	}
+}
+
 // TestParseDerivesGridHitAllocs: the wide RunGrid hit's allocs/op is derived
 // from its best run and, like every allocation count, fails the gate on one
 // more allocation whatever the tolerance.
