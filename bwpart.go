@@ -384,8 +384,8 @@ func NewSystemFromSpecs(cfg SimConfig, specs []AppSpec) (*System, error) {
 type (
 	// TraceRecord is one off-chip access.
 	TraceRecord = trace.Record
-	// TraceWriter streams records to an io.Writer; ExperimentConfig.Tracer
-	// feeds it every off-chip access of a shared run.
+	// TraceWriter streams records to an io.Writer; a tracer passed to
+	// Runner.TraceCell feeds it every off-chip access of one cell's run.
 	TraceWriter = trace.Writer
 	// TraceReader decodes a recorded trace.
 	TraceReader = trace.Reader

@@ -57,37 +57,31 @@ func (c *ResultCache) Bytes() int64 {
 	return c.cost
 }
 
-// resolveCell is the lookup order below the memory tier: load (the disk tier:
-// a run and its encoding, or a nil run), then sim when set. A cell served from
-// disk counts as a obs.CheckpointHits, a simulated one as obs.CellMisses.
-func resolveCell(col *obs.Collector, load func() (*MixRun, []byte), sim func() (*MixRun, error)) (*MixRun, []byte, error) {
-	if run, enc := load(); run != nil {
-		col.Add(obs.CheckpointHits, 1)
-		return run, enc, nil
-	}
-	if sim == nil {
-		return nil, nil, errNotResident
-	}
-	col.Add(obs.CellMisses, 1)
-	run, err := sim()
-	return run, nil, err
-}
-
 // flight resolves the cell for key in the engine's one lookup order — memory
-// tier, then resolveCell — running load and sim at most once per key across
-// all concurrent callers, and returns the finished entry. What the leader
-// resolves becomes its master, which every caller shares and only reads, so a
-// disk hit is promoted and the cell's next request is a memory hit. Without
-// wait, a cell in flight is errNotResident. Every resolved cell counts exactly
-// once: obs.CellHits on a finished cell, obs.CellCoalesced for joining an
-// in-flight one, else resolveCell's count.
+// tier, then load (the disk tier: a run and its encoding, or a nil run), then
+// sim when set — running load and sim at most once per key across all
+// concurrent callers, and returns the finished entry. What the leader resolves
+// becomes its master, which every caller shares and only reads, so a disk hit
+// is promoted and the cell's next request is a memory hit. Without wait, a
+// cell in flight is errNotResident, as is one in neither tier without sim.
+// Every resolved cell counts exactly once: obs.CellHits on a finished cell,
+// obs.CellCoalesced for joining an in-flight one, obs.CheckpointHits for one
+// served from disk, else obs.CellMisses.
 func (c *ResultCache) flight(key string, col *obs.Collector, load func() (*MixRun, []byte), sim func() (*MixRun, error), wait bool) (*memoEntry[cellValue], error) {
 	build := func() (cellValue, int64, error) {
-		run, enc, err := resolveCell(col, load, sim)
+		if run, enc := load(); run != nil {
+			col.Add(obs.CheckpointHits, 1)
+			return cellValue{run, enc}, mixRunBytes(run) + int64(len(enc)), nil
+		}
+		if sim == nil {
+			return cellValue{}, 0, errNotResident
+		}
+		col.Add(obs.CellMisses, 1)
+		run, err := sim()
 		if err != nil {
 			return cellValue{}, 0, err
 		}
-		return cellValue{run, enc}, mixRunBytes(run) + int64(len(enc)), nil
+		return cellValue{run: run}, mixRunBytes(run), nil
 	}
 	for {
 		e, how, err := c.get(key, col, wait, false, build)

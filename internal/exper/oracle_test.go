@@ -64,10 +64,10 @@ func coldRunner(t testing.TB, cfg Config) *Runner {
 
 // cachedRuns returns every finished cell in r's result cache.
 func cachedRuns(r *Runner) []*MixRun {
-	r.cache.mu.Lock()
-	defer r.cache.mu.Unlock()
+	r.cfg.Cache.mu.Lock()
+	defer r.cfg.Cache.mu.Unlock()
 	var runs []*MixRun
-	for _, e := range r.cache.entries {
+	for _, e := range r.cfg.Cache.entries {
 		if e.finished() {
 			runs = append(runs, e.val.run)
 		}

@@ -219,8 +219,7 @@ type base struct {
 // measure in parallel, then the pins drop, so a thousand-mix sweep holds a
 // bounded number of warm systems while keeping every worker busy. A cell the
 // batch repeats (by cellKey) is one job: its later indices get what the first
-// resolves (relabeled for an aliased mix), each counted as coalesced onto it
-// — unless the runner has a Tracer and memoizes no cell: then every index runs.
+// resolves (relabeled for an aliased mix), each counted as coalesced onto it.
 func (r *Runner) RunCells(ctx context.Context, cells []GridCell, each func(cell int, run *MixRun)) ([]*MixRun, error) {
 	results := make([]*MixRun, len(cells))
 	deliver := func(ci int, run *MixRun) {
@@ -247,14 +246,12 @@ func (r *Runner) RunCells(ctx context.Context, cells []GridCell, each func(cell 
 		case err == nil:
 			deliver(i, run)
 		case errors.Is(err, errNotResident):
-			if r.cache != nil {
-				key := cellKey(on.fp, c)
-				if f, ok := first[key]; ok {
-					repeats[f] = append(repeats[f], i)
-					break
-				}
-				first[key] = i
+			key := cellKey(on.fp, c)
+			if f, ok := first[key]; ok {
+				repeats[f] = append(repeats[f], i)
+				break
 			}
+			first[key] = i
 			missing = append(missing, pending{i, on})
 		case firstErr == nil:
 			firstErr = fmt.Errorf("cell %d (%s/%s): %w", i, c.Mix.Name, c.Scheme, err)

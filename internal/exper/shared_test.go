@@ -5,6 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io/fs"
+	"maps"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sync"
@@ -162,34 +166,63 @@ func TestSharedMastersRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTracedRunnerReadsNoTier: a traced runner simulates every cell, even one
-// resident in the result cache it shares and stored on disk, so its tracer
-// sees the accesses the caller asked for; ResidentJSON fails on it.
-func TestTracedRunnerReadsNoTier(t *testing.T) {
-	plain, _ := storeRunner(t, t.TempDir())
+// TestTraceCellReadsNoTier: TraceCell simulates a cell even when it is
+// resident in memory and stored on disk, so its tracer sees the accesses; the
+// run equals RunMix's, and it moves no hit, miss, coalesced or checkpoint-hit
+// counter (only warm_forks, for the fork it ran on) and writes nothing to the
+// checkpoint directory.
+func TestTraceCellReadsNoTier(t *testing.T) {
+	dir := t.TempDir()
+	r, col := storeRunner(t, dir)
 	mix, err := workload.MixByName("hetero-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plain.RunMix(mix, "equal"); err != nil {
-		t.Fatal(err)
-	}
-	cfg := plain.Config() // same result cache and checkpoint store
-	cfg.Obs = obs.NewCollector()
-	traced := 0
-	cfg.Tracer = func(int64, int, uint64, bool) { traced++ }
-	r, err := NewRunner(cfg)
+	want, err := r.RunMix(mix, "equal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.RunMix(mix, "equal"); err != nil {
+	before, files := col.Snapshot().Cache, dirFiles(t, dir)
+	traced := 0
+	got, err := r.TraceCell(GridCell{Mix: mix, Scheme: "equal"}, func(int64, int, uint64, bool) { traced++ })
+	if err != nil {
 		t.Fatal(err)
 	}
 	if traced == 0 {
-		t.Error("a traced RunMix of a stored cell traced no access")
+		t.Error("TraceCell of a resident, stored cell traced no access")
 	}
-	wantCache(t, "traced RunMix", cfg.Obs, 0, 1, 0, 0)
-	if _, err := r.ResidentJSON(GridCell{Mix: mix, Scheme: "equal"}); !errors.Is(err, errNotResident) {
-		t.Errorf("ResidentJSON on a traced runner: %v, want errNotResident", err)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("TraceCell's run differs from RunMix's:\n got %+v\nwant %+v", got, want)
 	}
+	after := col.Snapshot().Cache
+	before.WarmForks++
+	if after != before {
+		t.Errorf("cell_cache after TraceCell = %+v, want %+v", after, before)
+	}
+	if now := dirFiles(t, dir); !maps.Equal(now, files) {
+		t.Errorf("TraceCell wrote to the checkpoint directory: %d files, had %d", len(now), len(files))
+	}
+}
+
+// dirFiles maps every file under dir to its modification time and contents,
+// so a file rewritten with the same bytes shows too.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = info.ModTime().String() + "\n" + string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }

@@ -80,24 +80,3 @@ func apiDeviation(t *testing.T, res *Table) float64 {
 	}
 	return worst
 }
-
-// TestSharedL2StudyHonoursTracer: the study's runs go through the same
-// settle + measure path as every other run, so Config.Tracer sees them.
-func TestSharedL2StudyHonoursTracer(t *testing.T) {
-	cfg := Quick()
-	cfg.Sim.WarmupInstructions = 20_000
-	cfg.SettleCycles, cfg.MeasureCycles = 5_000, 30_000
-	traced := 0
-	cfg.Tracer = func(int64, int, uint64, bool) { traced++ }
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix, _ := workload.MixByName("homo-1")
-	if _, err := r.SharedL2Study(mix, [][]int{{2, 2, 2, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if traced == 0 {
-		t.Error("tracer saw no off-chip access")
-	}
-}

@@ -338,8 +338,9 @@ func (c *Controller) issueOne(now int64) *Entry {
 	pick := c.sched.Pick(now, c, c.dev)
 	if pick.Entry == nil {
 		if c.headOnly {
-			// Nothing issuable: sleep until the earliest head's bank frees.
-			c.nextTry = c.earliestBankReady(now)
+			// Nothing issuable: sleep until the earliest head's bank frees
+			// (never, with every queue empty: the next Access resets the gate).
+			c.nextTry = c.earliestIssueCycle(now)
 		}
 		return nil
 	}
@@ -387,30 +388,6 @@ func (c *Controller) removeEntry(p Pick) {
 		c.starved = false
 		c.wake.WakeUpstream()
 	}
-}
-
-// earliestBankReady returns the earliest cycle any queued head's bank frees
-// up (used to skip scans while every candidate is blocked).
-func (c *Controller) earliestBankReady(now int64) int64 {
-	earliest := now + 1
-	first := true
-	for a := range c.queues {
-		e := c.queues[a].peek()
-		if e == nil {
-			continue
-		}
-		// Conservative: we only know the bank becomes ready at readyAt; new
-		// arrivals reset nextTry anyway.
-		t := now + 1
-		if r := c.dev.BankReadyAtIndex(int(e.bank)); r > t {
-			t = r
-		}
-		if first || t < earliest {
-			earliest = t
-			first = false
-		}
-	}
-	return earliest
 }
 
 // accountInterference implements the paper's per-cycle interference
@@ -490,7 +467,9 @@ func (c *Controller) NextEventCycle(now int64) (int64, bool) {
 // head-only schedulers the candidates are exactly the app heads; otherwise
 // every queued entry is a candidate — conservatively early for policies
 // like FR-FCFS that may still decline a bank-ready non-head entry, which
-// costs a naive tick but never skips over a real issue.
+// costs a naive tick but never skips over a real issue. With every queue
+// empty it is math.MaxInt64. It is also the head-only nextTry gate issueOne
+// arms when nothing is issuable.
 func (c *Controller) earliestIssueCycle(now int64) int64 {
 	earliest := int64(math.MaxInt64)
 	for a := range c.queues {

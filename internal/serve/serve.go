@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net"
@@ -470,11 +471,13 @@ const maxBodyBytes = 1 << 20
 
 // decodeRequest decodes r's JSON body into v, reading at most maxBodyBytes of
 // it within readBodyTimeout, and answers 413 for a longer body and 400 for
-// any other decode error, a stalled body or an unknown field included (ok
-// false): a misspelt field would otherwise run the request with that
-// field's default. The deadline is cleared once the body is decoded, and
-// kept on an error, so that the server's discard of an unread body fails
-// and closes the connection rather than wait on a stalled client. A writer
+// any other decode error, a stalled body, an unknown field or anything but
+// whitespace after the value included (ok false): a misspelt field would
+// otherwise run the request with that field's default, and a second value
+// would be silently dropped. The deadline is cleared once the body is read
+// to its end, and kept on an error, so that the server's discard of an
+// unread body fails and closes the connection rather than wait on a stalled
+// client. A writer
 // that cannot set one (a test recorder) reads without a deadline; the
 // writer is asserted directly rather than through http.ResponseController,
 // whose refusal allocates an error on every request.
@@ -484,6 +487,13 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("data after the request value")
+		}
+	}
 	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:

@@ -72,9 +72,12 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 
 func postJSON(t *testing.T, client *http.Client, url string, body any, headers map[string]string) *http.Response {
 	t.Helper()
-	b, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
+	b, raw := body.([]byte) // a raw body is sent as it is
+	if !raw {
+		var err error
+		if b, err = json.Marshal(body); err != nil {
+			t.Fatal(err)
+		}
 	}
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(b))
 	if err != nil {
@@ -634,6 +637,13 @@ func TestServeBadRequests(t *testing.T) {
 		"huge grid body": {"/v1/grid", GridRequest{Mixes: []string{strings.Repeat("x", 2<<20)}, Schemes: []string{"equal"}}, http.StatusRequestEntityTooLarge},
 		// One cell over the cap, in a body of a few kilobytes.
 		"over-cap grid": {"/v1/grid", GridRequest{Mixes: repeat("hetero-1", maxGridCells/2+1), Schemes: []string{"equal", "equal"}}, http.StatusBadRequest},
+		// Raw bodies: anything but whitespace after the value is refused,
+		// so a second value is never silently dropped.
+		"second mix value":  {"/v1/mix", []byte(`{"mix":"hetero-1","scheme":"equal"}{"mix":"hetero-2"}`), http.StatusBadRequest},
+		"trailing garbage":  {"/v1/mix", []byte(`{"mix":"hetero-1","scheme":"equal"} garbage`), http.StatusBadRequest},
+		"trailing brace":    {"/v1/mix", []byte(`{"mix":"hetero-1","scheme":"equal"}}`), http.StatusBadRequest},
+		"second grid value": {"/v1/grid", []byte(`{"mixes":["hetero-1"],"schemes":["equal"]} {}`), http.StatusBadRequest},
+		"trailing space":    {"/v1/mix", []byte("{\"mix\":\"hetero-1\",\"scheme\":\"stfm\"} \n\t"), http.StatusOK},
 	} {
 		resp := postJSON(t, ts.Client(), ts.URL+tc.path, tc.body, nil)
 		if resp.StatusCode != tc.want {
@@ -649,7 +659,7 @@ func TestServeBadRequests(t *testing.T) {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
 	}
 	resp.Body.Close()
-	// Only the heuristic request may be admitted.
+	// Only the first stfm request may be admitted: the second is a hit.
 	if got := s.Obs().Snapshot().Admission.Accepted; got != 1 {
 		t.Errorf("bad requests were admitted: accepted = %d, want 1", got)
 	}

@@ -52,17 +52,3 @@ func ProfileAlone(cfg Config, p workload.Profile, cycles int64) (AloneProfile, e
 		APKI:     a.APKI,
 	}, nil
 }
-
-// ProfileAloneAll profiles every benchmark in profs alone under cfg,
-// returning results in the same order.
-func ProfileAloneAll(cfg Config, profs []workload.Profile, cycles int64) ([]AloneProfile, error) {
-	out := make([]AloneProfile, len(profs))
-	for i, p := range profs {
-		ap, err := ProfileAlone(cfg, p, cycles)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ap
-	}
-	return out, nil
-}

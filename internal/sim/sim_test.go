@@ -34,6 +34,20 @@ func mustProfiles(t *testing.T, names ...string) []workload.Profile {
 	return out
 }
 
+// profileAll profiles every benchmark in profs alone under cfg, in order.
+func profileAll(t *testing.T, cfg Config, profs []workload.Profile, cycles int64) []AloneProfile {
+	t.Helper()
+	out := make([]AloneProfile, len(profs))
+	for i, p := range profs {
+		ap, err := ProfileAlone(cfg, p, cycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = ap
+	}
+	return out
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(fastCfg(), nil); err == nil {
 		t.Error("no applications accepted")
@@ -142,10 +156,7 @@ func TestTotalAPCBoundedByPeak(t *testing.T) {
 
 func TestSharedSlowerThanAlone(t *testing.T) {
 	profs := mustProfiles(t, "milc", "soplex", "libquantum", "omnetpp")
-	alone, err := ProfileAloneAll(fastCfg(), profs, 300_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	alone := profileAll(t, fastCfg(), profs, 300_000)
 	sys, _ := New(fastCfg(), profs)
 	sys.Warmup()
 	sys.Run(50_000)
@@ -235,10 +246,7 @@ func TestPrioritySchemeMatchesModelAllocation(t *testing.T) {
 	// track the model's greedy (fractional knapsack) allocation — the
 	// favored app fills to its alone-mode demand, the other takes leftover.
 	profs := mustProfiles(t, "milc", "soplex")
-	alone, err := ProfileAloneAll(fastCfg(), profs, 300_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	alone := profileAll(t, fastCfg(), profs, 300_000)
 	apc := []float64{alone[0].APCAlone, alone[1].APCAlone}
 	api := []float64{alone[0].API, alone[1].API}
 	sys, _ := New(fastCfg(), profs)
@@ -269,10 +277,7 @@ func TestMetricsPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alone, err := ProfileAloneAll(fastCfg(), profs, 200_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	alone := profileAll(t, fastCfg(), profs, 200_000)
 	apc := make([]float64, len(alone))
 	api := make([]float64, len(alone))
 	ipcAlone := make([]float64, len(alone))

@@ -144,9 +144,6 @@ func gapTableFor(denom float64) *gapTable {
 	return t.(*gapTable)
 }
 
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.p }
-
 // Next implements cpu.Stream.
 func (g *Generator) Next() cpu.Instr {
 	if g.gap > 0 {
