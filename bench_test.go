@@ -7,6 +7,7 @@ package bwpart_test
 // (produced by cmd/figures without -quick).
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -149,11 +150,12 @@ func BenchmarkOnlineProfiling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		run, err := r.RunOnline(mix, "square-root", 150_000, 4)
+		cell := bwpart.GridCell{Mix: mix, Scheme: "online:square-root", Epoch: 150_000, Epochs: 4}
+		runs, err := r.RunCells(context.Background(), []bwpart.GridCell{cell}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*run.EstimatorError(), "pct-estimator-error")
+		b.ReportMetric(100*runs[0].EstimatorError(), "pct-estimator-error")
 	}
 }
 

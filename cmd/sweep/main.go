@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -70,6 +71,9 @@ func main() {
 	scales, err := parseFloats(*scalesFlag)
 	if err != nil {
 		fatal(err)
+	}
+	if int64(*cacheMB) > math.MaxInt64>>20 {
+		fatalf("-cache-mb %d: the result-cache budget overflows (at most %d MiB)", *cacheMB, int64(math.MaxInt64>>20))
 	}
 	mixNames := splitList(*mixesFlag)
 	schemes := splitList(*schemesFlag)

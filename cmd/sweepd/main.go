@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"log"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -48,6 +49,9 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.Parallelism = *parallel
+	if int64(*cacheMB) > math.MaxInt64>>20 {
+		log.Fatalf("-cache-mb %d: the result-cache budget overflows (at most %d MiB)", *cacheMB, int64(math.MaxInt64>>20))
+	}
 	cfg.CacheBytes = int64(*cacheMB) << 20
 	if *checkpointDir != "" {
 		store, err := bwpart.NewCheckpointStore(*checkpointDir)

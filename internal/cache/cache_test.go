@@ -161,7 +161,7 @@ func TestMSHRFullRejects(t *testing.T) {
 	if got := c.Stats().Rejects; got != 1 {
 		t.Fatalf("rejects = %d, want 1", got)
 	}
-	if got := c.OutstandingMisses(); got != 2 {
+	if got := len(c.mshrs); got != 2 {
 		t.Fatalf("outstanding = %d, want 2", got)
 	}
 }

@@ -134,9 +134,6 @@ func newEngine(cfg Config, lower mem.Port, st *State) (engine, error) {
 // asleep retrying against this cache.
 func (e *engine) SetWaker(w *mem.Waker) { e.wake = w }
 
-// OutstandingMisses returns the number of in-flight miss lines.
-func (e *engine) OutstandingMisses() int { return len(e.mshrs) }
-
 func (e *engine) lineAddr(addr uint64) uint64 { return addr / uint64(e.cfg.LineBytes) }
 func (e *engine) byteAddr(la uint64) uint64   { return la * uint64(e.cfg.LineBytes) }
 

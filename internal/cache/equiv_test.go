@@ -129,9 +129,9 @@ func TestSharedWithOneAppIsPrivate(t *testing.T) {
 			if ps != ss {
 				t.Errorf("stats differ\nprivate: %+v\nshared:  %+v", ps, ss)
 			}
-			if priv.OutstandingMisses() != 0 || len(pLow.pending) != 0 {
+			if len(priv.mshrs) != 0 || len(pLow.pending) != 0 {
 				t.Errorf("private cache did not drain: %d misses, %d lower-level requests in flight",
-					priv.OutstandingMisses(), len(pLow.pending))
+					len(priv.mshrs), len(pLow.pending))
 			}
 			// The comparison must not pass vacuously.
 			if ps.Rejects == 0 || ps.MSHRMerges == 0 || ps.Writebacks == 0 || pLow.refused == 0 {

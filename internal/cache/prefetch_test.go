@@ -79,7 +79,7 @@ func TestPrefetchRespectsMSHRBudget(t *testing.T) {
 	low := &fakeLower{delay: 1_000_000}
 	c, _ := New(cfg, low)
 	c.Access(0, &mem.Request{Addr: 0x00, Done: func(int64) {}})
-	if got := c.OutstandingMisses(); got > 3 {
+	if got := len(c.mshrs); got > 3 {
 		t.Fatalf("outstanding = %d exceeds MSHRs", got)
 	}
 	// Demand miss + at most 2 prefetches fit in 3 MSHRs.

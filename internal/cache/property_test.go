@@ -98,7 +98,7 @@ func TestCacheNeverExceedsMSHRLimit(t *testing.T) {
 			addr := uint64(r.Intn(1024)) * 64
 			c.Access(int64(i), &mem.Request{Addr: addr, Done: func(int64) {}})
 			c.Tick(int64(i))
-			if c.OutstandingMisses() > cfg.MSHRs {
+			if len(c.mshrs) > cfg.MSHRs {
 				return false
 			}
 		}
@@ -157,8 +157,8 @@ func checkRanks(t *testing.T, e *engine) {
 }
 
 // TestRanksStayPermutations drives both policies' fills and hits — functional
-// touches into a cache that starts empty, with the shared cache's quotas
-// re-partitioned along the way — and checks the rank invariant after each.
+// touches into a cache that starts empty — and checks the rank invariant
+// after each.
 func TestRanksStayPermutations(t *testing.T) {
 	private, err := New(sharedCfg(), &fakeLower{})
 	if err != nil {
@@ -169,16 +169,88 @@ func TestRanksStayPermutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(5))
-	for i := range 3000 {
+	for range 3000 {
 		addr, write := uint64(r.Intn(160))*64, r.Intn(3) == 0
 		private.Touch(addr, write)
 		shared.TouchAs(r.Intn(3), addr, write)
-		if i%500 == 499 {
-			if err := shared.SetQuota([]int{1 + r.Intn(2), 1 + r.Intn(3), 1 + r.Intn(3)}); err != nil {
-				t.Fatal(err)
-			}
-		}
 		checkRanks(t, &private.engine)
 		checkRanks(t, &shared.engine)
+	}
+}
+
+// occupancies returns every set's line count per application.
+func occupancies(c *SharedCache) [][]int {
+	occ := make([][]int, len(c.tags)/c.cfg.Ways)
+	for s := range occ {
+		occ[s] = make([]int, c.numApps)
+		for app := range occ[s] {
+			occ[s][app] = c.occupancy(s*c.cfg.Ways, app)
+		}
+	}
+	return occ
+}
+
+// TestSharedOccupancyWithinQuota pins the way partition's invariant: a fill
+// takes an empty way or a line of the filling application, so no
+// application's line count in a set ever falls, and none ever exceeds its
+// quota. The bound is what keeps victimFor's two cases total: a below-quota
+// application always finds an empty way (the quotas sum to at most Ways), and
+// an at-quota one always has a line of its own. Functional touches and timed
+// accesses in random order drive a cache built by NewShared, then one built by
+// SharedFromState from its snapshot.
+func TestSharedOccupancyWithinQuota(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		quota := []int{1 + r.Intn(4), 1 + r.Intn(2), 1 + r.Intn(2)}
+		low := &fakeLower{delay: 5}
+		c, err := NewShared(sharedCfg(), len(quota), quota, low)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now, occ := int64(0), occupancies(c)
+		check := func(what string) {
+			t.Helper()
+			next := occupancies(c)
+			for s := range next {
+				for app, n := range next[s] {
+					if n > quota[app] || n < occ[s][app] {
+						t.Fatalf("seed %d, quota %v, %s: set %d holds %d lines of app %d (%d before)", seed, quota, what, s, n, app, occ[s][app])
+					}
+				}
+			}
+			occ = next
+		}
+		// steps touches or accesses a random line per step, and delivers
+		// the lower level's answers (the fills) every third step on average.
+		// A touch waits for an idle cache: warmup never overlaps a miss.
+		steps := func(n int, what string) {
+			for range n {
+				app, addr, write := r.Intn(len(quota)), uint64(r.Intn(160))*64, r.Intn(3) == 0
+				if r.Intn(2) == 0 && c.Idle() && len(low.pending) == 0 {
+					c.TouchAs(app, addr, write)
+				} else {
+					c.Access(now, &mem.Request{App: app, Addr: addr, Write: write, Done: func(int64) {}})
+				}
+				for end := now + 1 + int64(r.Intn(4)); now < end; now++ {
+					c.Tick(now)
+				}
+				if r.Intn(3) == 0 {
+					low.deliver()
+				}
+				check(what)
+			}
+		}
+		steps(1500, "built empty")
+		for ; !c.Idle() || len(low.pending) > 0; now++ {
+			c.Tick(now)
+			low.deliver()
+		}
+		check("settled")
+		low = &fakeLower{delay: 5}
+		if c, err = SharedFromState(c.Snapshot(), sharedCfg(), len(quota), low); err != nil {
+			t.Fatal(err)
+		}
+		check("restored")
+		steps(1500, "restored")
 	}
 }

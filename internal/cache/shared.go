@@ -98,20 +98,6 @@ func buildShared(cfg Config, numApps int, quota []int, lower mem.Port, st *State
 	return c, nil
 }
 
-// Quota returns a copy of the per-app way quotas.
-func (c *SharedCache) Quota() []int { return append([]int(nil), c.quota...) }
-
-// SetQuota re-partitions the ways (e.g. at an epoch boundary). Resident
-// lines are not flushed; over-quota occupancy drains naturally through
-// victim selection.
-func (c *SharedCache) SetQuota(quota []int) error {
-	if err := checkQuota(quota, c.numApps, c.cfg.Ways); err != nil {
-		return err
-	}
-	copy(c.quota, quota)
-	return nil
-}
-
 // StatsFor returns app's counters.
 func (c *SharedCache) StatsFor(app int) Stats { return c.stats[app] }
 
@@ -178,35 +164,27 @@ func (c *SharedCache) occupancy(base, app int) int {
 }
 
 // victimFor selects the way to evict for a fill by app in the set at base,
-// honoring the way partition: an application at or above its quota evicts its
-// own LRU line; below quota it takes an empty way, else the LRU line among
-// apps that are over quota.
+// honoring the way partition: below its quota an application takes an empty
+// way, at its quota it evicts its own LRU line. The quotas are fixed for the
+// cache's life (one built from a snapshot keeps those its lines were placed
+// under) and every line is placed here, so no set holds more than
+// quota[app] lines of app: since the quotas sum to at most Ways, a
+// below-quota application always finds an empty way, and an at-quota one
+// always has a line of its own.
 func (c *SharedCache) victimFor(base, app int) int {
-	victim := -1
-	rank := func(i int) uint16 { return c.meta[i] >> metaRankShift }
 	if c.occupancy(base, app) < c.quota[app] {
 		for i := base; i < base+c.cfg.Ways; i++ {
 			if c.tags[i] == invalidTag {
 				return i
 			}
 		}
-		for i := base; i < base+c.cfg.Ways; i++ {
-			owner := int(c.owners[i])
-			if c.occupancy(base, owner) > c.quota[owner] && (victim < 0 || rank(i) < rank(victim)) {
-				victim = i
-			}
-		}
-	} else {
-		for i := base; i < base+c.cfg.Ways; i++ {
-			if c.tags[i] != invalidTag && int(c.owners[i]) == app && (victim < 0 || rank(i) < rank(victim)) {
-				victim = i
-			}
-		}
 	}
-	if victim < 0 {
-		// A full set with everyone within quota, or no own line despite
-		// being "at quota" (SetQuota shrank it): plain LRU.
-		victim = c.lruVictim(base)
+	victim := -1
+	rank := func(i int) uint16 { return c.meta[i] >> metaRankShift }
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if c.tags[i] != invalidTag && int(c.owners[i]) == app && (victim < 0 || rank(i) < rank(victim)) {
+			victim = i
+		}
 	}
 	return victim
 }

@@ -101,62 +101,6 @@ func TestSharedQuotaEnforced(t *testing.T) {
 	}
 }
 
-func TestSharedUnderQuotaStealsFromOverQuota(t *testing.T) {
-	// App 1 fills the whole set (over its eventual quota), then quotas are
-	// rebalanced; app 0's fills must reclaim ways from app 1.
-	low := &fakeLower{delay: 5}
-	c, err := NewShared(sharedCfg(), 2, []int{1, 7}, low)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill := func(app int, addr uint64, at int64) {
-		c.Access(at, &mem.Request{App: app, Addr: addr, Done: func(int64) {}})
-		for cyc := at; cyc < at+8; cyc++ {
-			c.Tick(cyc)
-		}
-		low.deliver()
-	}
-	const setStride = 512
-	for i := 0; i < 8; i++ {
-		fill(1, uint64(i)*setStride, int64(i)*20)
-	}
-	if err := c.SetQuota([]int{6, 2}); err != nil {
-		t.Fatal(err)
-	}
-	// App 0 installs 6 lines; all must land by evicting app 1's lines.
-	for i := 8; i < 14; i++ {
-		fill(0, uint64(i)*setStride, int64(i)*20)
-	}
-	// All six of app 0's lines should now hit.
-	h := c.StatsFor(0).Hits
-	for i := 8; i < 14; i++ {
-		fill(0, uint64(i)*setStride, int64(1000+i)*20)
-	}
-	if got := c.StatsFor(0).Hits - h; got != 6 {
-		t.Fatalf("app0 holds %d of 6 lines after rebalance", got)
-	}
-}
-
-func TestSharedSetQuotaValidation(t *testing.T) {
-	c, _ := newShared(t, []int{4, 4})
-	if err := c.SetQuota([]int{4}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if err := c.SetQuota([]int{0, 4}); err == nil {
-		t.Error("zero quota accepted")
-	}
-	if err := c.SetQuota([]int{8, 8}); err == nil {
-		t.Error("overcommit accepted")
-	}
-	if err := c.SetQuota([]int{6, 2}); err != nil {
-		t.Error(err)
-	}
-	q := c.Quota()
-	if q[0] != 6 || q[1] != 2 {
-		t.Fatalf("quota = %v", q)
-	}
-}
-
 func TestSharedDirtyWritebackAttribution(t *testing.T) {
 	c, low := newShared(t, []int{2, 6})
 	fill := func(app int, addr uint64, write bool, at int64) {

@@ -123,13 +123,11 @@ func TestRestoreRefusesIncompatibleState(t *testing.T) {
 	}
 }
 
-// lruOp is one access of the LRU round-trip stream. A requota op instead
-// re-partitions the shared cache's ways.
+// lruOp is one access of the LRU round-trip stream.
 type lruOp struct {
-	addr    uint64
-	write   bool
-	app     int
-	requota []int
+	addr  uint64
+	write bool
+	app   int
 }
 
 // lruStream is a seeded access stream in batches: every batch is issued in one
@@ -138,7 +136,7 @@ type lruOp struct {
 // three batches are fixed: a miss; a hit on that line followed by a miss into
 // the same set, so the fill lands after the hit; and a lone hit. 24 lines over
 // four sets of four ways keep every set under pressure.
-func lruStream(seed int64, apps int, requotaAt int, requota []int) [][]lruOp {
+func lruStream(seed int64, apps int) [][]lruOp {
 	batches := [][]lruOp{
 		{{addr: 0x000}},
 		{{addr: 0x008}, {addr: 0x100, write: true}},
@@ -146,10 +144,6 @@ func lruStream(seed int64, apps int, requotaAt int, requota []int) [][]lruOp {
 	}
 	r := rand.New(rand.NewSource(seed))
 	for len(batches) < 400 {
-		if len(batches) == requotaAt {
-			batches = append(batches, []lruOp{{requota: requota}})
-			continue
-		}
 		batch := make([]lruOp, 1+r.Intn(3))
 		for i := range batch {
 			batch[i] = lruOp{addr: uint64(r.Intn(24))*64 + uint64(r.Intn(64)), write: r.Intn(3) == 0, app: r.Intn(apps)}
@@ -162,7 +156,7 @@ func lruStream(seed int64, apps int, requotaAt int, requota []int) [][]lruOp {
 // lruCache is what the round trip needs of either cache.
 type lruCache interface {
 	snapCache
-	OutstandingMisses() int
+	Idle() bool
 }
 
 // TestSnapshotLRURoundTrip: a cache built from a snapshot must make every
@@ -172,19 +166,18 @@ type lruCache interface {
 // after every batch, and on the read and writeback streams the lower level
 // sees. The points cover a fresh cache (a way still empty), the line a hit
 // made most recent just before a fill into its set, and warm, saturated sets — for a
-// private cache with a depth-2 prefetcher and for a shared cache whose quota
-// is re-partitioned mid-stream, before some snapshots and after others.
+// private cache with a depth-2 prefetcher and for a shared cache with an
+// uneven way quota.
 func TestSnapshotLRURoundTrip(t *testing.T) {
 	cfg := Config{Name: "R", SizeBytes: 1024, Ways: 4, LineBytes: 64, HitLatency: 2, MSHRs: 8}
 	prefetch := cfg
 	prefetch.PrefetchDepth = 2
 	cases := []struct {
-		name    string
-		apps    int
-		requota []int
-		build   func(low *fakeLower) (lruCache, error)
-		from    func(st *State, low *fakeLower) (lruCache, error)
-		stats   func(c lruCache) []Stats
+		name  string
+		apps  int
+		build func(low *fakeLower) (lruCache, error)
+		from  func(st *State, low *fakeLower) (lruCache, error)
+		stats func(c lruCache) []Stats
 	}{
 		{
 			name: "private+prefetch2", apps: 1,
@@ -193,7 +186,7 @@ func TestSnapshotLRURoundTrip(t *testing.T) {
 			stats: func(c lruCache) []Stats { return []Stats{c.(*Cache).Stats()} },
 		},
 		{
-			name: "shared/requota", apps: 2, requota: []int{3, 1},
+			name: "shared", apps: 2,
 			build: func(low *fakeLower) (lruCache, error) { return NewShared(cfg, 2, []int{1, 3}, low) },
 			from:  func(st *State, low *fakeLower) (lruCache, error) { return SharedFromState(st, cfg, 2, low) },
 			stats: func(c lruCache) []Stats { return append([]Stats(nil), c.(*SharedCache).stats...) },
@@ -206,11 +199,10 @@ func TestSnapshotLRURoundTrip(t *testing.T) {
 		}
 		return c.(*SharedCache).tags
 	}
-	const requotaAt = 150
 	for _, tc := range cases {
 		for seed := int64(1); seed <= 4; seed++ {
-			stream := lruStream(seed, tc.apps, requotaAt, tc.requota)
-			for _, at := range []int{0, 1, 2, 3, 40, requotaAt, 260} {
+			stream := lruStream(seed, tc.apps)
+			for _, at := range []int{0, 1, 2, 3, 40, 150, 260} {
 				t.Run(fmt.Sprintf("%s/seed=%d/at=%d", tc.name, seed, at), func(t *testing.T) {
 					build := func() (lruCache, *fakeLower) {
 						low := &fakeLower{delay: 3}
@@ -225,12 +217,6 @@ func TestSnapshotLRURoundTrip(t *testing.T) {
 					run := func(c lruCache, low *fakeLower, now int64, batch []lruOp) ([]string, int64) {
 						var verdicts []string
 						for _, op := range batch {
-							if op.requota != nil {
-								if err := c.(*SharedCache).SetQuota(op.requota); err != nil {
-									t.Fatal(err)
-								}
-								continue
-							}
 							hits := tc.stats(c)[op.app].Hits
 							req := &mem.Request{Addr: op.addr, Write: op.write, App: op.app, Done: func(int64) {}}
 							switch {
@@ -247,8 +233,8 @@ func TestSnapshotLRURoundTrip(t *testing.T) {
 							c.Tick(now)
 							low.deliver()
 						}
-						if c.OutstandingMisses() != 0 || len(low.pending) != 0 {
-							t.Fatalf("cycle %d: not quiescent: %d MSHRs, %d requests below", now, c.OutstandingMisses(), len(low.pending))
+						if !c.Idle() || len(low.pending) != 0 {
+							t.Fatalf("cycle %d: not quiescent: idle %v, %d requests below", now, c.Idle(), len(low.pending))
 						}
 						return verdicts, now
 					}

@@ -21,6 +21,13 @@ func tightWorkload(r *rand.Rand) (apc, api []float64, b float64) {
 	}
 }
 
+// approxEqual reports whether a and b agree within 1e-12 absolute or 1e-9
+// relative tolerance.
+func approxEqual(a, b float64) bool {
+	d := math.Abs(a - b)
+	return d <= 1e-12 || d <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+}
+
 func TestPredictIPC(t *testing.T) {
 	ipc, err := PredictIPC([]float64{0.01, 0.02}, []float64{0.05, 0.04})
 	if err != nil {
@@ -53,7 +60,7 @@ func TestMaxHspMatchesDirectEvaluation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return mathx.ApproxEqual(closed, direct, 1e-12, 1e-9)
+		return approxEqual(closed, direct)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -73,7 +80,7 @@ func TestSqrtWspMatchesDirectEvaluation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return mathx.ApproxEqual(closed, direct, 1e-12, 1e-9)
+		return approxEqual(closed, direct)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -115,8 +122,8 @@ func TestPropHspWspMatchesDirectEvaluation(t *testing.T) {
 		h, err1 := Evaluate(metrics.ObjectiveHsp, Proportional(), apc, api, b)
 		w, err2 := Evaluate(metrics.ObjectiveWsp, Proportional(), apc, api, b)
 		return err1 == nil && err2 == nil &&
-			mathx.ApproxEqual(closed, h, 1e-12, 1e-9) &&
-			mathx.ApproxEqual(closed, w, 1e-12, 1e-9)
+			approxEqual(closed, h) &&
+			approxEqual(closed, w)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -339,7 +346,7 @@ func TestAllocationScaleInvariance(t *testing.T) {
 				return false
 			}
 			for i := range x {
-				if !mathx.ApproxEqual(xk[i], x[i]*k, 1e-12, 1e-9) {
+				if !approxEqual(xk[i], x[i]*k) {
 					return false
 				}
 			}

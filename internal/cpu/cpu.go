@@ -752,12 +752,3 @@ func (c *Core) reserveROB() int {
 func (c *Core) unreserveROB() {
 	c.robCount--
 }
-
-// ROBOccupancy returns the number of in-flight instructions.
-func (c *Core) ROBOccupancy() int { return c.robCount }
-
-// OutstandingLoads returns the number of loads awaiting data.
-func (c *Core) OutstandingLoads() int { return c.outstandingLoads }
-
-// Drained reports whether the ROB is empty (useful for drain phases).
-func (c *Core) Drained() bool { return c.robCount == 0 }

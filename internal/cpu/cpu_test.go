@@ -289,8 +289,8 @@ func TestRetireInOrder(t *testing.T) {
 	if got := c.Stats().Retired; got != 0 {
 		t.Fatalf("retired %d instructions past an outstanding load", got)
 	}
-	if c.ROBOccupancy() != 32 {
-		t.Fatalf("ROB occupancy %d, want full (32)", c.ROBOccupancy())
+	if c.robCount != 32 {
+		t.Fatalf("ROB occupancy %d, want full (32)", c.robCount)
 	}
 	if c.Stats().ROBFullCycles == 0 {
 		t.Fatal("ROB-full stalls not counted")

@@ -78,10 +78,10 @@ func TestROBOccupancyBounded(t *testing.T) {
 		for cyc := int64(0); cyc < 10_000; cyc++ {
 			l1.tick(cyc)
 			c.Tick(cyc)
-			if c.ROBOccupancy() > cfg.ROBSize {
+			if c.robCount > cfg.ROBSize {
 				return false
 			}
-			if c.OutstandingLoads() > cfg.MaxOutstandingLoads {
+			if c.outstandingLoads > cfg.MaxOutstandingLoads {
 				return false
 			}
 		}

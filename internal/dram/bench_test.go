@@ -60,9 +60,10 @@ func BenchmarkContention(b *testing.B) {
 	cfg := DDR2_400()
 	dev, _ := NewDevice(cfg)
 	co := cfg.Decode(0)
+	bank := cfg.GlobalBank(co)
 	dev.Issue(0, co, 0, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dev.Contention(co, 1, int64(i%200))
+		dev.ContentionAt(bank, co.Channel, 1, int64(i%200))
 	}
 }

@@ -144,14 +144,6 @@ func (c Config) ScaleBandwidth(factor float64) Config {
 	return c
 }
 
-// ScaleChannels returns a copy of c with factor times the channels — the
-// alternative way to scale bandwidth (more parallel buses at the same
-// per-burst occupancy rather than faster bursts).
-func (c Config) ScaleChannels(factor int) Config {
-	c.Channels *= factor
-	return c
-}
-
 // Validate checks the configuration for internal consistency. NaN fails
 // every comparison, so the clock and timing checks are written to reject it.
 func (c Config) Validate() error {

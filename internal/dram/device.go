@@ -117,16 +117,11 @@ type Blocker struct {
 	App     int  // app currently holding the blocking resource (-1 unknown)
 }
 
-// Contention reports whether an access to co by app would be delayed at
-// cycle now by bank or bus occupancy, and which app holds the blocking
-// resource. Bank occupancy is checked first (it gates issue); otherwise a
-// backlogged data bus counts.
-func (d *Device) Contention(co Coord, app int, now int64) Blocker {
-	return d.ContentionAt(d.cfg.GlobalBank(co), co.Channel, app, now)
-}
-
-// ContentionAt is Contention for a pre-resolved dense bank index and
-// channel, the form the controller's per-cycle interference detector uses
+// ContentionAt reports whether an access by app to the bank with the given
+// dense index (Config.GlobalBank order) on channel would be delayed at cycle
+// now by bank or bus occupancy, and which app holds the blocking resource.
+// Bank occupancy is checked first (it gates issue); otherwise a backlogged
+// data bus counts. The controller's per-cycle interference detector calls it
 // with the bank index cached at enqueue.
 func (d *Device) ContentionAt(bank, channel, app int, now int64) Blocker {
 	b := &d.banks[bank]
@@ -257,20 +252,6 @@ func (d *Device) Stats() Stats {
 		s.RowHits += d.banks[i].rowHits
 	}
 	return s
-}
-
-// BusUtilization returns the fraction of cycles the data buses were
-// transferring over an interval of elapsed cycles (aggregated across
-// channels).
-func (d *Device) BusUtilization(elapsed int64) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	var busy int64
-	for i := range d.buses {
-		busy += d.buses[i].busyCycles
-	}
-	return float64(busy) / float64(elapsed*int64(len(d.buses)))
 }
 
 func maxInt(a, b int) int {

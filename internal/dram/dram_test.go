@@ -269,18 +269,21 @@ func TestContentionAttribution(t *testing.T) {
 	dev, _ := NewDevice(cfg)
 	co := cfg.Decode(0)
 	dev.Issue(0, co, 7, false)
-	bl := dev.Contention(co, 3, 1)
+	contention := func(co Coord, now int64) Blocker {
+		return dev.ContentionAt(cfg.GlobalBank(co), co.Channel, 3, now)
+	}
+	bl := contention(co, 1)
 	if !bl.Blocked || bl.App != 7 {
 		t.Fatalf("expected blocked by app 7, got %+v", bl)
 	}
 	// Different bank, but the shared bus is backlogged by app 7.
 	other := cfg.Decode(uint64(cfg.LineBytes))
-	bl = dev.Contention(other, 3, 1)
+	bl = contention(other, 1)
 	if !bl.Blocked || bl.App != 7 {
 		t.Fatalf("expected bus-blocked by app 7, got %+v", bl)
 	}
 	// Far in the future everything is free.
-	bl = dev.Contention(co, 3, 1_000_000)
+	bl = contention(co, 1_000_000)
 	if bl.Blocked {
 		t.Fatalf("expected unblocked, got %+v", bl)
 	}
@@ -328,9 +331,6 @@ func TestStatsCounting(t *testing.T) {
 func TestBusUtilizationBounds(t *testing.T) {
 	cfg := noRefresh(DDR2_400())
 	dev, _ := NewDevice(cfg)
-	if u := dev.BusUtilization(0); u != 0 {
-		t.Fatalf("utilization of zero elapsed = %v", u)
-	}
 	r := rand.New(rand.NewSource(1))
 	now := int64(0)
 	for i := 0; i < 100; i++ {
@@ -341,7 +341,7 @@ func TestBusUtilizationBounds(t *testing.T) {
 		done := dev.Issue(now, co, 0, false)
 		now = done
 	}
-	u := dev.BusUtilization(now)
+	u := float64(dev.Stats().BusBusyCycles) / float64(now*int64(cfg.Channels))
 	if u <= 0 || u > 1 {
 		t.Fatalf("utilization out of range: %v", u)
 	}

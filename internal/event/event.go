@@ -38,9 +38,6 @@ func (q *Queue) At(cycle int64, fn func()) {
 	q.h.Push(item{cycle: cycle, seq: q.seq, fn: fn})
 }
 
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
-
 // RunUntil executes, in order, every event scheduled at or before cycle.
 // Events may schedule further events; those are honored if they also fall at
 // or before cycle.

@@ -4,7 +4,7 @@ import "testing"
 
 func TestZeroValueUsable(t *testing.T) {
 	var q Queue
-	if q.Len() != 0 {
+	if len(q.h) != 0 {
 		t.Fatal("zero queue not empty")
 	}
 	q.RunUntil(100) // must not panic
@@ -53,8 +53,8 @@ func TestEventSchedulesEvent(t *testing.T) {
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("got %v", got)
 	}
-	if q.Len() != 1 {
-		t.Fatalf("late event lost: len=%d", q.Len())
+	if len(q.h) != 1 {
+		t.Fatalf("late event lost: len=%d", len(q.h))
 	}
 }
 

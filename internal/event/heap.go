@@ -35,9 +35,6 @@ func (h *Heap[T]) Pop() T {
 	return v
 }
 
-// Len returns the number of elements.
-func (h Heap[T]) Len() int { return len(h) }
-
 func (h Heap[T]) siftUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2

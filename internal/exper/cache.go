@@ -42,14 +42,6 @@ func NewResultCache() *ResultCache {
 // shared across runners.
 func (c *ResultCache) SetMaxBytes(n int64) { c.trim(n, nil) }
 
-// Len reports how many finished cells the cache holds (in-flight cells
-// count too; they resolve to finished or are removed on error).
-func (c *ResultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Bytes reports the accounted resident size of finished cells.
 func (c *ResultCache) Bytes() int64 {
 	c.mu.Lock()

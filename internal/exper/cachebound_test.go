@@ -31,8 +31,8 @@ func TestResultCacheByteAccounting(t *testing.T) {
 		}
 	}
 	cache := r.Config().Cache
-	if cache.Len() != 2 {
-		t.Fatalf("cache holds %d cells, want 2", cache.Len())
+	if len(memoKeys(&cache.memo)) != 2 {
+		t.Fatalf("cache holds %d cells, want 2", len(memoKeys(&cache.memo)))
 	}
 	if cache.Bytes() <= 0 {
 		t.Fatalf("cache bytes = %d, want > 0", cache.Bytes())
@@ -130,12 +130,12 @@ func TestResultCacheSetMaxBytesShrink(t *testing.T) {
 		}
 	}
 	cache := r.Config().Cache
-	if cache.Len() != 3 {
-		t.Fatalf("cache holds %d cells, want 3", cache.Len())
+	if len(memoKeys(&cache.memo)) != 3 {
+		t.Fatalf("cache holds %d cells, want 3", len(memoKeys(&cache.memo)))
 	}
 	cache.SetMaxBytes(1) // smaller than any cell: everything must go
-	if cache.Len() != 0 || cache.Bytes() != 0 {
-		t.Fatalf("after shrink: %d cells, %d bytes, want 0/0", cache.Len(), cache.Bytes())
+	if len(memoKeys(&cache.memo)) != 0 || cache.Bytes() != 0 {
+		t.Fatalf("after shrink: %d cells, %d bytes, want 0/0", len(memoKeys(&cache.memo)), cache.Bytes())
 	}
 	// The cache still works after a full purge.
 	if _, err := r.RunMix(mix, "equal"); err != nil {
@@ -206,19 +206,19 @@ func TestResultCacheBoundCoversEncodings(t *testing.T) {
 	}
 	// square-root's encoding pushed out priority-apc, the least recently
 	// used; equal's second hit reused its encoding.
-	if got, want := cache.Bytes(), cell("equal")+cell("square-root"); cache.Len() != 2 || got != want {
-		t.Errorf("after the hits: %d cells, %d bytes; want 2 cells, %d bytes", cache.Len(), got, want)
+	if got, want := cache.Bytes(), cell("equal")+cell("square-root"); len(memoKeys(&cache.memo)) != 2 || got != want {
+		t.Errorf("after the hits: %d cells, %d bytes; want 2 cells, %d bytes", len(memoKeys(&cache.memo)), got, want)
 	}
 	if s := cfg.Obs.Snapshot(); s.Cache.Evictions != 1 || s.Cache.Bytes != cache.Bytes() || s.Cache.Hits != 3 {
 		t.Errorf("evictions %d, hits %d, gauge %d; want 1, 3 and %d", s.Cache.Evictions, s.Cache.Hits, s.Cache.Bytes, cache.Bytes())
 	}
 	cache.SetMaxBytes(cache.Bytes() - 1)
-	if got, want := cache.Bytes(), cell("equal"); cache.Len() != 1 || got != want {
-		t.Errorf("after evicting square-root: %d cells, %d bytes; want 1 cell, %d bytes", cache.Len(), got, want)
+	if got, want := cache.Bytes(), cell("equal"); len(memoKeys(&cache.memo)) != 1 || got != want {
+		t.Errorf("after evicting square-root: %d cells, %d bytes; want 1 cell, %d bytes", len(memoKeys(&cache.memo)), got, want)
 	}
 	cache.SetMaxBytes(1)
-	if cache.Len() != 0 || cache.Bytes() != 0 {
-		t.Errorf("after a purge: %d cells, %d bytes, want 0/0", cache.Len(), cache.Bytes())
+	if len(memoKeys(&cache.memo)) != 0 || cache.Bytes() != 0 {
+		t.Errorf("after a purge: %d cells, %d bytes, want 0/0", len(memoKeys(&cache.memo)), cache.Bytes())
 	}
 }
 
@@ -277,8 +277,8 @@ func TestResultCacheConcurrentHitsEvictResize(t *testing.T) {
 		t.Errorf("account %d at rest (-1: not the sum of the resident cells)", b)
 	}
 	c.SetMaxBytes(1)
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Errorf("after a purge: %d cells, %d bytes, want 0/0", c.Len(), c.Bytes())
+	if len(memoKeys(&c.memo)) != 0 || c.Bytes() != 0 {
+		t.Errorf("after a purge: %d cells, %d bytes, want 0/0", len(memoKeys(&c.memo)), c.Bytes())
 	}
 }
 

@@ -63,7 +63,8 @@ type Config struct {
 	// bound, least-recently-used finished cells are evicted (and their next
 	// request re-simulates, or loads from the checkpoint tier). 0 leaves
 	// the cache unbounded — fine for one-shot sweeps, not for a long-lived
-	// service. Applied to Cache (own or shared) by NewRunner.
+	// service — and a negative bound is invalid. Applied to Cache (own or
+	// shared) by NewRunner.
 	CacheBytes int64
 	// BaseContext, when set, is the base context for experiment fan-outs
 	// that have no explicit context parameter (the figures, tables, and
@@ -119,6 +120,9 @@ func (c Config) Validate() error {
 	}
 	if c.Sim.Core.Width <= 0 || c.Sim.Core.ROBSize <= 0 {
 		return errors.New("exper: core Width and ROBSize must be positive")
+	}
+	if c.CacheBytes < 0 {
+		return fmt.Errorf("exper: result-cache budget CacheBytes %d is negative (0 leaves the cache unbounded)", c.CacheBytes)
 	}
 	return c.Sim.DRAM.Validate()
 }

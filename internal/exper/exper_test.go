@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -28,6 +29,16 @@ func quickRunner(t *testing.T) *Runner {
 	return sharedRunner
 }
 
+// runOnline resolves mix's online cell under scheme, with the given epoch
+// length and count, as a one-cell RunCells.
+func runOnline(r *Runner, mix workload.Mix, scheme string, epoch int64, epochs int) (*MixRun, error) {
+	runs, err := r.RunCells(context.Background(), []GridCell{{Mix: mix, Scheme: onlinePrefix + scheme, Epoch: epoch, Epochs: epochs}}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return runs[0], nil
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Fatal(err)
@@ -45,6 +56,8 @@ func TestConfigValidate(t *testing.T) {
 		{"L1 without MSHRs", func(c *Config) { c.Sim.L1.MSHRs = 0 }},
 		{"core without a ROB", func(c *Config) { c.Sim.Core.ROBSize = 0 }},
 		{"core without dispatch width", func(c *Config) { c.Sim.Core.Width = 0 }},
+		// A negative budget used to leave the result cache unbounded.
+		{"negative result-cache budget", func(c *Config) { c.CacheBytes = -1 << 20 }},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -271,7 +284,7 @@ func TestFigure3QoSHoldsTarget(t *testing.T) {
 func TestOnlineProfilingConverges(t *testing.T) {
 	r := quickRunner(t)
 	mix, _ := workload.MixByName("hetero-5")
-	res, err := r.RunOnline(mix, "square-root", 120_000, 4)
+	res, err := runOnline(r, mix, "square-root", 120_000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +306,13 @@ func TestOnlineProfilingConverges(t *testing.T) {
 func TestRunOnlineValidation(t *testing.T) {
 	r := quickRunner(t)
 	mix, _ := workload.MixByName("hetero-5")
-	if _, err := r.RunOnline(mix, "square-root", 0, 4); err == nil {
+	if _, err := runOnline(r, mix, "square-root", 0, 4); err == nil {
 		t.Error("zero epoch length accepted")
 	}
-	if _, err := r.RunOnline(mix, "square-root", 1000, 1); err == nil {
+	if _, err := runOnline(r, mix, "square-root", 1000, 1); err == nil {
 		t.Error("single epoch accepted")
 	}
-	if _, err := r.RunOnline(mix, "bogus", 1000, 2); err == nil {
+	if _, err := runOnline(r, mix, "bogus", 1000, 2); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 }

@@ -371,7 +371,7 @@ func TestCheckpointKeyedLikeMemoryTier(t *testing.T) {
 	wantCache(t, "aliased pair", col, 1, 1, 0, 0)
 
 	online := GridCell{Mix: hetero5, Scheme: "online:square-root", Epoch: 20_000, Epochs: 2}
-	orun, err := r.RunOnline(hetero5, "square-root", online.Epoch, online.Epochs)
+	orun, err := runOnline(r, hetero5, "square-root", online.Epoch, online.Epochs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,7 +239,7 @@ func TestHeuristicsSharedBaseMatchesCold(t *testing.T) {
 	if n, sims := checkCachedMatchCold(t, warm), cfg.Obs.Snapshot().Cache.Misses; n == 0 || int64(n) != sims {
 		t.Errorf("checked %d cached cells, want the %d the heuristic study simulated", n, sims)
 	}
-	wo, err := warm.RunOnline(mixes[0], "square-root", 40_000, 3)
+	wo, err := runOnline(warm, mixes[0], "square-root", 40_000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestStudiesRerunFromCells(t *testing.T) {
 		func() (*Table, error) { return r.PagePolicyStudy(hetero[:1]) },
 		func() (*Table, error) { return r.SharedL2Study(homo1, [][]int{{2, 2, 2, 2}}) },
 		func() (*Table, error) {
-			run, err := r.RunOnline(hetero5, "square-root", 10_000, 2)
+			run, err := runOnline(r, hetero5, "square-root", 10_000, 2)
 			if err != nil {
 				return nil, err
 			}

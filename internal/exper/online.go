@@ -8,22 +8,7 @@ import (
 	"bwpart/internal/core"
 	"bwpart/internal/profile"
 	"bwpart/internal/sim"
-	"bwpart/internal/workload"
 )
-
-// RunOnline resolves mix under scheme as the paper deploys it: APC_alone is
-// never measured by running apps alone; it is estimated every epoch from the
-// three online counters (N_accesses, T_cyc,shared, T_cyc,interference, Sec.
-// IV-C) and the partitioning is refreshed at every epoch boundary. The run is
-// the cell "online:<scheme>" with the given epoch length and count, so it is
-// memoized, checkpointed and forked from the mix's warm base like any other.
-// Its EstimatedAPCAlone holds the final smoothed estimates, APCAlone the
-// run-alone oracle they are judged against (MixRun.EstimatorError), and
-// Values the objectives over the measurement window under the converged
-// partitioning.
-func (r *Runner) RunOnline(mix workload.Mix, scheme string, epochCycles int64, epochs int) (*MixRun, error) {
-	return r.lookup(r.own, GridCell{Mix: mix, Scheme: onlinePrefix + scheme, Epoch: epochCycles, Epochs: epochs}, true)
-}
 
 // runEpochs is an online cell's settle window. The first epoch runs
 // unpartitioned (the policy installed FCFS) to gather initial estimates,

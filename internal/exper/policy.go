@@ -32,7 +32,16 @@ type policyArgs struct {
 	seed          int64
 }
 
-// onlinePrefix+scheme is scheme run online (see RunOnline).
+// onlinePrefix+scheme is scheme as the paper deploys it: APC_alone is never
+// measured by running apps alone; it is estimated every epoch from the three
+// online counters (N_accesses, T_cyc,shared, T_cyc,interference, Sec. IV-C)
+// and the partitioning is refreshed at every epoch boundary (runEpochs). Its
+// cell names the epoch length and count (GridCell.Epoch, Epochs) and is
+// memoized, checkpointed and forked from the mix's warm base like any other.
+// Its run's EstimatedAPCAlone holds the final smoothed estimates, APCAlone
+// the run-alone oracle they are judged against (MixRun.EstimatorError), and
+// Values the objectives over the measurement window under the converged
+// partitioning.
 const onlinePrefix = "online:"
 
 // installs is a policy's apply step that installs a fresh scheduler from mk

@@ -87,20 +87,6 @@ func Normalize(xs []float64) ([]float64, error) {
 	return out, nil
 }
 
-// OnSimplex reports whether xs is a valid share vector: all elements within
-// [0,1] (with tolerance eps) and summing to 1 within eps.
-func OnSimplex(xs []float64, eps float64) bool {
-	if len(xs) == 0 {
-		return false
-	}
-	for _, x := range xs {
-		if x < -eps || x > 1+eps || math.IsNaN(x) {
-			return false
-		}
-	}
-	return math.Abs(Sum(xs)-1) <= eps
-}
-
 // AllPositive reports whether every element of xs is strictly positive and
 // finite.
 func AllPositive(xs []float64) bool {
@@ -121,17 +107,6 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// ApproxEqual reports whether a and b agree within absolute tolerance absTol
-// or relative tolerance relTol (whichever is looser).
-func ApproxEqual(a, b, absTol, relTol float64) bool {
-	diff := math.Abs(a - b)
-	if diff <= absTol {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= relTol*scale
 }
 
 // MeanStd returns the mean and sample standard deviation of xs (std 0 for

@@ -176,12 +176,6 @@ func (c *Controller) SetCompletionTracer(fn func(cycle int64, app int, addr uint
 	c.completionTracer = fn
 }
 
-// Device exposes the underlying DRAM device (read-only use intended).
-func (c *Controller) Device() *dram.Device { return c.dev }
-
-// Scheduler returns the active scheduling policy.
-func (c *Controller) Scheduler() Scheduler { return c.sched }
-
 // SetScheduler swaps the scheduling policy (e.g. at a repartitioning
 // interval boundary). Queued requests are retained.
 func (c *Controller) SetScheduler(s Scheduler) error {
@@ -253,9 +247,6 @@ func (c *Controller) freeEntry(e *Entry) {
 	e.Req = nil
 	c.entryPool = append(c.entryPool, e)
 }
-
-// Pending returns the number of queued (not yet issued) requests.
-func (c *Controller) Pending() int { return c.queued }
 
 // PendingFor returns the number of queued requests for one app.
 func (c *Controller) PendingFor(app int) int { return c.queues[app].len() }
@@ -527,13 +518,5 @@ func (c *Controller) SkipSpan(from, to int64) {
 // so a span of n refusals integrates to nothing.
 func (c *Controller) AccountRejects(app int, n int64) {}
 
-// Stats returns a copy of the per-app counters.
-func (c *Controller) Stats() []AppStats { return append([]AppStats(nil), c.stats...) }
-
 // StatsFor returns app's counters.
 func (c *Controller) StatsFor(app int) AppStats { return c.stats[app] }
-
-// Drained reports whether no requests are queued or in flight.
-func (c *Controller) Drained() bool {
-	return c.queued == 0 && len(c.completions) == 0
-}

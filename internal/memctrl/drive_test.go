@@ -195,7 +195,7 @@ func (d *diffDriver) step(t *testing.T, c *Controller, cyc int64) {
 // the completion trace covers every issued access.
 func (d *diffDriver) drain(t *testing.T, c *Controller, from int64) {
 	t.Helper()
-	for cyc := from; !c.Drained(); cyc++ {
+	for cyc := from; c.queued != 0 || len(c.completions) != 0; cyc++ {
 		c.Tick(cyc)
 		checkQueuedWrites(t, c, cyc)
 	}
@@ -211,7 +211,7 @@ func diffDrive(t *testing.T, c *Controller, numApps int, seed int64, cycles int6
 		d.step(t, c, cyc)
 	}
 	d.drain(t, c, cycles)
-	return d.issues, d.done, c.Stats()
+	return d.issues, d.done, c.stats
 }
 
 // TestIndexedPickMatchesReference drives, for every scheduler, page policy
@@ -252,7 +252,7 @@ func swapDriveMatrix(t *testing.T, policy dram.PagePolicy, numApps int, seed, ph
 	for ; cyc < phase; cyc++ {
 		d.step(t, c, cyc)
 	}
-	if c.Pending() == 0 {
+	if c.queued == 0 {
 		t.Fatal("nothing queued at the swap — workload broken")
 	}
 	if err := c.SetScheduler(swap); err != nil {
@@ -273,7 +273,7 @@ func swapDriveMatrix(t *testing.T, policy dram.PagePolicy, numApps int, seed, ph
 		return n
 	}
 	issued, retired := perApp(d.issues), perApp(d.retired)
-	for app, st := range c.Stats() {
+	for app, st := range c.stats {
 		if retired[app] != issued[app] || st.Served() != issued[app] {
 			t.Fatalf("app %d: %d accesses issued, %d retired, %d served", app, issued[app], retired[app], st.Served())
 		}

@@ -182,7 +182,7 @@ func TestTCMLatencyClusterPriority(t *testing.T) {
 	}
 	// And its interference should be far below the heavy app's demand
 	// pressure (sanity only).
-	st := c.Stats()
+	st := c.stats
 	if st[0].Served() == 0 || st[1].Served() == 0 {
 		t.Fatalf("stats empty: %+v", st)
 	}
@@ -209,7 +209,7 @@ func TestSTFMPrioritizesSlowedApp(t *testing.T) {
 			}
 			c.Tick(cyc)
 		}
-		return c.Stats()[0].InterferenceCycles
+		return c.stats[0].InterferenceCycles
 	}
 	stfm, _ := NewSTFM(2, 1.05)
 	interfSTFM := run(stfm)

@@ -61,10 +61,10 @@ func TestSingleReadCompletes(t *testing.T) {
 	if doneAt != want {
 		t.Fatalf("completion at %d, want %d", doneAt, want)
 	}
-	if !c.Drained() {
+	if c.queued != 0 || len(c.completions) != 0 {
 		t.Fatal("controller should be drained")
 	}
-	st := c.Stats()
+	st := c.stats
 	if st[0].Reads != 1 || st[0].Writes != 0 {
 		t.Fatalf("stats = %+v", st[0])
 	}
@@ -75,7 +75,7 @@ func TestPostedWriteNeedsNoCallback(t *testing.T) {
 	c, _ := New(dev, 1, 0, NewFCFS())
 	c.Access(0, &mem.Request{App: 0, Addr: 128, Write: true})
 	run(c, 0, 2000)
-	if got := c.Stats()[0].Writes; got != 1 {
+	if got := c.stats[0].Writes; got != 1 {
 		t.Fatalf("writes = %d, want 1", got)
 	}
 }
@@ -240,7 +240,7 @@ func TestStartTimeFairSetSharesValidation(t *testing.T) {
 	if err := stf.SetShares([]float64{2, 6}); err != nil {
 		t.Error(err)
 	}
-	sh := stf.Shares()
+	sh := stf.shares
 	if math.Abs(sh[0]-0.25) > 1e-12 || math.Abs(sh[1]-0.75) > 1e-12 {
 		t.Errorf("normalized shares = %v", sh)
 	}
@@ -363,7 +363,7 @@ func TestInterferenceCounting(t *testing.T) {
 		t.Fatal("test setup: want same bank")
 	}
 	run(c, 0, 5000)
-	st := c.Stats()
+	st := c.stats
 	if st[1].InterferenceCycles == 0 {
 		t.Fatal("app 1 should have recorded interference")
 	}
@@ -383,7 +383,7 @@ func TestNoInterferenceWhenAlone(t *testing.T) {
 		}
 		c.Tick(cyc)
 	}
-	if got := c.Stats()[0].InterferenceCycles; got != 0 {
+	if got := c.stats[0].InterferenceCycles; got != 0 {
 		t.Fatalf("alone app recorded %d interference cycles", got)
 	}
 }
@@ -398,8 +398,8 @@ func TestSetSchedulerSwap(t *testing.T) {
 	if err := c.SetScheduler(stf); err != nil {
 		t.Fatal(err)
 	}
-	if c.Scheduler().Name() != "StartTimeFair" {
-		t.Fatalf("scheduler = %s", c.Scheduler().Name())
+	if c.sched.Name() != "StartTimeFair" {
+		t.Fatalf("scheduler = %s", c.sched.Name())
 	}
 }
 

@@ -38,7 +38,7 @@ func TestBandwidthConservation(t *testing.T) {
 			c.Tick(cyc)
 		}
 		var served int64
-		for _, st := range c.Stats() {
+		for _, st := range c.stats {
 			served += st.Served()
 		}
 		maxPossible := window / dev.Timing().Burst
@@ -72,7 +72,7 @@ func TestInterferenceBoundedByWindow(t *testing.T) {
 			}
 			c.Tick(cyc)
 		}
-		for _, st := range c.Stats() {
+		for _, st := range c.stats {
 			if st.InterferenceCycles > window {
 				return false
 			}
@@ -123,7 +123,7 @@ func TestSchedulerSwapMidRunKeepsRequests(t *testing.T) {
 	if done != int64(total) {
 		t.Fatalf("completed %d of %d requests across scheduler swaps", done, total)
 	}
-	if !c.Drained() {
+	if c.queued != 0 || len(c.completions) != 0 {
 		t.Fatal("controller not drained")
 	}
 }

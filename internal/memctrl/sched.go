@@ -229,13 +229,6 @@ func shareTotal(shares []float64) (float64, error) {
 	return total, nil
 }
 
-// Shares returns the normalized share vector.
-func (s *StartTimeFair) Shares() []float64 {
-	out := make([]float64, len(s.shares))
-	copy(out, s.shares)
-	return out
-}
-
 func (*StartTimeFair) Name() string   { return "StartTimeFair" }
 func (*StartTimeFair) HeadOnly() bool { return true }
 

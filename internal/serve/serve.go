@@ -148,6 +148,10 @@ func New(opts Options) (*Server, error) {
 	if opts.Exper.CacheBytes == 0 {
 		opts.Exper.CacheBytes = DefaultCacheBytes
 	}
+	runner, err := exper.NewRunner(opts.Exper)
+	if err != nil {
+		return nil, err
+	}
 	// With a checkpoint store, the job journal lives beside the cell files
 	// and feeds crash-resume. Its records are replayed below; a journal that
 	// cannot be opened for append is a logged, counted degradation — never a
@@ -155,16 +159,11 @@ func New(opts Options) (*Server, error) {
 	var jn *journal
 	var replay []journalRecord
 	if opts.Exper.Checkpoint != nil {
-		var err error
 		jn, replay, err = openJournal(filepath.Join(opts.Exper.Checkpoint.Dir(), "journal.jsonl"), col, faults)
 		if err != nil {
 			col.Add(obs.CheckpointErrors, 1)
 			log.Printf("serve: opening job journal: %v (journaling disabled, resume still replayed)", err)
 		}
-	}
-	runner, err := exper.NewRunner(opts.Exper)
-	if err != nil {
-		return nil, err
 	}
 	s := &Server{
 		opts:    opts,

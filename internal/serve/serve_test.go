@@ -1128,9 +1128,14 @@ func TestServeHitBypassesFullQueue(t *testing.T) {
 
 // TestServeTakesExperConfig: the collector, cache budget and fault injector
 // set in Options.Exper are the ones the server and its runner use; only a
-// zero budget becomes DefaultCacheBytes.
+// zero budget becomes DefaultCacheBytes, and a negative one builds no server.
 func TestServeTakesExperConfig(t *testing.T) {
-	for _, budget := range []int64{1024, -1, 0} {
+	negative := testConfig()
+	negative.CacheBytes = -1
+	if _, err := New(Options{Exper: negative}); err == nil {
+		t.Error("a negative cache budget built a server")
+	}
+	for _, budget := range []int64{1024, 0} {
 		in := faultinject.New(1)
 		in.Arm(faultinject.QueueStall, faultinject.Rule{})
 		cfg := faultConfig(in)

@@ -15,22 +15,19 @@ var updateDigests = flag.Bool("update", false, "rewrite testdata/cache_digests.j
 
 // cacheDigestTopos are the cache hierarchies the digests pin: the private
 // L2s with and without the next-line prefetcher, and the shared
-// way-partitioned L2 under three quotas (the last re-partitioned mid-run, so
-// lines sit over quota while victims are chosen). The middle quota runs with
-// a quarter of the miss registers so the per-app MSHR cap refuses accesses.
+// way-partitioned L2 under two quotas. The uneven quota runs with a quarter
+// of the miss registers so the per-app MSHR cap refuses accesses.
 var cacheDigestTopos = []struct {
 	name     string
 	prefetch int
 	shared   bool
 	quota    []int // nil splits the ways evenly
-	requota  []int // SetQuota at the start of the window
 	l2MSHRs  int   // overrides Config.L2.MSHRs when positive
 }{
 	{name: "private"},
 	{name: "private+prefetch2", prefetch: 2},
 	{name: "shared/even", shared: true},
 	{name: "shared/1-3-2-2", shared: true, quota: []int{1, 3, 2, 2}, l2MSHRs: 4},
-	{name: "shared/5-1-1-1-requota", shared: true, quota: []int{5, 1, 1, 1}, requota: []int{2, 2, 1, 3}},
 }
 
 // kernelLines renders ks as one line for the run and one per component, so
@@ -53,7 +50,7 @@ func kernelLines(ks KernelStats) []string {
 // settle phase, then a measurement window. It hashes everything the cache
 // hierarchy can influence — the windowed Result and every cache's counters —
 // and returns that behaviour digest with the run's kernel counters.
-func cacheDigest(t *testing.T, run loop, cfg Config, requota []int) (string, []string) {
+func cacheDigest(t *testing.T, run loop, cfg Config) (string, []string) {
 	t.Helper()
 	const settle, measure = 6_000, 40_003
 	sys, err := New(cfg, mustProfiles(t, "lbm", "milc", "soplex", "povray"))
@@ -63,11 +60,6 @@ func cacheDigest(t *testing.T, run loop, cfg Config, requota []int) (string, []s
 	sys.Warmup()
 	run(sys, settle)
 	sys.ResetStats()
-	if requota != nil {
-		if err := sys.SharedL2().SetQuota(requota); err != nil {
-			t.Fatal(err)
-		}
-	}
 	run(sys, measure)
 
 	h := sha256.New()
@@ -143,7 +135,7 @@ func TestCacheDigests(t *testing.T) {
 					if topo.l2MSHRs > 0 {
 						cfg.L2.MSHRs = topo.l2MSHRs
 					}
-					digest, ks := cacheDigest(t, kern.run, cfg, topo.requota)
+					digest, ks := cacheDigest(t, kern.run, cfg)
 					if prev, ok := got[bkey]; ok && prev != digest {
 						t.Errorf("behaviour digest %s differs from the other kernel's %s", digest, prev)
 					}

@@ -156,13 +156,13 @@ func observe(t *testing.T, run loop, kc kernelCase, sliced bool) (kernelObs, Ker
 	for i := range sys.cores {
 		obs.Cores = append(obs.Cores, sys.cores[i].Stats())
 		obs.L1s = append(obs.L1s, sys.l1s[i].Stats())
+		obs.Ctrl = append(obs.Ctrl, sys.ctrl.StatsFor(i))
 		if sys.sharedL2 != nil {
 			obs.L2s = append(obs.L2s, sys.sharedL2.StatsFor(i))
 		} else {
 			obs.L2s = append(obs.L2s, sys.l2s[i].Stats())
 		}
 	}
-	obs.Ctrl = sys.Controller().Stats()
 	return obs, sys.KernelStats()
 }
 

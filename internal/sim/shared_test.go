@@ -18,7 +18,7 @@ func TestSharedL2SystemRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.SharedL2() == nil {
+	if sys.sharedL2 == nil {
 		t.Fatal("shared L2 missing")
 	}
 	sys.Warmup()
@@ -63,7 +63,7 @@ func TestSharedL2PrivateTopologyUnaffected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.SharedL2() != nil {
+	if sys.sharedL2 != nil {
 		t.Fatal("private topology built a shared L2")
 	}
 }

